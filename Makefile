@@ -3,12 +3,12 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover bench bench-short bench-json verify results examples fmt fmt-check vet lint check clean loadtest-short loadtest fuzz-short
+.PHONY: all build test test-short race cover bench bench-short bench-smoke bench-json verify results examples fmt fmt-check vet lint check clean loadtest-short loadtest fuzz-short
 
 all: build test
 
 # The full verification gate: everything CI should hold a change to.
-check: build test race vet lint
+check: build test race vet lint bench-smoke
 
 build:
 	$(GO) build ./...
@@ -36,6 +36,12 @@ bench:
 bench-short:
 	$(GO) test -run=^$$ -bench=. -benchtime=1x ./...
 
+# The repository benchmark's own smoke test (BENCHMARK.json contract, a tiny
+# run of every workload). bench/ is a nested module, so `go test ./...` from
+# the root never reaches it.
+bench-smoke:
+	cd bench && $(GO) test ./...
+
 # Timing records for the perf trajectory (name, ns/op, allocs/op, workers).
 bench-json:
 	$(GO) run ./cmd/recobench -bench -exp all,kcore,frontier,micro > BENCH_experiments.json
@@ -58,11 +64,14 @@ loadtest-short:
 		-seed 7 -n 24 -mix job=1 -deadline 20ms -weighted \
 		-job-workers 1 -job-queue 2 > /dev/null
 
-# Ten seconds of coverage-guided fuzzing over the schedule/job decoders
-# (malformed JSON, hostile SLA fields). CI-friendly: fails only on a crash
-# or a broken response contract, never on timing.
+# Ten seconds each of coverage-guided fuzzing over the schedule/job
+# endpoints (malformed JSON, hostile SLA fields) and over the fast request
+# parser against its encoding/json reference. CI-friendly: fails only on a
+# crash, a broken response contract or a decoder disagreement, never on
+# timing.
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzScheduleRequest -fuzztime=10s ./internal/api
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeSoundness -fuzztime=10s ./internal/api
 
 # Regenerate the committed load-test baseline (warm cache vs cold, ~10 s).
 # helios is the compute-heavy scheduler, so the warm/cold p50 ratio shows

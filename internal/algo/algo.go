@@ -16,6 +16,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"reco/internal/matrix"
 	"reco/internal/ocs"
@@ -172,7 +173,11 @@ type Scheduler interface {
 }
 
 // ValidateRequest checks the shape shared by every algorithm: at least one
-// demand matrix, all matrices present and of one dimension, δ non-negative.
+// demand matrix, all matrices present and of one dimension, δ non-negative,
+// knobs in range, and demand small enough for int64 tick arithmetic: the
+// batch's back-to-back completion bound Σ 2·(ρ + n·δ) — Theorem 2's bound
+// on one coflow's CCT, summed over the coflows — must be representable, or
+// row sums and clocks downstream wrap silently.
 func ValidateRequest(req Request) error {
 	if len(req.Demands) == 0 {
 		return fmt.Errorf("%w: no demand matrices", ErrBadRequest)
@@ -200,5 +205,33 @@ func ValidateRequest(req Request) error {
 	if req.ElecFrac < 0 || req.ElecFrac > 1 {
 		return fmt.Errorf("%w: electrical fraction %v outside [0, 1]", ErrBadRequest, req.ElecFrac)
 	}
+	// Σ 2·(ρ + n·δ) ≤ MaxInt64, spent coflow by coflow from a budget of
+	// MaxInt64/2 so that nothing here can itself overflow.
+	budget := int64(math.MaxInt64 / 2)
+	for k, d := range req.Demands {
+		rho, ok := maxRowColSum(d)
+		if !ok || req.Delta > budget/int64(n) || rho > budget-int64(n)*req.Delta {
+			return fmt.Errorf("%w: demand %d: completion bound 2*(rho + n*delta) overflows int64 ticks", ErrBadRequest, k)
+		}
+		budget -= rho + int64(n)*req.Delta
+	}
 	return nil
+}
+
+// maxRowColSum is Matrix.MaxRowColSum (ρ), reporting false when a row or
+// column sum of the non-negative entries overflows int64.
+func maxRowColSum(d *matrix.Matrix) (rho int64, ok bool) {
+	n, cells := d.N(), d.Cells()
+	for i := 0; i < n; i++ {
+		var row, col int64
+		for j := 0; j < n; j++ {
+			row += cells[i*n+j]
+			col += cells[j*n+i]
+			if row < 0 || col < 0 {
+				return 0, false
+			}
+		}
+		rho = max(rho, row, col)
+	}
+	return rho, true
 }

@@ -3,6 +3,7 @@ package algo
 import (
 	"context"
 	"errors"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -90,12 +91,34 @@ func TestValidateRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// 2·(ρ + n·δ) with n = 2, δ = 100 fits int64 up to ρ = MaxInt64/2 − 200.
+	const edge = math.MaxInt64/2 - 200
+	huge := func(v int64) *matrix.Matrix {
+		m, err := matrix.FromRows([][]int64{{0, v}, {v, 0}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	wrap, err := matrix.FromRows([][]int64{{1 << 62, 1 << 62}, {1 << 62, 1 << 62}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		req  Request
 		ok   bool
 	}{
 		{"valid", Request{Demands: []*matrix.Matrix{d}, Delta: 10, C: 4}, true},
+		{"bound at the edge", Request{Demands: []*matrix.Matrix{huge(edge)}, Delta: 100}, true},
+		{"bound past the edge", Request{Demands: []*matrix.Matrix{huge(edge + 1)}, Delta: 100}, false},
+		{"row sums wrap to zero", Request{Demands: []*matrix.Matrix{wrap}, Delta: 100}, false},
+		{"max entries", Request{Demands: []*matrix.Matrix{huge(math.MaxInt64)}, Delta: 100}, false},
+		{"batch bound past the edge", Request{Demands: []*matrix.Matrix{huge(edge / 2), huge(edge / 2)}, Delta: 100}, false},
+		{"batch bound within", Request{Demands: []*matrix.Matrix{huge(edge/2 - 100), huge(edge/2 - 100)}, Delta: 100}, true},
+		{"delta times ports overflows", Request{Demands: []*matrix.Matrix{d}, Delta: math.MaxInt64/2 + 1}, false},
+		{"delta alone past the edge", Request{Demands: []*matrix.Matrix{d}, Delta: math.MaxInt64 / 4}, false},
+		{"largest delta", Request{Demands: []*matrix.Matrix{d}, Delta: math.MaxInt64/4 - 5}, true},
 		{"zero delta", Request{Demands: []*matrix.Matrix{d}}, true},
 		{"no demands", Request{Delta: 10}, false},
 		{"nil matrix", Request{Demands: []*matrix.Matrix{nil}, Delta: 10}, false},

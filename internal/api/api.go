@@ -16,8 +16,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
+	"strconv"
+	"sync"
 	"time"
 
 	"reco/internal/algo"
@@ -423,53 +426,50 @@ func handleAlgorithms(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSingle(w http.ResponseWriter, r *http.Request) {
-	var req SingleRequest
-	if !s.readJSON(w, r, &req) {
-		return
+	if d, res, ok := s.serve(w, r, decodeSingle); ok {
+		out := getBuf(singleSize(res))
+		*out = appendSingle(*out, d.req, res)
+		writeRaw(w, *out)
+		putBuf(out)
 	}
-	name, areq, err := req.toAlgo()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	timeout, err := sla(req.DeadlineMS, req.Weight)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	ctx, cancel := slaContext(r.Context(), timeout)
-	defer cancel()
-	res, err := s.schedule(ctx, name, areq)
-	if err != nil {
-		s.writeScheduleError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, renderSingle(areq, res))
 }
 
 func (s *Server) handleMulti(w http.ResponseWriter, r *http.Request) {
-	var req MultiRequest
-	if !s.readJSON(w, r, &req) {
-		return
+	if _, res, ok := s.serve(w, r, decodeMulti); ok {
+		out := getBuf(multiSize(res))
+		*out = appendMulti(*out, res)
+		writeRaw(w, *out)
+		putBuf(out)
 	}
-	name, areq, err := req.toAlgo()
+}
+
+// serve is the synchronous endpoints' shared front half: read the body,
+// decode it, and schedule the request under its SLA, writing the error
+// response itself on failure.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, decode func([]byte) (decoded, error)) (decoded, *algo.Result, bool) {
+	body, ok := s.readBody(w, r)
+	if !ok {
+		return decoded{}, nil, false
+	}
+	d, err := decode(*body)
+	putBuf(body) // d owns its matrices and strings
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
-		return
+		return d, nil, false
 	}
-	timeout, err := sla(req.DeadlineMS, req.Weight)
+	timeout, err := sla(d.deadlineMS, d.weight)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
-		return
+		return d, nil, false
 	}
 	ctx, cancel := slaContext(r.Context(), timeout)
 	defer cancel()
-	res, err := s.schedule(ctx, name, areq)
+	res, err := s.schedule(ctx, d.name, d.req)
 	if err != nil {
 		s.writeScheduleError(w, err)
-		return
+		return d, nil, false
 	}
-	writeJSON(w, http.StatusOK, renderMulti(res))
+	return d, res, true
 }
 
 // writeScheduleError maps a scheduling failure onto the wire, counting
@@ -510,23 +510,84 @@ func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// readJSON decodes a POST body into dst, writing the error response itself
-// on failure. Bodies beyond the server's MaxBodyBytes get a structured 413.
-func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, dst interface{}) bool {
+// maxPooledBuf bounds both what a declared Content-Length may reserve
+// before any byte has arrived and the buffers kept for reuse: a rare
+// 64 MB body grows its buffer as it is read and then gives it back to the
+// collector instead of pinning it in the pool.
+const maxPooledBuf = 1 << 20
+
+// bufPool recycles request-body and response buffers.
+var bufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// getBuf returns an empty buffer with room for size bytes (capped at
+// maxPooledBuf; append grows it past that).
+func getBuf(size int) *[]byte {
+	bp := bufPool.Get().(*[]byte)
+	if size = min(size, maxPooledBuf); cap(*bp) < size {
+		*bp = make([]byte, 0, size)
+	}
+	*bp = (*bp)[:0]
+	return bp
+}
+
+func putBuf(bp *[]byte) {
+	if cap(*bp) <= maxPooledBuf {
+		bufPool.Put(bp)
+	}
+}
+
+// readBody reads a POST body whole into a pooled buffer the caller gives
+// back with putBuf, writing the error response itself on failure. Bodies
+// beyond the server's MaxBodyBytes get a structured 413 — before a byte is
+// read when Content-Length already says so.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (*[]byte, bool) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "use POST")
+		return nil, false
+	}
+	limit := s.opts.MaxBodyBytes
+	if r.ContentLength > limit {
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", limit))
+		return nil, false
+	}
+	// One spare byte lets the read that finds EOF fit without growing.
+	bp := getBuf(int(max(r.ContentLength, 0)) + 1)
+	b, src := *bp, http.MaxBytesReader(w, r.Body, limit)
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := src.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			*bp = b
+			return bp, true
+		}
+		if err != nil {
+			*bp = b
+			putBuf(bp)
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				writeError(w, http.StatusRequestEntityTooLarge,
+					fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+			} else {
+				writeError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
+			}
+			return nil, false
+		}
+	}
+}
+
+// readJSON decodes a POST body into dst with the reference decoder,
+// writing the error response itself on failure.
+func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, dst interface{}) bool {
+	body, ok := s.readBody(w, r)
+	if !ok {
 		return false
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-			return false
-		}
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
+	defer putBuf(body)
+	if err := decodeStrict(*body, dst); err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return false
 	}
 	return true
@@ -555,6 +616,14 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	// Encoding failures after the header is out can only be logged by the
 	// caller's middleware; the payloads here are all marshalable types.
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// writeRaw writes an already encoded 200 response.
+func writeRaw(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {

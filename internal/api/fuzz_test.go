@@ -3,8 +3,10 @@ package api
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -33,11 +35,10 @@ func fuzzTarget() http.Handler {
 	return fuzzHandler
 }
 
-// FuzzScheduleRequest throws arbitrary bodies at the schedule and job
-// endpoints and checks the contract that matters under hostile input: no
-// panic, a sane status code, and a JSON body that parses — with the error
-// envelope populated on every 4xx/5xx.
-func FuzzScheduleRequest(f *testing.F) {
+// addRequestSeeds seeds a (decoder selector, body) fuzz target with the
+// valid and hostile bodies both fuzz targets start from. New seeds go at
+// the end: the seed#N subtest names are part of the test floor.
+func addRequestSeeds(f *testing.F) {
 	valid := [][]byte{
 		[]byte(`{"demand":[[0,5],[5,0]],"delta":10,"algorithm":"reco-sin"}`),
 		[]byte(`{"demand":[[0,5],[5,0]],"delta":10,"deadline_ms":1000,"weight":2}`),
@@ -56,6 +57,17 @@ func FuzzScheduleRequest(f *testing.F) {
 	f.Add(uint8(0), []byte(`not json at all`))
 	f.Add(uint8(1), []byte(`{"demands":[[[9e99]]]}`))
 	f.Add(uint8(2), []byte(strings.Repeat("[", 512)))
+	// Demand whose row sums wrap int64: once a 200 with cct 0, and a 500.
+	f.Add(uint8(0), []byte(`{"demand":[[4611686018427387904,4611686018427387904],[4611686018427387904,4611686018427387904]],"delta":100}`))
+	f.Add(uint8(0), []byte(`{"demand":[[0,9223372036854775807],[9223372036854775807,0]],"delta":100}`))
+}
+
+// FuzzScheduleRequest throws arbitrary bodies at the schedule and job
+// endpoints and checks the contract that matters under hostile input: no
+// panic, a sane status code, and a JSON body that parses — with the error
+// envelope populated on every 4xx/5xx.
+func FuzzScheduleRequest(f *testing.F) {
+	addRequestSeeds(f)
 
 	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
 		path := fuzzPaths[int(which)%len(fuzzPaths)]
@@ -77,6 +89,92 @@ func FuzzScheduleRequest(f *testing.F) {
 			if !ok || msg == "" {
 				t.Fatalf("%s -> %d: error response without error message: %q", path, code, rec.Body.Bytes())
 			}
+		}
+	})
+}
+
+// FuzzDecodeSoundness is the fast parser's contract: whatever it accepts,
+// the reference decoder (encoding/json + toAlgo) accepts too and decodes
+// to the same algorithm, registry request and SLA pair. The converse is
+// not required — giving up is always allowed.
+func FuzzDecodeSoundness(f *testing.F) {
+	addRequestSeeds(f)
+	// What clients actually send: json.Marshal of the exported structs.
+	rng := rand.New(rand.NewSource(14))
+	randMatrix := func(n int) [][]int64 {
+		rows := make([][]int64, n)
+		for i := range rows {
+			rows[i] = make([]int64, n)
+			for j := range rows[i] {
+				if rng.Intn(3) == 0 {
+					rows[i][j] = rng.Int63() >> uint(rng.Intn(63))
+				}
+			}
+		}
+		return rows
+	}
+	for i := 0; i < 24; i++ {
+		n := 1 + rng.Intn(5)
+		single := SingleRequest{
+			Demand: randMatrix(n), Delta: rng.Int63n(1000), Algorithm: []string{"", "reco-sin", "a<b"}[rng.Intn(3)],
+			DeadlineMS: int64(rng.Intn(3)) * 250, Weight: float64(rng.Intn(3)) * rng.Float64() * 1e21,
+			Cores: rng.Intn(3), K: rng.Intn(3), ElecFrac: float64(rng.Intn(2)) * rng.Float64(),
+		}
+		multi := MultiRequest{
+			Demands: [][][]int64{randMatrix(n), randMatrix(n)}, Delta: rng.Int63n(1000), C: rng.Int63n(8),
+			Weight: rng.Float64() * 1e-7, Cores: rng.Intn(3),
+		}
+		if rng.Intn(2) == 0 {
+			multi.Weights = []float64{rng.Float64(), rng.NormFloat64() * 1e9}
+		}
+		var v any
+		switch i % 4 {
+		case 0:
+			v = single
+		case 1:
+			v = multi
+		case 2:
+			v = JobRequest{Kind: "single", Single: &single}
+		default:
+			v = JobRequest{Kind: "multi", Multi: &multi}
+		}
+		body, err := json.Marshal(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(min(i%4, 2)), body)
+	}
+
+	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
+		p := parser{b: body}
+		var kind, wantKind string
+		var got, want decoded
+		var ok bool
+		var err error
+		switch which % 3 {
+		case 0:
+			got, ok = p.request(false)
+		case 1:
+			got, ok = p.request(true)
+		default:
+			kind, got, ok = p.job()
+		}
+		if !ok || !p.end() {
+			return
+		}
+		switch which % 3 {
+		case 0:
+			want, err = refSingle(body)
+		case 1:
+			want, err = refMulti(body)
+		default:
+			wantKind, want, err = refJob(body)
+		}
+		if err != nil {
+			t.Fatalf("fast parser accepted %q, reference rejects it: %v", body, err)
+		}
+		if kind != wantKind || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q:\nfast      %s %+v\nreference %s %+v", body, kind, got, wantKind, want)
 		}
 	})
 }

@@ -465,30 +465,18 @@ func (s *Server) exec(j *job) {
 }
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	var req JobRequest
-	if !s.readJSON(w, r, &req) {
+	body, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
-	j := &job{kind: req.Kind}
-	var err error
-	var deadlineMS int64
-	var weight float64
-	switch {
-	case req.Kind == "single" && req.Single != nil:
-		j.name, j.areq, err = req.Single.toAlgo()
-		deadlineMS, weight = req.Single.DeadlineMS, req.Single.Weight
-	case req.Kind == "multi" && req.Multi != nil:
-		j.name, j.areq, err = req.Multi.toAlgo()
-		deadlineMS, weight = req.Multi.DeadlineMS, req.Multi.Weight
-	default:
-		writeError(w, http.StatusBadRequest, `kind must be "single" or "multi" with the matching request field set`)
-		return
-	}
+	kind, d, err := decodeJob(*body)
+	putBuf(body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	timeout, err := sla(deadlineMS, weight)
+	j := &job{kind: kind, name: d.name, areq: d.req, weight: d.weight, deadlineMS: d.deadlineMS}
+	timeout, err := sla(d.deadlineMS, d.weight)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -499,11 +487,9 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusFor(err), err.Error())
 		return
 	}
-	j.weight = weight
 	if j.weight == 0 {
 		j.weight = 1
 	}
-	j.deadlineMS = deadlineMS
 	if timeout > 0 {
 		j.deadline = time.Now().Add(timeout)
 	}

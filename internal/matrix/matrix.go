@@ -25,7 +25,8 @@ var ErrNegative = errors.New("matrix: negative entry")
 
 // Matrix is a dense square matrix of non-negative int64 demands.
 //
-// The zero value is not usable; construct matrices with New or FromRows.
+// The zero value is not usable; construct matrices with New, FromRows or
+// FromCells.
 // Methods with index arguments follow slice semantics: out-of-range indices
 // panic, as they indicate a programmer error rather than bad input data.
 type Matrix struct {
@@ -66,8 +67,32 @@ func FromRows(rows [][]int64) (*Matrix, error) {
 	return m, nil
 }
 
+// FromCells builds the n×n matrix whose row-major entries are cells. The
+// matrix takes ownership of cells (no copy): the caller must not use the
+// slice afterwards. Like FromRows it rejects a non-positive dimension, a
+// cell count other than n², and negative entries.
+func FromCells(n int, cells []int64) (*Matrix, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("%w: n=%d", ErrDimension, n)
+	}
+	if len(cells)/n != n || len(cells)%n != 0 {
+		return nil, fmt.Errorf("%w: %d cells for n=%d", ErrDimension, len(cells), n)
+	}
+	for idx, v := range cells {
+		if v < 0 {
+			return nil, fmt.Errorf("%w: entry (%d,%d)=%d", ErrNegative, idx/n, idx%n, v)
+		}
+	}
+	return &Matrix{n: n, cells: cells}, nil
+}
+
 // N returns the matrix dimension.
 func (m *Matrix) N() int { return m.n }
+
+// Cells returns the entries in row-major order (entry (i, j) at index
+// i·N()+j) as a view of the matrix's own storage, for bulk readers such as
+// hashing and encoding. Callers must not write through it.
+func (m *Matrix) Cells() []int64 { return m.cells }
 
 // At returns entry (i, j).
 func (m *Matrix) At(i, j int) int64 { return m.cells[i*m.n+j] }
@@ -83,6 +108,16 @@ func (m *Matrix) Clone() *Matrix {
 	c := &Matrix{n: m.n, cells: make([]int64, len(m.cells))}
 	copy(c.cells, m.cells)
 	return c
+}
+
+// CopyFrom overwrites m's entries with o's, reusing m's storage. The
+// dimensions must match; a mismatch is a programmer error and panics, as
+// out-of-range indices do.
+func (m *Matrix) CopyFrom(o *Matrix) {
+	if o.n != m.n {
+		panic(fmt.Sprintf("matrix: CopyFrom dimension %d into %d", o.n, m.n))
+	}
+	copy(m.cells, o.cells)
 }
 
 // RowSums returns the sum of each row.

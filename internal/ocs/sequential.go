@@ -51,11 +51,18 @@ func execSeq(n int, order []int, run func(k int) (Result, error)) (SeqResult, er
 		if err != nil {
 			return SeqResult{}, fmt.Errorf("coflow %d: %w", k, err)
 		}
-		for _, f := range r.Flows {
-			f.Start += now
-			f.End += now
-			f.Coflow = k
-			res.Flows = append(res.Flows, f)
+		// run hands over a flow list nobody else holds: shift it in place,
+		// and let the first coflow's (a single-coflow request's only one)
+		// become the combined list instead of copying it.
+		for i := range r.Flows {
+			r.Flows[i].Start += now
+			r.Flows[i].End += now
+			r.Flows[i].Coflow = k
+		}
+		if res.Flows == nil {
+			res.Flows = r.Flows
+		} else {
+			res.Flows = append(res.Flows, r.Flows...)
 		}
 		now += r.CCT
 		res.CCTs[k] = now

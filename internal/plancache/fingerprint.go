@@ -97,23 +97,28 @@ func fingerprint(alg string, req algo.Request, eps float64) string {
 		writeInt(step)
 	}
 	writeInt(int64(len(req.Demands)))
+	// Cells go through a fixed stack chunk, one Write per 4 KB: the byte
+	// stream (and so the key) is what one Write per cell produced.
+	var chunk [4096]byte
 	for _, d := range req.Demands {
 		if d == nil {
 			writeInt(-1)
 			continue
 		}
-		n := d.N()
-		writeInt(int64(n))
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				v := d.At(i, j)
+		writeInt(int64(d.N()))
+		cells := d.Cells()
+		for len(cells) > 0 {
+			k := min(len(cells), len(chunk)/8)
+			for idx, v := range cells[:k] {
 				if step > 1 {
 					// Round to the nearest bucket midpoint so a value just
 					// below and just above a bucket edge still usually agree.
 					v = (v + step/2) / step
 				}
-				writeInt(v)
+				binary.LittleEndian.PutUint64(chunk[idx*8:], uint64(v))
 			}
+			h.Write(chunk[:k*8])
+			cells = cells[k:]
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))

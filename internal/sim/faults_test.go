@@ -388,3 +388,56 @@ func TestWaitValidation(t *testing.T) {
 		t.Errorf("negative wait: %v", err)
 	}
 }
+
+// scribbler wraps a controller and, once it has decided, overwrites the
+// State.Remaining it was handed — including the cells the simulator is
+// about to drain.
+type scribbler struct{ Controller }
+
+func (s scribbler) Next(st State) Decision {
+	dec := s.Controller.Next(st)
+	n := st.Remaining.N()
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			st.Remaining.Set(i, j, int64(7*i+j))
+		}
+	}
+	return dec
+}
+
+// TestScribblingControllerCannotCorruptRun: State.Remaining is one scratch
+// matrix per run, refreshed from the simulator's own residual before every
+// decision, so a controller that writes to it gets exactly the Result of a
+// well-behaved twin — with and without faults.
+func TestScribblingControllerCannotCorruptRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	for trial := 0; trial < 20; trial++ {
+		n := 3 + rng.Intn(6)
+		delta := int64(1 + rng.Intn(40))
+		d := randomDemand(rng, n, 0.5)
+		var fs *faults.Schedule
+		if trial%2 == 1 {
+			var err error
+			fs, err = faults.Generate(faults.GenConfig{
+				N: n, Seed: int64(trial), Horizon: 2000, PortFailRate: 0.4, RepairAfter: 300,
+				SetupFailProb: 0.1, JitterBound: 2,
+			})
+			if err != nil {
+				t.Fatalf("trial %d: Generate: %v", trial, err)
+			}
+		}
+		for _, mk := range []func() Controller{
+			func() Controller { return GreedyBottleneck{} },
+			func() Controller { return NewRecover(delta) },
+		} {
+			want, wantErr := RunFaults(d, mk(), delta, fs)
+			got, gotErr := RunFaults(d, scribbler{mk()}, delta, fs)
+			if (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("trial %d %s: error %v, well-behaved twin %v", trial, mk().Name(), gotErr, wantErr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d %s: scribbling changed the result:\n got %+v\nwant %+v", trial, mk().Name(), got, want)
+			}
+		}
+	}
+}

@@ -56,8 +56,10 @@ const maxStuck = 10_000
 type State struct {
 	// Now is the current simulation time in ticks.
 	Now int64
-	// Remaining is the undrained demand. Controllers must not mutate it;
-	// the simulator hands out a defensive copy.
+	// Remaining is the undrained demand: a defensive copy, so a controller
+	// that writes to it cannot corrupt the run, but one scratch matrix per
+	// run refreshed before every call — valid until the next Next, and to
+	// be cloned by a controller that wants to keep it.
 	Remaining *matrix.Matrix
 	// Establishments counts establishments so far.
 	Establishments int
@@ -223,6 +225,7 @@ func RunFaults(d *matrix.Matrix, ctrl Controller, delta int64, fs *faults.Schedu
 		return nil, fmt.Errorf("%w: %v", ErrController, err)
 	}
 	rem := d.Clone()
+	observed := d.Clone() // the controller's copy of rem, see State.Remaining
 	fab := fabric.NewCircuit(n, 1)
 	res := &Result{}
 	var now int64
@@ -276,9 +279,10 @@ func RunFaults(d *matrix.Matrix, ctrl Controller, delta int64, fs *faults.Schedu
 		if down != nil {
 			portsDown = append([]bool(nil), down...)
 		}
+		observed.CopyFrom(rem)
 		dec := ctrl.Next(State{
 			Now:            now,
-			Remaining:      rem.Clone(),
+			Remaining:      observed,
 			Establishments: res.Establishments,
 			PortsDown:      portsDown,
 			NextPortEvent:  nextEvent,
