@@ -27,6 +27,7 @@ import (
 	"os"
 	"time"
 
+	"reco/internal/algo"
 	"reco/internal/api"
 )
 
@@ -81,17 +82,46 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// reqFlags holds the flags every scheduling subcommand shares.
+type reqFlags struct {
+	alg        string
+	delta      int64
+	deadlineMS int64
+	weight     float64
+	knobs      algo.Knobs
+}
+
+// requestFlags registers the shared request flags, one per knob included,
+// on fs.
+func requestFlags(fs *flag.FlagSet) *reqFlags {
+	rf := new(reqFlags)
+	fs.StringVar(&rf.alg, "alg", "", "algorithm name (empty: the server's default for the request kind)")
+	fs.Int64Var(&rf.delta, "delta", 100, "reconfiguration delay in ticks")
+	fs.Int64Var(&rf.deadlineMS, "deadline-ms", 0, "SLA in milliseconds (0 = none): a synchronous request answers 504 past it, a job is admitted and reported against it")
+	fs.Float64Var(&rf.weight, "weight", 0, "admission weight (0 = default 1); heavier work is shed last under overload")
+	algo.KnobFlags(fs, &rf.knobs)
+	return rf
+}
+
+func (rf *reqFlags) single(demand [][]int64) api.SingleRequest {
+	return api.SingleRequest{
+		Demand: demand, Delta: rf.delta, Algorithm: rf.alg,
+		DeadlineMS: rf.deadlineMS, Weight: rf.weight, Knobs: rf.knobs,
+	}
+}
+
+func (rf *reqFlags) multi(demands [][][]int64, c int64) api.MultiRequest {
+	return api.MultiRequest{
+		Demands: demands, Delta: rf.delta, C: c, Algorithm: rf.alg,
+		DeadlineMS: rf.deadlineMS, Weight: rf.weight, Knobs: rf.knobs,
+	}
+}
+
 func runSingle(ctx context.Context, client *api.Client, args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("single", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	demandPath := fs.String("demand", "-", "path to the demand matrix JSON ('-' for stdin)")
-	alg := fs.String("alg", "", "algorithm name (empty: the server's single-coflow default)")
-	delta := fs.Int64("delta", 100, "reconfiguration delay in ticks")
-	deadlineMS := fs.Int64("deadline-ms", 0, "request SLA in milliseconds (0 = none); the server answers 504 past it")
-	weight := fs.Float64("weight", 0, "admission weight (0 = default 1); heavier requests are shed last under overload")
-	cores := fs.Int("cores", 0, "K-core fabric width (0 or 1 = single switch; K > 1 needs a cores-capable algorithm)")
-	k := fs.Int("k", 0, "BvN term bound per coflow (0 = algorithm default; > 0 needs a sparse-capable algorithm)")
-	elecFrac := fs.Float64("elec-frac", 0, "electrical fabric rate as a fraction of one circuit lane (0 = algorithm default; > 0 needs a hybrid-capable algorithm)")
+	rf := requestFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -99,9 +129,7 @@ func runSingle(ctx context.Context, client *api.Client, args []string, stdin io.
 	if err := readJSONInput(*demandPath, stdin, &demand); err != nil {
 		return err
 	}
-	resp, err := client.ScheduleSingle(ctx, api.SingleRequest{
-		Demand: demand, Delta: *delta, Algorithm: *alg, DeadlineMS: *deadlineMS, Weight: *weight, Cores: *cores, K: *k, ElecFrac: *elecFrac,
-	})
+	resp, err := client.ScheduleSingle(ctx, rf.single(demand))
 	if err != nil {
 		return err
 	}
@@ -112,14 +140,8 @@ func runMulti(ctx context.Context, client *api.Client, args []string, stdin io.R
 	fs := flag.NewFlagSet("multi", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	demandsPath := fs.String("demands", "-", "path to the demand matrices JSON ('-' for stdin)")
-	alg := fs.String("alg", "", "algorithm name (empty: the server's multi-coflow default)")
-	delta := fs.Int64("delta", 100, "reconfiguration delay in ticks")
 	c := fs.Int64("c", 4, "optical transmission threshold")
-	deadlineMS := fs.Int64("deadline-ms", 0, "request SLA in milliseconds (0 = none); the server answers 504 past it")
-	weight := fs.Float64("weight", 0, "admission weight (0 = default 1); heavier requests are shed last under overload")
-	cores := fs.Int("cores", 0, "K-core fabric width (0 or 1 = single switch; K > 1 needs a cores-capable algorithm)")
-	k := fs.Int("k", 0, "BvN term bound per coflow (0 = algorithm default; > 0 needs a sparse-capable algorithm)")
-	elecFrac := fs.Float64("elec-frac", 0, "electrical fabric rate as a fraction of one circuit lane (0 = algorithm default; > 0 needs a hybrid-capable algorithm)")
+	rf := requestFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -127,9 +149,7 @@ func runMulti(ctx context.Context, client *api.Client, args []string, stdin io.R
 	if err != nil {
 		return err
 	}
-	resp, err := client.ScheduleMulti(ctx, api.MultiRequest{
-		Demands: demands, Delta: *delta, C: *c, Algorithm: *alg, DeadlineMS: *deadlineMS, Weight: *weight, Cores: *cores, K: *k, ElecFrac: *elecFrac,
-	})
+	resp, err := client.ScheduleMulti(ctx, rf.multi(demands, *c))
 	if err != nil {
 		return err
 	}
@@ -192,14 +212,8 @@ func runJobSubmit(ctx context.Context, client *api.Client, args []string, stdin 
 	kind := fs.String("kind", "single", `job kind: "single" or "multi"`)
 	demandPath := fs.String("demand", "-", "single: path to the demand matrix JSON ('-' for stdin)")
 	demandsPath := fs.String("demands", "-", "multi: path to the demand matrices JSON ('-' for stdin)")
-	delta := fs.Int64("delta", 100, "reconfiguration delay in ticks")
 	c := fs.Int64("c", 4, "multi: optical transmission threshold")
-	alg := fs.String("alg", "", "algorithm name (empty: the kind's default)")
-	deadlineMS := fs.Int64("deadline-ms", 0, "job SLA in milliseconds (0 = none); drives admission and miss reporting")
-	weight := fs.Float64("weight", 0, "admission weight (0 = default 1); heavier jobs are shed last under overload")
-	cores := fs.Int("cores", 0, "K-core fabric width (0 or 1 = single switch; K > 1 needs a cores-capable algorithm)")
-	k := fs.Int("k", 0, "BvN term bound per coflow (0 = algorithm default; > 0 needs a sparse-capable algorithm)")
-	elecFrac := fs.Float64("elec-frac", 0, "electrical fabric rate as a fraction of one circuit lane (0 = algorithm default; > 0 needs a hybrid-capable algorithm)")
+	rf := requestFlags(fs)
 	wait := fs.Bool("wait", false, "poll until the job finishes and print the final state")
 	poll := fs.Duration("poll", 100*time.Millisecond, "polling interval with -wait")
 	if err := fs.Parse(args); err != nil {
@@ -212,19 +226,15 @@ func runJobSubmit(ctx context.Context, client *api.Client, args []string, stdin 
 		if err := readJSONInput(*demandPath, stdin, &demand); err != nil {
 			return err
 		}
-		req.Single = &api.SingleRequest{
-			Demand: demand, Delta: *delta, Algorithm: *alg,
-			DeadlineMS: *deadlineMS, Weight: *weight, Cores: *cores, K: *k, ElecFrac: *elecFrac,
-		}
+		single := rf.single(demand)
+		req.Single = &single
 	case "multi":
 		demands, err := readDemands(*demandsPath, stdin)
 		if err != nil {
 			return err
 		}
-		req.Multi = &api.MultiRequest{
-			Demands: demands, Delta: *delta, C: *c, Algorithm: *alg,
-			DeadlineMS: *deadlineMS, Weight: *weight, Cores: *cores, K: *k, ElecFrac: *elecFrac,
-		}
+		multi := rf.multi(demands, *c)
+		req.Multi = &multi
 	default:
 		return fmt.Errorf("unknown job kind %q", *kind)
 	}

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
+	"reco/internal/algo"
 	"reco/internal/api"
 )
 
@@ -146,5 +148,48 @@ func TestBadInvocations(t *testing.T) {
 	}
 	if code := run([]string{"-server", "http://127.0.0.1:1", "health"}, nil, &out, &errBuf); code != 1 {
 		t.Errorf("dead server: exit %d", code)
+	}
+}
+
+// TestKnobFlags iterates algo.KnobTable: every row's flag exists on the
+// three scheduling subcommands and reaches the server — an unset value is
+// served, a set one draws the server's capability 400 under reco-sin.
+func TestKnobFlags(t *testing.T) {
+	url := newServer(t)
+	demand := `[[104,109,102],[103,105,107],[108,101,106]]`
+	subcommands := []struct {
+		args  []string
+		stdin string
+	}{
+		{[]string{"single", "-demand", "-"}, demand},
+		{[]string{"multi", "-demands", "-"}, "[" + demand + "]"},
+		{[]string{"job", "submit", "-kind", "single", "-demand", "-", "-wait", "-poll", "1ms"}, demand},
+	}
+	for i := range algo.KnobTable {
+		kn := &algo.KnobTable[i]
+		for _, sub := range subcommands {
+			for _, tc := range []struct {
+				value    float64
+				wantCode int
+			}{{kn.Unset, 0}, {kn.Max, 1}} {
+				args := append([]string{"-server", url}, sub.args...)
+				args = append(args, "-alg", algo.NameRecoSin, "-"+kn.Flag(), strconv.FormatFloat(tc.value, 'f', -1, 64))
+				var out, errBuf bytes.Buffer
+				code := run(args, strings.NewReader(sub.stdin), &out, &errBuf)
+				if sub.args[0] == "job" && tc.wantCode == 1 {
+					// A job is accepted and fails asynchronously.
+					if code != 0 || !strings.Contains(out.String(), kn.Cap+" capability") {
+						t.Errorf("recoctl %v: exit %d, output %s", args, code, out.String())
+					}
+					continue
+				}
+				if code != tc.wantCode {
+					t.Errorf("recoctl %v: exit %d, want %d (stderr: %s)", args, code, tc.wantCode, errBuf.String())
+				}
+				if tc.wantCode == 1 && !strings.Contains(errBuf.String(), kn.Cap+" capability") {
+					t.Errorf("recoctl %v: stderr %q does not name the %s capability", args, errBuf.String(), kn.Cap)
+				}
+			}
+		}
 	}
 }

@@ -29,21 +29,21 @@
 //
 //	recosim -alg reco-mul -n 40 -coflows 20 -delta 100 -c 4 -percoflow
 //
-// With -cores K (K > 1) the fabric is a K-core OCS — K parallel switching
-// cores sharing the ports, one transceiver per core per port (see
-// docs/TOPOLOGY.md). Only algorithms advertising the cores capability
-// accept K > 1; -cores 1 is the paper's single switch for every algorithm.
+// Knob flags tune the algorithms that advertise the matching capability
+// (one row each in algo.KnobTable; recoctl and the HTTP API carry the same
+// knobs under the same names):
 //
-// With -k (k > 0) sparsity-bounded algorithms cap each coflow's BvN
-// decomposition at k permutation terms and drain whatever demand the k terms
-// leave behind with cleanup matchings — trading a little CCT for far fewer
-// reconfigurations (see docs/PERF.md and results/frontier.csv). Only
-// algorithms advertising the sparse capability accept -k > 0.
+//	-cores      K-core fabric width: parallel switching cores sharing the ports (0 and 1 both mean the paper's single switch); in [0, 1024], above 1 needs an algorithm with the cores capability
+//	-k          BvN term bound per coflow for sparsity-bounded schedulers (0 = the algorithm's default); in [0, 1048576], above 0 needs an algorithm with the sparse capability
+//	-elec-frac  electrical fabric rate as a fraction of one optical circuit lane (0 = the algorithm's default); in [0, 1], above 0 needs an algorithm with the hybrid capability
 //
-// With -elec-frac f (0 < f ≤ 1) hybrid algorithms run their electrical
-// fabric at fraction f of an optical circuit lane per port (see
-// docs/HYBRID.md); 0 keeps the algorithm's default. Only algorithms
-// advertising the hybrid capability accept -elec-frac > 0.
+// A K-core fabric gives every port one transceiver per core (see
+// docs/TOPOLOGY.md). A term bound caps each coflow's BvN decomposition and
+// drains what the k terms leave behind with cleanup matchings — a little
+// CCT for far fewer reconfigurations (docs/PERF.md, results/frontier.csv).
+// The electrical fabric of a hybrid algorithm runs beside the circuits on
+// one clock (docs/HYBRID.md). A knob set for an algorithm without its
+// capability is an error, not a silently ignored value.
 //
 // With -metrics-out FILE the attached metrics registry is pushed to FILE
 // as one compact JSON snapshot line every -metrics-interval (default 1s),
@@ -63,6 +63,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -88,54 +89,62 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-func run() int {
+func run(args []string) int {
+	fs := flag.NewFlagSet("recosim", flag.ContinueOnError)
+	var knobs algo.Knobs
+	algo.KnobFlags(fs, &knobs)
 	var (
-		alg        = flag.String("alg", algo.NameRecoMul, "algorithm from the registry, or 'list' to enumerate")
-		trace      = flag.String("trace", "", "coflow-benchmark trace file (empty: synthetic workload)")
-		n          = flag.Int("n", 40, "fabric ports for the synthetic workload")
-		numCf      = flag.Int("coflows", 20, "synthetic workload size")
-		seed       = flag.Int64("seed", 1, "synthetic workload seed")
-		delta      = flag.Int64("delta", 100, "reconfiguration delay in ticks")
-		c          = flag.Int64("c", 4, "optical transmission threshold")
-		cores      = flag.Int("cores", 1, "parallel switching cores K (K > 1 needs an algorithm with the cores capability)")
-		kTerms     = flag.Int("k", 0, "BvN term bound per coflow (0 = algorithm default; > 0 needs the sparse capability)")
-		elecFrac   = flag.Float64("elec-frac", 0, "electrical fabric rate as a fraction of one circuit lane (0 = algorithm default; > 0 needs the hybrid capability)")
-		rescale    = flag.Int("rescale", 0, "fold the workload onto this many ports (0: keep)")
-		perCoflow  = flag.Bool("percoflow", false, "print each coflow's CCT")
-		showGantt  = flag.Bool("gantt", false, "render the schedule as an ASCII Gantt chart")
-		ganttWidth = flag.Int("ganttwidth", 100, "gantt chart width in columns")
+		alg        = fs.String("alg", algo.NameRecoMul, "algorithm from the registry, or 'list' to enumerate")
+		trace      = fs.String("trace", "", "coflow-benchmark trace file (empty: synthetic workload)")
+		n          = fs.Int("n", 40, "fabric ports for the synthetic workload")
+		numCf      = fs.Int("coflows", 20, "synthetic workload size")
+		seed       = fs.Int64("seed", 1, "synthetic workload seed")
+		delta      = fs.Int64("delta", 100, "reconfiguration delay in ticks")
+		c          = fs.Int64("c", 4, "optical transmission threshold")
+		rescale    = fs.Int("rescale", 0, "fold the workload onto this many ports (0: keep)")
+		perCoflow  = fs.Bool("percoflow", false, "print each coflow's CCT")
+		showGantt  = fs.Bool("gantt", false, "render the schedule as an ASCII Gantt chart")
+		ganttWidth = fs.Int("ganttwidth", 100, "gantt chart width in columns")
 
-		tracefile = flag.String("tracefile", "", "write a Chrome trace-event JSON of the run (load in chrome://tracing or ui.perfetto.dev)")
+		tracefile = fs.String("tracefile", "", "write a Chrome trace-event JSON of the run (load in chrome://tracing or ui.perfetto.dev)")
 
-		metricsOut      = flag.String("metrics-out", "", "push metrics registry snapshots to this file, one JSON line per flush")
-		metricsInterval = flag.Duration("metrics-interval", time.Second, "with -metrics-out: flush period (<= 0: final snapshot only)")
+		metricsOut      = fs.String("metrics-out", "", "push metrics registry snapshots to this file, one JSON line per flush")
+		metricsInterval = fs.Duration("metrics-interval", time.Second, "with -metrics-out: flush period (<= 0: final snapshot only)")
 
-		withFaults = flag.Bool("faults", false, "run each coflow's Reco-Sin schedule under injected faults (replay vs recover)")
-		pfail      = flag.Float64("pfail", 0.10, "with -faults: per-port failure probability inside the nominal run")
-		setupFail  = flag.Float64("setupfail", 0, "with -faults: per-establishment circuit-setup failure probability")
-		jitter     = flag.Int64("jitter", 0, "with -faults: δ jitter bound in ticks")
-		repair     = flag.Int64("repair", 0, "with -faults: port repair delay in ticks (0: half the clean CCT)")
-		faultSeed  = flag.Int64("faultseed", 1, "with -faults: fault-schedule seed")
-		traceCap   = flag.Int("trace-cap", 0, "with -tracefile: keep only the most recent N trace events (ring buffer; 0 = unbounded)")
+		withFaults = fs.Bool("faults", false, "run each coflow's Reco-Sin schedule under injected faults (replay vs recover)")
+		pfail      = fs.Float64("pfail", 0.10, "with -faults: per-port failure probability inside the nominal run")
+		setupFail  = fs.Float64("setupfail", 0, "with -faults: per-establishment circuit-setup failure probability")
+		jitter     = fs.Int64("jitter", 0, "with -faults: δ jitter bound in ticks")
+		repair     = fs.Int64("repair", 0, "with -faults: port repair delay in ticks (0: half the clean CCT)")
+		faultSeed  = fs.Int64("faultseed", 1, "with -faults: fault-schedule seed")
+		traceCap   = fs.Int("trace-cap", 0, "with -tracefile: keep only the most recent N trace events (ring buffer; 0 = unbounded)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *alg == "list" {
 		fmt.Print(listAlgorithms())
 		return 0
 	}
-	if err := validateCores(*cores, *withFaults); err != nil {
-		fmt.Fprintf(os.Stderr, "recosim: %v\n", err)
-		return 1
+	// Knobs are checked before any scheduling work. -faults always plans
+	// with Reco-Sin, so it is that scheduler's capabilities they are held
+	// to: none, which makes every set knob an error there.
+	gate := *alg
+	if *withFaults {
+		gate = algo.NameRecoSin
 	}
-	if err := validateK(*kTerms, *withFaults); err != nil {
-		fmt.Fprintf(os.Stderr, "recosim: %v\n", err)
-		return 1
+	sched, err := algo.Get(gate)
+	if err == nil {
+		err = algo.CheckKnobs(sched, knobs)
 	}
-	if err := validateElecFrac(*elecFrac, *withFaults); err != nil {
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "recosim: %v\n", err)
 		return 1
 	}
@@ -210,24 +219,7 @@ func run() int {
 		return 0
 	}
 
-	sched, err := algo.Get(*alg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "recosim: %v\n", err)
-		return 1
-	}
-	if err := checkCoresCap(*alg, sched.Caps(), *cores); err != nil {
-		fmt.Fprintf(os.Stderr, "recosim: %v\n", err)
-		return 1
-	}
-	if err := checkSparseCap(*alg, sched.Caps(), *kTerms); err != nil {
-		fmt.Fprintf(os.Stderr, "recosim: %v\n", err)
-		return 1
-	}
-	if err := checkHybridCap(*alg, sched.Caps(), *elecFrac); err != nil {
-		fmt.Fprintf(os.Stderr, "recosim: %v\n", err)
-		return 1
-	}
-	res, err := sched.Schedule(ctx, algo.Request{Demands: ds, Weights: w, Delta: *delta, C: *c, Cores: *cores, K: *kTerms, ElecFrac: *elecFrac})
+	res, err := sched.Schedule(ctx, algo.Request{Demands: ds, Weights: w, Delta: *delta, C: *c, Knobs: knobs})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "recosim: %v\n", err)
 		return 1
@@ -254,14 +246,10 @@ func run() int {
 	fmt.Printf("algorithm      %s\n", *alg)
 	fmt.Printf("coflows        %d on %d ports\n", len(ds), ds[0].N())
 	fmt.Printf("delta, c       %d ticks, %d\n", *delta, *c)
-	if *cores > 1 {
-		fmt.Printf("cores          %d\n", *cores)
-	}
-	if *kTerms > 0 {
-		fmt.Printf("k              %d terms\n", *kTerms)
-	}
-	if *elecFrac > 0 {
-		fmt.Printf("elec-frac      %g\n", *elecFrac)
+	for i := range algo.KnobTable {
+		if kn := &algo.KnobTable[i]; kn.IsSet(knobs) {
+			fmt.Printf("%-14s %s\n", kn.Flag(), kn.Format(knobs))
+		}
 	}
 	fmt.Printf("reconfigs      %d\n", reconfigs)
 	fmt.Printf("avg CCT        %.0f ticks\n", mean)
@@ -299,102 +287,9 @@ func run() int {
 func listAlgorithms() string {
 	var b strings.Builder
 	for _, s := range algo.All() {
-		fmt.Fprintf(&b, "%-16s %-28s %s\n", s.Name(), capTags(s.Caps()), s.Describe())
+		fmt.Fprintf(&b, "%-16s %-28s %s\n", s.Name(), s.Caps().Tags(), s.Describe())
 	}
 	return b.String()
-}
-
-// validateCores rejects malformed -cores values before any scheduling work:
-// K < 1 is never a fabric, and the fault simulator models the single switch.
-func validateCores(cores int, faulted bool) error {
-	if cores < 1 {
-		return fmt.Errorf("-cores %d: core count must be at least 1", cores)
-	}
-	if cores > 1 && faulted {
-		return fmt.Errorf("-faults runs the single-switch fault simulator; -cores must be 1")
-	}
-	return nil
-}
-
-// checkCoresCap rejects -cores K > 1 for algorithms that schedule a single
-// switch and would silently ignore the extra cores.
-func checkCoresCap(alg string, caps algo.Capabilities, cores int) error {
-	if cores > 1 && !caps.Cores {
-		return fmt.Errorf("-cores %d: algorithm %s schedules a single switch (no cores capability)", cores, alg)
-	}
-	return nil
-}
-
-// validateK rejects malformed -k values before any scheduling work: a
-// negative term bound is meaningless, and the fault simulator replays full
-// Reco-Sin schedules only.
-func validateK(k int, faulted bool) error {
-	if k < 0 {
-		return fmt.Errorf("-k %d: term bound must be non-negative", k)
-	}
-	if k > 0 && faulted {
-		return fmt.Errorf("-faults runs full Reco-Sin schedules; -k must be 0")
-	}
-	return nil
-}
-
-// checkSparseCap rejects -k > 0 for algorithms that always emit the full
-// decomposition and would silently ignore the term bound.
-func checkSparseCap(alg string, caps algo.Capabilities, k int) error {
-	if k > 0 && !caps.Sparse {
-		return fmt.Errorf("-k %d: algorithm %s ignores the term bound (no sparse capability)", k, alg)
-	}
-	return nil
-}
-
-// validateElecFrac rejects malformed -elec-frac values before any scheduling
-// work: the electrical fabric rate is a fraction of one circuit lane, and the
-// fault simulator models the all-optical switch only.
-func validateElecFrac(frac float64, faulted bool) error {
-	if frac < 0 || frac > 1 {
-		return fmt.Errorf("-elec-frac %v: electrical fraction must be in [0, 1]", frac)
-	}
-	if frac > 0 && faulted {
-		return fmt.Errorf("-faults runs the all-optical fault simulator; -elec-frac must be 0")
-	}
-	return nil
-}
-
-// checkHybridCap rejects -elec-frac > 0 for algorithms without an electrical
-// fabric, which would silently ignore the knob.
-func checkHybridCap(alg string, caps algo.Capabilities, frac float64) error {
-	if frac > 0 && !caps.Hybrid {
-		return fmt.Errorf("-elec-frac %v: algorithm %s ignores the electrical fraction (no hybrid capability)", frac, alg)
-	}
-	return nil
-}
-
-// capTags renders capability flags compactly, e.g.
-// "[single multi flows]" or "[single not-all-stop]".
-func capTags(c algo.Capabilities) string {
-	var tags []string
-	if c.SingleCoflow {
-		tags = append(tags, "single")
-	}
-	if c.MultiCoflow {
-		tags = append(tags, "multi")
-	}
-	if c.NotAllStop {
-		tags = append(tags, "not-all-stop")
-	}
-	if c.FlowLevel {
-		tags = append(tags, "flows")
-	}
-	if c.Cores {
-		tags = append(tags, "cores")
-	}
-	if c.Sparse {
-		tags = append(tags, "sparse")
-	}
-	if c.Hybrid {
-		tags = append(tags, "hybrid")
-	}
-	return "[" + strings.Join(tags, " ") + "]"
 }
 
 func loadWorkload(trace string, n, numCf int, seed, minDemand int64) ([]workload.Coflow, error) {

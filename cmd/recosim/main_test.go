@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -82,88 +83,135 @@ func TestReadmeListsRegistry(t *testing.T) {
 	}
 }
 
-// TestCoresValidation: -cores K < 1 and -cores with -faults are rejected
-// with clear errors, and K > 1 requires the cores capability.
+// exitCode runs recosim on a tiny synthetic workload and returns its exit code.
+func exitCode(args ...string) int {
+	return run(append([]string{"-n", "4", "-coflows", "1"}, args...))
+}
+
+// TestKnobFlags iterates algo.KnobTable and proves each row is wired into
+// recosim: the flag exists, its range and capability are enforced before
+// any scheduling work, and -faults (which always plans with Reco-Sin)
+// accepts only an unset knob. The usage comment lists the flag with the
+// row's help text.
+func TestKnobFlags(t *testing.T) {
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range algo.KnobTable {
+		kn := &algo.KnobTable[i]
+		flag := "-" + kn.Flag()
+		var capable string
+		for _, s := range algo.All() {
+			if algo.CheckKnobs(s, setKnob(kn, kn.Max)) == nil {
+				capable = s.Name()
+			}
+		}
+		if capable == "" {
+			t.Fatalf("%s: no registered algorithm has the %s capability", flag, kn.Cap)
+		}
+		cases := []struct {
+			args []string
+			want int
+		}{
+			{[]string{flag, num(kn.Unset), "-alg", "list"}, 0}, // the flag exists
+			{[]string{flag, num(kn.Unset), "-alg", algo.NameRecoSin}, 0},
+			{[]string{flag, num(kn.Unset), "-faults"}, 0},
+			{[]string{flag, num(kn.Max), "-alg", capable}, 0},
+			{[]string{flag, num(kn.Max), "-alg", algo.NameRecoSin}, 1},
+			{[]string{flag, num(kn.Max), "-alg", capable, "-faults"}, 1},
+			{[]string{flag, num(kn.Min - 1), "-alg", capable}, 1},
+			{[]string{flag, num(kn.Max + 1), "-alg", capable}, 1},
+			{[]string{flag, "bogus"}, 2},
+		}
+		for _, tc := range cases {
+			if got := exitCode(tc.args...); got != tc.want {
+				t.Errorf("recosim %v: exit %d, want %d", tc.args, got, tc.want)
+			}
+		}
+		if line := fmt.Sprintf("//\t%-11s %s\n", flag, kn.Usage()); !strings.Contains(string(src), line) {
+			t.Errorf("usage comment atop main.go lacks the line\n%s", line)
+		}
+	}
+}
+
+func num(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
+
+// setKnob returns Knobs with only kn set, to v (truncated for an int knob).
+func setKnob(kn *algo.Knob, v float64) algo.Knobs {
+	if kn.Float {
+		return kn.SetFloat(algo.Knobs{}, v)
+	}
+	return kn.SetInt(algo.Knobs{}, int(v))
+}
+
+// TestCoresValidation: a negative -cores, one above algo.MaxCores and -cores
+// with -faults are rejected before any work, and K > 1 requires the cores
+// capability. The K = 200000 case used to die allocating 200000 64×64
+// demand shares.
 func TestCoresValidation(t *testing.T) {
-	if err := validateCores(0, false); err == nil {
-		t.Error("-cores 0 accepted")
-	}
-	if err := validateCores(-3, false); err == nil {
-		t.Error("-cores -3 accepted")
-	}
-	if err := validateCores(2, true); err == nil {
-		t.Error("-cores 2 with -faults accepted")
-	}
-	if err := validateCores(1, true); err != nil {
-		t.Errorf("-cores 1 with -faults rejected: %v", err)
-	}
-	if err := validateCores(4, false); err != nil {
-		t.Errorf("-cores 4 rejected: %v", err)
-	}
-	if err := checkCoresCap("reco-sin", algo.Capabilities{}, 2); err == nil {
-		t.Error("-cores 2 accepted for a single-switch algorithm")
-	}
-	if err := checkCoresCap("kcore", algo.Capabilities{Cores: true}, 8); err != nil {
-		t.Errorf("-cores 8 rejected for a cores-capable algorithm: %v", err)
-	}
-	if err := checkCoresCap("reco-sin", algo.Capabilities{}, 1); err != nil {
-		t.Errorf("-cores 1 rejected for a single-switch algorithm: %v", err)
+	for _, tc := range []struct {
+		args []string
+		want int
+	}{
+		{[]string{"-cores", "-3"}, 1},
+		{[]string{"-cores", "0"}, 0},
+		{[]string{"-cores", "2", "-faults"}, 1},
+		{[]string{"-cores", "1", "-faults"}, 0},
+		{[]string{"-cores", "4", "-alg", "kcore"}, 0},
+		{[]string{"-cores", "2", "-alg", "reco-sin"}, 1},
+		{[]string{"-cores", "1", "-alg", "reco-sin"}, 0},
+		{[]string{"-cores", "200000", "-alg", "kcore", "-n", "64"}, 1},
+	} {
+		if got := exitCode(tc.args...); got != tc.want {
+			t.Errorf("recosim %v: exit %d, want %d", tc.args, got, tc.want)
+		}
 	}
 }
 
-// TestKValidation: -k < 0 and -k with -faults are rejected with clear
-// errors, and k > 0 requires the sparse capability.
+// TestKValidation: a negative -k and -k with -faults are rejected, and
+// k > 0 requires the sparse capability.
 func TestKValidation(t *testing.T) {
-	if err := validateK(-1, false); err == nil {
-		t.Error("-k -1 accepted")
-	}
-	if err := validateK(4, true); err == nil {
-		t.Error("-k 4 with -faults accepted")
-	}
-	if err := validateK(0, true); err != nil {
-		t.Errorf("-k 0 with -faults rejected: %v", err)
-	}
-	if err := validateK(8, false); err != nil {
-		t.Errorf("-k 8 rejected: %v", err)
-	}
-	if err := checkSparseCap("reco-sin", algo.Capabilities{}, 4); err == nil {
-		t.Error("-k 4 accepted for a dense-only algorithm")
-	}
-	if err := checkSparseCap("reco-sparse", algo.Capabilities{Sparse: true}, 4); err != nil {
-		t.Errorf("-k 4 rejected for a sparse-capable algorithm: %v", err)
-	}
-	if err := checkSparseCap("reco-sin", algo.Capabilities{}, 0); err != nil {
-		t.Errorf("-k 0 rejected for a dense-only algorithm: %v", err)
+	for _, tc := range []struct {
+		args []string
+		want int
+	}{
+		{[]string{"-k", "-1"}, 1},
+		{[]string{"-k", "4", "-faults"}, 1},
+		{[]string{"-k", "0", "-faults"}, 0},
+		{[]string{"-k", "8", "-alg", "reco-sparse"}, 0},
+		{[]string{"-k", "4", "-alg", "reco-sin"}, 1},
+		{[]string{"-k", "0", "-alg", "reco-sin"}, 0},
+	} {
+		if got := exitCode(tc.args...); got != tc.want {
+			t.Errorf("recosim %v: exit %d, want %d", tc.args, got, tc.want)
+		}
 	}
 }
 
-// TestElecFracValidation: -elec-frac outside [0, 1] and -elec-frac with
-// -faults are rejected with clear errors, and a positive fraction requires
-// the hybrid capability.
+// TestElecFracValidation: -elec-frac outside [0, 1] — NaN and the
+// infinities included, which no ordered comparison against the bounds
+// catches — and -elec-frac with -faults are rejected, and a positive
+// fraction requires the hybrid capability.
 func TestElecFracValidation(t *testing.T) {
-	if err := validateElecFrac(-0.1, false); err == nil {
-		t.Error("-elec-frac -0.1 accepted")
-	}
-	if err := validateElecFrac(1.5, false); err == nil {
-		t.Error("-elec-frac 1.5 accepted")
-	}
-	if err := validateElecFrac(0.2, true); err == nil {
-		t.Error("-elec-frac 0.2 with -faults accepted")
-	}
-	if err := validateElecFrac(0, true); err != nil {
-		t.Errorf("-elec-frac 0 with -faults rejected: %v", err)
-	}
-	if err := validateElecFrac(0.5, false); err != nil {
-		t.Errorf("-elec-frac 0.5 rejected: %v", err)
-	}
-	if err := checkHybridCap("reco-sin", algo.Capabilities{}, 0.2); err == nil {
-		t.Error("-elec-frac 0.2 accepted for an all-optical algorithm")
-	}
-	if err := checkHybridCap("hybrid-fluid", algo.Capabilities{Hybrid: true}, 0.2); err != nil {
-		t.Errorf("-elec-frac 0.2 rejected for a hybrid-capable algorithm: %v", err)
-	}
-	if err := checkHybridCap("reco-sin", algo.Capabilities{}, 0); err != nil {
-		t.Errorf("-elec-frac 0 rejected for an all-optical algorithm: %v", err)
+	for _, tc := range []struct {
+		args []string
+		want int
+	}{
+		{[]string{"-elec-frac", "-0.1", "-alg", "hybrid-fluid"}, 1},
+		{[]string{"-elec-frac", "1.5", "-alg", "hybrid-fluid"}, 1},
+		{[]string{"-elec-frac", "NaN", "-alg", "hybrid-fluid"}, 1},
+		{[]string{"-elec-frac", "+Inf", "-alg", "hybrid-fluid"}, 1},
+		{[]string{"-elec-frac", "-Inf", "-alg", "hybrid-fluid"}, 1},
+		{[]string{"-elec-frac", "0.2", "-faults"}, 1},
+		{[]string{"-elec-frac", "0", "-faults"}, 0},
+		{[]string{"-elec-frac", "0.5", "-alg", "hybrid-fluid"}, 0},
+		{[]string{"-elec-frac", "0.2", "-alg", "reco-sin"}, 1},
+		{[]string{"-elec-frac", "0", "-alg", "reco-sin"}, 0},
+	} {
+		if got := exitCode(tc.args...); got != tc.want {
+			t.Errorf("recosim %v: exit %d, want %d", tc.args, got, tc.want)
+		}
 	}
 }
 

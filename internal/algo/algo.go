@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 
 	"reco/internal/matrix"
 	"reco/internal/ocs"
@@ -83,34 +84,47 @@ const (
 
 // Capabilities describes what a Scheduler supports, for dispatchers that
 // must pick (or reject) algorithms by shape and for the /v1/algorithms
-// listing.
+// listing, whose wire form is this struct's JSON.
 type Capabilities struct {
 	// SingleCoflow: the algorithm meaningfully schedules one coflow.
-	SingleCoflow bool
+	SingleCoflow bool `json:"singleCoflow"`
 	// MultiCoflow: the algorithm is natively coflow-aware across a batch
 	// (ordering or joint optimization), rather than serving a batch as
 	// independent back-to-back coflows.
-	MultiCoflow bool
+	MultiCoflow bool `json:"multiCoflow"`
 	// NotAllStop: reconfigurations stall only the ports involved; false
 	// means the all-stop model.
-	NotAllStop bool
+	NotAllStop bool `json:"notAllStop"`
 	// FlowLevel: Result.Flows carries the complete flow-level schedule.
 	// Aggregate-only algorithms (hybrid, the online policies) report CCTs
 	// and reconfiguration counts without per-flow intervals.
-	FlowLevel bool
-	// Cores: the algorithm honors Request.Cores and schedules across a
-	// multi-core fabric. Algorithms without it treat every request as
-	// single-core and dispatchers must reject Cores > 1 for them.
-	Cores bool
-	// Sparse: the algorithm honors Request.K, the sparsity bound on BvN
-	// permutation terms. Dispatchers must reject K > 0 for algorithms
-	// without it, which would silently ignore the knob.
-	Sparse bool
-	// Hybrid: the algorithm honors Request.ElecFrac, the electrical
-	// bandwidth fraction of a hybrid circuit/packet fabric. Dispatchers
-	// must reject ElecFrac > 0 for algorithms without it, which would
-	// silently ignore the knob.
-	Hybrid bool
+	FlowLevel bool `json:"flowLevel"`
+	// Cores, Sparse and Hybrid each own one knob (see KnobTable): the
+	// algorithm honors it, and CheckKnobs rejects a request that sets the
+	// knob for an algorithm without the capability, which would silently
+	// ignore it. Cores: a multi-core fabric. Sparse: a bound on BvN
+	// permutation terms. Hybrid: an electrical fabric beside the circuits.
+	Cores  bool `json:"cores"`
+	Sparse bool `json:"sparse"`
+	Hybrid bool `json:"hybrid"`
+}
+
+// Tags renders the capability flags compactly, e.g. "[single multi flows]"
+// or "[single not-all-stop]"; a knob's Cap names one of these tags.
+func (c Capabilities) Tags() string {
+	var tags []string
+	for _, t := range []struct {
+		on  bool
+		tag string
+	}{
+		{c.SingleCoflow, "single"}, {c.MultiCoflow, "multi"}, {c.NotAllStop, "not-all-stop"},
+		{c.FlowLevel, "flows"}, {c.Cores, "cores"}, {c.Sparse, "sparse"}, {c.Hybrid, "hybrid"},
+	} {
+		if t.on {
+			tags = append(tags, t.tag)
+		}
+	}
+	return "[" + strings.Join(tags, " ") + "]"
 }
 
 // Request is the unified scheduling input: a coflow set with optional
@@ -127,18 +141,9 @@ type Request struct {
 	// C is the optical transmission threshold (Reco-Mul's grid parameter);
 	// algorithms that do not use it ignore it.
 	C int64
-	// Cores is the number of parallel switching cores of the fabric; 0 and 1
-	// both mean the paper's single switch. Only algorithms whose
-	// Capabilities.Cores is set honor values above 1.
-	Cores int
-	// K bounds the number of BvN permutation terms per coflow for
-	// sparsity-bounded schedulers (reco-sparse); 0 means the algorithm's
-	// default. Only algorithms whose Capabilities.Sparse is set honor it.
-	K int
-	// ElecFrac is the electrical fabric's per-port bandwidth as a fraction
-	// of one optical circuit lane, in [0, 1]; 0 means the algorithm's
-	// default. Only algorithms whose Capabilities.Hybrid is set honor it.
-	ElecFrac float64
+	// Knobs are the optional tuning values; only algorithms with a knob's
+	// capability honor it.
+	Knobs
 }
 
 // Result is the unified scheduling output.
@@ -196,14 +201,8 @@ func ValidateRequest(req Request) error {
 	if req.Delta < 0 {
 		return fmt.Errorf("%w: negative delta %d", ErrBadRequest, req.Delta)
 	}
-	if req.Cores < 0 {
-		return fmt.Errorf("%w: negative core count %d", ErrBadRequest, req.Cores)
-	}
-	if req.K < 0 {
-		return fmt.Errorf("%w: negative term bound %d", ErrBadRequest, req.K)
-	}
-	if req.ElecFrac < 0 || req.ElecFrac > 1 {
-		return fmt.Errorf("%w: electrical fraction %v outside [0, 1]", ErrBadRequest, req.ElecFrac)
+	if err := req.Knobs.Validate(); err != nil {
+		return err
 	}
 	// Σ 2·(ρ + n·δ) ≤ MaxInt64, spent coflow by coflow from a budget of
 	// MaxInt64/2 so that nothing here can itself overflow.

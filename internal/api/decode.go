@@ -140,9 +140,7 @@ const (
 	keyAlgorithm
 	keyDeadlineMS
 	keyWeight
-	keyCores
-	keyK
-	keyElecFrac
+	keyKnob // the bit of algo.KnobTable[0]; row i's is keyKnob << i
 )
 
 func isSpace(c byte) bool { return c == ' ' || c == '\n' || c == '\t' || c == '\r' }
@@ -465,17 +463,21 @@ func (p *parser) request(multi bool) (decoded, bool) {
 		case "weight":
 			d.weight, ok = p.float64()
 			bit = keyWeight
-		case "cores":
-			d.req.Cores, ok = p.int()
-			bit = keyCores
-		case "k":
-			d.req.K, ok = p.int()
-			bit = keyK
-		case "elec_frac":
-			d.req.ElecFrac, ok = p.float64()
-			bit = keyElecFrac
 		default:
-			return d, false
+			idx := algo.KnobIndex(key)
+			if idx < 0 {
+				return d, false
+			}
+			if kn := &algo.KnobTable[idx]; kn.Float {
+				var v float64
+				v, ok = p.float64()
+				d.req.Knobs = kn.SetFloat(d.req.Knobs, v)
+			} else {
+				var v int
+				v, ok = p.int()
+				d.req.Knobs = kn.SetInt(d.req.Knobs, v)
+			}
+			bit = keyKnob << idx
 		}
 		if !ok || seen&bit != 0 {
 			return d, false

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"reco/internal/algo"
 )
 
 // fuzzPaths are the POST endpoints FuzzScheduleRequest drives; the first
@@ -60,6 +62,9 @@ func addRequestSeeds(f *testing.F) {
 	// Demand whose row sums wrap int64: once a 200 with cct 0, and a 500.
 	f.Add(uint8(0), []byte(`{"demand":[[4611686018427387904,4611686018427387904],[4611686018427387904,4611686018427387904]],"delta":100}`))
 	f.Add(uint8(0), []byte(`{"demand":[[0,9223372036854775807],[9223372036854775807,0]],"delta":100}`))
+	// A core count sizing one demand share per core: once an out-of-memory
+	// kill on a 64-port matrix, which no recovery middleware catches.
+	f.Add(uint8(0), []byte(`{"demand":[[0,5],[5,0]],"delta":10,"algorithm":"kcore","cores":200000}`))
 }
 
 // FuzzScheduleRequest throws arbitrary bodies at the schedule and job
@@ -118,11 +123,11 @@ func FuzzDecodeSoundness(f *testing.F) {
 		single := SingleRequest{
 			Demand: randMatrix(n), Delta: rng.Int63n(1000), Algorithm: []string{"", "reco-sin", "a<b"}[rng.Intn(3)],
 			DeadlineMS: int64(rng.Intn(3)) * 250, Weight: float64(rng.Intn(3)) * rng.Float64() * 1e21,
-			Cores: rng.Intn(3), K: rng.Intn(3), ElecFrac: float64(rng.Intn(2)) * rng.Float64(),
+			Knobs: algo.Knobs{Cores: rng.Intn(3), K: rng.Intn(3), ElecFrac: float64(rng.Intn(2)) * rng.Float64()},
 		}
 		multi := MultiRequest{
 			Demands: [][][]int64{randMatrix(n), randMatrix(n)}, Delta: rng.Int63n(1000), C: rng.Int63n(8),
-			Weight: rng.Float64() * 1e-7, Cores: rng.Intn(3),
+			Weight: rng.Float64() * 1e-7, Knobs: algo.Knobs{Cores: rng.Intn(3)},
 		}
 		if rng.Intn(2) == 0 {
 			multi.Weights = []float64{rng.Float64(), rng.NormFloat64() * 1e9}

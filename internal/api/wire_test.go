@@ -44,9 +44,9 @@ func TestClientTrafficStaysOnFastPath(t *testing.T) {
 		{Demand: jobDemand, Delta: 100, Algorithm: algo.NameRecoSin},
 		{Demand: jobDemand, Delta: 100, Algorithm: algo.NameSolstice, DeadlineMS: 60_000, Weight: 8},
 		{Demand: jobDemand, Delta: 100, Weight: 0.5},
-		{Demand: jobDemand, Delta: 100, Algorithm: algo.NameKCore, Cores: 2},
-		{Demand: jobDemand, Delta: 100, Algorithm: algo.NameRecoSparse, K: 2},
-		{Demand: jobDemand, Delta: 100, Algorithm: algo.NameHybridFluid, ElecFrac: 0.25},
+		{Demand: jobDemand, Delta: 100, Algorithm: algo.NameKCore, Knobs: algo.Knobs{Cores: 2}},
+		{Demand: jobDemand, Delta: 100, Algorithm: algo.NameRecoSparse, Knobs: algo.Knobs{K: 2}},
+		{Demand: jobDemand, Delta: 100, Algorithm: algo.NameHybridFluid, Knobs: algo.Knobs{ElecFrac: 0.25}},
 		{Demand: [][]int64{{7}}, Delta: 0},
 	}
 	for i, req := range singles {
@@ -59,9 +59,9 @@ func TestClientTrafficStaysOnFastPath(t *testing.T) {
 		{Demands: batch, Delta: 100, C: 4},
 		{Demands: batch, Delta: 100, C: 4, Algorithm: algo.NameRecoMul, Weights: []float64{1, 2.5}},
 		{Demands: batch, Delta: 100, C: 4, Algorithm: algo.NameSEBFSolstice, DeadlineMS: 60_000, Weight: 4},
-		{Demands: batch, Delta: 100, C: 4, Algorithm: algo.NameKCore, Cores: 2},
-		{Demands: batch, Delta: 100, C: 4, Algorithm: algo.NameRecoSparse, K: 2},
-		{Demands: batch, Delta: 100, C: 4, Algorithm: algo.NameHybridFluid, ElecFrac: 1e-3},
+		{Demands: batch, Delta: 100, C: 4, Algorithm: algo.NameKCore, Knobs: algo.Knobs{Cores: 2}},
+		{Demands: batch, Delta: 100, C: 4, Algorithm: algo.NameRecoSparse, Knobs: algo.Knobs{K: 2}},
+		{Demands: batch, Delta: 100, C: 4, Algorithm: algo.NameHybridFluid, Knobs: algo.Knobs{ElecFrac: 1e-3}},
 	}
 	for i, req := range multis {
 		if _, err := client.ScheduleMulti(ctx, req); err != nil {

@@ -135,18 +135,6 @@ func (s *Schedule) ApplyThrough(cursor *int, down []bool, t int64) (from, to int
 	return from, *cursor
 }
 
-// DownAt returns the port down-state at time t on an n-port fabric, or nil
-// when the schedule has no port events.
-func (s *Schedule) DownAt(t int64, n int) []bool {
-	if s == nil || len(s.PortEvents) == 0 {
-		return nil
-	}
-	down := make([]bool, n)
-	cursor := 0
-	s.ApplyThrough(&cursor, down, t)
-	return down
-}
-
 // NextEventAfter returns the tick of the first port event strictly after t,
 // or -1 when no more events are scheduled.
 func (s *Schedule) NextEventAfter(t int64) int64 {

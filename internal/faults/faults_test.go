@@ -103,10 +103,11 @@ func TestPortStateEvolution(t *testing.T) {
 	}}
 	check := func(t64 int64, want []bool) {
 		t.Helper()
-		got := s.DownAt(t64, 4)
+		got, cursor := make([]bool, 4), 0
+		s.ApplyThrough(&cursor, got, t64)
 		for p := range want {
 			if got[p] != want[p] {
-				t.Errorf("DownAt(%d): port %d = %v, want %v", t64, p, got[p], want[p])
+				t.Errorf("ApplyThrough(%d): port %d = %v, want %v", t64, p, got[p], want[p])
 			}
 		}
 	}

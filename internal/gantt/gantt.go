@@ -1,7 +1,7 @@
-// Package gantt renders flow-level and circuit schedules as ASCII time/port
-// charts — the debugging view for everything the schedulers produce. Each
-// ingress port is one row; time runs left to right in fixed-width buckets;
-// a cell shows which coflow (or which establishment) is transmitting.
+// Package gantt renders flow-level schedules as ASCII time/port charts —
+// the debugging view for everything the schedulers produce. Each ingress
+// port is one row; time runs left to right in fixed-width buckets; a cell
+// shows which coflow is transmitting.
 package gantt
 
 import (
@@ -10,7 +10,6 @@ import (
 	"sort"
 	"strings"
 
-	"reco/internal/ocs"
 	"reco/internal/schedule"
 )
 
@@ -66,61 +65,6 @@ func RenderFlows(s schedule.FlowSchedule, n, width int) (string, error) {
 		fmt.Fprintf(&b, "in%-3d |%s|\n", i, row)
 	}
 	return b.String(), nil
-}
-
-// RenderCircuits draws a circuit schedule executed against nothing: each
-// establishment is one column group sized by its duration, with the digit
-// of the egress port each ingress connects to ('.' when idle, '#' for the
-// reconfiguration gap). Establishment durations are scaled to the width.
-func RenderCircuits(cs ocs.CircuitSchedule, n, width int, delta int64) (string, error) {
-	if width <= 0 {
-		return "", fmt.Errorf("%w: %d", ErrBadWidth, width)
-	}
-	if err := cs.Validate(n); err != nil {
-		return "", err
-	}
-	if len(cs) == 0 {
-		return "(empty schedule)\n", nil
-	}
-	var total int64
-	for _, a := range cs {
-		total += a.Dur + delta
-	}
-	var rows []strings.Builder
-	rows = make([]strings.Builder, n)
-	for _, a := range cs {
-		gapCols := scaleCols(delta, total, width)
-		durCols := scaleCols(a.Dur, total, width)
-		for i := 0; i < n; i++ {
-			rows[i].WriteString(strings.Repeat("#", gapCols))
-			cell := "."
-			if a.Perm[i] != -1 {
-				cell = egressGlyph(a.Perm[i])
-			}
-			rows[i].WriteString(strings.Repeat(cell, durCols))
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d establishments, total %d ticks ('#' = reconfiguration)\n", len(cs), total)
-	for i := range rows {
-		fmt.Fprintf(&b, "in%-3d |%s|\n", i, rows[i].String())
-	}
-	return b.String(), nil
-}
-
-func scaleCols(dur, total int64, width int) int {
-	if total == 0 {
-		return 1
-	}
-	c := int(dur * int64(width) / total)
-	if c < 1 {
-		c = 1
-	}
-	return c
-}
-
-func egressGlyph(j int) string {
-	return string(symbols[j%len(symbols)])
 }
 
 // Legend returns the coflow-to-glyph mapping for the coflows present in s,

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"reco/internal/ocs"
 	"reco/internal/schedule"
 )
 
@@ -67,42 +66,6 @@ func TestRenderFlowsIdleDots(t *testing.T) {
 	}
 	if !strings.Contains(out, ".") {
 		t.Errorf("idle period not rendered: %q", out)
-	}
-}
-
-func TestRenderCircuits(t *testing.T) {
-	cs := ocs.CircuitSchedule{
-		{Perm: []int{0, 1}, Dur: 100},
-		{Perm: []int{1, -1}, Dur: 100},
-	}
-	out, err := RenderCircuits(cs, 2, 40, 20)
-	if err != nil {
-		t.Fatalf("RenderCircuits: %v", err)
-	}
-	if !strings.Contains(out, "#") {
-		t.Errorf("reconfiguration gaps not rendered: %q", out)
-	}
-	if !strings.Contains(out, "2 establishments") {
-		t.Errorf("header missing: %q", out)
-	}
-	// Ingress 1 idles in the second establishment.
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if !strings.Contains(lines[2], ".") {
-		t.Errorf("idle circuit not rendered: %q", lines[2])
-	}
-}
-
-func TestRenderCircuitsValidation(t *testing.T) {
-	if _, err := RenderCircuits(nil, 2, 0, 10); !errors.Is(err, ErrBadWidth) {
-		t.Errorf("zero width: %v", err)
-	}
-	bad := ocs.CircuitSchedule{{Perm: []int{0, 0}, Dur: 5}}
-	if _, err := RenderCircuits(bad, 2, 10, 1); err == nil {
-		t.Error("invalid schedule accepted")
-	}
-	out, err := RenderCircuits(nil, 2, 10, 1)
-	if err != nil || !strings.Contains(out, "empty") {
-		t.Errorf("empty schedule: %q, %v", out, err)
 	}
 }
 

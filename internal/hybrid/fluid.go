@@ -93,7 +93,9 @@ type FluidResult struct {
 // exactly core.RecoSin + ocs.ExecAllStop on the whole demand — the legacy
 // Schedule at threshold 0 — which the differential tests lock.
 func ScheduleFluid(d *matrix.Matrix, cfg FluidConfig) (*FluidResult, error) {
-	if cfg.Delta < 0 || cfg.Threshold < 0 || cfg.ElecFrac < 0 || cfg.ElecFrac > 1 {
+	// The fraction's test is written so that NaN, which fails every
+	// ordering, is rejected: fabric.Permille would clamp it to a dark fabric.
+	if cfg.Delta < 0 || cfg.Threshold < 0 || !(0 <= cfg.ElecFrac && cfg.ElecFrac <= 1) {
 		return nil, fmt.Errorf("%w: %+v", ErrBadConfig, cfg)
 	}
 	if cfg.Policy < PolicyStatic || cfg.Policy > PolicyBalance {

@@ -2,6 +2,7 @@ package hybrid
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -30,6 +31,8 @@ func TestScheduleFluidValidation(t *testing.T) {
 		{Delta: 1, Threshold: -1},
 		{Delta: 1, ElecFrac: -0.1},
 		{Delta: 1, ElecFrac: 1.5},
+		{Delta: 1, ElecFrac: math.NaN()}, // no v < 0 || v > 1 test catches it
+		{Delta: 1, ElecFrac: math.Inf(1)},
 		{Delta: 1, Policy: Policy(99)},
 	} {
 		if _, err := ScheduleFluid(d, cfg); !errors.Is(err, ErrBadConfig) {

@@ -2,7 +2,6 @@ package matching
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 
 	"reco/internal/matrix"
@@ -13,28 +12,10 @@ import (
 // exist in the given support graph.
 var ErrNoPerfectMatching = errors.New("matching: no perfect matching")
 
-// graphPool and enginePool recycle the scratch-heavy structures behind the
-// package-level convenience entry points, so even callers that cannot hold a
-// Graph or Engine of their own run allocation-light in steady state.
-var graphPool = sync.Pool{New: func() any { return NewGraph(1) }}
+// enginePool recycles the scratch-heavy Engine behind the package-level
+// convenience entry point, so even callers that cannot hold an Engine of
+// their own run allocation-light in steady state.
 var enginePool = sync.Pool{New: func() any { return new(Engine) }}
-
-// PerfectAtLeast finds a perfect matching on the support graph of m that uses
-// only entries with value ≥ threshold. It returns the matching as perm
-// (perm[i] = matched column of row i) or ErrNoPerfectMatching. Solstice's
-// slicing step and thresholded probes reduce to this primitive; callers with
-// a loop of probes should hold their own Graph and use LoadThreshold plus
-// MaxMatching directly to reuse its storage.
-func PerfectAtLeast(m *matrix.Matrix, threshold int64) ([]int, error) {
-	g := graphPool.Get().(*Graph)
-	defer graphPool.Put(g)
-	g.LoadThreshold(m, threshold)
-	perm, size := g.MaxMatching()
-	if size != m.N() {
-		return nil, fmt.Errorf("%w: threshold %d matched only %d of %d", ErrNoPerfectMatching, threshold, size, m.N())
-	}
-	return perm, nil
-}
 
 // BottleneckPerfect finds the perfect matching of m's positive support whose
 // minimum entry is maximized — the "max–min matching" the paper uses to

@@ -134,26 +134,6 @@ func TestMaxMatchingAgainstBruteForce(t *testing.T) {
 	}
 }
 
-func TestPerfectAtLeast(t *testing.T) {
-	m := mustMatrix(t, [][]int64{
-		{5, 2, 0},
-		{0, 5, 2},
-		{2, 0, 5},
-	})
-	perm, err := PerfectAtLeast(m, 5)
-	if err != nil {
-		t.Fatalf("PerfectAtLeast(5): %v", err)
-	}
-	for i, j := range perm {
-		if m.At(i, j) < 5 {
-			t.Errorf("edge (%d,%d)=%d below threshold", i, j, m.At(i, j))
-		}
-	}
-	if _, err := PerfectAtLeast(m, 6); !errors.Is(err, ErrNoPerfectMatching) {
-		t.Errorf("PerfectAtLeast(6) err = %v, want ErrNoPerfectMatching", err)
-	}
-}
-
 func TestBottleneckPerfect(t *testing.T) {
 	m := mustMatrix(t, [][]int64{
 		{9, 1, 0},

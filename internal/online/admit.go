@@ -184,11 +184,11 @@ func (r *AdmitResult) MissRate() float64 {
 	return float64(missed) / float64(served)
 }
 
-// SimulateAdmit runs the same event-driven controller as Simulate with an
-// admission step in front of the policy: every time the switch frees up,
-// the admitter partitions the pending set, shed coflows leave permanently,
-// and the policy picks from the kept set. AdmitAll reproduces Simulate's
-// Result exactly.
+// SimulateAdmit runs the event-driven controller with an admission step in
+// front of the policy: every time the switch frees up (or the first coflow
+// arrives to an idle switch), the admitter partitions the pending set, shed
+// coflows leave permanently, and the policy picks the next unit from the
+// kept set.
 func SimulateAdmit(arrivals []Arrival, adm Admitter, pol Policy, delta, c int64) (*AdmitResult, error) {
 	if adm == nil {
 		return nil, fmt.Errorf("%w: nil admitter", ErrBadInput)

@@ -168,68 +168,14 @@ type Result struct {
 
 // Simulate runs the event-driven controller: the switch serves one unit at
 // a time; when it frees up (or when the first coflow arrives to an idle
-// switch), the policy picks the next unit from the pending set.
+// switch), the policy picks the next unit from the pending set. It is
+// SimulateAdmit with every coflow admitted.
 func Simulate(arrivals []Arrival, pol Policy, delta, c int64) (*Result, error) {
-	if len(arrivals) == 0 {
-		return nil, fmt.Errorf("%w: no arrivals", ErrBadInput)
+	res, err := SimulateAdmit(arrivals, AdmitAll{}, pol, delta, c)
+	if err != nil {
+		return nil, err
 	}
-	if pol == nil {
-		return nil, fmt.Errorf("%w: nil policy", ErrBadInput)
-	}
-	n := arrivals[0].Demand.N()
-	for k, a := range arrivals {
-		if a.Demand == nil || a.Demand.N() != n {
-			return nil, fmt.Errorf("%w: arrival %d has bad demand", ErrBadInput, k)
-		}
-		if a.At < 0 {
-			return nil, fmt.Errorf("%w: arrival %d at negative time %d", ErrBadInput, k, a.At)
-		}
-	}
-
-	// Arrival order for advancing the clock.
-	order := make([]int, len(arrivals))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return arrivals[order[a]].At < arrivals[order[b]].At })
-
-	res := &Result{Policy: pol.Name(), CCTs: make([]int64, len(arrivals))}
-	served := make([]bool, len(arrivals))
-	nextArrival := 0
-	var now int64
-	remaining := len(arrivals)
-
-	for remaining > 0 {
-		// Collect pending coflows; if none, jump to the next arrival.
-		var pending []int
-		for nextArrival < len(order) && arrivals[order[nextArrival]].At <= now {
-			nextArrival++
-		}
-		for _, k := range order[:nextArrival] {
-			if !served[k] {
-				pending = append(pending, k)
-			}
-		}
-		if len(pending) == 0 {
-			now = arrivals[order[nextArrival]].At
-			continue
-		}
-
-		chosen := pol.Pick(pending, arrivals, now)
-		if err := checkChoice(chosen, pending); err != nil {
-			return nil, err
-		}
-		if err := serveUnit(res, arrivals, chosen, &now, delta, c); err != nil {
-			return nil, err
-		}
-		for _, k := range chosen {
-			served[k] = true
-		}
-		remaining -= len(chosen)
-		res.ServiceUnits++
-	}
-	res.Makespan = now
-	return res, nil
+	return &res.Result, nil
 }
 
 func checkChoice(chosen, pending []int) error {

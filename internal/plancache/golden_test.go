@@ -48,7 +48,7 @@ func TestFingerprintGoldenVectors(t *testing.T) {
 				{4095, 31, 0, 70000},
 				{12, 0, 8191, 0},
 			})},
-			Delta: 250, C: 4, Cores: 2, K: 3, ElecFrac: 0.25,
+			Delta: 250, C: 4, Knobs: algo.Knobs{Cores: 2, K: 3, ElecFrac: 0.25},
 		},
 			"e6cf0e812a082aca68183892ac29a7e7c382c4c79d03b2baebe1e213b2ebec4c",
 			"ad9283ae6737219b3a14f210c65b2dee33253f9e1a66f4b9f5d3af7cda787252"},

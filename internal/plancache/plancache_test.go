@@ -40,15 +40,33 @@ func TestFingerprintDistinguishes(t *testing.T) {
 		{"algorithm changed", "solstice", base},
 		{"weights added", "reco-sin", algo.Request{Demands: base.Demands, Delta: 100, C: 4, Weights: []float64{2}}},
 		{"c changed", "reco-sin", algo.Request{Demands: base.Demands, Delta: 100, C: 5}},
-		{"cores changed", "reco-sin", algo.Request{Demands: base.Demands, Delta: 100, C: 4, Cores: 4}},
-		{"k changed", "reco-sin", algo.Request{Demands: base.Demands, Delta: 100, C: 4, K: 3}},
-		{"elec frac changed", "reco-sin", algo.Request{Demands: base.Demands, Delta: 100, C: 4, ElecFrac: 0.25}},
+	}
+	// Every knob is part of the key, and no two knobs share their bytes.
+	for i := range algo.KnobTable {
+		kn := &algo.KnobTable[i]
+		req := base
+		if kn.Float {
+			req.Knobs = kn.SetFloat(req.Knobs, 1)
+		} else {
+			req.Knobs = kn.SetInt(req.Knobs, 1)
+		}
+		variants = append(variants, struct {
+			name string
+			alg  string
+			req  algo.Request
+		}{kn.Key + " changed", "reco-sin", req})
 	}
 	fp := Fingerprint("reco-sin", base)
+	seen := map[string]string{}
 	for _, v := range variants {
-		if Fingerprint(v.alg, v.req) == fp {
+		got := Fingerprint(v.alg, v.req)
+		if got == fp {
 			t.Errorf("%s: fingerprint collision", v.name)
 		}
+		if other, dup := seen[got]; dup {
+			t.Errorf("%s and %s: fingerprint collision", v.name, other)
+		}
+		seen[got] = v.name
 	}
 	// Two matrices [A, B] must not collide with one matrix that concatenates
 	// their rows, and [A, B] must differ from [B, A].

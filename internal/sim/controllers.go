@@ -77,20 +77,7 @@ func (r *ReplayLoop) Next(s State) Decision {
 // stuffed remaining demand and holds it until its first drain. It is the
 // closed-loop analogue of the BvN-based schedulers: no schedule is computed
 // in advance, decisions use only observed state.
-//
-// The zero value is a valid controller. NewGreedyBottleneck returns one that
-// additionally carries its own matching engine, so long simulations reuse
-// the same matching scratch across every decision instead of drawing from
-// the shared pool.
-type GreedyBottleneck struct {
-	eng *matching.Engine
-}
-
-// NewGreedyBottleneck returns a GreedyBottleneck with a private reusable
-// matching engine.
-func NewGreedyBottleneck() GreedyBottleneck {
-	return GreedyBottleneck{eng: new(matching.Engine)}
-}
+type GreedyBottleneck struct{}
 
 // Name implements Controller.
 func (g GreedyBottleneck) Name() string { return "greedy-bottleneck" }
@@ -101,16 +88,7 @@ func (g GreedyBottleneck) Next(s State) Decision {
 		return Decision{}
 	}
 	stuffed := matrix.StuffPreferNonZero(s.Remaining)
-	var (
-		perm []int
-		err  error
-	)
-	if g.eng != nil {
-		g.eng.Reset(stuffed, matching.Descending)
-		perm, _, err = g.eng.Bottleneck()
-	} else {
-		perm, _, err = matching.BottleneckPerfect(stuffed)
-	}
+	perm, _, err := matching.BottleneckPerfect(stuffed)
 	if err != nil {
 		return Decision{}
 	}

@@ -74,25 +74,3 @@ func (s Summary) String() string {
 		s.BytesPercent(S2S), s.BytesPercent(S2M), s.BytesPercent(M2S), s.BytesPercent(M2M))
 	return b.String()
 }
-
-// FilterClass returns the coflows of the given density class.
-func FilterClass(coflows []Coflow, c Class) []Coflow {
-	var out []Coflow
-	for _, cf := range coflows {
-		if Classify(cf.Demand) == c {
-			out = append(out, cf)
-		}
-	}
-	return out
-}
-
-// FilterMode returns the coflows of the given transmission mode.
-func FilterMode(coflows []Coflow, m Mode) []Coflow {
-	var out []Coflow
-	for _, cf := range coflows {
-		if ClassifyMode(cf.Demand) == m {
-			out = append(out, cf)
-		}
-	}
-	return out
-}

@@ -192,32 +192,6 @@ func TestSummaryString(t *testing.T) {
 	}
 }
 
-func TestFilters(t *testing.T) {
-	coflows, err := Generate(GenConfig{N: 40, NumCoflows: 60, Seed: 5})
-	if err != nil {
-		t.Fatalf("Generate: %v", err)
-	}
-	total := 0
-	for _, cl := range []Class{Sparse, Normal, Dense} {
-		sub := FilterClass(coflows, cl)
-		for _, c := range sub {
-			if Classify(c.Demand) != cl {
-				t.Fatalf("FilterClass(%v) returned a %v coflow", cl, Classify(c.Demand))
-			}
-		}
-		total += len(sub)
-	}
-	if total != len(coflows) {
-		t.Errorf("class filters partition %d of %d coflows", total, len(coflows))
-	}
-	m2m := FilterMode(coflows, M2M)
-	for _, c := range m2m {
-		if ClassifyMode(c.Demand) != M2M {
-			t.Error("FilterMode returned a non-M2M coflow")
-		}
-	}
-}
-
 const sampleTrace = `3 2
 1 0 2 1 2 1 3:6.0
 2 100 1 3 2 1:3.0 2:1.5
