@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover bench bench-short bench-smoke bench-json verify results examples fmt fmt-check vet lint check clean loadtest-short loadtest fuzz-short
+.PHONY: all build test test-short race cover bench bench-short bench-smoke verify results results-check examples fmt fmt-check vet lint check clean loadtest-short fuzz-short
 
 all: build test
 
@@ -42,24 +42,15 @@ bench-short:
 bench-smoke:
 	cd bench && $(GO) test ./...
 
-# Timing records for the perf trajectory (name, ns/op, allocs/op, workers).
-bench-json:
-	$(GO) run ./cmd/recobench -bench -exp all,kcore,frontier,micro > BENCH_experiments.json
-
-# Short closed-loop load test against an in-process recod (~2 s of driving):
-# runs recoload, then recobench -compare against the committed baseline with
-# a huge threshold — the compare never gates on timing noise, it only proves
-# the report still parses in the recobench schema (shape smoke test).
+# Short closed-loop load test against an in-process recod (~2 s of driving
+# per leg); recoload exits non-zero on any transport or server error.
 # The second leg is a seeded overload run through the async job path — one
 # worker, a two-deep queue, tight deadlines, weighted requests — proving
 # admission control sheds and rejects structurally (429s, shed jobs) while
 # the harness still exits 0: only transport errors fail a load run.
 loadtest-short:
 	$(GO) run ./cmd/recoload -inprocess -duration 2s -concurrency 4 \
-		-n 8 -coflows 4 -reuse 0.9 -mix single=0.8,multi=0.2 \
-		-label warm -bench /tmp/recoload-short.json > /dev/null
-	$(GO) run ./cmd/recobench -compare -regress 1e9 BENCH_recoload.json /tmp/recoload-short.json
-	@rm -f /tmp/recoload-short.json
+		-n 8 -coflows 4 -reuse 0.9 -mix single=0.8,multi=0.2 > /dev/null
 	$(GO) run ./cmd/recoload -inprocess -no-cache -duration 2s -concurrency 8 \
 		-seed 7 -n 24 -mix job=1 -deadline 20ms -weighted \
 		-job-workers 1 -job-queue 2 > /dev/null
@@ -73,25 +64,24 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzScheduleRequest -fuzztime=10s ./internal/api
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSoundness -fuzztime=10s ./internal/api
 
-# Regenerate the committed load-test baseline (warm cache vs cold, ~10 s).
-# helios is the compute-heavy scheduler, so the warm/cold p50 ratio shows
-# the plan cache's effect rather than JSON transport overhead.
-loadtest:
-	$(GO) run ./cmd/recoload -inprocess -duration 4s -concurrency 4 \
-		-n 32 -coflows 8 -alg helios -reuse 0.9 -label warm \
-		-bench BENCH_recoload.json > /dev/null
-	$(GO) run ./cmd/recoload -inprocess -duration 4s -concurrency 4 \
-		-n 32 -coflows 8 -alg helios -reuse 0 -no-cache -label cold \
-		-bench BENCH_recoload.json > /dev/null
-	@cat BENCH_recoload.json
-
 # Re-check every qualitative claim of the paper against a fresh run (~30 s).
 verify:
 	$(GO) run ./cmd/recobench -verify
 
-# Regenerate the committed experiment results (~100 s).
+# Regenerate the committed experiment results (~100 s): the presentation
+# order into all.txt, then the off-order tables as CSV only.
 results:
 	$(GO) run ./cmd/recobench -exp all -parallel 2 -outdir results > results/all.txt
+	$(GO) run ./cmd/recobench -exp admission,kcore,frontier,hybrid -outdir results > /dev/null
+
+# The deletion-safety invariant: regenerate as `results` does into a temp
+# dir and fail on any byte of difference from the committed results/ (every
+# CSV and all.txt, in both directions).
+results-check:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/recobench -exp all -parallel 2 -outdir "$$tmp" > "$$tmp/all.txt" && \
+	$(GO) run ./cmd/recobench -exp admission,kcore,frontier,hybrid -outdir "$$tmp" > /dev/null && \
+	diff -rq -x README.md results "$$tmp" && echo "results-check: results/ reproduced byte for byte"
 
 examples:
 	$(GO) run ./examples/quickstart

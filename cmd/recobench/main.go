@@ -7,20 +7,19 @@
 //	recobench -exp all              # everything, in presentation order
 //	recobench -exp all,kcore        # presentation order plus an off-order id
 //	recobench -exp fig6 -csv        # machine-readable output
-//	recobench -exp micro -bench     # scheduler-primitive micro-benchmarks
 //	recobench -list                 # available experiment ids
-//	recobench -compare old.json new.json   # diff two -bench outputs
+//	recobench -verify               # re-check the paper's qualitative shapes
 //
 // Scale knobs (-n, -coflows, -muln, -mulcoflows, -batches, -delta, -c,
 // -seed) map directly onto experiments.Config; see DESIGN.md §4 for the
 // experiment index and EXPERIMENTS.md for recorded paper-vs-measured runs.
 // -workers sets the per-experiment trial pool (tables are identical at any
-// worker count; see docs/PARALLEL.md), and -bench emits BENCH_*.json-style
-// timing records instead of tables.
+// worker count; see docs/PARALLEL.md) and -time prints each experiment's wall
+// time. recobench reproduces results/; it is not the measuring tool — see
+// docs/PERF.md "Measuring".
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -28,11 +27,9 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"testing"
 	"time"
 
 	"reco/internal/experiments"
-	"reco/internal/parallel"
 )
 
 func main() {
@@ -40,45 +37,40 @@ func main() {
 }
 
 func run() int {
+	def := experiments.Defaults()
 	var (
 		exp        = flag.String("exp", "all", "comma-separated experiment ids; 'all' expands to the presentation order")
 		list       = flag.Bool("list", false, "list experiment ids and exit")
 		csv        = flag.Bool("csv", false, "emit CSV instead of aligned text")
 		seed       = flag.Int64("seed", 1, "workload seed")
-		delta      = flag.Int64("delta", 0, "reconfiguration delay in ticks (default 100)")
-		c          = flag.Int64("c", 0, "optical transmission threshold (default 4)")
-		singleN    = flag.Int("n", 0, "fabric ports for single-coflow experiments (default 60)")
-		singleK    = flag.Int("coflows", 0, "workload size for single-coflow experiments (default 120)")
-		mulN       = flag.Int("muln", 0, "fabric ports for multi-coflow experiments (default 24)")
-		mulK       = flag.Int("mulcoflows", 0, "coflows per multi-coflow batch (default 20)")
-		mulBatches = flag.Int("batches", 0, "batches per multi-coflow data point (default 3)")
+		delta      = flag.Int64("delta", def.Delta, "reconfiguration delay in ticks")
+		c          = flag.Int64("c", def.C, "optical transmission threshold")
+		singleN    = flag.Int("n", def.SingleN, "fabric ports for single-coflow experiments")
+		singleK    = flag.Int("coflows", def.SingleCoflows, "workload size for single-coflow experiments")
+		mulN       = flag.Int("muln", def.MulN, "fabric ports for multi-coflow experiments")
+		mulK       = flag.Int("mulcoflows", def.MulCoflows, "coflows per multi-coflow batch")
+		mulBatches = flag.Int("batches", def.MulBatches, "batches per multi-coflow data point")
 		timing     = flag.Bool("time", false, "print wall-clock time per experiment")
 		concurrent = flag.Int("parallel", 1, "experiments to run concurrently (output order is preserved)")
 		workersN   = flag.Int("workers", 0, "trial-level workers per experiment (0 = RECO_WORKERS env, then GOMAXPROCS)")
 		outDir     = flag.String("outdir", "", "also write each experiment's CSV to <outdir>/<id>.csv")
 		verify     = flag.Bool("verify", false, "verify the paper's qualitative shapes and exit")
-		bench      = flag.Bool("bench", false, "emit JSON timing records (name, ns/op, allocs/op, workers) instead of tables")
-		compare    = flag.Bool("compare", false, "compare two -bench JSON files given as positional args; exit 1 on regression")
-		regress    = flag.Float64("regress", 10, "ns/op regression threshold in percent for -compare")
 	)
 	flag.Parse()
 
-	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "recobench: -compare needs exactly two files: recobench -compare old.json new.json")
-			return 2
-		}
-		return runCompare(flag.Arg(0), flag.Arg(1), *regress)
-	}
-
 	registry := experiments.Registry()
+	cfg := experiments.Config{
+		Seed:          *seed,
+		Delta:         *delta,
+		C:             *c,
+		SingleN:       *singleN,
+		SingleCoflows: *singleK,
+		MulN:          *mulN,
+		MulCoflows:    *mulK,
+		MulBatches:    *mulBatches,
+		Workers:       *workersN,
+	}
 	if *verify {
-		cfg := experiments.Config{
-			Seed: *seed, Delta: *delta, C: *c,
-			SingleN: *singleN, SingleCoflows: *singleK,
-			MulN: *mulN, MulCoflows: *mulK, MulBatches: *mulBatches,
-			Workers: *workersN,
-		}
 		errs := experiments.VerifyShapes(cfg)
 		for _, err := range errs {
 			fmt.Fprintf(os.Stderr, "recobench: shape violated: %v\n", err)
@@ -101,32 +93,10 @@ func run() int {
 		return 0
 	}
 
-	cfg := experiments.Config{
-		Seed:          *seed,
-		Delta:         *delta,
-		C:             *c,
-		SingleN:       *singleN,
-		SingleCoflows: *singleK,
-		MulN:          *mulN,
-		MulCoflows:    *mulK,
-		MulBatches:    *mulBatches,
-		Workers:       *workersN,
-	}
-
 	ids, err := expandExpList(*exp, registry)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "recobench: %v\n", err)
 		return 2
-	}
-
-	if *bench {
-		return runBench(registry, ids, cfg)
-	}
-	for _, id := range ids {
-		if strings.HasPrefix(id, "micro/") {
-			fmt.Fprintf(os.Stderr, "recobench: %s is a micro-benchmark; it emits timing records only (use -bench)\n", id)
-			return 2
-		}
 	}
 
 	type outcome struct {
@@ -195,12 +165,10 @@ func run() int {
 }
 
 // expandExpList resolves a comma-separated -exp value into experiment ids:
-// "all" expands in place to the presentation order, "micro" to the
-// scheduler-primitive micro-benchmarks, every other id must be a registered
-// experiment or micro-benchmark, and duplicates collapse to their first
-// occurrence so "all,kcore" never runs an experiment twice.
+// "all" expands in place to the presentation order, every other id must be a
+// registered experiment, and duplicates collapse to their first occurrence so
+// "all,kcore" never runs an experiment twice.
 func expandExpList(spec string, registry map[string]experiments.Runner) ([]string, error) {
-	micro := microByID()
 	var ids []string
 	seen := make(map[string]bool)
 	add := func(id string) {
@@ -218,78 +186,12 @@ func expandExpList(spec string, registry map[string]experiments.Runner) ([]strin
 			for _, id := range experiments.Order() {
 				add(id)
 			}
-		case part == "micro":
-			for _, mb := range microBenches() {
-				add(mb.id)
-			}
 		default:
-			_, isExp := registry[part]
-			_, isMicro := micro[part]
-			if !isExp && !isMicro {
+			if _, ok := registry[part]; !ok {
 				return nil, fmt.Errorf("unknown experiment %q (use -list)", part)
 			}
 			add(part)
 		}
 	}
 	return ids, nil
-}
-
-// benchRecord matches the BENCH_*.json schema used to track the perf
-// trajectory across revisions: one record per experiment run.
-type benchRecord struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	Workers     int     `json:"workers"`
-}
-
-// runBench times each selected experiment via testing.Benchmark (so slow
-// experiments run once and fast ones iterate to a stable estimate) and
-// writes the records as a JSON array on stdout. Micro-benchmark ids
-// (micro/...) time their scheduler primitive directly; they run on one
-// goroutine, so their records carry workers = 1.
-func runBench(registry map[string]experiments.Runner, ids []string, cfg experiments.Config) int {
-	effective := parallel.Workers(cfg.Workers)
-	micro := microByID()
-	records := make([]benchRecord, 0, len(ids))
-	for _, id := range ids {
-		if run, ok := micro[id]; ok {
-			res := testing.Benchmark(run)
-			records = append(records, benchRecord{
-				Name:        id,
-				NsPerOp:     float64(res.NsPerOp()),
-				AllocsPerOp: res.AllocsPerOp(),
-				Workers:     1,
-			})
-			continue
-		}
-		fn := registry[id]
-		var runErr error
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := fn(cfg); err != nil {
-					runErr = err
-					return
-				}
-			}
-		})
-		if runErr != nil {
-			fmt.Fprintf(os.Stderr, "recobench: %s: %v\n", id, runErr)
-			return 1
-		}
-		records = append(records, benchRecord{
-			Name:        id,
-			NsPerOp:     float64(res.NsPerOp()),
-			AllocsPerOp: res.AllocsPerOp(),
-			Workers:     effective,
-		})
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(records); err != nil {
-		fmt.Fprintf(os.Stderr, "recobench: %v\n", err)
-		return 1
-	}
-	return 0
 }

@@ -149,6 +149,11 @@ func TestBadInvocations(t *testing.T) {
 	if code := run([]string{"-server", "http://127.0.0.1:1", "health"}, nil, &out, &errBuf); code != 1 {
 		t.Errorf("dead server: exit %d", code)
 	}
+	errBuf.Reset()
+	if code := run([]string{"-server", url, "workload", "-n", "100000", "-coflows", "1"}, nil, &out, &errBuf); code != 1 ||
+		!strings.Contains(errBuf.String(), "workload too large") {
+		t.Errorf("oversized workload: exit %d, stderr %q", code, errBuf.String())
+	}
 }
 
 // TestKnobFlags iterates algo.KnobTable: every row's flag exists on the

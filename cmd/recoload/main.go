@@ -24,12 +24,9 @@
 //
 // The run report — latency quantiles and throughput per request kind, plus
 // the server's plan-cache counters scraped from /metrics.json — is written
-// to stdout as JSON. With -bench, a []benchRecord file in the same schema
-// recobench emits is written (merging with an existing file by record
-// name), so cache regressions are caught with `recobench -compare`:
-//
-//	recoload -inprocess -duration 2s -bench new.json
-//	recobench -compare BENCH_recoload.json new.json
+// to stdout as JSON, and with -out to a file as well. recoload drives a
+// server; the numbers a performance claim rests on come from bench/ (see
+// docs/PERF.md "Measuring").
 package main
 
 import (
@@ -77,7 +74,6 @@ type config struct {
 	Coflows     int           `json:"coflows"`
 	Delta       int64         `json:"delta"`
 	C           int64         `json:"c"`
-	Label       string        `json:"label"`
 	Deadline    time.Duration `json:"-"`
 	DeadlineStr string        `json:"deadline,omitempty"`
 	Weighted    bool          `json:"weighted,omitempty"`
@@ -125,15 +121,6 @@ type report struct {
 	Metrics     map[string]any     `json:"metrics,omitempty"`
 }
 
-// benchRecord mirrors the recobench result schema so recoload output feeds
-// `recobench -compare` unchanged.
-type benchRecord struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	Workers     int     `json:"workers"`
-}
-
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("recoload", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -151,12 +138,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&cfg.Coflows, "coflows", 16, "matrix pool size")
 	fs.Int64Var(&cfg.Delta, "delta", 100, "reconfiguration delay in ticks")
 	fs.Int64Var(&cfg.C, "c", 4, "optical transmission threshold (multi)")
-	fs.StringVar(&cfg.Label, "label", "", "bench record label (default: reuse<ratio>, plus -nocache)")
 	fs.DurationVar(&cfg.Deadline, "deadline", 0, "base per-request SLA; each request draws [0.5,1.5)x this (0: none)")
 	fs.BoolVar(&cfg.Weighted, "weighted", false, "assign seeded power-of-two admission weights to requests")
 	fs.IntVar(&cfg.JobWorkers, "job-workers", 0, "inprocess: async job pool workers (0: server default)")
 	fs.IntVar(&cfg.JobQueue, "job-queue", 0, "inprocess: queued-job bound before admission control kicks in (0: server default)")
-	benchPath := fs.String("bench", "", "write/merge recobench-schema records to this file")
 	outPath := fs.String("out", "", "also write the report to this file")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -164,12 +149,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg.DurationStr = cfg.Duration.String()
 	if cfg.Deadline > 0 {
 		cfg.DeadlineStr = cfg.Deadline.String()
-	}
-	if cfg.Label == "" {
-		cfg.Label = fmt.Sprintf("reuse%.2f", cfg.Reuse)
-		if cfg.NoCache {
-			cfg.Label += "-nocache"
-		}
 	}
 
 	mix, err := parseMix(cfg.Mix)
@@ -218,12 +197,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *outPath != "" {
 		if err := writeFileJSON(*outPath, rep); err != nil {
-			fmt.Fprintf(stderr, "recoload: %v\n", err)
-			return 1
-		}
-	}
-	if *benchPath != "" {
-		if err := mergeBench(*benchPath, rep.toBench()); err != nil {
 			fmt.Fprintf(stderr, "recoload: %v\n", err)
 			return 1
 		}
@@ -524,59 +497,6 @@ func summarize(ns []int64, elapsed time.Duration) opStats {
 		st.Throughput = float64(len(ns)) / elapsed.Seconds()
 	}
 	return st
-}
-
-// toBench renders the report as recobench-schema records, one per request
-// kind, named recoload/<kind>/<label> with p50 latency as ns/op. Allocs/op
-// is the run's blended process-wide figure (see report.AllocsPerOp) — a
-// closed-loop driver cannot attribute heap allocations to one kind, so
-// every record of a run carries the same value.
-func (r *report) toBench() []benchRecord {
-	kinds := make([]string, 0, len(r.Ops))
-	for k := range r.Ops {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	recs := make([]benchRecord, 0, len(kinds))
-	for _, k := range kinds {
-		st := r.Ops[k]
-		if st.Count == 0 {
-			continue
-		}
-		recs = append(recs, benchRecord{
-			Name:        fmt.Sprintf("recoload/%s/%s", k, r.Config.Label),
-			NsPerOp:     st.P50Ns,
-			AllocsPerOp: r.AllocsPerOp,
-			Workers:     r.Config.Concurrency,
-		})
-	}
-	return recs
-}
-
-// mergeBench writes recs into path, replacing same-name records in an
-// existing file so warm and cold runs can accumulate into one baseline.
-func mergeBench(path string, recs []benchRecord) error {
-	var existing []benchRecord
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &existing); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return err
-	}
-	byName := make(map[string]int, len(existing))
-	for i, r := range existing {
-		byName[r.Name] = i
-	}
-	for _, r := range recs {
-		if i, ok := byName[r.Name]; ok {
-			existing[i] = r
-		} else {
-			existing = append(existing, r)
-		}
-	}
-	sort.Slice(existing, func(a, b int) bool { return existing[a].Name < existing[b].Name })
-	return writeFileJSON(path, existing)
 }
 
 func writeFileJSON(path string, v any) error {

@@ -3,20 +3,17 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
 // TestInProcessRun drives a short closed loop against the in-process
-// server and checks the report and bench-record shapes end to end.
+// server and checks the report shape end to end.
 func TestInProcessRun(t *testing.T) {
-	bench := filepath.Join(t.TempDir(), "bench.json")
 	var out, errBuf bytes.Buffer
 	code := run([]string{
 		"-inprocess", "-duration", "300ms", "-concurrency", "4",
 		"-n", "8", "-coflows", "4", "-reuse", "0.9",
-		"-mix", "single=0.8,multi=0.2", "-bench", bench,
+		"-mix", "single=0.8,multi=0.2",
 	}, &out, &errBuf)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errBuf.String())
@@ -35,51 +32,6 @@ func TestInProcessRun(t *testing.T) {
 	hits, ok := rep.Metrics["plancache_hits_total"].(float64)
 	if !ok || hits == 0 {
 		t.Errorf("report did not scrape cache hits: %v", rep.Metrics)
-	}
-
-	data, err := os.ReadFile(bench)
-	if err != nil {
-		t.Fatalf("bench file: %v", err)
-	}
-	var recs []benchRecord
-	if err := json.Unmarshal(data, &recs); err != nil {
-		t.Fatalf("bench file is not recobench-schema: %v", err)
-	}
-	if len(recs) == 0 {
-		t.Fatal("bench file is empty")
-	}
-	for _, r := range recs {
-		if r.Name == "" || r.NsPerOp <= 0 || r.Workers != 4 {
-			t.Errorf("bench record: %+v", r)
-		}
-	}
-}
-
-// TestBenchMergeReplacesByName: re-running with the same label updates
-// records in place instead of appending duplicates.
-func TestBenchMergeReplacesByName(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := mergeBench(path, []benchRecord{{Name: "recoload/single/x", NsPerOp: 100, Workers: 2}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := mergeBench(path, []benchRecord{
-		{Name: "recoload/single/x", NsPerOp: 50, Workers: 2},
-		{Name: "recoload/multi/x", NsPerOp: 200, Workers: 2},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	data, _ := os.ReadFile(path)
-	var recs []benchRecord
-	if err := json.Unmarshal(data, &recs); err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 {
-		t.Fatalf("got %d records, want 2 (replace, not append): %+v", len(recs), recs)
-	}
-	for _, r := range recs {
-		if r.Name == "recoload/single/x" && r.NsPerOp != 50 {
-			t.Errorf("record not replaced: %+v", r)
-		}
 	}
 }
 

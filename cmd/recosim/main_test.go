@@ -169,6 +169,23 @@ func TestCoresValidation(t *testing.T) {
 	}
 }
 
+// TestDeltaFloor: the slotted and cost-ratio schedulers need a positive
+// delta and say so as a bad request; Reco-Sin runs at delta 0.
+func TestDeltaFloor(t *testing.T) {
+	for _, tc := range []struct {
+		alg  string
+		want int
+	}{
+		{algo.NameHelios, 1},
+		{algo.NameEclipse, 1},
+		{algo.NameRecoSin, 0},
+	} {
+		if got := exitCode("-alg", tc.alg, "-delta", "0"); got != tc.want {
+			t.Errorf("recosim -alg %s -delta 0: exit %d, want %d", tc.alg, got, tc.want)
+		}
+	}
+}
+
 // TestKValidation: a negative -k and -k with -faults are rejected, and
 // k > 0 requires the sparse capability.
 func TestKValidation(t *testing.T) {

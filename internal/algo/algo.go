@@ -173,16 +173,19 @@ type Scheduler interface {
 	Caps() Capabilities
 	// Schedule runs the algorithm. Implementations check ctx periodically in
 	// their long-running loops (LP solves, BvN extraction, per-coflow scans)
-	// and return ctx.Err() promptly once it is cancelled.
+	// and return ctx.Err() promptly once it is cancelled. They do not call
+	// ValidateRequest: the registry has, by the time this runs.
 	Schedule(ctx context.Context, req Request) (*Result, error)
 }
 
 // ValidateRequest checks the shape shared by every algorithm: at least one
 // demand matrix, all matrices present and of one dimension, δ non-negative,
-// knobs in range, and demand small enough for int64 tick arithmetic: the
-// batch's back-to-back completion bound Σ 2·(ρ + n·δ) — Theorem 2's bound
-// on one coflow's CCT, summed over the coflows — must be representable, or
-// row sums and clocks downstream wrap silently.
+// weights finite and non-negative (a list shorter than Demands is legal:
+// missing entries mean 1), knobs in range, and demand small enough for
+// int64 tick arithmetic: the batch's back-to-back completion bound
+// Σ 2·(ρ + n·δ) — Theorem 2's bound on one coflow's CCT, summed over the
+// coflows — must be representable, or row sums and clocks downstream wrap
+// silently. The registry runs it before every Scheduler.Schedule.
 func ValidateRequest(req Request) error {
 	if len(req.Demands) == 0 {
 		return fmt.Errorf("%w: no demand matrices", ErrBadRequest)
@@ -200,6 +203,11 @@ func ValidateRequest(req Request) error {
 	}
 	if req.Delta < 0 {
 		return fmt.Errorf("%w: negative delta %d", ErrBadRequest, req.Delta)
+	}
+	for k, w := range req.Weights {
+		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+			return fmt.Errorf("%w: weight %d must be finite and non-negative, got %v", ErrBadRequest, k, w)
+		}
 	}
 	if err := req.Knobs.Validate(); err != nil {
 		return err

@@ -51,6 +51,33 @@ func TestRegistryLookupAndOrder(t *testing.T) {
 	}
 }
 
+// TestRegistryValidatesForTheScheduler: fake.Schedule checks nothing, yet
+// through the registry a malformed request or a cancelled context never
+// reaches it — the check is the registry's, not each registration's.
+func TestRegistryValidatesForTheScheduler(t *testing.T) {
+	Register(fake{name: "unchecked-test"})
+	s := MustGet("unchecked-test")
+	d, err := matrix.New(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok := Request{Demands: []*matrix.Matrix{d}, Delta: 10}
+	if _, err := s.Schedule(context.Background(), ok); err != nil {
+		t.Fatalf("valid request: %v", err)
+	}
+	if _, err := s.Schedule(context.Background(), Request{Delta: 10}); !errors.Is(err, ErrBadRequest) {
+		t.Errorf("empty request returned %v, want ErrBadRequest", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := s.Schedule(ctx, ok); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled ctx returned %v, want context.Canceled", err)
+	}
+	if _, err := s.Schedule(ctx, Request{Delta: 10}); !errors.Is(err, ErrBadRequest) {
+		t.Errorf("bad request under a cancelled ctx returned %v, want ErrBadRequest first", err)
+	}
+}
+
 func TestRegistryUnknownEnumeratesValidNames(t *testing.T) {
 	Register(fake{name: "known-test"})
 	_, err := Get("no-such-algorithm")
@@ -124,6 +151,12 @@ func TestValidateRequest(t *testing.T) {
 		{"nil matrix", Request{Demands: []*matrix.Matrix{nil}, Delta: 10}, false},
 		{"mixed dims", Request{Demands: []*matrix.Matrix{d, small}, Delta: 10}, false},
 		{"negative delta", Request{Demands: []*matrix.Matrix{d}, Delta: -1}, false},
+		{"zero weight", Request{Demands: []*matrix.Matrix{d}, Weights: []float64{0}, Delta: 10}, true},
+		{"short weights", Request{Demands: []*matrix.Matrix{d, d}, Weights: []float64{2}, Delta: 10}, true},
+		{"surplus weights", Request{Demands: []*matrix.Matrix{d}, Weights: []float64{1, 2}, Delta: 10}, true},
+		{"negative weight", Request{Demands: []*matrix.Matrix{d}, Weights: []float64{-1}, Delta: 10}, false},
+		{"NaN weight", Request{Demands: []*matrix.Matrix{d}, Weights: []float64{math.NaN()}, Delta: 10}, false},
+		{"infinite weight", Request{Demands: []*matrix.Matrix{d, d}, Weights: []float64{1, math.Inf(1)}, Delta: 10}, false},
 	}
 	for _, tc := range cases {
 		err := ValidateRequest(tc.req)

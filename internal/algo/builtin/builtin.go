@@ -81,6 +81,7 @@ func init() {
 		build: func(ctx context.Context, d *matrix.Matrix, req algo.Request) (ocs.CircuitSchedule, error) {
 			return tms.ScheduleHelios(d, HeliosSlotFactor*req.Delta)
 		},
+		minDelta: 1, // the slot length is a multiple of delta
 	})
 	algo.Register(&perCoflow{
 		name: algo.NameEclipse,
@@ -89,6 +90,7 @@ func init() {
 		build: func(ctx context.Context, d *matrix.Matrix, req algo.Request) (ocs.CircuitSchedule, error) {
 			return eclipse.Schedule(d, req.Delta)
 		},
+		minDelta: 1, // throughput per cost divides by dur + delta
 	})
 	algo.Register(recoMul{})
 	algo.Register(lpiiSequential{})
@@ -109,12 +111,14 @@ func init() {
 // contract: one circuit schedule per coflow, executed back-to-back on the
 // all-stop switch — identity order unless an ordering function is set.
 // This reproduces recosim's historical handling of reco-sin, solstice and
-// sebf-solstice exactly.
+// sebf-solstice exactly. A request whose delta is below minDelta is a bad
+// request, not a build failure.
 type perCoflow struct {
 	name, desc string
 	caps       algo.Capabilities
 	build      func(ctx context.Context, d *matrix.Matrix, req algo.Request) (ocs.CircuitSchedule, error)
 	order      func(ds []*matrix.Matrix) []int
+	minDelta   int64
 }
 
 func (p *perCoflow) Name() string            { return p.name }
@@ -122,8 +126,8 @@ func (p *perCoflow) Describe() string        { return p.desc }
 func (p *perCoflow) Caps() algo.Capabilities { return p.caps }
 
 func (p *perCoflow) Schedule(ctx context.Context, req algo.Request) (*algo.Result, error) {
-	if err := algo.ValidateRequest(req); err != nil {
-		return nil, err
+	if req.Delta < p.minDelta {
+		return nil, fmt.Errorf("%w: %s needs delta at least %d, got %d", algo.ErrBadRequest, p.name, p.minDelta, req.Delta)
 	}
 	schedules := make([]ocs.CircuitSchedule, len(req.Demands))
 	for k, d := range req.Demands {
@@ -164,9 +168,6 @@ func (recoMul) Caps() algo.Capabilities {
 }
 
 func (recoMul) Schedule(ctx context.Context, req algo.Request) (*algo.Result, error) {
-	if err := algo.ValidateRequest(req); err != nil {
-		return nil, err
-	}
 	res, err := core.ScheduleMulCtx(ctx, req.Demands, req.Weights, req.Delta, req.C)
 	if err != nil {
 		return nil, err
@@ -186,9 +187,6 @@ func (lpiiSequential) Caps() algo.Capabilities {
 }
 
 func (lpiiSequential) Schedule(ctx context.Context, req algo.Request) (*algo.Result, error) {
-	if err := algo.ValidateRequest(req); err != nil {
-		return nil, err
-	}
 	res, err := lpiigb.ScheduleSequentialCtx(ctx, req.Demands, req.Weights, req.Delta)
 	if err != nil {
 		return nil, err
@@ -208,9 +206,6 @@ func (lpiiGrouped) Caps() algo.Capabilities {
 }
 
 func (lpiiGrouped) Schedule(ctx context.Context, req algo.Request) (*algo.Result, error) {
-	if err := algo.ValidateRequest(req); err != nil {
-		return nil, err
-	}
 	res, err := lpiigb.ScheduleCtx(ctx, req.Demands, req.Weights, req.Delta)
 	if err != nil {
 		return nil, err
@@ -231,9 +226,6 @@ func (sunflowSched) Caps() algo.Capabilities {
 }
 
 func (sunflowSched) Schedule(ctx context.Context, req algo.Request) (*algo.Result, error) {
-	if err := algo.ValidateRequest(req); err != nil {
-		return nil, err
-	}
 	out := &algo.Result{CCTs: make([]int64, len(req.Demands))}
 	var now int64
 	for k, d := range req.Demands {
@@ -271,9 +263,6 @@ func (hybridSched) Caps() algo.Capabilities {
 }
 
 func (hybridSched) Schedule(ctx context.Context, req algo.Request) (*algo.Result, error) {
-	if err := algo.ValidateRequest(req); err != nil {
-		return nil, err
-	}
 	out := &algo.Result{CCTs: make([]int64, len(req.Demands))}
 	var now int64
 	for k, d := range req.Demands {
@@ -311,12 +300,6 @@ func (o onlineSched) Caps() algo.Capabilities {
 }
 
 func (o onlineSched) Schedule(ctx context.Context, req algo.Request) (*algo.Result, error) {
-	if err := algo.ValidateRequest(req); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	arrivals := make([]online.Arrival, len(req.Demands))
 	for k, d := range req.Demands {
 		w := 1.0

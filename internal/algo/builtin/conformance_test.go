@@ -144,6 +144,19 @@ func TestBadRequestRejected(t *testing.T) {
 	}
 }
 
+// TestDeltaFloorIsBadRequest: helios slots and eclipse's throughput-per-cost
+// ratio need a positive delta; delta 0 is the caller's mistake, reported as
+// ErrBadRequest rather than as the scheduling package's internal error.
+func TestDeltaFloorIsBadRequest(t *testing.T) {
+	req := conformanceRequest(t)
+	req.Delta = 0
+	for _, name := range []string{algo.NameHelios, algo.NameEclipse} {
+		if _, err := algo.MustGet(name).Schedule(context.Background(), req); !errors.Is(err, algo.ErrBadRequest) {
+			t.Errorf("%s at delta 0 returned %v, want ErrBadRequest", name, err)
+		}
+	}
+}
+
 // TestCancelledContext: a cancelled request context aborts every registered
 // scheduler with context.Canceled instead of running the work to completion.
 func TestCancelledContext(t *testing.T) {

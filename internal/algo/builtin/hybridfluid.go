@@ -35,9 +35,6 @@ func (hybridFluidSched) Caps() algo.Capabilities {
 }
 
 func (hybridFluidSched) Schedule(ctx context.Context, req algo.Request) (*algo.Result, error) {
-	if err := algo.ValidateRequest(req); err != nil {
-		return nil, err
-	}
 	frac := req.ElecFrac
 	if frac == 0 {
 		frac = DefaultElecFrac

@@ -1,6 +1,7 @@
 package algo
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -14,6 +15,21 @@ var (
 	mu       sync.RWMutex
 	registry = map[string]Scheduler{}
 )
+
+// checked is the form every registered Scheduler is handed out in: Schedule
+// runs ValidateRequest and refuses an already-cancelled context before the
+// algorithm sees the request, so no registration can forget either.
+type checked struct{ Scheduler }
+
+func (c checked) Schedule(ctx context.Context, req Request) (*Result, error) {
+	if err := ValidateRequest(req); err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return c.Scheduler.Schedule(ctx, req)
+}
 
 // Register adds s to the process-global registry. It panics on an empty
 // name or a duplicate registration — both are programmer errors caught the
@@ -29,7 +45,7 @@ func Register(s Scheduler) {
 	if _, dup := registry[name]; dup {
 		panic(fmt.Sprintf("algo: Register called twice for %q", name))
 	}
-	registry[name] = s
+	registry[name] = checked{s}
 }
 
 // Get resolves a registered algorithm by name. The error of an unknown name

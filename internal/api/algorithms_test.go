@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"reco/internal/algo"
@@ -212,5 +214,65 @@ func TestScheduleSingleElecFracField(t *testing.T) {
 	}
 	if half.CCT <= 0 {
 		t.Fatalf("elec_frac=0.5 returned CCT %d", half.CCT)
+	}
+}
+
+// TestRegistryUnderHostileInput posts well-formed but hostile batches to
+// every registered algorithm: whatever the scheduler makes of them, the
+// answer is a 200 or a structured 400 — a client's mistake is never a 5xx.
+// A newly registered scheduler is swept without an edit here.
+func TestRegistryUnderHostileInput(t *testing.T) {
+	srv := NewServer(Options{NoCache: true})
+	defer srv.Close()
+	h := srv.Handler()
+
+	zero := [][]int64{{0, 0, 0}, {0, 0, 0}, {0, 0, 0}}
+	oneCell := [][]int64{{0, 0, 0}, {0, 0, 7}, {0, 0, 0}}
+	for _, sched := range algo.All() {
+		if strings.HasPrefix(sched.Name(), "test-") {
+			continue
+		}
+		base := MultiRequest{Demands: [][][]int64{jobDemand, jobDemand}, Delta: 100, C: 4, Algorithm: sched.Name()}
+		type hostile struct {
+			name    string
+			edit    func(*MultiRequest)
+			must400 bool // no scheduler may accept it
+		}
+		cases := []hostile{
+			{"delta 0", func(r *MultiRequest) { r.Delta = 0 }, false},
+			{"all-zero demand", func(r *MultiRequest) { r.Demands = [][][]int64{zero, zero} }, false},
+			{"one non-zero cell", func(r *MultiRequest) { r.Demands = [][][]int64{oneCell, zero} }, false},
+			{"negative weight", func(r *MultiRequest) { r.Weights = []float64{-1} }, true},
+			{"surplus weights", func(r *MultiRequest) { r.Weights = []float64{1, 2, 3} }, false},
+		}
+		for i := range algo.KnobTable {
+			if set := setValue(&algo.KnobTable[i]); algo.CheckKnobs(sched, set) != nil {
+				cases = append(cases, hostile{"unowned knob", func(r *MultiRequest) { r.Knobs = set }, true})
+				break
+			}
+		}
+
+		for _, tc := range cases {
+			name, req := tc.name, base
+			tc.edit(&req)
+			body, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/schedule/multi", bytes.NewReader(body)))
+			if rec.Code != http.StatusOK && rec.Code != http.StatusBadRequest {
+				t.Errorf("%s, %s: status %d, want 200 or 400: %s", sched.Name(), name, rec.Code, rec.Body.Bytes())
+			}
+			var payload map[string]any
+			if err := json.Unmarshal(rec.Body.Bytes(), &payload); err != nil {
+				t.Errorf("%s, %s: non-JSON body %q: %v", sched.Name(), name, rec.Body.Bytes(), err)
+			} else if msg, _ := payload["error"].(string); rec.Code >= 400 && msg == "" {
+				t.Errorf("%s, %s: status %d without an error message: %s", sched.Name(), name, rec.Code, rec.Body.Bytes())
+			}
+			if tc.must400 && rec.Code != http.StatusBadRequest {
+				t.Errorf("%s, %s: status %d, want 400", sched.Name(), name, rec.Code)
+			}
+		}
 	}
 }

@@ -264,6 +264,14 @@ func renderMulti(res *algo.Result) MultiResponse {
 	}
 }
 
+// minCellBytes is the least JSON one demand cell occupies ("0,"). It sizes
+// the bound on /v1/workload/generate: a workload of more than
+// MaxBodyBytes/minCellBytes cells (n·n·numCoflows) could not be posted back
+// to this server's schedule endpoints, and is refused before its matrices
+// are allocated — without the bound a 40-byte request is an out-of-memory
+// kill, which no recover catches.
+const minCellBytes = 2
+
 // WorkloadRequest asks for a synthetic workload.
 type WorkloadRequest struct {
 	N          int   `json:"n"`
@@ -440,6 +448,12 @@ func (s *Server) writeScheduleError(w http.ResponseWriter, err error) {
 func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
 	var req WorkloadRequest
 	if !s.readJSON(w, r, &req) {
+		return
+	}
+	cells := s.opts.MaxBodyBytes / minCellBytes
+	if n, k := int64(req.N), int64(req.NumCoflows); n > 0 && k > 0 && (n > cells/n || n*n > cells/k) {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf(
+			"workload too large: n*n*numCoflows must be at most %d, got n=%d numCoflows=%d", cells, n, k))
 		return
 	}
 	coflows, err := workload.Generate(workload.GenConfig{

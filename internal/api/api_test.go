@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -183,6 +184,31 @@ func TestGenerateWorkloadRoundTrip(t *testing.T) {
 	}
 	if _, err := client.GenerateWorkload(context.Background(), WorkloadRequest{N: 1, NumCoflows: 1}); err == nil {
 		t.Error("invalid workload config accepted")
+	}
+}
+
+// TestGenerateWorkloadTooLarge: a workload the server could never accept
+// back is refused before its matrices are allocated — n = 100000 used to
+// ask for an 80 GB matrix and die out of memory, which no recover catches.
+// The server keeps serving afterwards.
+func TestGenerateWorkloadTooLarge(t *testing.T) {
+	_, client := newTestServer(t)
+	ctx := context.Background()
+	for _, req := range []WorkloadRequest{
+		{N: 100000, NumCoflows: 1, Seed: 1},
+		{N: 64, NumCoflows: 1 << 40, Seed: 1},
+		{N: 1 << 62, NumCoflows: 1 << 62, Seed: 1},
+	} {
+		_, err := client.GenerateWorkload(ctx, req)
+		var apiErr *APIError
+		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
+			t.Errorf("%+v: got %v, want a 400", req, err)
+		} else if !strings.Contains(apiErr.Msg, "workload too large") {
+			t.Errorf("%+v: message %q does not name the bound", req, apiErr.Msg)
+		}
+		if err := client.Healthz(ctx); err != nil {
+			t.Fatalf("server stopped answering after %+v: %v", req, err)
+		}
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 )
 
 // fuzzPaths are the POST endpoints FuzzScheduleRequest drives; the first
-// fuzz input byte selects one, so the corpus explores all three decoders.
-var fuzzPaths = []string{"/v1/schedule/single", "/v1/schedule/multi", "/v1/jobs"}
+// fuzz input byte selects one, so the corpus explores all four decoders.
+var fuzzPaths = []string{"/v1/schedule/single", "/v1/schedule/multi", "/v1/jobs", "/v1/workload/generate"}
 
 var (
 	fuzzOnce    sync.Once
@@ -65,6 +65,8 @@ func addRequestSeeds(f *testing.F) {
 	// A core count sizing one demand share per core: once an out-of-memory
 	// kill on a 64-port matrix, which no recovery middleware catches.
 	f.Add(uint8(0), []byte(`{"demand":[[0,5],[5,0]],"delta":10,"algorithm":"kcore","cores":200000}`))
+	// A workload sized by the request alone: once an 80 GB allocation.
+	f.Add(uint8(3), []byte(`{"n":100000,"numCoflows":1,"seed":1}`))
 }
 
 // FuzzScheduleRequest throws arbitrary bodies at the schedule and job

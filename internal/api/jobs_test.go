@@ -54,9 +54,6 @@ func (b *blockSched) disarm() {
 }
 
 func (b *blockSched) Schedule(ctx context.Context, req algo.Request) (*algo.Result, error) {
-	if err := algo.ValidateRequest(req); err != nil {
-		return nil, err
-	}
 	b.mu.Lock()
 	gate, started := b.gate, b.started
 	b.mu.Unlock()

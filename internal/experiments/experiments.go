@@ -57,6 +57,9 @@ func (c Config) workers() int {
 	return parallel.Workers(c.Workers)
 }
 
+// Defaults returns the configuration the zero Config resolves to.
+func Defaults() Config { return Config{}.withDefaults() }
+
 func (c Config) withDefaults() Config {
 	if c.Delta == 0 {
 		c.Delta = 100
