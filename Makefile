@@ -56,13 +56,15 @@ loadtest-short:
 		-job-workers 1 -job-queue 2 > /dev/null
 
 # Ten seconds each of coverage-guided fuzzing over the schedule/job
-# endpoints (malformed JSON, hostile SLA fields) and over the fast request
-# parser against its encoding/json reference. CI-friendly: fails only on a
-# crash, a broken response contract or a decoder disagreement, never on
-# timing.
+# endpoints (malformed JSON, hostile SLA fields), over the fast request
+# parser against its encoding/json reference, and over the bitset
+# Hopcroft–Karp against the recursive adjacency-list one. CI-friendly: fails
+# only on a crash, a broken response contract or a disagreement with a
+# reference, never on timing.
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzScheduleRequest -fuzztime=10s ./internal/api
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSoundness -fuzztime=10s ./internal/api
+	$(GO) test -run='^$$' -fuzz=FuzzGraphMatchesReference -fuzztime=10s ./internal/matching
 
 # Re-check every qualitative claim of the paper against a fresh run (~30 s).
 verify:

@@ -167,3 +167,32 @@ func TestKnobsCostNoAllocation(t *testing.T) {
 		}
 	}
 }
+
+// TestTermBoundBeyondSupport: k is a bound, not a reservation. The top of
+// its range on a four-cell demand answers exactly what k = 4 answers (a
+// decomposition has at most one term per cell); bvn's
+// TestDecomposeKReservesBySupport holds the allocation side.
+func TestTermBoundBeyondSupport(t *testing.T) {
+	srv, _ := newTestServer(t)
+	post := func(k int) SingleResponse {
+		t.Helper()
+		body := fmt.Sprintf(`{"algorithm":"reco-sparse","k":%d,"delta":1,"demand":[[3,1],[1,3]]}`, k)
+		resp, err := http.Post(srv.URL+"/v1/schedule/single", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("k=%d: status %d, want 200", k, resp.StatusCode)
+		}
+		var out SingleResponse
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		return out
+	}
+	want, got := post(4), post(algo.MaxTerms)
+	if len(want.Schedule) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("k=%d answered %+v, k=4 answered %+v", algo.MaxTerms, got, want)
+	}
+}

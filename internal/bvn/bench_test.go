@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"reco/internal/matrix"
+	"reco/internal/workload"
 )
 
 // benchStuffed builds an n×n sparse stuffed matrix (~8 positive entries per
@@ -24,12 +25,50 @@ func benchStuffed(rng *rand.Rand, n int) *matrix.Matrix {
 	return matrix.StuffPreferNonZero(m)
 }
 
+// benchDenseRegularized builds what a dense Reco-Sin request decomposes: the
+// first dense-class matrix of the synthetic Facebook-like generator, every
+// entry rounded up to a multiple of δ = 100 (core.Regularize, which this
+// package cannot import), stuffed. All its coefficients sit on the δ grid,
+// so most terms repeat the previous bottleneck — benchStuffed's arbitrary
+// values almost never do.
+func benchDenseRegularized(rng *rand.Rand, n int) *matrix.Matrix {
+	const delta = 100
+	for {
+		coflows, err := workload.GenerateWith(rng, workload.GenConfig{N: n})
+		if err != nil {
+			panic(err)
+		}
+		for _, c := range coflows {
+			if workload.Classify(c.Demand) != workload.Dense {
+				continue
+			}
+			m := c.Demand.Clone()
+			for k, v := range m.Cells() {
+				if rem := v % delta; rem != 0 {
+					m.Cells()[k] = v + delta - rem
+				}
+			}
+			return matrix.StuffPreferNonZero(m)
+		}
+	}
+}
+
 // BenchmarkDecomposeMaxMin measures a full max–min BvN decomposition per op
-// at the fabric sizes the perf trajectory tracks (docs/PERF.md).
+// at the fabric sizes the perf trajectory tracks (docs/PERF.md), on sparse
+// arbitrary-valued supports and on the dense regularized shape recod serves.
 func BenchmarkDecomposeMaxMin(b *testing.B) {
-	for _, n := range []int{64, 128, 256} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			m := benchStuffed(rand.New(rand.NewSource(int64(n))), n)
+	inputs := []struct {
+		name string
+		m    *matrix.Matrix
+	}{
+		{"n=64", benchStuffed(rand.New(rand.NewSource(64)), 64)},
+		{"n=128", benchStuffed(rand.New(rand.NewSource(128)), 128)},
+		{"n=256", benchStuffed(rand.New(rand.NewSource(256)), 256)},
+		{"dense-reg/n=64", benchDenseRegularized(rand.New(rand.NewSource(64)), 64)},
+	}
+	for _, in := range inputs {
+		b.Run(in.name, func(b *testing.B) {
+			m := in.m
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

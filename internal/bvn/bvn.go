@@ -54,10 +54,10 @@ const (
 // produced; for doubly stochastic matrices the classical bound
 // N²−2N+2 [Marcus–Ree] also applies.
 //
-// Both strategies run on a single matching.Engine over the sparse support:
-// the matrix is scanned once, each extraction reuses the engine's graph and
-// scratch, and subtracting a term repairs the support incrementally instead
-// of rescanning the N×N residual (docs/PERF.md).
+// Both strategies run on a single pooled matching.Engine over the sparse
+// support: the matrix is scanned once, each extraction reuses the engine's
+// graph and scratch, and subtracting a term repairs the support
+// incrementally instead of rescanning the N×N residual (docs/PERF.md).
 func Decompose(m *matrix.Matrix, s Strategy) ([]Term, error) {
 	return DecomposeCtx(context.Background(), m, s)
 }
@@ -69,15 +69,17 @@ func DecomposeCtx(ctx context.Context, m *matrix.Matrix, s Strategy) ([]Term, er
 	if _, ok := m.DoublyStochasticValue(); !ok {
 		return nil, ErrNotDoublyStochastic
 	}
-	var eng *matching.Engine
+	var order matching.Order
 	switch s {
 	case MaxMin:
-		eng = matching.NewEngine(m, matching.Descending)
+		order = matching.Descending
 	case FirstFit:
-		eng = matching.NewEngine(m, matching.RowMajor)
+		order = matching.RowMajor
 	default:
 		return nil, fmt.Errorf("bvn: unknown strategy %d", s)
 	}
+	eng := matching.AcquireEngine(m, order)
+	defer eng.Release()
 	var terms []Term
 	for eng.Remaining() > 0 {
 		if err := ctx.Err(); err != nil {
@@ -104,8 +106,19 @@ func DecomposeCtx(ctx context.Context, m *matrix.Matrix, s Strategy) ([]Term, er
 	snk := obs.Current()
 	snk.Inc("bvn_decompositions_total")
 	snk.Count("bvn_terms_total", int64(len(terms)))
+	countTrials(snk, eng)
 	snk.ObserveBuckets("bvn_terms_per_matrix", termBuckets, float64(len(terms)))
 	return terms, nil
+}
+
+// countTrials exports, once per decomposition, how many max–min terms first
+// tried the previous term's coefficient and how many of those found it to be
+// the bottleneck again. On δ-regularized demand the ratio is high — every
+// coefficient sits on the δ grid — and on arbitrary values it is near zero.
+func countTrials(snk *obs.Sink, eng *matching.Engine) {
+	trials, hits := eng.Trials()
+	snk.Count("bvn_threshold_trials_total", int64(trials))
+	snk.Count("bvn_threshold_hits_total", int64(hits))
 }
 
 // Recompose sums the terms back into a matrix of dimension n, the inverse of

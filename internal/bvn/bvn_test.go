@@ -1,12 +1,14 @@
 package bvn
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"reco/internal/matrix"
+	"reco/internal/obs"
 )
 
 func mustMatrix(t *testing.T, rows [][]int64) *matrix.Matrix {
@@ -234,5 +236,45 @@ func TestRecomposeValidation(t *testing.T) {
 	}
 	if _, err := Recompose(nil, 0); err == nil {
 		t.Error("zero dimension accepted")
+	}
+}
+
+// TestThresholdTrialCounters: a decomposition exports, once, how many of its
+// terms tried the previous coefficient first (all but the first) and how
+// many of those trials were hits. On grid-valued demand most are; the k-term
+// path counts the same way.
+func TestThresholdTrialCounters(t *testing.T) {
+	reg := obs.NewRegistry()
+	obs.Attach(&obs.Sink{Metrics: reg})
+	defer obs.Detach()
+
+	m, _ := matrix.New(12)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 12; i++ {
+		for j := 0; j < 12; j++ {
+			m.Set(i, j, 100*(1+rng.Int63n(3)))
+		}
+	}
+	ds := matrix.StuffPreferNonZero(m)
+	terms, err := Decompose(ds, MaxMin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repeats := 0
+	for i := 1; i < len(terms); i++ {
+		if terms[i].Coef == terms[i-1].Coef {
+			repeats++
+		}
+	}
+	trials := reg.Counter("bvn_threshold_trials_total").Value()
+	hits := reg.Counter("bvn_threshold_hits_total").Value()
+	if trials != int64(len(terms)-1) || hits != int64(repeats) || hits == 0 {
+		t.Fatalf("%d terms, %d repeating the previous coefficient: trials=%d hits=%d", len(terms), repeats, trials, hits)
+	}
+	if _, _, err := DecomposeK(context.Background(), ds, 3); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("bvn_threshold_trials_total").Value(); got != trials+2 {
+		t.Fatalf("three more terms added %d trials, want 2", got-trials)
 	}
 }

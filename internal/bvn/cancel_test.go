@@ -3,8 +3,12 @@ package bvn
 import (
 	"context"
 	"errors"
+	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
+	"reco/internal/matching"
 	"reco/internal/matrix"
 )
 
@@ -36,4 +40,105 @@ func TestDecomposeCtxCancelled(t *testing.T) {
 	if len(terms) == 0 {
 		t.Fatal("no terms after successful decomposition")
 	}
+}
+
+// cancelAfter is a context that reports cancellation from its n-th Err call
+// on, which lets a test abandon a decomposition between two chosen terms.
+type cancelAfter struct {
+	context.Context
+	left int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.left == 0 {
+		return context.Canceled
+	}
+	c.left--
+	return nil
+}
+
+// decomposeFresh is Decompose on an engine of its own, the oracle for what
+// the pooled path must return.
+func decomposeFresh(t *testing.T, m *matrix.Matrix) []Term {
+	t.Helper()
+	var terms []Term
+	for eng := matching.NewEngine(m, matching.Descending); eng.Remaining() > 0; {
+		perm, coef, err := eng.Extract()
+		if err != nil {
+			t.Fatal(err)
+		}
+		terms = append(terms, Term{Perm: perm, Coef: coef})
+	}
+	return terms
+}
+
+// TestCancelledDecompositionReturnsCleanEngine: a decomposition abandoned
+// partway hands its engine back to the pool on the error path, and whatever
+// the next call on this goroutine is handed — most likely that very engine,
+// mid-extraction — decomposes a different matrix exactly as a fresh engine
+// does.
+func TestCancelledDecompositionReturnsCleanEngine(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 20; trial++ {
+		abandoned := stuffedRandom(rng, 4+rng.Intn(70), 0.3)
+		ctx := &cancelAfter{Context: context.Background(), left: 1 + rng.Intn(5)}
+		var err error
+		if trial%2 == 0 {
+			_, err = DecomposeCtx(ctx, abandoned, MaxMin)
+		} else {
+			_, _, err = DecomposeK(ctx, abandoned, 1<<20)
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("trial %d: abandoned decomposition returned %v, want context.Canceled", trial, err)
+		}
+		next := stuffedRandom(rng, 4+rng.Intn(70), 0.3)
+		got, err := DecomposeCtx(context.Background(), next, MaxMin)
+		if err != nil {
+			t.Fatalf("trial %d: decomposition after a cancelled one: %v", trial, err)
+		}
+		if want := decomposeFresh(t, next); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: decomposition after a cancelled one differs from a fresh engine's", trial)
+		}
+	}
+}
+
+// TestConcurrentDecomposeSharesPoolSafely runs decompositions of different
+// matrices and both strategies from several goroutines at once, all drawing
+// on the one engine pool; under -race it is the check that no engine is ever
+// in two hands. Every result must equal the one computed before the
+// goroutines started.
+func TestConcurrentDecomposeSharesPoolSafely(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	type job struct {
+		m    *matrix.Matrix
+		s    Strategy
+		want []Term
+	}
+	jobs := make([]job, 8)
+	for i := range jobs {
+		m := stuffedRandom(rng, 4+rng.Intn(70), 0.3)
+		s := Strategy(1 + i%2)
+		want, err := Decompose(m, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs[i] = job{m, s, want}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round := 0; round < 6; round++ {
+				j := jobs[(w+round)%len(jobs)]
+				got, err := Decompose(j.m, j.s)
+				if err != nil {
+					t.Errorf("worker %d round %d: %v", w, round, err)
+				} else if !reflect.DeepEqual(got, j.want) {
+					t.Errorf("worker %d round %d: concurrent decomposition differs from the serial one", w, round)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

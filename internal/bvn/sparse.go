@@ -43,8 +43,11 @@ func DecomposeK(ctx context.Context, m *matrix.Matrix, k int) ([]Term, *matrix.M
 		return nil, nil, ErrNotDoublyStochastic
 	}
 	start := time.Now()
-	eng := matching.NewEngine(m, matching.Descending)
-	terms := make([]Term, 0, k)
+	eng := matching.AcquireEngine(m, matching.Descending)
+	defer eng.Release()
+	// A decomposition has at most one term per support entry, however large
+	// the caller's bound.
+	terms := make([]Term, 0, min(k, eng.Support()))
 	for len(terms) < k && eng.Remaining() > 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
@@ -62,6 +65,7 @@ func DecomposeK(ctx context.Context, m *matrix.Matrix, k int) ([]Term, *matrix.M
 	eng.ForEachEntry(func(i, j int, w int64) { residual.Set(i, j, w) })
 	snk := obs.Current()
 	snk.Inc("bvn_sparse_decompositions_total")
+	countTrials(snk, eng)
 	snk.ObserveBuckets("bvn_sparse_terms_per_matrix", termBuckets, float64(len(terms)))
 	snk.ObserveBuckets("bvn_sparse_residual_ticks", residualBuckets, float64(eng.Remaining()))
 	snk.ObserveBuckets("bvn_sparse_decompose_seconds", latencyBuckets, time.Since(start).Seconds())

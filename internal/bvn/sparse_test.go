@@ -3,6 +3,7 @@ package bvn
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"reco/internal/matrix"
@@ -131,5 +132,27 @@ func TestDecomposeKResidualProperty(t *testing.T) {
 				break
 			}
 		}
+	}
+}
+
+// TestDecomposeKReservesBySupport: the term slice is reserved by what the
+// matrix can yield, not by the caller's bound — k = 2²⁰ (the top of the
+// knob's range) on a 2×2 matrix once reserved 32 MiB to hold two terms.
+func TestDecomposeKReservesBySupport(t *testing.T) {
+	ds := mustMatrix(t, [][]int64{{3, 1}, {1, 3}})
+	const calls = 8
+	var before, after runtime.MemStats
+	for i := 0; i <= calls; i++ {
+		if i == 1 { // the first call may build the pooled engine
+			runtime.ReadMemStats(&before)
+		}
+		terms, residual, err := DecomposeK(context.Background(), ds, 1<<20)
+		if err != nil || len(terms) != 2 || !residual.IsZero() {
+			t.Fatalf("terms=%d residual zero=%v err=%v", len(terms), residual.IsZero(), err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / calls; got >= 4<<10 {
+		t.Fatalf("DecomposeK(2x2, k=1<<20) allocates %d bytes per call, want under 4 KiB", got)
 	}
 }

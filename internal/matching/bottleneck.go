@@ -12,10 +12,23 @@ import (
 // exist in the given support graph.
 var ErrNoPerfectMatching = errors.New("matching: no perfect matching")
 
-// enginePool recycles the scratch-heavy Engine behind the package-level
-// convenience entry point, so even callers that cannot hold an Engine of
-// their own run allocation-light in steady state.
+// enginePool recycles the scratch-heavy Engine across callers that need one
+// for the length of a call — BottleneckPerfect here, the decompositions in
+// package bvn — so they run allocation-light in steady state. A pooled
+// engine keeps the storage of the largest matrix it has served until a
+// garbage collection empties the pool.
 var enginePool = sync.Pool{New: func() any { return new(Engine) }}
+
+// AcquireEngine is NewEngine on a pooled Engine. Release it when done.
+func AcquireEngine(m *matrix.Matrix, order Order) *Engine {
+	e := enginePool.Get().(*Engine)
+	e.Reset(m, order)
+	return e
+}
+
+// Release returns an engine from AcquireEngine to the pool. The engine must
+// not be used afterwards; the permutations it returned stay valid.
+func (e *Engine) Release() { enginePool.Put(e) }
 
 // BottleneckPerfect finds the perfect matching of m's positive support whose
 // minimum entry is maximized — the "max–min matching" the paper uses to
@@ -28,8 +41,7 @@ var enginePool = sync.Pool{New: func() any { return new(Engine) }}
 // ErrNoPerfectMatching is returned.
 func BottleneckPerfect(m *matrix.Matrix) ([]int, int64, error) {
 	obs.Current().Inc("matching_bottleneck_total")
-	e := enginePool.Get().(*Engine)
-	defer enginePool.Put(e)
-	e.Reset(m, Descending)
+	e := AcquireEngine(m, Descending)
+	defer e.Release()
 	return e.Bottleneck()
 }

@@ -1,30 +1,33 @@
 package matching
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
-	"sort"
 
 	"reco/internal/matrix"
 )
 
-// Order selects how an Engine keeps its support index sorted.
+// Order selects which extraction an Engine serves, by how it holds the
+// support.
 type Order int
 
 const (
-	// Descending keeps support entries in non-increasing value order, the
-	// order the threshold-descending bottleneck search inserts edges in.
+	// Descending keeps the cells not yet in the matching graph in
+	// non-increasing value order, the order the threshold-descending
+	// bottleneck search inserts edges in. It serves Bottleneck and Extract.
 	Descending Order = iota
-	// RowMajor keeps support entries in row-major position order, which
-	// makes ExtractAny reproduce the classic scan-the-residual first-fit
+	// RowMajor keeps the whole support in the matching graph, which makes
+	// ExtractAny reproduce the classic scan-the-residual first-fit
 	// extraction exactly.
 	RowMajor
 )
 
-// entry is one positive support cell of the demand matrix.
+// entry is one positive support cell in the descending list.
 type entry struct {
-	u, v int32
 	w    int64
+	u, v int32
 }
 
 // Engine is an incremental sparse matching engine over the positive support
@@ -33,31 +36,64 @@ type entry struct {
 // re-sorting the full N×N matrix and re-running Hopcroft–Karp from scratch
 // for each extracted term, the Engine scans and sorts the support once and
 // then repairs it incrementally — subtracting a term only touches the N
-// matched entries, and only entries that hit zero leave the support.
+// matched entries.
 //
-// Bottleneck values are found by a single threshold-descending pass: edges
-// are inserted in non-increasing value order and the matching grows by
-// augmentation only, so the max–min threshold of an E-edge support costs one
-// O(E·√V) sweep rather than O(log E) full matching runs. The permutation is
-// then recomputed canonically at that threshold so it matches what the
-// classic implementation returned (see solveBottleneck). Across Extract
-// calls the engine warm-starts: surviving entries keep their sorted order (a
-// term subtracts the same coefficient from every matched entry), and
-// previously matched pairs are greedily re-adopted as their edges reappear.
+// The support lives in a row-major index (a bitset of cells per row, row
+// starts, current values). A Descending engine splits it by a threshold: the cells at or
+// above it are the edges of the graph, the cells below it wait in a list in
+// non-increasing value order. A bottleneck value is found by a
+// threshold-descending pass over that list: edges are inserted in
+// non-increasing value order and the matching grows by augmentation only, so
+// the max–min threshold of an E-edge support costs one O(E·√V) sweep rather
+// than O(log E) full matching runs. The pass stops with the threshold at the
+// bottleneck, and the permutation is the canonical matching of the graph —
+// Hopcroft–Karp from empty, in row-major order — so it is what the classic
+// binary search over thresholds returned and depends only on the residual,
+// not on the path that found the value.
+//
+// From one call to the next the engine keeps the graph instead of rebuilding
+// it. Entries only ever shrink, so a perfect matching of the new residual
+// with minimum entry t was one of the old residual too: the bottleneck never
+// rises from one term to the next. Extract therefore first matches the graph
+// it already holds; if that matching is perfect, the previous coefficient is
+// the bottleneck again and the matching is already the canonical one — on
+// regularized demand, where every coefficient sits on the δ grid, most terms
+// end there (Trials). Only when it is not perfect does the sweep resume,
+// below the previous coefficient.
 //
 // An Engine is not safe for concurrent use. Reset makes it reusable with no
 // steady-state allocation; the permutations it returns are caller-owned.
 type Engine struct {
-	n         int
-	order     Order
-	entries   []entry
-	spare     []entry // merge buffer, swapped with entries on repair
-	touched   []entry // the ≤N entries a subtraction modified
+	n     int
+	order Order
+
+	// Row-major index of the support as Reset found it: bit v of row u of
+	// cells (g.words words per row) is the cell (u, v), and the values of
+	// row u's cells are vals[rowStart[u]:rowStart[u+1]], columns ascending.
+	// vals holds current values; an extracted cell stays in place at zero.
+	cells     []uint64
+	rowStart  []int32
+	vals      []int64
+	pos       []int32 // index of each row's matched cell, per extraction
+	support   int     // cells still positive
 	remaining int64   // total value left in the support
-	g         Graph
-	prev      []int32 // matching of the previous Extract, -1 = none
-	leftDeg   []int32 // per-vertex degree at the current insertion frontier
-	rightDeg  []int32
+
+	// g holds exactly the cells with value at least thr: the whole support
+	// of a RowMajor engine (thr = 1), and of a Descending one nothing before
+	// the first bottleneck is found (thr = 0), then the cells at or above
+	// the last one found. The positive cells below thr are entries[head:],
+	// in descending order, and dropped, the cells extractions have taken
+	// below thr since the last sweep, in no order.
+	g       Graph
+	thr     int64
+	entries []entry
+	head    int
+	dropped []entry
+	spare   []entry  // merge buffer, swapped with entries by a sweep
+	covL    []uint64 // sweep scratch: left vertices with an inserted edge
+	covR    []uint64 // and right ones
+
+	trials, hits int
 }
 
 // NewEngine returns an Engine over m's positive support with the given
@@ -74,22 +110,40 @@ func (e *Engine) Reset(m *matrix.Matrix, order Order) {
 	n := m.N()
 	e.n = n
 	e.order = order
-	e.entries = e.entries[:0]
+	e.rowStart = grow32(e.rowStart, n+1)
+	e.pos = grow32(e.pos, n)
+	e.vals = e.vals[:0]
+	e.entries, e.head, e.dropped = e.entries[:0], 0, e.dropped[:0]
 	e.remaining = 0
-	e.prev = grow32(e.prev, n)
-	e.leftDeg = grow32(e.leftDeg, n)
-	e.rightDeg = grow32(e.rightDeg, n)
-	for i := 0; i < n; i++ {
-		e.prev[i] = -1
-	}
-	m.ForEachNonZero(func(i, j int, v int64) {
-		e.entries = append(e.entries, entry{u: int32(i), v: int32(j), w: v})
-		e.remaining += v
-	})
-	if order == Descending {
-		sortEntriesDesc(e.entries)
-	}
+	e.trials, e.hits = 0, 0
 	e.g.Reset(n)
+	e.cells = grow64(e.cells, n*e.g.words)
+	clear(e.cells)
+	cells := m.Cells()
+	for i := 0; i < n; i++ {
+		e.rowStart[i] = int32(len(e.vals))
+		for j, v := range cells[i*n : (i+1)*n] {
+			if v <= 0 {
+				continue
+			}
+			if order == Descending {
+				e.entries = append(e.entries, entry{w: v, u: int32(i), v: int32(j)})
+			} else {
+				e.g.addEdge32(int32(i), int32(j))
+			}
+			e.cells[i*e.g.words+j>>6] |= 1 << (j & 63)
+			e.vals = append(e.vals, v)
+			e.remaining += v
+		}
+	}
+	e.rowStart[n] = int32(len(e.vals))
+	e.support = len(e.vals)
+	if order == Descending {
+		e.thr = 0
+		sortEntriesDesc(e.entries)
+	} else {
+		e.thr = 1
+	}
 }
 
 // N returns the fabric dimension.
@@ -100,14 +154,28 @@ func (e *Engine) N() int { return e.n }
 func (e *Engine) Remaining() int64 { return e.remaining }
 
 // Support returns the number of positive entries left.
-func (e *Engine) Support() int { return len(e.entries) }
+func (e *Engine) Support() int { return e.support }
 
-// ForEachEntry calls f for every positive entry left in the support, in the
-// engine's current entry order. Sparse consumers use it to materialize the
-// residual after a partial extraction without rescanning the dense matrix.
+// Trials returns how many bottleneck searches since Reset first tried the
+// previous bottleneck, and how many of those trials found it to be the
+// bottleneck again (the rest fell back to the sweep).
+func (e *Engine) Trials() (attempts, hits int) { return e.trials, e.hits }
+
+// ForEachEntry calls f for every positive entry left in the support, in
+// row-major order. Sparse consumers use it to materialize the residual after
+// a partial extraction without rescanning the dense matrix.
 func (e *Engine) ForEachEntry(f func(i, j int, w int64)) {
-	for _, en := range e.entries {
-		f(int(en.u), int(en.v), en.w)
+	w := e.g.words
+	for u := 0; u < e.n; u++ {
+		k := e.rowStart[u]
+		for j, x := range e.cells[u*w : (u+1)*w] {
+			for ; x != 0; x &= x - 1 {
+				if val := e.vals[k]; val > 0 {
+					f(u, j<<6+bits.TrailingZeros64(x), val)
+				}
+				k++
+			}
+		}
 	}
 }
 
@@ -136,78 +204,67 @@ func (e *Engine) Extract() ([]int, int64, error) {
 		return nil, 0, err
 	}
 	perm := e.permCopy()
-	copy(e.prev, e.g.matchL)
-	e.subtractDesc(val)
+	e.locate()
+	e.subtract(val)
 	return perm, val, nil
 }
 
 // ExtractAny computes an arbitrary perfect matching of the current support,
 // subtracts its minimum matched value, and returns the matching and the
 // subtracted coefficient — one primitive (first-fit) Birkhoff–von Neumann
-// term. In RowMajor order it reproduces exactly the matching a fresh
-// Hopcroft–Karp run over the residual's row-major support graph would find.
+// term. The engine must be in RowMajor order: its graph always holds the
+// whole support, so the matching is exactly the one a fresh Hopcroft–Karp
+// run over the residual's row-major support graph would find.
 func (e *Engine) ExtractAny() ([]int, int64, error) {
-	if len(e.entries) < e.n {
-		return nil, 0, fmt.Errorf("%w: support has %d entries for %d rows", ErrNoPerfectMatching, len(e.entries), e.n)
+	e.mustBe(RowMajor)
+	if e.support < e.n {
+		return nil, 0, fmt.Errorf("%w: support has %d entries for %d rows", ErrNoPerfectMatching, e.support, e.n)
 	}
-	g := &e.g
-	g.Reset(e.n)
-	for _, en := range e.entries {
-		g.addEdge32(en.u, en.v)
-	}
-	if g.augment() != e.n {
+	e.g.clearMatching()
+	if e.g.augment() != e.n {
 		return nil, 0, fmt.Errorf("%w: support has no perfect matching", ErrNoPerfectMatching)
 	}
-	coef := int64(-1)
-	for _, en := range e.entries {
-		if g.matchL[en.u] == en.v && (coef == -1 || en.w < coef) {
-			coef = en.w
-		}
-	}
-	perm := e.permCopy()
-	e.subtractInPlace(coef)
+	perm, coef := e.permCopy(), e.locate()
+	e.subtract(coef)
 	return perm, coef, nil
 }
 
-// solveBottleneck computes the bottleneck value with the threshold-descending
-// search, then recomputes the matching canonically at that threshold: a fresh
-// Hopcroft–Karp run over the ≥-threshold support in row-major order. The
-// canonical pass makes the returned permutation depend only on the residual
-// support — not on the search path that discovered the threshold — so
-// extraction sequences are bit-identical to the classic
-// binary-search-over-thresholds implementation this engine replaced, and the
-// committed experiment tables stay stable.
+// mustBe panics unless the engine was reset in the order the calling
+// extraction needs: the bottleneck search reads the descending list, and
+// first-fit needs the graph to hold the whole support.
+func (e *Engine) mustBe(order Order) {
+	if e.order != order {
+		panic("matching: Extract and Bottleneck need a Descending engine, ExtractAny a RowMajor one")
+	}
+}
+
+// solveBottleneck leaves the canonical max–min perfect matching in the graph
+// and returns its bottleneck value, which thr then equals.
+//
+// If an earlier call left a threshold, it first matches the graph as it
+// stands, canonically. The support has only shrunk since, so the bottleneck
+// is at most thr; a perfect matching among the cells at or above thr shows
+// it is thr, and being the canonical matching of exactly those cells it is
+// the permutation to return. Otherwise no matching at thr is perfect, and
+// the sweep goes on below it from this maximum matching.
 func (e *Engine) solveBottleneck() (int64, error) {
-	val, err := e.searchBottleneck()
-	if err != nil {
-		return 0, err
+	e.mustBe(Descending)
+	if e.thr > 0 {
+		e.trials++
+		e.g.clearMatching()
+		if e.g.augment() == e.n {
+			e.hits++
+			return e.thr, nil
+		}
 	}
-	e.rematchAt(val)
-	return val, nil
+	return e.sweep()
 }
 
-// rematchAt rebuilds the matching from empty over the entries with value at
-// least val, inserted in row-major order. The descending entry list makes
-// that support a prefix, located by binary search; the prefix is bucketed
-// straight into the per-row adjacency lists and each row is sorted by column,
-// which is exactly the row-major insertion order LoadThreshold produces.
-func (e *Engine) rematchAt(val int64) {
-	end := sort.Search(len(e.entries), func(i int) bool { return e.entries[i].w < val })
-	g := &e.g
-	g.Reset(e.n)
-	for _, en := range e.entries[:end] {
-		g.adj[en.u] = append(g.adj[en.u], en.v)
-	}
-	for u := range g.adj {
-		slices.Sort(g.adj[u])
-	}
-	if g.augment() != e.n {
-		panic("matching: canonical rematch lost the perfect matching")
-	}
-}
-
-// searchBottleneck runs the threshold-descending pass, leaving some max–min
-// perfect matching in e.g.matchL and returning its bottleneck value.
+// sweep lowers thr to the bottleneck value: it moves cells from the
+// descending list into the graph until the graph has a perfect matching,
+// then recomputes that matching canonically and returns the value. It
+// starts either from an empty graph (thr = 0) or from the maximum matching
+// and BFS labels a failed trial at thr has just left behind.
 //
 // Edges are inserted batch-by-batch in non-increasing value order. Two sound
 // gates keep the pass near-linear: no matching work happens before every
@@ -216,63 +273,78 @@ func (e *Engine) rematchAt(val int64) {
 // only once a new edge touches a left vertex the last failed BFS could reach
 // by an alternating path (an augmenting path must cross a new edge, and its
 // prefix before that edge lies in the old graph). Edges whose endpoints are
-// both free are adopted into the matching directly — which warm-starts
-// repeated extractions, since a prior term's surviving pairs re-arrive early
-// in the descending order.
-func (e *Engine) searchBottleneck() (int64, error) {
-	if e.order != Descending {
-		panic("matching: bottleneck extraction requires a Descending engine")
-	}
+// both free are adopted into the matching directly.
+func (e *Engine) sweep() (int64, error) {
 	n := e.n
-	if len(e.entries) < n {
-		return 0, fmt.Errorf("%w: support has %d entries for %d rows", ErrNoPerfectMatching, len(e.entries), n)
+	if e.support < n {
+		return 0, fmt.Errorf("%w: support has %d entries for %d rows", ErrNoPerfectMatching, e.support, n)
 	}
+	e.mergeDropped()
 	g := &e.g
-	g.Reset(n)
-	for i := 0; i < n; i++ {
-		e.leftDeg[i] = 0
-		e.rightDeg[i] = 0
-	}
-	uncovered := 2 * n
-	distValid := false
+	e.covL, e.covR = grow64(e.covL, g.words), grow64(e.covR, g.words)
+	uncovered := g.coverage(e.covL, e.covR)
+	distValid := e.thr > 0
+	searchWorthwhile := false // since the last search; set while still uncovered, it must survive the batch
 
-	i := 0
-	for i < len(e.entries) {
+	for i := e.head; i < len(e.entries); {
 		w := e.entries[i].w
-		searchWorthwhile := false
 		for ; i < len(e.entries) && e.entries[i].w == w; i++ {
-			en := e.entries[i]
-			g.addEdge32(en.u, en.v)
-			if e.leftDeg[en.u] == 0 {
+			u, v := e.entries[i].u, e.entries[i].v
+			g.addEdge32(u, v)
+			if bit := uint64(1) << (u & 63); e.covL[u>>6]&bit == 0 {
+				e.covL[u>>6] |= bit
 				uncovered--
 			}
-			if e.rightDeg[en.v] == 0 {
+			if bit := uint64(1) << (v & 63); e.covR[v>>6]&bit == 0 {
+				e.covR[v>>6] |= bit
 				uncovered--
 			}
-			e.leftDeg[en.u]++
-			e.rightDeg[en.v]++
-			if g.matchL[en.u] == -1 && g.matchR[en.v] == -1 {
-				g.adopt(en.u, en.v)
+			if g.matchL[u] == -1 && g.matchR[v] == -1 {
+				g.adopt(u, v)
 				distValid = false
-			} else if distValid && g.dist[en.u] != infDist {
+			} else if distValid && g.dist[u] != infDist {
 				searchWorthwhile = true
 			}
 		}
 		if uncovered > 0 {
 			continue
 		}
+		if g.matched < n && (!distValid || searchWorthwhile) {
+			g.augment()
+			// A failed augment leaves the labels of its last BFS in g.dist.
+			distValid, searchWorthwhile = true, false
+		}
 		if g.matched == n {
+			g.clearMatching()
+			if g.augment() != n {
+				panic("matching: canonical rematch lost the perfect matching")
+			}
+			e.head, e.thr = i, w
 			return w, nil
 		}
-		if !distValid || searchWorthwhile {
-			if g.augment() == n {
-				return w, nil
-			}
-			// augment left the labels of its final failed BFS in g.dist.
-			distValid = true
-		}
 	}
+	// Every positive cell is in the graph now, which is what thr = 1 says.
+	e.head, e.thr = len(e.entries), 1
 	return 0, fmt.Errorf("%w: support has no perfect matching", ErrNoPerfectMatching)
+}
+
+// mergeDropped sorts the cells extractions have taken below thr and merges
+// them into the descending list.
+func (e *Engine) mergeDropped() {
+	if len(e.dropped) == 0 {
+		return
+	}
+	sortEntriesDesc(e.dropped)
+	merged, di := e.spare[:0], 0
+	for _, en := range e.entries[e.head:] {
+		for di < len(e.dropped) && e.dropped[di].w >= en.w {
+			merged = append(merged, e.dropped[di])
+			di++
+		}
+		merged = append(merged, en)
+	}
+	merged = append(merged, e.dropped[di:]...)
+	e.spare, e.entries, e.head, e.dropped = e.entries[:0], merged, 0, e.dropped[:0]
 }
 
 // permCopy returns the current matching as a caller-owned permutation.
@@ -284,71 +356,48 @@ func (e *Engine) permCopy() []int {
 	return out
 }
 
-// subtractDesc subtracts coef from every entry matched by e.prev, drops
-// entries that hit zero, and repairs the descending order. All matched
-// entries decrease by the same amount, so they keep their relative order;
-// the repair is a filter plus a two-list merge — O(E), no re-sort.
-func (e *Engine) subtractDesc(coef int64) {
-	touched := e.touched[:0]
-	kept := e.entries[:0]
-	for _, en := range e.entries {
-		if e.prev[en.u] == en.v {
-			en.w -= coef
-			if en.w > 0 {
-				touched = append(touched, en)
+// locate records in pos where each row's matched cell sits in the index and
+// returns the smallest matched value. The matching must be perfect.
+func (e *Engine) locate() int64 {
+	min := int64(-1)
+	for u, v := range e.g.matchL[:e.n] {
+		// A cell's place in its row is the number of cells left of it.
+		row := e.cells[u*e.g.words:]
+		lo := e.rowStart[u]
+		for _, x := range row[:v>>6] {
+			lo += int32(bits.OnesCount64(x))
+		}
+		lo += int32(bits.OnesCount64(row[v>>6] & (1<<(v&63) - 1)))
+		e.pos[u] = lo
+		if w := e.vals[lo]; min == -1 || w < min {
+			min = w
+		}
+	}
+	return min
+}
+
+// subtract takes coef off every cell locate found. The cells that fall
+// below thr leave the graph, for the descending list if anything is left of
+// them.
+func (e *Engine) subtract(coef int64) {
+	for u, k := range e.pos[:e.n] {
+		e.vals[k] -= coef
+		if w := e.vals[k]; w < e.thr {
+			v := e.g.matchL[u]
+			e.g.removeEdge32(int32(u), v)
+			if w == 0 {
+				e.support--
+			} else {
+				e.dropped = append(e.dropped, entry{w: w, u: int32(u), v: v})
 			}
-		} else {
-			kept = append(kept, en)
 		}
 	}
-	e.touched = touched
-	// Merge the two descending runs into the spare buffer, then swap the
-	// buffers: the kept run's backing array becomes the next spare.
-	merged := e.spare[:0]
-	ti := 0
-	for _, en := range kept {
-		for ti < len(touched) && touched[ti].w >= en.w {
-			merged = append(merged, touched[ti])
-			ti++
-		}
-		merged = append(merged, en)
-	}
-	merged = append(merged, touched[ti:]...)
-	e.spare = e.entries[:0]
-	e.entries = merged
 	e.remaining -= coef * int64(e.n)
 }
 
-// subtractInPlace subtracts coef from every entry matched by the current
-// matching and drops zeroed entries, preserving entry order.
-func (e *Engine) subtractInPlace(coef int64) {
-	kept := e.entries[:0]
-	for _, en := range e.entries {
-		if e.g.matchL[en.u] == en.v {
-			en.w -= coef
-			if en.w == 0 {
-				continue
-			}
-		}
-		kept = append(kept, en)
-	}
-	e.entries = kept
-	e.remaining -= coef * int64(e.n)
-}
-
-// sortEntriesDesc sorts entries by value, largest first, breaking ties in
-// row-major position order so runs are deterministic.
+// sortEntriesDesc sorts entries by value, largest first. The order among
+// equal values is whatever the (deterministic) sort leaves: the sweep reads
+// only the batch boundaries, and the canonical matching never sees the list.
 func sortEntriesDesc(es []entry) {
-	slices.SortFunc(es, func(a, b entry) int {
-		switch {
-		case a.w > b.w:
-			return -1
-		case a.w < b.w:
-			return 1
-		case a.u != b.u:
-			return int(a.u) - int(b.u)
-		default:
-			return int(a.v) - int(b.v)
-		}
-	})
+	slices.SortFunc(es, func(a, b entry) int { return cmp.Compare(b.w, a.w) })
 }

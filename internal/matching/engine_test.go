@@ -2,6 +2,7 @@ package matching
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -407,5 +408,157 @@ func TestEngineNoPerfectMatching(t *testing.T) {
 	z, _ := matrix.New(3)
 	if _, _, err := NewEngine(z, Descending).Bottleneck(); !errors.Is(err, ErrNoPerfectMatching) {
 		t.Errorf("empty support err = %v, want ErrNoPerfectMatching", err)
+	}
+}
+
+// checkExtractSequence drives Extract over m until the support has no
+// perfect matching left and requires every step to agree with the
+// binary-search reference on the residual: the coefficient and the
+// permutation itself, not merely a permutation that achieves the value.
+// It returns the number of terms extracted.
+func checkExtractSequence(t *testing.T, name string, m *matrix.Matrix) int {
+	t.Helper()
+	n := m.N()
+	eng := NewEngine(m, Descending)
+	res := m.Clone()
+	for step := 0; ; step++ {
+		wantPerm, wantVal, ok := refBottleneckPerfect(res)
+		perm, coef, err := eng.Extract()
+		if !ok {
+			if !errors.Is(err, ErrNoPerfectMatching) {
+				t.Fatalf("%s step %d: err = %v on a support with no perfect matching", name, step, err)
+			}
+			return step
+		}
+		if err != nil {
+			t.Fatalf("%s step %d: Extract: %v", name, step, err)
+		}
+		if coef != wantVal {
+			t.Fatalf("%s step %d: coef %d, reference %d", name, step, coef, wantVal)
+		}
+		if !slices.Equal(perm, wantPerm) {
+			t.Fatalf("%s step %d: perm %v, reference %v", name, step, perm, wantPerm)
+		}
+		for i, j := range perm {
+			res.Add(i, j, -coef)
+		}
+		if got, want := eng.Remaining(), res.Total(); got != want {
+			t.Fatalf("%s step %d: Remaining %d, residual total %d", name, step, got, want)
+		}
+		if step > n*n {
+			t.Fatalf("%s: extraction did not terminate", name)
+		}
+	}
+}
+
+// gridStuffed returns a stuffed matrix with about perRow positive entries
+// per row, every entry a multiple of delta: the shape regularization hands
+// the decomposition, where consecutive terms mostly share their bottleneck.
+func gridStuffed(rng *rand.Rand, n, perRow int, delta int64) *matrix.Matrix {
+	m, _ := matrix.New(n)
+	for i := 0; i < n; i++ {
+		for e := 0; e < perRow; e++ {
+			m.Set(i, rng.Intn(n), delta*(1+rng.Int63n(6)))
+		}
+	}
+	return matrix.StuffPreferNonZero(m)
+}
+
+// unstuffedSparse returns a matrix that is not doubly stochastic: a random
+// permutation (so a perfect matching exists) plus about perRow more cells
+// per row, all values different. Its run ends early, at a support that has
+// no perfect matching left.
+func unstuffedSparse(rng *rand.Rand, n, perRow int) *matrix.Matrix {
+	m, _ := matrix.New(n)
+	vals := rng.Perm(n * (perRow + 1))
+	for i, j := range rng.Perm(n) {
+		m.Set(i, j, int64(1+vals[i]))
+	}
+	for i := 0; i < n; i++ {
+		for e := 0; e < perRow; e++ {
+			m.Set(i, rng.Intn(n), int64(1+vals[n+i*perRow+e]))
+		}
+	}
+	return m
+}
+
+// TestEngineExtractSequenceMatchesReference pins the whole permutation
+// sequence of a max–min decomposition to the reference, at the dimensions
+// around the bitset word boundaries and on the value shapes that take the
+// engine down its two routes: grid values, where a term usually repeats the
+// previous coefficient, and all-different values, where it almost never
+// does — stuffed, so the run is a full decomposition, and unstuffed, so it
+// ends in ErrNoPerfectMatching.
+func TestEngineExtractSequenceMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for _, n := range []int{1, 2, 63, 64, 65, 130} {
+		perRow := min(n, 4)
+		inputs := []struct {
+			name string
+			m    *matrix.Matrix
+		}{
+			{"grid", gridStuffed(rng, n, perRow, 100)},
+			{"distinct", randomStuffed(rng, n, float64(perRow)/float64(n), 1<<40)},
+			{"unstuffed", unstuffedSparse(rng, n, perRow)},
+		}
+		for _, in := range inputs {
+			name := fmt.Sprintf("%s/n=%d", in.name, n)
+			if terms := checkExtractSequence(t, name, in.m); terms == 0 {
+				t.Fatalf("%s: no terms extracted", name)
+			}
+		}
+	}
+	checkExtractSequence(t, "dense-grid/n=24", gridStuffed(rng, 24, 40, 10))
+	checkExtractSequence(t, "sparse/n=128", randomStuffed(rng, 128, 0.02, 1000))
+}
+
+// TestEngineReuseCarriesNothingOver is TestEngineReset for what a pool hands
+// out: one Engine reused across matrices whose dimension grows and shrinks
+// across the word boundary, Descending and RowMajor alternating, every third
+// decomposition abandoned midway as a cancelled request leaves it. Each run
+// must match a fresh engine term for term.
+func TestEngineReuseCarriesNothingOver(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	eng := new(Engine)
+	extract := func(e *Engine, order Order) ([]int, int64, error) {
+		if order == Descending {
+			return e.Extract()
+		}
+		return e.ExtractAny()
+	}
+	sizes := []int{3, 70, 9, 64, 2, 130, 65, 5, 33, 128, 1, 17}
+	for trial := 0; trial < 3*len(sizes); trial++ {
+		n := sizes[trial%len(sizes)]
+		order := Order(trial % 2)
+		var m *matrix.Matrix
+		if trial%4 < 2 {
+			m = gridStuffed(rng, n, min(n, 5), 10)
+		} else {
+			m = randomStuffed(rng, n, min(1, 5/float64(n)), 1000)
+		}
+		eng.Reset(m, order)
+		fresh := NewEngine(m, order)
+		stopAfter := -1
+		if trial%3 == 2 {
+			stopAfter = 1 + rng.Intn(4)
+		}
+		for step := 0; fresh.Remaining() > 0 && step != stopAfter; step++ {
+			want, wantCoef, err := extract(fresh, order)
+			if err != nil {
+				t.Fatalf("trial %d step %d: fresh engine: %v", trial, step, err)
+			}
+			got, coef, err := extract(eng, order)
+			if err != nil {
+				t.Fatalf("trial %d step %d: reused engine: %v", trial, step, err)
+			}
+			if coef != wantCoef || !slices.Equal(got, want) {
+				t.Fatalf("trial %d (n=%d order=%d) step %d: reused engine gave %d·%v, fresh %d·%v",
+					trial, n, order, step, coef, got, wantCoef, want)
+			}
+		}
+		if eng.Remaining() != fresh.Remaining() || eng.Support() != fresh.Support() {
+			t.Fatalf("trial %d: reused engine at remaining=%d support=%d, fresh %d, %d",
+				trial, eng.Remaining(), eng.Support(), fresh.Remaining(), fresh.Support())
+		}
 	}
 }
