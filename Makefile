@@ -57,14 +57,17 @@ loadtest-short:
 
 # Ten seconds each of coverage-guided fuzzing over the schedule/job
 # endpoints (malformed JSON, hostile SLA fields), over the fast request
-# parser against its encoding/json reference, and over the bitset
-# Hopcroft–Karp against the recursive adjacency-list one. CI-friendly: fails
-# only on a crash, a broken response contract or a disagreement with a
-# reference, never on timing.
+# parser against its encoding/json reference (decoded request and carried
+# matrix summary), over the bitset Hopcroft–Karp against the recursive
+# adjacency-list one, and over pairs of small requests whose plan-cache keys
+# must be equal exactly when the requests are. CI-friendly: fails only on a
+# crash, a broken response contract, a disagreement with a reference or a
+# key collision, never on timing.
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzScheduleRequest -fuzztime=10s ./internal/api
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSoundness -fuzztime=10s ./internal/api
 	$(GO) test -run='^$$' -fuzz=FuzzGraphMatchesReference -fuzztime=10s ./internal/matching
+	$(GO) test -run='^$$' -fuzz=FuzzFingerprintInjective -fuzztime=10s ./internal/plancache
 
 # Re-check every qualitative claim of the paper against a fresh run (~30 s).
 verify:

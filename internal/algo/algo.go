@@ -216,29 +216,11 @@ func ValidateRequest(req Request) error {
 	// MaxInt64/2 so that nothing here can itself overflow.
 	budget := int64(math.MaxInt64 / 2)
 	for k, d := range req.Demands {
-		rho, ok := maxRowColSum(d)
+		rho, ok := d.CheckedMaxRowColSum()
 		if !ok || req.Delta > budget/int64(n) || rho > budget-int64(n)*req.Delta {
 			return fmt.Errorf("%w: demand %d: completion bound 2*(rho + n*delta) overflows int64 ticks", ErrBadRequest, k)
 		}
 		budget -= rho + int64(n)*req.Delta
 	}
 	return nil
-}
-
-// maxRowColSum is Matrix.MaxRowColSum (ρ), reporting false when a row or
-// column sum of the non-negative entries overflows int64.
-func maxRowColSum(d *matrix.Matrix) (rho int64, ok bool) {
-	n, cells := d.N(), d.Cells()
-	for i := 0; i < n; i++ {
-		var row, col int64
-		for j := 0; j < n; j++ {
-			row += cells[i*n+j]
-			col += cells[j*n+i]
-			if row < 0 || col < 0 {
-				return 0, false
-			}
-		}
-		rho = max(rho, row, col)
-	}
-	return rho, true
 }

@@ -1,0 +1,150 @@
+package api
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
+	"testing"
+
+	"reco/internal/matrix"
+	"reco/internal/workload"
+)
+
+// benchBody is one encoded single-coflow request cut open at a non-zero
+// cell, so a benchmark loop builds a distinct request (new fingerprint, same
+// work) with a splice instead of a JSON encode.
+type benchBody struct {
+	prefix, suffix []byte
+	base           int64
+	nnz            int
+}
+
+func (t benchBody) bump(dst []byte, i int) []byte {
+	dst = append(dst[:0], t.prefix...)
+	dst = strconv.AppendInt(dst, t.base+int64(i), 10)
+	return append(dst, t.suffix...)
+}
+
+// benchPool is how many matrices of each class a benchmark cycles through.
+// The sparse class mixes single-port coflows with small M2M rectangles that
+// reach BvN, so it takes more draws to sample; a normal or dense matrix
+// costs about what the next one does.
+var benchPool = map[workload.Class]int{workload.Sparse: 32, workload.Normal: 4, workload.Dense: 4}
+
+// benchBodies draws pool matrices of each density class from the Table I/II
+// generator at n ports, the way the repository benchmark draws its pools.
+func benchBodies(tb testing.TB, n int) map[workload.Class][]benchBody {
+	rng := rand.New(rand.NewSource(int64(n)))
+	out := map[workload.Class][]benchBody{}
+	for missing := true; missing; {
+		coflows, err := workload.GenerateWith(rng, workload.GenConfig{N: n, NumCoflows: 24})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for _, c := range coflows {
+			if class := workload.Classify(c.Demand); len(out[class]) < benchPool[class] {
+				out[class] = append(out[class], newBenchBody(tb, c.Demand))
+			}
+		}
+		missing = false
+		for class, want := range benchPool {
+			missing = missing || len(out[class]) < want
+		}
+	}
+	return out
+}
+
+func newBenchBody(tb testing.TB, d *matrix.Matrix) benchBody {
+	n := d.N()
+	rows := make([][]int64, n)
+	t := benchBody{nnz: d.NonZeros()}
+	for i := range rows {
+		rows[i] = make([]int64, n)
+		for j := range rows[i] {
+			rows[i][j] = d.At(i, j)
+			if t.base == 0 && rows[i][j] > 0 {
+				t.base, rows[i][j] = rows[i][j], math.MaxInt64
+			}
+		}
+	}
+	body, err := json.Marshal(SingleRequest{Demand: rows, Delta: 100})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	mark := []byte(strconv.FormatInt(math.MaxInt64, 10))
+	at := bytes.Index(body, mark)
+	t.prefix, t.suffix = body[:at], body[at+len(mark):]
+	return t
+}
+
+// discard is the cheapest ResponseWriter: the benchmark times the handler,
+// not a recorder's buffer.
+type discard struct{ h http.Header }
+
+func (d discard) Header() http.Header         { return d.h }
+func (d discard) Write(b []byte) (int, error) { return len(b), nil }
+func (d discard) WriteHeader(int)             {}
+
+// BenchmarkServeSingle times POST /v1/schedule/single in process — body
+// read, decode, fingerprint, plan-cache miss, Reco-Sin, executor, encode —
+// on distinct requests of each density class at growing port counts: the
+// asymptotics the repository benchmark's fixed n cannot show. nnz/op is the
+// mean support of the requests served; BenchmarkDecodeSingle is the
+// parser-only baseline to subtract, since the dense wire form makes the
+// parser read O(n²) bytes whatever the support.
+func BenchmarkServeSingle(b *testing.B) {
+	benchSingle(b, func(b *testing.B, bodies []benchBody) {
+		srv := NewServer(Options{})
+		defer srv.Close()
+		h := srv.Handler()
+		w := discard{h: http.Header{}}
+		var body []byte
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			body = bodies[i%len(bodies)].bump(body, i)
+			req := httptest.NewRequest(http.MethodPost, "/v1/schedule/single", bytes.NewReader(body))
+			h.ServeHTTP(w, req)
+		}
+	})
+}
+
+// BenchmarkDecodeSingle times the request parser alone on the bodies
+// BenchmarkServeSingle posts.
+func BenchmarkDecodeSingle(b *testing.B) {
+	benchSingle(b, func(b *testing.B, bodies []benchBody) {
+		var body []byte
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			body = bodies[i%len(bodies)].bump(body, i)
+			if _, err := decodeSingle(body); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+func benchSingle(b *testing.B, run func(*testing.B, []benchBody)) {
+	for _, n := range []int{64, 128, 256, 512} {
+		var pools map[workload.Class][]benchBody // drawn by the first class that runs
+		for _, class := range []workload.Class{workload.Sparse, workload.Normal, workload.Dense} {
+			b.Run(fmt.Sprintf("n=%d/class=%s", n, class), func(b *testing.B) {
+				if pools == nil {
+					pools = benchBodies(b, n)
+				}
+				bodies := pools[class]
+				nnz := 0
+				for _, t := range bodies {
+					nnz += t.nnz
+				}
+				b.ReportAllocs()
+				run(b, bodies)
+				b.ReportMetric(float64(nnz)/float64(len(bodies)), "nnz/op")
+			})
+		}
+	}
+}

@@ -2,6 +2,7 @@ package api
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -299,8 +300,26 @@ func (p *parser) floats() ([]float64, bool) {
 	}
 }
 
+// fourZeros is "0,0,0,0," read as a little-endian word: four canonical zero
+// cells, none of them the last of its row.
+const fourZeros = 0x2c302c302c302c30
+
+// stackPorts is the widest matrix whose column accumulators the parser
+// keeps on its stack; a wider one buys them with one allocation.
+const stackPorts = 256
+
+// portAcc accumulates one column's sum and non-zero count while its matrix
+// is parsed.
+type portAcc struct {
+	sum int64
+	cnt int
+}
+
 // matrix reads a square array of rows of non-negative integers into a
-// matrix that owns its cells.
+// matrix that owns its cells and carries the summary (ρ, τ, total, non-zero
+// count, largest entry, overflow flag) of what was read: the one pass that
+// has to touch every cell of the body is the only one the request path
+// makes over the zeros.
 func (p *parser) matrix() (*matrix.Matrix, bool) {
 	if !p.eat('[') || !p.eat('[') {
 		return nil, false
@@ -329,6 +348,17 @@ scan:
 		return nil, false
 	}
 	cells := make([]int64, n*n)
+	var colBuf [stackPorts]portAcc
+	cols := colBuf[:]
+	if n > stackPorts {
+		cols = make([]portAcc, n)
+	}
+	cols = cols[:n]
+	// The summary is gathered in locals: sums that wrap int64 leave their
+	// sign bit in wrapped, since entries are non-negative and a sum past
+	// MaxInt64 shows as a negative value at the step that takes it there.
+	var rho, total, maxEntry, wrapped int64
+	tau, nonZeros := 0, 0
 	b, i := p.b, p.i
 	for row := 0; row < n; row++ {
 		if row > 0 {
@@ -342,15 +372,24 @@ scan:
 				return nil, false
 			}
 		}
-		// This loop is the request path's hottest: each step tries the
+		var rowSum int64
+		rowStart := nonZeros
+		// This loop is the request path's hottest. Each step tries the
 		// canonical byte first and looks for whitespace only when it is not
-		// there.
+		// there, and zero cells — already what make left in out — are
+		// passed over four at a time while the body reads "0,0,0,0,".
 		for col, out := 0, cells[row*n:(row+1)*n]; col < n; col++ {
 			if col > 0 {
 				if i < len(b) && b[i] == ',' {
 					i++
 				} else if i = expect(b, i, ','); i < 0 {
 					return nil, false
+				}
+			}
+			if i < len(b) && b[i] == '0' {
+				for col+4 < n && i+8 <= len(b) && binary.LittleEndian.Uint64(b[i:]) == fourZeros {
+					i += 8
+					col += 4
 				}
 			}
 			if i < len(b) && b[i] <= ' ' {
@@ -369,14 +408,37 @@ scan:
 			if nd := i - start; nd != 1 && (nd == 0 || nd > 19 || b[start] == '0' || v > math.MaxInt64) {
 				return nil, false
 			}
-			out[col] = int64(v)
+			if v == 0 {
+				continue
+			}
+			x := int64(v)
+			out[col] = x
+			c := &cols[col]
+			c.sum += x
+			c.cnt++
+			rowSum += x
+			nonZeros++
+			wrapped |= rowSum | c.sum
+			if x > maxEntry {
+				maxEntry = x
+			}
 		}
+		total += rowSum
+		rho = max(rho, rowSum)
+		tau = max(tau, nonZeros-rowStart)
 	}
 	p.i = i
 	if !p.eat(']') || !p.eat(']') {
 		return nil, false
 	}
-	m, err := matrix.FromCells(n, cells)
+	for _, c := range cols {
+		rho = max(rho, c.sum)
+		tau = max(tau, c.cnt)
+	}
+	sum := matrix.Summary{
+		Rho: rho, Tau: tau, Total: total, NonZeros: nonZeros, MaxEntry: maxEntry, Overflow: wrapped < 0,
+	}
+	m, err := matrix.FromCells(n, cells, &sum)
 	return m, err == nil
 }
 

@@ -28,7 +28,11 @@ func appendSingle(b []byte, req algo.Request, res *algo.Result) []byte {
 					if j > 0 {
 						b = append(b, ',')
 					}
-					b = strconv.AppendInt(b, int64(out), 10)
+					if out == -1 { // an idle port: most of a sparse schedule
+						b = append(b, "-1"...)
+					} else {
+						b = strconv.AppendInt(b, int64(out), 10)
+					}
 				}
 				b = append(b, ']')
 			}

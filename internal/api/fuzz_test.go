@@ -3,6 +3,7 @@ package api
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"reco/internal/algo"
+	"reco/internal/matrix"
 )
 
 // fuzzPaths are the POST endpoints FuzzScheduleRequest drives; the first
@@ -100,10 +102,47 @@ func FuzzScheduleRequest(f *testing.F) {
 	})
 }
 
+// diffDecoded compares a decode against the reference decode of the same
+// body and describes the first difference, or returns "". Matrices are
+// compared cell for cell, not by DeepEqual: only a fast-parsed matrix
+// carries a summary, and the one it carries must equal what the dense scans
+// behind the reference matrix's accessors compute.
+func diffDecoded(got, want decoded) string {
+	gd, wd := got.req.Demands, want.req.Demands
+	got.req.Demands, want.req.Demands = nil, nil
+	if !reflect.DeepEqual(got, want) || len(gd) != len(wd) {
+		return "decoded requests differ outside the matrices"
+	}
+	for k, g := range gd {
+		w := wd[k]
+		if !g.Equal(w) {
+			return fmt.Sprintf("demand %d differs", k)
+		}
+		sum, ok := g.Summary()
+		if !ok {
+			continue
+		}
+		rho, fits := w.CheckedMaxRowColSum()
+		scan := matrix.Summary{
+			Rho: rho, Tau: w.MaxRowColNonZeros(), Total: w.Total(),
+			NonZeros: w.NonZeros(), MaxEntry: w.MaxEntry(), Overflow: !fits,
+		}
+		if sum.Overflow {
+			sum.Rho = 0 // meaningless once a sum has wrapped
+		}
+		if sum != scan {
+			return fmt.Sprintf("demand %d carries summary %+v, a dense scan gives %+v", k, sum, scan)
+		}
+	}
+	return ""
+}
+
 // FuzzDecodeSoundness is the fast parser's contract: whatever it accepts,
 // the reference decoder (encoding/json + toAlgo) accepts too and decodes
-// to the same algorithm, registry request and SLA pair. The converse is
-// not required — giving up is always allowed.
+// to the same algorithm, registry request and SLA pair, and the summary
+// each fast-parsed matrix carries is the one a dense scan of the reference
+// matrix computes. The converse is not required — giving up is always
+// allowed.
 func FuzzDecodeSoundness(f *testing.F) {
 	addRequestSeeds(f)
 	// What clients actually send: json.Marshal of the exported structs.
@@ -180,8 +219,16 @@ func FuzzDecodeSoundness(f *testing.F) {
 		if err != nil {
 			t.Fatalf("fast parser accepted %q, reference rejects it: %v", body, err)
 		}
-		if kind != wantKind || !reflect.DeepEqual(got, want) {
-			t.Fatalf("%q:\nfast      %s %+v\nreference %s %+v", body, kind, got, wantKind, want)
+		if kind != wantKind {
+			t.Fatalf("%q: fast kind %q, reference %q", body, kind, wantKind)
+		}
+		if diff := diffDecoded(got, want); diff != "" {
+			t.Fatalf("%q: %s\nfast      %+v\nreference %+v", body, diff, got, want)
+		}
+		for k, m := range got.req.Demands {
+			if _, ok := m.Summary(); !ok {
+				t.Fatalf("%q: fast-parsed demand %d carries no summary", body, k)
+			}
 		}
 	})
 }

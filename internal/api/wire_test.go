@@ -7,15 +7,16 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"reco/internal/algo"
 	"reco/internal/matrix"
 	"reco/internal/obs"
 	"reco/internal/ocs"
+	"reco/internal/plancache"
 	"reco/internal/schedule"
 )
 
@@ -141,8 +142,8 @@ func TestFallbackOwnsLenientAndBadInput(t *testing.T) {
 		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
 			t.Errorf("%s: error %v, reference says %v", body, gotErr, wantErr)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: decoded %+v, reference says %+v", body, got, want)
+		if diff := diffDecoded(got, want); diff != "" {
+			t.Errorf("%s: %s: decoded %+v, reference says %+v", body, diff, got, want)
 		}
 	}
 
@@ -191,8 +192,8 @@ func TestFastPathReadsCanonicalVariants(t *testing.T) {
 			t.Errorf("fast parser gave up on %q", body)
 			continue
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%q: decoded %+v, want %+v", body, got, want)
+		if diff := diffDecoded(got, want); diff != "" {
+			t.Errorf("%q: %s: decoded %+v, want %+v", body, diff, got, want)
 		}
 	}
 }
@@ -221,7 +222,8 @@ func TestDecodeAllocationGuard(t *testing.T) {
 	}
 
 	// Whitespace padding can make a non-square body long enough to pass the
-	// guard; what it then allocates stays within 4 bytes per body byte.
+	// guard; what it then allocates stays within 4 bytes per body byte for
+	// the cells, plus 16 per port for the summary's column accumulators.
 	padded := []byte(`{"demand":[[` + strings.Repeat("0,", 999) + `0]` + strings.Repeat(" ", 2_000_000) + `],"delta":1}`)
 	runtime.ReadMemStats(&before)
 	p = parser{b: padded}
@@ -230,7 +232,7 @@ func TestDecodeAllocationGuard(t *testing.T) {
 	if ok {
 		t.Fatal("fast parser accepted a padded one-row matrix")
 	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4*uint64(len(padded)) {
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4*uint64(len(padded))+16*1000 {
 		t.Errorf("fast parser allocated %d bytes on a %d-byte body", grew, len(padded))
 	}
 }
@@ -392,6 +394,70 @@ func TestNonRepresentableDemandIs400(t *testing.T) {
 		}
 		if resp.CCT < resp.LowerBound || resp.LowerBound < 1<<62-1000 || len(resp.Schedule) == 0 {
 			t.Errorf("%s: cct %d, lower bound %d, %d assignments", tc.body, resp.CCT, resp.LowerBound, len(resp.Schedule))
+		}
+	}
+}
+
+// TestOverflowingDemandIs400OnBothDecodePaths: the fast parser's summary
+// carries an overflow flag in place of the row and column scan
+// algo.ValidateRequest used to make, and the refusal must not depend on
+// which decoder built the matrix. A row of two MaxInt64 cells wraps ρ; the
+// body goes through the fast parser as written and through encoding/json
+// with one key escaped, and both get the same structured 400.
+func TestOverflowingDemandIs400OnBothDecodePaths(t *testing.T) {
+	reg := obs.NewRegistry()
+	obs.Attach(&obs.Sink{Metrics: reg})
+	defer obs.Detach()
+	srv, _ := newTestServer(t)
+	fast := `{"demand":[[9223372036854775807,9223372036854775807],[1,1]],"delta":100}`
+	slow := `{"\u0064emand":[[9223372036854775807,9223372036854775807],[1,1]],"delta":100}`
+
+	fastStatus, fastBody := postRaw(t, srv.URL+"/v1/schedule/single", []byte(fast))
+	if n := fallbacks(reg); n != 0 {
+		t.Fatalf("the plain body left the fast parser (%d fallbacks)", n)
+	}
+	slowStatus, slowBody := postRaw(t, srv.URL+"/v1/schedule/single", []byte(slow))
+	if n := fallbacks(reg); n != 1 {
+		t.Fatalf("the escaped key did not force the reference decoder (%d fallbacks)", n)
+	}
+	if fastStatus != http.StatusBadRequest || slowStatus != http.StatusBadRequest {
+		t.Fatalf("statuses: fast %d (%s), reference %d (%s), want 400 from both", fastStatus, fastBody, slowStatus, slowBody)
+	}
+	if !bytes.Equal(fastBody, slowBody) || !strings.Contains(string(fastBody), "overflows int64") {
+		t.Errorf("fast path answered %s, reference path %s; want one message naming the overflow", fastBody, slowBody)
+	}
+}
+
+// TestCacheEpsilonHugeEntryAnswers: with ε-quantized keys on, the key is
+// derived before the request is validated, outside any deadline — a cell
+// above 2⁶² used to spin the ε-scale loop forever there. The request must
+// be answered (it is refused: its completion bound overflows), and the
+// server must keep serving. The handler runs in process so that a hang is a
+// failed test after a second, not a server that cannot be closed.
+func TestCacheEpsilonHugeEntryAnswers(t *testing.T) {
+	s := NewServer(Options{Cache: plancache.Config{Epsilon: 0.01}})
+	defer s.Close()
+	h := s.Handler()
+	for _, tc := range []struct {
+		body string
+		want int
+	}{
+		{`{"demand":[[4611686018427387905,0],[0,1]],"delta":100}`, http.StatusBadRequest},
+		{`{"demand":[[0,400],[400,0]],"delta":100}`, http.StatusOK},
+	} {
+		rec := httptest.NewRecorder()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/schedule/single", strings.NewReader(tc.body)))
+		}()
+		select {
+		case <-done:
+		case <-time.After(time.Second):
+			t.Fatalf("%s: no answer within a second", tc.body)
+		}
+		if rec.Code != tc.want {
+			t.Errorf("%s: status %d, want %d (%s)", tc.body, rec.Code, tc.want, rec.Body)
 		}
 	}
 }

@@ -38,15 +38,11 @@ func Regularize(d *matrix.Matrix, delta int64) *matrix.Matrix {
 	if delta <= 0 {
 		return out
 	}
-	n := d.N()
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			v := out.At(i, j)
-			if rem := v % delta; rem != 0 {
-				out.Set(i, j, v+delta-rem)
-			}
+	d.ForEachNonZero(func(i, j int, v int64) {
+		if rem := v % delta; rem != 0 {
+			out.Set(i, j, v+delta-rem)
 		}
-	}
+	})
 	return out
 }
 

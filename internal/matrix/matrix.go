@@ -12,6 +12,7 @@ package matrix
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -32,6 +33,32 @@ var ErrNegative = errors.New("matrix: negative entry")
 type Matrix struct {
 	n     int
 	cells []int64
+	// sum is the digest FromCells was handed or Clone copied, meaningful
+	// only while sumOK. Every mutator clears sumOK with one store; readers
+	// never set it, so a matrix shared read-only between goroutines stays
+	// race-free and IsZero on a residual mutated every step never pays for a
+	// recompute.
+	sum   Summary
+	sumOK bool
+}
+
+// Summary is the scalar digest of a matrix that a producer touching every
+// cell anyway (the request parser) accumulates on its way and hands to
+// FromCells, so the O(n²) scans behind ρ, τ, Total, NonZeros, IsZero and
+// MaxEntry become field reads on a request's own demand.
+type Summary struct {
+	// Rho is the maximum row or column sum; meaningless when Overflow.
+	Rho int64
+	// Tau is the maximum number of non-zero entries in a row or column.
+	Tau int
+	// Total is the sum of all entries, wrapping as Matrix.Total does.
+	Total int64
+	// NonZeros is the number of strictly positive entries.
+	NonZeros int
+	// MaxEntry is the largest entry.
+	MaxEntry int64
+	// Overflow reports that some row or column sum exceeds int64.
+	Overflow bool
 }
 
 // New returns an n×n all-zero matrix.
@@ -71,12 +98,20 @@ func FromRows(rows [][]int64) (*Matrix, error) {
 // matrix takes ownership of cells (no copy): the caller must not use the
 // slice afterwards. Like FromRows it rejects a non-positive dimension, a
 // cell count other than n², and negative entries.
-func FromCells(n int, cells []int64) (*Matrix, error) {
+//
+// A non-nil sum is the caller's word that it accumulated exactly this
+// digest while producing cells, none of them negative: the matrix keeps it
+// and the negative scan is skipped. Only a producer that read every cell as
+// an unsigned value (the request parser) may pass one.
+func FromCells(n int, cells []int64, sum *Summary) (*Matrix, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("%w: n=%d", ErrDimension, n)
 	}
 	if len(cells)/n != n || len(cells)%n != 0 {
 		return nil, fmt.Errorf("%w: %d cells for n=%d", ErrDimension, len(cells), n)
+	}
+	if sum != nil {
+		return &Matrix{n: n, cells: cells, sum: *sum, sumOK: true}, nil
 	}
 	for idx, v := range cells {
 		if v < 0 {
@@ -85,6 +120,11 @@ func FromCells(n int, cells []int64) (*Matrix, error) {
 	}
 	return &Matrix{n: n, cells: cells}, nil
 }
+
+// Summary returns the digest the matrix carries and whether it carries one:
+// it was built by FromCells with a summary, or cloned from such a matrix,
+// and has not been written since.
+func (m *Matrix) Summary() (Summary, bool) { return m.sum, m.sumOK }
 
 // N returns the matrix dimension.
 func (m *Matrix) N() int { return m.n }
@@ -98,14 +138,14 @@ func (m *Matrix) Cells() []int64 { return m.cells }
 func (m *Matrix) At(i, j int) int64 { return m.cells[i*m.n+j] }
 
 // Set overwrites entry (i, j) with v.
-func (m *Matrix) Set(i, j int, v int64) { m.cells[i*m.n+j] = v }
+func (m *Matrix) Set(i, j int, v int64) { m.cells[i*m.n+j] = v; m.sumOK = false }
 
 // Add adds v to entry (i, j).
-func (m *Matrix) Add(i, j int, v int64) { m.cells[i*m.n+j] += v }
+func (m *Matrix) Add(i, j int, v int64) { m.cells[i*m.n+j] += v; m.sumOK = false }
 
-// Clone returns a deep copy of m.
+// Clone returns a deep copy of m, summary included.
 func (m *Matrix) Clone() *Matrix {
-	c := &Matrix{n: m.n, cells: make([]int64, len(m.cells))}
+	c := &Matrix{n: m.n, cells: make([]int64, len(m.cells)), sum: m.sum, sumOK: m.sumOK}
 	copy(c.cells, m.cells)
 	return c
 }
@@ -118,6 +158,7 @@ func (m *Matrix) CopyFrom(o *Matrix) {
 		panic(fmt.Sprintf("matrix: CopyFrom dimension %d into %d", o.n, m.n))
 	}
 	copy(m.cells, o.cells)
+	m.sumOK = false
 }
 
 // RowSums returns the sum of each row.
@@ -150,24 +191,49 @@ func (m *Matrix) ColSums() []int64 {
 // ρ lower-bounds the transmission time of any schedule that satisfies m,
 // because each port moves at most one unit of demand per tick.
 func (m *Matrix) MaxRowColSum() int64 {
-	var rho int64
-	for _, s := range m.RowSums() {
-		if s > rho {
-			rho = s
-		}
+	if m.sumOK && !m.sum.Overflow {
+		return m.sum.Rho
 	}
-	for _, s := range m.ColSums() {
-		if s > rho {
-			rho = s
-		}
-	}
+	_, _, rho := m.sums()
 	return rho
+}
+
+// sums returns the row sums, the column sums and their maximum ρ (at least
+// 0) from one scan each.
+func (m *Matrix) sums() (rows, cols []int64, rho int64) {
+	rows, cols = m.RowSums(), m.ColSums()
+	return rows, cols, max(0, slices.Max(rows), slices.Max(cols))
+}
+
+// CheckedMaxRowColSum is MaxRowColSum reporting ok = false when a row or
+// column sum of the non-negative entries overflows int64, in which case ρ
+// is not representable and request validation must refuse the demand.
+func (m *Matrix) CheckedMaxRowColSum() (rho int64, ok bool) {
+	if m.sumOK {
+		return m.sum.Rho, !m.sum.Overflow
+	}
+	n, cells := m.n, m.cells
+	for i := 0; i < n; i++ {
+		var row, col int64
+		for j := 0; j < n; j++ {
+			row += cells[i*n+j]
+			col += cells[j*n+i]
+			if row < 0 || col < 0 {
+				return 0, false
+			}
+		}
+		rho = max(rho, row, col)
+	}
+	return rho, true
 }
 
 // MaxRowColNonZeros returns τ, the maximum number of non-zero entries in any
 // single row or column. Any valid circuit schedule needs at least τ distinct
 // circuit establishments, so τ·δ lower-bounds total reconfiguration delay.
 func (m *Matrix) MaxRowColNonZeros() int {
+	if m.sumOK {
+		return m.sum.Tau
+	}
 	rowCnt := make([]int, m.n)
 	colCnt := make([]int, m.n)
 	for i := 0; i < m.n; i++ {
@@ -227,6 +293,9 @@ func (m *Matrix) AppendNonZeros(buf []Cell) []Cell {
 
 // NonZeros returns the number of strictly positive entries.
 func (m *Matrix) NonZeros() int {
+	if m.sumOK {
+		return m.sum.NonZeros
+	}
 	cnt := 0
 	for _, v := range m.cells {
 		if v > 0 {
@@ -244,6 +313,9 @@ func (m *Matrix) Density() float64 {
 
 // Total returns the sum of all entries.
 func (m *Matrix) Total() int64 {
+	if m.sumOK {
+		return m.sum.Total
+	}
 	var s int64
 	for _, v := range m.cells {
 		s += v
@@ -253,6 +325,9 @@ func (m *Matrix) Total() int64 {
 
 // MaxEntry returns the largest entry.
 func (m *Matrix) MaxEntry() int64 {
+	if m.sumOK {
+		return m.sum.MaxEntry
+	}
 	var mx int64
 	for _, v := range m.cells {
 		if v > mx {
@@ -276,6 +351,9 @@ func (m *Matrix) MinPositive() int64 {
 
 // IsZero reports whether every entry is zero.
 func (m *Matrix) IsZero() bool {
+	if m.sumOK {
+		return m.sum.NonZeros == 0
+	}
 	for _, v := range m.cells {
 		if v != 0 {
 			return false
@@ -335,6 +413,7 @@ func (m *Matrix) Sub(o *Matrix) error {
 	if o.n != m.n {
 		return fmt.Errorf("%w: %d vs %d", ErrDimension, m.n, o.n)
 	}
+	m.sumOK = false
 	for i, v := range o.cells {
 		m.cells[i] -= v
 		if m.cells[i] < 0 {
@@ -355,6 +434,7 @@ func Sum(ms []*Matrix) (*Matrix, error) {
 		if m.n != out.n {
 			return nil, fmt.Errorf("%w: %d vs %d", ErrDimension, out.n, m.n)
 		}
+		out.sumOK = false
 		for i, v := range m.cells {
 			out.cells[i] += v
 		}

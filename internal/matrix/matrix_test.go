@@ -375,14 +375,14 @@ func TestFromCells(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := FromCells(tt.n, tt.cells); !errors.Is(err, tt.wantErr) {
+			if _, err := FromCells(tt.n, tt.cells, nil); !errors.Is(err, tt.wantErr) {
 				t.Errorf("got err %v, want %v", err, tt.wantErr)
 			}
 		})
 	}
 
 	cells := []int64{4, 0, 2, 0, 5, 0, 1, 0, 3}
-	m, err := FromCells(3, cells)
+	m, err := FromCells(3, cells, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,4 +413,150 @@ func TestCopyFrom(t *testing.T) {
 		}
 	}()
 	dst.CopyFrom(mustFromRows(t, [][]int64{{1}}))
+}
+
+// denseScan computes a matrix's summary from scratch through At, the way the
+// accessors did before a matrix could carry one.
+func denseScan(m *Matrix) Summary {
+	n := m.N()
+	var s Summary
+	rowCnt, colCnt := make([]int, n), make([]int, n)
+	rowSum, colSum := make([]int64, n), make([]int64, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			v := m.At(i, j)
+			s.Total += v
+			s.MaxEntry = max(s.MaxEntry, v)
+			rowSum[i] += v
+			colSum[j] += v
+			if v > 0 {
+				s.NonZeros++
+				rowCnt[i]++
+				colCnt[j]++
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		s.Rho = max(s.Rho, rowSum[i], colSum[i])
+		s.Tau = max(s.Tau, rowCnt[i], colCnt[i])
+	}
+	return s
+}
+
+// TestSummaryMatchesDenseScan: a carried summary can never go stale. Random
+// matrices — half of them born with a summary, as the request parser's are —
+// go through random sequences of every mutator and copier, and after every
+// step each accessor a summary can answer agrees with a from-scratch scan.
+func TestSummaryMatchesDenseScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	random := func(n int) *Matrix {
+		cells := make([]int64, n*n)
+		for idx := range cells {
+			if rng.Intn(3) == 0 {
+				cells[idx] = 1 + rng.Int63n(50)
+			}
+		}
+		var sum *Summary
+		if rng.Intn(2) == 0 {
+			plain, err := FromCells(n, append([]int64(nil), cells...), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := denseScan(plain)
+			sum = &s
+		}
+		m, err := FromCells(n, cells, sum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := m.Summary(); ok != (sum != nil) {
+			t.Fatalf("FromCells with summary %v: carried = %v", sum != nil, ok)
+		}
+		return m
+	}
+	check := func(step string, m *Matrix) {
+		t.Helper()
+		want := denseScan(m)
+		rho, ok := m.CheckedMaxRowColSum()
+		got := Summary{
+			Rho: m.MaxRowColSum(), Tau: m.MaxRowColNonZeros(), Total: m.Total(),
+			NonZeros: m.NonZeros(), MaxEntry: m.MaxEntry(),
+		}
+		if got != want || rho != want.Rho || !ok || m.IsZero() != (want.NonZeros == 0) {
+			t.Fatalf("after %s: accessors say %+v (checked rho %d, %v; IsZero %v), a dense scan %+v\n%v",
+				step, got, rho, ok, m.IsZero(), want, m)
+		}
+		if s, carried := m.Summary(); carried && s != want {
+			t.Fatalf("after %s: carried summary %+v is stale, a dense scan gives %+v", step, s, want)
+		}
+	}
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(6)
+		m := random(n)
+		check("construction", m)
+		for step := 0; step < 12; step++ {
+			i, j := rng.Intn(n), rng.Intn(n)
+			switch op := rng.Intn(8); op {
+			case 0:
+				m.Set(i, j, rng.Int63n(60))
+				check("Set", m)
+			case 1:
+				m.Add(i, j, rng.Int63n(60))
+				check("Add", m)
+			case 2:
+				// Subtract a matrix that is entrywise no larger, so Sub succeeds.
+				o := m.Clone()
+				o.Set(i, j, o.At(i, j)/2)
+				if err := m.Sub(o); err != nil {
+					t.Fatal(err)
+				}
+				check("Sub", m)
+			case 3:
+				m.CopyFrom(random(n))
+				check("CopyFrom", m)
+			case 4:
+				c := m.Clone()
+				check("Clone", c)
+				c.Set(i, j, m.At(i, j)+1)
+				check("Set on a clone", c)
+				check("Set on its clone", m)
+				m = c
+			case 5:
+				m = Stuff(m)
+				check("Stuff", m)
+			case 6:
+				m = StuffPreferNonZero(m)
+				check("StuffPreferNonZero", m)
+			case 7:
+				s, err := Sum([]*Matrix{m, random(n)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				m = s
+				check("Sum", m)
+			}
+		}
+	}
+	// A summary that says a sum overflowed is kept for the refusal and never
+	// answers for ρ; the scan behind the checked ρ refuses the same cells.
+	big := int64(1) << 62
+	plain, err := FromCells(2, []int64{big, big, 1, 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := FromCells(2, []int64{big, big, 1, 1}, &Summary{
+		Rho: -1, Tau: 2, Total: 2*big + 2, NonZeros: 4, MaxEntry: big, Overflow: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := m.CheckedMaxRowColSum(); ok {
+		t.Error("an overflowing summary passed the checked ρ")
+	}
+	if _, ok := plain.CheckedMaxRowColSum(); ok {
+		t.Error("the scan behind the checked ρ missed an overflowing row")
+	}
+	if m.MaxRowColSum() != plain.MaxRowColSum() {
+		t.Error("MaxRowColSum of an overflowing summary differs from the scan's")
+	}
 }

@@ -10,7 +10,8 @@ package matrix
 // satisfies the stuffed matrix also satisfies the original demand.
 func Stuff(m *Matrix) *Matrix {
 	out := m.Clone()
-	stuffTo(out, out.MaxRowColSum(), false)
+	rows, cols, rho := out.sums()
+	stuffTo(out, rows, cols, rho, false)
 	return out
 }
 
@@ -20,7 +21,8 @@ func Stuff(m *Matrix) *Matrix {
 // circuits a schedule must establish) grows as little as possible.
 func StuffPreferNonZero(m *Matrix) *Matrix {
 	out := m.Clone()
-	stuffTo(out, out.MaxRowColSum(), true)
+	rows, cols, rho := out.sums()
+	stuffTo(out, rows, cols, rho, true)
 	return out
 }
 
@@ -28,17 +30,19 @@ func StuffPreferNonZero(m *Matrix) *Matrix {
 // least ρ; it returns nil and false if target is too small. Reco-Sin uses it
 // because regularization can make the post-rounding ρ' exceed the original ρ.
 func StuffTo(m *Matrix, target int64) (*Matrix, bool) {
-	if target < m.MaxRowColSum() {
+	rows, cols, rho := m.sums()
+	if target < rho {
 		return nil, false
 	}
 	out := m.Clone()
-	stuffTo(out, target, true)
+	stuffTo(out, rows, cols, target, true)
 	return out, true
 }
 
-func stuffTo(m *Matrix, target int64, preferNonZero bool) {
-	rowDef := m.RowSums()
-	colDef := m.ColSums()
+// stuffTo raises m's row sums rowDef and column sums colDef to target,
+// consuming both slices as its deficit counters: the callers have just
+// computed them to find ρ, and they are not summed a second time here.
+func stuffTo(m *Matrix, rowDef, colDef []int64, target int64, preferNonZero bool) {
 	for i := range rowDef {
 		rowDef[i] = target - rowDef[i]
 		colDef[i] = target - colDef[i]

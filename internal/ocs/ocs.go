@@ -12,6 +12,7 @@ package ocs
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"reco/internal/fabric"
 	"reco/internal/matrix"
@@ -128,7 +129,8 @@ func ExecAllStopRate(d *matrix.Matrix, cs CircuitSchedule, delta, bw int64) (Res
 	if bw < 1 {
 		return Result{}, fmt.Errorf("%w: bandwidth %d", ErrInvalidAssignment, bw)
 	}
-	rem := d.Clone()
+	rem := acquireResidual(d)
+	defer residuals.Put(rem)
 	left := d.Total() // maintained incrementally; the dense residual is never rescanned
 	fab := fabric.NewCircuit(n, bw)
 	var res Result
@@ -174,6 +176,20 @@ func ExecAllStopRate(d *matrix.Matrix, cs CircuitSchedule, delta, bw int64) (Res
 		return res, fmt.Errorf("%w: %d ticks left", ErrIncomplete, left)
 	}
 	return res, nil
+}
+
+// residuals recycles ExecAllStopRate's scratch residual across calls: a
+// request then pays a copy of its demand, not a fresh n² allocation.
+var residuals sync.Pool
+
+// acquireResidual returns a scratch copy of d for the caller to drain and
+// hand back to residuals.
+func acquireResidual(d *matrix.Matrix) *matrix.Matrix {
+	if rem, _ := residuals.Get().(*matrix.Matrix); rem != nil && rem.N() == d.N() {
+		rem.CopyFrom(d)
+		return rem
+	}
+	return d.Clone()
 }
 
 // ExecNotAllStop plays cs against d under the not-all-stop model (Sec. VI):

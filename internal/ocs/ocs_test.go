@@ -2,6 +2,8 @@ package ocs
 
 import (
 	"errors"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"reco/internal/matrix"
@@ -290,5 +292,91 @@ func TestSinglePortSchedule(t *testing.T) {
 				t.Errorf("demand: %v", err)
 			}
 		})
+	}
+}
+
+// withSummary rebuilds d the way the request parser hands matrices over:
+// from its cells, carrying the summary of what they hold.
+func withSummary(t *testing.T, d *matrix.Matrix) *matrix.Matrix {
+	t.Helper()
+	rho, ok := d.CheckedMaxRowColSum()
+	m, err := matrix.FromCells(d.N(), append([]int64(nil), d.Cells()...), &matrix.Summary{
+		Rho: rho, Tau: d.MaxRowColNonZeros(), Total: d.Total(),
+		NonZeros: d.NonZeros(), MaxEntry: d.MaxEntry(), Overflow: !ok,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestSummaryChangesNoAnswer: a matrix that carries its summary lets
+// SinglePortSchedule, LowerBound and the executor skip their scans; what
+// they answer must be what they answer for the same cells without one.
+func TestSummaryChangesNoAnswer(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(6)
+		plain, err := matrix.New(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A third of the trials fill one row or one column only, so both
+		// answers of SinglePortSchedule are exercised.
+		row, col := rng.Intn(n), rng.Intn(n)
+		shape := rng.Intn(3)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if (shape == 1 && i != row) || (shape == 2 && j != col) || rng.Intn(2) == 0 {
+					continue
+				}
+				plain.Set(i, j, 1+rng.Int63n(40))
+			}
+		}
+		carried := withSummary(t, plain)
+		if a, b := LowerBound(plain, 7), LowerBound(carried, 7); a != b {
+			t.Fatalf("LowerBound %d without a summary, %d with\n%v", a, b, plain)
+		}
+		csPlain, okPlain := SinglePortSchedule(plain)
+		csCarried, okCarried := SinglePortSchedule(carried)
+		if okPlain != okCarried || !reflect.DeepEqual(csPlain, csCarried) {
+			t.Fatalf("SinglePortSchedule: %v %v without a summary, %v %v with\n%v", csPlain, okPlain, csCarried, okCarried, plain)
+		}
+		if !okPlain || len(csPlain) == 0 {
+			continue
+		}
+		resPlain, errPlain := ExecAllStop(plain, csPlain, 7)
+		resCarried, errCarried := ExecAllStop(carried, csCarried, 7)
+		if errPlain != nil || errCarried != nil || !reflect.DeepEqual(resPlain, resCarried) {
+			t.Fatalf("ExecAllStop: %+v (%v) without a summary, %+v (%v) with", resPlain, errPlain, resCarried, errCarried)
+		}
+	}
+}
+
+// TestExecAllStopResidualCarriesNothingOver: the executor's scratch residual
+// is recycled between calls. A run that ends incomplete leaves demand in it;
+// the next run of the same dimension must start from its own demand alone,
+// and a run of another dimension must not be handed the wrong size.
+func TestExecAllStopResidualCarriesNothingOver(t *testing.T) {
+	first := mustMatrix(t, [][]int64{{0, 9}, {9, 0}})
+	if _, err := ExecAllStop(first, CircuitSchedule{{Perm: []int{1, 0}, Dur: 4}}, 1); !errors.Is(err, ErrIncomplete) {
+		t.Fatalf("short schedule: error %v, want ErrIncomplete", err)
+	}
+	second := mustMatrix(t, [][]int64{{3, 0}, {0, 2}})
+	for _, d := range []*matrix.Matrix{second, mustMatrix(t, [][]int64{{5}}), second} {
+		perm := make([]int, d.N())
+		for i := range perm {
+			perm[i] = i
+		}
+		res, err := ExecAllStop(d, CircuitSchedule{{Perm: perm, Dur: 100}}, 1)
+		if err != nil {
+			t.Fatalf("n=%d: %v", d.N(), err)
+		}
+		if want := d.MaxEntry() + 1; res.CCT != want {
+			t.Errorf("n=%d: CCT %d, want %d", d.N(), res.CCT, want)
+		}
+		if err := res.Flows.CheckDemand([]*matrix.Matrix{d}); err != nil {
+			t.Errorf("n=%d: %v", d.N(), err)
+		}
 	}
 }

@@ -55,12 +55,10 @@ func PrimalDual(ds []*matrix.Matrix, w []float64) ([]int, error) {
 		if d.N() != n {
 			return nil, fmt.Errorf("ordering: coflow %d has dimension %d, want %d", k, d.N(), n)
 		}
-		rows := d.RowSums()
-		cols := d.ColSums()
-		for p := 0; p < n; p++ {
-			load[p][k] = rows[p]
-			load[n+p][k] = cols[p]
-		}
+		d.ForEachNonZero(func(i, j int, v int64) {
+			load[i][k] += v
+			load[n+j][k] += v
+		})
 	}
 	wres := make([]float64, kk)
 	for k := range wres {

@@ -7,10 +7,13 @@
 // The package has three layers:
 //
 //   - Fingerprinting (this file): a collision-resistant canonical hash of
-//     (algorithm, demand matrices, weights, δ, c). An opt-in ε-quantized
-//     variant buckets demand entries so near-identical matrices share a key
-//     — the serving-side counterpart of Reco's regularization argument that
-//     close demand matrices deserve (near-)identical circuit schedules.
+//     (algorithm, demand matrices, weights, δ, c, knobs). A matrix is hashed
+//     as its non-zero cells and the lengths of the zero runs between them,
+//     so the cost of a key follows the demand's support, not n². An opt-in
+//     ε-quantized variant buckets demand entries so near-identical matrices
+//     share a key — the serving-side counterpart of Reco's regularization
+//     argument that close demand matrices deserve (near-)identical circuit
+//     schedules.
 //   - Cache: a sharded, bounded LRU over *algo.Result values, safe for
 //     concurrent use, with hit/miss/eviction/size metrics on internal/obs.
 //   - Group: singleflight request coalescing in front of the cache, so N
@@ -22,6 +25,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"math/bits"
 
 	"reco/internal/algo"
 )
@@ -29,19 +33,38 @@ import (
 // Fingerprint returns the canonical cache key for a scheduling request
 // executed under the named algorithm: a hex SHA-256 over an unambiguous
 // binary serialization of the algorithm name, δ, c, every knob in
-// algo.KnobTable order, weights and every demand matrix (dimension then
-// row-major entries). Identical requests — and only identical requests, up
-// to hash collisions — share a fingerprint.
+// algo.KnobTable order, weights and every demand matrix. Identical requests
+// — and only identical requests, up to hash collisions — share a
+// fingerprint.
+//
+// A matrix is written as its dimension n followed by row-major int64
+// tokens: a positive token is one cell holding that value, a negative
+// token −k is a maximal run of k zero cells (a run may cross row ends; it
+// never crosses into the next matrix). This is the only form — there is no
+// dense variant and no threshold between two — and it never costs more
+// than the plain cell stream did: an isolated zero is one 8-byte token as
+// before, while a sparse matrix hashes at most 16 bytes per non-zero
+// instead of 8n².
+//
+// The serialization is injective. Runs are maximal, so a matrix has exactly
+// one token sequence; and given n the sequence decodes only one way — read
+// tokens, a positive one filling one cell and −k filling k, until n² cells
+// are filled — which also marks where the matrix ends, so consecutive
+// matrices cannot trade cells across their boundary.
+//
+// Keys changed once when this form replaced the plain cell stream: a deploy
+// across that change starts with a cold plan cache.
 func Fingerprint(alg string, req algo.Request) string {
 	return fingerprint(alg, req, 0)
 }
 
 // QuantizedFingerprint is Fingerprint with demand entries bucketed to
 // multiples of step = max(1, round(eps·scale)) before hashing, where scale
-// is the request's largest entry rounded up to a power of two. Rounding the
-// scale keeps the step stable across near-identical requests (a raw
-// max-entry scale would shift the whole grid when the peak entry drifts by
-// one tick). Requests whose entries land in the same ε-buckets collide on
+// is the request's largest entry rounded up to a power of two (at most
+// 2⁶²). Rounding the scale keeps the step stable across near-identical
+// requests (a raw max-entry scale would shift the whole grid when the peak
+// entry drifts by one tick). An entry whose bucket is 0 is hashed as a
+// zero. Requests whose entries land in the same ε-buckets collide on
 // purpose: an ε-close request reuses the plan of the first-seen
 // representative. As with any bucketing scheme, a pair of entries
 // straddling a bucket edge may still separate even if they differ by less
@@ -72,7 +95,7 @@ func fingerprint(alg string, req algo.Request, eps float64) string {
 		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(w))
 		h.Write(buf[:])
 	}
-	step := int64(1)
+	step := uint64(1)
 	if eps > 0 {
 		var mx int64
 		for _, d := range req.Demands {
@@ -83,20 +106,22 @@ func fingerprint(alg string, req algo.Request, eps float64) string {
 				mx = e
 			}
 		}
+		// The least power of two at or above mx, held at 2⁶²: the next one
+		// is not an int64, and a loop doubling its way there never ends.
 		scale := int64(1)
-		for scale < mx {
-			scale <<= 1
+		if mx > 1 {
+			scale <<= min(bits.Len64(uint64(mx-1)), 62)
 		}
 		if s := int64(math.Round(eps * float64(scale))); s > 1 {
-			step = s
+			step = uint64(s)
 		}
 		// The step itself must be part of the key: the same matrix hashed
 		// under different ε values must not collide.
-		writeInt(step)
+		writeInt(int64(step))
 	}
 	writeInt(int64(len(req.Demands)))
-	// Cells go through a fixed stack chunk, one Write per 4 KB: the byte
-	// stream (and so the key) is what one Write per cell produced.
+	// Tokens go through a fixed stack chunk, one Write per 4 KB or so: the
+	// byte stream (and so the key) is what one Write per token would produce.
 	var chunk [4096]byte
 	for _, d := range req.Demands {
 		if d == nil {
@@ -104,20 +129,37 @@ func fingerprint(alg string, req algo.Request, eps float64) string {
 			continue
 		}
 		writeInt(int64(d.N()))
-		cells := d.Cells()
-		for len(cells) > 0 {
-			k := min(len(cells), len(chunk)/8)
-			for idx, v := range cells[:k] {
-				if step > 1 {
-					// Round to the nearest bucket midpoint so a value just
-					// below and just above a bucket edge still usually agree.
-					v = (v + step/2) / step
-				}
-				binary.LittleEndian.PutUint64(chunk[idx*8:], uint64(v))
+		fill, run := 0, int64(0)
+		for _, v := range d.Cells() {
+			if step > 1 {
+				// Round to the nearest bucket midpoint so a value just
+				// below and just above a bucket edge still usually agree.
+				// Unsigned, so an entry near MaxInt64 cannot wrap.
+				v = int64((uint64(v) + step/2) / step)
 			}
-			h.Write(chunk[:k*8])
-			cells = cells[k:]
+			if v == 0 {
+				run++
+				continue
+			}
+			// Room for the run before this cell, the cell, and the run
+			// that may close the matrix.
+			if fill > len(chunk)-24 {
+				h.Write(chunk[:fill])
+				fill = 0
+			}
+			if run > 0 {
+				binary.LittleEndian.PutUint64(chunk[fill:], uint64(-run))
+				fill += 8
+				run = 0
+			}
+			binary.LittleEndian.PutUint64(chunk[fill:], uint64(v))
+			fill += 8
 		}
+		if run > 0 {
+			binary.LittleEndian.PutUint64(chunk[fill:], uint64(-run))
+			fill += 8
+		}
+		h.Write(chunk[:fill])
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -92,15 +92,18 @@ func (g *Group) Do(ctx context.Context, key string, compute func(ctx context.Con
 
 	go func() {
 		res, err := compute(cctx)
+		// Cache before leaving the in-flight table: a request that arrives
+		// from here on finds the call or the entry, never neither — which
+		// would be a second solve of a plan just computed.
+		if err == nil {
+			g.cache.Put(key, res)
+		}
 		g.mu.Lock()
 		c.res, c.err = res, err
 		delete(g.inflight, key)
 		g.mu.Unlock()
 		close(c.done)
 		cancel()
-		if err == nil {
-			g.cache.Put(key, res)
-		}
 	}()
 	return g.wait(ctx, key, c)
 }

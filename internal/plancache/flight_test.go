@@ -3,6 +3,7 @@ package plancache
 import (
 	"context"
 	"errors"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -191,5 +192,23 @@ func TestNilGroupRunsDirectly(t *testing.T) {
 	})
 	if !ran || cached || err != nil || res.Reconfigs != 2 {
 		t.Errorf("nil group: ran=%v cached=%v err=%v res=%+v", ran, cached, err, res)
+	}
+}
+
+// TestGroupCachesBeforeAnswering: once Do has answered, the plan is in the
+// cache — there is no instant at which a request for the same key finds
+// neither the in-flight call nor the entry and solves it a second time
+// (the window a client repeating its request back to back used to hit).
+func TestGroupCachesBeforeAnswering(t *testing.T) {
+	g := NewGroup(New(Config{}))
+	compute := func(ctx context.Context) (*algo.Result, error) { return resN(1), nil }
+	for i := 0; i < 5000; i++ {
+		key := strconv.Itoa(i)
+		if _, _, err := g.Do(context.Background(), key, compute); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := g.Cache().Get(key); !ok {
+			t.Fatalf("Do answered for key %q (call %d) before its plan was cached", key, i)
+		}
 	}
 }

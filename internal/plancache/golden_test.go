@@ -7,10 +7,13 @@ import (
 	"reco/internal/matrix"
 )
 
-// TestFingerprintGoldenVectors pins cache keys to the hex values computed
-// before cells were hashed in bulk: a changed key would silently orphan
-// every cached plan (and split ε-buckets) across a deploy. The last vector
-// is two 24×24 matrices, so cells cross the 4 KB chunk boundary.
+// TestFingerprintGoldenVectors pins cache keys: a changed key would
+// silently orphan every cached plan (and split ε-buckets) across a deploy.
+// The hex was re-pinned once, when the matrix serialization became the
+// zero-run form (see Fingerprint); TestFingerprintMatchesTokenReference
+// derives the same keys from that form written one token at a time. The
+// last vector is two 24×24 matrices, so tokens cross the 4 KB chunk
+// boundary.
 func TestFingerprintGoldenVectors(t *testing.T) {
 	big, err := matrix.New(24)
 	if err != nil {
@@ -30,8 +33,8 @@ func TestFingerprintGoldenVectors(t *testing.T) {
 			Demands: []*matrix.Matrix{mustMatrix(t, [][]int64{{0, 400, 30}, {250, 0, 7}, {1, 90, 0}})},
 			Delta:   100, C: 4,
 		},
-			"1d522526170629acf5f755d5b3fc9e85dc6e3ab2eaf318b5e6d7729dc86922bb",
-			"de54187afff40aaf3d7c9600003584941ef26f1dbda3e1c9b8814d5c09c5c085"},
+			"710f7902ad13f2b878656f8b2a053c93c1413c57705089096913ac67036a0e1e",
+			"13d97331b95af6e0aa47375e8674eaf65a11c8e1c8c408d36f5e60faa8d24d34"},
 		{algo.NameRecoMul, algo.Request{
 			Demands: []*matrix.Matrix{
 				mustMatrix(t, [][]int64{{0, 5}, {5, 0}}),
@@ -39,8 +42,8 @@ func TestFingerprintGoldenVectors(t *testing.T) {
 			},
 			Weights: []float64{1, 2.5}, Delta: 10, C: 4,
 		},
-			"4f3f84e24a8dd9886f9d80e79ba41fe89737e8a30f039bf8718a48e21a6a8594",
-			"d3a22e7da95d5de369d1ca04e95f5f7e8ff239e1fad07b36399fbd82bb4e9e9d"},
+			"31732ac10e182424a374ee4d1ab7ca41a925f0649eeba4b7cc3410b455a62d40",
+			"17fd3b0cfcc6b151fc33d1c140694b0c2ab17140baf29d03f90a5c15fbfc5796"},
 		{algo.NameRecoSparse, algo.Request{
 			Demands: []*matrix.Matrix{mustMatrix(t, [][]int64{
 				{0, 100000, 2047, 1},
@@ -50,11 +53,11 @@ func TestFingerprintGoldenVectors(t *testing.T) {
 			})},
 			Delta: 250, C: 4, Knobs: algo.Knobs{Cores: 2, K: 3, ElecFrac: 0.25},
 		},
-			"e6cf0e812a082aca68183892ac29a7e7c382c4c79d03b2baebe1e213b2ebec4c",
-			"ad9283ae6737219b3a14f210c65b2dee33253f9e1a66f4b9f5d3af7cda787252"},
+			"7699b84f79f24c11fe7976487539cdf74805ddb5cb130395abaa1e8d9955def5",
+			"d6ac71a44d30fa9654e74152c42b218ba32535d73ce7d9519ea1c3a18099c993"},
 		{algo.NameRecoMul, algo.Request{Demands: []*matrix.Matrix{big, big}, Delta: 100, C: 4},
-			"3944069a012a3ad79eff7c5e7ecdbc8afdaf59df68763ed88b14b6f2ec4e8321",
-			"33acb91e475b9934b824247a67bd7f89426f64ca604fcccbf1d4cbb3d38997d5"},
+			"4322b296c94129a04506e531747605bc28d9c1c6067cdb5ab13eed88233eedef",
+			"39e35d4c04d8e6541a141e376d68f610bc64be76eeec9c7eddabc2799cd6d371"},
 	}
 	for i, tc := range cases {
 		if got := Fingerprint(tc.alg, tc.req); got != tc.exact {
