@@ -26,10 +26,10 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"reco/internal/experiments"
+	"reco/internal/parallel"
 )
 
 func main() {
@@ -106,31 +106,14 @@ func run() int {
 	}
 	results := make([]outcome, len(ids))
 
-	workers := *concurrent
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(ids) {
-		workers = len(ids)
-	}
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				start := time.Now()
-				table, err := registry[ids[i]](cfg)
-				results[i] = outcome{table: table, err: err, elapsed: time.Since(start)}
-			}
-		}()
-	}
-	for i := range ids {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
+	// Every id runs even after one fails (fn always returns nil): results are
+	// collected by index and the print loop below stops at the first failure.
+	_ = parallel.ForEach(max(*concurrent, 1), len(ids), func(i int) error {
+		start := time.Now()
+		table, err := registry[ids[i]](cfg)
+		results[i] = outcome{table: table, err: err, elapsed: time.Since(start)}
+		return nil
+	})
 
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {

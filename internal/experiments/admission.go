@@ -21,9 +21,7 @@ import (
 // grows past capacity, admit-all's miss rate explodes while the LP keeps
 // admitted misses low at admitted weight no lower than greedy's.
 //
-// The experiment is registered as "admission" but intentionally not part
-// of Order(), so `recobench -exp all` output is unchanged; regenerate
-// results/admission.csv with `recobench -exp admission -outdir results`.
+// Off the presentation order: see experimentList.
 func Admission(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
 	t := &Table{
@@ -38,32 +36,19 @@ func Admission(cfg Config) (*Table, error) {
 		},
 	}
 
-	coflows, err := workload.Generate(workload.GenConfig{
-		N: cfg.MulN, NumCoflows: cfg.MulCoflows * 3, Seed: cfg.Seed,
-		MinDemand: cfg.C * cfg.Delta, MeanDemand: cfg.C * cfg.Delta,
-	})
+	coflows, err := workload.Generate(elephantGen(cfg, cfg.MulN, cfg.MulCoflows*3, cfg.Seed))
 	if err != nil {
 		return nil, fmt.Errorf("admission: %w", err)
 	}
 
-	type variant struct {
-		load float64
-		adm  online.Admitter
-	}
 	loads := []float64{0.5, 1, 2, 4}
-	var variants []variant
-	for _, load := range loads {
-		for _, adm := range []online.Admitter{online.AdmitAll{}, online.GreedyAdmit{}, online.LPAdmit{}} {
-			variants = append(variants, variant{load, adm})
-		}
-	}
-
-	rows, err := parallel.Map(cfg.workers(), len(variants), func(i int) (Row, error) {
-		v := variants[i]
-		arrivals := admissionArrivals(cfg, coflows, v.load)
-		res, err := online.SimulateAdmit(arrivals, v.adm, online.EDF{}, cfg.Delta, cfg.C)
+	admitters := []online.Admitter{online.AdmitAll{}, online.GreedyAdmit{}, online.LPAdmit{}}
+	rows, err := grid(cfg.workers(), len(loads), len(admitters), func(li, ai int) (Row, error) {
+		load, adm := loads[li], admitters[ai]
+		arrivals := admissionArrivals(cfg, coflows, load)
+		res, err := online.SimulateAdmit(arrivals, adm, online.EDF{}, cfg.Delta, cfg.C)
 		if err != nil {
-			return Row{}, fmt.Errorf("admission %s @%gx: %w", v.adm.Name(), v.load, err)
+			return Row{}, fmt.Errorf("admission %s @%gx: %w", adm.Name(), load, err)
 		}
 		admitted, wcct := 0, 0.0
 		var wcctWeight float64
@@ -80,7 +65,7 @@ func Admission(cfg Config) (*Table, error) {
 		if wcctWeight > 0 {
 			meanWCCT = wcct / wcctWeight
 		}
-		label := fmt.Sprintf("%gx/%s", v.load, v.adm.Name())
+		label := fmt.Sprintf("%gx/%s", load, adm.Name())
 		return Row{Label: label, Cells: []float64{
 			100 * float64(admitted) / float64(len(arrivals)),
 			100 * res.AdmittedWeight / res.TotalWeight,
@@ -92,7 +77,9 @@ func Admission(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.Rows = rows
+	for _, perLoad := range rows {
+		t.Rows = append(t.Rows, perLoad...)
+	}
 	return t, nil
 }
 

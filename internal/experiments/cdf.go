@@ -13,58 +13,28 @@ var cdfPercentiles = []float64{10, 25, 50, 75, 90, 95, 100}
 // the distribution of per-coflow reconfiguration counts for Reco-Sin and
 // Solstice at the default delta.
 func Fig4aCDF(cfg Config) (*Table, error) {
-	return cdfSingle(cfg, "fig4a-cdf",
-		"CDF of per-coflow reconfigurations (delta=%d)",
-		func(m singleMetrics) (float64, float64) { return m.recoReconf, m.solReconf })
+	return cdfSingle(cfg, "fig4a-cdf", "CDF of per-coflow reconfigurations (delta=%d)", pickReconfs)
 }
 
 // Fig4bCDF reproduces the CDF presentation of Fig. 4(b): per density class,
 // the distribution of per-coflow CCTs for Reco-Sin and Solstice.
 func Fig4bCDF(cfg Config) (*Table, error) {
-	return cdfSingle(cfg, "fig4b-cdf",
-		"CDF of per-coflow CCT (delta=%d)",
-		func(m singleMetrics) (float64, float64) { return m.recoCCT, m.solCCT })
+	return cdfSingle(cfg, "fig4b-cdf", "CDF of per-coflow CCT (delta=%d)", pickCCTs)
 }
 
-func cdfSingle(cfg Config, id, titleFmt string, pick func(singleMetrics) (reco, sol float64)) (*Table, error) {
+func cdfSingle(cfg Config, id, titleFmt string, pick func(singleMetrics) []float64) (*Table, error) {
 	cfg = cfg.withDefaults()
-	coflows, err := singleWorkload(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", id, err)
-	}
-	ms, err := runSingle(coflows, cfg.Delta, cfg.workers())
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", id, err)
-	}
-	t := &Table{
+	return bothPerClass(cfg, &Table{
 		ID:      id,
 		Title:   fmt.Sprintf(titleFmt, cfg.Delta),
 		Columns: []string{"Reco-Sin", "Solstice"},
-	}
-	for _, cl := range classOrder {
-		var recoVals, solVals []float64
-		for _, m := range ms {
-			if m.class != cl {
-				continue
-			}
-			r, s := pick(m)
-			recoVals = append(recoVals, r)
-			solVals = append(solVals, s)
-		}
-		if len(recoVals) == 0 {
-			continue
-		}
-		recoPs, err := stats.Percentiles(recoVals, cdfPercentiles...)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", id, err)
-		}
-		solPs, err := stats.Percentiles(solVals, cdfPercentiles...)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", id, err)
-		}
+	}, pick, presentOnly(func(t *Table, label string, cols [][]float64) {
+		// Percentiles fails only on an empty sample or a point outside
+		// [0,100]; neither can happen here.
+		recoPs, _ := stats.Percentiles(cols[0], cdfPercentiles...)
+		solPs, _ := stats.Percentiles(cols[1], cdfPercentiles...)
 		for i, p := range cdfPercentiles {
-			t.AddRow(fmt.Sprintf("%s p%.0f", cl, p), recoPs[i], solPs[i])
+			t.AddRow(fmt.Sprintf("%s p%.0f", label, p), recoPs[i], solPs[i])
 		}
-	}
-	return t, nil
+	}))
 }

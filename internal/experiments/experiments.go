@@ -198,65 +198,69 @@ func instrumented(id string, run Runner) Runner {
 	}
 }
 
+// experimentList is every experiment, in presentation order: id (DESIGN.md
+// §4 has a row for each), runner, and whether "run everything" includes it.
+// The five that it does not are registered but off the presentation order,
+// so `recobench -exp all` output (results/all.txt) never changed when they
+// were added: the ~30 s full-scale run, and four later sweeps. Regenerate
+// their CSVs with `recobench -exp <id> -outdir results`.
+var experimentList = []struct {
+	id    string
+	run   Runner
+	inAll bool
+}{
+	{"table1", Table1, true},
+	{"table2", Table2, true},
+	{"fig4a", Fig4a, true},
+	{"fig4b", Fig4b, true},
+	{"fig4a-cdf", Fig4aCDF, true},
+	{"fig4b-cdf", Fig4bCDF, true},
+	{"fig5a", Fig5a, true},
+	{"fig5b", Fig5b, true},
+	{"fig6", Fig6, true},
+	{"fig7", Fig7, true},
+	{"fig8", Fig8, true},
+	{"fig9a", Fig9a, true},
+	{"fig9b", Fig9b, true},
+	{"table3", Table3, true},
+	{"thm1", Thm1, true},
+	{"thm2", Thm2, true},
+	{"ablation-reg", AblationRegularization, true},
+	{"ablation-align", AblationAlignment, true},
+	{"ablation-bvn", AblationBvNStrategy, true},
+	{"notallstop", NotAllStop, true},
+	{"faults", Faults, true},
+	{"ext-single", ExtSingle, true},
+	{"ext-sunflow", ExtSunflowNAS, true},
+	{"ext-nas", ExtNAS, true},
+	{"ext-online", ExtOnline, true},
+	{"ext-hybrid", ExtHybrid, true},
+	{"ext-optics", ExtOptics, true},
+	{"ext-scale", ExtScale, true},
+	{"ext-full", ExtFull, false},
+	{"admission", Admission, false},
+	{"kcore", KCore, false},
+	{"frontier", Frontier, false},
+	{"hybrid", Hybrid, false},
+}
+
 // Registry maps experiment ids (DESIGN.md §4) to their runners. Every
 // runner is returned pre-wrapped with instrumentation (see instrumented).
 func Registry() map[string]Runner {
-	reg := registry()
-	for id, run := range reg {
-		reg[id] = instrumented(id, run)
+	reg := make(map[string]Runner, len(experimentList))
+	for _, e := range experimentList {
+		reg[e.id] = instrumented(e.id, e.run)
 	}
 	return reg
 }
 
-func registry() map[string]Runner {
-	return map[string]Runner{
-		"table1":         Table1,
-		"table2":         Table2,
-		"table3":         Table3,
-		"fig4a":          Fig4a,
-		"fig4b":          Fig4b,
-		"fig4a-cdf":      Fig4aCDF,
-		"fig4b-cdf":      Fig4bCDF,
-		"fig5a":          Fig5a,
-		"fig5b":          Fig5b,
-		"fig6":           Fig6,
-		"fig7":           Fig7,
-		"fig8":           Fig8,
-		"fig9a":          Fig9a,
-		"fig9b":          Fig9b,
-		"thm1":           Thm1,
-		"thm2":           Thm2,
-		"faults":         Faults,
-		"ablation-reg":   AblationRegularization,
-		"ablation-align": AblationAlignment,
-		"ablation-bvn":   AblationBvNStrategy,
-		"notallstop":     NotAllStop,
-		"ext-single":     ExtSingle,
-		"ext-online":     ExtOnline,
-		"ext-hybrid":     ExtHybrid,
-		"ext-sunflow":    ExtSunflowNAS,
-		"ext-optics":     ExtOptics,
-		"ext-scale":      ExtScale,
-		"ext-nas":        ExtNAS,
-		"ext-full":       ExtFull,
-		// Registered but not in Order(): regenerate results/admission.csv,
-		// results/kcore.csv, results/frontier.csv and results/hybrid.csv
-		// explicitly with `recobench -exp <id> -outdir results`.
-		"admission": Admission,
-		"kcore":     KCore,
-		"frontier":  Frontier,
-		"hybrid":    Hybrid,
-	}
-}
-
 // Order lists experiment ids in presentation order for "run everything".
 func Order() []string {
-	return []string{
-		"table1", "table2",
-		"fig4a", "fig4b", "fig4a-cdf", "fig4b-cdf", "fig5a", "fig5b",
-		"fig6", "fig7", "fig8", "fig9a", "fig9b",
-		"table3", "thm1", "thm2",
-		"ablation-reg", "ablation-align", "ablation-bvn", "notallstop", "faults",
-		"ext-single", "ext-sunflow", "ext-nas", "ext-online", "ext-hybrid", "ext-optics", "ext-scale",
+	var ids []string
+	for _, e := range experimentList {
+		if e.inAll {
+			ids = append(ids, e.id)
+		}
 	}
+	return ids
 }

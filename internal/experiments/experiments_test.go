@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -58,6 +59,26 @@ func TestRegistryCoversOrder(t *testing.T) {
 	// that would otherwise change results/all.txt).
 	if len(reg) != len(Order())+5 {
 		t.Errorf("Registry has %d entries, Order %d (+5 expected)", len(reg), len(Order()))
+	}
+}
+
+// TestDesignIndexListsEveryExperiment keeps DESIGN.md §4 — the index
+// recobench's doc comment and Registry's comment send readers to — in step
+// with experimentList: every id appears there backticked.
+func TestDesignIndexListsEveryExperiment(t *testing.T) {
+	doc, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, ok := strings.Cut(string(doc), "\n## 4. Per-experiment index\n")
+	if !ok {
+		t.Fatal("DESIGN.md has no \"## 4. Per-experiment index\" section")
+	}
+	index, _, _ := strings.Cut(rest, "\n## ")
+	for _, e := range experimentList {
+		if !strings.Contains(index, "`"+e.id+"`") {
+			t.Errorf("DESIGN.md §4 has no entry for `%s`", e.id)
+		}
 	}
 }
 

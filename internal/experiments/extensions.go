@@ -34,11 +34,7 @@ var extSingleAlgos = []string{
 // column is one registered scheduler, looked up by name.
 func ExtSingle(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
-	coflows, err := singleWorkload(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("ext-single: %w", err)
-	}
-	t := &Table{
+	return perClass(cfg, &Table{
 		ID:      "ext-single",
 		Title:   fmt.Sprintf("Mean single-coflow CCT across all baselines (delta=%d)", cfg.Delta),
 		Columns: []string{"Reco-Sin", "Solstice", "Sunflow", "TMS-BvN", "Helios", "Eclipse"},
@@ -46,55 +42,18 @@ func ExtSingle(cfg Config) (*Table, error) {
 			"Sunflow runs under the not-all-stop model it was designed for; the rest are all-stop",
 			"Helios slot = 4*delta",
 		},
-	}
-	type sample struct {
-		class workload.Class
-		cells []float64
-	}
-	samples, err := parallel.Map(cfg.workers(), len(coflows), func(i int) (sample, error) {
-		d := coflows[i].Demand
-		s := sample{class: workload.Classify(d), cells: make([]float64, len(extSingleAlgos))}
+	}, func(d *matrix.Matrix) ([]float64, error) {
+		cells := make([]float64, len(extSingleAlgos))
 		req := algo.Request{Demands: []*matrix.Matrix{d}, Delta: cfg.Delta, C: cfg.C}
 		for ai, name := range extSingleAlgos {
 			res, err := algo.MustGet(name).Schedule(context.Background(), req)
 			if err != nil {
-				return s, fmt.Errorf("ext-single %s: %w", name, err)
+				return nil, fmt.Errorf("%s: %w", name, err)
 			}
-			s.cells[ai] = float64(res.CCTs[0])
+			cells[ai] = float64(res.CCTs[0])
 		}
-		return s, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	byClass := map[workload.Class][][]float64{}
-	for _, cl := range classOrder {
-		byClass[cl] = make([][]float64, len(extSingleAlgos))
-	}
-	for _, s := range samples {
-		a := byClass[s.class]
-		for ai, v := range s.cells {
-			a[ai] = append(a[ai], v)
-		}
-	}
-	for _, cl := range classOrder {
-		a := byClass[cl]
-		cells := make([]float64, len(extSingleAlgos))
-		skip := false
-		for ai := range extSingleAlgos {
-			mean, err := stats.Mean(a[ai])
-			if err != nil {
-				skip = true
-				break
-			}
-			cells[ai] = mean
-		}
-		if skip {
-			continue
-		}
-		t.AddRow(cl.String(), cells...)
-	}
-	return t, nil
+		return cells, nil
+	}, presentOnly(meanRow))
 }
 
 // ExtOnline compares the online controller policies (Sec. VIII's future
@@ -109,10 +68,7 @@ func ExtOnline(cfg Config) (*Table, error) {
 		Title:   fmt.Sprintf("Online policies over arriving coflows (delta=%d, c=%d)", cfg.Delta, cfg.C),
 		Columns: []string{"avg CCT", "95p CCT", "reconfigs", "units"},
 	}
-	coflows, err := workload.Generate(workload.GenConfig{
-		N: cfg.MulN, NumCoflows: cfg.MulCoflows * 3, Seed: cfg.Seed,
-		MinDemand: cfg.C * cfg.Delta, MeanDemand: cfg.C * cfg.Delta,
-	})
+	coflows, err := workload.Generate(elephantGen(cfg, cfg.MulN, cfg.MulCoflows*3, cfg.Seed))
 	if err != nil {
 		return nil, fmt.Errorf("ext-online: %w", err)
 	}
@@ -158,12 +114,7 @@ func ExtHybrid(cfg Config) (*Table, error) {
 		Title:   fmt.Sprintf("Hybrid switch: mean CCT vs elephant threshold (delta=%d, packet 10x slower)", cfg.Delta),
 		Columns: []string{"mean CCT", "OCS reconfigs", "packet share %"},
 	}
-	// A workload with real mice: floor of 1 tick, spread over the usual
-	// decades, so the threshold has something to separate.
-	coflows, err := workload.Generate(workload.GenConfig{
-		N: cfg.SingleN, NumCoflows: cfg.SingleCoflows, Seed: cfg.Seed,
-		MinDemand: 1, MeanDemand: maxI64(cfg.Delta/50, 2), SizeSpread: 4,
-	})
+	coflows, err := miceWorkload(cfg, cfg.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("ext-hybrid: %w", err)
 	}
@@ -172,26 +123,14 @@ func ExtHybrid(cfg Config) (*Table, error) {
 	// of a reconfiguration, which crosses over near delta/slowdown.
 	thresholds := []int64{0, cfg.Delta / 16, cfg.Delta / 4, cfg.Delta, 4 * cfg.Delta, 16 * cfg.Delta, 64 * cfg.Delta}
 	// One trial per (threshold, coflow) pair.
-	type sample struct {
-		cct                     float64
-		reconfigs               int
-		ocsDemand, packetDemand int64
-	}
-	trials := len(thresholds) * len(coflows)
-	samples, err := parallel.Map(cfg.workers(), trials, func(i int) (sample, error) {
-		ti, ci := i/len(coflows), i%len(coflows)
+	samples, err := grid(cfg.workers(), len(thresholds), len(coflows), func(ti, ci int) (*hybrid.Result, error) {
 		res, err := hybrid.Schedule(coflows[ci].Demand, hybrid.Config{
 			Delta: cfg.Delta, Threshold: thresholds[ti], PacketSlowdown: 10,
 		})
 		if err != nil {
-			return sample{}, fmt.Errorf("ext-hybrid threshold %d: %w", thresholds[ti], err)
+			return nil, fmt.Errorf("ext-hybrid threshold %d: %w", thresholds[ti], err)
 		}
-		return sample{
-			cct:          float64(res.CCT),
-			reconfigs:    res.OCSReconfigs,
-			ocsDemand:    res.OCSDemand,
-			packetDemand: res.PacketDemand,
-		}, nil
+		return res, nil
 	})
 	if err != nil {
 		return nil, err
@@ -200,12 +139,11 @@ func ExtHybrid(cfg Config) (*Table, error) {
 		var ccts []float64
 		var reconfigs int
 		var ocsDemand, packetDemand int64
-		for ci := range coflows {
-			s := samples[ti*len(coflows)+ci]
-			ccts = append(ccts, s.cct)
-			reconfigs += s.reconfigs
-			ocsDemand += s.ocsDemand
-			packetDemand += s.packetDemand
+		for _, res := range samples[ti] {
+			ccts = append(ccts, float64(res.CCT))
+			reconfigs += res.OCSReconfigs
+			ocsDemand += res.OCSDemand
+			packetDemand += res.PacketDemand
 		}
 		mean, err := stats.Mean(ccts)
 		if err != nil {
@@ -225,58 +163,25 @@ func ExtHybrid(cfg Config) (*Table, error) {
 // regularized schedule's fewer establishments still pay off.
 func ExtSunflowNAS(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
-	coflows, err := singleWorkload(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("ext-sunflow: %w", err)
-	}
-	t := &Table{
+	return perClass(cfg, &Table{
 		ID:      "ext-sunflow",
 		Title:   fmt.Sprintf("Not-all-stop model: Reco-Sin vs Sunflow mean CCT (delta=%d)", cfg.Delta),
 		Columns: []string{"Reco-Sin(NAS)", "Sunflow", "Sunflow/Reco"},
-	}
-	type sample struct {
-		class     workload.Class
-		reco, sun float64
-	}
-	samples, err := parallel.Map(cfg.workers(), len(coflows), func(i int) (sample, error) {
-		d := coflows[i].Demand
+	}, func(d *matrix.Matrix) ([]float64, error) {
 		cs, err := core.RecoSin(d, cfg.Delta)
 		if err != nil {
-			return sample{}, fmt.Errorf("ext-sunflow: %w", err)
+			return nil, err
 		}
 		nas, err := ocs.ExecNotAllStop(d, cs, cfg.Delta)
 		if err != nil {
-			return sample{}, fmt.Errorf("ext-sunflow: %w", err)
+			return nil, err
 		}
 		sun, err := sunflow.Schedule(d, cfg.Delta)
 		if err != nil {
-			return sample{}, fmt.Errorf("ext-sunflow: %w", err)
+			return nil, err
 		}
-		return sample{class: workload.Classify(d), reco: float64(nas.CCT), sun: float64(sun.CCT)}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	type acc struct{ reco, sun []float64 }
-	byClass := map[workload.Class]*acc{}
-	for _, cl := range classOrder {
-		byClass[cl] = &acc{}
-	}
-	for _, s := range samples {
-		a := byClass[s.class]
-		a.reco = append(a.reco, s.reco)
-		a.sun = append(a.sun, s.sun)
-	}
-	for _, cl := range classOrder {
-		a := byClass[cl]
-		reco, err := stats.Mean(a.reco)
-		if err != nil {
-			continue
-		}
-		sun, _ := stats.Mean(a.sun)
-		t.AddRow(cl.String(), reco, sun, stats.Ratio(sun, reco))
-	}
-	return t, nil
+		return []float64{float64(nas.CCT), float64(sun.CCT)}, nil
+	}, presentOnly(meanRatioRow(1, 0)))
 }
 
 // ExtOptics measures the "price of optics": Reco-Mul's mean CCT over the
@@ -292,17 +197,13 @@ func ExtOptics(cfg Config) (*Table, error) {
 		Title:   fmt.Sprintf("Reco-Mul CCT over the ideal electrical reference, vs delta (c=%d)", cfg.C),
 		Columns: []string{"Reco-Mul avg", "fluid avg", "ratio"},
 	}
-	batches, err := parallel.Map(cfg.workers(), cfg.MulBatches, func(b int) ([]*matrix.Matrix, error) {
-		return mixedBatch(cfg, parallel.Seed(cfg.Seed, saltOptics, int64(b)))
-	})
+	batches, err := mixedBatches(cfg, saltOptics)
 	if err != nil {
 		return nil, fmt.Errorf("ext-optics: %w", err)
 	}
 	deltas := []int64{0, 10, 100, 1000}
 	type sample struct{ reco, fluid []float64 }
-	trials := len(deltas) * len(batches)
-	samples, err := parallel.Map(cfg.workers(), trials, func(i int) (sample, error) {
-		di, b := i/len(batches), i%len(batches)
+	samples, err := grid(cfg.workers(), len(deltas), len(batches), func(di, b int) (sample, error) {
 		ds := batches[b]
 		mul, err := core.ScheduleMul(ds, nil, deltas[di], cfg.C)
 		if err != nil {
@@ -320,8 +221,7 @@ func ExtOptics(cfg Config) (*Table, error) {
 	}
 	for di, delta := range deltas {
 		var recoVals, fluidVals []float64
-		for b := range batches {
-			s := samples[di*len(batches)+b]
+		for _, s := range samples[di] {
 			recoVals = append(recoVals, s.reco...)
 			fluidVals = append(fluidVals, s.fluid...)
 		}
@@ -347,42 +247,26 @@ func ExtScale(cfg Config) (*Table, error) {
 		Title:   fmt.Sprintf("Scale stability of LP-II-GB / Reco-Mul ratios vs fabric size (delta=%d, c=%d)", cfg.Delta, cfg.C),
 		Columns: []string{"CCT ratio", "reconf ratio"},
 	}
-	base := cfg.MulN
-	sizes := []int{base / 2, base * 3 / 4, base}
-	trials := len(sizes) * cfg.MulBatches
-	outs, err := parallel.Map(cfg.workers(), trials, func(i int) (*mulOutcome, error) {
-		ni, b := i/cfg.MulBatches, i%cfg.MulBatches
-		sweep := cfg
-		sweep.MulN = sizes[ni]
-		ds, err := mixedBatch(sweep, parallel.Seed(cfg.Seed, saltScale, int64(b)))
-		if err != nil {
-			return nil, fmt.Errorf("ext-scale n=%d: %w", sizes[ni], err)
-		}
-		out, err := runMulBatch(ds, nil, cfg.Delta, cfg.C, false)
-		if err != nil {
-			return nil, fmt.Errorf("ext-scale n=%d batch %d: %w", sizes[ni], b, err)
-		}
-		return out, nil
+	sizes := []int{cfg.MulN / 2, cfg.MulN * 3 / 4, cfg.MulN}
+	outs, err := sweepMixed(cfg, saltScale, len(sizes), func(i int) Config {
+		point := cfg
+		point.MulN = sizes[i]
+		return point
 	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ext-scale: %w", err)
 	}
 	for ni, n := range sizes {
-		var lpVals, recoVals []float64
-		var lpReconf, recoReconf float64
-		for b := 0; b < cfg.MulBatches; b++ {
-			out := outs[ni*cfg.MulBatches+b]
-			lpVals = append(lpVals, stats.Int64s(out.lpCCTs)...)
-			recoVals = append(recoVals, stats.Int64s(out.recoCCTs)...)
-			lpReconf += float64(out.lpReconf)
-			recoReconf += float64(out.recoReconf)
-		}
-		lpMean, err := stats.Mean(lpVals)
+		cctRatio, _, err := normalizedCCT(outs[ni], mixed, lpCCTs)
 		if err != nil {
 			return nil, fmt.Errorf("ext-scale n=%d: %w", n, err)
 		}
-		recoMean, _ := stats.Mean(recoVals)
-		t.AddRow(fmt.Sprintf("N=%d", n), stats.Ratio(lpMean, recoMean), stats.Ratio(lpReconf, recoReconf))
+		var lpReconf, recoReconf float64
+		for _, out := range outs[ni] {
+			lpReconf += float64(out.lpReconf)
+			recoReconf += float64(out.recoReconf)
+		}
+		t.AddRow(fmt.Sprintf("N=%d", n), cctRatio, stats.Ratio(lpReconf, recoReconf))
 	}
 	return t, nil
 }
@@ -459,10 +343,7 @@ func ExtNAS(cfg Config) (*Table, error) {
 // `recobench -exp all`; run it explicitly (it takes ~30 s).
 func ExtFull(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
-	coflows, err := workload.Generate(workload.GenConfig{
-		N: 150, NumCoflows: 526, Seed: cfg.Seed,
-		MinDemand: cfg.C * cfg.Delta, MeanDemand: cfg.C * cfg.Delta,
-	})
+	coflows, err := workload.Generate(elephantGen(cfg, 150, 526, cfg.Seed))
 	if err != nil {
 		return nil, fmt.Errorf("ext-full: %w", err)
 	}

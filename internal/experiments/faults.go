@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"reco/internal/core"
 	"reco/internal/faults"
-	"reco/internal/ocs"
 	"reco/internal/parallel"
 	"reco/internal/sim"
 	"reco/internal/stats"
@@ -55,19 +53,13 @@ func runFaultTrials(cfg Config) ([][]faultPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	k := len(coflows)
-	flat, err := parallel.Map(cfg.workers(), len(faultLevels)*k, func(t int) (faultPoint, error) {
-		li, ci := t/k, t%k
+	return grid(cfg.workers(), len(faultLevels), len(coflows), func(li, ci int) (faultPoint, error) {
 		lvl := faultLevels[li]
 		d := coflows[ci].Demand
 
-		cs, err := core.RecoSin(d, cfg.Delta)
+		cs, clean, err := recoSinAllStop(d, cfg.Delta, cfg.Delta)
 		if err != nil {
-			return faultPoint{}, fmt.Errorf("reco-sin on coflow %d: %w", ci, err)
-		}
-		clean, err := ocs.ExecAllStop(d, cs, cfg.Delta)
-		if err != nil {
-			return faultPoint{}, fmt.Errorf("clean exec on coflow %d: %w", ci, err)
+			return faultPoint{}, fmt.Errorf("coflow %d: %w", ci, err)
 		}
 		// Faults strike inside the nominal run window and every failed port
 		// recovers after half of it, so all demand stays servable and both
@@ -77,7 +69,7 @@ func runFaultTrials(cfg Config) ([][]faultPoint, error) {
 			Seed:          parallel.Seed(cfg.Seed, faultSalt, int64(li), int64(ci)),
 			Horizon:       clean.CCT,
 			PortFailRate:  lvl.portRate,
-			RepairAfter:   maxI64(clean.CCT/2, cfg.Delta),
+			RepairAfter:   max(clean.CCT/2, cfg.Delta),
 			SetupFailProb: lvl.setupProb,
 		})
 		if err != nil {
@@ -97,14 +89,6 @@ func runFaultTrials(cfg Config) ([][]faultPoint, error) {
 			recoverN: float64(rec.CCT) / base,
 		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]faultPoint, len(faultLevels))
-	for li := range faultLevels {
-		out[li] = flat[li*k : (li+1)*k]
-	}
-	return out, nil
 }
 
 // Faults is the degraded-CCT experiment: mean CCT under injected port

@@ -6,9 +6,7 @@ import (
 	"reco/internal/core"
 	"reco/internal/matrix"
 	"reco/internal/ocs"
-	"reco/internal/parallel"
 	"reco/internal/solstice"
-	"reco/internal/workload"
 )
 
 // frontierKs is the term-bound sweep the frontier experiment publishes.
@@ -27,9 +25,7 @@ var frontierKs = []int{1, 2, 4, 8, 16}
 // several times fewer reconfigurations while its CCT stays within a small
 // constant factor of — often below — the full decomposition's.
 //
-// The experiment is registered as "frontier" but intentionally not part of
-// Order(), so `recobench -exp all` output is unchanged; regenerate
-// results/frontier.csv with `recobench -exp frontier -outdir results`.
+// Off the presentation order: see experimentList.
 func Frontier(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
 	t := &Table{
@@ -44,83 +40,58 @@ func Frontier(cfg Config) (*Table, error) {
 		},
 	}
 
-	coflows, err := workload.Generate(workload.GenConfig{
-		N: cfg.MulN, NumCoflows: cfg.SingleCoflows, Seed: parallel.Seed(cfg.Seed, saltFrontier),
-		MinDemand: cfg.C * cfg.Delta, MeanDemand: cfg.C * cfg.Delta,
-	})
+	batches, err := classBatches(cfg, saltFrontier)
 	if err != nil {
 		return nil, fmt.Errorf("frontier: %w", err)
 	}
-	batches := make(map[workload.Class][]*matrix.Matrix)
-	for _, c := range coflows {
-		cl := workload.Classify(c.Demand)
-		if len(batches[cl]) < cfg.MulCoflows {
-			batches[cl] = append(batches[cl], c.Demand)
-		}
-	}
 
-	// One variant per class and term bound; k = 0 encodes the full baseline.
-	type variant struct {
-		class workload.Class
-		k     int
-	}
-	var variants []variant
-	for _, cl := range classOrder {
-		if len(batches[cl]) == 0 {
-			continue
+	// schedule builds one coflow's circuit schedule: k reco-sparse terms, or
+	// Solstice's full decomposition for k = 0.
+	schedule := func(d *matrix.Matrix, k int) (ocs.CircuitSchedule, error) {
+		if k == 0 {
+			return solstice.Schedule(d)
 		}
-		variants = append(variants, variant{cl, 0})
-		for _, k := range frontierKs {
-			variants = append(variants, variant{cl, k})
-		}
+		return core.RecoSparse(d, cfg.Delta, k)
 	}
-
 	// batchRun plays every coflow of the batch through its schedule alone on
 	// the switch and sums CCTs and executed reconfigurations.
-	batchRun := func(ds []*matrix.Matrix, k int) (cct float64, reconfigs float64, err error) {
-		for _, d := range ds {
-			var cs ocs.CircuitSchedule
-			if k == 0 {
-				cs, err = solstice.Schedule(d)
-			} else {
-				cs, err = core.RecoSparse(d, cfg.Delta, k)
-			}
+	type totals struct{ cct, reconfigs float64 }
+	batchRun := func(b classBatch, k int) (totals, error) {
+		var sum totals
+		for _, d := range b.ds {
+			cs, err := schedule(d, k)
 			if err != nil {
-				return 0, 0, err
+				return totals{}, fmt.Errorf("frontier %s k=%d: %w", className(b.class), k, err)
 			}
 			res, err := ocs.ExecAllStop(d, cs, cfg.Delta)
 			if err != nil {
-				return 0, 0, err
+				return totals{}, fmt.Errorf("frontier %s k=%d: %w", className(b.class), k, err)
 			}
-			cct += float64(res.CCT)
-			reconfigs += float64(res.Reconfigs)
+			sum.cct += float64(res.CCT)
+			sum.reconfigs += float64(res.Reconfigs)
 		}
-		return cct, reconfigs, nil
+		return sum, nil
 	}
 
-	rows, err := parallel.Map(cfg.workers(), len(variants), func(i int) (Row, error) {
-		v := variants[i]
-		ds := batches[v.class]
-		cct, reconfigs, err := batchRun(ds, v.k)
-		if err != nil {
-			return Row{}, fmt.Errorf("frontier %s k=%d: %w", className(v.class), v.k, err)
-		}
-		fullCCT, fullReconfigs, err := batchRun(ds, 0)
-		if err != nil {
-			return Row{}, fmt.Errorf("frontier %s full: %w", className(v.class), err)
-		}
-		label := fmt.Sprintf("%s/k=%d", className(v.class), v.k)
-		if v.k == 0 {
-			label = className(v.class) + "/full"
-		}
-		return Row{
-			Label: label,
-			Cells: []float64{cct, reconfigs, cct / fullCCT, reconfigs / fullReconfigs},
-		}, nil
+	// k = 0, the baseline every row of a class is normalized to, is column 0
+	// of the (class, k) grid: it runs once per class.
+	ks := append([]int{0}, frontierKs...)
+	sweep, err := grid(cfg.workers(), len(batches), len(ks), func(ci, ki int) (totals, error) {
+		return batchRun(batches[ci], ks[ki])
 	})
 	if err != nil {
 		return nil, err
 	}
-	t.Rows = rows
+	for ci, b := range batches {
+		full := sweep[ci][0]
+		for ki, k := range ks {
+			label := fmt.Sprintf("%s/k=%d", className(b.class), k)
+			if k == 0 {
+				label = className(b.class) + "/full"
+			}
+			v := sweep[ci][ki]
+			t.AddRow(label, v.cct, v.reconfigs, v.cct/full.cct, v.reconfigs/full.reconfigs)
+		}
+	}
 	return t, nil
 }

@@ -4,12 +4,9 @@ import (
 	"fmt"
 	"math"
 
-	"reco/internal/core"
 	"reco/internal/hybrid"
-	"reco/internal/ocs"
 	"reco/internal/parallel"
 	"reco/internal/stats"
-	"reco/internal/workload"
 )
 
 // hybridFracs is the electrical-bandwidth sweep the hybrid experiment
@@ -43,9 +40,7 @@ var hybridThresholdDeltas = []int64{1, 4, 16}
 // optical residuals, so the fluid CCT is never behind and strictly ahead
 // wherever reconfiguration stalls leave slack.
 //
-// The experiment is registered as "hybrid" but intentionally not part of
-// Order(), so `recobench -exp all` output is unchanged; regenerate
-// results/hybrid.csv with `recobench -exp hybrid -outdir results`.
+// Off the presentation order: see experimentList.
 func Hybrid(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
 	t := &Table{
@@ -59,32 +54,18 @@ func Hybrid(cfg Config) (*Table, error) {
 		},
 	}
 
-	// The same mice-heavy workload shape as ext-hybrid: floor of 1 tick,
-	// spread over the usual decades, so the threshold has something to
-	// separate and the electrical fabric real mice to carry.
-	coflows, err := workload.Generate(workload.GenConfig{
-		N: cfg.SingleN, NumCoflows: cfg.SingleCoflows, Seed: parallel.Seed(cfg.Seed, saltHybrid),
-		MinDemand: 1, MeanDemand: maxI64(cfg.Delta/50, 2), SizeSpread: 4,
-	})
+	coflows, err := miceWorkload(cfg, parallel.Seed(cfg.Seed, saltHybrid))
 	if err != nil {
 		return nil, fmt.Errorf("hybrid: %w", err)
 	}
 
 	// The all-optical baseline is threshold-independent: one run per coflow.
 	ocsOnly, err := parallel.Map(cfg.workers(), len(coflows), func(i int) (float64, error) {
-		d := coflows[i].Demand
-		cs, err := core.RecoSin(d, cfg.Delta)
-		if err != nil {
-			return 0, fmt.Errorf("hybrid ocs-only: %w", err)
-		}
-		exec, err := ocs.ExecAllStop(d, cs, cfg.Delta)
-		if err != nil {
-			return 0, fmt.Errorf("hybrid ocs-only: %w", err)
-		}
-		return float64(exec.CCT), nil
+		_, exec, err := recoSinAllStop(coflows[i].Demand, cfg.Delta, cfg.Delta)
+		return float64(exec.CCT), err
 	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("hybrid ocs-only: %w", err)
 	}
 	ocsMean, err := stats.Mean(ocsOnly)
 	if err != nil {
@@ -102,14 +83,10 @@ func Hybrid(cfg Config) (*Table, error) {
 		}
 	}
 
-	// One trial per (variant, coflow) pair; parallel.Map keeps index order,
-	// so the table is identical at any worker count.
-	type sample struct {
-		static, fluid float64
-	}
-	trials := len(variants) * len(coflows)
-	samples, err := parallel.Map(cfg.workers(), trials, func(i int) (sample, error) {
-		v, d := variants[i/len(coflows)], coflows[i%len(coflows)].Demand
+	// One trial per (variant, coflow) pair.
+	type sample struct{ static, fluid float64 }
+	samples, err := grid(cfg.workers(), len(variants), len(coflows), func(vi, ci int) (sample, error) {
+		v, d := variants[vi], coflows[ci].Demand
 		st, err := hybrid.Schedule(d, hybrid.Config{
 			Delta: cfg.Delta, Threshold: v.thr,
 			PacketSlowdown: int64(math.Round(1 / v.frac)),
@@ -132,8 +109,7 @@ func Hybrid(cfg Config) (*Table, error) {
 
 	for vi, v := range variants {
 		var static, fluid []float64
-		for ci := range coflows {
-			s := samples[vi*len(coflows)+ci]
+		for _, s := range samples[vi] {
 			static = append(static, s.static)
 			fluid = append(fluid, s.fluid)
 		}

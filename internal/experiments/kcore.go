@@ -3,12 +3,10 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"reco/internal/kcore"
-	"reco/internal/matrix"
-	"reco/internal/parallel"
 	"reco/internal/topology"
-	"reco/internal/workload"
 )
 
 // kcoreWidths is the fabric-width sweep the kcore experiment publishes.
@@ -25,9 +23,7 @@ var kcoreWidths = []int{1, 2, 4, 8}
 // round-robin never beats greedy — size-blind cyclic dealing loads one core
 // with the elephants the greedy split spreads out.
 //
-// The experiment is registered as "kcore" but intentionally not part of
-// Order(), so `recobench -exp all` output is unchanged; regenerate
-// results/kcore.csv with `recobench -exp kcore -outdir results`.
+// Off the presentation order: see experimentList.
 func KCore(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
 	t := &Table{
@@ -42,54 +38,22 @@ func KCore(cfg Config) (*Table, error) {
 		},
 	}
 
-	coflows, err := workload.Generate(workload.GenConfig{
-		N: cfg.MulN, NumCoflows: cfg.SingleCoflows, Seed: parallel.Seed(cfg.Seed, saltKCore),
-		MinDemand: cfg.C * cfg.Delta, MeanDemand: cfg.C * cfg.Delta,
-	})
+	batches, err := classBatches(cfg, saltKCore)
 	if err != nil {
 		return nil, fmt.Errorf("kcore: %w", err)
 	}
-	batches := make(map[workload.Class][]*matrix.Matrix)
-	for _, c := range coflows {
-		cl := workload.Classify(c.Demand)
-		if len(batches[cl]) < cfg.MulCoflows {
-			batches[cl] = append(batches[cl], c.Demand)
-		}
-	}
-
-	type variant struct {
-		class workload.Class
-		k     int
-	}
-	var variants []variant
-	for _, cl := range classOrder {
-		if len(batches[cl]) == 0 {
-			continue
-		}
-		for _, k := range kcoreWidths {
-			variants = append(variants, variant{cl, k})
-		}
-	}
-
-	rows, err := parallel.Map(cfg.workers(), len(variants), func(i int) (Row, error) {
-		v := variants[i]
-		ds := batches[v.class]
-		topo, err := topology.Uniform(cfg.MulN, v.k, cfg.Delta)
+	rows, err := grid(cfg.workers(), len(batches), len(kcoreWidths), func(ci, ki int) (Row, error) {
+		cl, ds, k := className(batches[ci].class), batches[ci].ds, kcoreWidths[ki]
+		topo, err := topology.Uniform(cfg.MulN, k, cfg.Delta)
 		if err != nil {
-			return Row{}, fmt.Errorf("kcore %s K=%d: %w", className(v.class), v.k, err)
+			return Row{}, fmt.Errorf("kcore %s K=%d: %w", cl, k, err)
 		}
 		makespan := func(strat kcore.Strategy) (float64, error) {
 			batch, err := kcore.ScheduleBatch(context.Background(), ds, topo, strat)
 			if err != nil {
-				return 0, fmt.Errorf("kcore %s K=%d %s: %w", className(v.class), v.k, strat, err)
+				return 0, fmt.Errorf("kcore %s K=%d %s: %w", cl, k, strat, err)
 			}
-			var worst int64
-			for _, cct := range batch.Seq.CCTs {
-				if cct > worst {
-					worst = cct
-				}
-			}
-			return float64(worst), nil
+			return float64(slices.Max(batch.Seq.CCTs)), nil
 		}
 		greedy, err := makespan(kcore.Greedy)
 		if err != nil {
@@ -104,13 +68,15 @@ func KCore(cfg Config) (*Table, error) {
 			lb += topology.LowerBound(d, topo)
 		}
 		return Row{
-			Label: fmt.Sprintf("%s/K=%d", className(v.class), v.k),
+			Label: fmt.Sprintf("%s/K=%d", cl, k),
 			Cells: []float64{greedy, rr, rr / greedy, float64(lb)},
 		}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	t.Rows = rows
+	for _, perK := range rows {
+		t.Rows = append(t.Rows, perK...)
+	}
 	return t, nil
 }

@@ -54,16 +54,8 @@ func mulBatch(cfg Config, seed int64, cl workload.Class) ([]*matrix.Matrix, erro
 	need := cfg.MulCoflows
 	var out []*matrix.Matrix
 	for attempt := 0; attempt < 64 && len(out) < need; attempt++ {
-		coflows, err := workload.GenerateWith(parallel.Rand(seed, int64(attempt)), workload.GenConfig{
-			N:          cfg.MulN,
-			NumCoflows: maxInt(need*4, 64),
-			// Multi-coflow batches keep flow sizes near the elephant floor
-			// c·δ: that is the regime the paper's minimum-demand assumption
-			// describes, and where start-time alignment (the whole point of
-			// Reco-Mul) operates.
-			MinDemand:  cfg.C * cfg.Delta,
-			MeanDemand: cfg.C * cfg.Delta,
-		})
+		coflows, err := workload.GenerateWith(parallel.Rand(seed, int64(attempt)),
+			elephantGen(cfg, cfg.MulN, max(need*4, 64), 0))
 		if err != nil {
 			return nil, err
 		}
@@ -105,6 +97,7 @@ func classesOf(ds []*matrix.Matrix) []workload.Class {
 // mulOutcome is the result of running all multi-coflow algorithms on one
 // batch.
 type mulOutcome struct {
+	classes                    []workload.Class
 	recoCCTs, lpCCTs, sebfCCTs []int64
 	recoReconf, lpReconf       int
 	weights                    []float64
@@ -123,6 +116,7 @@ func runMulBatch(ds []*matrix.Matrix, w []float64, delta, c int64, withSEBF bool
 		return nil, fmt.Errorf("lp-ii-gb: %w", err)
 	}
 	out := &mulOutcome{
+		classes:    classesOf(ds),
 		recoCCTs:   reco.CCTs,
 		lpCCTs:     lp.CCTs,
 		recoReconf: reco.Reconfigs,
@@ -177,20 +171,42 @@ func aggregateRatios(algVals, recoVals []float64) (avg, p95 float64, err error) 
 
 var mulClassOrder = []workload.Class{workload.Sparse, workload.Normal, workload.Dense, mixed}
 
-// mixedOutcome is one mixed batch scheduled and tagged: everything the
-// mixed-workload figures aggregate from a trial.
-type mixedOutcome struct {
-	classes []workload.Class
-	out     *mulOutcome
+func lpCCTs(o *mulOutcome) []int64   { return o.lpCCTs }
+func sebfCCTs(o *mulOutcome) []int64 { return o.sebfCCTs }
+
+// normalizedCCT pools, over outs, the weighted CCTs of alg and of Reco-Mul on
+// the coflows of class cl (mixed keeps all) and returns aggregateRatios of
+// the two pools. It fails when no batch holds a coflow of the class.
+func normalizedCCT(outs []*mulOutcome, cl workload.Class, alg func(*mulOutcome) []int64) (avg, p95 float64, err error) {
+	var algVals, recoVals []float64
+	for _, o := range outs {
+		algW := weightedValues(alg(o), o.weights)
+		recoW := weightedValues(o.recoCCTs, o.weights)
+		for k, class := range o.classes {
+			if cl == mixed || class == cl {
+				algVals = append(algVals, algW[k])
+				recoVals = append(recoVals, recoW[k])
+			}
+		}
+	}
+	return aggregateRatios(algVals, recoVals)
+}
+
+// mixedBatches draws the MulBatches mixed batches of (Seed, salt), one trial
+// per batch.
+func mixedBatches(cfg Config, salt int64) ([][]*matrix.Matrix, error) {
+	return parallel.Map(cfg.workers(), cfg.MulBatches, func(b int) ([]*matrix.Matrix, error) {
+		return mixedBatch(cfg, parallel.Seed(cfg.Seed, salt, int64(b)))
+	})
 }
 
 // runMixedBatches draws and schedules MulBatches mixed batches in parallel,
 // one trial per batch, with per-trial seeds derived from (Seed, salt, b).
-func runMixedBatches(cfg Config, salt int64, withSEBF bool) ([]mixedOutcome, error) {
-	return parallel.Map(cfg.workers(), cfg.MulBatches, func(b int) (mixedOutcome, error) {
+func runMixedBatches(cfg Config, salt int64, withSEBF bool) ([]*mulOutcome, error) {
+	return parallel.Map(cfg.workers(), cfg.MulBatches, func(b int) (*mulOutcome, error) {
 		ds, err := mixedBatch(cfg, parallel.Seed(cfg.Seed, salt, int64(b)))
 		if err != nil {
-			return mixedOutcome{}, err
+			return nil, err
 		}
 		var w []float64
 		if salt == saltFig6 {
@@ -205,10 +221,61 @@ func runMixedBatches(cfg Config, salt int64, withSEBF bool) ([]mixedOutcome, err
 		}
 		out, err := runMulBatch(ds, w, cfg.Delta, cfg.C, withSEBF)
 		if err != nil {
-			return mixedOutcome{}, fmt.Errorf("batch %d: %w", b, err)
+			return nil, fmt.Errorf("batch %d: %w", b, err)
 		}
-		return mixedOutcome{classes: classesOf(ds), out: out}, nil
+		return out, nil
 	})
+}
+
+// sweepMixed schedules, for each of n sweep points, the MulBatches mixed
+// batches of (Seed, salt) drawn under that point's configuration at(i) —
+// the same batch seeds at every point, so only the swept knob moves — as
+// one (point, batch) trial grid.
+func sweepMixed(cfg Config, salt int64, n int, at func(i int) Config) ([][]*mulOutcome, error) {
+	return grid(cfg.workers(), n, cfg.MulBatches, func(i, b int) (*mulOutcome, error) {
+		point := at(i)
+		ds, err := mixedBatch(point, parallel.Seed(cfg.Seed, salt, int64(b)))
+		if err != nil {
+			return nil, err
+		}
+		out, err := runMulBatch(ds, nil, point.Delta, point.C, false)
+		if err != nil {
+			return nil, fmt.Errorf("batch %d: %w", b, err)
+		}
+		return out, nil
+	})
+}
+
+// classBatchSums runs trial on MulBatches fresh batches of every
+// mulClassOrder class — one (class, batch) trial grid, each batch drawn from
+// (Seed, salt, class index, batch) — and returns, per class, the sums of the
+// trial's columns over the class's batches.
+func classBatchSums(cfg Config, salt int64, trial func(ds []*matrix.Matrix) ([]float64, error)) ([][]float64, error) {
+	outs, err := grid(cfg.workers(), len(mulClassOrder), cfg.MulBatches, func(ci, b int) ([]float64, error) {
+		cl := mulClassOrder[ci]
+		ds, err := mulBatch(cfg, parallel.Seed(cfg.Seed, salt, int64(ci), int64(b)), cl)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", className(cl), err)
+		}
+		cols, err := trial(ds)
+		if err != nil {
+			return nil, fmt.Errorf("%s batch %d: %w", className(cl), b, err)
+		}
+		return cols, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	sums := make([][]float64, len(outs))
+	for ci, batches := range outs {
+		sums[ci] = make([]float64, len(batches[0]))
+		for _, cols := range batches {
+			for c, v := range cols {
+				sums[ci][c] += v
+			}
+		}
+	}
+	return sums, nil
 }
 
 // Fig6 reproduces Fig. 6: normalized weighted CCT of LP-II-GB against
@@ -226,20 +293,8 @@ func Fig6(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fig6: %w", err)
 	}
-	lpVals := map[workload.Class][]float64{}
-	recoVals := map[workload.Class][]float64{}
-	for _, mb := range batches {
-		lpW := weightedValues(mb.out.lpCCTs, mb.out.weights)
-		recoW := weightedValues(mb.out.recoCCTs, mb.out.weights)
-		for k, cl := range mb.classes {
-			lpVals[cl] = append(lpVals[cl], lpW[k])
-			recoVals[cl] = append(recoVals[cl], recoW[k])
-			lpVals[mixed] = append(lpVals[mixed], lpW[k])
-			recoVals[mixed] = append(recoVals[mixed], recoW[k])
-		}
-	}
 	for _, cl := range mulClassOrder {
-		avg, p95, err := aggregateRatios(lpVals[cl], recoVals[cl])
+		avg, p95, err := normalizedCCT(batches, cl, lpCCTs)
 		if err != nil {
 			continue // class absent from the sampled batches
 		}
@@ -262,24 +317,12 @@ func Fig7(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fig7: %w", err)
 	}
-	lpVals := map[workload.Class][]float64{}
-	sebfVals := map[workload.Class][]float64{}
-	recoVals := map[workload.Class][]float64{}
-	for _, mb := range batches {
-		for k, cl := range mb.classes {
-			for _, tag := range []workload.Class{cl, mixed} {
-				lpVals[tag] = append(lpVals[tag], float64(mb.out.lpCCTs[k]))
-				sebfVals[tag] = append(sebfVals[tag], float64(mb.out.sebfCCTs[k]))
-				recoVals[tag] = append(recoVals[tag], float64(mb.out.recoCCTs[k]))
-			}
-		}
-	}
 	for _, cl := range mulClassOrder {
-		lpAvg, lpP95, err := aggregateRatios(lpVals[cl], recoVals[cl])
+		lpAvg, lpP95, err := normalizedCCT(batches, cl, lpCCTs)
 		if err != nil {
 			continue // class absent from the sampled batches
 		}
-		sebfAvg, sebfP95, err := aggregateRatios(sebfVals[cl], recoVals[cl])
+		sebfAvg, sebfP95, err := normalizedCCT(batches, cl, sebfCCTs)
 		if err != nil {
 			continue
 		}
@@ -289,8 +332,7 @@ func Fig7(cfg Config) (*Table, error) {
 }
 
 // Fig8 reproduces Fig. 8: total reconfiguration counts of Reco-Mul vs
-// LP-II-GB, per density class and mixed. The (class, batch) grid is one
-// flat trial sweep; per-class totals are folded from the ordered results.
+// LP-II-GB, per density class and mixed.
 func Fig8(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
 	t := &Table{
@@ -299,33 +341,20 @@ func Fig8(cfg Config) (*Table, error) {
 		Columns: []string{"Reco-Mul", "LPIIGB", "LPIIGB/Reco"},
 		Notes:   []string{"paper ratios: sparse 4.37x, normal 2.56x, dense 1.48x, all 2.59x"},
 	}
-	type counts struct{ reco, lp float64 }
-	trials := len(mulClassOrder) * cfg.MulBatches
-	outs, err := parallel.Map(cfg.workers(), trials, func(i int) (counts, error) {
-		ci, b := i/cfg.MulBatches, i%cfg.MulBatches
-		cl := mulClassOrder[ci]
-		ds, err := mulBatch(cfg, parallel.Seed(cfg.Seed, saltFig8, int64(ci), int64(b)), cl)
-		if err != nil {
-			return counts{}, fmt.Errorf("fig8 %s: %w", className(cl), err)
-		}
+	totals, err := classBatchSums(cfg, saltFig8, func(ds []*matrix.Matrix) ([]float64, error) {
 		out, err := runMulBatch(ds, nil, cfg.Delta, cfg.C, false)
 		if err != nil {
-			return counts{}, fmt.Errorf("fig8 %s batch %d: %w", className(cl), b, err)
+			return nil, err
 		}
-		return counts{reco: float64(out.recoReconf), lp: float64(out.lpReconf)}, nil
+		return []float64{float64(out.recoReconf), float64(out.lpReconf)}, nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fig8: %w", err)
 	}
+	n := float64(cfg.MulBatches)
 	for ci, cl := range mulClassOrder {
-		var recoTotal, lpTotal float64
-		for b := 0; b < cfg.MulBatches; b++ {
-			c := outs[ci*cfg.MulBatches+b]
-			recoTotal += c.reco
-			lpTotal += c.lp
-		}
-		n := float64(cfg.MulBatches)
-		t.AddRow(className(cl), recoTotal/n, lpTotal/n, stats.Ratio(lpTotal, recoTotal))
+		reco, lp := totals[ci][0], totals[ci][1]
+		t.AddRow(className(cl), reco/n, lp/n, stats.Ratio(lp, reco))
 	}
 	return t, nil
 }
@@ -347,33 +376,19 @@ func Fig9a(cfg Config) (*Table, error) {
 		Columns: []string{"avg", "95p"},
 		Notes:   []string{"paper: 1.61 (1us), 1.99 (10us), 3.74 (100us), 1.17 (1ms), 1.18 (10ms) - non-monotone, peaking near 100us"},
 	}
-	batches, err := parallel.Map(cfg.workers(), cfg.MulBatches, func(b int) ([]*matrix.Matrix, error) {
-		return mixedBatch(cfg, parallel.Seed(cfg.Seed, saltFig9a, int64(b)))
-	})
+	batches, err := mixedBatches(cfg, saltFig9a)
 	if err != nil {
 		return nil, fmt.Errorf("fig9a: %w", err)
 	}
 	// One trial per (delta, batch) pair over the shared workload.
-	trials := len(fig9aDeltas) * len(batches)
-	outs, err := parallel.Map(cfg.workers(), trials, func(i int) (*mulOutcome, error) {
-		di, b := i/len(batches), i%len(batches)
-		out, err := runMulBatch(batches[b], nil, fig9aDeltas[di], cfg.C, false)
-		if err != nil {
-			return nil, fmt.Errorf("fig9a delta=%d batch %d: %w", fig9aDeltas[di], b, err)
-		}
-		return out, nil
+	outs, err := grid(cfg.workers(), len(fig9aDeltas), len(batches), func(di, b int) (*mulOutcome, error) {
+		return runMulBatch(batches[b], nil, fig9aDeltas[di], cfg.C, false)
 	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fig9a: %w", err)
 	}
 	for di, delta := range fig9aDeltas {
-		var lpVals, recoVals []float64
-		for b := range batches {
-			out := outs[di*len(batches)+b]
-			lpVals = append(lpVals, stats.Int64s(out.lpCCTs)...)
-			recoVals = append(recoVals, stats.Int64s(out.recoCCTs)...)
-		}
-		avg, p95, err := aggregateRatios(lpVals, recoVals)
+		avg, p95, err := normalizedCCT(outs[di], mixed, lpCCTs)
 		if err != nil {
 			return nil, fmt.Errorf("fig9a delta=%d: %w", delta, err)
 		}
@@ -395,33 +410,16 @@ func Fig9b(cfg Config) (*Table, error) {
 		Notes:   []string{"paper: 1.74 -> 1.96 over c=2..4 and 2.83 -> 3.74 over c=5..7"},
 	}
 	cSweep := []int64{2, 3, 4, 5, 6, 7}
-	trials := len(cSweep) * cfg.MulBatches
-	outs, err := parallel.Map(cfg.workers(), trials, func(i int) (*mulOutcome, error) {
-		ci, b := i/cfg.MulBatches, i%cfg.MulBatches
-		c := cSweep[ci]
-		sweep := cfg
-		sweep.C = c // affects both the workload's minimum demand and Reco-Mul's grid
-		ds, err := mixedBatch(sweep, parallel.Seed(cfg.Seed, saltFig9b, int64(b)))
-		if err != nil {
-			return nil, fmt.Errorf("fig9b c=%d: %w", c, err)
-		}
-		out, err := runMulBatch(ds, nil, cfg.Delta, c, false)
-		if err != nil {
-			return nil, fmt.Errorf("fig9b c=%d batch %d: %w", c, b, err)
-		}
-		return out, nil
+	outs, err := sweepMixed(cfg, saltFig9b, len(cSweep), func(i int) Config {
+		point := cfg
+		point.C = cSweep[i] // affects both the workload's minimum demand and Reco-Mul's grid
+		return point
 	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fig9b: %w", err)
 	}
 	for ci, c := range cSweep {
-		var lpVals, recoVals []float64
-		for b := 0; b < cfg.MulBatches; b++ {
-			out := outs[ci*cfg.MulBatches+b]
-			lpVals = append(lpVals, stats.Int64s(out.lpCCTs)...)
-			recoVals = append(recoVals, stats.Int64s(out.recoCCTs)...)
-		}
-		avg, p95, err := aggregateRatios(lpVals, recoVals)
+		avg, p95, err := normalizedCCT(outs[ci], mixed, lpCCTs)
 		if err != nil {
 			return nil, fmt.Errorf("fig9b c=%d: %w", c, err)
 		}
@@ -440,67 +438,37 @@ func AblationAlignment(cfg Config) (*Table, error) {
 		Title:   fmt.Sprintf("Reco-Mul vs delay injection without start-time alignment (delta=%d, c=%d)", cfg.Delta, cfg.C),
 		Columns: []string{"aligned reconf", "naive reconf", "aligned CCT", "naive CCT"},
 	}
-	type sample struct{ aReconf, nReconf, aCCT, nCCT float64 }
-	trials := len(mulClassOrder) * cfg.MulBatches
-	outs, err := parallel.Map(cfg.workers(), trials, func(i int) (sample, error) {
-		ci, b := i/cfg.MulBatches, i%cfg.MulBatches
-		cl := mulClassOrder[ci]
-		ds, err := mulBatch(cfg, parallel.Seed(cfg.Seed, saltAlign, int64(ci), int64(b)), cl)
-		if err != nil {
-			return sample{}, fmt.Errorf("ablation-align %s: %w", className(cl), err)
-		}
+	totals, err := classBatchSums(cfg, saltAlign, func(ds []*matrix.Matrix) ([]float64, error) {
 		order, err := ordering.PrimalDual(ds, nil)
 		if err != nil {
-			return sample{}, fmt.Errorf("ablation-align: %w", err)
+			return nil, err
 		}
 		sp, err := packet.ListSchedule(ds, order)
 		if err != nil {
-			return sample{}, fmt.Errorf("ablation-align: %w", err)
+			return nil, err
 		}
 		aligned, err := core.RecoMul(sp, cfg.MulN, cfg.Delta, cfg.C)
 		if err != nil {
-			return sample{}, fmt.Errorf("ablation-align: %w", err)
+			return nil, err
 		}
 		naive, err := core.InjectDelays(sp, cfg.MulN, cfg.Delta)
 		if err != nil {
-			return sample{}, fmt.Errorf("ablation-align: %w", err)
+			return nil, err
 		}
-		return sample{
-			aReconf: float64(aligned.Reconfigs),
-			nReconf: float64(naive.Reconfigs),
-			aCCT:    meanF(stats.Int64s(aligned.Flows.CCTs(len(ds)))),
-			nCCT:    meanF(stats.Int64s(naive.Flows.CCTs(len(ds)))),
+		return []float64{
+			float64(aligned.Reconfigs),
+			float64(naive.Reconfigs),
+			meanF(stats.Int64s(aligned.Flows.CCTs(len(ds)))),
+			meanF(stats.Int64s(naive.Flows.CCTs(len(ds)))),
 		}, nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ablation-align: %w", err)
 	}
+	n := float64(cfg.MulBatches)
 	for ci, cl := range mulClassOrder {
-		var s sample
-		for b := 0; b < cfg.MulBatches; b++ {
-			o := outs[ci*cfg.MulBatches+b]
-			s.aReconf += o.aReconf
-			s.nReconf += o.nReconf
-			s.aCCT += o.aCCT
-			s.nCCT += o.nCCT
-		}
-		n := float64(cfg.MulBatches)
-		t.AddRow(className(cl), s.aReconf/n, s.nReconf/n, s.aCCT/n, s.nCCT/n)
+		s := totals[ci]
+		t.AddRow(className(cl), s[0]/n, s[1]/n, s[2]/n, s[3]/n)
 	}
 	return t, nil
-}
-
-func meanF(xs []float64) float64 {
-	m, err := stats.Mean(xs)
-	if err != nil {
-		return 0
-	}
-	return m
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

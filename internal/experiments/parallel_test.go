@@ -7,9 +7,8 @@ import "testing"
 // trials, because each trial's RNG stream is derived from (seed, path) and
 // results are collected by trial index, never completion order.
 func TestParallelDeterminism(t *testing.T) {
-	cases := []string{"table1", "fig4a", "fig6", "ext-scale"}
 	registry := Registry()
-	for _, id := range cases {
+	for _, id := range pinnedIDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()

@@ -11,74 +11,60 @@ import (
 	"reco/internal/ocs"
 	"reco/internal/parallel"
 	"reco/internal/stats"
-	"reco/internal/workload"
 )
-
-// classOrder is the presentation order for per-density-class rows.
-var classOrder = []workload.Class{workload.Sparse, workload.Normal, workload.Dense}
-
-// singleWorkload generates the scaled single-coflow experiment workload.
-func singleWorkload(cfg Config) ([]workload.Coflow, error) {
-	return workload.Generate(workload.GenConfig{
-		N:          cfg.SingleN,
-		NumCoflows: cfg.SingleCoflows,
-		Seed:       cfg.Seed,
-		MinDemand:  cfg.C * cfg.Delta,
-		MeanDemand: maxI64(800, 2*cfg.C*cfg.Delta),
-	})
-}
 
 // singleMetrics holds one coflow's single-coflow scheduling outcome for both
 // algorithms.
 type singleMetrics struct {
-	class                  workload.Class
 	recoReconf, solReconf  float64
 	recoCCT, solCCT, lower float64
 }
 
-// runSingle schedules every coflow with the registered Reco-Sin and
-// Solstice schedulers under the all-stop model with the given delta.
-// Coflows are independent trials, so they fan out over the worker pool; the
-// returned slice is in coflow order regardless of the worker count.
-func runSingle(coflows []workload.Coflow, delta int64, workers int) ([]singleMetrics, error) {
-	recoSin := algo.MustGet(algo.NameRecoSin)
-	sol := algo.MustGet(algo.NameSolstice)
-	return parallel.Map(workers, len(coflows), func(i int) (singleMetrics, error) {
-		c := coflows[i]
-		d := c.Demand
-		var zero singleMetrics
-		req := algo.Request{Demands: []*matrix.Matrix{d}, Delta: delta}
-		recoRes, err := recoSin.Schedule(context.Background(), req)
-		if err != nil {
-			return zero, fmt.Errorf("reco-sin on coflow %d: %w", c.ID, err)
-		}
-		solRes, err := sol.Schedule(context.Background(), req)
-		if err != nil {
-			return zero, fmt.Errorf("solstice on coflow %d: %w", c.ID, err)
-		}
-		return singleMetrics{
-			class:      workload.Classify(d),
-			recoReconf: float64(recoRes.Reconfigs),
-			solReconf:  float64(solRes.Reconfigs),
-			recoCCT:    float64(recoRes.CCTs[0]),
-			solCCT:     float64(solRes.CCTs[0]),
-			lower:      float64(ocs.LowerBound(d, delta)),
-		}, nil
-	})
+// scheduleBoth schedules d with the registered Reco-Sin and Solstice
+// schedulers under the all-stop model with the given delta.
+func scheduleBoth(d *matrix.Matrix, delta int64) (singleMetrics, error) {
+	req := algo.Request{Demands: []*matrix.Matrix{d}, Delta: delta}
+	recoRes, err := algo.MustGet(algo.NameRecoSin).Schedule(context.Background(), req)
+	if err != nil {
+		return singleMetrics{}, fmt.Errorf("reco-sin: %w", err)
+	}
+	solRes, err := algo.MustGet(algo.NameSolstice).Schedule(context.Background(), req)
+	if err != nil {
+		return singleMetrics{}, fmt.Errorf("solstice: %w", err)
+	}
+	return singleMetrics{
+		recoReconf: float64(recoRes.Reconfigs),
+		solReconf:  float64(solRes.Reconfigs),
+		recoCCT:    float64(recoRes.CCTs[0]),
+		solCCT:     float64(solRes.CCTs[0]),
+		lower:      float64(ocs.LowerBound(d, delta)),
+	}, nil
 }
 
-func classMeans(ms []singleMetrics, cl workload.Class, pick func(singleMetrics) float64) float64 {
-	var vals []float64
-	for _, m := range ms {
-		if m.class == cl {
-			vals = append(vals, pick(m))
+// The (Reco-Sin, Solstice) column pairs the Fig. 4/5 tables sample from a
+// scheduleBoth outcome.
+func pickReconfs(m singleMetrics) []float64 { return []float64{m.recoReconf, m.solReconf} }
+func pickCCTs(m singleMetrics) []float64    { return []float64{m.recoCCT, m.solCCT} }
+
+// pickOverLB is both CCTs normalized to the lower bound ρ+τδ; a coflow with
+// a zero bound (no demand) contributes no sample.
+func pickOverLB(m singleMetrics) []float64 {
+	if m.lower == 0 {
+		return nil
+	}
+	return []float64{m.recoCCT / m.lower, m.solCCT / m.lower}
+}
+
+// bothPerClass fills t per density class from pick's columns of scheduleBoth
+// at the default delta.
+func bothPerClass(cfg Config, t *Table, pick func(singleMetrics) []float64, row classRow) (*Table, error) {
+	return perClass(cfg, t, func(d *matrix.Matrix) ([]float64, error) {
+		m, err := scheduleBoth(d, cfg.Delta)
+		if err != nil {
+			return nil, err
 		}
-	}
-	mean, err := stats.Mean(vals)
-	if err != nil {
-		return 0
-	}
-	return mean
+		return pick(m), nil
+	}, row)
 }
 
 // Fig4a reproduces Fig. 4(a): reconfiguration counts of Reco-Sin vs
@@ -87,26 +73,12 @@ func classMeans(ms []singleMetrics, cl workload.Class, pick func(singleMetrics) 
 // for sparse / normal / dense coflows.
 func Fig4a(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
-	coflows, err := singleWorkload(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("fig4a: %w", err)
-	}
-	ms, err := runSingle(coflows, cfg.Delta, cfg.workers())
-	if err != nil {
-		return nil, fmt.Errorf("fig4a: %w", err)
-	}
-	t := &Table{
+	return bothPerClass(cfg, &Table{
 		ID:      "fig4a",
 		Title:   fmt.Sprintf("Mean reconfigurations per coflow (delta=%d)", cfg.Delta),
 		Columns: []string{"Reco-Sin", "Solstice", "Solstice/Reco"},
 		Notes:   []string{"paper ratios: sparse 2.58x, normal 7.07x, dense 7.36x"},
-	}
-	for _, cl := range classOrder {
-		reco := classMeans(ms, cl, func(m singleMetrics) float64 { return m.recoReconf })
-		sol := classMeans(ms, cl, func(m singleMetrics) float64 { return m.solReconf })
-		t.AddRow(cl.String(), reco, sol, stats.Ratio(sol, reco))
-	}
-	return t, nil
+	}, pickReconfs, meanRatioRow(1, 0))
 }
 
 // Fig4b reproduces Fig. 4(b): CCT of Reco-Sin vs Solstice per density class
@@ -114,114 +86,64 @@ func Fig4a(cfg Config) (*Table, error) {
 // 1.14× the time of Reco-Sin.
 func Fig4b(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
-	coflows, err := singleWorkload(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("fig4b: %w", err)
-	}
-	ms, err := runSingle(coflows, cfg.Delta, cfg.workers())
-	if err != nil {
-		return nil, fmt.Errorf("fig4b: %w", err)
-	}
-	t := &Table{
+	return bothPerClass(cfg, &Table{
 		ID:      "fig4b",
 		Title:   fmt.Sprintf("Mean single-coflow CCT (delta=%d)", cfg.Delta),
 		Columns: []string{"Reco-Sin", "Solstice", "Solstice/Reco"},
 		Notes:   []string{"paper ratios: sparse 1.19x, normal 1.15x, dense 1.14x"},
-	}
-	for _, cl := range classOrder {
-		reco := classMeans(ms, cl, func(m singleMetrics) float64 { return m.recoCCT })
-		sol := classMeans(ms, cl, func(m singleMetrics) float64 { return m.solCCT })
-		t.AddRow(cl.String(), reco, sol, stats.Ratio(sol, reco))
-	}
-	return t, nil
+	}, pickCCTs, meanRatioRow(1, 0))
 }
 
 // deltaSweep is the Fig. 5 sweep: 100 µs up to 100 ms in decade steps
 // (ticks are µs).
 var deltaSweep = []int64{100, 1_000, 10_000, 100_000}
 
-// Fig5a reproduces Fig. 5(a): reconfiguration counts vs delta per density
-// class. Solstice's count is delta-independent; Reco-Sin's falls as delta
-// grows because regularization aligns more entries.
-func Fig5a(cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
+// bothPerClassVsDelta fills t with one block of per-class rows per
+// deltaSweep point, from pick's columns of scheduleBoth at that delta. The
+// (delta, coflow) pairs are one trial grid.
+func bothPerClassVsDelta(cfg Config, t *Table, pick func(singleMetrics) []float64, row classRow) (*Table, error) {
 	coflows, err := singleWorkload(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("fig5a: %w", err)
+		return nil, fmt.Errorf("%s: %w", t.ID, err)
 	}
-	t := &Table{
-		ID:      "fig5a",
-		Title:   "Mean reconfigurations per coflow vs delta",
-		Columns: []string{"Reco-Sin", "Solstice", "Solstice/Reco"},
-		Notes:   []string{"paper: Solstice needs 2.10-3.10x (sparse) and 7.55-8.12x (non-sparse) Reco-Sin's reconfigurations"},
-	}
-	sweep, err := runSingleSweep(coflows, deltaSweep, cfg.workers())
+	sweep, err := grid(cfg.workers(), len(deltaSweep), len(coflows), func(di, i int) ([]float64, error) {
+		m, err := scheduleBoth(coflows[i].Demand, deltaSweep[di])
+		if err != nil {
+			return nil, fmt.Errorf("%s delta=%d: %w", t.ID, deltaSweep[di], err)
+		}
+		return pick(m), nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("fig5a: %w", err)
+		return nil, err
 	}
 	for di, delta := range deltaSweep {
-		ms := sweep[di]
-		for _, cl := range classOrder {
-			reco := classMeans(ms, cl, func(m singleMetrics) float64 { return m.recoReconf })
-			sol := classMeans(ms, cl, func(m singleMetrics) float64 { return m.solReconf })
-			t.AddRow(fmt.Sprintf("%s d=%d", cl, delta), reco, sol, stats.Ratio(sol, reco))
-		}
+		classRows(t, coflows, sweep[di], fmt.Sprintf(" d=%d", delta), row)
 	}
 	return t, nil
 }
 
-// runSingleSweep runs runSingle once per delta. The sweep points fan out
-// over the pool on top of the per-coflow fan-out inside runSingle; both
-// collect by index, so the sweep is deterministic at any worker count.
-func runSingleSweep(coflows []workload.Coflow, deltas []int64, workers int) ([][]singleMetrics, error) {
-	return parallel.Map(workers, len(deltas), func(di int) ([]singleMetrics, error) {
-		ms, err := runSingle(coflows, deltas[di], workers)
-		if err != nil {
-			return nil, fmt.Errorf("delta=%d: %w", deltas[di], err)
-		}
-		return ms, nil
-	})
+// Fig5a reproduces Fig. 5(a): reconfiguration counts vs delta per density
+// class. Solstice's count is delta-independent; Reco-Sin's falls as delta
+// grows because regularization aligns more entries.
+func Fig5a(cfg Config) (*Table, error) {
+	return bothPerClassVsDelta(cfg.withDefaults(), &Table{
+		ID:      "fig5a",
+		Title:   "Mean reconfigurations per coflow vs delta",
+		Columns: []string{"Reco-Sin", "Solstice", "Solstice/Reco"},
+		Notes:   []string{"paper: Solstice needs 2.10-3.10x (sparse) and 7.55-8.12x (non-sparse) Reco-Sin's reconfigurations"},
+	}, pickReconfs, meanRatioRow(1, 0))
 }
 
 // Fig5b reproduces Fig. 5(b): CCT normalized to the lower bound ρ+τδ vs
 // delta per density class. The paper's extreme delta point has Solstice at
 // 32.66× / 23.89× / 18.26× the bound and Reco-Sin at 21.00× / 3.96× / 2.72×.
 func Fig5b(cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
-	coflows, err := singleWorkload(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("fig5b: %w", err)
-	}
-	t := &Table{
+	return bothPerClassVsDelta(cfg.withDefaults(), &Table{
 		ID:      "fig5b",
 		Title:   "Mean CCT normalized to the lower bound rho+tau*delta, vs delta",
 		Columns: []string{"Reco-Sin/LB", "Solstice/LB"},
 		Notes:   []string{"paper at delta=100ms: Solstice 32.66/23.89/18.26x vs Reco-Sin 21.00/3.96/2.72x (sparse/normal/dense)"},
-	}
-	sweep, err := runSingleSweep(coflows, deltaSweep, cfg.workers())
-	if err != nil {
-		return nil, fmt.Errorf("fig5b: %w", err)
-	}
-	for di, delta := range deltaSweep {
-		ms := sweep[di]
-		for _, cl := range classOrder {
-			var recoN, solN []float64
-			for _, m := range ms {
-				if m.class != cl || m.lower == 0 {
-					continue
-				}
-				recoN = append(recoN, m.recoCCT/m.lower)
-				solN = append(solN, m.solCCT/m.lower)
-			}
-			recoMean, err := stats.Mean(recoN)
-			if err != nil {
-				continue
-			}
-			solMean, _ := stats.Mean(solN)
-			t.AddRow(fmt.Sprintf("%s d=%d", cl, delta), recoMean, solMean)
-		}
-	}
-	return t, nil
+	}, pickOverLB, presentOnly(meanRow))
 }
 
 // Thm1 exhibits the Theorem 1 pathology: on matrices crafted to need many
@@ -255,13 +177,9 @@ func Thm1(cfg Config) (*Table, error) {
 		if err != nil {
 			return Row{}, fmt.Errorf("thm1 bvn exec: %w", err)
 		}
-		recoCS, err := core.RecoSin(d, cfg.Delta)
+		_, recoRes, err := recoSinAllStop(d, cfg.Delta, cfg.Delta)
 		if err != nil {
-			return Row{}, fmt.Errorf("thm1 reco: %w", err)
-		}
-		recoRes, err := ocs.ExecAllStop(d, recoCS, cfg.Delta)
-		if err != nil {
-			return Row{}, fmt.Errorf("thm1 reco exec: %w", err)
+			return Row{}, fmt.Errorf("thm1: %w", err)
 		}
 		return Row{Label: fmt.Sprintf("N=%d", n), Cells: []float64{
 			float64(bvnRes.Reconfigs), float64(recoRes.Reconfigs),
@@ -288,7 +206,7 @@ func adversarialMatrix(n int, delta int64) (*matrix.Matrix, error) {
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			// Distinct tiny values; strictly positive, all below delta.
-			d.Set(i, j, 1+int64((i*n+j)%int(maxI64(2, delta-1))))
+			d.Set(i, j, 1+int64((i*n+j)%int(max(2, delta-1))))
 		}
 	}
 	return d, nil
@@ -297,108 +215,44 @@ func adversarialMatrix(n int, delta int64) (*matrix.Matrix, error) {
 // Thm2 verifies Theorem 2 over the workload: per class, the worst observed
 // Reco-Sin CCT over the lower bound stays at or below 2.
 func Thm2(cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
-	coflows, err := singleWorkload(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("thm2: %w", err)
-	}
-	ms, err := runSingle(coflows, cfg.Delta, cfg.workers())
-	if err != nil {
-		return nil, fmt.Errorf("thm2: %w", err)
-	}
-	t := &Table{
+	return bothPerClass(cfg.withDefaults(), &Table{
 		ID:      "thm2",
 		Title:   "Worst-case Reco-Sin CCT / (rho + tau*delta) per class",
 		Columns: []string{"max ratio", "bound"},
 		Notes:   []string{"Theorem 2 guarantees the ratio never exceeds 2"},
-	}
-	for _, cl := range classOrder {
+	}, pickOverLB, func(t *Table, label string, cols [][]float64) {
 		worst := 0.0
-		for _, m := range ms {
-			if m.class != cl || m.lower == 0 {
-				continue
-			}
-			if r := m.recoCCT / m.lower; r > worst {
-				worst = r
-			}
+		for _, r := range cols[0] {
+			worst = max(worst, r)
 		}
-		t.AddRow(cl.String(), worst, 2)
-	}
-	return t, nil
+		t.AddRow(label, worst, 2)
+	})
 }
 
 // AblationRegularization isolates Sec. III-B: Reco-Sin versus the same
 // pipeline without demand regularization (stuff + max–min BvN directly).
 func AblationRegularization(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
-	coflows, err := singleWorkload(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("ablation-reg: %w", err)
-	}
-	t := &Table{
+	return perClass(cfg, &Table{
 		ID:      "ablation-reg",
 		Title:   fmt.Sprintf("Reco-Sin vs unregularized stuff+max-min BvN (delta=%d)", cfg.Delta),
 		Columns: []string{"Reco reconf", "NoReg reconf", "Reco CCT", "NoReg CCT"},
-	}
-	type sample struct {
-		class          workload.Class
-		rr, nr, rc, nc float64
-	}
-	samples, err := parallel.Map(cfg.workers(), len(coflows), func(i int) (sample, error) {
-		d := coflows[i].Demand
-		recoCS, err := core.RecoSin(d, cfg.Delta)
+	}, func(d *matrix.Matrix) ([]float64, error) {
+		_, reco, err := recoSinAllStop(d, cfg.Delta, cfg.Delta)
 		if err != nil {
-			return sample{}, fmt.Errorf("ablation-reg: %w", err)
-		}
-		recoRes, err := ocs.ExecAllStop(d, recoCS, cfg.Delta)
-		if err != nil {
-			return sample{}, fmt.Errorf("ablation-reg: %w", err)
+			return nil, err
 		}
 		// No regularization: RecoSin with delta 0 builds the same pipeline
 		// minus the rounding step.
-		noregCS, err := core.RecoSin(d, 0)
+		_, noreg, err := recoSinAllStop(d, 0, cfg.Delta)
 		if err != nil {
-			return sample{}, fmt.Errorf("ablation-reg: %w", err)
+			return nil, err
 		}
-		noregRes, err := ocs.ExecAllStop(d, noregCS, cfg.Delta)
-		if err != nil {
-			return sample{}, fmt.Errorf("ablation-reg: %w", err)
-		}
-		return sample{
-			class: workload.Classify(d),
-			rr:    float64(recoRes.Reconfigs),
-			nr:    float64(noregRes.Reconfigs),
-			rc:    float64(recoRes.CCT),
-			nc:    float64(noregRes.CCT),
+		return []float64{
+			float64(reco.Reconfigs), float64(noreg.Reconfigs),
+			float64(reco.CCT), float64(noreg.CCT),
 		}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	type acc struct{ rr, nr, rc, nc []float64 }
-	byClass := map[workload.Class]*acc{}
-	for _, cl := range classOrder {
-		byClass[cl] = &acc{}
-	}
-	for _, s := range samples {
-		a := byClass[s.class]
-		a.rr = append(a.rr, s.rr)
-		a.nr = append(a.nr, s.nr)
-		a.rc = append(a.rc, s.rc)
-		a.nc = append(a.nc, s.nc)
-	}
-	for _, cl := range classOrder {
-		a := byClass[cl]
-		rr, err := stats.Mean(a.rr)
-		if err != nil {
-			continue
-		}
-		nr, _ := stats.Mean(a.nr)
-		rc, _ := stats.Mean(a.rc)
-		nc, _ := stats.Mean(a.nc)
-		t.AddRow(cl.String(), rr, nr, rc, nc)
-	}
-	return t, nil
+	}, presentOnly(meanRow))
 }
 
 // AblationBvNStrategy isolates the extraction rule inside Reco-Sin's
@@ -406,59 +260,22 @@ func AblationRegularization(cfg Config) (*Table, error) {
 // regularized stuffed matrix.
 func AblationBvNStrategy(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
-	coflows, err := singleWorkload(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("ablation-bvn: %w", err)
-	}
-	t := &Table{
+	return perClass(cfg, &Table{
 		ID:      "ablation-bvn",
 		Title:   fmt.Sprintf("BvN extraction rule inside Reco-Sin (delta=%d)", cfg.Delta),
 		Columns: []string{"max-min terms", "first-fit terms"},
-	}
-	type sample struct {
-		class  workload.Class
-		mm, ff float64
-	}
-	samples, err := parallel.Map(cfg.workers(), len(coflows), func(i int) (sample, error) {
-		reg := core.Regularize(coflows[i].Demand, cfg.Delta)
-		stuffed := matrix.StuffPreferNonZero(reg)
+	}, func(d *matrix.Matrix) ([]float64, error) {
+		stuffed := matrix.StuffPreferNonZero(core.Regularize(d, cfg.Delta))
 		mm, err := bvn.Decompose(stuffed, bvn.MaxMin)
 		if err != nil {
-			return sample{}, fmt.Errorf("ablation-bvn: %w", err)
+			return nil, err
 		}
 		ff, err := bvn.Decompose(stuffed, bvn.FirstFit)
 		if err != nil {
-			return sample{}, fmt.Errorf("ablation-bvn: %w", err)
+			return nil, err
 		}
-		return sample{
-			class: workload.Classify(coflows[i].Demand),
-			mm:    float64(len(mm)),
-			ff:    float64(len(ff)),
-		}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	type acc struct{ mm, ff []float64 }
-	byClass := map[workload.Class]*acc{}
-	for _, cl := range classOrder {
-		byClass[cl] = &acc{}
-	}
-	for _, s := range samples {
-		a := byClass[s.class]
-		a.mm = append(a.mm, s.mm)
-		a.ff = append(a.ff, s.ff)
-	}
-	for _, cl := range classOrder {
-		a := byClass[cl]
-		mm, err := stats.Mean(a.mm)
-		if err != nil {
-			continue
-		}
-		ff, _ := stats.Mean(a.ff)
-		t.AddRow(cl.String(), mm, ff)
-	}
-	return t, nil
+		return []float64{float64(len(mm)), float64(len(ff))}, nil
+	}, presentOnly(meanRow))
 }
 
 // NotAllStop compares the all-stop and not-all-stop executors on Reco-Sin
@@ -466,60 +283,19 @@ func AblationBvNStrategy(cfg Config) (*Table, error) {
 // carried-over circuits transmit through reconfigurations.
 func NotAllStop(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
-	coflows, err := singleWorkload(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("notallstop: %w", err)
-	}
-	t := &Table{
+	return perClass(cfg, &Table{
 		ID:      "notallstop",
 		Title:   fmt.Sprintf("Reco-Sin CCT under all-stop vs not-all-stop (delta=%d)", cfg.Delta),
 		Columns: []string{"all-stop", "not-all-stop", "speedup"},
-	}
-	type sample struct {
-		class    workload.Class
-		all, nas float64
-	}
-	samples, err := parallel.Map(cfg.workers(), len(coflows), func(i int) (sample, error) {
-		d := coflows[i].Demand
-		cs, err := core.RecoSin(d, cfg.Delta)
+	}, func(d *matrix.Matrix) ([]float64, error) {
+		cs, all, err := recoSinAllStop(d, cfg.Delta, cfg.Delta)
 		if err != nil {
-			return sample{}, fmt.Errorf("notallstop: %w", err)
-		}
-		all, err := ocs.ExecAllStop(d, cs, cfg.Delta)
-		if err != nil {
-			return sample{}, fmt.Errorf("notallstop: %w", err)
+			return nil, err
 		}
 		nas, err := ocs.ExecNotAllStop(d, cs, cfg.Delta)
 		if err != nil {
-			return sample{}, fmt.Errorf("notallstop: %w", err)
+			return nil, err
 		}
-		return sample{
-			class: workload.Classify(d),
-			all:   float64(all.CCT),
-			nas:   float64(nas.CCT),
-		}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	type acc struct{ all, nas []float64 }
-	byClass := map[workload.Class]*acc{}
-	for _, cl := range classOrder {
-		byClass[cl] = &acc{}
-	}
-	for _, s := range samples {
-		a := byClass[s.class]
-		a.all = append(a.all, s.all)
-		a.nas = append(a.nas, s.nas)
-	}
-	for _, cl := range classOrder {
-		a := byClass[cl]
-		allMean, err := stats.Mean(a.all)
-		if err != nil {
-			continue
-		}
-		nasMean, _ := stats.Mean(a.nas)
-		t.AddRow(cl.String(), allMean, nasMean, stats.Ratio(allMean, nasMean))
-	}
-	return t, nil
+		return []float64{float64(all.CCT), float64(nas.CCT)}, nil
+	}, presentOnly(meanRatioRow(0, 1)))
 }

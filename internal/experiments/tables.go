@@ -7,19 +7,6 @@ import (
 	"reco/internal/workload"
 )
 
-// paperWorkload generates the full-scale synthetic Facebook-like workload
-// (526 coflows, 150 ports) used for the workload-statistics tables; the
-// scheduling experiments use the scaled configurations in Config.
-func paperWorkload(cfg Config) ([]workload.Coflow, error) {
-	return workload.Generate(workload.GenConfig{
-		N:          150,
-		NumCoflows: 526,
-		Seed:       cfg.Seed,
-		MinDemand:  cfg.C * cfg.Delta,
-		MeanDemand: maxI64(800, 2*cfg.C*cfg.Delta),
-	})
-}
-
 // Table1 reproduces Table I: the share of coflows per demand-matrix density
 // class.
 func Table1(cfg Config) (*Table, error) {
@@ -88,11 +75,4 @@ func Table3(cfg Config) (*Table, error) {
 		t.AddRow(fmt.Sprintf("Reco-Mul c=%d", c), 2, core.ApproxRatioMul(4, c))
 	}
 	return t, nil
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

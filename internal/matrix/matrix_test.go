@@ -269,20 +269,6 @@ func TestStuffPreferNonZeroKeepsSupportSmall(t *testing.T) {
 	checkStuffed(t, "pref", m, pref)
 }
 
-func TestStuffTo(t *testing.T) {
-	m := mustFromRows(t, [][]int64{{3, 0}, {0, 1}})
-	s, ok := StuffTo(m, 10)
-	if !ok {
-		t.Fatal("StuffTo(10) failed")
-	}
-	if v, dsOK := s.DoublyStochasticValue(); !dsOK || v != 10 {
-		t.Errorf("StuffTo value = %d,%v, want 10,true", v, dsOK)
-	}
-	if _, ok := StuffTo(m, 2); ok {
-		t.Error("StuffTo below rho should fail")
-	}
-}
-
 func TestStuffProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -26,19 +26,6 @@ func StuffPreferNonZero(m *Matrix) *Matrix {
 	return out
 }
 
-// StuffTo stuffs m up to the given target row/column sum, which must be at
-// least ρ; it returns nil and false if target is too small. Reco-Sin uses it
-// because regularization can make the post-rounding ρ' exceed the original ρ.
-func StuffTo(m *Matrix, target int64) (*Matrix, bool) {
-	rows, cols, rho := m.sums()
-	if target < rho {
-		return nil, false
-	}
-	out := m.Clone()
-	stuffTo(out, rows, cols, target, true)
-	return out, true
-}
-
 // stuffTo raises m's row sums rowDef and column sums colDef to target,
 // consuming both slices as its deficit counters: the callers have just
 // computed them to find ρ, and they are not summed a second time here.

@@ -77,53 +77,6 @@ func Percentiles(xs []float64, ps ...float64) ([]float64, error) {
 	return out, nil
 }
 
-// CDFPoint is one point of an empirical CDF.
-type CDFPoint struct {
-	Value    float64
-	Fraction float64
-}
-
-// CDF returns the empirical CDF of xs as sorted (value, fraction) points,
-// one per distinct value, matching the per-class CDF curves of Fig. 4.
-func CDF(xs []float64) []CDFPoint {
-	if len(xs) == 0 {
-		return nil
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	var out []CDFPoint
-	for i, v := range sorted {
-		frac := float64(i+1) / float64(len(sorted))
-		if len(out) > 0 && out[len(out)-1].Value == v {
-			out[len(out)-1].Fraction = frac
-			continue
-		}
-		out = append(out, CDFPoint{Value: v, Fraction: frac})
-	}
-	return out
-}
-
-// Normalize divides each sample by the matching baseline value: the paper's
-// "Normalized CCT of algorithm A" is CCT_A / CCT_Reco. Zero baselines with a
-// zero numerator normalize to 1; zero baselines otherwise are an error.
-func Normalize(xs, baseline []float64) ([]float64, error) {
-	if len(xs) != len(baseline) {
-		return nil, fmt.Errorf("stats: %d samples vs %d baselines", len(xs), len(baseline))
-	}
-	out := make([]float64, len(xs))
-	for i := range xs {
-		switch {
-		case baseline[i] != 0:
-			out[i] = xs[i] / baseline[i]
-		case xs[i] == 0:
-			out[i] = 1
-		default:
-			return nil, fmt.Errorf("stats: zero baseline for non-zero sample %d", i)
-		}
-	}
-	return out, nil
-}
-
 // Ratio returns a/b, treating 0/0 as 1.
 func Ratio(a, b float64) float64 {
 	if b == 0 {
@@ -142,17 +95,4 @@ func Int64s(xs []int64) []float64 {
 		out[i] = float64(x)
 	}
 	return out
-}
-
-// WeightedSum returns Σ w[i]·xs[i]; missing weights default to 1.
-func WeightedSum(xs []float64, w []float64) float64 {
-	var s float64
-	for i, x := range xs {
-		wi := 1.0
-		if i < len(w) {
-			wi = w[i]
-		}
-		s += wi * x
-	}
-	return s
 }

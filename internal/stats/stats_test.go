@@ -46,40 +46,6 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestCDF(t *testing.T) {
-	pts := CDF([]float64{3, 1, 3, 2})
-	want := []CDFPoint{{1, 0.25}, {2, 0.5}, {3, 1}}
-	if len(pts) != len(want) {
-		t.Fatalf("CDF = %v, want %v", pts, want)
-	}
-	for i := range want {
-		if pts[i] != want[i] {
-			t.Errorf("point %d = %v, want %v", i, pts[i], want[i])
-		}
-	}
-	if CDF(nil) != nil {
-		t.Error("empty CDF should be nil")
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	out, err := Normalize([]float64{10, 0, 6}, []float64{5, 0, 3})
-	if err != nil {
-		t.Fatalf("Normalize: %v", err)
-	}
-	for i, want := range []float64{2, 1, 2} {
-		if out[i] != want {
-			t.Errorf("out[%d] = %v, want %v", i, out[i], want)
-		}
-	}
-	if _, err := Normalize([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if _, err := Normalize([]float64{1}, []float64{0}); err == nil {
-		t.Error("zero baseline for non-zero sample accepted")
-	}
-}
-
 func TestRatio(t *testing.T) {
 	if Ratio(6, 3) != 2 {
 		t.Error("Ratio(6,3) != 2")
@@ -96,9 +62,6 @@ func TestInt64sAndWeightedSum(t *testing.T) {
 	xs := Int64s([]int64{1, 2, 3})
 	if xs[2] != 3 {
 		t.Error("Int64s conversion wrong")
-	}
-	if got := WeightedSum(xs, []float64{2, 2}); got != 2+4+3 {
-		t.Errorf("WeightedSum = %v, want 9", got)
 	}
 }
 
