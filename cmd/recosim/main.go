@@ -355,17 +355,22 @@ func runFaulted(ds []*matrix.Matrix, o faultOpts) error {
 			return fmt.Errorf("coflow %d: %w", k, err)
 		}
 		replayCtl := sim.NewReplayLoop(cs)
-		recoverCtl := sim.NewPredictiveRecover(d, cs, o.delta, fs)
-		if k == 0 {
-			fmt.Printf("controllers    %s vs %s\n", replayCtl.Name(), recoverCtl.Name())
-		}
 		replay, err := sim.RunFaults(d, replayCtl, o.delta, fs)
 		if err != nil {
 			return fmt.Errorf("coflow %d replay: %w", k, err)
 		}
-		rec, err := sim.RunFaults(d, recoverCtl, o.delta, fs)
+		rec, err := sim.RunPredictive(d, o.delta, fs, replay)
 		if err != nil {
 			return fmt.Errorf("coflow %d recover: %w", k, err)
+		}
+		if k == 0 {
+			// The predictive policy hands back the replay's own run when
+			// the replay is the one it commits to.
+			recoverName := sim.NewRecover(o.delta).Name()
+			if rec == replay {
+				recoverName = replayCtl.Name()
+			}
+			fmt.Printf("controllers    %s vs %s\n", replayCtl.Name(), recoverName)
 		}
 		cleanSum += float64(clean.CCT)
 		replaySum += float64(replay.CCT)

@@ -251,3 +251,26 @@ func TestListAlgorithmsOutput(t *testing.T) {
 		}
 	}
 }
+
+// TestFaultRatesValidation: -pfail and -setupfail outside their ranges —
+// NaN included, which used to pass both checks and run with every port
+// failing, or with no setup failure at all — exit 1 before any simulation.
+func TestFaultRatesValidation(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want int
+	}{
+		{[]string{"-pfail", "NaN"}, 1},
+		{[]string{"-setupfail", "NaN"}, 1},
+		{[]string{"-pfail", "+Inf"}, 1},
+		{[]string{"-setupfail", "-Inf"}, 1},
+		{[]string{"-pfail", "1.5"}, 1},
+		{[]string{"-setupfail", "1"}, 1},
+		{[]string{"-pfail", "0.3", "-setupfail", "0.1"}, 0},
+	} {
+		args := append([]string{"-faults", "-n", "8", "-coflows", "2"}, tc.args...)
+		if got := exitCode(args...); got != tc.want {
+			t.Errorf("recosim %v: exit %d, want %d", args, got, tc.want)
+		}
+	}
+}

@@ -79,7 +79,7 @@ func runFaultTrials(cfg Config) ([][]faultPoint, error) {
 		if err != nil {
 			return faultPoint{}, fmt.Errorf("replay under faults on coflow %d level %q: %w", ci, lvl.label, err)
 		}
-		rec, err := sim.RunFaults(d, sim.NewPredictiveRecover(d, cs, cfg.Delta, fs), cfg.Delta, fs)
+		rec, err := sim.RunPredictive(d, cfg.Delta, fs, naive)
 		if err != nil {
 			return faultPoint{}, fmt.Errorf("recover under faults on coflow %d level %q: %w", ci, lvl.label, err)
 		}

@@ -5,10 +5,11 @@
 // amount sent. Two fabrics cover every execution path in this repository:
 //
 //   - Circuit: an N×N optical circuit switch carrying one established
-//     (partial) matching at bw demand units per tick per circuit. Its
-//     Transmit is the single drain loop behind ocs.ExecAllStop /
-//     ExecAllStopRate / ExecNotAllStop, the per-core executor of ocs.ExecK,
-//     and sim.RunFaults (which adds a live port-down mask).
+//     (partial) matching at bw demand units per tick per circuit. The event
+//     loop of one switching core (ocs.Core.Run, behind every ocs executor,
+//     every sim run and each core of a K-core fabric) is its only caller
+//     besides the hybrid model; a live port-down mask and per-circuit ready
+//     times cover faults and the not-all-stop carry-over.
 //   - Electrical: an always-on packet fabric serving the whole matrix
 //     fluidly, every flow sharing its ports fractionally (the MADD/Varys
 //     allocation) at a rational fraction num/den of a circuit lane's rate.
@@ -47,11 +48,11 @@ type Fabric interface {
 // tick, and stops a circuit as soon as its pair's demand is drained (the
 // paper's Fig. 2 early-stop semantics). Ports marked down carry nothing.
 type Circuit struct {
-	n       int
-	bw      int64
-	perm    []int
-	startOf func(i, j int) int64
-	down    []bool
+	n     int
+	bw    int64
+	perm  []int
+	ready []int64
+	down  []bool
 }
 
 // NewCircuit returns an n-port circuit fabric whose circuits move bw
@@ -68,16 +69,17 @@ func (c *Circuit) Ports() int { return c.n }
 // Transmit window. The caller validates perm (ocs.Assignment.Validate).
 func (c *Circuit) Establish(perm []int) {
 	c.perm = perm
-	c.startOf = nil
+	c.ready = nil
 }
 
-// EstablishStaggered installs perm with a per-circuit ready time: circuit
-// (i, j) begins transmitting at startOf(i, j) rather than at the window
-// start. This is the not-all-stop model's carry-over semantics, where
-// unchanged circuits keep transmitting through a reconfiguration.
-func (c *Circuit) EstablishStaggered(perm []int, startOf func(i, j int) int64) {
+// EstablishStaggered installs perm with a per-circuit ready time: the
+// circuit of ingress i begins transmitting at ready[i] rather than at the
+// window start. This is the not-all-stop model's carry-over semantics, where
+// unchanged circuits keep transmitting through a reconfiguration. The slice
+// is aliased until the next establishment.
+func (c *Circuit) EstablishStaggered(perm []int, ready []int64) {
 	c.perm = perm
-	c.startOf = startOf
+	c.ready = ready
 }
 
 // SetPortsDown installs a live port-fault mask: circuits touching a down
@@ -104,10 +106,30 @@ func (c *Circuit) MaxRemaining(rem *matrix.Matrix) int64 {
 	return max
 }
 
+// DrainEnd returns the tick at which the slowest live established circuit
+// finishes draining its pair when transmission opens at start (at its own
+// ready time for a staggered circuit), and false when no live circuit has
+// anything to send.
+func (c *Circuit) DrainEnd(rem *matrix.Matrix, start int64) (end int64, live bool) {
+	if c.ready == nil {
+		maxRem := c.MaxRemaining(rem)
+		return start + CeilDiv(maxRem, c.bw), maxRem > 0
+	}
+	for i, j := range c.perm {
+		if j == -1 || c.down != nil && (c.down[i] || c.down[j]) {
+			continue
+		}
+		if r := rem.At(i, j); r > 0 {
+			end, live = max(end, c.ready[i]+CeilDiv(r, c.bw)), true
+		}
+	}
+	return end, live
+}
+
 // Transmit implements Fabric: every live established circuit drains its
-// pair from max(start, its ready time) until end at bw units per tick,
-// decrementing rem and appending one flow interval per circuit that moved
-// data. Flow intervals are rounded up to whole ticks (⌈send/bw⌉).
+// pair from start (from its ready time when staggered) until end at bw units
+// per tick, decrementing rem and appending one flow interval per circuit
+// that moved data. Flow intervals are rounded up to whole ticks (⌈send/bw⌉).
 func (c *Circuit) Transmit(rem *matrix.Matrix, start, end int64, flows *schedule.FlowSchedule) int64 {
 	var sent int64
 	for i, j := range c.perm {
@@ -122,8 +144,8 @@ func (c *Circuit) Transmit(rem *matrix.Matrix, start, end int64, flows *schedule
 			continue
 		}
 		from := start
-		if c.startOf != nil {
-			from = c.startOf(i, j)
+		if c.ready != nil {
+			from = c.ready[i]
 		}
 		span := end - from
 		if span <= 0 {

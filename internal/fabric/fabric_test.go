@@ -93,12 +93,10 @@ func TestCircuitStaggeredStarts(t *testing.T) {
 	})
 	c := NewCircuit(2, 1)
 	// Circuit 0 carried over (ready at 0), circuit 1 reconfigures (ready at 3).
-	c.EstablishStaggered([]int{0, 1}, func(i, j int) int64 {
-		if i == 0 {
-			return 0
-		}
-		return 3
-	})
+	c.EstablishStaggered([]int{0, 1}, []int64{0, 3})
+	if end, live := c.DrainEnd(rem, 0); !live || end != 13 {
+		t.Fatalf("DrainEnd = %d, %v, want 13 (circuit 1: ready at 3, 10 to send)", end, live)
+	}
 	var flows schedule.FlowSchedule
 	sent := c.Transmit(rem, 0, 8, &flows)
 	if sent != 8+5 {

@@ -73,7 +73,7 @@ func (s *Schedule) Validate(n int) error {
 	if s == nil {
 		return nil
 	}
-	if s.SetupFailProb < 0 || s.SetupFailProb >= 1 {
+	if !(0 <= s.SetupFailProb && s.SetupFailProb < 1) { // negated: NaN fails every comparison
 		return fmt.Errorf("%w: setup-failure probability %v outside [0,1)", ErrBadSchedule, s.SetupFailProb)
 	}
 	if s.JitterBound < 0 {
@@ -176,7 +176,7 @@ func Generate(cfg GenConfig) (*Schedule, error) {
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("%w: fabric size %d", ErrBadSchedule, cfg.N)
 	}
-	if cfg.PortFailRate < 0 || cfg.PortFailRate > 1 {
+	if !(0 <= cfg.PortFailRate && cfg.PortFailRate <= 1) { // negated: NaN fails every comparison
 		return nil, fmt.Errorf("%w: port-failure rate %v outside [0,1]", ErrBadSchedule, cfg.PortFailRate)
 	}
 	if cfg.PortFailRate > 0 && cfg.Horizon <= 0 {

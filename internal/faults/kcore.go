@@ -131,7 +131,7 @@ func GenerateK(cfg KGenConfig) (*KSchedule, error) {
 	if cfg.K < 1 {
 		return nil, fmt.Errorf("%w: %d cores", ErrBadSchedule, cfg.K)
 	}
-	if cfg.CoreFailRate < 0 || cfg.CoreFailRate > 1 {
+	if !(0 <= cfg.CoreFailRate && cfg.CoreFailRate <= 1) { // negated: NaN fails every comparison
 		return nil, fmt.Errorf("%w: core-failure rate %v outside [0,1]", ErrBadSchedule, cfg.CoreFailRate)
 	}
 	if cfg.CoreFailRate > 0 && cfg.Horizon <= 0 {

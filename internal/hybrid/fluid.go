@@ -152,7 +152,10 @@ func ScheduleFluid(d *matrix.Matrix, cfg FluidConfig) (*FluidResult, error) {
 	}
 
 	// Optical side: Reco-Sin over the optical share, executed on a circuit
-	// fabric with the electrical fabric running concurrently.
+	// fabric with the electrical fabric running concurrently. This is the
+	// one δ-then-drain walk that is not ocs.Core.Run: the electrical fabric
+	// mutates the optical residual between the δ window and the drain, and
+	// a hook in the shared loop for this single caller would not be simpler.
 	var now int64
 	if !remO.IsZero() {
 		cs, err := core.RecoSin(remO, cfg.Delta)

@@ -156,7 +156,7 @@ func TestExecutorGolden(t *testing.T) {
 		}
 	}
 
-	split, err := topology.SplitGreedy(batch[0], uniform(3))
+	split, err := SplitGreedy(batch[0], uniform(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,15 +201,16 @@ func TestExecutorGolden(t *testing.T) {
 	}
 }
 
-// The three functions below are the only part of this file that names the
-// entry points under test.
+// The three functions below, the field names in the dump functions and the
+// package SplitGreedy is called from are the only parts of this file that
+// changed when the executors were folded onto one loop.
 
-func goldenExecK(topo topology.Topology, split []*matrix.Matrix, plans ocs.KSchedule) (ocs.KResult, error) {
-	return ocs.ExecK(topo, split, plans)
+func goldenExecK(topo topology.Topology, split []*matrix.Matrix, plans []ocs.CircuitSchedule) (KResult, error) {
+	return Exec(topo, split, plans)
 }
 
-func goldenRecoverK(topo topology.Topology, split []*matrix.Matrix, plans []ocs.CircuitSchedule, kfs *faults.KSchedule) (*sim.KResult, error) {
-	return sim.RunKRecover(topo, split, plans, kfs)
+func goldenRecoverK(topo topology.Topology, split []*matrix.Matrix, plans []ocs.CircuitSchedule, kfs *faults.KSchedule) (*KResult, error) {
+	return RunRecover(topo, split, plans, kfs)
 }
 
 type goldenController struct {
@@ -225,7 +226,13 @@ func goldenControllers(d *matrix.Matrix, cs ocs.CircuitSchedule, delta int64, fs
 		with("replay", func() sim.Controller { return sim.NewReplay(cs) }),
 		with("replay-loop", func() sim.Controller { return sim.NewReplayLoop(cs) }),
 		with("recover", func() sim.Controller { return sim.NewRecover(delta) }),
-		with("predictive", func() sim.Controller { return sim.NewPredictiveRecover(d, cs, delta, fs) }),
+		{"predictive", func() (*sim.Result, error) {
+			replay, err := sim.RunFaults(d, sim.NewReplayLoop(cs), delta, fs)
+			if err != nil {
+				replay = nil
+			}
+			return sim.RunPredictive(d, delta, fs, replay)
+		}},
 		with("bottleneck", func() sim.Controller { return sim.GreedyBottleneck{} }),
 		with("maxweight", func() sim.Controller { return sim.GreedyMaxWeight{Slot: 25} }),
 	}
@@ -284,7 +291,7 @@ func dumpSeq(w *strings.Builder, k int, r ocs.SeqResult, err error) {
 	w.WriteString("\n")
 }
 
-func dumpExecK(w *strings.Builder, k int, kr ocs.KResult, err error) {
+func dumpExecK(w *strings.Builder, k int, kr KResult, err error) {
 	fmt.Fprintf(w, "%d %s cct=%d reconfigs=%d conf=%d trans=%d", k, errClass(err), kr.CCT, kr.Reconfigs, kr.ConfTime, kr.TransTime)
 	dumpFlows(w, kr.Flows)
 	w.WriteString("\n")
@@ -303,7 +310,7 @@ func dumpSim(w *strings.Builder, r *sim.Result, err error) {
 	if err == nil {
 		fmt.Fprintf(w, " cct=%d", r.CCT)
 	}
-	fmt.Fprintf(w, " est=%d conf=%d setupfail=%d", r.Establishments, r.ConfTime, r.SetupFailures)
+	fmt.Fprintf(w, " est=%d conf=%d setupfail=%d", r.Reconfigs, r.ConfTime, r.SetupFailures)
 	dumpFlows(w, r.Flows)
 	fmt.Fprintf(w, " log=%d[", len(r.Log))
 	for _, tr := range r.Log {
@@ -323,17 +330,17 @@ func dumpSim(w *strings.Builder, r *sim.Result, err error) {
 	w.WriteString("]\n")
 }
 
-func dumpRecoverK(w *strings.Builder, k int, kr *sim.KResult, err error) {
+func dumpRecoverK(w *strings.Builder, k int, kr *KResult, err error) {
 	fmt.Fprintf(w, "%d %s", k, errClass(err))
 	if kr == nil {
 		w.WriteString(" nil\n")
 		return
 	}
-	fmt.Fprintf(w, " cct=%d est=%d conf=%d setupfail=%d dead=%v replanned=%d", kr.CCT, kr.Establishments, kr.ConfTime, kr.SetupFailures, kr.DeadCores, kr.ReplannedTicks)
+	fmt.Fprintf(w, " cct=%d est=%d conf=%d setupfail=%d dead=%v replanned=%d", kr.CCT, kr.Reconfigs, kr.ConfTime, kr.SetupFailures, kr.DeadCores, kr.ReplannedTicks)
 	dumpFlows(w, kr.Flows)
 	w.WriteString("\n")
 	for c, r := range kr.PerCore {
 		fmt.Fprintf(w, " core %d ", c)
-		dumpSim(w, r, nil)
+		dumpSim(w, &r, nil)
 	}
 }

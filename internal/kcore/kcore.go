@@ -9,7 +9,7 @@
 //     single-switch order is the K-core order.
 //  2. Split each coflow's demand across the K cores, entry-granular,
 //     balancing each port's per-core load and establishment count
-//     (topology.SplitGreedy; SplitRoundRobin is the naive baseline).
+//     (SplitGreedy; SplitRoundRobin is the naive baseline).
 //  3. Schedule each core's share independently with Reco-Sin — regularize,
 //     stuff, max-min BvN — and run the K per-core schedules in parallel.
 //
@@ -20,6 +20,11 @@
 // topology.LowerBound = ⌈ρ/B⌉ + ⌈τ/K⌉·δ_min. See docs/TOPOLOGY.md for the
 // full sketch. At K = 1 every step degenerates to the paper's single-switch
 // Reco-Sin pipeline.
+//
+// Running a split is this package's too: every core is one ocs.Core event
+// loop on its share, and a K-core result is the fold of the per-core ones —
+// the maximum CCT, the sum of everything else. Exec does it analytically at
+// each core's bandwidth, RunRecover under a fault plan that may kill cores.
 package kcore
 
 import (
@@ -63,23 +68,23 @@ func (s Strategy) String() string {
 func split(d *matrix.Matrix, topo topology.Topology, strat Strategy) ([]*matrix.Matrix, error) {
 	switch strat {
 	case Greedy:
-		return topology.SplitGreedy(d, topo)
+		return SplitGreedy(d, topo)
 	case RoundRobin:
-		return topology.SplitRoundRobin(d, topo)
+		return SplitRoundRobin(d, topo)
 	}
 	return nil, fmt.Errorf("%w: %d", ErrBadStrategy, int(strat))
 }
 
 // PlanCoflow splits one coflow's demand across topo's cores and builds a
-// Reco-Sin circuit schedule per share. The returned split and plan feed
-// ocs.ExecK (analytic execution) or sim.RunKRecover (faulted simulation).
-// Zero shares get empty schedules.
-func PlanCoflow(ctx context.Context, d *matrix.Matrix, topo topology.Topology, strat Strategy) ([]*matrix.Matrix, ocs.KSchedule, error) {
+// Reco-Sin circuit schedule per share: plans[c] runs on core c. The returned
+// split and plans feed Exec (analytic execution) or RunRecover (faulted
+// simulation). Zero shares get empty schedules.
+func PlanCoflow(ctx context.Context, d *matrix.Matrix, topo topology.Topology, strat Strategy) ([]*matrix.Matrix, []ocs.CircuitSchedule, error) {
 	shares, err := split(d, topo, strat)
 	if err != nil {
 		return nil, nil, err
 	}
-	plans := make(ocs.KSchedule, len(shares))
+	plans := make([]ocs.CircuitSchedule, len(shares))
 	for c, share := range shares {
 		cs, err := core.RecoSinCtx(ctx, share, topo.Cores[c].Delta)
 		if err != nil {
@@ -98,7 +103,7 @@ type BatchResult struct {
 	// Splits[k] and Plans[k] are coflow k's demand split and per-core
 	// schedules.
 	Splits [][]*matrix.Matrix
-	Plans  []ocs.KSchedule
+	Plans  [][]ocs.CircuitSchedule
 	// Seq is the executed result: coflows back-to-back, cores in parallel
 	// inside each coflow's window.
 	Seq ocs.SeqResult
@@ -117,7 +122,7 @@ func ScheduleBatch(ctx context.Context, ds []*matrix.Matrix, topo topology.Topol
 	res := &BatchResult{
 		Order:  ordering.SEBF(ds),
 		Splits: make([][]*matrix.Matrix, len(ds)),
-		Plans:  make([]ocs.KSchedule, len(ds)),
+		Plans:  make([][]ocs.CircuitSchedule, len(ds)),
 	}
 	for k, d := range ds {
 		if err := ctx.Err(); err != nil {
@@ -130,7 +135,7 @@ func ScheduleBatch(ctx context.Context, ds []*matrix.Matrix, topo topology.Topol
 		res.Splits[k] = shares
 		res.Plans[k] = plans
 	}
-	seq, err := ocs.ExecSequentialK(topo, res.Splits, res.Plans, res.Order)
+	seq, err := ExecSequential(topo, res.Splits, res.Plans, res.Order)
 	if err != nil {
 		return nil, err
 	}

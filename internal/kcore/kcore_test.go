@@ -80,9 +80,9 @@ func TestPlanCoflowCompletes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("K=%d: PlanCoflow: %v", k, err)
 		}
-		kr, err := ocs.ExecK(topo, shares, plans)
+		kr, err := Exec(topo, shares, plans)
 		if err != nil {
-			t.Fatalf("K=%d: ExecK: %v", k, err)
+			t.Fatalf("K=%d: Exec: %v", k, err)
 		}
 		var moved int64
 		for _, f := range kr.Flows {

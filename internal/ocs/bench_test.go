@@ -1,0 +1,84 @@
+package ocs_test
+
+import (
+	"math/rand"
+	"testing"
+
+	"reco/internal/core"
+	"reco/internal/faults"
+	"reco/internal/kcore"
+	"reco/internal/matrix"
+	"reco/internal/ocs"
+	"reco/internal/sim"
+	"reco/internal/topology"
+)
+
+// benchDemand fills the given fraction of an n×n matrix.
+func benchDemand(b *testing.B, n int, fill float64) *matrix.Matrix {
+	rng := rand.New(rand.NewSource(int64(n)))
+	d, err := matrix.New(n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if rng.Float64() < fill {
+				d.Set(i, j, 1+rng.Int63n(4000))
+			}
+		}
+	}
+	return d
+}
+
+// BenchmarkExec is the event loop in isolation, one sub-benchmark per way of
+// entering it: the executor's share of a dense and of a sparse request, the
+// not-all-stop model, a simulated replay under δ jitter and the K-core fold.
+// Schedules are Reco-Sin's and built outside the timer.
+func BenchmarkExec(b *testing.B) {
+	const delta = 100
+	plan := func(d *matrix.Matrix) ocs.CircuitSchedule {
+		cs, err := core.RecoSin(d, delta)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return cs
+	}
+	dense, sparse := benchDemand(b, 64, 0.9), benchDemand(b, 128, 0.02)
+	densePlan, sparsePlan := plan(dense), plan(sparse)
+	jitter, err := faults.Generate(faults.GenConfig{N: 64, Seed: 7, JitterBound: delta / 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	topo, err := topology.Uniform(64, 4, delta)
+	if err != nil {
+		b.Fatal(err)
+	}
+	split, err := kcore.SplitGreedy(dense, topo)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plans := make([]ocs.CircuitSchedule, len(split))
+	for c := range split {
+		plans[c] = plan(split[c])
+	}
+
+	for _, bc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"allstop-dense-n64", func() error { _, err := ocs.ExecAllStop(dense, densePlan, delta); return err }},
+		{"allstop-sparse-n128", func() error { _, err := ocs.ExecAllStop(sparse, sparsePlan, delta); return err }},
+		{"notallstop-n64", func() error { _, err := ocs.ExecNotAllStop(dense, densePlan, delta); return err }},
+		{"faults-replay-n64", func() error { _, err := sim.RunFaults(dense, sim.NewReplay(densePlan), delta, jitter); return err }},
+		{"kcore-k4-n64", func() error { _, err := kcore.Exec(topo, split, plans); return err }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := bc.run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -1,22 +1,24 @@
 // Package ocs models an N×N non-blocking optical circuit switch: circuit
 // assignments (a matching of ingress to egress ports held for a duration),
-// circuit schedules, and executors for the paper's all-stop reconfiguration
-// model (Sec. II-A) and the not-all-stop extension (Sec. VI).
+// circuit schedules, and the event loop of one switching core (Core.Run)
+// under the paper's all-stop reconfiguration model (Sec. II-A) and the
+// not-all-stop extension (Sec. VI).
 //
-// The executors are the ground truth every algorithm in this repository is
-// measured against: they charge δ per reconfiguration, stop circuits early
-// when their pair's demand is exhausted (the Fig. 2 semantics), and emit a
-// flow-level schedule that the schedule package can independently validate.
+// The executors share that one drain loop — ExecAllStop, ExecAllStopRate and
+// ExecNotAllStop are a Core run by a Walk over the schedule; the simulator
+// (internal/sim) and each core of a K-core fabric (internal/kcore) run the
+// same Core under their own controllers and fault schedules. It is the
+// ground truth every algorithm in this repository is measured against: it
+// charges δ per reconfiguration, stops circuits early when their pair's
+// demand is exhausted (the Fig. 2 semantics), and emits a flow-level
+// schedule that the schedule package can independently validate.
 package ocs
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 
-	"reco/internal/fabric"
 	"reco/internal/matrix"
-	"reco/internal/schedule"
 )
 
 // ErrInvalidAssignment reports a circuit assignment that is not a partial
@@ -39,13 +41,21 @@ type Assignment struct {
 // Validate checks that a is a partial matching on an n-port fabric with a
 // positive duration.
 func (a Assignment) Validate(n int) error {
+	return a.validate(make([]bool, n))
+}
+
+// validate is Validate on a fabric of len(seen) ports, with seen as the
+// scratch that marks egress ports taken; it is cleared first, so one scratch
+// serves a whole schedule.
+func (a Assignment) validate(seen []bool) error {
+	n := len(seen)
 	if len(a.Perm) != n {
 		return fmt.Errorf("%w: perm has %d entries, want %d", ErrInvalidAssignment, len(a.Perm), n)
 	}
 	if a.Dur <= 0 {
 		return fmt.Errorf("%w: duration %d", ErrInvalidAssignment, a.Dur)
 	}
-	seen := make([]bool, n)
+	clear(seen)
 	for i, j := range a.Perm {
 		if j == -1 {
 			continue
@@ -66,37 +76,17 @@ type CircuitSchedule []Assignment
 
 // Validate checks every assignment against an n-port fabric.
 func (cs CircuitSchedule) Validate(n int) error {
+	return cs.validate(make([]bool, n))
+}
+
+func (cs CircuitSchedule) validate(seen []bool) error {
 	for u, a := range cs {
-		if err := a.Validate(n); err != nil {
+		if err := a.validate(seen); err != nil {
 			return fmt.Errorf("assignment %d: %w", u, err)
 		}
 	}
 	return nil
 }
-
-// Result reports the outcome of executing a circuit schedule against a
-// demand matrix.
-type Result struct {
-	// CCT is the completion time: transmission plus reconfiguration delay.
-	CCT int64
-	// Reconfigs counts circuit reconfigurations actually performed;
-	// assignments skipped because their circuits had no remaining demand do
-	// not reconfigure the switch.
-	Reconfigs int
-	// ConfTime is the total time spent reconfiguring.
-	ConfTime int64
-	// TransTime is the total time the switch spent with circuits up
-	// (CCT − ConfTime); individual circuits may go idle inside it.
-	TransTime int64
-	// Flows is the resulting flow-level schedule (coflow index 0), suitable
-	// for independent validation via the schedule package.
-	Flows schedule.FlowSchedule
-}
-
-// The executors in this package share one drain loop: fabric.Circuit's
-// Transmit, with MaxRemaining supplying each establishment's natural end.
-// bw = 1 reproduces the paper's unit-bandwidth semantics exactly; the
-// K-core executors (ExecK) run one Circuit fabric per core.
 
 // ExecAllStop plays the circuit schedule cs against demand d under the
 // all-stop model: every reconfiguration halts the whole switch for delta.
@@ -116,80 +106,9 @@ func ExecAllStop(d *matrix.Matrix, cs CircuitSchedule, delta int64) (Result, err
 // ExecAllStopRate is ExecAllStop on a core whose circuits move bw demand
 // units per tick instead of one. An establishment occupies
 // min(Dur, ⌈maxRem/bw⌉) ticks; flow intervals are rounded up to whole ticks.
-// bw = 1 is byte-identical to ExecAllStop. Executors for multi-core fabrics
-// use this to honor per-core bandwidth (see ExecK).
+// K-core fabrics use it to honor per-core bandwidth (kcore.Exec).
 func ExecAllStopRate(d *matrix.Matrix, cs CircuitSchedule, delta, bw int64) (Result, error) {
-	n := d.N()
-	if err := cs.Validate(n); err != nil {
-		return Result{}, err
-	}
-	if delta < 0 {
-		return Result{}, fmt.Errorf("%w: negative delta %d", ErrInvalidAssignment, delta)
-	}
-	if bw < 1 {
-		return Result{}, fmt.Errorf("%w: bandwidth %d", ErrInvalidAssignment, bw)
-	}
-	rem := acquireResidual(d)
-	defer residuals.Put(rem)
-	left := d.Total() // maintained incrementally; the dense residual is never rescanned
-	fab := fabric.NewCircuit(n, bw)
-	var res Result
-	// A circuit emits a flow only while its pair has demand left, so the
-	// circuits over pairs with any demand at all bound the flow list (within
-	// ~10% on dense coflows, exactly on single-port ones). Reserving that
-	// once replaces a dozen append-doublings; nothing to send still means
-	// nil Flows.
-	most := 0
-	for _, a := range cs {
-		for i, j := range a.Perm {
-			if j != -1 && d.At(i, j) > 0 {
-				most++
-			}
-		}
-	}
-	if most > 0 {
-		res.Flows = make(schedule.FlowSchedule, 0, most)
-	}
-	var now int64
-	for _, a := range cs {
-		fab.Establish(a.Perm)
-		maxRem := fab.MaxRemaining(rem)
-		if maxRem == 0 {
-			continue // nothing to send: skip without reconfiguring
-		}
-		now += delta
-		res.Reconfigs++
-		active := a.Dur
-		if t := fabric.CeilDiv(maxRem, bw); t < active {
-			active = t
-		}
-		left -= fab.Transmit(rem, now, now+active, &res.Flows)
-		now += active
-		if left == 0 {
-			break // demand exhausted: trailing assignments would all be skipped
-		}
-	}
-	res.CCT = now
-	res.ConfTime = int64(res.Reconfigs) * delta
-	res.TransTime = res.CCT - res.ConfTime
-	if left != 0 {
-		return res, fmt.Errorf("%w: %d ticks left", ErrIncomplete, left)
-	}
-	return res, nil
-}
-
-// residuals recycles ExecAllStopRate's scratch residual across calls: a
-// request then pays a copy of its demand, not a fresh n² allocation.
-var residuals sync.Pool
-
-// acquireResidual returns a scratch copy of d for the caller to drain and
-// hand back to residuals.
-func acquireResidual(d *matrix.Matrix) *matrix.Matrix {
-	if rem, _ := residuals.Get().(*matrix.Matrix); rem != nil && rem.N() == d.N() {
-		rem.CopyFrom(d)
-		return rem
-	}
-	return d.Clone()
+	return Core{Delta: delta, Bandwidth: bw, Flows: true}.exec(d, cs)
 }
 
 // ExecNotAllStop plays cs against d under the not-all-stop model (Sec. VI):
@@ -198,84 +117,33 @@ func acquireResidual(d *matrix.Matrix) *matrix.Matrix {
 // transmitting through the delta window. Reconfigs counts transitions that
 // change at least one circuit.
 func ExecNotAllStop(d *matrix.Matrix, cs CircuitSchedule, delta int64) (Result, error) {
-	n := d.N()
-	if err := cs.Validate(n); err != nil {
+	return Core{Delta: delta, Bandwidth: 1, CarryOver: true, Flows: true}.exec(d, cs)
+}
+
+// exec runs c over the precomputed schedule cs. The whole schedule is
+// validated up front, so a bad trailing assignment is rejected even when the
+// demand drains before the walk reaches it; nothing is returned next to an
+// invalid schedule or core.
+func (c Core) exec(d *matrix.Matrix, cs CircuitSchedule) (Result, error) {
+	sc := acquireScratch(d.N())
+	defer sc.release()
+	if err := cs.validate(sc.seen); err != nil {
 		return Result{}, err
 	}
-	if delta < 0 {
-		return Result{}, fmt.Errorf("%w: negative delta %d", ErrInvalidAssignment, delta)
-	}
-	rem := d.Clone()
-	left := d.Total()
-	fab := fabric.NewCircuit(n, 1)
-	var res Result
-	var now int64
-	prev := make([]int, n)
-	for i := range prev {
-		prev[i] = -1
-	}
+	// A circuit emits a flow only while its pair has demand left, so the
+	// circuits over pairs with any demand at all bound the flow list (within
+	// ~10% on dense coflows, exactly on single-port ones). Reserving that
+	// once replaces a dozen append-doublings.
+	most := 0
 	for _, a := range cs {
-		fab.Establish(a.Perm)
-		if fab.MaxRemaining(rem) == 0 {
-			continue
-		}
-		anyChanged := false
 		for i, j := range a.Perm {
-			if j == -1 {
-				continue
+			if j != -1 && d.At(i, j) > 0 {
+				most++
 			}
-			if rem.At(i, j) > 0 && prev[i] != j {
-				anyChanged = true
-				break
-			}
-		}
-		// Changed circuits come up delta after the window opens; carried-over
-		// circuits transmit from the start of the window. The window closes
-		// when every circuit has drained its pair (or the establishment's
-		// budget, counted from when new circuits are up, runs out).
-		lag := int64(0)
-		if anyChanged {
-			lag = delta
-			res.Reconfigs++
-		}
-		startOf := func(i, j int) int64 {
-			if prev[i] == j {
-				return now // carried over: no stall for this circuit
-			}
-			return now + lag
-		}
-		fab.EstablishStaggered(a.Perm, startOf)
-		var maxFinish int64
-		for i, j := range a.Perm {
-			if j == -1 {
-				continue
-			}
-			r := rem.At(i, j)
-			if r == 0 {
-				continue
-			}
-			if fin := startOf(i, j) + r; fin > maxFinish {
-				maxFinish = fin
-			}
-		}
-		windowEnd := now + lag + a.Dur
-		if maxFinish < windowEnd {
-			windowEnd = maxFinish
-		}
-		left -= fab.Transmit(rem, now, windowEnd, &res.Flows)
-		now = windowEnd
-		copy(prev, a.Perm)
-		if left == 0 {
-			break
 		}
 	}
-	res.CCT = now
-	res.ConfTime = int64(res.Reconfigs) * delta
-	res.TransTime = res.CCT - res.ConfTime
-	if left != 0 {
-		return res, fmt.Errorf("%w: %d ticks left", ErrIncomplete, left)
-	}
-	return res, nil
+	sc.walk = Walk{Schedule: cs}
+	return c.run(sc, d, &sc.walk, most, true)
 }
 
 // LowerBound returns the single-coflow CCT lower bound T_lb = ρ + τ·δ used

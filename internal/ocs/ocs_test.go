@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"reco/internal/bvn"
 	"reco/internal/matrix"
 )
 
@@ -378,5 +379,111 @@ func TestExecAllStopResidualCarriesNothingOver(t *testing.T) {
 		if err := res.Flows.CheckDemand([]*matrix.Matrix{d}); err != nil {
 			t.Errorf("n=%d: %v", d.N(), err)
 		}
+	}
+}
+
+// randomPlan builds a complete circuit schedule for d by stuffing it to a
+// doubly stochastic matrix and decomposing with MaxMin BvN.
+func randomPlan(t *testing.T, d *matrix.Matrix) CircuitSchedule {
+	t.Helper()
+	terms, err := bvn.Decompose(matrix.StuffPreferNonZero(d), bvn.MaxMin)
+	if err != nil {
+		t.Fatalf("bvn.Decompose: %v", err)
+	}
+	cs := make(CircuitSchedule, len(terms))
+	for u, term := range terms {
+		cs[u] = Assignment{Perm: term.Perm, Dur: term.Coef}
+	}
+	return cs
+}
+
+func randomDemand(t *testing.T, rng *rand.Rand, n int) *matrix.Matrix {
+	t.Helper()
+	d, err := matrix.New(n)
+	if err != nil {
+		t.Fatalf("matrix.New: %v", err)
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if rng.Float64() < 0.4 {
+				d.Set(i, j, 1+rng.Int63n(50))
+			}
+		}
+	}
+	if d.IsZero() {
+		d.Set(0, 0, 1)
+	}
+	return d
+}
+
+// TestExecAllStopRateUnitBandwidth pins ExecAllStopRate(bw=1) to ExecAllStop
+// — the shared drain loop must not change the unit-bandwidth semantics.
+func TestExecAllStopRateUnitBandwidth(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for trial := 0; trial < 20; trial++ {
+		d := randomDemand(t, rng, 10)
+		cs := randomPlan(t, d)
+		want, err1 := ExecAllStop(d, cs, 25)
+		got, err2 := ExecAllStopRate(d, cs, 25, 1)
+		if (err1 == nil) != (err2 == nil) {
+			t.Fatalf("trial %d: error mismatch %v vs %v", trial, err1, err2)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: bw=1 result diverges", trial)
+		}
+	}
+}
+
+func TestExecAllStopRateFasterCore(t *testing.T) {
+	d := mustMatrix(t, [][]int64{{10, 0}, {0, 6}})
+	cs := CircuitSchedule{{Perm: []int{0, 1}, Dur: 10}}
+	// bw=2: maxRem 10 drains in ceil(10/2)=5 ticks, CCT = delta + 5.
+	res, err := ExecAllStopRate(d, cs, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CCT != 8 {
+		t.Errorf("CCT = %d, want 8", res.CCT)
+	}
+	// Flow (1,1): 6 units at bw 2 → 3 ticks.
+	for _, f := range res.Flows {
+		if f.In == 1 && f.End-f.Start != 3 {
+			t.Errorf("flow (1,1) spans %d ticks, want 3", f.End-f.Start)
+		}
+	}
+	if _, err := ExecAllStopRate(d, cs, 3, 0); !errors.Is(err, ErrInvalidAssignment) {
+		t.Errorf("bw=0: err = %v, want ErrInvalidAssignment", err)
+	}
+}
+
+// TestExecAllStopAllocsIndependentOfTerms: a run allocates its flow list and
+// a constant handful besides — validating an assignment, walking to it and
+// draining it allocate nothing, so a schedule ten times as long costs the
+// same number of allocations.
+func TestExecAllStopAllocsIndependentOfTerms(t *testing.T) {
+	const n = 8
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
+	}
+	allocs := func(terms int) float64 {
+		d, _ := matrix.New(n)
+		for i := 0; i < n; i++ {
+			d.Set(i, i, int64(terms))
+		}
+		cs := make(CircuitSchedule, terms)
+		for u := range cs {
+			cs[u] = Assignment{Perm: perm, Dur: 1}
+		}
+		return testing.AllocsPerRun(20, func() {
+			if res, err := ExecAllStop(d, cs, 3); err != nil || res.Reconfigs != terms {
+				t.Fatalf("%d terms: %d reconfigurations, error %v", terms, res.Reconfigs, err)
+			}
+		})
+	}
+	// The scratch pool may come up empty (under the race detector it drops
+	// at random), which costs a run the four allocations of a fresh scratch.
+	if short, long := allocs(20), allocs(200); long > short+4 {
+		t.Errorf("%v allocations for 20 terms, %v for 200", short, long)
 	}
 }

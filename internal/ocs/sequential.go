@@ -36,11 +36,11 @@ func validateOrder(order []int, n int) error {
 	return nil
 }
 
-// execSeq hands the switch to one coflow at a time in priority order: run(k)
-// executes coflow k's schedule on an empty timeline, and execSeq shifts its
+// Sequence hands the fabric to one of n coflows at a time in priority order:
+// run(k) executes coflow k on an empty timeline, and Sequence shifts its
 // flows behind everything already transmitted. It is the single sequential
-// loop behind ExecSequential and ExecSequentialK.
-func execSeq(n int, order []int, run func(k int) (Result, error)) (SeqResult, error) {
+// loop behind ExecSequential and the K-core kcore.ExecSequential.
+func Sequence(n int, order []int, run func(k int) (Result, error)) (SeqResult, error) {
 	if err := validateOrder(order, n); err != nil {
 		return SeqResult{}, err
 	}
@@ -84,7 +84,7 @@ func ExecSequential(ds []*matrix.Matrix, schedules []CircuitSchedule, order []in
 	if len(ds) != len(schedules) {
 		return SeqResult{}, fmt.Errorf("ocs: %d demand matrices but %d schedules", len(ds), len(schedules))
 	}
-	return execSeq(len(ds), order, func(k int) (Result, error) {
+	return Sequence(len(ds), order, func(k int) (Result, error) {
 		return ExecAllStop(ds[k], schedules[k], delta)
 	})
 }

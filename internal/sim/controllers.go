@@ -8,69 +8,33 @@ import (
 )
 
 // Replay is a Controller that plays back a precomputed circuit schedule,
-// skipping establishments whose circuits have already drained — exactly the
-// semantics of ocs.ExecAllStop, which makes it the differential-testing
-// bridge between the analytic executor and this simulator.
-type Replay struct {
-	schedule ocs.CircuitSchedule
-	pos      int
-}
+// skipping establishments whose circuits have already drained: the walk the
+// analytic executors run, under a name.
+type Replay struct{ ocs.Walk }
 
 // NewReplay returns a Replay controller over cs.
 func NewReplay(cs ocs.CircuitSchedule) *Replay {
-	return &Replay{schedule: cs}
+	return &Replay{ocs.Walk{Schedule: cs}}
 }
 
 // Name implements Controller.
 func (r *Replay) Name() string { return "replay" }
 
-// Next implements Controller.
-func (r *Replay) Next(s State) Decision {
-	for r.pos < len(r.schedule) {
-		a := r.schedule[r.pos]
-		r.pos++
-		for i, j := range a.Perm {
-			if j != -1 && s.Remaining.At(i, j) > 0 {
-				return Decision{Perm: a.Perm, Budget: a.Dur}
-			}
-		}
-	}
-	return Decision{}
-}
-
 // ReplayLoop is the naive recovery baseline: it plays the precomputed
 // schedule like Replay, but cycles back to the top as long as demand
 // remains, blindly re-establishing assignments whose circuits have not
 // drained — including circuits stranded on failed ports, where each attempt
-// burns a reconfiguration delay and carries nothing. It never replans.
-type ReplayLoop struct {
-	schedule ocs.CircuitSchedule
-	pos      int
-}
+// burns a reconfiguration delay and carries nothing. It never replans, and
+// stops when a full cycle finds nothing undrained.
+type ReplayLoop struct{ ocs.Walk }
 
 // NewReplayLoop returns a ReplayLoop controller over cs.
 func NewReplayLoop(cs ocs.CircuitSchedule) *ReplayLoop {
-	return &ReplayLoop{schedule: cs}
+	return &ReplayLoop{ocs.Walk{Schedule: cs, Loop: true}}
 }
 
 // Name implements Controller.
 func (r *ReplayLoop) Name() string { return "replay-loop" }
-
-// Next implements Controller: the next assignment (cyclically) with
-// undrained demand, or stop when a full cycle finds none.
-func (r *ReplayLoop) Next(s State) Decision {
-	n := len(r.schedule)
-	for tried := 0; tried < n; tried++ {
-		a := r.schedule[r.pos%n]
-		r.pos++
-		for i, j := range a.Perm {
-			if j != -1 && s.Remaining.At(i, j) > 0 {
-				return Decision{Perm: a.Perm, Budget: a.Dur}
-			}
-		}
-	}
-	return Decision{}
-}
 
 // GreedyBottleneck is a reactive controller: each time the switch idles, it
 // establishes the bottleneck-optimal (max–min) perfect matching of the
@@ -87,7 +51,7 @@ func (g GreedyBottleneck) Next(s State) Decision {
 	if s.Remaining.IsZero() {
 		return Decision{}
 	}
-	stuffed := matrix.StuffPreferNonZero(s.Remaining)
+	stuffed := matrix.StuffPreferNonZero(s.Remaining.Clone())
 	perm, _, err := matching.BottleneckPerfect(stuffed)
 	if err != nil {
 		return Decision{}
@@ -129,7 +93,7 @@ func (g GreedyMaxWeight) Next(s State) Decision {
 	if s.Remaining.IsZero() || g.Slot <= 0 {
 		return Decision{}
 	}
-	perm, weight := matching.MaxWeightPerfect(s.Remaining)
+	perm, weight := matching.MaxWeightPerfect(s.Remaining.Clone())
 	if weight == 0 {
 		return Decision{}
 	}

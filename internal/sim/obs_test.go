@@ -45,7 +45,11 @@ func TestInstrumentationIsInvisible(t *testing.T) {
 			{"clean", func() (*Result, error) { return Run(d, NewReplay(cs), delta) }},
 			{"replay-faulted", func() (*Result, error) { return RunFaults(d, NewReplayLoop(cs), delta, fs) }},
 			{"recover-faulted", func() (*Result, error) {
-				return RunFaults(d, NewPredictiveRecover(d, cs, delta, fs), delta, fs)
+				replay, err := RunFaults(d, NewReplayLoop(cs), delta, fs)
+				if err != nil {
+					replay = nil
+				}
+				return RunPredictive(d, delta, fs, replay)
 			}},
 		}
 		for _, v := range variants {
@@ -97,8 +101,8 @@ func TestSimCountersMatchResult(t *testing.T) {
 	if got := reg.Counter("sim_runs_total").Value(); got != 1 {
 		t.Errorf("sim_runs_total = %d, want 1", got)
 	}
-	if got := reg.Counter("sim_establishments_total").Value(); got != int64(res.Establishments) {
-		t.Errorf("sim_establishments_total = %d, want %d", got, res.Establishments)
+	if got := reg.Counter("sim_establishments_total").Value(); got != int64(res.Reconfigs) {
+		t.Errorf("sim_establishments_total = %d, want %d", got, res.Reconfigs)
 	}
 	if got := reg.Counter("sim_conf_ticks_total").Value(); got != res.ConfTime {
 		t.Errorf("sim_conf_ticks_total = %d, want %d", got, res.ConfTime)

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"errors"
+
 	"reco/internal/algo"
 	"reco/internal/core"
 	"reco/internal/faults"
@@ -39,14 +41,13 @@ type Recover struct {
 	// original decomposition often serves a residual in fewer
 	// establishments than a fresh decomposition of it.
 	base ocs.CircuitSchedule
-	plan ocs.CircuitSchedule
-	pos  int
+	plan ocs.Walk
 
-	// Last establishment issued, for setup-failure detection.
-	lastPerm   []int
-	lastBudget int64
-	lastTotal  int64
-	lastPorts  []bool
+	// Last establishment issued, with the demand left and the ports down at
+	// the time, for setup-failure detection.
+	last      Decision
+	lastTotal int64
+	lastDown  []bool
 }
 
 // NewRecover returns a Recover controller planning with reconfiguration
@@ -55,27 +56,24 @@ func NewRecover(delta int64) *Recover {
 	return &Recover{delta: delta}
 }
 
-// NewPredictiveRecover returns the recovery controller for a KNOWN outage
-// schedule — the degraded-CCT experiment's setting, where injected faults
-// play the role of a published maintenance plan. Online replanning with only
-// the current port state in view is myopic: a replan tuned to today's
-// surviving ports can be invalidated by the next failure, and the blind
-// replay occasionally gets lucky. With the schedule in hand the controller
-// instead forward-simulates both policies — the replanning Recover and the
-// naive schedule replay — under the exact fault sequence and commits to
-// whichever completes earlier. The simulator is deterministic, so the chosen
-// policy's real run reproduces its forecast, and the result is never slower
-// than the naive replay by construction.
-func NewPredictiveRecover(d *matrix.Matrix, cs ocs.CircuitSchedule, delta int64, fs *faults.Schedule) Controller {
-	rec, errRec := RunFaults(d, NewRecover(delta), delta, fs)
-	rep, errRep := RunFaults(d, NewReplayLoop(cs), delta, fs)
-	if errRec == nil && (errRep != nil || rec.CCT <= rep.CCT) {
-		return NewRecover(delta)
+// RunPredictive runs the recovery policy for a KNOWN outage schedule — the
+// degraded-CCT experiment's setting, where injected faults play the role of
+// a published maintenance plan. Online replanning with only the current port
+// state in view is myopic: a replan tuned to today's surviving ports can be
+// invalidated by the next failure, and the blind replay occasionally gets
+// lucky. With the schedule in hand the policy instead forward-simulates both
+// — the replanning Recover here, the naive ReplayLoop in the run the caller
+// hands in as replay (nil when that run failed) — under the exact fault
+// sequence and commits to whichever completes earlier. The simulator is
+// deterministic, so the forecast is the run: the result returned is the
+// winner's own (replay itself when the replay wins), never slower than the
+// naive replay by construction.
+func RunPredictive(d *matrix.Matrix, delta int64, fs *faults.Schedule, replay *Result) (*Result, error) {
+	rec, err := RunFaults(d, NewRecover(delta), delta, fs)
+	if replay != nil && (err != nil || replay.CCT < rec.CCT) {
+		return replay, nil
 	}
-	if errRep == nil {
-		return NewReplayLoop(cs)
-	}
-	return NewRecover(delta)
+	return rec, err
 }
 
 // Name implements Controller: the recovery controller replans residual
@@ -86,15 +84,15 @@ func (rc *Recover) Name() string { return algo.NameRecoSin + "-recover" }
 func (rc *Recover) Next(s State) Decision {
 	// A previous establishment that drained nothing under an unchanged port
 	// state can only be a setup failure: retry it.
-	if rc.lastPerm != nil && s.Remaining.Total() == rc.lastTotal && samePorts(rc.lastPorts, s.PortsDown) {
-		return rc.issue(Decision{Perm: rc.lastPerm, Budget: rc.lastBudget}, s)
+	if rc.last.Perm != nil && s.Remaining.Total() == rc.lastTotal && rc.portsUnchanged(s) {
+		return rc.last
 	}
 
-	if dec, ok := rc.pop(s); ok {
+	if dec, ok := rc.pop(s, true); ok {
 		return rc.issue(dec, s)
 	}
 	if rc.replan(s, true) {
-		if dec, ok := rc.pop(s); ok {
+		if dec, ok := rc.pop(s, true); ok {
 			return rc.issue(dec, s)
 		}
 	}
@@ -102,13 +100,13 @@ func (rc *Recover) Next(s State) Decision {
 	// overlap the reconfiguration delay with the outage: idle until a
 	// reconfiguration started now would finish at the event, then establish
 	// toward the stranded demand so circuits come up as the state changes.
-	rc.lastPerm = nil
+	rc.last = Decision{}
 	if s.NextPortEvent > s.Now {
 		if wait := s.NextPortEvent - s.Now - rc.delta; wait > 0 {
 			return Decision{Wait: wait}
 		}
 		if rc.replan(s, false) {
-			if dec, ok := rc.popAny(s); ok {
+			if dec, ok := rc.pop(s, false); ok {
 				return rc.issue(dec, s)
 			}
 		}
@@ -117,44 +115,35 @@ func (rc *Recover) Next(s State) Decision {
 	return Decision{}
 }
 
-// pop consumes plan entries until one carries undrained demand on a circuit
-// that is alive right now. Dead-circuit and fully drained assignments cost
-// nothing to skip.
-func (rc *Recover) pop(s State) (Decision, bool) {
-	for rc.pos < len(rc.plan) {
-		a := rc.plan[rc.pos]
-		rc.pos++
-		for i, j := range a.Perm {
-			if j != -1 && s.Remaining.At(i, j) > 0 && s.PortUp(i) && s.PortUp(j) {
-				return Decision{Perm: a.Perm, Budget: a.Dur}, true
-			}
-		}
-	}
-	return Decision{}, false
-}
-
-// popAny is pop without the liveness requirement: the speculative pre-repair
-// path establishes toward demand whose ports are still down.
-func (rc *Recover) popAny(s State) (Decision, bool) {
-	for rc.pos < len(rc.plan) {
-		a := rc.plan[rc.pos]
-		rc.pos++
-		for i, j := range a.Perm {
-			if j != -1 && s.Remaining.At(i, j) > 0 {
-				return Decision{Perm: a.Perm, Budget: a.Dur}, true
-			}
-		}
-	}
-	return Decision{}, false
+// pop consumes plan entries until one carries undrained demand — on a
+// circuit that is alive right now when live is set; the speculative
+// pre-repair path establishes toward demand whose ports are still down.
+// Dead-circuit and fully drained assignments cost nothing to skip.
+func (rc *Recover) pop(s State, live bool) (Decision, bool) {
+	rc.plan.Live = live
+	dec := rc.plan.Next(s)
+	return dec, dec.Perm != nil
 }
 
 // issue records the decision for setup-failure detection and returns it.
 func (rc *Recover) issue(dec Decision, s State) Decision {
-	rc.lastPerm = dec.Perm
-	rc.lastBudget = dec.Budget
-	rc.lastTotal = s.Remaining.Total()
-	rc.lastPorts = append(rc.lastPorts[:0], s.PortsDown...)
+	rc.last, rc.lastTotal = dec, s.Remaining.Total()
+	rc.lastDown = rc.lastDown[:0]
+	for p := 0; p < s.Remaining.N(); p++ {
+		rc.lastDown = append(rc.lastDown, !s.PortUp(p))
+	}
 	return dec
+}
+
+// portsUnchanged reports whether the ports down now are the ones that were
+// down at the last issue.
+func (rc *Recover) portsUnchanged(s State) bool {
+	for p, down := range rc.lastDown {
+		if down == s.PortUp(p) {
+			return false
+		}
+	}
+	return true
 }
 
 // replan computes a fresh Reco-Sin plan over the residual demand — restricted
@@ -164,17 +153,14 @@ func (rc *Recover) issue(dec Decision, s State) Decision {
 // re-walking the base schedule; ties keep the base. It reports false when the
 // chosen residual is empty.
 func (rc *Recover) replan(s State, restrict bool) bool {
-	rc.plan, rc.pos = nil, 0
+	rc.plan = ocs.Walk{}
 	resid := s.Remaining.Clone()
-	n := resid.N()
-	if restrict && s.PortsDown != nil {
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if resid.At(i, j) != 0 && (s.PortsDown[i] || s.PortsDown[j]) {
-					resid.Set(i, j, 0)
-				}
+	if restrict {
+		resid.ForEachNonZero(func(i, j int, _ int64) {
+			if !s.PortUp(i) || !s.PortUp(j) {
+				resid.Set(i, j, 0)
 			}
-		}
+		})
 	}
 	if resid.IsZero() {
 		return false
@@ -184,92 +170,40 @@ func (rc *Recover) replan(s State, restrict bool) bool {
 		if rc.base == nil {
 			return false
 		}
-		rc.plan = rc.base
+		rc.plan.Schedule = rc.base
 		return true
 	}
 	if rc.base == nil {
 		// First plan over the full demand: this is the base schedule.
 		rc.base = cs
-		rc.plan = cs
+		rc.plan.Schedule = cs
 		return true
 	}
 	csCost, csDone := rc.estimate(cs, s)
 	baseCost, baseDone := rc.estimate(rc.base, s)
 	if csDone && (!baseDone || csCost < baseCost) {
-		rc.plan = cs
+		rc.plan.Schedule = cs
 	} else {
-		rc.plan = rc.base
+		rc.plan.Schedule = rc.base
 	}
 	return true
 }
 
-// estimate walks plan against a copy of the residual demand under the current
-// port state, with the simulator's establishment semantics (skip assignments
-// with no undrained alive circuit, early-stop at the slowest alive circuit).
-// It returns the projected time to drain everything the plan can reach and
+// estimate dry-runs plan against the residual demand with the ports frozen
+// as they are now: the event loop itself, keeping neither flows nor log,
+// under a walk that skips assignments with no undrained alive circuit. It
+// returns the projected time to drain everything the plan can reach and
 // whether that is all of the currently servable demand — a plan whose support
 // misses servable entries (e.g. a base plan built while those ports were
 // down) must not be preferred on cost alone.
 func (rc *Recover) estimate(plan ocs.CircuitSchedule, s State) (int64, bool) {
-	rem := s.Remaining.Clone()
-	var cost int64
-	for _, a := range plan {
-		var maxRem int64
-		for i, j := range a.Perm {
-			if j == -1 || !s.PortUp(i) || !s.PortUp(j) {
-				continue
-			}
-			if r := rem.At(i, j); r > maxRem {
-				maxRem = r
-			}
-		}
-		if maxRem == 0 {
-			continue
-		}
-		active := a.Dur
-		if maxRem < active {
-			active = maxRem
-		}
-		cost += rc.delta + active
-		for i, j := range a.Perm {
-			if j == -1 || !s.PortUp(i) || !s.PortUp(j) {
-				continue
-			}
-			r := rem.At(i, j)
-			d := active
-			if r < d {
-				d = r
-			}
-			if d > 0 {
-				rem.Set(i, j, r-d)
-			}
+	frozen := &faults.Schedule{}
+	for p := 0; p < s.Remaining.N(); p++ {
+		if !s.PortUp(p) {
+			frozen.PortEvents = append(frozen.PortEvents, faults.PortEvent{Port: p, Down: true})
 		}
 	}
-	n := rem.N()
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if rem.At(i, j) > 0 && s.PortUp(i) && s.PortUp(j) {
-				return cost, false
-			}
-		}
-	}
-	return cost, true
-}
-
-// samePorts compares two port-down states, treating nil as all-up and
-// tolerating length mismatches between nil and empty snapshots.
-func samePorts(a, b []bool) bool {
-	la, lb := len(a), len(b)
-	n := la
-	if lb > n {
-		n = lb
-	}
-	for p := 0; p < n; p++ {
-		av := p < la && a[p]
-		bv := p < lb && b[p]
-		if av != bv {
-			return false
-		}
-	}
-	return true
+	res, err := ocs.Core{Delta: rc.delta, Bandwidth: 1, Faults: frozen}.
+		Run(s.Remaining.Clone(), &ocs.Walk{Schedule: plan, Live: true})
+	return res.CCT, err == nil || errors.Is(err, ocs.ErrUnservable)
 }

@@ -9,14 +9,15 @@
 // the Reco paper exactly; larger K is the setting of the K-core coflow
 // scheduling papers (Wang, Shen, Tian et al., PAPERS.md), where a scheduler
 // must decide both how to split port demand across cores and how to
-// schedule each core's share. See docs/TOPOLOGY.md.
+// schedule each core's share (internal/kcore does both). See
+// docs/TOPOLOGY.md.
 package topology
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 
+	"reco/internal/fabric"
 	"reco/internal/matrix"
 )
 
@@ -122,132 +123,5 @@ func LowerBound(d *matrix.Matrix, t Topology) int64 {
 	tau := int64(d.MaxRowColNonZeros())
 	b := t.TotalBandwidth()
 	k := int64(t.K())
-	return ceilDiv(rho, b) + ceilDiv(tau, k)*t.MinDelta()
-}
-
-// ceilDiv returns ⌈a/b⌉ for non-negative a and positive b.
-func ceilDiv(a, b int64) int64 {
-	return (a + b - 1) / b
-}
-
-// entry is one non-zero demand cell during splitting.
-type entry struct {
-	i, j int
-	v    int64
-}
-
-// nonZeros collects d's positive entries in row-major order.
-func nonZeros(d *matrix.Matrix) []entry {
-	n := d.N()
-	var out []entry
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if v := d.At(i, j); v > 0 {
-				out = append(out, entry{i, j, v})
-			}
-		}
-	}
-	return out
-}
-
-// splitCheck validates the (demand, topology) pair shared by the split
-// strategies.
-func splitCheck(d *matrix.Matrix, t Topology) error {
-	if err := t.Validate(); err != nil {
-		return err
-	}
-	if d.N() != t.Ports {
-		return fmt.Errorf("%w: demand has %d ports, fabric has %d", ErrBadTopology, d.N(), t.Ports)
-	}
-	return nil
-}
-
-// emptySplit returns K all-zero matrices of d's dimension.
-func emptySplit(n, k int) []*matrix.Matrix {
-	out := make([]*matrix.Matrix, k)
-	for c := range out {
-		out[c], _ = matrix.New(n)
-	}
-	return out
-}
-
-// SplitGreedy partitions d's entries across t's cores, assigning each entry
-// wholly to one core. Entries are placed largest first (LPT-style), each
-// onto the core that minimizes the resulting completion estimate at the
-// entry's ports:
-//
-//	max(rowLoad, colLoad)/bandwidth + δ·max(rowCircuits, colCircuits)
-//
-// i.e. the per-core analogue of the ρ + τ·δ lower bound, so the split
-// balances transmission time and establishment count together rather than
-// raw bytes alone. Ties break on the lowest core index, making the split a
-// pure function of its inputs. The returned matrices sum exactly to d. This
-// is the demand-splitting step of the O(K)-approximation scheduler
-// (docs/TOPOLOGY.md).
-func SplitGreedy(d *matrix.Matrix, t Topology) ([]*matrix.Matrix, error) {
-	if err := splitCheck(d, t); err != nil {
-		return nil, err
-	}
-	n, k := d.N(), t.K()
-	out := emptySplit(n, k)
-	if k == 1 {
-		out[0] = d.Clone()
-		return out, nil
-	}
-	entries := nonZeros(d)
-	// Largest first; ties in row-major order for determinism.
-	sort.SliceStable(entries, func(a, b int) bool { return entries[a].v > entries[b].v })
-	rowLoad := make([][]int64, k)
-	colLoad := make([][]int64, k)
-	rowCnt := make([][]int64, k)
-	colCnt := make([][]int64, k)
-	for c := 0; c < k; c++ {
-		rowLoad[c] = make([]int64, n)
-		colLoad[c] = make([]int64, n)
-		rowCnt[c] = make([]int64, n)
-		colCnt[c] = make([]int64, n)
-	}
-	for _, e := range entries {
-		best, bestCost := 0, float64(0)
-		for c := 0; c < k; c++ {
-			load := rowLoad[c][e.i] + e.v
-			if cl := colLoad[c][e.j] + e.v; cl > load {
-				load = cl
-			}
-			circuits := rowCnt[c][e.i] + 1
-			if cc := colCnt[c][e.j] + 1; cc > circuits {
-				circuits = cc
-			}
-			cost := float64(load)/float64(t.Cores[c].Bandwidth) +
-				float64(t.Cores[c].Delta)*float64(circuits)
-			if c == 0 || cost < bestCost {
-				best, bestCost = c, cost
-			}
-		}
-		out[best].Add(e.i, e.j, e.v)
-		rowLoad[best][e.i] += e.v
-		colLoad[best][e.j] += e.v
-		rowCnt[best][e.i]++
-		colCnt[best][e.j]++
-	}
-	return out, nil
-}
-
-// SplitRoundRobin is the naive splitting baseline: d's non-zero entries in
-// row-major order are dealt to cores cyclically, ignoring entry sizes, port
-// loads and per-core bandwidth. The returned matrices sum exactly to d.
-func SplitRoundRobin(d *matrix.Matrix, t Topology) ([]*matrix.Matrix, error) {
-	if err := splitCheck(d, t); err != nil {
-		return nil, err
-	}
-	n, k := d.N(), t.K()
-	out := emptySplit(n, k)
-	if k == 1 {
-		out[0] = d.Clone()
-		return out, nil
-	}
-	for idx, e := range nonZeros(d) {
-		out[idx%k].Add(e.i, e.j, e.v)
-	}
-	return out, nil
+	return fabric.CeilDiv(rho, b) + fabric.CeilDiv(tau, k)*t.MinDelta()
 }

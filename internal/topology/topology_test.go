@@ -1,12 +1,17 @@
-package topology
+package topology_test
 
 import (
 	"errors"
 	"reflect"
 	"testing"
 
+	"reco/internal/kcore"
 	"reco/internal/matrix"
+	"reco/internal/topology"
 )
+
+// The split strategies live beside their callers in internal/kcore; their
+// tests stay here with the fabric model they exercise.
 
 func mustMatrix(t *testing.T, n int, vals ...int64) *matrix.Matrix {
 	t.Helper()
@@ -28,15 +33,15 @@ func mustMatrix(t *testing.T, n int, vals ...int64) *matrix.Matrix {
 func TestValidate(t *testing.T) {
 	cases := []struct {
 		name string
-		topo Topology
+		topo topology.Topology
 		ok   bool
 	}{
-		{"single", Single(4, 100), true},
-		{"multi", Topology{Ports: 8, Cores: []Core{{1, 50}, {2, 10}}}, true},
-		{"zero ports", Topology{Ports: 0, Cores: []Core{{1, 0}}}, false},
-		{"no cores", Topology{Ports: 4}, false},
-		{"zero bandwidth", Topology{Ports: 4, Cores: []Core{{0, 10}}}, false},
-		{"negative delta", Topology{Ports: 4, Cores: []Core{{1, -1}}}, false},
+		{"single", topology.Single(4, 100), true},
+		{"multi", topology.Topology{Ports: 8, Cores: []topology.Core{{1, 50}, {2, 10}}}, true},
+		{"zero ports", topology.Topology{Ports: 0, Cores: []topology.Core{{1, 0}}}, false},
+		{"no cores", topology.Topology{Ports: 4}, false},
+		{"zero bandwidth", topology.Topology{Ports: 4, Cores: []topology.Core{{0, 10}}}, false},
+		{"negative delta", topology.Topology{Ports: 4, Cores: []topology.Core{{1, -1}}}, false},
 	}
 	for _, tc := range cases {
 		err := tc.topo.Validate()
@@ -46,7 +51,7 @@ func TestValidate(t *testing.T) {
 		if !tc.ok {
 			if err == nil {
 				t.Errorf("%s: want error, got nil", tc.name)
-			} else if !errors.Is(err, ErrBadTopology) {
+			} else if !errors.Is(err, topology.ErrBadTopology) {
 				t.Errorf("%s: error %v not ErrBadTopology", tc.name, err)
 			}
 		}
@@ -54,7 +59,7 @@ func TestValidate(t *testing.T) {
 }
 
 func TestUniform(t *testing.T) {
-	topo, err := Uniform(16, 4, 75)
+	topo, err := topology.Uniform(16, 4, 75)
 	if err != nil {
 		t.Fatalf("Uniform: %v", err)
 	}
@@ -64,7 +69,7 @@ func TestUniform(t *testing.T) {
 	if topo.TotalBandwidth() != 4 || topo.MinDelta() != 75 {
 		t.Fatalf("got bandwidth=%d minDelta=%d", topo.TotalBandwidth(), topo.MinDelta())
 	}
-	if _, err := Uniform(16, 0, 75); !errors.Is(err, ErrBadTopology) {
+	if _, err := topology.Uniform(16, 0, 75); !errors.Is(err, topology.ErrBadTopology) {
 		t.Fatalf("Uniform k=0: got %v, want ErrBadTopology", err)
 	}
 }
@@ -82,19 +87,19 @@ func TestLowerBound(t *testing.T) {
 	if got := d.MaxRowColNonZeros(); got != 2 {
 		t.Fatalf("tau = %d, want 2", got)
 	}
-	if got, want := LowerBound(d, Single(3, 10)), int64(9+2*10); got != want {
+	if got, want := topology.LowerBound(d, topology.Single(3, 10)), int64(9+2*10); got != want {
 		t.Errorf("K=1 lower bound = %d, want %d", got, want)
 	}
-	topo, _ := Uniform(3, 2, 10)
+	topo, _ := topology.Uniform(3, 2, 10)
 	// ceil(9/2) + ceil(2/2)*10 = 5 + 10.
-	if got, want := LowerBound(d, topo), int64(15); got != want {
+	if got, want := topology.LowerBound(d, topo), int64(15); got != want {
 		t.Errorf("K=2 lower bound = %d, want %d", got, want)
 	}
 	// Lower bound must never increase with K.
-	prev := LowerBound(d, Single(3, 10))
+	prev := topology.LowerBound(d, topology.Single(3, 10))
 	for _, k := range []int{2, 4, 8} {
-		tk, _ := Uniform(3, k, 10)
-		lb := LowerBound(d, tk)
+		tk, _ := topology.Uniform(3, k, 10)
+		lb := topology.LowerBound(d, tk)
 		if lb > prev {
 			t.Errorf("lower bound increased from %d to %d at K=%d", prev, lb, k)
 		}
@@ -104,7 +109,7 @@ func TestLowerBound(t *testing.T) {
 
 // checkSplit verifies the shared split invariants: K shares of the right
 // dimension that sum exactly to d.
-func checkSplit(t *testing.T, d *matrix.Matrix, topo Topology, shares []*matrix.Matrix) {
+func checkSplit(t *testing.T, d *matrix.Matrix, topo topology.Topology, shares []*matrix.Matrix) {
 	t.Helper()
 	if len(shares) != topo.K() {
 		t.Fatalf("got %d shares, want %d", len(shares), topo.K())
@@ -136,10 +141,10 @@ func TestSplitInvariants(t *testing.T) {
 		5, 0, 8, 0,
 		0, 6, 0, 4)
 	for _, k := range []int{1, 2, 3, 4, 8} {
-		topo, _ := Uniform(4, k, 25)
-		for name, split := range map[string]func(*matrix.Matrix, Topology) ([]*matrix.Matrix, error){
-			"greedy":     SplitGreedy,
-			"roundrobin": SplitRoundRobin,
+		topo, _ := topology.Uniform(4, k, 25)
+		for name, split := range map[string]func(*matrix.Matrix, topology.Topology) ([]*matrix.Matrix, error){
+			"greedy":     kcore.SplitGreedy,
+			"roundrobin": kcore.SplitRoundRobin,
 		} {
 			shares, err := split(d, topo)
 			if err != nil {
@@ -157,11 +162,11 @@ func TestSplitInvariants(t *testing.T) {
 
 func TestSplitKOneIsClone(t *testing.T) {
 	d := mustMatrix(t, 2, 3, 1, 0, 2)
-	for name, split := range map[string]func(*matrix.Matrix, Topology) ([]*matrix.Matrix, error){
-		"greedy":     SplitGreedy,
-		"roundrobin": SplitRoundRobin,
+	for name, split := range map[string]func(*matrix.Matrix, topology.Topology) ([]*matrix.Matrix, error){
+		"greedy":     kcore.SplitGreedy,
+		"roundrobin": kcore.SplitRoundRobin,
 	} {
-		shares, err := split(d, Single(2, 5))
+		shares, err := split(d, topology.Single(2, 5))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -186,8 +191,8 @@ func TestSplitGreedyBalances(t *testing.T) {
 		0, 0, 0, 0,
 		0, 0, 0, 0,
 		0, 0, 0, 0)
-	topo, _ := Uniform(4, 4, 25)
-	shares, err := SplitGreedy(d, topo)
+	topo, _ := topology.Uniform(4, 4, 25)
+	shares, err := kcore.SplitGreedy(d, topo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,8 +209,8 @@ func TestSplitGreedyRespectsBandwidth(t *testing.T) {
 	d := mustMatrix(t, 2,
 		12, 12,
 		0, 0)
-	topo := Topology{Ports: 2, Cores: []Core{{Bandwidth: 3, Delta: 0}, {Bandwidth: 1, Delta: 0}}}
-	shares, err := SplitGreedy(d, topo)
+	topo := topology.Topology{Ports: 2, Cores: []topology.Core{{Bandwidth: 3, Delta: 0}, {Bandwidth: 1, Delta: 0}}}
+	shares, err := kcore.SplitGreedy(d, topo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,11 +223,11 @@ func TestSplitGreedyRespectsBandwidth(t *testing.T) {
 
 func TestSplitRejectsMismatch(t *testing.T) {
 	d := mustMatrix(t, 2, 1, 0, 0, 1)
-	topo, _ := Uniform(3, 2, 10)
-	if _, err := SplitGreedy(d, topo); !errors.Is(err, ErrBadTopology) {
+	topo, _ := topology.Uniform(3, 2, 10)
+	if _, err := kcore.SplitGreedy(d, topo); !errors.Is(err, topology.ErrBadTopology) {
 		t.Errorf("greedy dimension mismatch: got %v", err)
 	}
-	if _, err := SplitRoundRobin(d, topo); !errors.Is(err, ErrBadTopology) {
+	if _, err := kcore.SplitRoundRobin(d, topo); !errors.Is(err, topology.ErrBadTopology) {
 		t.Errorf("roundrobin dimension mismatch: got %v", err)
 	}
 }
