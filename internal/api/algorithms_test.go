@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -244,6 +245,12 @@ func TestRegistryUnderHostileInput(t *testing.T) {
 			{"one non-zero cell", func(r *MultiRequest) { r.Demands = [][][]int64{oneCell, zero} }, false},
 			{"negative weight", func(r *MultiRequest) { r.Weights = []float64{-1} }, true},
 			{"surplus weights", func(r *MultiRequest) { r.Weights = []float64{1, 2, 3} }, false},
+			{"negative c", func(r *MultiRequest) { r.C = -1 }, true},
+			// Once an endless isqrt loop on reco-mul's detached compute.
+			{"c at MaxInt64", func(r *MultiRequest) { r.C = math.MaxInt64 }, true},
+			// ⌊√c⌋·δ = 2^64 wrapped to 0: once a division by zero that
+			// killed the process from the compute goroutine.
+			{"grid wraps to zero", func(r *MultiRequest) { r.Delta, r.C = 1<<33, 1<<62 }, true},
 		}
 		for i := range algo.KnobTable {
 			if set := setValue(&algo.KnobTable[i]); algo.CheckKnobs(sched, set) != nil {

@@ -60,26 +60,38 @@ func benchBodies(tb testing.TB, n int) map[workload.Class][]benchBody {
 }
 
 func newBenchBody(tb testing.TB, d *matrix.Matrix) benchBody {
+	rows, base := benchRows(d, true)
+	return cutBody(tb, SingleRequest{Demand: rows, Delta: 100}, base, d.NonZeros())
+}
+
+// benchRows returns d's rows and, when mark is set, replaces its first
+// non-zero cell with a sentinel no demand reaches and returns that cell's
+// value.
+func benchRows(d *matrix.Matrix, mark bool) (rows [][]int64, base int64) {
 	n := d.N()
-	rows := make([][]int64, n)
-	t := benchBody{nnz: d.NonZeros()}
+	rows = make([][]int64, n)
 	for i := range rows {
 		rows[i] = make([]int64, n)
 		for j := range rows[i] {
 			rows[i][j] = d.At(i, j)
-			if t.base == 0 && rows[i][j] > 0 {
-				t.base, rows[i][j] = rows[i][j], math.MaxInt64
+			if mark && base == 0 && rows[i][j] > 0 {
+				base, rows[i][j] = rows[i][j], math.MaxInt64
 			}
 		}
 	}
-	body, err := json.Marshal(SingleRequest{Demand: rows, Delta: 100})
+	return rows, base
+}
+
+// cutBody encodes a request holding benchRows' sentinel and cuts it open
+// there.
+func cutBody(tb testing.TB, wire any, base int64, nnz int) benchBody {
+	body, err := json.Marshal(wire)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	mark := []byte(strconv.FormatInt(math.MaxInt64, 10))
 	at := bytes.Index(body, mark)
-	t.prefix, t.suffix = body[:at], body[at+len(mark):]
-	return t
+	return benchBody{prefix: body[:at], suffix: body[at+len(mark):], base: base, nnz: nnz}
 }
 
 // discard is the cheapest ResponseWriter: the benchmark times the handler,
@@ -99,18 +111,53 @@ func (d discard) WriteHeader(int)             {}
 // parser read O(n²) bytes whatever the support.
 func BenchmarkServeSingle(b *testing.B) {
 	benchSingle(b, func(b *testing.B, bodies []benchBody) {
-		srv := NewServer(Options{})
-		defer srv.Close()
-		h := srv.Handler()
-		w := discard{h: http.Header{}}
-		var body []byte
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			body = bodies[i%len(bodies)].bump(body, i)
-			req := httptest.NewRequest(http.MethodPost, "/v1/schedule/single", bytes.NewReader(body))
-			h.ServeHTTP(w, req)
-		}
+		serve(b, "/v1/schedule/single", bodies)
 	})
+}
+
+// BenchmarkServeMulti is BenchmarkServeSingle's multi-coflow counterpart:
+// POST /v1/schedule/multi with Reco-Mul (PrimalDual ordering, packet list
+// schedule, Algorithm 2) on distinct requests of the repository benchmark's
+// multi_batch shape — n = 32, 16 consecutive coflows of one Table I/II
+// workload, δ = 100, c = 4. nnz/op is the mean number of flows per batch.
+func BenchmarkServeMulti(b *testing.B) {
+	coflows, err := workload.GenerateWith(rand.New(rand.NewSource(32)), workload.GenConfig{N: 32})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const perBatch = 16
+	bodies := make([]benchBody, len(coflows)/perBatch)
+	nnz := 0
+	for t := range bodies {
+		batch := coflows[t*perBatch : (t+1)*perBatch]
+		demands := make([][][]int64, perBatch)
+		flows := 0
+		for k, c := range batch {
+			demands[k], _ = benchRows(c.Demand, false)
+			flows += c.Demand.NonZeros()
+		}
+		var base int64
+		demands[0], base = benchRows(batch[0].Demand, true)
+		bodies[t] = cutBody(b, MultiRequest{Demands: demands, Delta: 100, C: 4}, base, flows)
+		nnz += flows
+	}
+	b.ReportAllocs()
+	serve(b, "/v1/schedule/multi", bodies)
+	b.ReportMetric(float64(nnz)/float64(len(bodies)), "nnz/op")
+}
+
+// serve posts distinct bumps of bodies to path on a fresh server.
+func serve(b *testing.B, path string, bodies []benchBody) {
+	srv := NewServer(Options{})
+	defer srv.Close()
+	h := srv.Handler()
+	w := discard{h: http.Header{}}
+	var body []byte
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body = bodies[i%len(bodies)].bump(body, i)
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+	}
 }
 
 // BenchmarkDecodeSingle times the request parser alone on the bodies

@@ -69,6 +69,10 @@ func addRequestSeeds(f *testing.F) {
 	f.Add(uint8(0), []byte(`{"demand":[[0,5],[5,0]],"delta":10,"algorithm":"kcore","cores":200000}`))
 	// A workload sized by the request alone: once an 80 GB allocation.
 	f.Add(uint8(3), []byte(`{"n":100000,"numCoflows":1,"seed":1}`))
+	// A threshold c whose square root took forever, and a c·δ grid that
+	// wrapped to zero and divided by it: a hang and a process kill.
+	f.Add(uint8(1), []byte(`{"demands":[[[0,500],[500,0]]],"delta":100,"c":9223372036854775807}`))
+	f.Add(uint8(1), []byte(`{"demands":[[[0,500],[500,0]]],"delta":8589934592,"c":4611686018427387904}`))
 }
 
 // FuzzScheduleRequest throws arbitrary bodies at the schedule and job

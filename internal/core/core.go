@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"reco/internal/bvn"
@@ -128,8 +129,11 @@ type MulResult struct {
 // pushes any colliding flow to the instant its ports free up (back-to-back
 // with its predecessor), preserving per-port order.
 //
-// delta must be non-negative and c at least 1. With delta == 0 the input is
-// returned unchanged (reconfigurations are free).
+// delta must be non-negative, c at least 1 and the grid ⌊√c⌋·delta
+// representable, and every interval of sp must be a packet-switch interval
+// (no gap, ports in [0, n), End ≥ Start); otherwise RecoMul returns
+// ErrBadParam. With delta == 0 the input is returned unchanged
+// (reconfigurations are free).
 func RecoMul(sp schedule.FlowSchedule, n int, delta, c int64) (*MulResult, error) {
 	if delta < 0 {
 		return nil, fmt.Errorf("%w: delta %d", ErrBadParam, delta)
@@ -145,79 +149,15 @@ func RecoMul(sp schedule.FlowSchedule, n int, delta, c int64) (*MulResult, error
 		copy(out, sp)
 		return &MulResult{Flows: out}, nil
 	}
-	s := isqrt(c)
-	grid := s * delta
-
-	// Lines 5–9 of Algorithm 2: stretch and snap start times onto the
-	// pseudo-time axis (reconfiguration delay shrunk to zero).
-	flows := make([]pseudoFlow, len(sp))
-	for idx, f := range sp {
-		if f.Gap != 0 {
-			return nil, fmt.Errorf("%w: input interval %d is not a packet-switch interval (gap %d)", ErrBadParam, idx, f.Gap)
-		}
-		stretched := f.Start * (s + 1) / s
-		snapped := stretched / grid * grid
-		flows[idx] = pseudoFlow{start: snapped, end: snapped + f.Duration(), orig: f}
+	snap, err := gridSnap(delta, c)
+	if err != nil {
+		return nil, err
 	}
-
-	// Conflict resolution: process flows in nondecreasing candidate start
-	// order; a flow whose regularized start would collide on a port is
-	// pushed to the instant the port frees up. The pushed flow starts
-	// back-to-back with its predecessor (continuing the circuit where the
-	// pair is unchanged) rather than waiting for the next grid instant:
-	// when the c·delta assumption is violated, compact placement wastes at
-	// most one reconfiguration where grid alignment would idle the port for
-	// up to s·delta. Under the minimum-demand assumption this pass is a
-	// no-op (Lemma 2).
-	sortPseudo(flows)
-	freeIn := make([]int64, n)
-	freeOut := make([]int64, n)
-	for idx := range flows {
-		f := &flows[idx]
-		of := f.orig
-		if of.In >= n || of.Out >= n {
-			return nil, fmt.Errorf("%w: interval uses ports (%d,%d) outside fabric of %d", ErrBadParam, of.In, of.Out, n)
-		}
-		st := f.start
-		if freeIn[of.In] > st {
-			st = freeIn[of.In]
-		}
-		if freeOut[of.Out] > st {
-			st = freeOut[of.Out]
-		}
-		f.start = st
-		f.end = st + of.Duration()
-		freeIn[of.In] = f.end
-		freeOut[of.Out] = f.end
+	fs, _, err := place(sp, n, snap)
+	if err != nil {
+		return nil, err
 	}
-	// Conflict resolution only pushes flows later, so flows that share no
-	// ports may now be out of order; restore the sort that the
-	// reconfiguration accounting below relies on.
-	sortPseudo(flows)
-
-	// Lines 10–12: inject reconfiguration delays. Reconfigurations fire at
-	// the pseudo start instants that establish at least one new circuit: an
-	// instant where every starting flow continues a circuit whose previous
-	// flow ended exactly there changes nothing in the switch and is free. A
-	// flow waits for every reconfiguration at or before its start (the
-	// all-stop freeze applies even to continuing circuits) and is frozen by
-	// every later one that fires strictly before its pseudo end.
-	instants := reconfigInstants(flows)
-	res := &MulResult{
-		Flows:     make(schedule.FlowSchedule, len(flows)),
-		Reconfigs: len(instants),
-		ConfTime:  int64(len(instants)) * delta,
-	}
-	for idx, f := range flows {
-		startShift := int64(countLE(instants, f.start)) * delta
-		endShift := int64(countLT(instants, f.end)) * delta
-		out := f.orig
-		out.Start = f.start + startShift
-		out.End = f.end + endShift
-		out.Gap = endShift - startShift
-		res.Flows[idx] = out
-	}
-	return res, nil
+	return inject(sp, fs, n, delta), nil
 }
 
 // ApproxRatioMul returns the paper's Reco-Mul approximation ratio
@@ -229,84 +169,164 @@ func ApproxRatioMul(delta4 float64, c int64) float64 {
 	return delta4 * r * r
 }
 
-// pseudoFlow is a flow interval on the pseudo-time axis of Algorithm 2.
-type pseudoFlow struct {
-	start, end int64
-	orig       schedule.FlowInterval
+// gridSnap returns lines 5–9 of Algorithm 2 as a map on start times: with
+// s = ⌊√c⌋, stretch a start by (s+1)/s and snap it down to the grid of
+// s·delta. The stretch is computed as t + t/s, which equals ⌊t·(s+1)/s⌋
+// without forming the product. c ≥ 1 and delta > 0.
+func gridSnap(delta, c int64) (func(t int64) int64, error) {
+	s := isqrt(c)
+	if delta > math.MaxInt64/s {
+		return nil, fmt.Errorf("%w: grid ⌊√c⌋·delta = %d·%d overflows int64", ErrBadParam, s, delta)
+	}
+	grid := s * delta
+	return func(t int64) int64 { return (t + t/s) / grid * grid }, nil
 }
 
-func sortPseudo(fs []pseudoFlow) {
+// pseudoFlow is flow sp[idx] of an input schedule on the pseudo-time axis
+// of Algorithm 2, where it starts at start.
+type pseudoFlow struct {
+	start   int64
+	in, out int
+	idx     int
+}
+
+// place checks that sp is a packet-switch schedule on n ports and puts its
+// flows on the pseudo-time axis in start order: every start is mapped
+// through snap, then, in that order, a flow whose start would collide on a
+// port is pushed to the instant the port frees up. pushed reports whether
+// any flow moved.
+//
+// A pushed flow starts back-to-back with its predecessor (continuing the
+// circuit where the pair is unchanged) rather than waiting for the next
+// grid instant: when the c·delta assumption is violated, compact placement
+// wastes at most one reconfiguration where grid alignment would idle the
+// port for up to s·delta. Under the minimum-demand assumption nothing is
+// pushed (Lemma 2).
+func place(sp schedule.FlowSchedule, n int, snap func(int64) int64) (fs []pseudoFlow, pushed bool, err error) {
+	fs = make([]pseudoFlow, len(sp))
+	for idx, f := range sp {
+		if f.Gap != 0 {
+			return nil, false, fmt.Errorf("%w: input interval %d is not a packet-switch interval (gap %d)", ErrBadParam, idx, f.Gap)
+		}
+		if f.In < 0 || f.In >= n || f.Out < 0 || f.Out >= n {
+			return nil, false, fmt.Errorf("%w: interval uses ports (%d,%d) outside fabric of %d", ErrBadParam, f.In, f.Out, n)
+		}
+		if f.End < f.Start {
+			return nil, false, fmt.Errorf("%w: input interval %d ends at %d before it starts at %d", ErrBadParam, idx, f.End, f.Start)
+		}
+		fs[idx] = pseudoFlow{start: f.Start, in: f.In, out: f.Out, idx: idx}
+	}
+	// snap is monotone, so sorting by packet start sorts by snapped start,
+	// ties broken by packet start and then ports: the order in which
+	// conflicts are resolved and reconfigurations accounted.
 	slices.SortFunc(fs, func(a, b pseudoFlow) int {
 		if a.start != b.start {
 			return cmp.Compare(a.start, b.start)
 		}
-		if a.orig.Start != b.orig.Start {
-			return cmp.Compare(a.orig.Start, b.orig.Start)
+		if a.in != b.in {
+			return a.in - b.in
 		}
-		if a.orig.In != b.orig.In {
-			return a.orig.In - b.orig.In
+		if a.out != b.out {
+			return a.out - b.out
 		}
-		return a.orig.Out - b.orig.Out
+		return a.idx - b.idx
 	})
+	freeIn := make([]int64, n)
+	freeOut := make([]int64, n)
+	for k := range fs {
+		f := &fs[k]
+		snapped := snap(f.start)
+		f.start = max(snapped, freeIn[f.in], freeOut[f.out])
+		pushed = pushed || f.start != snapped
+		end := f.start + sp[f.idx].Duration()
+		freeIn[f.in] = end
+		freeOut[f.out] = end
+	}
+	// A push moves a flow later, past flows that share no port with it;
+	// restore start order. The sort is stable, so the tie-break above
+	// survives.
+	if pushed {
+		slices.SortStableFunc(fs, func(a, b pseudoFlow) int { return cmp.Compare(a.start, b.start) })
+	}
+	return fs, pushed, nil
 }
 
-// reconfigInstants returns the sorted pseudo-time instants at which the
-// all-stop switch must reconfigure: the distinct start times at which some
-// starting flow's (ingress, egress) pair was not connected right up to that
-// instant. fs must be sorted by start (sortPseudo order).
-func reconfigInstants(fs []pseudoFlow) []int64 {
-	lastEnd := make(map[[2]int]int64, len(fs))
+// inject is lines 10–12 of Algorithm 2: it puts the all-stop
+// reconfiguration delays back on the real time axis for the flows of sp
+// placed at fs, which is in start order with no two flows overlapping on a
+// port.
+//
+// Reconfigurations fire at the pseudo start instants that establish at
+// least one new circuit: an instant where every starting flow continues a
+// circuit whose previous flow ended exactly there changes nothing in the
+// switch and is free. A flow waits for every reconfiguration at or before
+// its start (the all-stop freeze applies even to continuing circuits) and
+// is frozen by every later one that fires strictly before its pseudo end.
+func inject(sp schedule.FlowSchedule, fs []pseudoFlow, n int, delta int64) *MulResult {
+	// A flow on (i, j) starting at t continues a circuit when the latest
+	// flow on ingress i went to j and ended at t. The latest flow on the
+	// ingress speaks for every earlier flow on the pair because flows on one
+	// port are disjoint: an earlier (i, j) flow ending at t leaves no room
+	// for another flow on ingress i to start before t.
+	lastOut := make([]int, n)
+	lastEnd := make([]int64, n)
+	for i := range lastOut {
+		lastOut[i] = -1
+	}
 	var instants []int64
-	for i := 0; i < len(fs); {
-		t := fs[i].start
-		j := i
-		needs := false
-		for ; j < len(fs) && fs[j].start == t; j++ {
-			key := [2]int{fs[j].orig.In, fs[j].orig.Out}
-			if last, ok := lastEnd[key]; !ok || last != t {
-				needs = true
+	for a := 0; a < len(fs); {
+		t := fs[a].start
+		b := a
+		fresh := false
+		for ; b < len(fs) && fs[b].start == t; b++ {
+			fresh = fresh || lastOut[fs[b].in] != fs[b].out || lastEnd[fs[b].in] != t
+		}
+		for _, f := range fs[a:b] {
+			if end := t + sp[f.idx].Duration(); end >= lastEnd[f.in] {
+				lastOut[f.in], lastEnd[f.in] = f.out, end
 			}
 		}
-		for k := i; k < j; k++ {
-			key := [2]int{fs[k].orig.In, fs[k].orig.Out}
-			if fs[k].end > lastEnd[key] {
-				lastEnd[key] = fs[k].end
-			}
-		}
-		if needs {
+		if fresh {
 			instants = append(instants, t)
 		}
-		i = j
+		a = b
 	}
-	return instants
-}
 
-// countLE returns how many sorted instants are <= t.
-func countLE(instants []int64, t int64) int {
-	lo, hi := 0, len(instants)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if instants[mid] <= t {
-			lo = mid + 1
-		} else {
-			hi = mid
+	res := &MulResult{
+		Flows:     make(schedule.FlowSchedule, len(fs)),
+		Reconfigs: len(instants),
+		ConfTime:  int64(len(instants)) * delta,
+	}
+	before := 0 // instants at or before the current start
+	for k, f := range fs {
+		for before < len(instants) && instants[before] <= f.start {
+			before++
 		}
+		out := sp[f.idx]
+		end := f.start + out.Duration()
+		frozen, _ := slices.BinarySearch(instants, end) // instants before end
+		startShift := int64(before) * delta
+		endShift := int64(frozen) * delta
+		out.Start = f.start + startShift
+		out.End = end + endShift
+		out.Gap = endShift - startShift
+		res.Flows[k] = out
 	}
-	return lo
+	return res
 }
 
-// countLT returns how many sorted instants are < t.
-func countLT(instants []int64, t int64) int {
-	return countLE(instants, t-1)
-}
-
-// isqrt returns ⌊√c⌋ for c ≥ 0.
+// isqrt returns ⌊√c⌋ for c ≥ 0 (0 for c < 0) in constant time: the float64
+// square root is within one of it, and the corrections compare by division
+// so that nothing overflows near MaxInt64.
 func isqrt(c int64) int64 {
-	if c < 0 {
+	if c <= 0 {
 		return 0
 	}
-	var r int64
-	for (r+1)*(r+1) <= c {
+	r := int64(math.Sqrt(float64(c)))
+	for r > c/r {
+		r--
+	}
+	for r+1 <= c/(r+1) {
 		r++
 	}
 	return r

@@ -12,7 +12,9 @@ import (
 // counterpart of RecoMul — the difference between the two isolates the
 // contribution of start-time regularization (Sec. IV-A) — and also serves
 // as the naive "just add δ whenever circuits change" transformation the
-// paper argues against.
+// paper argues against. Input that is not a packet-switch schedule (a gap,
+// a port outside [0, n), End < Start, or two flows overlapping on a port)
+// is ErrBadParam.
 func InjectDelays(sp schedule.FlowSchedule, n int, delta int64) (*MulResult, error) {
 	if delta < 0 {
 		return nil, fmt.Errorf("%w: delta %d", ErrBadParam, delta)
@@ -25,31 +27,12 @@ func InjectDelays(sp schedule.FlowSchedule, n int, delta int64) (*MulResult, err
 		copy(out, sp)
 		return &MulResult{Flows: out}, nil
 	}
-	flows := make([]pseudoFlow, len(sp))
-	for idx, f := range sp {
-		if f.Gap != 0 {
-			return nil, fmt.Errorf("%w: input interval %d is not a packet-switch interval (gap %d)", ErrBadParam, idx, f.Gap)
-		}
-		if f.In >= n || f.Out >= n {
-			return nil, fmt.Errorf("%w: interval uses ports (%d,%d) outside fabric of %d", ErrBadParam, f.In, f.Out, n)
-		}
-		flows[idx] = pseudoFlow{start: f.Start, end: f.End, orig: f}
+	fs, pushed, err := place(sp, n, func(t int64) int64 { return t })
+	if err != nil {
+		return nil, err
 	}
-	sortPseudo(flows)
-	instants := reconfigInstants(flows)
-	res := &MulResult{
-		Flows:     make(schedule.FlowSchedule, len(flows)),
-		Reconfigs: len(instants),
-		ConfTime:  int64(len(instants)) * delta,
+	if pushed {
+		return nil, fmt.Errorf("%w: input intervals overlap on a port", ErrBadParam)
 	}
-	for idx, f := range flows {
-		startShift := int64(countLE(instants, f.start)) * delta
-		endShift := int64(countLT(instants, f.end)) * delta
-		out := f.orig
-		out.Start = f.start + startShift
-		out.End = f.end + endShift
-		out.Gap = endShift - startShift
-		res.Flows[idx] = out
-	}
-	return res, nil
+	return inject(sp, fs, n, delta), nil
 }

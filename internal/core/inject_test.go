@@ -22,9 +22,14 @@ func TestInjectDelaysValidation(t *testing.T) {
 	if _, err := InjectDelays(gapped, 1, 10); !errors.Is(err, ErrBadParam) {
 		t.Errorf("gapped input: %v", err)
 	}
-	bad := schedule.FlowSchedule{{Start: 0, End: 10, In: 3, Out: 0}}
-	if _, err := InjectDelays(bad, 2, 10); !errors.Is(err, ErrBadParam) {
-		t.Errorf("bad port: %v", err)
+	for _, bad := range []schedule.FlowSchedule{
+		{{Start: 0, End: 10, In: 3, Out: 0}},
+		{{Start: 0, End: 10, In: -1, Out: 0}}, // once emitted as it came
+		{{Start: 0, End: 10, In: 0, Out: 0}, {Start: 5, End: 15, In: 0, Out: 1}},
+	} {
+		if _, err := InjectDelays(bad, 2, 10); !errors.Is(err, ErrBadParam) {
+			t.Errorf("%+v: %v", bad, err)
+		}
 	}
 }
 

@@ -33,39 +33,14 @@ func RecoMulNAS(sp schedule.FlowSchedule, n int, delta, c int64) (*MulResult, er
 		copy(out, sp)
 		return &MulResult{Flows: out}, nil
 	}
-	s := isqrt(c)
-	grid := s * delta
-
-	flows := make([]pseudoFlow, len(sp))
-	for idx, f := range sp {
-		if f.Gap != 0 {
-			return nil, fmt.Errorf("%w: input interval %d is not a packet-switch interval (gap %d)", ErrBadParam, idx, f.Gap)
-		}
-		if f.In >= n || f.Out >= n {
-			return nil, fmt.Errorf("%w: interval uses ports (%d,%d) outside fabric of %d", ErrBadParam, f.In, f.Out, n)
-		}
-		stretched := f.Start * (s + 1) / s
-		snapped := stretched / grid * grid
-		flows[idx] = pseudoFlow{start: snapped, end: snapped + f.Duration(), orig: f}
+	snap, err := gridSnap(delta, c)
+	if err != nil {
+		return nil, err
 	}
-	sortPseudo(flows)
-	freeIn := make([]int64, n)
-	freeOut := make([]int64, n)
-	for idx := range flows {
-		f := &flows[idx]
-		st := f.start
-		if freeIn[f.orig.In] > st {
-			st = freeIn[f.orig.In]
-		}
-		if freeOut[f.orig.Out] > st {
-			st = freeOut[f.orig.Out]
-		}
-		f.start = st
-		f.end = st + f.orig.Duration()
-		freeIn[f.orig.In] = f.end
-		freeOut[f.orig.Out] = f.end
+	flows, _, err := place(sp, n, snap)
+	if err != nil {
+		return nil, err
 	}
-	sortPseudo(flows)
 
 	// Map pseudo time to real time by per-port propagation: a flow starts
 	// when its intended (regularized) instant arrives and both its ports
@@ -79,31 +54,22 @@ func RecoMulNAS(sp schedule.FlowSchedule, n int, delta, c int64) (*MulResult, er
 	setups := 0
 	res := &MulResult{Flows: make(schedule.FlowSchedule, len(flows))}
 	for idx, f := range flows {
-		key := [2]int{f.orig.In, f.orig.Out}
-		continuation := false
-		if last, ok := lastPseudoEnd[key]; ok && last == f.start {
-			continuation = true
+		out := sp[f.idx]
+		key := [2]int{f.in, f.out}
+		last, ok := lastPseudoEnd[key]
+		continuation := ok && last == f.start
+		if end := f.start + out.Duration(); end > lastPseudoEnd[key] {
+			lastPseudoEnd[key] = end
 		}
-		if f.end > lastPseudoEnd[key] {
-			lastPseudoEnd[key] = f.end
-		}
-		start := f.start
-		if realFreeIn[f.orig.In] > start {
-			start = realFreeIn[f.orig.In]
-		}
-		if realFreeOut[f.orig.Out] > start {
-			start = realFreeOut[f.orig.Out]
-		}
+		start := max(f.start, realFreeIn[f.in], realFreeOut[f.out])
 		if !continuation {
 			setups++
 			start += delta
 		}
-		out := f.orig
+		out.End = start + out.Duration()
 		out.Start = start
-		out.End = start + f.orig.Duration()
-		out.Gap = 0
-		realFreeIn[f.orig.In] = out.End
-		realFreeOut[f.orig.Out] = out.End
+		realFreeIn[f.in] = out.End
+		realFreeOut[f.out] = out.End
 		res.Flows[idx] = out
 	}
 	res.Reconfigs = setups

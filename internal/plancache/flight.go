@@ -2,6 +2,8 @@ package plancache
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"sync"
 
 	"reco/internal/algo"
@@ -21,8 +23,9 @@ import (
 // that other clients are still waiting for.
 //
 // With an obs sink attached, Group counts coalesced joins
-// (plancache_coalesced_total) and started computations
-// (plancache_computes_total).
+// (plancache_coalesced_total), started computations
+// (plancache_computes_total) and computations that panicked
+// (plancache_compute_panics_total).
 type Group struct {
 	cache *Cache
 
@@ -37,6 +40,12 @@ type call struct {
 	res    *algo.Result
 	err    error
 }
+
+// ErrComputePanic reports a computation that panicked. Do recovers the
+// panic, since compute runs on a goroutine of its own where no caller's
+// recovery can reach it and a panic would end the process; every
+// participant gets this error, and nothing is cached.
+var ErrComputePanic = errors.New("plancache: computation panicked")
 
 // NewGroup returns a Group coalescing computations in front of cache. A nil
 // cache disables caching but keeps coalescing.
@@ -91,7 +100,7 @@ func (g *Group) Do(ctx context.Context, key string, compute func(ctx context.Con
 	obs.Current().Inc("plancache_computes_total")
 
 	go func() {
-		res, err := compute(cctx)
+		res, err := recovered(cctx, compute)
 		// Cache before leaving the in-flight table: a request that arrives
 		// from here on finds the call or the entry, never neither — which
 		// would be a second solve of a plan just computed.
@@ -106,6 +115,17 @@ func (g *Group) Do(ctx context.Context, key string, compute func(ctx context.Con
 		cancel()
 	}()
 	return g.wait(ctx, key, c)
+}
+
+// recovered runs compute, turning a panic into ErrComputePanic.
+func recovered(ctx context.Context, compute func(ctx context.Context) (*algo.Result, error)) (res *algo.Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			obs.Current().Inc("plancache_compute_panics_total")
+			res, err = nil, fmt.Errorf("%w: %v", ErrComputePanic, p)
+		}
+	}()
+	return compute(ctx)
 }
 
 // wait blocks until the shared call completes or ctx ends, maintaining the

@@ -3,6 +3,7 @@ package plancache
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"reco/internal/algo"
+	"reco/internal/obs"
 )
 
 // TestGroupCoalescesConcurrentRequests arranges N goroutines calling Do
@@ -210,5 +212,56 @@ func TestGroupCachesBeforeAnswering(t *testing.T) {
 		if _, ok := g.Cache().Get(key); !ok {
 			t.Fatalf("Do answered for key %q (call %d) before its plan was cached", key, i)
 		}
+	}
+}
+
+// TestGroupSurvivesPanickingCompute: a computation that panics on the
+// group's goroutine does not end the process. The leader and every
+// participant that joined get ErrComputePanic, nothing is cached, the
+// panic is counted, and the next request for the key computes afresh.
+func TestGroupSurvivesPanickingCompute(t *testing.T) {
+	reg := obs.NewRegistry()
+	obs.Attach(&obs.Sink{Metrics: reg})
+	defer obs.Detach()
+
+	g := NewGroup(New(Config{}))
+	const n = 4
+	release := make(chan struct{})
+	compute := func(context.Context) (*algo.Result, error) {
+		<-release
+		var zero int
+		return resN(1 / zero), nil
+	}
+	errs := make(chan error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, _, err := g.Do(context.Background(), "k", compute)
+			errs <- err
+		}()
+	}
+	// Every participant is aboard once the coalesced joins are counted.
+	for reg.Counter("plancache_coalesced_total").Value() < n-1 {
+		runtime.Gosched()
+	}
+	close(release)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if !errors.Is(err, ErrComputePanic) {
+			t.Errorf("participant got %v, want ErrComputePanic", err)
+		}
+	}
+	if got := reg.Counter("plancache_compute_panics_total").Value(); got != 1 {
+		t.Errorf("plancache_compute_panics_total = %d, want 1", got)
+	}
+	if _, ok := g.Cache().Get("k"); ok {
+		t.Error("a panicked computation was cached")
+	}
+	res, cached, err := g.Do(context.Background(), "k", func(context.Context) (*algo.Result, error) { return resN(2), nil })
+	if err != nil || cached || res.Reconfigs != 2 {
+		t.Errorf("after the panic: res=%+v cached=%v err=%v", res, cached, err)
 	}
 }
