@@ -59,15 +59,21 @@ loadtest-short:
 # endpoints (malformed JSON, hostile SLA fields), over the fast request
 # parser against its encoding/json reference (decoded request and carried
 # matrix summary), over the bitset Hopcroft–Karp against the recursive
-# adjacency-list one, and over pairs of small requests whose plan-cache keys
-# must be equal exactly when the requests are. CI-friendly: fails only on a
-# crash, a broken response contract, a disagreement with a reference or a
-# key collision, never on timing.
+# adjacency-list one, over pairs of small requests whose plan-cache keys
+# must be equal exactly when the requests are, over the response encoders
+# against encoding/json, over the trace parser (and the count of what it
+# writes back), and over the electrical fluid allocator's invariants.
+# CI-friendly: fails only on a crash, a broken response contract, a
+# disagreement with a reference, a key collision or a broken invariant,
+# never on timing.
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzScheduleRequest -fuzztime=10s ./internal/api
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSoundness -fuzztime=10s ./internal/api
 	$(GO) test -run='^$$' -fuzz=FuzzGraphMatchesReference -fuzztime=10s ./internal/matching
 	$(GO) test -run='^$$' -fuzz=FuzzFingerprintInjective -fuzztime=10s ./internal/plancache
+	$(GO) test -run='^$$' -fuzz=FuzzEncoders -fuzztime=10s ./internal/api
+	$(GO) test -run='^$$' -fuzz=FuzzParseTrace -fuzztime=10s ./internal/workload
+	$(GO) test -run='^$$' -fuzz=FuzzElectricalTransmit -fuzztime=10s ./internal/fabric
 
 # Re-check every qualitative claim of the paper against a fresh run (~30 s).
 verify:

@@ -12,33 +12,42 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"reco/internal/workload"
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("recotrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		gen     = flag.Bool("gen", false, "generate a synthetic workload")
-		stats   = flag.Bool("stats", false, "print workload statistics")
-		trace   = flag.String("trace", "", "trace file to read (with -stats) ")
-		out     = flag.String("out", "", "file to write (with -gen); default stdout")
-		n       = flag.Int("n", 150, "fabric ports")
-		numCf   = flag.Int("coflows", 526, "number of coflows")
-		seed    = flag.Int64("seed", 1, "generator seed")
-		minDem  = flag.Int64("min", 400, "minimum flow demand in ticks (c*delta)")
-		rescale = flag.Int("rescale", 0, "fold the workload onto this many ports (0: keep)")
+		gen     = fs.Bool("gen", false, "generate a synthetic workload")
+		stats   = fs.Bool("stats", false, "print workload statistics")
+		trace   = fs.String("trace", "", "trace file to read (with -stats) ")
+		out     = fs.String("out", "", "file to write (with -gen); default stdout")
+		n       = fs.Int("n", 150, "fabric ports")
+		numCf   = fs.Int("coflows", 526, "number of coflows")
+		seed    = fs.Int64("seed", 1, "generator seed")
+		minDem  = fs.Int64("min", 400, "minimum flow demand in ticks (c*delta)")
+		rescale = fs.Int("rescale", 0, "fold the workload onto this many ports (0: keep)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if !*gen && !*stats {
-		fmt.Fprintln(os.Stderr, "recotrace: pass -gen and/or -stats")
+		fmt.Fprintln(stderr, "recotrace: pass -gen and/or -stats")
 		return 2
 	}
 
@@ -47,7 +56,7 @@ func run() int {
 	if *trace != "" {
 		f, ferr := os.Open(*trace)
 		if ferr != nil {
-			fmt.Fprintf(os.Stderr, "recotrace: %v\n", ferr)
+			fmt.Fprintf(stderr, "recotrace: %v\n", ferr)
 			return 1
 		}
 		coflows, err = workload.ParseTrace(f, workload.DefaultTicksPerMB)
@@ -58,38 +67,45 @@ func run() int {
 		})
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "recotrace: %v\n", err)
+		fmt.Fprintf(stderr, "recotrace: %v\n", err)
 		return 1
 	}
 	if *rescale > 0 {
 		if coflows, err = workload.Rescale(coflows, *rescale); err != nil {
-			fmt.Fprintf(os.Stderr, "recotrace: %v\n", err)
+			fmt.Fprintf(stderr, "recotrace: %v\n", err)
 			return 1
 		}
 	}
 
 	if *gen {
-		w := os.Stdout
-		if *out != "" {
-			f, ferr := os.Create(*out)
-			if ferr != nil {
-				fmt.Fprintf(os.Stderr, "recotrace: %v\n", ferr)
-				return 1
-			}
-			defer f.Close()
-			w = f
-		}
 		fabric := *n
 		if len(coflows) > 0 {
 			fabric = coflows[0].Demand.N()
 		}
-		if err := workload.WriteTrace(w, coflows, fabric, workload.DefaultTicksPerMB); err != nil {
-			fmt.Fprintf(os.Stderr, "recotrace: %v\n", err)
+		if err := writeTrace(*out, stdout, coflows, fabric); err != nil {
+			fmt.Fprintf(stderr, "recotrace: %v\n", err)
 			return 1
 		}
 	}
 	if *stats {
-		fmt.Print(workload.Summarize(coflows).String())
+		fmt.Fprint(stdout, workload.Summarize(coflows).String())
 	}
 	return 0
+}
+
+// writeTrace writes coflows to the file path, or to stdout when path is
+// empty; a file that fails to close is a failed write.
+func writeTrace(path string, stdout io.Writer, coflows []workload.Coflow, fabric int) error {
+	if path == "" {
+		return workload.WriteTrace(stdout, coflows, fabric, workload.DefaultTicksPerMB)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := workload.WriteTrace(f, coflows, fabric, workload.DefaultTicksPerMB); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -146,6 +146,31 @@ func BenchmarkServeMulti(b *testing.B) {
 	b.ReportMetric(float64(nnz)/float64(len(bodies)), "nnz/op")
 }
 
+// BenchmarkServeWarm is the in-process twin of the repository benchmark's
+// single_warm workload: a fresh server primed with the dense n = 64 bodies
+// benchBodies draws, then posted the same bodies unbumped, so every request
+// is a plan-cache hit — decode, fingerprint, cache read and encode, no
+// solver.
+func BenchmarkServeWarm(b *testing.B) {
+	srv := NewServer(Options{})
+	defer srv.Close()
+	h := srv.Handler()
+	w := discard{h: http.Header{}}
+	var bodies [][]byte
+	for _, t := range benchBodies(b, 64)[workload.Dense] {
+		bodies = append(bodies, t.bump(nil, 0))
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/schedule/single", bytes.NewReader(bodies[len(bodies)-1])))
+	}
+	if got := srv.Cache().Len(); got != len(bodies) {
+		b.Fatalf("%d plans cached after priming with %d bodies", got, len(bodies))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/schedule/single", bytes.NewReader(bodies[i%len(bodies)])))
+	}
+}
+
 // serve posts distinct bumps of bodies to path on a fresh server.
 func serve(b *testing.B, path string, bodies []benchBody) {
 	srv := NewServer(Options{})

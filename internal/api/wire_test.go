@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -305,19 +306,12 @@ func TestEncodersMatchEncodingJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantJSON := func(v any) []byte {
-		var buf bytes.Buffer
-		if err := json.NewEncoder(&buf).Encode(v); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
 	check := func(name string, req algo.Request, res *algo.Result) {
 		t.Helper()
-		if got, want := appendSingle(nil, req, res), wantJSON(renderSingle(req, res)); !bytes.Equal(got, want) {
+		if got, want := appendSingle(nil, req, res), jsonLine(t, renderSingle(req, res)); !bytes.Equal(got, want) {
 			t.Errorf("%s single:\n got %s\nwant %s", name, got, want)
 		}
-		if got, want := appendMulti(nil, res), wantJSON(renderMulti(res)); !bytes.Equal(got, want) {
+		if got, want := appendMulti(nil, res), jsonLine(t, renderMulti(res)); !bytes.Equal(got, want) {
 			t.Errorf("%s multi:\n got %s\nwant %s", name, got, want)
 		}
 	}
@@ -354,8 +348,56 @@ func TestEncodersMatchEncodingJSON(t *testing.T) {
 	check("empty ccts", req, &algo.Result{CCTs: []int64{0}, Flows: schedule.FlowSchedule{}})
 	// renderSingle reads CCTs[0], so nil CCTs exist on the batch wire only.
 	res := &algo.Result{Reconfigs: 3}
-	if got, want := appendMulti(nil, res), wantJSON(renderMulti(res)); !bytes.Equal(got, want) {
+	if got, want := appendMulti(nil, res), jsonLine(t, renderMulti(res)); !bytes.Equal(got, want) {
 		t.Errorf("nil ccts multi:\n got %s\nwant %s", got, want)
+	}
+}
+
+// jsonLine is what json.Encoder writes for v: the bytes the append
+// encoders are held to.
+func jsonLine(tb testing.TB, v any) []byte {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestEncodersAllocateNothingWithRoom: into a buffer that already has room
+// for the response, neither encoder allocates — not for the table entries,
+// not for the strconv ones outside the table's range.
+func TestEncodersAllocateNothingWithRoom(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	// A parsed demand, as in the handler: its summary makes lowerBound a
+	// field read, where a FromRows matrix's column scan allocates.
+	dec, err := decodeSingle([]byte(`{"demand":[[104,109,102],[103,105,107],[108,101,106]],"delta":100}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := dec.req
+	res := &algo.Result{CCTs: []int64{1 << 40, 7}, Reconfigs: 180, Schedules: make([]ocs.CircuitSchedule, 1)}
+	for _, n := range []int{64, 64, 64, 1100, 5} {
+		a := ocs.Assignment{Perm: rng.Perm(n), Dur: rng.Int63()}
+		for i := range a.Perm {
+			if rng.Intn(4) == 0 {
+				a.Perm[i] = -1
+			}
+		}
+		res.Schedules[0] = append(res.Schedules[0], a)
+	}
+	res.Schedules[0][4].Perm[2] = 1 << 20
+	for i := 0; i < 200; i++ {
+		res.Flows = append(res.Flows, schedule.FlowInterval{
+			Start: rng.Int63(), End: rng.Int63(), Gap: rng.Int63n(2), In: rng.Intn(1100), Out: rng.Intn(1100), Coflow: rng.Intn(3000) - 1,
+		})
+	}
+
+	buf := make([]byte, 0, 1<<16)
+	if n := testing.AllocsPerRun(50, func() { buf = appendSingle(buf[:0], req, res) }); n != 0 {
+		t.Errorf("appendSingle: %v allocations per response", n)
+	}
+	if n := testing.AllocsPerRun(50, func() { buf = appendMulti(buf[:0], res) }); n != 0 {
+		t.Errorf("appendMulti: %v allocations per response", n)
 	}
 }
 
