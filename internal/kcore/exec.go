@@ -50,9 +50,9 @@ type KResult struct {
 }
 
 // fold is the K-core aggregate of per-core runs: the maximum CCT, the sum of
-// everything else.
-func fold(perCore []ocs.Result) KResult {
-	kr := KResult{PerCore: perCore}
+// everything else, and every core's flows appended to flows.
+func fold(perCore []ocs.Result, flows schedule.FlowSchedule) KResult {
+	kr := KResult{PerCore: perCore, Flows: flows}
 	for _, r := range perCore {
 		kr.CCT = max(kr.CCT, r.CCT)
 		kr.Reconfigs += r.Reconfigs
@@ -90,6 +90,11 @@ func check(topo topology.Topology, split []*matrix.Matrix, plans []ocs.CircuitSc
 // single-switch executor at its own rate, so at K = 1 with a unit-bandwidth
 // core PerCore[0] is ocs.ExecAllStop(split[0], plans[0], delta).
 func Exec(topo topology.Topology, split []*matrix.Matrix, plans []ocs.CircuitSchedule) (KResult, error) {
+	return exec(topo, split, plans, nil)
+}
+
+// exec is Exec folding the cores' flows into flows.
+func exec(topo topology.Topology, split []*matrix.Matrix, plans []ocs.CircuitSchedule, flows schedule.FlowSchedule) (KResult, error) {
 	if err := check(topo, split, plans); err != nil {
 		return KResult{}, err
 	}
@@ -97,10 +102,10 @@ func Exec(topo topology.Topology, split []*matrix.Matrix, plans []ocs.CircuitSch
 	for c, cr := range topo.Cores {
 		var err error
 		if perCore[c], err = ocs.ExecAllStopRate(split[c], plans[c], cr.Delta, cr.Bandwidth); err != nil {
-			return fold(perCore[:c]), fmt.Errorf("core %d: %w", c, err)
+			return fold(perCore[:c], flows), fmt.Errorf("core %d: %w", c, err)
 		}
 	}
-	return fold(perCore), nil
+	return fold(perCore, flows), nil
 }
 
 // ExecSequential executes one K-core plan per coflow, in the given priority
@@ -112,8 +117,14 @@ func ExecSequential(topo topology.Topology, splits [][]*matrix.Matrix, plans [][
 	if len(splits) != len(plans) {
 		return ocs.SeqResult{}, fmt.Errorf("kcore: %d demand splits but %d plans", len(splits), len(plans))
 	}
-	return ocs.Sequence(len(splits), order, func(k int) (ocs.Result, error) {
-		kr, err := Exec(topo, splits[k], plans[k])
+	return ocs.Sequence(len(splits), order, func(k int) int {
+		most := 0
+		for c := range min(len(splits[k]), len(plans[k])) {
+			most += ocs.FlowBound(splits[k][c], plans[k][c])
+		}
+		return most
+	}, func(k int, flows schedule.FlowSchedule) (ocs.Result, error) {
+		kr, err := exec(topo, splits[k], plans[k], flows)
 		return ocs.Result{
 			CCT: kr.CCT, Reconfigs: kr.Reconfigs, ConfTime: kr.ConfTime, TransTime: kr.TransTime, Flows: kr.Flows,
 		}, err
@@ -199,7 +210,7 @@ func RunRecover(topo topology.Topology, split []*matrix.Matrix, plans []ocs.Circ
 	replanned := pool.Total()
 	if replanned != 0 {
 		if len(survivors) == 0 {
-			kr := fold(perCore)
+			kr := fold(perCore, nil)
 			kr.DeadCores, kr.ReplannedTicks = dead, replanned
 			return &kr, fmt.Errorf("%w: %d ticks stranded on dead cores", sim.ErrUnservable, replanned)
 		}
@@ -227,7 +238,7 @@ func RunRecover(topo topology.Topology, split []*matrix.Matrix, plans []ocs.Circ
 			appendShifted(&perCore[c], r2, max(perCore[c].CCT, availability))
 		}
 	}
-	kr := fold(perCore)
+	kr := fold(perCore, nil)
 	kr.DeadCores, kr.ReplannedTicks = dead, replanned
 	flushKObs(&kr)
 	return &kr, nil

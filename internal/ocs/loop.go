@@ -260,13 +260,13 @@ type Core struct {
 func (c Core) Run(d *matrix.Matrix, ctrl Controller) (Result, error) {
 	sc := acquireScratch(d.N())
 	defer sc.release()
-	return c.run(sc, d, ctrl, 0, false)
+	return c.run(sc, d, ctrl, nil, false)
 }
 
-// run is Run on the scratch sc, reserving room for flowsCap flow intervals.
+// run is Run on the scratch sc, appending the flows it records to flows.
 // checked says ctrl walks a schedule validated up front, so its decisions
 // are not checked one by one again.
-func (c Core) run(sc *scratch, d *matrix.Matrix, ctrl Controller, flowsCap int, checked bool) (Result, error) {
+func (c Core) run(sc *scratch, d *matrix.Matrix, ctrl Controller, flows schedule.FlowSchedule, checked bool) (Result, error) {
 	n := d.N()
 	fs := c.Faults
 	if fs.Empty() {
@@ -289,12 +289,9 @@ func (c Core) run(sc *scratch, d *matrix.Matrix, ctrl Controller, flowsCap int, 
 	left := d.Total() // undrained demand, kept as a counter: the residual is never rescanned
 	fab := fabric.NewCircuit(n, c.Bandwidth)
 	var res Result
-	var flows *schedule.FlowSchedule
+	var record *schedule.FlowSchedule
 	if c.Flows {
-		if flowsCap > 0 {
-			res.Flows = make(schedule.FlowSchedule, 0, flowsCap)
-		}
-		flows = &res.Flows
+		res.Flows, record = flows, &res.Flows
 	}
 	st := State{Remaining: Residual{m: rem}}
 
@@ -458,7 +455,7 @@ func (c Core) run(sc *scratch, d *matrix.Matrix, ctrl Controller, flowsCap int, 
 		if ev := fs.NextEventAfter(tr.Up); ev >= 0 && ev < end {
 			end, tr.Interrupted = ev, true
 		}
-		sent := fab.Transmit(rem, tr.Up, end, flows)
+		sent := fab.Transmit(rem, tr.Up, end, record)
 		left -= sent
 		reach -= sent
 		now, tr.Down = end, end

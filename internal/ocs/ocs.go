@@ -19,6 +19,7 @@ import (
 	"fmt"
 
 	"reco/internal/matrix"
+	"reco/internal/schedule"
 )
 
 // ErrInvalidAssignment reports a circuit assignment that is not a partial
@@ -108,7 +109,7 @@ func ExecAllStop(d *matrix.Matrix, cs CircuitSchedule, delta int64) (Result, err
 // min(Dur, ⌈maxRem/bw⌉) ticks; flow intervals are rounded up to whole ticks.
 // K-core fabrics use it to honor per-core bandwidth (kcore.Exec).
 func ExecAllStopRate(d *matrix.Matrix, cs CircuitSchedule, delta, bw int64) (Result, error) {
-	return Core{Delta: delta, Bandwidth: bw, Flows: true}.exec(d, cs)
+	return Core{Delta: delta, Bandwidth: bw, Flows: true}.exec(d, cs, nil)
 }
 
 // ExecNotAllStop plays cs against d under the not-all-stop model (Sec. VI):
@@ -117,33 +118,46 @@ func ExecAllStopRate(d *matrix.Matrix, cs CircuitSchedule, delta, bw int64) (Res
 // transmitting through the delta window. Reconfigs counts transitions that
 // change at least one circuit.
 func ExecNotAllStop(d *matrix.Matrix, cs CircuitSchedule, delta int64) (Result, error) {
-	return Core{Delta: delta, Bandwidth: 1, CarryOver: true, Flows: true}.exec(d, cs)
+	return Core{Delta: delta, Bandwidth: 1, CarryOver: true, Flows: true}.exec(d, cs, nil)
 }
 
-// exec runs c over the precomputed schedule cs. The whole schedule is
-// validated up front, so a bad trailing assignment is rejected even when the
-// demand drains before the walk reaches it; nothing is returned next to an
-// invalid schedule or core.
-func (c Core) exec(d *matrix.Matrix, cs CircuitSchedule) (Result, error) {
+// exec runs c over the precomputed schedule cs, appending the run's flows to
+// flows; a nil flows reserves FlowBound(d, cs) of its own. The whole schedule
+// is validated up front, so a bad trailing assignment is rejected even when
+// the demand drains before the walk reaches it; nothing is returned next to
+// an invalid schedule or core.
+func (c Core) exec(d *matrix.Matrix, cs CircuitSchedule, flows schedule.FlowSchedule) (Result, error) {
 	sc := acquireScratch(d.N())
 	defer sc.release()
 	if err := cs.validate(sc.seen); err != nil {
 		return Result{}, err
 	}
-	// A circuit emits a flow only while its pair has demand left, so the
-	// circuits over pairs with any demand at all bound the flow list (within
-	// ~10% on dense coflows, exactly on single-port ones). Reserving that
-	// once replaces a dozen append-doublings.
+	if flows == nil {
+		if most := FlowBound(d, cs); most > 0 {
+			flows = make(schedule.FlowSchedule, 0, most)
+		}
+	}
+	sc.walk = Walk{Schedule: cs}
+	return c.run(sc, d, &sc.walk, flows, true)
+}
+
+// FlowBound is the most flow intervals playing cs against d can emit. A
+// circuit emits a flow only while its pair has demand left, so the circuits
+// over pairs with any demand at all bound the flow list (within ~10% on
+// dense coflows, exactly on single-port ones): reserving that once replaces
+// a dozen append-doublings. Circuits outside d's fabric count nothing, so
+// the bound may be taken before cs is validated.
+func FlowBound(d *matrix.Matrix, cs CircuitSchedule) int {
+	n := d.N()
 	most := 0
 	for _, a := range cs {
-		for i, j := range a.Perm {
-			if j != -1 && d.At(i, j) > 0 {
+		for i, j := range a.Perm[:min(len(a.Perm), n)] {
+			if uint(j) < uint(n) && d.At(i, j) > 0 {
 				most++
 			}
 		}
 	}
-	sc.walk = Walk{Schedule: cs}
-	return c.run(sc, d, &sc.walk, most, true)
+	return most
 }
 
 // LowerBound returns the single-coflow CCT lower bound T_lb = ρ + τ·δ used

@@ -2,12 +2,14 @@ package ocs
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"reco/internal/bvn"
 	"reco/internal/matrix"
+	"reco/internal/schedule"
 )
 
 func mustMatrix(t *testing.T, rows [][]int64) *matrix.Matrix {
@@ -453,6 +455,71 @@ func TestExecAllStopRateFasterCore(t *testing.T) {
 	}
 	if _, err := ExecAllStopRate(d, cs, 3, 0); !errors.Is(err, ErrInvalidAssignment) {
 		t.Errorf("bw=0: err = %v, want ErrInvalidAssignment", err)
+	}
+}
+
+// TestSequenceOutgrowsBound: a run that emits more flows than its bound
+// promised, or hands back a list of its own, still lands every flow shifted
+// and attributed, after the flows already in place.
+func TestSequenceOutgrowsBound(t *testing.T) {
+	emit := map[int]int{0: 2, 1: 5, 2: 3}
+	seq, err := Sequence(3, []int{2, 0, 1}, func(k int) int { return 1 }, func(k int, flows schedule.FlowSchedule) (Result, error) {
+		if k == 0 {
+			flows = nil // a list of its own
+		}
+		for i := 0; i < emit[k]; i++ {
+			flows = append(flows, schedule.FlowInterval{Start: int64(i), End: int64(i + 1), In: k, Out: i})
+		}
+		return Result{CCT: int64(emit[k]), Flows: flows}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want schedule.FlowSchedule
+	now := int64(0)
+	for _, k := range []int{2, 0, 1} {
+		for i := 0; i < emit[k]; i++ {
+			want = append(want, schedule.FlowInterval{Start: now + int64(i), End: now + int64(i+1), In: k, Out: i, Coflow: k})
+		}
+		now += int64(emit[k])
+	}
+	if !reflect.DeepEqual(seq.Flows, want) {
+		t.Errorf("flows %v, want %v", seq.Flows, want)
+	}
+	if !reflect.DeepEqual(seq.CCTs, []int64{5, 10, 3}) {
+		t.Errorf("CCTs %v, want [5 10 3]", seq.CCTs)
+	}
+}
+
+// TestExecSequentialOneCoflowAllocs: a one-coflow sequence, which is every
+// single-coflow request, allocates what the executor does plus the order
+// check and the CCT list, and nothing more: the flow list is reserved once.
+func TestExecSequentialOneCoflowAllocs(t *testing.T) {
+	d := mustMatrix(t, [][]int64{{0, 3, 5}, {4, 0, 2}, {1, 6, 0}})
+	cs := CircuitSchedule{
+		{Perm: []int{1, 2, 0}, Dur: 6}, {Perm: []int{2, 0, 1}, Dur: 5}, {Perm: []int{0, 2, 1}, Dur: 4},
+	}
+	// The fewest over single runs: the scratch pool may come up empty (under
+	// the race detector it drops at random), which costs a run a fresh one.
+	fewest := func(f func()) float64 {
+		least := math.Inf(1)
+		for i := 0; i < 20; i++ {
+			least = min(least, testing.AllocsPerRun(1, f))
+		}
+		return least
+	}
+	exec := fewest(func() {
+		if _, err := ExecAllStop(d, cs, 3); err != nil {
+			t.Fatal(err)
+		}
+	})
+	seq := fewest(func() {
+		if _, err := ExecSequential([]*matrix.Matrix{d}, []CircuitSchedule{cs}, []int{0}, 3); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if seq != exec+2 {
+		t.Errorf("ExecSequential of one coflow: %v allocations, want ExecAllStop's %v + 2", seq, exec)
 	}
 }
 

@@ -37,30 +37,39 @@ func validateOrder(order []int, n int) error {
 }
 
 // Sequence hands the fabric to one of n coflows at a time in priority order:
-// run(k) executes coflow k on an empty timeline, and Sequence shifts its
-// flows behind everything already transmitted. It is the single sequential
-// loop behind ExecSequential and the K-core kcore.ExecSequential.
-func Sequence(n int, order []int, run func(k int) (Result, error)) (SeqResult, error) {
+// run(k, flows) executes coflow k on an empty timeline, appending its flows
+// to flows, and Sequence shifts them behind everything already transmitted.
+// bound(k) is the most flows coflow k can emit: Sequence reserves the sum
+// once and hands each run the unused tail of that one list, so the flows land
+// in place. A run that outgrows its bound still comes out right, at the cost
+// of a copy. It is the single sequential loop behind ExecSequential and the
+// K-core kcore.ExecSequential.
+func Sequence(n int, order []int, bound func(k int) int, run func(k int, flows schedule.FlowSchedule) (Result, error)) (SeqResult, error) {
 	if err := validateOrder(order, n); err != nil {
 		return SeqResult{}, err
 	}
 	res := SeqResult{CCTs: make([]int64, n)}
+	total := 0
+	for _, k := range order {
+		total += bound(k)
+	}
+	if total > 0 {
+		res.Flows = make(schedule.FlowSchedule, 0, total)
+	}
 	var now int64
 	for _, k := range order {
-		r, err := run(k)
+		at := len(res.Flows)
+		r, err := run(k, res.Flows[at:])
 		if err != nil {
 			return SeqResult{}, fmt.Errorf("coflow %d: %w", k, err)
 		}
-		// run hands over a flow list nobody else holds: shift it in place,
-		// and let the first coflow's (a single-coflow request's only one)
-		// become the combined list instead of copying it.
 		for i := range r.Flows {
 			r.Flows[i].Start += now
 			r.Flows[i].End += now
 			r.Flows[i].Coflow = k
 		}
-		if res.Flows == nil {
-			res.Flows = r.Flows
+		if len(r.Flows) > 0 && at < cap(res.Flows) && &r.Flows[0] == &res.Flows[at : at+1][0] {
+			res.Flows = res.Flows[:at+len(r.Flows)]
 		} else {
 			res.Flows = append(res.Flows, r.Flows...)
 		}
@@ -84,7 +93,9 @@ func ExecSequential(ds []*matrix.Matrix, schedules []CircuitSchedule, order []in
 	if len(ds) != len(schedules) {
 		return SeqResult{}, fmt.Errorf("ocs: %d demand matrices but %d schedules", len(ds), len(schedules))
 	}
-	return Sequence(len(ds), order, func(k int) (Result, error) {
-		return ExecAllStop(ds[k], schedules[k], delta)
+	return Sequence(len(ds), order, func(k int) int {
+		return FlowBound(ds[k], schedules[k])
+	}, func(k int, flows schedule.FlowSchedule) (Result, error) {
+		return Core{Delta: delta, Bandwidth: 1, Flows: true}.exec(ds[k], schedules[k], flows)
 	})
 }
