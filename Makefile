@@ -62,7 +62,8 @@ loadtest-short:
 # adjacency-list one, over pairs of small requests whose plan-cache keys
 # must be equal exactly when the requests are, over the response encoders
 # against encoding/json, over the trace parser (and the count of what it
-# writes back), and over the electrical fluid allocator's invariants.
+# writes back), over the electrical fluid allocator's invariants, and over
+# small LPs whose sparse-pivot solve must match the dense reference pivot.
 # CI-friendly: fails only on a crash, a broken response contract, a
 # disagreement with a reference, a key collision or a broken invariant,
 # never on timing.
@@ -74,6 +75,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzEncoders -fuzztime=10s ./internal/api
 	$(GO) test -run='^$$' -fuzz=FuzzParseTrace -fuzztime=10s ./internal/workload
 	$(GO) test -run='^$$' -fuzz=FuzzElectricalTransmit -fuzztime=10s ./internal/fabric
+	$(GO) test -run='^$$' -fuzz=FuzzSimplexMatchesDense -fuzztime=10s ./internal/lp
 
 # Re-check every qualitative claim of the paper against a fresh run (~30 s).
 verify:
