@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"reco/internal/faults"
+	"reco/internal/ocs"
 	"reco/internal/parallel"
 	"reco/internal/sim"
 	"reco/internal/stats"
@@ -40,36 +41,51 @@ type faultPoint struct {
 	replayN, recoverN float64
 }
 
+// cleanRun is one coflow's fault-free Reco-Sin plan and the CCT executing it
+// takes, the baseline every fault level is measured against.
+type cleanRun struct {
+	cs  ocs.CircuitSchedule
+	cct int64
+}
+
 // runFaultTrials runs every (fault level, coflow) pair through the faulted
 // simulator: the naive ReplayLoop that blindly replays the precomputed
 // Reco-Sin schedule versus the predictive Recover controller, which treats
 // the injected schedule as a known maintenance plan, replans residual demand
-// on surviving ports, and never finishes later than the replay. Trials fan out over the worker pool and are
-// collected by index, so the table is identical at any worker count: each
-// trial's fault schedule derives from (seed, faultSalt, level, coflow) and
-// nothing else.
+// on surviving ports, and never finishes later than the replay. Each coflow's
+// clean plan and execution are computed once, ahead of the levels. Trials fan
+// out over the worker pool and are collected by index, so the table is
+// identical at any worker count: each trial's fault schedule derives from
+// (seed, faultSalt, level, coflow) and nothing else.
 func runFaultTrials(cfg Config) ([][]faultPoint, error) {
 	coflows, err := singleWorkload(cfg)
+	if err != nil {
+		return nil, err
+	}
+	cleans, err := parallel.Map(cfg.workers(), len(coflows), func(ci int) (cleanRun, error) {
+		cs, clean, err := recoSinAllStop(coflows[ci].Demand, cfg.Delta, cfg.Delta)
+		if err != nil {
+			return cleanRun{}, fmt.Errorf("coflow %d: %w", ci, err)
+		}
+		return cleanRun{cs: cs, cct: clean.CCT}, nil
+	})
 	if err != nil {
 		return nil, err
 	}
 	return grid(cfg.workers(), len(faultLevels), len(coflows), func(li, ci int) (faultPoint, error) {
 		lvl := faultLevels[li]
 		d := coflows[ci].Demand
+		cs, cct := cleans[ci].cs, cleans[ci].cct
 
-		cs, clean, err := recoSinAllStop(d, cfg.Delta, cfg.Delta)
-		if err != nil {
-			return faultPoint{}, fmt.Errorf("coflow %d: %w", ci, err)
-		}
 		// Faults strike inside the nominal run window and every failed port
 		// recovers after half of it, so all demand stays servable and both
 		// controllers run to completion.
 		fs, err := faults.Generate(faults.GenConfig{
 			N:             d.N(),
 			Seed:          parallel.Seed(cfg.Seed, faultSalt, int64(li), int64(ci)),
-			Horizon:       clean.CCT,
+			Horizon:       cct,
 			PortFailRate:  lvl.portRate,
-			RepairAfter:   max(clean.CCT/2, cfg.Delta),
+			RepairAfter:   max(cct/2, cfg.Delta),
 			SetupFailProb: lvl.setupProb,
 		})
 		if err != nil {
@@ -83,7 +99,7 @@ func runFaultTrials(cfg Config) ([][]faultPoint, error) {
 		if err != nil {
 			return faultPoint{}, fmt.Errorf("recover under faults on coflow %d level %q: %w", ci, lvl.label, err)
 		}
-		base := float64(clean.CCT)
+		base := float64(cct)
 		return faultPoint{
 			replayN:  float64(naive.CCT) / base,
 			recoverN: float64(rec.CCT) / base,

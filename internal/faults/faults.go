@@ -16,6 +16,7 @@ package faults
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"reco/internal/parallel"
@@ -161,7 +162,8 @@ type GenConfig struct {
 	// horizon, in [0, 1].
 	PortFailRate float64
 	// RepairAfter is how long a failed port stays down before coming back.
-	// Zero means failed ports never recover.
+	// Zero means failed ports never recover; a recovery tick past MaxInt64
+	// is refused.
 	RepairAfter int64
 	// SetupFailProb and JitterBound carry into the schedule unchanged.
 	SetupFailProb float64
@@ -193,7 +195,9 @@ func Generate(cfg GenConfig) (*Schedule, error) {
 	if err := s.Validate(cfg.N); err != nil {
 		return nil, err
 	}
-	for p := 0; p < cfg.N; p++ {
+	// At a zero rate no port can fail: seeding a stream per port to learn so
+	// would only cost time.
+	for p := 0; p < cfg.N && cfg.PortFailRate > 0; p++ {
 		rng := parallel.Rand(cfg.Seed, streamPort, int64(p))
 		if rng.Float64() >= cfg.PortFailRate {
 			continue
@@ -201,6 +205,10 @@ func Generate(cfg GenConfig) (*Schedule, error) {
 		fail := rng.Int63n(cfg.Horizon)
 		s.PortEvents = append(s.PortEvents, PortEvent{Tick: fail, Port: p, Down: true})
 		if cfg.RepairAfter > 0 {
+			if fail > math.MaxInt64-cfg.RepairAfter {
+				return nil, fmt.Errorf("%w: port %d fails at tick %d and its repair %d ticks later overflows",
+					ErrBadSchedule, p, fail, cfg.RepairAfter)
+			}
 			s.PortEvents = append(s.PortEvents, PortEvent{Tick: fail + cfg.RepairAfter, Port: p, Down: false})
 		}
 	}

@@ -221,6 +221,39 @@ func TestGenerateRejectsBadConfigs(t *testing.T) {
 	}
 }
 
+// TestGenerateRejectsRepairOverflow: a repair time that pushes a failed
+// port's recovery past MaxInt64 is refused. It used to wrap to a negative
+// tick and sort ahead of the failures, handing the simulator a schedule its
+// own Validate rejects.
+func TestGenerateRejectsRepairOverflow(t *testing.T) {
+	cfg := GenConfig{N: 4, Seed: 1, Horizon: 10, PortFailRate: 1, RepairAfter: math.MaxInt64}
+	s, err := Generate(cfg)
+	if !errors.Is(err, ErrBadSchedule) {
+		t.Fatalf("got %v, want ErrBadSchedule (schedule validates: %v)", err, s.Validate(cfg.N))
+	}
+	// The largest repair that cannot overflow still generates.
+	cfg.RepairAfter = math.MaxInt64 - cfg.Horizon
+	if s, err = Generate(cfg); err != nil || s.Validate(cfg.N) != nil {
+		t.Fatalf("repair %d: %v", cfg.RepairAfter, err)
+	}
+}
+
+// TestGenerateZeroRateNoPortEvents: at a zero port-failure rate no port
+// fails, whatever the fabric, the seed, the horizon or the other faults.
+func TestGenerateZeroRateNoPortEvents(t *testing.T) {
+	for n := 1; n <= 64; n += 9 {
+		for seed := int64(-2); seed < 40; seed += 7 {
+			s, err := Generate(GenConfig{N: n, Seed: seed, Horizon: int64(n) * 10, RepairAfter: 5, SetupFailProb: 0.1, JitterBound: 3})
+			if err != nil {
+				t.Fatalf("n=%d seed=%d: %v", n, seed, err)
+			}
+			if len(s.PortEvents) != 0 {
+				t.Fatalf("n=%d seed=%d: %d port events at rate 0", n, seed, len(s.PortEvents))
+			}
+		}
+	}
+}
+
 func TestGenerateNoRepair(t *testing.T) {
 	s, err := Generate(GenConfig{N: 16, Seed: 9, Horizon: 100, PortFailRate: 1})
 	if err != nil {
