@@ -1,16 +1,20 @@
 package ocs_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
+	"reco/internal/bvn"
 	"reco/internal/core"
 	"reco/internal/faults"
 	"reco/internal/kcore"
 	"reco/internal/matrix"
 	"reco/internal/ocs"
+	"reco/internal/ordering"
 	"reco/internal/sim"
 	"reco/internal/topology"
+	"reco/internal/workload"
 )
 
 // benchDemand fills the given fraction of an n×n matrix.
@@ -80,5 +84,50 @@ func BenchmarkExec(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkExecSequential is LP-II-GB's execution: one first-fit BvN plan
+// per coflow, run back to back in the LP-II order, cycling through four
+// fig7/fig8-shaped batches (12 elephant coflows on n = 60 ports). Plans and
+// orders are built outside the timer.
+func BenchmarkExecSequential(b *testing.B) {
+	const delta = 100
+	type batch struct {
+		ds    []*matrix.Matrix
+		plans []ocs.CircuitSchedule
+		order []int
+	}
+	batches := make([]batch, 4)
+	for s := range batches {
+		coflows, err := workload.Generate(workload.GenConfig{N: 60, NumCoflows: 12, Seed: int64(s + 1), MinDemand: 400, MeanDemand: 400})
+		if err != nil {
+			b.Fatal(err)
+		}
+		bt := &batches[s]
+		for _, c := range coflows {
+			terms, err := bvn.DecomposeCtx(context.Background(), matrix.Stuff(c.Demand), bvn.FirstFit)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cs := make(ocs.CircuitSchedule, len(terms))
+			for i, t := range terms {
+				cs[i] = ocs.Assignment{Perm: t.Perm, Dur: t.Coef}
+			}
+			bt.ds, bt.plans = append(bt.ds, c.Demand), append(bt.plans, cs)
+		}
+		lp, err := ordering.LPII(bt.ds, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bt.order = lp.Order
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bt := batches[i%len(batches)]
+		if _, err := ocs.ExecSequential(bt.ds, bt.plans, bt.order, delta); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
