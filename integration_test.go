@@ -1,6 +1,7 @@
 package reco_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -65,7 +66,9 @@ func TestIntegrationAllSchedulersSatisfyModel(t *testing.T) {
 		"reco-sin": func(d *matrix.Matrix) (ocs.CircuitSchedule, error) { return core.RecoSin(d, delta) },
 		"solstice": solstice.Schedule,
 		"tms-bvn":  tms.ScheduleBvN,
-		"helios":   func(d *matrix.Matrix) (ocs.CircuitSchedule, error) { return tms.ScheduleHelios(d, 4*delta) },
+		"helios": func(d *matrix.Matrix) (ocs.CircuitSchedule, error) {
+			return tms.ScheduleHelios(context.Background(), d, 4*delta)
+		},
 	}
 	order := ordering.SEBF(ds)
 	for name, schedFn := range singles {

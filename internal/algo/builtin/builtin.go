@@ -79,7 +79,7 @@ func init() {
 		desc: fmt.Sprintf("Helios/c-Through slotted max-weight matching (slot = %d*delta) per coflow", HeliosSlotFactor),
 		caps: algo.Capabilities{SingleCoflow: true, FlowLevel: true},
 		build: func(ctx context.Context, d *matrix.Matrix, req algo.Request) (ocs.CircuitSchedule, error) {
-			return tms.ScheduleHelios(d, HeliosSlotFactor*req.Delta)
+			return tms.ScheduleHelios(ctx, d, HeliosSlotFactor*req.Delta)
 		},
 		minDelta: 1, // the slot length is a multiple of delta
 	})

@@ -73,7 +73,7 @@ func TestDifferentialSequentialAlgorithms(t *testing.T) {
 			return tms.ScheduleBvN(d)
 		}},
 		{algo.NameHelios, nil, func(d *matrix.Matrix) (ocs.CircuitSchedule, error) {
-			return tms.ScheduleHelios(d, HeliosSlotFactor*delta)
+			return tms.ScheduleHelios(context.Background(), d, HeliosSlotFactor*delta)
 		}},
 		{algo.NameEclipse, nil, func(d *matrix.Matrix) (ocs.CircuitSchedule, error) {
 			return eclipse.Schedule(d, delta)

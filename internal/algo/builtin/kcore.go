@@ -5,7 +5,6 @@ import (
 
 	"reco/internal/algo"
 	"reco/internal/kcore"
-	"reco/internal/topology"
 )
 
 func init() {
@@ -35,7 +34,7 @@ func (kcoreScheduler) Schedule(ctx context.Context, req algo.Request) (*algo.Res
 	if k < 1 {
 		k = 1
 	}
-	topo, err := topology.Uniform(req.Demands[0].N(), k, req.Delta)
+	topo, err := kcore.Uniform(k, req.Delta)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -123,6 +124,26 @@ func TestSyncDeadlineExceededIs504(t *testing.T) {
 	}
 	if apiErr.Status != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504", apiErr.Status)
+	}
+}
+
+// Helios runs ⌈ρ/4δ⌉ slots however small the matrix, so a 2×2 request can
+// ask for a million of them. Its deadline must stop the slots, not answer
+// 200 long after it passed. Without the plan cache the computation runs on
+// the request's own context; with it, the cancelled shared computation
+// stops the same way (tms.TestScheduleHeliosHonorsContext).
+func TestHeliosDeadlineStopsSlots(t *testing.T) {
+	srv := NewServer(Options{NoCache: true})
+	defer srv.Close()
+	body := `{"demand":[[4000000,0],[0,1]],"delta":1,"algorithm":"helios","deadline_ms":10}`
+	start := time.Now()
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/schedule/single", strings.NewReader(body)))
+	if rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504: %.200s", rec.Code, rec.Body.Bytes())
+	}
+	if took := time.Since(start); took > 500*time.Millisecond {
+		t.Errorf("504 after %v, want it near the 10 ms deadline", took)
 	}
 }
 

@@ -251,6 +251,12 @@ func TestRegistryUnderHostileInput(t *testing.T) {
 			// ⌊√c⌋·δ = 2^64 wrapped to 0: once a division by zero that
 			// killed the process from the compute goroutine.
 			{"grid wraps to zero", func(r *MultiRequest) { r.Delta, r.C = 1<<33, 1<<62 }, true},
+			// A mouse of 10^18 ticks passes ValidateRequest's bound, but the
+			// hybrid models' packet side runs ten times slower: once a 200
+			// with a wrapped CCT (hybrid) or a 500 (hybrid-fluid).
+			{"slowed mouse overflows", func(r *MultiRequest) {
+				r.Demands, r.Delta = [][][]int64{{{1e18, 0}, {0, 1}}}, 3e17
+			}, sched.Name() == algo.NameHybrid || sched.Name() == algo.NameHybridFluid},
 		}
 		for i := range algo.KnobTable {
 			if set := setValue(&algo.KnobTable[i]); algo.CheckKnobs(sched, set) != nil {

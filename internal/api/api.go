@@ -26,6 +26,7 @@ import (
 	"reco/internal/algo"
 	_ "reco/internal/algo/builtin" // populate the scheduler registry
 	"reco/internal/core"
+	"reco/internal/hybrid"
 	"reco/internal/matrix"
 	"reco/internal/obs"
 	"reco/internal/ocs"
@@ -569,6 +570,7 @@ func statusFor(err error) int {
 		errors.Is(err, matrix.ErrDimension) ||
 		errors.Is(err, matrix.ErrNegative) ||
 		errors.Is(err, workload.ErrBadConfig) ||
+		errors.Is(err, hybrid.ErrBadConfig) ||
 		errors.Is(err, algo.ErrUnknown) ||
 		errors.Is(err, algo.ErrBadRequest) {
 		return http.StatusBadRequest

@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"reco/internal/kcore"
-	"reco/internal/topology"
 )
 
 // kcoreWidths is the fabric-width sweep the kcore experiment publishes.
@@ -44,7 +43,7 @@ func KCore(cfg Config) (*Table, error) {
 	}
 	rows, err := grid(cfg.workers(), len(batches), len(kcoreWidths), func(ci, ki int) (Row, error) {
 		cl, ds, k := className(batches[ci].class), batches[ci].ds, kcoreWidths[ki]
-		topo, err := topology.Uniform(cfg.MulN, k, cfg.Delta)
+		topo, err := kcore.Uniform(k, cfg.Delta)
 		if err != nil {
 			return Row{}, fmt.Errorf("kcore %s K=%d: %w", cl, k, err)
 		}
@@ -65,7 +64,7 @@ func KCore(cfg Config) (*Table, error) {
 		}
 		var lb int64
 		for _, d := range ds {
-			lb += topology.LowerBound(d, topo)
+			lb += kcore.LowerBound(d, topo)
 		}
 		return Row{
 			Label: fmt.Sprintf("%s/K=%d", cl, k),

@@ -107,6 +107,12 @@ func ScheduleFluid(d *matrix.Matrix, cfg FluidConfig) (*FluidResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hybrid: %w", err)
 	}
+	// Every electrical time below is ⌈ρ'·den/num⌉ for some ρ' ≤ ρ. Bounding
+	// ρ·den by 2^62, the most fabric.Electrical.DrainTime reports, keeps all
+	// of them and the balance sweep's products exact in int64.
+	if rho := d.MaxRowColSum(); num > 0 && rho > (1<<62)/den {
+		return nil, fmt.Errorf("%w: bottleneck %d at electrical rate %d/%d overflows int64 ticks", ErrBadConfig, rho, num, den)
+	}
 
 	// Assignment: partition d into the optical and electrical shares.
 	threshold := cfg.Threshold
@@ -201,9 +207,6 @@ func ScheduleFluid(d *matrix.Matrix, cfg FluidConfig) (*FluidResult, error) {
 	// optical schedule drains at the fabric's own rate.
 	if !remE.IsZero() {
 		need := elec.DrainTime(remE)
-		if need < 0 {
-			return nil, fmt.Errorf("%w: electrical share with zero electrical bandwidth", ErrBadConfig)
-		}
 		elec.Drain(remE, need)
 		elecNow += need
 		res.ElecCCT = elecNow

@@ -16,11 +16,18 @@
 // ScheduleFluid is the rate-based model (docs/HYBRID.md): both fabrics run
 // on one clock as fabric.Circuit + fabric.Electrical, and joint policies
 // let the electrical fabric spend idle capacity on optical residuals.
+//
+// Schedule stays beside ScheduleFluid because no fluid policy reproduces
+// it: its packet side is non-preemptive, list-scheduling whole mice each
+// PacketSlowdown (an integer) times longer, where even PolicyStatic drains
+// the electrical share fluidly at a per-mille rate. That model is what the
+// hybrid registry entry runs and what hybrid.csv's static column reports.
 package hybrid
 
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"reco/internal/core"
 	"reco/internal/matrix"
@@ -103,6 +110,11 @@ func Schedule(d *matrix.Matrix, cfg Config) (*Result, error) {
 	}
 
 	if !mice.IsZero() {
+		// A non-preemptive list schedule ends within twice the bottleneck,
+		// so the slowed bottleneck at most doubled must fit in int64 ticks.
+		if rho := mice.MaxRowColSum(); rho > math.MaxInt64/2/cfg.PacketSlowdown {
+			return nil, fmt.Errorf("%w: mice bottleneck %d slowed %dx overflows int64 ticks", ErrBadConfig, rho, cfg.PacketSlowdown)
+		}
 		slowed := mice.Clone()
 		n := slowed.N()
 		for i := 0; i < n; i++ {

@@ -11,11 +11,7 @@ import (
 	"reco/internal/ocs"
 	"reco/internal/schedule"
 	"reco/internal/sim"
-	"reco/internal/topology"
 )
-
-// ErrTopology reports a fabric the fault simulator cannot run.
-var ErrTopology = errors.New("kcore: unsupported topology")
 
 // KResult reports the outcome of running one coflow's split on a K-core
 // fabric. Cores reconfigure and transmit independently and in parallel, all
@@ -65,9 +61,9 @@ func fold(perCore []ocs.Result, flows schedule.FlowSchedule) KResult {
 }
 
 // check validates what every K-core run is handed: a usable fabric, and one
-// demand share of the fabric's dimension and one plan per core. The plans'
-// assignments are checked by the core that runs them.
-func check(topo topology.Topology, split []*matrix.Matrix, plans []ocs.CircuitSchedule) error {
+// demand share and one plan per core, every share of the same dimension. The
+// plans' assignments are checked by the core that runs them.
+func check(topo Topology, split []*matrix.Matrix, plans []ocs.CircuitSchedule) error {
 	if err := topo.Validate(); err != nil {
 		return err
 	}
@@ -76,9 +72,9 @@ func check(topo topology.Topology, split []*matrix.Matrix, plans []ocs.CircuitSc
 			ocs.ErrInvalidAssignment, len(split), len(plans), topo.K())
 	}
 	for c, share := range split {
-		if share.N() != topo.Ports {
-			return fmt.Errorf("%w: share %d has %d ports, fabric has %d",
-				ocs.ErrInvalidAssignment, c, share.N(), topo.Ports)
+		if share.N() != split[0].N() {
+			return fmt.Errorf("%w: share %d has %d ports, share 0 has %d",
+				ocs.ErrInvalidAssignment, c, share.N(), split[0].N())
 		}
 	}
 	return nil
@@ -89,12 +85,12 @@ func check(topo topology.Topology, split []*matrix.Matrix, plans []ocs.CircuitSc
 // each core's bandwidth and reconfiguration delay: each core is the
 // single-switch executor at its own rate, so at K = 1 with a unit-bandwidth
 // core PerCore[0] is ocs.ExecAllStop(split[0], plans[0], delta).
-func Exec(topo topology.Topology, split []*matrix.Matrix, plans []ocs.CircuitSchedule) (KResult, error) {
+func Exec(topo Topology, split []*matrix.Matrix, plans []ocs.CircuitSchedule) (KResult, error) {
 	return exec(topo, split, plans, nil)
 }
 
 // exec is Exec folding the cores' flows into flows.
-func exec(topo topology.Topology, split []*matrix.Matrix, plans []ocs.CircuitSchedule, flows schedule.FlowSchedule) (KResult, error) {
+func exec(topo Topology, split []*matrix.Matrix, plans []ocs.CircuitSchedule, flows schedule.FlowSchedule) (KResult, error) {
 	if err := check(topo, split, plans); err != nil {
 		return KResult{}, err
 	}
@@ -113,7 +109,7 @@ func exec(topo topology.Topology, split []*matrix.Matrix, plans []ocs.CircuitSch
 // ocs.ExecSequential, but each coflow transmits its split across all K cores
 // in parallel. splits[k] and plans[k] are coflow k's demand split and
 // per-core schedules.
-func ExecSequential(topo topology.Topology, splits [][]*matrix.Matrix, plans [][]ocs.CircuitSchedule, order []int) (ocs.SeqResult, error) {
+func ExecSequential(topo Topology, splits [][]*matrix.Matrix, plans [][]ocs.CircuitSchedule, order []int) (ocs.SeqResult, error) {
 	if len(splits) != len(plans) {
 		return ocs.SeqResult{}, fmt.Errorf("kcore: %d demand splits but %d plans", len(splits), len(plans))
 	}
@@ -151,7 +147,7 @@ func ExecSequential(topo topology.Topology, splits [][]*matrix.Matrix, plans [][
 // The per-core port constraint holds throughout: each surviving core's
 // merged flow schedule (own plan + replanned residual) is a valid
 // single-switch schedule, which the seeded fault tests verify.
-func RunRecover(topo topology.Topology, split []*matrix.Matrix, plans []ocs.CircuitSchedule, kfs *faults.KSchedule) (*KResult, error) {
+func RunRecover(topo Topology, split []*matrix.Matrix, plans []ocs.CircuitSchedule, kfs *faults.KSchedule) (*KResult, error) {
 	if err := check(topo, split, plans); err != nil {
 		return nil, err
 	}
@@ -161,7 +157,7 @@ func RunRecover(topo topology.Topology, split []*matrix.Matrix, plans []ocs.Circ
 				ErrTopology, c, cr.Bandwidth)
 		}
 	}
-	n := topo.Ports
+	n := split[0].N()
 	if err := kfs.Validate(n, topo.K()); err != nil {
 		return nil, err
 	}
@@ -174,14 +170,14 @@ func RunRecover(topo topology.Topology, split []*matrix.Matrix, plans []ocs.Circ
 	pool, _ := matrix.New(n)
 	for c, cr := range topo.Cores {
 		coreFS := kfs.Core(c)
-		var r *sim.Result
+		var r *ocs.Result
 		var err error
 		if t := kfs.FirstDown(c); t >= 0 {
 			// Stranded demand (ErrUnservable) and a plan that ran out against
 			// unreachable ports (ErrStalled) are how a dying core's replay
 			// legitimately ends: collect what it never sent.
 			r, err = sim.RunFaults(split[c], sim.NewReplay(plans[c]), cr.Delta, deadCoreSchedule(coreFS, n, t))
-			if errors.Is(err, sim.ErrUnservable) || errors.Is(err, sim.ErrStalled) {
+			if errors.Is(err, ocs.ErrUnservable) || errors.Is(err, sim.ErrStalled) {
 				dead = append(dead, c)
 				availability = max(availability, t)
 				r.Residual.ForEachNonZero(func(i, j int, v int64) { pool.Add(i, j, v) })
@@ -190,7 +186,7 @@ func RunRecover(topo topology.Topology, split []*matrix.Matrix, plans []ocs.Circ
 		} else {
 			survivors = append(survivors, c)
 			if coreFS.Empty() {
-				r, err = sim.Run(split[c], sim.NewReplay(plans[c]), cr.Delta)
+				r, err = sim.RunFaults(split[c], sim.NewReplay(plans[c]), cr.Delta, nil)
 			} else {
 				replay, replayErr := sim.RunFaults(split[c], sim.NewReplayLoop(plans[c]), cr.Delta, coreFS)
 				if replayErr != nil {
@@ -207,14 +203,14 @@ func RunRecover(topo topology.Topology, split []*matrix.Matrix, plans []ocs.Circ
 
 	// Phase 2: re-split the pooled residual over the survivor sub-fabric and
 	// serve each survivor's extra share after its own plan finishes.
+	// With no survivor the demand is stranded, and the partial result is
+	// still folded and published.
 	replanned := pool.Total()
-	if replanned != 0 {
-		if len(survivors) == 0 {
-			kr := fold(perCore, nil)
-			kr.DeadCores, kr.ReplannedTicks = dead, replanned
-			return &kr, fmt.Errorf("%w: %d ticks stranded on dead cores", sim.ErrUnservable, replanned)
-		}
-		sub := topology.Topology{Ports: n}
+	var stranded error
+	if replanned != 0 && len(survivors) == 0 {
+		stranded = fmt.Errorf("%w: %d ticks stranded on dead cores", ocs.ErrUnservable, replanned)
+	} else if replanned != 0 {
+		var sub Topology
 		for _, c := range survivors {
 			sub.Cores = append(sub.Cores, topo.Cores[c])
 		}
@@ -231,7 +227,7 @@ func RunRecover(topo topology.Topology, split []*matrix.Matrix, plans []ocs.Circ
 			if err != nil {
 				return nil, fmt.Errorf("core %d replan: %w", c, err)
 			}
-			r2, err := sim.Run(extra[si], sim.NewReplay(plan2), delta)
+			r2, err := sim.RunFaults(extra[si], sim.NewReplay(plan2), delta, nil)
 			if err != nil {
 				return nil, fmt.Errorf("core %d replanned run: %w", c, err)
 			}
@@ -241,7 +237,7 @@ func RunRecover(topo topology.Topology, split []*matrix.Matrix, plans []ocs.Circ
 	kr := fold(perCore, nil)
 	kr.DeadCores, kr.ReplannedTicks = dead, replanned
 	flushKObs(&kr)
-	return &kr, nil
+	return &kr, stranded
 }
 
 // deadCoreSchedule builds the fault schedule that kills every port of an
@@ -309,16 +305,6 @@ func flushKObs(kr *KResult) {
 		return
 	}
 	for c, r := range kr.PerCore {
-		track := fmt.Sprintf("core %d", c)
-		for k, tr := range r.Log {
-			args := map[string]any{"establishment": k}
-			snk.TickSpan(track, "reconfig", tr.Start, tr.Up, args)
-			switch {
-			case tr.SetupFailed:
-				snk.TickInstant(track, "setup-failed", tr.Up, args)
-			case tr.Down > tr.Up:
-				snk.TickSpan(track, "transmit", tr.Up, tr.Down, args)
-			}
-		}
+		sim.TraceLog(snk, fmt.Sprintf("core %d", c), r.Log)
 	}
 }

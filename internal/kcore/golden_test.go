@@ -17,7 +17,6 @@ import (
 	"reco/internal/schedule"
 	"reco/internal/sim"
 	"reco/internal/solstice"
-	"reco/internal/topology"
 )
 
 // TestExecutorGolden pins what every executor and simulator entry point
@@ -99,17 +98,17 @@ func TestExecutorGolden(t *testing.T) {
 		dumpSeq(section("sequential"), trial, seq, err)
 	}
 
-	uniform := func(k int) topology.Topology {
-		topo, err := topology.Uniform(bn, k, bdelta)
+	uniform := func(k int) Topology {
+		topo, err := Uniform(k, bdelta)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return topo
 	}
-	mixed := topology.Topology{Ports: bn, Cores: []topology.Core{
+	mixed := Topology{Cores: []Core{
 		{Bandwidth: 1, Delta: bdelta}, {Bandwidth: 2, Delta: 2 * bdelta}, {Bandwidth: 3, Delta: bdelta / 2},
 	}}
-	for ti, topo := range []topology.Topology{uniform(1), uniform(3), mixed} {
+	for ti, topo := range []Topology{uniform(1), uniform(3), mixed} {
 		for _, strat := range []Strategy{Greedy, RoundRobin} {
 			res, err := ScheduleBatch(context.Background(), batch, topo, strat)
 			if err != nil {
@@ -205,36 +204,36 @@ func TestExecutorGolden(t *testing.T) {
 // package SplitGreedy is called from are the only parts of this file that
 // changed when the executors were folded onto one loop.
 
-func goldenExecK(topo topology.Topology, split []*matrix.Matrix, plans []ocs.CircuitSchedule) (KResult, error) {
+func goldenExecK(topo Topology, split []*matrix.Matrix, plans []ocs.CircuitSchedule) (KResult, error) {
 	return Exec(topo, split, plans)
 }
 
-func goldenRecoverK(topo topology.Topology, split []*matrix.Matrix, plans []ocs.CircuitSchedule, kfs *faults.KSchedule) (*KResult, error) {
+func goldenRecoverK(topo Topology, split []*matrix.Matrix, plans []ocs.CircuitSchedule, kfs *faults.KSchedule) (*KResult, error) {
 	return RunRecover(topo, split, plans, kfs)
 }
 
 type goldenController struct {
 	name string
-	run  func() (*sim.Result, error)
+	run  func() (*ocs.Result, error)
 }
 
 func goldenControllers(d *matrix.Matrix, cs ocs.CircuitSchedule, delta int64, fs *faults.Schedule) []goldenController {
-	with := func(name string, mk func() sim.Controller) goldenController {
-		return goldenController{name, func() (*sim.Result, error) { return sim.RunFaults(d, mk(), delta, fs) }}
+	with := func(name string, mk func() ocs.Controller) goldenController {
+		return goldenController{name, func() (*ocs.Result, error) { return sim.RunFaults(d, mk(), delta, fs) }}
 	}
 	return []goldenController{
-		with("replay", func() sim.Controller { return sim.NewReplay(cs) }),
-		with("replay-loop", func() sim.Controller { return sim.NewReplayLoop(cs) }),
-		with("recover", func() sim.Controller { return sim.NewRecover(delta) }),
-		{"predictive", func() (*sim.Result, error) {
+		with("replay", func() ocs.Controller { return sim.NewReplay(cs) }),
+		with("replay-loop", func() ocs.Controller { return sim.NewReplayLoop(cs) }),
+		with("recover", func() ocs.Controller { return sim.NewRecover(delta) }),
+		{"predictive", func() (*ocs.Result, error) {
 			replay, err := sim.RunFaults(d, sim.NewReplayLoop(cs), delta, fs)
 			if err != nil {
 				replay = nil
 			}
 			return sim.RunPredictive(d, delta, fs, replay)
 		}},
-		with("bottleneck", func() sim.Controller { return sim.GreedyBottleneck{} }),
-		with("maxweight", func() sim.Controller { return sim.GreedyMaxWeight{Slot: 25} }),
+		with("bottleneck", func() ocs.Controller { return sim.GreedyBottleneck{} }),
+		with("maxweight", func() ocs.Controller { return sim.GreedyMaxWeight{Slot: 25} }),
 	}
 }
 
@@ -258,7 +257,7 @@ func errClass(err error) string {
 		is   error
 		name string
 	}{
-		{sim.ErrStalled, "stalled"}, {sim.ErrUnservable, "unservable"}, {sim.ErrNoProgress, "no-progress"},
+		{sim.ErrStalled, "stalled"}, {ocs.ErrUnservable, "unservable"}, {ocs.ErrNoProgress, "no-progress"},
 		{sim.ErrController, "controller"}, {ocs.ErrIncomplete, "incomplete"}, {ocs.ErrInvalidAssignment, "invalid"},
 	} {
 		if errors.Is(err, c.is) {
@@ -301,7 +300,7 @@ func dumpExecK(w *strings.Builder, k int, kr KResult, err error) {
 }
 
 // dumpSim writes one simulator result; a nil result prints as such.
-func dumpSim(w *strings.Builder, r *sim.Result, err error) {
+func dumpSim(w *strings.Builder, r *ocs.Result, err error) {
 	w.WriteString(errClass(err))
 	if r == nil {
 		w.WriteString(" nil\n")

@@ -17,14 +17,16 @@
 // (the paper's Theorem 2 per core), and the greedy split keeps
 // max_c(ρ_c + τ_c·δ) within O(1) of (ρ/K + ⌈τ/K⌉·δ), which yields the
 // O(K)-approximation against the K-core lower bound
-// topology.LowerBound = ⌈ρ/B⌉ + ⌈τ/K⌉·δ_min. See docs/TOPOLOGY.md for the
+// LowerBound = ⌈ρ/B⌉ + ⌈τ/K⌉·δ_min. See docs/TOPOLOGY.md for the
 // full sketch. At K = 1 every step degenerates to the paper's single-switch
 // Reco-Sin pipeline.
 //
-// Running a split is this package's too: every core is one ocs.Core event
-// loop on its share, and a K-core result is the fold of the per-core ones —
-// the maximum CCT, the sum of everything else. Exec does it analytically at
-// each core's bandwidth, RunRecover under a fault plan that may kill cores.
+// The fabric is this package's too (Topology: K cores sharing the demand's
+// N ports, each with its own bandwidth and δ; the K-core LowerBound), and
+// so is running a split on it: every core is one ocs.Core event loop on its
+// share, and a K-core result is the fold of the per-core ones — the maximum
+// CCT, the sum of everything else. Exec does it analytically at each core's
+// bandwidth, RunRecover under a fault plan that may kill cores.
 package kcore
 
 import (
@@ -36,7 +38,6 @@ import (
 	"reco/internal/matrix"
 	"reco/internal/ocs"
 	"reco/internal/ordering"
-	"reco/internal/topology"
 )
 
 // ErrBadStrategy reports an unknown demand-splitting strategy.
@@ -65,7 +66,7 @@ func (s Strategy) String() string {
 }
 
 // split dispatches on the strategy.
-func split(d *matrix.Matrix, topo topology.Topology, strat Strategy) ([]*matrix.Matrix, error) {
+func split(d *matrix.Matrix, topo Topology, strat Strategy) ([]*matrix.Matrix, error) {
 	switch strat {
 	case Greedy:
 		return SplitGreedy(d, topo)
@@ -79,7 +80,7 @@ func split(d *matrix.Matrix, topo topology.Topology, strat Strategy) ([]*matrix.
 // Reco-Sin circuit schedule per share: plans[c] runs on core c. The returned
 // split and plans feed Exec (analytic execution) or RunRecover (faulted
 // simulation). Zero shares get empty schedules.
-func PlanCoflow(ctx context.Context, d *matrix.Matrix, topo topology.Topology, strat Strategy) ([]*matrix.Matrix, []ocs.CircuitSchedule, error) {
+func PlanCoflow(ctx context.Context, d *matrix.Matrix, topo Topology, strat Strategy) ([]*matrix.Matrix, []ocs.CircuitSchedule, error) {
 	shares, err := split(d, topo, strat)
 	if err != nil {
 		return nil, nil, err
@@ -112,7 +113,7 @@ type BatchResult struct {
 // ScheduleBatch runs the full O(K) pipeline over a coflow batch: SEBF
 // order, per-coflow split + per-core Reco-Sin, sequential execution of the
 // coflows with all K cores serving each coflow in parallel.
-func ScheduleBatch(ctx context.Context, ds []*matrix.Matrix, topo topology.Topology, strat Strategy) (*BatchResult, error) {
+func ScheduleBatch(ctx context.Context, ds []*matrix.Matrix, topo Topology, strat Strategy) (*BatchResult, error) {
 	if err := topo.Validate(); err != nil {
 		return nil, err
 	}

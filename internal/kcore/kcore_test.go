@@ -11,7 +11,6 @@ import (
 	"reco/internal/matrix"
 	"reco/internal/ocs"
 	"reco/internal/ordering"
-	"reco/internal/topology"
 )
 
 func demand(t *testing.T, rng *rand.Rand, n int, density float64) *matrix.Matrix {
@@ -54,8 +53,9 @@ func TestScheduleBatchKOneMatchesSequentialRecoSin(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ExecSequential: %v", err)
 	}
+	single, _ := Uniform(1, delta)
 	for _, strat := range []Strategy{Greedy, RoundRobin} {
-		batch, err := ScheduleBatch(context.Background(), ds, topology.Single(n, delta), strat)
+		batch, err := ScheduleBatch(context.Background(), ds, single, strat)
 		if err != nil {
 			t.Fatalf("%v: ScheduleBatch: %v", strat, err)
 		}
@@ -72,7 +72,7 @@ func TestPlanCoflowCompletes(t *testing.T) {
 	delta := int64(25)
 	d := demand(t, rng, n, 0.6)
 	for _, k := range []int{1, 2, 4, 8} {
-		topo, err := topology.Uniform(n, k, delta)
+		topo, err := Uniform(k, delta)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func TestMoreCoresNeverWorse(t *testing.T) {
 	ds := []*matrix.Matrix{demand(t, rng, n, 0.7), demand(t, rng, n, 0.5)}
 	prev := int64(-1)
 	for _, k := range []int{1, 2, 4, 8} {
-		topo, err := topology.Uniform(n, k, delta)
+		topo, err := Uniform(k, delta)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func TestGreedyBeatsRoundRobin(t *testing.T) {
 			d.Set(0, j, 10)
 		}
 	}
-	topo, err := topology.Uniform(n, 2, delta)
+	topo, err := Uniform(2, delta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestScheduleBatchCancelled(t *testing.T) {
 	cancel()
 	d, _ := matrix.New(4)
 	d.Set(0, 1, 10)
-	topo, _ := topology.Uniform(4, 2, 5)
+	topo, _ := Uniform(2, 5)
 	if _, err := ScheduleBatch(ctx, []*matrix.Matrix{d}, topo, Greedy); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled ctx: err = %v, want context.Canceled", err)
 	}
@@ -177,7 +177,7 @@ func TestScheduleBatchCancelled(t *testing.T) {
 func TestBadInputs(t *testing.T) {
 	d, _ := matrix.New(4)
 	d.Set(0, 1, 10)
-	topo, _ := topology.Uniform(4, 2, 5)
+	topo, _ := Uniform(2, 5)
 	if _, err := ScheduleBatch(context.Background(), nil, topo, Greedy); err == nil {
 		t.Error("empty batch accepted")
 	}

@@ -1,24 +1,10 @@
 package kcore
 
 import (
-	"fmt"
 	"sort"
 
 	"reco/internal/matrix"
-	"reco/internal/topology"
 )
-
-// splitCheck validates the (demand, topology) pair shared by the split
-// strategies.
-func splitCheck(d *matrix.Matrix, t topology.Topology) error {
-	if err := t.Validate(); err != nil {
-		return err
-	}
-	if d.N() != t.Ports {
-		return fmt.Errorf("%w: demand has %d ports, fabric has %d", topology.ErrBadTopology, d.N(), t.Ports)
-	}
-	return nil
-}
 
 // emptySplit returns K all-zero matrices of d's dimension.
 func emptySplit(n, k int) []*matrix.Matrix {
@@ -42,8 +28,8 @@ func emptySplit(n, k int) []*matrix.Matrix {
 // pure function of its inputs. The returned matrices sum exactly to d. This
 // is the demand-splitting step of the O(K)-approximation scheduler
 // (docs/TOPOLOGY.md).
-func SplitGreedy(d *matrix.Matrix, t topology.Topology) ([]*matrix.Matrix, error) {
-	if err := splitCheck(d, t); err != nil {
+func SplitGreedy(d *matrix.Matrix, t Topology) ([]*matrix.Matrix, error) {
+	if err := t.Validate(); err != nil {
 		return nil, err
 	}
 	n, k := d.N(), t.K()
@@ -94,8 +80,8 @@ func SplitGreedy(d *matrix.Matrix, t topology.Topology) ([]*matrix.Matrix, error
 // SplitRoundRobin is the naive splitting baseline: d's non-zero entries in
 // row-major order are dealt to cores cyclically, ignoring entry sizes, port
 // loads and per-core bandwidth. The returned matrices sum exactly to d.
-func SplitRoundRobin(d *matrix.Matrix, t topology.Topology) ([]*matrix.Matrix, error) {
-	if err := splitCheck(d, t); err != nil {
+func SplitRoundRobin(d *matrix.Matrix, t Topology) ([]*matrix.Matrix, error) {
+	if err := t.Validate(); err != nil {
 		return nil, err
 	}
 	n, k := d.N(), t.K()

@@ -1,17 +1,4 @@
-// Package topology models the switching fabric that schedulers and
-// executors run against: K parallel optical circuit switching cores sharing
-// one set of N ports. Every node owns one transceiver per core, so at any
-// instant a port can carry up to K simultaneous circuits — one on each core
-// — while each individual core remains an N×N non-blocking crossbar with
-// its own circuit bandwidth and reconfiguration delay δ.
-//
-// K = 1 is the degenerate case and reproduces the single-switch model of
-// the Reco paper exactly; larger K is the setting of the K-core coflow
-// scheduling papers (Wang, Shen, Tian et al., PAPERS.md), where a scheduler
-// must decide both how to split port demand across cores and how to
-// schedule each core's share (internal/kcore does both). See
-// docs/TOPOLOGY.md.
-package topology
+package kcore
 
 import (
 	"errors"
@@ -21,8 +8,9 @@ import (
 	"reco/internal/matrix"
 )
 
-// ErrBadTopology reports an unusable fabric description.
-var ErrBadTopology = errors.New("topology: invalid topology")
+// ErrTopology reports an unusable fabric description, or one the fault
+// simulator cannot run.
+var ErrTopology = errors.New("kcore: invalid topology")
 
 // Core is one switching core of the fabric.
 type Core struct {
@@ -35,33 +23,27 @@ type Core struct {
 	Delta int64
 }
 
-// Topology is a K-core OCS fabric: N ports shared by len(Cores) parallel
-// crossbars. The zero value is invalid; build topologies with Single,
-// Uniform or a literal followed by Validate.
+// Topology is a K-core OCS fabric: len(Cores) parallel N×N crossbars
+// sharing one set of ports, every port owning one transceiver per core. N
+// is the dimension of the demand the fabric serves. The zero value is
+// invalid; build topologies with Uniform or a literal followed by Validate.
+// Uniform(1, δ) is the single switch of the source paper.
 type Topology struct {
-	// Ports is the number of ingress (= egress) ports, N.
-	Ports int
 	// Cores lists the switching cores; len(Cores) is K.
 	Cores []Core
 }
 
-// Single returns the degenerate one-core fabric of the source paper: N
-// ports, one crossbar at unit bandwidth with reconfiguration delay delta.
-func Single(ports int, delta int64) Topology {
-	return Topology{Ports: ports, Cores: []Core{{Bandwidth: 1, Delta: delta}}}
-}
-
 // Uniform returns a K-core fabric of identical unit-bandwidth cores, each
 // with reconfiguration delay delta.
-func Uniform(ports, k int, delta int64) (Topology, error) {
+func Uniform(k int, delta int64) (Topology, error) {
 	if k < 1 {
-		return Topology{}, fmt.Errorf("%w: %d cores", ErrBadTopology, k)
+		return Topology{}, fmt.Errorf("%w: %d cores", ErrTopology, k)
 	}
 	cores := make([]Core, k)
 	for i := range cores {
 		cores[i] = Core{Bandwidth: 1, Delta: delta}
 	}
-	t := Topology{Ports: ports, Cores: cores}
+	t := Topology{Cores: cores}
 	if err := t.Validate(); err != nil {
 		return Topology{}, err
 	}
@@ -71,21 +53,18 @@ func Uniform(ports, k int, delta int64) (Topology, error) {
 // K returns the number of cores.
 func (t Topology) K() int { return len(t.Cores) }
 
-// Validate checks the fabric: at least one port and one core, positive
-// bandwidths, non-negative reconfiguration delays.
+// Validate checks the fabric: at least one core, positive bandwidths,
+// non-negative reconfiguration delays.
 func (t Topology) Validate() error {
-	if t.Ports <= 0 {
-		return fmt.Errorf("%w: %d ports", ErrBadTopology, t.Ports)
-	}
 	if len(t.Cores) == 0 {
-		return fmt.Errorf("%w: no cores", ErrBadTopology)
+		return fmt.Errorf("%w: no cores", ErrTopology)
 	}
 	for c, core := range t.Cores {
 		if core.Bandwidth <= 0 {
-			return fmt.Errorf("%w: core %d bandwidth %d", ErrBadTopology, c, core.Bandwidth)
+			return fmt.Errorf("%w: core %d bandwidth %d", ErrTopology, c, core.Bandwidth)
 		}
 		if core.Delta < 0 {
-			return fmt.Errorf("%w: core %d negative delta %d", ErrBadTopology, c, core.Delta)
+			return fmt.Errorf("%w: core %d negative delta %d", ErrTopology, c, core.Delta)
 		}
 	}
 	return nil

@@ -1,17 +1,12 @@
-package topology_test
+package kcore
 
 import (
 	"errors"
 	"reflect"
 	"testing"
 
-	"reco/internal/kcore"
 	"reco/internal/matrix"
-	"reco/internal/topology"
 )
-
-// The split strategies live beside their callers in internal/kcore; their
-// tests stay here with the fabric model they exercise.
 
 func mustMatrix(t *testing.T, n int, vals ...int64) *matrix.Matrix {
 	t.Helper()
@@ -33,15 +28,14 @@ func mustMatrix(t *testing.T, n int, vals ...int64) *matrix.Matrix {
 func TestValidate(t *testing.T) {
 	cases := []struct {
 		name string
-		topo topology.Topology
+		topo Topology
 		ok   bool
 	}{
-		{"single", topology.Single(4, 100), true},
-		{"multi", topology.Topology{Ports: 8, Cores: []topology.Core{{1, 50}, {2, 10}}}, true},
-		{"zero ports", topology.Topology{Ports: 0, Cores: []topology.Core{{1, 0}}}, false},
-		{"no cores", topology.Topology{Ports: 4}, false},
-		{"zero bandwidth", topology.Topology{Ports: 4, Cores: []topology.Core{{0, 10}}}, false},
-		{"negative delta", topology.Topology{Ports: 4, Cores: []topology.Core{{1, -1}}}, false},
+		{"single", Topology{Cores: []Core{{1, 100}}}, true},
+		{"multi", Topology{Cores: []Core{{1, 50}, {2, 10}}}, true},
+		{"no cores", Topology{}, false},
+		{"zero bandwidth", Topology{Cores: []Core{{0, 10}}}, false},
+		{"negative delta", Topology{Cores: []Core{{1, -1}}}, false},
 	}
 	for _, tc := range cases {
 		err := tc.topo.Validate()
@@ -51,7 +45,7 @@ func TestValidate(t *testing.T) {
 		if !tc.ok {
 			if err == nil {
 				t.Errorf("%s: want error, got nil", tc.name)
-			} else if !errors.Is(err, topology.ErrBadTopology) {
+			} else if !errors.Is(err, ErrTopology) {
 				t.Errorf("%s: error %v not ErrBadTopology", tc.name, err)
 			}
 		}
@@ -59,17 +53,17 @@ func TestValidate(t *testing.T) {
 }
 
 func TestUniform(t *testing.T) {
-	topo, err := topology.Uniform(16, 4, 75)
+	topo, err := Uniform(4, 75)
 	if err != nil {
 		t.Fatalf("Uniform: %v", err)
 	}
-	if topo.K() != 4 || topo.Ports != 16 {
-		t.Fatalf("got K=%d ports=%d", topo.K(), topo.Ports)
+	if topo.K() != 4 {
+		t.Fatalf("got K=%d", topo.K())
 	}
 	if topo.TotalBandwidth() != 4 || topo.MinDelta() != 75 {
 		t.Fatalf("got bandwidth=%d minDelta=%d", topo.TotalBandwidth(), topo.MinDelta())
 	}
-	if _, err := topology.Uniform(16, 0, 75); !errors.Is(err, topology.ErrBadTopology) {
+	if _, err := Uniform(0, 75); !errors.Is(err, ErrTopology) {
 		t.Fatalf("Uniform k=0: got %v, want ErrBadTopology", err)
 	}
 }
@@ -87,19 +81,20 @@ func TestLowerBound(t *testing.T) {
 	if got := d.MaxRowColNonZeros(); got != 2 {
 		t.Fatalf("tau = %d, want 2", got)
 	}
-	if got, want := topology.LowerBound(d, topology.Single(3, 10)), int64(9+2*10); got != want {
+	single, _ := Uniform(1, 10)
+	if got, want := LowerBound(d, single), int64(9+2*10); got != want {
 		t.Errorf("K=1 lower bound = %d, want %d", got, want)
 	}
-	topo, _ := topology.Uniform(3, 2, 10)
+	topo, _ := Uniform(2, 10)
 	// ceil(9/2) + ceil(2/2)*10 = 5 + 10.
-	if got, want := topology.LowerBound(d, topo), int64(15); got != want {
+	if got, want := LowerBound(d, topo), int64(15); got != want {
 		t.Errorf("K=2 lower bound = %d, want %d", got, want)
 	}
 	// Lower bound must never increase with K.
-	prev := topology.LowerBound(d, topology.Single(3, 10))
+	prev := LowerBound(d, single)
 	for _, k := range []int{2, 4, 8} {
-		tk, _ := topology.Uniform(3, k, 10)
-		lb := topology.LowerBound(d, tk)
+		tk, _ := Uniform(k, 10)
+		lb := LowerBound(d, tk)
 		if lb > prev {
 			t.Errorf("lower bound increased from %d to %d at K=%d", prev, lb, k)
 		}
@@ -109,7 +104,7 @@ func TestLowerBound(t *testing.T) {
 
 // checkSplit verifies the shared split invariants: K shares of the right
 // dimension that sum exactly to d.
-func checkSplit(t *testing.T, d *matrix.Matrix, topo topology.Topology, shares []*matrix.Matrix) {
+func checkSplit(t *testing.T, d *matrix.Matrix, topo Topology, shares []*matrix.Matrix) {
 	t.Helper()
 	if len(shares) != topo.K() {
 		t.Fatalf("got %d shares, want %d", len(shares), topo.K())
@@ -141,10 +136,10 @@ func TestSplitInvariants(t *testing.T) {
 		5, 0, 8, 0,
 		0, 6, 0, 4)
 	for _, k := range []int{1, 2, 3, 4, 8} {
-		topo, _ := topology.Uniform(4, k, 25)
-		for name, split := range map[string]func(*matrix.Matrix, topology.Topology) ([]*matrix.Matrix, error){
-			"greedy":     kcore.SplitGreedy,
-			"roundrobin": kcore.SplitRoundRobin,
+		topo, _ := Uniform(k, 25)
+		for name, split := range map[string]func(*matrix.Matrix, Topology) ([]*matrix.Matrix, error){
+			"greedy":     SplitGreedy,
+			"roundrobin": SplitRoundRobin,
 		} {
 			shares, err := split(d, topo)
 			if err != nil {
@@ -162,11 +157,12 @@ func TestSplitInvariants(t *testing.T) {
 
 func TestSplitKOneIsClone(t *testing.T) {
 	d := mustMatrix(t, 2, 3, 1, 0, 2)
-	for name, split := range map[string]func(*matrix.Matrix, topology.Topology) ([]*matrix.Matrix, error){
-		"greedy":     kcore.SplitGreedy,
-		"roundrobin": kcore.SplitRoundRobin,
+	single, _ := Uniform(1, 5)
+	for name, split := range map[string]func(*matrix.Matrix, Topology) ([]*matrix.Matrix, error){
+		"greedy":     SplitGreedy,
+		"roundrobin": SplitRoundRobin,
 	} {
-		shares, err := split(d, topology.Single(2, 5))
+		shares, err := split(d, single)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -191,8 +187,8 @@ func TestSplitGreedyBalances(t *testing.T) {
 		0, 0, 0, 0,
 		0, 0, 0, 0,
 		0, 0, 0, 0)
-	topo, _ := topology.Uniform(4, 4, 25)
-	shares, err := kcore.SplitGreedy(d, topo)
+	topo, _ := Uniform(4, 25)
+	shares, err := SplitGreedy(d, topo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,8 +205,8 @@ func TestSplitGreedyRespectsBandwidth(t *testing.T) {
 	d := mustMatrix(t, 2,
 		12, 12,
 		0, 0)
-	topo := topology.Topology{Ports: 2, Cores: []topology.Core{{Bandwidth: 3, Delta: 0}, {Bandwidth: 1, Delta: 0}}}
-	shares, err := kcore.SplitGreedy(d, topo)
+	topo := Topology{Cores: []Core{{Bandwidth: 3, Delta: 0}, {Bandwidth: 1, Delta: 0}}}
+	shares, err := SplitGreedy(d, topo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,15 +215,4 @@ func TestSplitGreedyRespectsBandwidth(t *testing.T) {
 			shares[0].Total(), shares[1].Total())
 	}
 	checkSplit(t, d, topo, shares)
-}
-
-func TestSplitRejectsMismatch(t *testing.T) {
-	d := mustMatrix(t, 2, 1, 0, 0, 1)
-	topo, _ := topology.Uniform(3, 2, 10)
-	if _, err := kcore.SplitGreedy(d, topo); !errors.Is(err, topology.ErrBadTopology) {
-		t.Errorf("greedy dimension mismatch: got %v", err)
-	}
-	if _, err := kcore.SplitRoundRobin(d, topo); !errors.Is(err, topology.ErrBadTopology) {
-		t.Errorf("roundrobin dimension mismatch: got %v", err)
-	}
 }

@@ -13,7 +13,6 @@ import (
 	"reco/internal/ocs"
 	"reco/internal/ordering"
 	"reco/internal/sim"
-	"reco/internal/topology"
 	"reco/internal/workload"
 )
 
@@ -53,7 +52,7 @@ func BenchmarkExec(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	topo, err := topology.Uniform(64, 4, delta)
+	topo, err := kcore.Uniform(4, delta)
 	if err != nil {
 		b.Fatal(err)
 	}

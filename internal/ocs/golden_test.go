@@ -15,7 +15,6 @@ import (
 	"reco/internal/kcore"
 	"reco/internal/matrix"
 	"reco/internal/ocs"
-	"reco/internal/topology"
 	"reco/internal/workload"
 )
 
@@ -101,18 +100,17 @@ func seqGoldenBatch(t *testing.T, got map[string]*strings.Builder, label string,
 	fmt.Fprintf(w, "%s short ", label)
 	dumpSeqGolden(w, seq, err)
 
-	n := batch[0].N()
-	uniform := func(k int) topology.Topology {
-		topo, err := topology.Uniform(n, k, max(delta, 1))
+	uniform := func(k int) kcore.Topology {
+		topo, err := kcore.Uniform(k, max(delta, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return topo
 	}
-	mixed := topology.Topology{Ports: n, Cores: []topology.Core{
+	mixed := kcore.Topology{Cores: []kcore.Core{
 		{Bandwidth: 1, Delta: delta}, {Bandwidth: 2, Delta: 2 * delta}, {Bandwidth: 3, Delta: delta / 2},
 	}}
-	for ti, topo := range []topology.Topology{uniform(1), uniform(3), mixed} {
+	for ti, topo := range []kcore.Topology{uniform(1), uniform(3), mixed} {
 		splits := make([][]*matrix.Matrix, len(batch))
 		plans := make([][]ocs.CircuitSchedule, len(batch))
 		for k, d := range batch {

@@ -10,7 +10,6 @@ import (
 	"reco/internal/kcore"
 	"reco/internal/matrix"
 	"reco/internal/ocs"
-	"reco/internal/topology"
 )
 
 // The K-core executors are internal/kcore's (every core is this package's
@@ -30,7 +29,7 @@ func mustMatrix(t *testing.T, rows [][]int64) *matrix.Matrix {
 // two disjoint circuits on two cores finish in one core's time.
 func TestExecKParallelCores(t *testing.T) {
 	d := mustMatrix(t, [][]int64{{8, 0}, {0, 8}})
-	topo, err := topology.Uniform(2, 2, 5)
+	topo, err := kcore.Uniform(2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +65,7 @@ func TestExecKParallelCores(t *testing.T) {
 }
 
 func TestExecKValidation(t *testing.T) {
-	topo, _ := topology.Uniform(2, 2, 5)
+	topo, _ := kcore.Uniform(2, 5)
 	d := mustMatrix(t, [][]int64{{1, 0}, {0, 1}})
 	split, _ := kcore.SplitGreedy(d, topo)
 	if _, err := kcore.Exec(topo, split, []ocs.CircuitSchedule{{}}); !errors.Is(err, ocs.ErrInvalidAssignment) {
@@ -75,8 +74,8 @@ func TestExecKValidation(t *testing.T) {
 	if _, err := kcore.Exec(topo, split[:1], []ocs.CircuitSchedule{{}, {}}); !errors.Is(err, ocs.ErrInvalidAssignment) {
 		t.Errorf("short split: err = %v", err)
 	}
-	bad := topology.Topology{Ports: 0}
-	if _, err := kcore.Exec(bad, nil, nil); !errors.Is(err, topology.ErrBadTopology) {
+	bad := kcore.Topology{}
+	if _, err := kcore.Exec(bad, nil, nil); !errors.Is(err, kcore.ErrTopology) {
 		t.Errorf("bad topology: err = %v", err)
 	}
 }
@@ -92,7 +91,7 @@ func TestExecSequentialKOneCoreByteIdentical(t *testing.T) {
 		schedules := make([]ocs.CircuitSchedule, nc)
 		splits := make([][]*matrix.Matrix, nc)
 		plans := make([][]ocs.CircuitSchedule, nc)
-		topo := topology.Single(8, 15)
+		topo, _ := kcore.Uniform(1, 15)
 		order := rng.Perm(nc)
 		for k := 0; k < nc; k++ {
 			ds[k] = randomDemand(rng, 8)
@@ -123,13 +122,13 @@ func TestExecSequentialKOneCoreByteIdentical(t *testing.T) {
 // TestKScheduleValidate: a K-core run takes one valid plan per core.
 func TestKScheduleValidate(t *testing.T) {
 	d := mustMatrix(t, [][]int64{{1, 0}, {0, 1}})
-	two, _ := topology.Uniform(2, 2, 5)
+	two, _ := kcore.Uniform(2, 5)
 	split, _ := kcore.SplitGreedy(d, two)
 	plans := []ocs.CircuitSchedule{{{Perm: []int{0, 1}, Dur: 1}}, {{Perm: []int{1, 0}, Dur: 1}, {Perm: []int{0, 1}, Dur: 1}}}
 	if _, err := kcore.Exec(two, split, plans); err != nil {
 		t.Errorf("valid plans rejected: %v", err)
 	}
-	three, _ := topology.Uniform(2, 3, 5)
+	three, _ := kcore.Uniform(3, 5)
 	if _, err := kcore.Exec(three, split, plans); !errors.Is(err, ocs.ErrInvalidAssignment) {
 		t.Errorf("wrong core count: err = %v", err)
 	}

@@ -7,7 +7,7 @@ import (
 	"reco/internal/ocs"
 )
 
-// Replay is a Controller that plays back a precomputed circuit schedule,
+// Replay is an ocs.Controller that plays back a precomputed circuit schedule,
 // skipping establishments whose circuits have already drained: the walk the
 // analytic executors run, under a name.
 type Replay struct{ ocs.Walk }
@@ -17,7 +17,7 @@ func NewReplay(cs ocs.CircuitSchedule) *Replay {
 	return &Replay{ocs.Walk{Schedule: cs}}
 }
 
-// Name implements Controller.
+// Name names the policy in recosim's output.
 func (r *Replay) Name() string { return "replay" }
 
 // ReplayLoop is the naive recovery baseline: it plays the precomputed
@@ -33,7 +33,7 @@ func NewReplayLoop(cs ocs.CircuitSchedule) *ReplayLoop {
 	return &ReplayLoop{ocs.Walk{Schedule: cs, Loop: true}}
 }
 
-// Name implements Controller.
+// Name names the policy in recosim's output.
 func (r *ReplayLoop) Name() string { return "replay-loop" }
 
 // GreedyBottleneck is a reactive controller: each time the switch idles, it
@@ -43,18 +43,18 @@ func (r *ReplayLoop) Name() string { return "replay-loop" }
 // in advance, decisions use only observed state.
 type GreedyBottleneck struct{}
 
-// Name implements Controller.
+// Name names the policy in recosim's output.
 func (g GreedyBottleneck) Name() string { return "greedy-bottleneck" }
 
-// Next implements Controller.
-func (g GreedyBottleneck) Next(s State) Decision {
+// Next implements ocs.Controller.
+func (g GreedyBottleneck) Next(s ocs.State) ocs.Decision {
 	if s.Remaining.IsZero() {
-		return Decision{}
+		return ocs.Decision{}
 	}
 	stuffed := matrix.StuffPreferNonZero(s.Remaining.Clone())
 	perm, _, err := matching.BottleneckPerfect(stuffed)
 	if err != nil {
-		return Decision{}
+		return ocs.Decision{}
 	}
 	// Drop circuits with no real demand; keep the rest up until the first
 	// real drain (budget 0 would run to the max, holding ports pointlessly
@@ -71,9 +71,9 @@ func (g GreedyBottleneck) Next(s State) Decision {
 		}
 	}
 	if minRem == -1 {
-		return Decision{}
+		return ocs.Decision{}
 	}
-	return Decision{Perm: held, Budget: minRem}
+	return ocs.Decision{Perm: held, Budget: minRem}
 }
 
 // GreedyMaxWeight is the Helios/c-Through reactive policy: establish the
@@ -84,18 +84,18 @@ type GreedyMaxWeight struct {
 	Slot int64
 }
 
-// Name implements Controller: the slotted max-weight policy is the
-// closed-loop counterpart of the registered Helios scheduler.
+// Name names the policy: the slotted max-weight policy is the closed-loop
+// counterpart of the registered Helios scheduler.
 func (g GreedyMaxWeight) Name() string { return algo.NameHelios + "-slotted" }
 
-// Next implements Controller.
-func (g GreedyMaxWeight) Next(s State) Decision {
+// Next implements ocs.Controller.
+func (g GreedyMaxWeight) Next(s ocs.State) ocs.Decision {
 	if s.Remaining.IsZero() || g.Slot <= 0 {
-		return Decision{}
+		return ocs.Decision{}
 	}
 	perm, weight := matching.MaxWeightPerfect(s.Remaining.Clone())
 	if weight == 0 {
-		return Decision{}
+		return ocs.Decision{}
 	}
 	held := make([]int, len(perm))
 	for i, j := range perm {
@@ -104,5 +104,5 @@ func (g GreedyMaxWeight) Next(s State) Decision {
 			held[i] = j
 		}
 	}
-	return Decision{Perm: held, Budget: g.Slot}
+	return ocs.Decision{Perm: held, Budget: g.Slot}
 }

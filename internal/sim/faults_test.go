@@ -24,8 +24,8 @@ func TestFaultAtTickZero(t *testing.T) {
 
 	dead := &faults.Schedule{PortEvents: []faults.PortEvent{{Tick: 0, Port: 0, Down: true}}}
 	res, err := RunFaults(d, NewReplayLoop(cs), 3, dead)
-	if !errors.Is(err, ErrUnservable) {
-		t.Fatalf("permanent t=0 failure: got %v, want ErrUnservable", err)
+	if !errors.Is(err, ocs.ErrUnservable) {
+		t.Fatalf("permanent t=0 failure: got %v, want ocs.ErrUnservable", err)
 	}
 	if res == nil {
 		t.Fatal("partial result missing")
@@ -45,17 +45,17 @@ func TestFaultAtTickZero(t *testing.T) {
 	if res.CCT <= 20 {
 		t.Errorf("CCT %d should extend past the repair at tick 20", res.CCT)
 	}
-	kinds := map[FaultKind]int{}
+	kinds := map[ocs.FaultKind]int{}
 	for _, f := range res.Faults {
 		kinds[f.Kind]++
 	}
-	if kinds[FaultPortDown] != 1 || kinds[FaultPortUp] != 1 {
+	if kinds[ocs.FaultPortDown] != 1 || kinds[ocs.FaultPortUp] != 1 {
 		t.Errorf("fault record %v, want one port-down and one port-up", res.Faults)
 	}
 }
 
 // TestAllPortsFailed covers the everything-down edge: no demand is servable
-// and no recovery is pending, so the run reports ErrUnservable immediately
+// and no recovery is pending, so the run reports ocs.ErrUnservable immediately
 // with the full demand left.
 func TestAllPortsFailed(t *testing.T) {
 	d := mustMatrix(t, [][]int64{{5, 3}, {2, 7}})
@@ -68,8 +68,8 @@ func TestAllPortsFailed(t *testing.T) {
 		t.Fatalf("RecoSin: %v", err)
 	}
 	res, err := RunFaults(d, NewReplayLoop(cs), 2, fs)
-	if !errors.Is(err, ErrUnservable) {
-		t.Fatalf("got %v, want ErrUnservable", err)
+	if !errors.Is(err, ocs.ErrUnservable) {
+		t.Fatalf("got %v, want ocs.ErrUnservable", err)
 	}
 	if res.Reconfigs != 0 || len(res.Flows) != 0 {
 		t.Errorf("all-ports-failed run still established circuits: %+v", res)
@@ -173,7 +173,7 @@ func TestSetupFailureBurnsDelta(t *testing.T) {
 	}
 	found := false
 	for _, f := range res.Faults {
-		if f.Kind == FaultSetup && f.Establishment == 0 {
+		if f.Kind == ocs.FaultSetup && f.Establishment == 0 {
 			found = true
 		}
 	}
@@ -215,7 +215,7 @@ func TestJitterPerturbsConfTime(t *testing.T) {
 	// Each jittered establishment appears in the fault record.
 	jitters := 0
 	for _, f := range res.Faults {
-		if f.Kind == FaultJitter {
+		if f.Kind == ocs.FaultJitter {
 			jitters++
 		}
 	}
@@ -280,7 +280,7 @@ func TestRecoverMatchesPlanWithoutFaults(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: exec: %v", trial, err)
 		}
-		res, err := Run(d, NewRecover(delta), delta)
+		res, err := RunFaults(d, NewRecover(delta), delta, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -302,7 +302,7 @@ func TestRunFaultsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	run := func() *Result {
+	run := func() *ocs.Result {
 		res, err := RunFaults(d, NewRecover(10), 10, fs)
 		if err != nil {
 			t.Fatalf("RunFaults: %v", err)
@@ -317,12 +317,12 @@ func TestRunFaultsDeterministic(t *testing.T) {
 // TestWaitValidation: waiting with nothing to wait for is a controller bug.
 type waitController struct{ wait int64 }
 
-func (w waitController) Name() string        { return "wait" }
-func (w waitController) Next(State) Decision { return Decision{Wait: w.wait} }
+func (w waitController) Name() string                { return "wait" }
+func (w waitController) Next(ocs.State) ocs.Decision { return ocs.Decision{Wait: w.wait} }
 
 func TestWaitValidation(t *testing.T) {
 	d := mustMatrix(t, [][]int64{{5}})
-	if _, err := Run(d, waitController{wait: 10}, 1); !errors.Is(err, ErrController) {
+	if _, err := RunFaults(d, waitController{wait: 10}, 1, nil); !errors.Is(err, ErrController) {
 		t.Errorf("wait without pending event: %v", err)
 	}
 	fs := &faults.Schedule{PortEvents: []faults.PortEvent{{Tick: 50, Port: 0, Down: true}}}

@@ -10,9 +10,8 @@ import (
 	"reco/internal/faults"
 	"reco/internal/kcore"
 	"reco/internal/matrix"
+	"reco/internal/obs"
 	"reco/internal/ocs"
-	"reco/internal/sim"
-	"reco/internal/topology"
 )
 
 // The K-core fault simulation is internal/kcore's (every core is one of this
@@ -52,7 +51,7 @@ func TestRunKParallelCores(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	d := kDemand(t, rng, n)
 	delta := int64(15)
-	topo, err := topology.Uniform(n, 2, delta)
+	topo, err := kcore.Uniform(2, delta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +91,11 @@ func TestRunKRejectsBadInput(t *testing.T) {
 	n := 4
 	d, _ := matrix.New(n)
 	d.Set(0, 1, 5)
-	topo, _ := topology.Uniform(n, 2, 10)
+	topo, _ := kcore.Uniform(2, 10)
 	split, _ := kcore.SplitGreedy(d, topo)
 	plans := []ocs.CircuitSchedule{{{Perm: []int{1, -1, -1, -1}, Dur: 5}}, nil}
 
-	fast := topology.Topology{Ports: n, Cores: []topology.Core{{Bandwidth: 2, Delta: 10}}}
+	fast := kcore.Topology{Cores: []kcore.Core{{Bandwidth: 2, Delta: 10}}}
 	if _, err := kcore.RunRecover(fast, split[:1], plans[:1], nil); !errors.Is(err, kcore.ErrTopology) {
 		t.Errorf("bandwidth 2: err = %v, want ErrTopology", err)
 	}
@@ -105,6 +104,10 @@ func TestRunKRejectsBadInput(t *testing.T) {
 	}
 	if _, err := kcore.RunRecover(topo, split, plans[:1], nil); !errors.Is(err, ocs.ErrInvalidAssignment) {
 		t.Errorf("short plans: err = %v, want ErrInvalidAssignment", err)
+	}
+	wide, _ := matrix.New(n + 1)
+	if _, err := kcore.RunRecover(topo, []*matrix.Matrix{split[0], wide}, plans, nil); !errors.Is(err, ocs.ErrInvalidAssignment) {
+		t.Errorf("shares of two dimensions: err = %v, want ErrInvalidAssignment", err)
 	}
 	kfs := &faults.KSchedule{CoreEvents: []faults.CoreEvent{{Tick: 5, Core: 7, Down: true}}}
 	if _, err := kcore.RunRecover(topo, split, plans, kfs); !errors.Is(err, faults.ErrBadSchedule) {
@@ -120,7 +123,7 @@ func TestRunKRecoverCoreDeath(t *testing.T) {
 	delta := int64(20)
 	rng := rand.New(rand.NewSource(53))
 	d := kDemand(t, rng, n)
-	topo, err := topology.Uniform(n, 4, delta)
+	topo, err := kcore.Uniform(4, delta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +193,7 @@ func TestRunKRecoverGeneratedFaults(t *testing.T) {
 	delta := int64(10)
 	rng := rand.New(rand.NewSource(54))
 	d := kDemand(t, rng, n)
-	topo, err := topology.Uniform(n, 4, delta)
+	topo, err := kcore.Uniform(4, delta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +239,7 @@ func TestRunKRecoverNoFaults(t *testing.T) {
 	delta := int64(10)
 	rng := rand.New(rand.NewSource(55))
 	d := kDemand(t, rng, n)
-	topo, err := topology.Uniform(n, 2, delta)
+	topo, err := kcore.Uniform(2, delta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +272,7 @@ func TestRunKRecoverAllCoresDead(t *testing.T) {
 	d, _ := matrix.New(n)
 	d.Set(0, 1, 50)
 	d.Set(2, 3, 50)
-	topo, _ := topology.Uniform(n, 2, 5)
+	topo, _ := kcore.Uniform(2, 5)
 	split, err := kcore.SplitGreedy(d, topo)
 	if err != nil {
 		t.Fatal(err)
@@ -282,9 +285,21 @@ func TestRunKRecoverAllCoresDead(t *testing.T) {
 		{Tick: 1, Core: 0, Down: true},
 		{Tick: 1, Core: 1, Down: true},
 	}}
-	_, err = kcore.RunRecover(topo, split, plans, kfs)
-	if !errors.Is(err, sim.ErrUnservable) {
+	obs.Detach()
+	t.Cleanup(obs.Detach)
+	reg := obs.NewRegistry()
+	obs.Attach(&obs.Sink{Metrics: reg})
+	kr, err := kcore.RunRecover(topo, split, plans, kfs)
+	obs.Detach()
+	if !errors.Is(err, ocs.ErrUnservable) {
 		t.Errorf("all cores dead: err = %v, want ErrUnservable", err)
+	}
+	// The run produced a result, so it is published like any other.
+	if got := reg.Counter("sim_kcore_runs_total").Value(); got != 1 {
+		t.Errorf("sim_kcore_runs_total = %d, want 1", got)
+	}
+	if got := reg.Counter("sim_kcore_dead_cores_total").Value(); got != int64(len(kr.DeadCores)) {
+		t.Errorf("sim_kcore_dead_cores_total = %d, want %d", got, len(kr.DeadCores))
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"reco/internal/core"
 	"reco/internal/faults"
 	"reco/internal/obs"
+	"reco/internal/ocs"
 )
 
 // TestInstrumentationIsInvisible is the differential test the observability
@@ -39,12 +40,12 @@ func TestInstrumentationIsInvisible(t *testing.T) {
 
 		type variant struct {
 			name string
-			run  func() (*Result, error)
+			run  func() (*ocs.Result, error)
 		}
 		variants := []variant{
-			{"clean", func() (*Result, error) { return Run(d, NewReplay(cs), delta) }},
-			{"replay-faulted", func() (*Result, error) { return RunFaults(d, NewReplayLoop(cs), delta, fs) }},
-			{"recover-faulted", func() (*Result, error) {
+			{"clean", func() (*ocs.Result, error) { return RunFaults(d, NewReplay(cs), delta, nil) }},
+			{"replay-faulted", func() (*ocs.Result, error) { return RunFaults(d, NewReplayLoop(cs), delta, fs) }},
+			{"recover-faulted", func() (*ocs.Result, error) {
 				replay, err := RunFaults(d, NewReplayLoop(cs), delta, fs)
 				if err != nil {
 					replay = nil
@@ -78,7 +79,7 @@ func TestInstrumentationIsInvisible(t *testing.T) {
 }
 
 // TestSimCountersMatchResult checks the registry aggregates published by a
-// run against the Result it returns.
+// run against the ocs.Result it returns.
 func TestSimCountersMatchResult(t *testing.T) {
 	obs.Detach()
 	t.Cleanup(obs.Detach)
@@ -92,7 +93,7 @@ func TestSimCountersMatchResult(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	obs.Attach(&obs.Sink{Metrics: reg})
-	res, err := Run(d, NewReplay(cs), delta)
+	res, err := RunFaults(d, NewReplay(cs), delta, nil)
 	obs.Detach()
 	if err != nil {
 		t.Fatal(err)

@@ -45,7 +45,7 @@ type Recover struct {
 
 	// Last establishment issued, with the demand left and the ports down at
 	// the time, for setup-failure detection.
-	last      Decision
+	last      ocs.Decision
 	lastTotal int64
 	lastDown  []bool
 }
@@ -68,7 +68,7 @@ func NewRecover(delta int64) *Recover {
 // deterministic, so the forecast is the run: the result returned is the
 // winner's own (replay itself when the replay wins), never slower than the
 // naive replay by construction.
-func RunPredictive(d *matrix.Matrix, delta int64, fs *faults.Schedule, replay *Result) (*Result, error) {
+func RunPredictive(d *matrix.Matrix, delta int64, fs *faults.Schedule, replay *ocs.Result) (*ocs.Result, error) {
 	rec, err := RunFaults(d, NewRecover(delta), delta, fs)
 	if replay != nil && (err != nil || replay.CCT < rec.CCT) {
 		return replay, nil
@@ -76,12 +76,12 @@ func RunPredictive(d *matrix.Matrix, delta int64, fs *faults.Schedule, replay *R
 	return rec, err
 }
 
-// Name implements Controller: the recovery controller replans residual
-// demand with the registered Reco-Sin scheduler.
+// Name names the policy: the recovery controller replans residual demand
+// with the registered Reco-Sin scheduler.
 func (rc *Recover) Name() string { return algo.NameRecoSin + "-recover" }
 
-// Next implements Controller.
-func (rc *Recover) Next(s State) Decision {
+// Next implements ocs.Controller.
+func (rc *Recover) Next(s ocs.State) ocs.Decision {
 	// A previous establishment that drained nothing under an unchanged port
 	// state can only be a setup failure: retry it.
 	if rc.last.Perm != nil && s.Remaining.Total() == rc.lastTotal && rc.portsUnchanged(s) {
@@ -100,33 +100,33 @@ func (rc *Recover) Next(s State) Decision {
 	// overlap the reconfiguration delay with the outage: idle until a
 	// reconfiguration started now would finish at the event, then establish
 	// toward the stranded demand so circuits come up as the state changes.
-	rc.last = Decision{}
+	rc.last = ocs.Decision{}
 	if s.NextPortEvent > s.Now {
 		if wait := s.NextPortEvent - s.Now - rc.delta; wait > 0 {
-			return Decision{Wait: wait}
+			return ocs.Decision{Wait: wait}
 		}
 		if rc.replan(s, false) {
 			if dec, ok := rc.pop(s, false); ok {
 				return rc.issue(dec, s)
 			}
 		}
-		return Decision{Wait: s.NextPortEvent - s.Now}
+		return ocs.Decision{Wait: s.NextPortEvent - s.Now}
 	}
-	return Decision{}
+	return ocs.Decision{}
 }
 
 // pop consumes plan entries until one carries undrained demand — on a
 // circuit that is alive right now when live is set; the speculative
 // pre-repair path establishes toward demand whose ports are still down.
 // Dead-circuit and fully drained assignments cost nothing to skip.
-func (rc *Recover) pop(s State, live bool) (Decision, bool) {
+func (rc *Recover) pop(s ocs.State, live bool) (ocs.Decision, bool) {
 	rc.plan.Live = live
 	dec := rc.plan.Next(s)
 	return dec, dec.Perm != nil
 }
 
 // issue records the decision for setup-failure detection and returns it.
-func (rc *Recover) issue(dec Decision, s State) Decision {
+func (rc *Recover) issue(dec ocs.Decision, s ocs.State) ocs.Decision {
 	rc.last, rc.lastTotal = dec, s.Remaining.Total()
 	rc.lastDown = rc.lastDown[:0]
 	for p := 0; p < s.Remaining.N(); p++ {
@@ -137,7 +137,7 @@ func (rc *Recover) issue(dec Decision, s State) Decision {
 
 // portsUnchanged reports whether the ports down now are the ones that were
 // down at the last issue.
-func (rc *Recover) portsUnchanged(s State) bool {
+func (rc *Recover) portsUnchanged(s ocs.State) bool {
 	for p, down := range rc.lastDown {
 		if down == s.PortUp(p) {
 			return false
@@ -152,7 +152,7 @@ func (rc *Recover) portsUnchanged(s State) bool {
 // adopted only if its estimated completion cost on the residual beats
 // re-walking the base schedule; ties keep the base. It reports false when the
 // chosen residual is empty.
-func (rc *Recover) replan(s State, restrict bool) bool {
+func (rc *Recover) replan(s ocs.State, restrict bool) bool {
 	rc.plan = ocs.Walk{}
 	resid := s.Remaining.Clone()
 	if restrict {
@@ -196,7 +196,7 @@ func (rc *Recover) replan(s State, restrict bool) bool {
 // whether that is all of the currently servable demand — a plan whose support
 // misses servable entries (e.g. a base plan built while those ports were
 // down) must not be preferred on cost alone.
-func (rc *Recover) estimate(plan ocs.CircuitSchedule, s State) (int64, bool) {
+func (rc *Recover) estimate(plan ocs.CircuitSchedule, s ocs.State) (int64, bool) {
 	frozen := &faults.Schedule{}
 	for p := 0; p < s.Remaining.N(); p++ {
 		if !s.PortUp(p) {

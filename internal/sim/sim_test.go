@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"reco/internal/matrix"
+	"reco/internal/ocs"
 )
 
 func mustMatrix(t *testing.T, rows [][]int64) *matrix.Matrix {
@@ -34,21 +35,21 @@ func randomDemand(rng *rand.Rand, n int, fill float64) *matrix.Matrix {
 
 func TestRunValidation(t *testing.T) {
 	d := mustMatrix(t, [][]int64{{5}})
-	if _, err := Run(d, nil, 1); !errors.Is(err, ErrController) {
+	if _, err := RunFaults(d, nil, 1, nil); !errors.Is(err, ErrController) {
 		t.Errorf("nil controller: %v", err)
 	}
-	if _, err := Run(d, GreedyBottleneck{}, -1); !errors.Is(err, ErrController) {
+	if _, err := RunFaults(d, GreedyBottleneck{}, -1, nil); !errors.Is(err, ErrController) {
 		t.Errorf("negative delta: %v", err)
 	}
 }
 
-type fixedController struct{ decisions []Decision }
+type fixedController struct{ decisions []ocs.Decision }
 
 func (f *fixedController) Name() string { return "fixed" }
 
-func (f *fixedController) Next(State) Decision {
+func (f *fixedController) Next(ocs.State) ocs.Decision {
 	if len(f.decisions) == 0 {
-		return Decision{}
+		return ocs.Decision{}
 	}
 	d := f.decisions[0]
 	f.decisions = f.decisions[1:]
@@ -59,16 +60,16 @@ func TestRunRejectsBadDecisions(t *testing.T) {
 	d := mustMatrix(t, [][]int64{{5, 0}, {0, 5}})
 	cases := []struct {
 		name string
-		dec  Decision
+		dec  ocs.Decision
 	}{
-		{"bad perm", Decision{Perm: []int{0, 0}}},
-		{"short perm", Decision{Perm: []int{0}}},
-		{"negative budget", Decision{Perm: []int{0, 1}, Budget: -2}},
-		{"no demand", Decision{Perm: []int{1, 0}}},
+		{"bad perm", ocs.Decision{Perm: []int{0, 0}}},
+		{"short perm", ocs.Decision{Perm: []int{0}}},
+		{"negative budget", ocs.Decision{Perm: []int{0, 1}, Budget: -2}},
+		{"no demand", ocs.Decision{Perm: []int{1, 0}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Run(d, &fixedController{decisions: []Decision{tc.dec}}, 1)
+			_, err := RunFaults(d, &fixedController{decisions: []ocs.Decision{tc.dec}}, 1, nil)
 			if !errors.Is(err, ErrController) {
 				t.Errorf("got %v, want ErrController", err)
 			}
@@ -78,7 +79,7 @@ func TestRunRejectsBadDecisions(t *testing.T) {
 
 func TestRunStalledController(t *testing.T) {
 	d := mustMatrix(t, [][]int64{{5}})
-	res, err := Run(d, &fixedController{}, 1)
+	res, err := RunFaults(d, &fixedController{}, 1, nil)
 	if !errors.Is(err, ErrStalled) {
 		t.Fatalf("got %v, want ErrStalled", err)
 	}
@@ -89,7 +90,7 @@ func TestRunStalledController(t *testing.T) {
 
 func TestRunEmptyDemand(t *testing.T) {
 	z, _ := matrix.New(3)
-	res, err := Run(z, GreedyBottleneck{}, 10)
+	res, err := RunFaults(z, GreedyBottleneck{}, 10, nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -104,7 +105,7 @@ func TestGreedyBottleneckDrains(t *testing.T) {
 		n := 2 + rng.Intn(7)
 		delta := int64(1 + rng.Intn(50))
 		d := randomDemand(rng, n, 0.4)
-		res, err := Run(d, GreedyBottleneck{}, delta)
+		res, err := RunFaults(d, GreedyBottleneck{}, delta, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -132,7 +133,7 @@ func TestGreedyMaxWeightDrains(t *testing.T) {
 		{0, 80, 15},
 		{20, 0, 70},
 	})
-	res, err := Run(d, GreedyMaxWeight{Slot: 40}, 5)
+	res, err := RunFaults(d, GreedyMaxWeight{Slot: 40}, 5, nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -147,7 +148,7 @@ func TestGreedyMaxWeightDrains(t *testing.T) {
 
 func TestGreedyMaxWeightZeroSlotStops(t *testing.T) {
 	d := mustMatrix(t, [][]int64{{5}})
-	if _, err := Run(d, GreedyMaxWeight{}, 1); !errors.Is(err, ErrStalled) {
+	if _, err := RunFaults(d, GreedyMaxWeight{}, 1, nil); !errors.Is(err, ErrStalled) {
 		t.Errorf("zero slot: %v", err)
 	}
 }
@@ -159,11 +160,11 @@ func TestReactiveBeatsSlotted(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	d := randomDemand(rng, 8, 0.6)
 	const delta = 20
-	bott, err := Run(d, GreedyBottleneck{}, delta)
+	bott, err := RunFaults(d, GreedyBottleneck{}, delta, nil)
 	if err != nil {
 		t.Fatalf("bottleneck: %v", err)
 	}
-	slot, err := Run(d, GreedyMaxWeight{Slot: 25}, delta)
+	slot, err := RunFaults(d, GreedyMaxWeight{Slot: 25}, delta, nil)
 	if err != nil {
 		t.Fatalf("slotted: %v", err)
 	}

@@ -8,6 +8,7 @@
 package tms
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -43,8 +44,9 @@ func ScheduleBvN(d *matrix.Matrix) (ocs.CircuitSchedule, error) {
 // in each slot, establish the maximum-weight matching of the remaining
 // demand (Edmonds/Hungarian) and hold it for the slot length. Slots repeat
 // until the demand drains; circuits whose pair drains mid-slot simply idle,
-// exactly as the all-stop executor models.
-func ScheduleHelios(d *matrix.Matrix, slot int64) (ocs.CircuitSchedule, error) {
+// exactly as the all-stop executor models. There are at least ⌈ρ/slot⌉
+// slots however small the matrix, so ctx is checked once per slot.
+func ScheduleHelios(ctx context.Context, d *matrix.Matrix, slot int64) (ocs.CircuitSchedule, error) {
 	if slot <= 0 {
 		return nil, fmt.Errorf("%w: %d", ErrBadSlot, slot)
 	}
@@ -52,6 +54,9 @@ func ScheduleHelios(d *matrix.Matrix, slot int64) (ocs.CircuitSchedule, error) {
 	var cs ocs.CircuitSchedule
 	n := d.N()
 	for !rem.IsZero() {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		perm, weight := matching.MaxWeightPerfect(rem)
 		if weight == 0 {
 			// Cannot happen: a non-zero matrix always has a positive-weight

@@ -1,6 +1,7 @@
 package tms
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -61,10 +62,10 @@ func TestScheduleBvNCompletesDemand(t *testing.T) {
 
 func TestScheduleHeliosValidation(t *testing.T) {
 	d := mustMatrix(t, [][]int64{{5}})
-	if _, err := ScheduleHelios(d, 0); !errors.Is(err, ErrBadSlot) {
+	if _, err := ScheduleHelios(context.Background(), d, 0); !errors.Is(err, ErrBadSlot) {
 		t.Errorf("zero slot err = %v, want ErrBadSlot", err)
 	}
-	if _, err := ScheduleHelios(d, -3); !errors.Is(err, ErrBadSlot) {
+	if _, err := ScheduleHelios(context.Background(), d, -3); !errors.Is(err, ErrBadSlot) {
 		t.Errorf("negative slot err = %v, want ErrBadSlot", err)
 	}
 }
@@ -74,7 +75,7 @@ func TestScheduleHeliosDrainsDemand(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		d := randomDemand(rng, 2+rng.Intn(6))
 		slot := int64(1 + rng.Intn(60))
-		cs, err := ScheduleHelios(d, slot)
+		cs, err := ScheduleHelios(context.Background(), d, slot)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -94,7 +95,7 @@ func TestScheduleHeliosDrainsDemand(t *testing.T) {
 func TestScheduleHeliosSlotGranularity(t *testing.T) {
 	// A single flow of 100 with slot 30 needs ceil(100/30) = 4 slots.
 	d := mustMatrix(t, [][]int64{{100}})
-	cs, err := ScheduleHelios(d, 30)
+	cs, err := ScheduleHelios(context.Background(), d, 30)
 	if err != nil {
 		t.Fatalf("ScheduleHelios: %v", err)
 	}
@@ -110,7 +111,7 @@ func TestScheduleHeliosSkipsDrainedPairs(t *testing.T) {
 		{100, 0},
 		{0, 10},
 	})
-	cs, err := ScheduleHelios(d, 50)
+	cs, err := ScheduleHelios(context.Background(), d, 50)
 	if err != nil {
 		t.Fatalf("ScheduleHelios: %v", err)
 	}
@@ -120,5 +121,16 @@ func TestScheduleHeliosSkipsDrainedPairs(t *testing.T) {
 	}
 	if cs[1].Perm[1] != -1 {
 		t.Errorf("slot 2 still holds the drained circuit: %v", cs[1].Perm)
+	}
+}
+
+// The slot count grows with ρ/slot, not with n: a cancelled context must
+// end the loop before it builds a million slots.
+func TestScheduleHeliosHonorsContext(t *testing.T) {
+	d := mustMatrix(t, [][]int64{{4000000, 0}, {0, 1}})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := ScheduleHelios(ctx, d, 4); !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
 	}
 }
