@@ -14,8 +14,9 @@ import (
 
 func newServer(t *testing.T) string {
 	t.Helper()
-	srv := httptest.NewServer(api.NewHandler())
-	t.Cleanup(srv.Close)
+	s := api.NewServer(api.Options{})
+	srv := httptest.NewServer(s.Handler())
+	t.Cleanup(func() { srv.Close(); s.Close() })
 	return srv.URL
 }
 

@@ -5,7 +5,8 @@
 //
 // Endpoints:
 //
-//	GET  /v1/healthz
+//	GET  /v1/healthz             liveness: status, uptime, Go version
+//	GET  /v1/algorithms          the scheduler registry
 //	POST /v1/schedule/single     {"demand": [[...]], "delta": 100}
 //	POST /v1/schedule/multi      {"demands": [...], "weights": [...], "delta": 100, "c": 4}
 //	POST /v1/workload/generate   {"n": 40, "numCoflows": 20, "seed": 1}
@@ -13,14 +14,16 @@
 //	GET  /v1/jobs                list retained jobs
 //	GET  /v1/jobs/{id}           poll one job (result once terminal)
 //	POST /v1/jobs/{id}/cancel    cancel a queued or running job
-//	GET  /healthz                liveness: uptime, Go version
+//	GET  /healthz                the same report as /v1/healthz
 //	GET  /metrics                Prometheus text format (HTTP + scheduler pipeline)
 //	GET  /metrics.json           the same registry as expvar-style JSON
-//	GET  /v1/metrics             per-endpoint plain text with latency quantiles
 //
-// Scheduling responses are served through a fingerprint-keyed plan cache
-// with request coalescing (tune with -cache-entries / -cache-bytes /
-// -cache-epsilon, or disable with -no-cache); request bodies are capped at
+// The HTTP series are labelled by route (`POST /v1/schedule/single`,
+// `GET /v1/jobs/{id}`); unknown paths and methods share the label "other".
+//
+// Scheduling responses are served through a plan cache keyed by the exact
+// request, with request coalescing (tune with -cache-entries /
+// -cache-bytes, or disable with -no-cache); request bodies are capped at
 // -max-body bytes (413 beyond). Async jobs run on a bounded pool
 // (-job-workers, -job-queue, -job-retention).
 //
@@ -33,13 +36,12 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -49,27 +51,33 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stderr))
 }
 
-func run() int {
+func run(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("recod", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr      = flag.String("addr", "127.0.0.1:8372", "listen address")
-		drain     = flag.Duration("drain", 10*time.Second, "graceful shutdown timeout")
-		withPprof = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
+		addr      = fs.String("addr", "127.0.0.1:8372", "listen address")
+		drain     = fs.Duration("drain", 10*time.Second, "graceful shutdown timeout")
+		withPprof = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 
-		maxBody      = flag.Int64("max-body", api.DefaultMaxBodyBytes, "maximum request body in bytes (413 beyond)")
-		noCache      = flag.Bool("no-cache", false, "disable the plan cache (coalescing stays on)")
-		cacheEntries = flag.Int("cache-entries", 0, "plan cache entry bound (0: default)")
-		cacheBytes   = flag.Int64("cache-bytes", 0, "plan cache approximate byte bound (0: default)")
-		cacheEps     = flag.Float64("cache-epsilon", 0, "relative tolerance for quantized cache keys (0: exact matches only)")
-		jobWorkers   = flag.Int("job-workers", 0, "async job worker goroutines (0: GOMAXPROCS)")
-		jobQueue     = flag.Int("job-queue", 0, "async job queue bound (0: default)")
-		jobRetention = flag.Int("job-retention", 0, "finished jobs retained for polling (0: default)")
+		maxBody      = fs.Int64("max-body", api.DefaultMaxBodyBytes, "maximum request body in bytes (413 beyond)")
+		noCache      = fs.Bool("no-cache", false, "disable the plan cache (coalescing stays on)")
+		cacheEntries = fs.Int("cache-entries", 0, "plan cache entry bound (0: default)")
+		cacheBytes   = fs.Int64("cache-bytes", 0, "plan cache approximate byte bound (0: default)")
+		jobWorkers   = fs.Int("job-workers", 0, "async job worker goroutines (0: GOMAXPROCS)")
+		jobQueue     = fs.Int("job-queue", 0, "async job queue bound (0: default)")
+		jobRetention = fs.Int("job-retention", 0, "finished jobs retained for polling (0: default)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
-	logger := log.New(os.Stderr, "recod: ", log.LstdFlags)
+	logger := log.New(stderr, "recod: ", log.LstdFlags)
 
 	// One registry carries everything: HTTP metrics from the api collector
 	// and — because the sink is attached process-wide — the scheduler
@@ -83,11 +91,7 @@ func run() int {
 	opts := api.Options{
 		MaxBodyBytes: *maxBody,
 		NoCache:      *noCache,
-		Cache: plancache.Config{
-			MaxEntries: *cacheEntries,
-			MaxBytes:   *cacheBytes,
-			Epsilon:    *cacheEps,
-		},
+		Cache:        plancache.Config{MaxEntries: *cacheEntries, MaxBytes: *cacheBytes},
 		JobWorkers:   *jobWorkers,
 		JobQueue:     *jobQueue,
 		JobRetention: *jobRetention,
@@ -128,42 +132,26 @@ func run() int {
 	return 0
 }
 
-// startTime anchors the /healthz uptime report.
-var startTime = time.Now()
-
-// handler is the full recod middleware chain: access logging outermost, so
-// recovered panics are logged as 500s, then panic recovery, then the
-// routing mux — operational endpoints (health, metrics, optional pprof)
-// beside the instrumented API. The returned api.Server owns the plan cache
-// and job pool; the caller closes it after the HTTP server drains.
+// handler is recod's middleware chain around the assembled service
+// (api.Server.InstrumentedHandlerOn): access logging outermost, so
+// recovered panics are logged as 500s, then panic recovery, then — with
+// -pprof — a mux adding /debug/pprof/. The returned api.Server owns the
+// plan cache and job pool; the caller closes it after the HTTP server
+// drains.
 func handler(logger *log.Logger, reg *obs.Registry, opts api.Options, withPprof bool) (http.Handler, *api.Server) {
 	apiServer := api.NewServer(opts)
-	apiHandler, _ := apiServer.InstrumentedHandlerOn(reg)
-	mux := http.NewServeMux()
-	mux.Handle("/", apiHandler)
-	mux.HandleFunc("/healthz", handleHealthz)
-	mux.Handle("/metrics", reg.PromHandler())
-	mux.Handle("/metrics.json", reg.JSONHandler())
+	h, _ := apiServer.InstrumentedHandlerOn(reg)
 	if withPprof {
+		mux := http.NewServeMux()
+		mux.Handle("/", h)
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		h = mux
 	}
-	return logRequests(logger, recoverPanics(logger, mux)), apiServer
-}
-
-// handleHealthz is the process-level liveness endpoint: uptime and the Go
-// version the binary was built with (the API keeps its own /v1/healthz).
-func handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "use GET", http.StatusMethodNotAllowed)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(w, "{\"status\":\"ok\",\"uptime\":%q,\"go\":%q}\n",
-		time.Since(startTime).Round(time.Millisecond), runtime.Version())
+	return logRequests(logger, recoverPanics(logger, h)), apiServer
 }
 
 // recoverPanics converts a panicking handler into a structured JSON 500 and

@@ -1,11 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 
@@ -216,5 +218,37 @@ func TestPprofGating(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("pprof index status %d with -pprof", resp.StatusCode)
+	}
+}
+
+// TestFlagsDocumented: every flag recod registers has a row in
+// docs/SERVICE.md's "Flag reference (recod)" table.
+func TestFlagsDocumented(t *testing.T) {
+	var usage bytes.Buffer
+	if code := run([]string{"-h"}, &usage); code != 0 {
+		t.Fatalf("recod -h exit %d", code)
+	}
+	doc, err := os.ReadFile("../../docs/SERVICE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(doc), "## Flag reference (recod)")
+	if !ok {
+		t.Fatal(`docs/SERVICE.md has no "Flag reference (recod)" section`)
+	}
+	table, _, _ = strings.Cut(table, "\n## ")
+	flags := 0
+	for _, line := range strings.Split(usage.String(), "\n") {
+		rest, ok := strings.CutPrefix(line, "  -")
+		if !ok {
+			continue
+		}
+		flags++
+		if name := strings.Fields(rest)[0]; !strings.Contains(table, "| `-"+name+"` |") {
+			t.Errorf("flag -%s has no row in docs/SERVICE.md's flag reference", name)
+		}
+	}
+	if flags == 0 {
+		t.Fatalf("no flags in recod's usage:\n%s", usage.String())
 	}
 }

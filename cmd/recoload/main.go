@@ -18,7 +18,7 @@
 // transport or server errors fail the run.
 //
 // With -inprocess, recoload starts an in-process recod-equivalent server
-// (the same api handler chain, plan cache, and /metrics.json registry) and
+// (the same assembled handler, plan cache and /metrics.json registry) and
 // drives it over a real HTTP loopback listener, so the harness works in CI
 // without a daemon.
 //
@@ -187,7 +187,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "recoload: %v\n", err)
 		return 1
 	}
-	rep.Metrics = scrapeMetrics(base)
+	rep.Metrics = scrapeMetrics(base, scrapeTimeout)
 
 	enc := json.NewEncoder(stdout)
 	enc.SetIndent("", "  ")
@@ -507,11 +507,16 @@ func writeFileJSON(path string, v any) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
+// scrapeTimeout bounds the /metrics.json scrape that closes a run.
+const scrapeTimeout = 10 * time.Second
+
 // scrapeMetrics pulls /metrics.json and keeps the serving-stack series
 // (plan cache, coalescing, jobs, pool) for the report. Best-effort: an
-// external server without the endpoint just yields no metrics.
-func scrapeMetrics(base string) map[string]any {
-	resp, err := http.Get(strings.TrimRight(base, "/") + "/metrics.json")
+// external server without the endpoint, or one that does not answer within
+// timeout, just yields no metrics.
+func scrapeMetrics(base string, timeout time.Duration) map[string]any {
+	client := &http.Client{Timeout: timeout}
+	resp, err := client.Get(strings.TrimRight(base, "/") + "/metrics.json")
 	if err != nil {
 		return nil
 	}
@@ -538,9 +543,8 @@ func scrapeMetrics(base string) map[string]any {
 	return out
 }
 
-// inProcessServer is the -inprocess recod stand-in: the real api handler
-// chain with the plan cache, plus the /metrics.json registry export, on a
-// loopback listener.
+// inProcessServer is the -inprocess recod stand-in: the assembled service
+// (api.Server.InstrumentedHandlerOn) on a loopback listener.
 type inProcessServer struct {
 	url  string
 	stop func()
@@ -556,16 +560,13 @@ func startInProcess(cfg config) (*inProcessServer, error) {
 		JobQueue:   cfg.JobQueue,
 	})
 	h, _ := apiServer.InstrumentedHandlerOn(reg)
-	mux := http.NewServeMux()
-	mux.Handle("/", h)
-	mux.Handle("/metrics.json", reg.JSONHandler())
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		obs.Detach()
 		return nil, err
 	}
-	srv := &http.Server{Handler: mux}
+	srv := &http.Server{Handler: h}
 	go func() { _ = srv.Serve(ln) }()
 	return &inProcessServer{
 		url: "http://" + ln.Addr().String(),

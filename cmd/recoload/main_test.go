@@ -3,7 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"testing"
+	"time"
 )
 
 // TestInProcessRun drives a short closed loop against the in-process
@@ -77,5 +80,24 @@ func TestBadInvocations(t *testing.T) {
 		if code := run(args, &out, &errBuf); code != 2 {
 			t.Errorf("run(%v) exit %d, want 2", args, code)
 		}
+	}
+}
+
+// TestScrapeMetricsTimesOut: a server whose /metrics.json never answers
+// costs the report its metrics, not the run its end.
+func TestScrapeMetricsTimesOut(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-r.Context().Done()
+	}))
+	defer srv.Close()
+	done := make(chan map[string]any, 1)
+	go func() { done <- scrapeMetrics(srv.URL, 100*time.Millisecond) }()
+	select {
+	case got := <-done:
+		if got != nil {
+			t.Errorf("scrape of a hung server returned %v", got)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("scrapeMetrics still waiting on a server that never answers")
 	}
 }

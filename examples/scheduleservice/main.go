@@ -8,6 +8,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"log"
 	"net"
@@ -23,7 +24,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := &http.Server{Handler: api.NewInstrumentedHandler(), ReadHeaderTimeout: 5 * time.Second}
+	service := api.NewServer(api.Options{})
+	defer service.Close()
+	h, _ := service.InstrumentedHandlerOn(nil)
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: 5 * time.Second}
 	go func() {
 		if err := srv.Serve(ln); err != http.ErrServerClosed {
 			log.Printf("serve: %v", err)
@@ -68,13 +72,29 @@ func main() {
 	fmt.Printf("all %d coflows via Reco-Mul: reconfigs=%d, CCTs=%v\n",
 		len(multi.CCTs), multi.Reconfigs, multi.CCTs)
 
-	// The service self-reports request metrics.
-	resp, err := http.Get(base + "/v1/metrics")
+	// The service self-reports request metrics: a count and latency
+	// quantiles per route, in /metrics.json beside the scheduler's own series.
+	resp, err := http.Get(base + "/metrics.json")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer resp.Body.Close()
-	buf := make([]byte, 2048)
-	n, _ := resp.Body.Read(buf)
-	fmt.Printf("\nservice metrics:\n%s", buf[:n])
+	var series map[string]json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&series); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\nservice metrics:\n")
+	for _, route := range []string{"GET /v1/healthz", "POST /v1/workload/generate", "POST /v1/schedule/single", "POST /v1/schedule/multi"} {
+		var lat struct {
+			Count int64   `json:"count"`
+			P50   float64 `json:"p50"`
+			P99   float64 `json:"p99"`
+		}
+		if err := json.Unmarshal(series[`http_request_seconds{endpoint="`+route+`"}`], &lat); err != nil {
+			log.Fatalf("%s: %v", route, err)
+		}
+		fmt.Printf("%-28s count=%d p50=%s p99=%s\n", route, lat.Count,
+			time.Duration(lat.P50*float64(time.Second)).Round(time.Microsecond),
+			time.Duration(lat.P99*float64(time.Second)).Round(time.Microsecond))
+	}
 }

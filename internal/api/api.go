@@ -19,6 +19,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"runtime"
 	"strconv"
 	"sync"
 	"time"
@@ -57,7 +58,8 @@ type Options struct {
 	// every schedule. Differential tests and cold-cache load runs use this.
 	NoCache bool
 	// Cache sizes the plan cache (zero-value fields take plancache
-	// defaults). Cache.Epsilon > 0 opts into ε-quantized keys.
+	// defaults). Keys are exact: a plan answers only the request it was
+	// computed for.
 	Cache plancache.Config
 	// JobWorkers bounds the async job pool (0: RECO_WORKERS or GOMAXPROCS).
 	JobWorkers int
@@ -122,7 +124,7 @@ func (s *Server) schedule(ctx context.Context, name string, req algo.Request) (*
 	if s.group == nil {
 		return sched.Schedule(ctx, req)
 	}
-	res, _, err := s.group.Do(ctx, s.group.Cache().Key(name, req), func(ctx context.Context) (*algo.Result, error) {
+	res, _, err := s.group.Do(ctx, plancache.Fingerprint(name, req), func(ctx context.Context) (*algo.Result, error) {
 		return sched.Schedule(ctx, req)
 	})
 	return res, err
@@ -335,44 +337,63 @@ func slaContext(ctx context.Context, timeout time.Duration) (context.Context, co
 	return context.WithTimeout(ctx, timeout)
 }
 
-// Handler returns the server's HTTP handler:
-//
-//	GET  /v1/healthz
-//	GET  /v1/algorithms
-//	POST /v1/schedule/single
-//	POST /v1/schedule/multi
-//	POST /v1/workload/generate
-//	POST /v1/jobs
-//	GET  /v1/jobs
-//	GET  /v1/jobs/{id}
-//	POST /v1/jobs/{id}/cancel
+// route is one row of a route table: a ServeMux pattern and its handler.
+type route struct {
+	pattern string
+	h       http.HandlerFunc
+}
+
+// routes is the API's route table. A pattern with no method leaves the
+// method check to its handler.
+func (s *Server) routes() []route {
+	return []route{
+		{"/v1/healthz", handleHealthz},
+		{"/v1/algorithms", handleAlgorithms},
+		{"/v1/schedule/single", s.handleSingle},
+		{"/v1/schedule/multi", s.handleMulti},
+		{"/v1/workload/generate", s.handleWorkload},
+		{"POST /v1/jobs", s.handleJobSubmit},
+		{"GET /v1/jobs", s.handleJobList},
+		{"GET /v1/jobs/{id}", s.handleJobGet},
+		{"POST /v1/jobs/{id}/cancel", s.handleJobCancel},
+	}
+}
+
+// opsRoutes are the process endpoints InstrumentedHandlerOn serves beside
+// the API: liveness and the two exports of reg.
+func opsRoutes(reg *obs.Registry) []route {
+	return []route{
+		{"/healthz", handleHealthz},
+		{"/metrics", reg.PromHandler().ServeHTTP},
+		{"/metrics.json", reg.JSONHandler().ServeHTTP},
+	}
+}
+
+// Handler returns the API routes without metrics or process endpoints
+// (InstrumentedHandlerOn assembles the whole service).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/healthz", handleHealthz)
-	mux.HandleFunc("/v1/algorithms", handleAlgorithms)
-	mux.HandleFunc("/v1/schedule/single", s.handleSingle)
-	mux.HandleFunc("/v1/schedule/multi", s.handleMulti)
-	mux.HandleFunc("/v1/workload/generate", s.handleWorkload)
-	mux.HandleFunc("POST /v1/jobs", s.handleJobSubmit)
-	mux.HandleFunc("GET /v1/jobs", s.handleJobList)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
-	mux.HandleFunc("POST /v1/jobs/{id}/cancel", s.handleJobCancel)
+	for _, rt := range s.routes() {
+		mux.Handle(rt.pattern, rt.h)
+	}
 	return mux
 }
 
-// NewHandler returns a default-options API handler. The job pool it may
-// lazily start lives for the remaining process lifetime; servers that want
-// a bounded lifecycle use NewServer and Close.
-func NewHandler() http.Handler {
-	return NewServer(Options{}).Handler()
-}
+// startTime anchors the health report's uptime.
+var startTime = time.Now()
 
+// handleHealthz is the liveness endpoint behind both /healthz and
+// /v1/healthz: status, uptime and the Go version the binary was built with.
 func handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	writeJSON(w, http.StatusOK, struct {
+		Status string `json:"status"`
+		Uptime string `json:"uptime"`
+		Go     string `json:"go"`
+	}{"ok", time.Since(startTime).Round(time.Millisecond).String(), runtime.Version()})
 }
 
 func handleAlgorithms(w http.ResponseWriter, r *http.Request) {

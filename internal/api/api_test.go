@@ -5,8 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -15,8 +18,9 @@ import (
 
 func newTestServer(t *testing.T) (*httptest.Server, *Client) {
 	t.Helper()
-	srv := httptest.NewServer(NewHandler())
-	t.Cleanup(srv.Close)
+	s := NewServer(Options{})
+	srv := httptest.NewServer(s.Handler())
+	t.Cleanup(func() { srv.Close(); s.Close() })
 	return srv, NewClient(srv.URL, srv.Client())
 }
 
@@ -254,9 +258,36 @@ func TestClientContextCancellation(t *testing.T) {
 	}
 }
 
+// instrumentedServer serves the assembled service on a fresh registry.
+func instrumentedServer(t *testing.T) (*httptest.Server, *obs.Registry) {
+	t.Helper()
+	reg := obs.NewRegistry()
+	s := NewServer(Options{})
+	h, _ := s.InstrumentedHandlerOn(reg)
+	srv := httptest.NewServer(h)
+	t.Cleanup(func() { srv.Close(); s.Close() })
+	return srv, reg
+}
+
+// getText GETs url and returns the status and the whole body.
+func getText(t *testing.T, url string) (int, string) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	var b bytes.Buffer
+	if _, err := b.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, b.String()
+}
+
+// TestMetricsEndpoint: /metrics counts requests and errors per endpoint,
+// refuses anything but GET, and is the only text view (no /v1/metrics).
 func TestMetricsEndpoint(t *testing.T) {
-	srv := httptest.NewServer(NewInstrumentedHandler())
-	t.Cleanup(srv.Close)
+	srv, _ := instrumentedServer(t)
 	client := NewClient(srv.URL, srv.Client())
 	ctx := context.Background()
 
@@ -268,23 +299,26 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal("bad request accepted")
 	}
 
-	resp, err := http.Get(srv.URL + "/v1/metrics")
-	if err != nil {
-		t.Fatalf("GET metrics: %v", err)
+	status, text := getText(t, srv.URL+"/metrics")
+	if status != http.StatusOK {
+		t.Fatalf("GET /metrics status %d", status)
 	}
-	defer resp.Body.Close()
-	body := make([]byte, 4096)
-	n, _ := resp.Body.Read(body)
-	text := string(body[:n])
-	if !strings.Contains(text, "GET /v1/healthz") {
-		t.Errorf("metrics missing healthz line:\n%s", text)
+	for _, want := range []string{
+		`http_requests_total{endpoint="GET /v1/healthz"} 1`,
+		`http_request_errors_total{endpoint="GET /v1/healthz"} 0`,
+		`http_requests_total{endpoint="POST /v1/schedule/single"} 1`,
+		`http_request_errors_total{endpoint="POST /v1/schedule/single"} 1`,
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("/metrics missing %q:\n%s", want, text)
+		}
 	}
-	if !strings.Contains(text, "POST /v1/schedule/single") || !strings.Contains(text, "errors=1") {
-		t.Errorf("metrics missing error accounting:\n%s", text)
+	// Scrapes are not requests of the API.
+	if strings.Contains(text, `endpoint="GET /metrics"`) {
+		t.Errorf("/metrics counts its own scrapes:\n%s", text)
 	}
 
-	// POST to the metrics endpoint is rejected.
-	post, err := http.Post(srv.URL+"/v1/metrics", "text/plain", nil)
+	post, err := http.Post(srv.URL+"/metrics", "text/plain", nil)
 	if err != nil {
 		t.Fatalf("POST metrics: %v", err)
 	}
@@ -292,14 +326,19 @@ func TestMetricsEndpoint(t *testing.T) {
 	if post.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("POST metrics status = %d, want 405", post.StatusCode)
 	}
+	if status, _ := getText(t, srv.URL+"/v1/metrics"); status != http.StatusNotFound {
+		t.Errorf("GET /v1/metrics status = %d, want 404", status)
+	}
 }
 
-// TestMetricsQuantilesAndRegistry: the plain-text handler reports latency
-// quantile columns, and the same samples are visible through the shared
-// obs registry in Prometheus form.
+// TestMetricsQuantilesAndRegistry: the collector publishes into the
+// registry it was given, /metrics.json carries each endpoint's latency
+// count and quantiles, and /metrics the same histogram in Prometheus form.
 func TestMetricsQuantilesAndRegistry(t *testing.T) {
 	reg := obs.NewRegistry()
-	h, m := NewInstrumentedHandlerOn(reg)
+	s := NewServer(Options{})
+	defer s.Close()
+	h, m := s.InstrumentedHandlerOn(reg)
 	if m.Registry() != reg {
 		t.Fatal("collector not publishing into the provided registry")
 	}
@@ -313,33 +352,109 @@ func TestMetricsQuantilesAndRegistry(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Get(srv.URL + "/v1/metrics")
-	if err != nil {
-		t.Fatalf("GET metrics: %v", err)
+	_, js := getText(t, srv.URL+"/metrics.json")
+	var out map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(js), &out); err != nil {
+		t.Fatalf("decoding /metrics.json: %v", err)
 	}
-	defer resp.Body.Close()
-	var b bytes.Buffer
-	if _, err := b.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
+	var lat struct {
+		Count         int64
+		P50, P95, P99 float64
 	}
-	text := b.String()
-	for _, col := range []string{"p50=", "p95=", "p99=", "mean=", "max="} {
-		if !strings.Contains(text, col) {
-			t.Errorf("metrics text missing %q column:\n%s", col, text)
-		}
+	if err := json.Unmarshal(out[`http_request_seconds{endpoint="GET /v1/healthz"}`], &lat); err != nil {
+		t.Fatalf("latency histogram: %v\n%s", err, js)
+	}
+	if lat.Count != 5 || lat.P50 <= 0 || lat.P95 < lat.P50 || lat.P99 < lat.P95 {
+		t.Errorf("latency histogram = %+v, want 5 samples with ordered quantiles", lat)
 	}
 
-	var prom bytes.Buffer
-	if err := reg.WritePrometheus(&prom); err != nil {
-		t.Fatal(err)
-	}
+	_, prom := getText(t, srv.URL+"/metrics")
 	for _, want := range []string{
 		`http_requests_total{endpoint="GET /v1/healthz"} 5`,
 		`http_request_seconds_count{endpoint="GET /v1/healthz"} 5`,
 		"# TYPE http_request_seconds histogram",
 	} {
-		if !strings.Contains(prom.String(), want) {
-			t.Errorf("prometheus export missing %q:\n%s", want, prom.String())
+		if !strings.Contains(prom, want) {
+			t.Errorf("prometheus export missing %q:\n%s", want, prom)
+		}
+	}
+}
+
+// TestMetricsSeriesBounded: the endpoint label comes from the route table,
+// not the request line, so paths and methods a client makes up cannot grow
+// the series. Unknown paths and non-standard methods share "other"; every
+// job id is one "GET /v1/jobs/{id}".
+func TestMetricsSeriesBounded(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := NewServer(Options{})
+	defer s.Close()
+	h, _ := s.InstrumentedHandlerOn(reg)
+	serve := func(method, path string) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(`{"demand":[[0,400],[400,0]],"delta":100}`)))
+		return rec.Code
+	}
+	for i := 0; i < 1000; i++ {
+		serve(http.MethodGet, fmt.Sprintf("/no/such/path/%d", i))
+		if code := serve(http.MethodGet, fmt.Sprintf("/v1/jobs/j%d", i)); code != http.StatusNotFound {
+			t.Fatalf("GET unknown job: status %d, want 404", code)
+		}
+	}
+	serve("BREW", "/v1/schedule/single")
+	serve("PROPFIND", "/v1/jobs")
+	if code := serve(http.MethodPost, "/v1/schedule/single"); code != http.StatusOK {
+		t.Fatalf("POST /v1/schedule/single: status %d", code)
+	}
+	serve(http.MethodGet, "/v1/healthz")
+
+	var prom bytes.Buffer
+	if err := reg.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	counts := map[string]string{}
+	for _, line := range strings.Split(prom.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, `http_requests_total{endpoint="`); ok {
+			label, n, _ := strings.Cut(rest, `"} `)
+			counts[label] = n
+		}
+	}
+	want := map[string]string{
+		"other":                    "1002",
+		"GET /v1/jobs/{id}":        "1000",
+		"POST /v1/schedule/single": "1",
+		"GET /v1/healthz":          "1",
+	}
+	if len(counts) > len(want) {
+		t.Fatalf("%d http_requests_total series after 2004 requests, want %d", len(counts), len(want))
+	}
+	if !reflect.DeepEqual(counts, want) {
+		t.Errorf("http_requests_total series = %v, want %v", counts, want)
+	}
+	if prom.Len() > 32<<10 {
+		t.Errorf("/metrics is %d bytes after 2004 requests", prom.Len())
+	}
+}
+
+// TestRecodDocListsRoutes: every route of the assembled service appears in
+// cmd/recod's package doc as a "METHOD /path" line.
+func TestRecodDocListsRoutes(t *testing.T) {
+	src, err := os.ReadFile("../../cmd/recod/main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, _, _ := strings.Cut(string(src), "\npackage main")
+	listed, paths := map[string]bool{}, map[string]bool{}
+	for _, line := range strings.Split(doc, "\n") {
+		if w := strings.Fields(strings.TrimPrefix(line, "//")); len(w) >= 2 && strings.HasPrefix(w[1], "/") {
+			listed[w[0]+" "+w[1]] = true
+			paths[w[1]] = true
+		}
+	}
+	s := NewServer(Options{})
+	defer s.Close()
+	for _, rt := range append(s.routes(), opsRoutes(obs.NewRegistry())...) {
+		if !listed[rt.pattern] && !paths[rt.pattern] {
+			t.Errorf("route %q is not in recod's package doc", rt.pattern)
 		}
 	}
 }

@@ -31,9 +31,12 @@ func postRaw(t *testing.T, url string, body []byte) (int, []byte) {
 }
 
 // TestCachedResponsesByteIdentical is the differential test for the plan
-// cache: for every registry algorithm, the cache-miss response, the
-// cache-hit response, and an uncached server's response must be
-// byte-identical.
+// cache: for every registry algorithm and every input, the cache-miss
+// response, the cache-hit response, and an uncached server's response must
+// be byte-identical. The inputs end with an ε-close pair, [[400,0],[0,400]]
+// then [[401,0],[0,400]]: the second must get a plan of its own, never the
+// first one's, and no cached single-coflow response of a circuit-only
+// scheduler may claim a CCT below its own lower bound.
 func TestCachedResponsesByteIdentical(t *testing.T) {
 	ensureTestBlock()
 	reg := obs.NewRegistry()
@@ -47,45 +50,56 @@ func TestCachedResponsesByteIdentical(t *testing.T) {
 	plainSrv := httptest.NewServer(plain.Handler())
 	defer func() { plainSrv.Close(); plain.Close() }()
 
+	inputs := [][][]int64{jobDemand, {{400, 0}, {0, 400}}, {{401, 0}, {0, 400}}}
 	for _, s := range algo.All() {
 		name := s.Name()
 		if strings.HasPrefix(name, "test-") {
 			continue
 		}
 		t.Run(name, func(t *testing.T) {
-			var path string
-			var body []byte
-			var err error
-			switch caps := s.Caps(); {
-			case caps.SingleCoflow:
-				path = "/v1/schedule/single"
-				body, err = json.Marshal(SingleRequest{Demand: jobDemand, Delta: 100, Algorithm: name})
-			case caps.MultiCoflow:
-				path = "/v1/schedule/multi"
-				body, err = json.Marshal(MultiRequest{
-					Demands: [][][]int64{jobDemand, jobDemand}, Delta: 100, C: 4, Algorithm: name,
-				})
-			default:
+			caps := s.Caps()
+			if !caps.SingleCoflow && !caps.MultiCoflow {
 				t.Skipf("%s schedules neither single nor multi", name)
 			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			hitsBefore := reg.Counter("plancache_hits_total").Value()
-			missStatus, missBody := postRaw(t, cachedSrv.URL+path, body)
-			hitStatus, hitBody := postRaw(t, cachedSrv.URL+path, body)
-			plainStatus, plainBody := postRaw(t, plainSrv.URL+path, body)
-			if missStatus != http.StatusOK || hitStatus != http.StatusOK || plainStatus != http.StatusOK {
-				t.Fatalf("statuses: miss=%d hit=%d uncached=%d", missStatus, hitStatus, plainStatus)
-			}
-			if !bytes.Equal(missBody, hitBody) {
-				t.Errorf("cache-hit response differs from cache-miss:\nmiss: %s\nhit:  %s", missBody, hitBody)
-			}
-			if !bytes.Equal(missBody, plainBody) {
-				t.Errorf("cached response differs from uncached:\ncached:   %s\nuncached: %s", missBody, plainBody)
-			}
-			if got := reg.Counter("plancache_hits_total").Value() - hitsBefore; got != 1 {
-				t.Errorf("second request recorded %d cache hits, want 1", got)
+			for _, demand := range inputs {
+				path := "/v1/schedule/single"
+				body, err := json.Marshal(SingleRequest{Demand: demand, Delta: 100, Algorithm: name})
+				if !caps.SingleCoflow {
+					path = "/v1/schedule/multi"
+					body, err = json.Marshal(MultiRequest{
+						Demands: [][][]int64{demand, demand}, Delta: 100, C: 4, Algorithm: name,
+					})
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				hitsBefore := reg.Counter("plancache_hits_total").Value()
+				missStatus, missBody := postRaw(t, cachedSrv.URL+path, body)
+				hitStatus, hitBody := postRaw(t, cachedSrv.URL+path, body)
+				plainStatus, plainBody := postRaw(t, plainSrv.URL+path, body)
+				if missStatus != http.StatusOK || hitStatus != http.StatusOK || plainStatus != http.StatusOK {
+					t.Fatalf("%v: statuses: miss=%d hit=%d uncached=%d", demand, missStatus, hitStatus, plainStatus)
+				}
+				if !bytes.Equal(missBody, hitBody) {
+					t.Errorf("%v: cache-hit response differs from cache-miss:\nmiss: %s\nhit:  %s", demand, missBody, hitBody)
+				}
+				if !bytes.Equal(missBody, plainBody) {
+					t.Errorf("%v: cached response differs from uncached:\ncached:   %s\nuncached: %s", demand, missBody, plainBody)
+				}
+				if got := reg.Counter("plancache_hits_total").Value() - hitsBefore; got != 1 {
+					t.Errorf("%v: second request recorded %d cache hits, want 1", demand, got)
+				}
+				// The bound is the circuit switch's: with an electrical fabric
+				// beside the circuits (Caps.Hybrid) part of the demand pays no δ.
+				if caps.SingleCoflow && !caps.Hybrid {
+					var resp SingleResponse
+					if err := json.Unmarshal(hitBody, &resp); err != nil {
+						t.Fatal(err)
+					}
+					if resp.CCT < resp.LowerBound {
+						t.Errorf("%v: cached cct %d is below its lower bound %d", demand, resp.CCT, resp.LowerBound)
+					}
+				}
 			}
 		})
 	}

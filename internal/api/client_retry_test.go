@@ -18,7 +18,8 @@ var fastRetry = RetryPolicy{MaxAttempts: 4, BaseDelay: time.Microsecond, MaxDela
 func flakyServer(t *testing.T, n int, fail func(w http.ResponseWriter)) (*httptest.Server, *atomic.Int64) {
 	t.Helper()
 	var calls atomic.Int64
-	real := NewHandler()
+	s := NewServer(Options{})
+	real := s.Handler()
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if calls.Add(1) <= int64(n) {
 			fail(w)
@@ -26,7 +27,7 @@ func flakyServer(t *testing.T, n int, fail func(w http.ResponseWriter)) (*httpte
 		}
 		real.ServeHTTP(w, r)
 	}))
-	t.Cleanup(srv.Close)
+	t.Cleanup(func() { srv.Close(); s.Close() })
 	return srv, &calls
 }
 

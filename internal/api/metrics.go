@@ -1,149 +1,122 @@
 package api
 
 import (
-	"fmt"
 	"net/http"
-	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"reco/internal/obs"
 )
 
-// Metrics collects per-endpoint request counts and latency distributions
-// on an obs.Registry, keyed by "METHOD path". The zero value is ready to
-// use; it is safe for concurrent use, and the request hot path is
-// lock-free — a sync.Map lookup plus atomic counter and histogram updates,
-// no global mutex.
+// Metrics collects per-endpoint request counts, error counts and latency
+// histograms on an obs.Registry. The label set is the route table: a
+// request is recorded under the pattern of the route that served it, with
+// the request's method in front when the pattern names none
+// (`POST /v1/schedule/single`, `GET /v1/jobs/{id}`). Every other request —
+// an unmatched path, a non-standard method, the mux's own redirects and
+// 405s — shares the label "other", so no client can grow the series.
+// Labels are resolved when the routes are registered; a request costs a
+// map lookup and atomic updates.
 type Metrics struct {
-	once      sync.Once
-	reg       *obs.Registry
-	endpoints sync.Map // key -> *endpointMetrics
+	reg   *obs.Registry
+	other slot
 }
 
-// endpointMetrics are one endpoint's series, resolved once at first
-// request and cached so the hot path never re-renders label strings.
+// slot is one label's series, created in the registry on the label's first
+// request so an endpoint nobody called exports nothing.
+type slot struct {
+	label string
+	e     atomic.Pointer[endpointMetrics]
+}
+
 type endpointMetrics struct {
-	count    *obs.Counter
-	errors   *obs.Counter
-	latency  *obs.Histogram
-	maxNanos atomic.Int64
+	count   *obs.Counter
+	errors  *obs.Counter
+	latency *obs.Histogram
 }
 
-// NewMetrics returns a Metrics collector publishing into reg, so the same
-// registry can also carry scheduler-pipeline series and be exported once.
-// A nil reg gets a private registry on first use (the zero-value behavior).
-func NewMetrics(reg *obs.Registry) *Metrics {
-	return &Metrics{reg: reg}
+// standardMethods are the methods a route label may carry.
+var standardMethods = []string{
+	http.MethodGet, http.MethodHead, http.MethodPost, http.MethodPut, http.MethodPatch,
+	http.MethodDelete, http.MethodConnect, http.MethodOptions, http.MethodTrace,
 }
 
-// Registry returns the underlying obs registry (creating a private one for
-// zero-value collectors), for callers that export it in other formats.
-func (m *Metrics) Registry() *obs.Registry {
-	m.once.Do(func() {
-		if m.reg == nil {
-			m.reg = obs.NewRegistry()
+func newMetrics(reg *obs.Registry) *Metrics {
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	reg.SetHelp("http_requests_total", "requests served, by endpoint")
+	reg.SetHelp("http_request_errors_total", "responses with status >= 400, by endpoint")
+	reg.SetHelp("http_request_seconds", "request latency, by endpoint")
+	return &Metrics{reg: reg, other: slot{label: "other"}}
+}
+
+// Registry returns the registry the collector publishes into.
+func (m *Metrics) Registry() *obs.Registry { return m.reg }
+
+// route wraps the handler registered under pattern so that the middleware
+// records its requests under the pattern's label.
+func (m *Metrics) route(pattern string, h http.Handler) http.Handler {
+	slots := make(map[string]*slot, len(standardMethods))
+	if strings.Contains(pattern, " ") {
+		s := &slot{label: pattern}
+		for _, method := range standardMethods {
+			slots[method] = s
 		}
-		m.reg.SetHelp("http_requests_total", "requests served, by endpoint")
-		m.reg.SetHelp("http_request_errors_total", "responses with status >= 400, by endpoint")
-		m.reg.SetHelp("http_request_seconds", "request latency, by endpoint")
+	} else {
+		for _, method := range standardMethods {
+			slots[method] = &slot{label: method + " " + pattern}
+		}
+	}
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if rec, ok := w.(*metricsRecorder); ok {
+			if s := slots[r.Method]; s != nil {
+				rec.slot = s
+			}
+		}
+		h.ServeHTTP(w, r)
 	})
-	return m.reg
 }
 
-// Middleware wraps next, recording a sample per request keyed by
-// "METHOD path".
-func (m *Metrics) Middleware(next http.Handler) http.Handler {
+// middleware times every request next serves and records it under the
+// label its route set, or "other" when no route did.
+func (m *Metrics) middleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		rec := &metricsRecorder{ResponseWriter: w, status: http.StatusOK}
+		rec := &metricsRecorder{ResponseWriter: w, status: http.StatusOK, slot: &m.other}
 		next.ServeHTTP(rec, r)
-		m.observe(r.Method+" "+r.URL.Path, time.Since(start), rec.status >= 400)
+		e := m.series(rec.slot)
+		e.count.Inc()
+		if rec.status >= 400 {
+			e.errors.Inc()
+		}
+		e.latency.ObserveDuration(time.Since(start))
 	})
 }
 
-func (m *Metrics) endpoint(key string) *endpointMetrics {
-	if v, ok := m.endpoints.Load(key); ok {
-		return v.(*endpointMetrics)
+func (m *Metrics) series(s *slot) *endpointMetrics {
+	if e := s.e.Load(); e != nil {
+		return e
 	}
-	reg := m.Registry()
+	// The registry returns an existing series, so a racing first request
+	// builds an identical wrapper and either store is correct.
 	e := &endpointMetrics{
-		count:  reg.Counter(obs.L("http_requests_total", "endpoint", key)),
-		errors: reg.Counter(obs.L("http_request_errors_total", "endpoint", key)),
+		count:  m.reg.Counter(obs.L("http_requests_total", "endpoint", s.label)),
+		errors: m.reg.Counter(obs.L("http_request_errors_total", "endpoint", s.label)),
 		// Log-scale buckets: a cache-hit response is a few µs, a cold LP
 		// solve can take seconds; fixed DefBuckets would fold the entire
 		// fast path into one bucket and quantiles would be useless.
-		latency: reg.Histogram(obs.L("http_request_seconds", "endpoint", key), obs.LogBuckets(1e-6, 2, 24)),
+		latency: m.reg.Histogram(obs.L("http_request_seconds", "endpoint", s.label), obs.LogBuckets(1e-6, 2, 24)),
 	}
-	// A racing creator built an identical wrapper around the same
-	// registry series; either winning is correct.
-	v, _ := m.endpoints.LoadOrStore(key, e)
-	return v.(*endpointMetrics)
-}
-
-func (m *Metrics) observe(key string, dur time.Duration, isError bool) {
-	e := m.endpoint(key)
-	e.count.Inc()
-	if isError {
-		e.errors.Inc()
-	}
-	e.latency.ObserveDuration(dur)
-	for {
-		old := e.maxNanos.Load()
-		if int64(dur) <= old || e.maxNanos.CompareAndSwap(old, int64(dur)) {
-			return
-		}
-	}
-}
-
-// Handler serves the collected metrics as plain text, one endpoint per
-// line: key, count, errors, then mean, p50/p95/p99 (histogram estimates),
-// and max latency.
-func (m *Metrics) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, "use GET")
-			return
-		}
-		type row struct {
-			key string
-			e   *endpointMetrics
-		}
-		var rows []row
-		m.endpoints.Range(func(k, v any) bool {
-			rows = append(rows, row{k.(string), v.(*endpointMetrics)})
-			return true
-		})
-		sort.Slice(rows, func(a, b int) bool { return rows[a].key < rows[b].key })
-		var b strings.Builder
-		for _, rw := range rows {
-			count := rw.e.count.Value()
-			mean := time.Duration(0)
-			if count > 0 {
-				mean = time.Duration(rw.e.latency.Sum() / float64(count) * float64(time.Second))
-			}
-			fmt.Fprintf(&b, "%-40s count=%d errors=%d mean=%s p50=%s p95=%s p99=%s max=%s\n",
-				rw.key, count, rw.e.errors.Value(),
-				mean.Round(time.Microsecond),
-				quantileDur(rw.e.latency, 0.50),
-				quantileDur(rw.e.latency, 0.95),
-				quantileDur(rw.e.latency, 0.99),
-				time.Duration(rw.e.maxNanos.Load()).Round(time.Microsecond))
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_, _ = w.Write([]byte(b.String()))
-	})
-}
-
-func quantileDur(h *obs.Histogram, q float64) time.Duration {
-	return time.Duration(h.Quantile(q) * float64(time.Second)).Round(time.Microsecond)
+	s.e.Store(e)
+	return e
 }
 
 type metricsRecorder struct {
 	http.ResponseWriter
 	status int
+	slot   *slot
 }
 
 // WriteHeader records the status code for error accounting.
@@ -152,28 +125,20 @@ func (r *metricsRecorder) WriteHeader(status int) {
 	r.ResponseWriter.WriteHeader(status)
 }
 
-// NewInstrumentedHandler returns the API handler wrapped with metrics
-// collection and a /v1/metrics endpoint exposing it, on a private
-// registry.
-func NewInstrumentedHandler() http.Handler {
-	h, _ := NewInstrumentedHandlerOn(nil)
-	return h
-}
-
-// NewInstrumentedHandlerOn is NewInstrumentedHandler publishing into reg
-// (nil: a private registry); it also returns the collector so callers can
-// export the registry in other formats (Prometheus, JSON).
-func NewInstrumentedHandlerOn(reg *obs.Registry) (http.Handler, *Metrics) {
-	return NewServer(Options{}).InstrumentedHandlerOn(reg)
-}
-
-// InstrumentedHandlerOn wraps the server's handler with metrics collection
-// publishing into reg (nil: a private registry) and a /v1/metrics endpoint,
-// returning the collector alongside.
+// InstrumentedHandlerOn returns the assembled service: the API routes
+// behind the metrics middleware publishing into reg (nil: a private
+// registry), beside the process endpoints /healthz, /metrics and
+// /metrics.json, which are not recorded. It also returns the collector.
 func (s *Server) InstrumentedHandlerOn(reg *obs.Registry) (http.Handler, *Metrics) {
-	m := NewMetrics(reg)
+	m := newMetrics(reg)
+	apiMux := http.NewServeMux()
+	for _, rt := range s.routes() {
+		apiMux.Handle(rt.pattern, m.route(rt.pattern, rt.h))
+	}
 	mux := http.NewServeMux()
-	mux.Handle("/v1/metrics", m.Handler())
-	mux.Handle("/", m.Middleware(s.Handler()))
+	mux.Handle("/", m.middleware(apiMux))
+	for _, rt := range opsRoutes(m.reg) {
+		mux.Handle(rt.pattern, rt.h)
+	}
 	return mux, m
 }

@@ -9,11 +9,8 @@
 //   - Fingerprinting (this file): a collision-resistant canonical hash of
 //     (algorithm, demand matrices, weights, δ, c, knobs). A matrix is hashed
 //     as its non-zero cells and the lengths of the zero runs between them,
-//     so the cost of a key follows the demand's support, not n². An opt-in
-//     ε-quantized variant buckets demand entries so near-identical matrices
-//     share a key — the serving-side counterpart of Reco's regularization
-//     argument that close demand matrices deserve (near-)identical circuit
-//     schedules.
+//     so the cost of a key follows the demand's support, not n². Keys are
+//     exact: a plan is only ever served for the request it was computed for.
 //   - Cache: a sharded, bounded LRU over *algo.Result values, safe for
 //     concurrent use, with hit/miss/eviction/size metrics on internal/obs.
 //   - Group: singleflight request coalescing in front of the cache, so N
@@ -25,7 +22,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
-	"math/bits"
 
 	"reco/internal/algo"
 )
@@ -55,26 +51,6 @@ import (
 // Keys changed once when this form replaced the plain cell stream: a deploy
 // across that change starts with a cold plan cache.
 func Fingerprint(alg string, req algo.Request) string {
-	return fingerprint(alg, req, 0)
-}
-
-// QuantizedFingerprint is Fingerprint with demand entries bucketed to
-// multiples of step = max(1, round(eps·scale)) before hashing, where scale
-// is the request's largest entry rounded up to a power of two (at most
-// 2⁶²). Rounding the scale keeps the step stable across near-identical
-// requests (a raw max-entry scale would shift the whole grid when the peak
-// entry drifts by one tick). An entry whose bucket is 0 is hashed as a
-// zero. Requests whose entries land in the same ε-buckets collide on
-// purpose: an ε-close request reuses the plan of the first-seen
-// representative. As with any bucketing scheme, a pair of entries
-// straddling a bucket edge may still separate even if they differ by less
-// than one step. δ, c and weights stay exact. eps <= 0 degrades to the
-// exact Fingerprint.
-func QuantizedFingerprint(alg string, req algo.Request, eps float64) string {
-	return fingerprint(alg, req, eps)
-}
-
-func fingerprint(alg string, req algo.Request, eps float64) string {
 	h := sha256.New()
 	var buf [8]byte
 	writeInt := func(v int64) {
@@ -95,30 +71,6 @@ func fingerprint(alg string, req algo.Request, eps float64) string {
 		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(w))
 		h.Write(buf[:])
 	}
-	step := uint64(1)
-	if eps > 0 {
-		var mx int64
-		for _, d := range req.Demands {
-			if d == nil {
-				continue
-			}
-			if e := d.MaxEntry(); e > mx {
-				mx = e
-			}
-		}
-		// The least power of two at or above mx, held at 2⁶²: the next one
-		// is not an int64, and a loop doubling its way there never ends.
-		scale := int64(1)
-		if mx > 1 {
-			scale <<= min(bits.Len64(uint64(mx-1)), 62)
-		}
-		if s := int64(math.Round(eps * float64(scale))); s > 1 {
-			step = uint64(s)
-		}
-		// The step itself must be part of the key: the same matrix hashed
-		// under different ε values must not collide.
-		writeInt(int64(step))
-	}
 	writeInt(int64(len(req.Demands)))
 	// Tokens go through a fixed stack chunk, one Write per 4 KB or so: the
 	// byte stream (and so the key) is what one Write per token would produce.
@@ -131,12 +83,6 @@ func fingerprint(alg string, req algo.Request, eps float64) string {
 		writeInt(int64(d.N()))
 		fill, run := 0, int64(0)
 		for _, v := range d.Cells() {
-			if step > 1 {
-				// Round to the nearest bucket midpoint so a value just
-				// below and just above a bucket edge still usually agree.
-				// Unsigned, so an entry near MaxInt64 cannot wrap.
-				v = int64((uint64(v) + step/2) / step)
-			}
 			if v == 0 {
 				run++
 				continue

@@ -8,35 +8,10 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"time"
 
 	"reco/internal/algo"
 	"reco/internal/matrix"
 )
-
-// TestQuantizedFingerprintHugeEntry: a cell above 2⁶² used to double the
-// ε-scale past MaxInt64 to 0 and spin forever — before request validation,
-// outside any deadline. The key must come back, and promptly.
-func TestQuantizedFingerprintHugeEntry(t *testing.T) {
-	req := req1(t, [][]int64{{1<<62 + 1, 0}, {0, 1}}, 100)
-	done := make(chan string, 1)
-	go func() { done <- QuantizedFingerprint(algo.NameRecoSin, req, 0.01) }()
-	select {
-	case key := <-done:
-		if len(key) != 64 {
-			t.Errorf("key %q is not a hex SHA-256", key)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("QuantizedFingerprint did not return within a second on a cell above 2^62")
-	}
-	// The scale saturates; smaller peaks keep the least power of two at or
-	// above them, so a peak of exactly 2^k and one just below share a step.
-	a := QuantizedFingerprint(algo.NameRecoSin, req1(t, [][]int64{{1 << 20, 0}, {0, 1}}, 100), 0.01)
-	b := QuantizedFingerprint(algo.NameRecoSin, req1(t, [][]int64{{1<<20 - 1, 0}, {0, 1}}, 100), 0.01)
-	if a != b {
-		t.Error("peaks 2^20 and 2^20-1 landed on different ε-grids")
-	}
-}
 
 // TestFingerprintSeparatesZeroPlacement: the key writes zeros as run
 // lengths, so every way two requests can differ only in where their zeros
@@ -82,28 +57,6 @@ func TestFingerprintSeparatesZeroPlacement(t *testing.T) {
 		seen[key] = r.name
 	}
 
-	// Under one ε-step (peak 1000, ε = 0.05: step 51) a value that buckets
-	// to 0 is a zero, wherever it sits, and joins the run around it; a
-	// value that buckets to 1 is a cell, and its position is in the key.
-	q := func(rows ...[]int64) string {
-		return QuantizedFingerprint("x", algo.Request{Demands: []*matrix.Matrix{m(rows...)}, Delta: 10}, 0.05)
-	}
-	trueZero := q([]int64{1000, 0, 0}, []int64{0, 0, 0}, []int64{0, 0, 1000})
-	if q([]int64{1000, 20, 0}, []int64{0, 0, 0}, []int64{0, 0, 1000}) != trueZero ||
-		q([]int64{1000, 0, 0}, []int64{0, 0, 20}, []int64{0, 0, 1000}) != trueZero {
-		t.Error("a value in bucket 0 and a true zero got different quantized keys")
-	}
-	one := q([]int64{1000, 30, 0}, []int64{0, 0, 0}, []int64{0, 0, 1000})
-	if one == trueZero {
-		t.Error("a value in bucket 1 collided with a zero")
-	}
-	if q([]int64{1000, 0, 30}, []int64{0, 0, 0}, []int64{0, 0, 1000}) == one {
-		t.Error("a bucket-1 value moved one cell and kept its quantized key")
-	}
-	if q([]int64{1000, 0, 0}, []int64{0, 0, 0}, []int64{0, 0, 1000}) ==
-		q([]int64{1000, 0, 0}, []int64{0, 0, 0}, []int64{0, 1000, 0}) {
-		t.Error("quantized key ignores where the zeros sit")
-	}
 }
 
 // referenceKey is the exact fingerprint written from its documentation, one

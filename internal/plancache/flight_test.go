@@ -74,8 +74,8 @@ func TestGroupCoalescesConcurrentRequests(t *testing.T) {
 func TestGroupCacheHitSkipsCompute(t *testing.T) {
 	g := NewGroup(New(Config{}))
 	want := resN(3)
-	g.Cache().Put(g.Cache().Key("a", algo.Request{}), want)
-	res, cached, err := g.Do(context.Background(), g.Cache().Key("a", algo.Request{}),
+	g.Cache().Put(Fingerprint("a", algo.Request{}), want)
+	res, cached, err := g.Do(context.Background(), Fingerprint("a", algo.Request{}),
 		func(context.Context) (*algo.Result, error) {
 			t.Error("compute ran on cache hit")
 			return nil, nil

@@ -21,11 +21,6 @@ type Config struct {
 	// Shards is the shard count, rounded up to a power of two. More shards
 	// mean less lock contention under concurrent load. Default 16.
 	Shards int
-	// Epsilon, when positive, switches key derivation to the ε-quantized
-	// fingerprint so near-identical demand matrices share an entry. The
-	// cached plan is then the plan of the first-seen representative — an
-	// approximation the caller opts into. Zero means exact keys only.
-	Epsilon float64
 }
 
 func (c Config) withDefaults() Config {
@@ -58,7 +53,6 @@ func (c Config) withDefaults() Config {
 //	plancache_entries / plancache_bytes            (gauges)
 //	plancache_lookup_seconds                       (log-bucket histogram)
 type Cache struct {
-	cfg             Config
 	shards          []shard
 	mask            uint32
 	maxShardEntries int
@@ -83,7 +77,6 @@ type entry struct {
 func New(cfg Config) *Cache {
 	cfg = cfg.withDefaults()
 	c := &Cache{
-		cfg:             cfg,
 		shards:          make([]shard, cfg.Shards),
 		mask:            uint32(cfg.Shards - 1),
 		maxShardEntries: (cfg.MaxEntries + cfg.Shards - 1) / cfg.Shards,
@@ -98,16 +91,6 @@ func New(cfg Config) *Cache {
 		c.shards[i].items = make(map[string]*list.Element)
 	}
 	return c
-}
-
-// Key derives the cache key for a request under the cache's configured
-// mode: the ε-quantized fingerprint when Epsilon > 0, the exact fingerprint
-// otherwise.
-func (c *Cache) Key(alg string, req algo.Request) string {
-	if c != nil && c.cfg.Epsilon > 0 {
-		return QuantizedFingerprint(alg, req, c.cfg.Epsilon)
-	}
-	return Fingerprint(alg, req)
 }
 
 func (c *Cache) shardFor(key string) *shard {

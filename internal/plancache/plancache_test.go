@@ -78,30 +78,6 @@ func TestFingerprintDistinguishes(t *testing.T) {
 	}
 }
 
-func TestQuantizedFingerprintMergesCloseMatrices(t *testing.T) {
-	// With ε = 0.05 and max entry 1000, step = 50: entries within one step
-	// collapse, far entries do not.
-	base := req1(t, [][]int64{{1000, 500}, {480, 1000}}, 100)
-	close := req1(t, [][]int64{{1010, 495}, {470, 1005}}, 100)
-	far := req1(t, [][]int64{{1000, 800}, {480, 1000}}, 100)
-	kb := QuantizedFingerprint("reco-sin", base, 0.05)
-	if kc := QuantizedFingerprint("reco-sin", close, 0.05); kc != kb {
-		t.Error("ε-close matrices got different quantized keys")
-	}
-	if kf := QuantizedFingerprint("reco-sin", far, 0.05); kf == kb {
-		t.Error("ε-far matrices collided")
-	}
-	// δ is never quantized.
-	dd := req1(t, [][]int64{{1000, 500}, {480, 1000}}, 101)
-	if QuantizedFingerprint("reco-sin", dd, 0.05) == kb {
-		t.Error("delta change ignored by quantized key")
-	}
-	// ε = 0 degrades to the exact fingerprint.
-	if QuantizedFingerprint("reco-sin", base, 0) != Fingerprint("reco-sin", base) {
-		t.Error("eps=0 does not match exact fingerprint")
-	}
-}
-
 func resN(n int) *algo.Result {
 	return &algo.Result{CCTs: make([]int64, n), Reconfigs: n}
 }
@@ -151,9 +127,6 @@ func TestCacheNilSafe(t *testing.T) {
 	c.Put("x", resN(1)) // must not panic
 	if c.Len() != 0 || c.Bytes() != 0 {
 		t.Error("nil cache reports non-zero size")
-	}
-	if c.Key("alg", algo.Request{}) == "" {
-		t.Error("nil cache Key empty")
 	}
 }
 
