@@ -13,10 +13,6 @@
 //	kcore            O(K)-approximation K-core scheduler: SEBF coflow order, greedy demand split across -cores switching cores, Reco-Sin per core share
 //	lp-ii-gb         LP-II-GB baseline: interval-indexed LP estimate order, first-fit BvN per coflow
 //	lp-ii-gb-group   grouped LP-II-GB: coflows sharing an LP interval merged into one aggregate BvN schedule
-//	online-batch     online controller, batch admission: all pending coflows through Reco-Mul
-//	online-disjoint  online controller, disjoint-batch admission: port-disjoint coflows co-scheduled via Reco-Mul
-//	online-fifo      online controller, FIFO admission: pending coflows one at a time via Reco-Sin
-//	online-sebf      online controller, SEBF admission: smallest bottleneck first via Reco-Sin
 //	reco-mul         full Reco-Mul pipeline: primal-dual order, packet list schedule, Algorithm 2 transformation
 //	reco-sin         Reco-Sin (Algorithm 1) per coflow: regularize, stuff, max-min BvN; coflows back-to-back
 //	reco-sparse      sparsity-bounded BvN: at most -k max-min terms per coflow plus full-drain residual cleanup

@@ -60,13 +60,6 @@ const (
 	// NameHybrid is the hybrid circuit/packet split: elephants via Reco-Sin
 	// on the OCS, mice via a slowed-down packet switch.
 	NameHybrid = "hybrid"
-	// NameOnlineFIFO .. NameOnlineDisjoint run the batch through the online
-	// controller with every coflow arriving at time zero, under the
-	// corresponding admission policy.
-	NameOnlineFIFO     = "online-fifo"
-	NameOnlineSEBF     = "online-sebf"
-	NameOnlineBatch    = "online-batch"
-	NameOnlineDisjoint = "online-disjoint"
 	// NameKCore is the K-core O(K)-approximation scheduler: SEBF coflow
 	// order, load-balanced demand splitting across Request.Cores switching
 	// cores, Reco-Sin per core share.
@@ -96,8 +89,8 @@ type Capabilities struct {
 	// means the all-stop model.
 	NotAllStop bool `json:"notAllStop"`
 	// FlowLevel: Result.Flows carries the complete flow-level schedule.
-	// Aggregate-only algorithms (hybrid, the online policies) report CCTs
-	// and reconfiguration counts without per-flow intervals.
+	// Aggregate-only algorithms (hybrid, hybrid-fluid) report CCTs and
+	// reconfiguration counts without per-flow intervals.
 	FlowLevel bool `json:"flowLevel"`
 	// Cores, Sparse and Hybrid each own one knob (see KnobTable): the
 	// algorithm honors it, and CheckKnobs rejects a request that sets the

@@ -3,8 +3,10 @@ package builtin
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"reco/internal/algo"
 	"reco/internal/matrix"
@@ -166,6 +168,43 @@ func TestCancelledContext(t *testing.T) {
 	for _, s := range algo.All() {
 		if _, err := s.Schedule(ctx, req); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: cancelled ctx returned %v, want context.Canceled", s.Name(), err)
+		}
+	}
+}
+
+// TestEverySchedulerHonorsCancel: under a 5 ms deadline every registered
+// scheduler returns within a bound of it on one shared heavy input, two
+// dense 64-port coflows with cells up to 50 000 at δ = 10. A scheduler
+// that checks its context only between coflows returns after one coflow's
+// work. The bound is set by the slowest entries that still check only
+// there (tms-bvn and hybrid-fluid, ~0.4 s under the race detector); eclipse
+// before it checked per greedy step ran ~10 s per coflow.
+func TestEverySchedulerHonorsCancel(t *testing.T) {
+	const deadline, bound = 5 * time.Millisecond, time.Second
+	rng := rand.New(rand.NewSource(1))
+	ds := make([]*matrix.Matrix, 2)
+	for k := range ds {
+		ds[k], _ = matrix.New(64)
+		for i := 0; i < 64; i++ {
+			for j := 0; j < 64; j++ {
+				if rng.Float64() < 0.9 {
+					ds[k].Set(i, j, 1+rng.Int63n(50000))
+				}
+			}
+		}
+	}
+	req := algo.Request{Demands: ds, Delta: 10, C: confC}
+	for _, s := range algo.All() {
+		ctx, cancel := context.WithTimeout(context.Background(), deadline)
+		start := time.Now()
+		_, err := s.Schedule(ctx, req)
+		took := time.Since(start)
+		cancel()
+		if took > deadline+bound {
+			t.Errorf("%s: returned %v after a %v deadline, bound %v", s.Name(), took, deadline, bound)
+		}
+		if err != nil && !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%s: %v, want nil or context.DeadlineExceeded", s.Name(), err)
 		}
 	}
 }

@@ -76,7 +76,7 @@ func TestDifferentialSequentialAlgorithms(t *testing.T) {
 			return tms.ScheduleHelios(context.Background(), d, HeliosSlotFactor*delta)
 		}},
 		{algo.NameEclipse, nil, func(d *matrix.Matrix) (ocs.CircuitSchedule, error) {
-			return eclipse.Schedule(d, delta)
+			return eclipse.Schedule(context.Background(), d, delta)
 		}},
 	}
 	for _, tc := range cases {

@@ -93,26 +93,29 @@ func TestScheduleSingleAlgorithmField(t *testing.T) {
 	}
 }
 
+// TestScheduleSingleUnknownAlgorithm: a name the registry does not hold,
+// made up or removed (the four online-* entries replayed other entries and
+// were deleted), answers 400 with the valid names.
 func TestScheduleSingleUnknownAlgorithm(t *testing.T) {
 	srv, _ := newTestServer(t)
 	defer srv.Close()
-	body, _ := json.Marshal(SingleRequest{
-		Demand: [][]int64{{0, 1}, {1, 0}}, Delta: 10, Algorithm: "definitely-not-real",
-	})
-	resp, err := http.Post(srv.URL+"/v1/schedule/single", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown algorithm status = %d, want 400", resp.StatusCode)
-	}
-	var apiErr errorResponse
-	if err := json.NewDecoder(resp.Body).Decode(&apiErr); err != nil {
-		t.Fatal(err)
-	}
-	if apiErr.Error == "" {
-		t.Fatal("error body should enumerate valid algorithm names")
+	for _, name := range []string{"definitely-not-real", "online-fifo", "online-sebf", "online-batch", "online-disjoint"} {
+		body, _ := json.Marshal(SingleRequest{
+			Demand: [][]int64{{0, 1}, {1, 0}}, Delta: 10, Algorithm: name,
+		})
+		resp, err := http.Post(srv.URL+"/v1/schedule/single", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var apiErr errorResponse
+		err = json.NewDecoder(resp.Body).Decode(&apiErr)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400", name, resp.StatusCode)
+		}
+		if err != nil || !strings.Contains(apiErr.Error, algo.NameRecoSin) {
+			t.Errorf("%s: error body %q (%v) should enumerate valid algorithm names", name, apiErr.Error, err)
+		}
 	}
 }
 
@@ -220,7 +223,8 @@ func TestScheduleSingleElecFracField(t *testing.T) {
 
 // TestRegistryUnderHostileInput posts well-formed but hostile batches to
 // every registered algorithm: whatever the scheduler makes of them, the
-// answer is a 200 or a structured 400 — a client's mistake is never a 5xx.
+// answer is a 200 with no negative CCT or a structured 400 — a client's
+// mistake is never a 5xx.
 // A newly registered scheduler is swept without an edit here.
 func TestRegistryUnderHostileInput(t *testing.T) {
 	srv := NewServer(Options{NoCache: true})
@@ -257,6 +261,15 @@ func TestRegistryUnderHostileInput(t *testing.T) {
 			{"slowed mouse overflows", func(r *MultiRequest) {
 				r.Demands, r.Delta = [][][]int64{{{1e18, 0}, {0, 1}}}, 3e17
 			}, sched.Name() == algo.NameHybrid || sched.Name() == algo.NameHybridFluid},
+			// Helios holds a slot of 4·δ from the instant circuits are up
+			// at δ: once up + slot wrapped and answered a negative CCT.
+			{"slot end wraps", func(r *MultiRequest) {
+				r.Demands, r.Delta = [][][]int64{{{5}}}, 1<<61-1
+			}, false},
+			// 4·δ = 2^63: once a 500 "slot must be positive" from helios.
+			{"slot wraps", func(r *MultiRequest) {
+				r.Demands, r.Delta, r.C = [][][]int64{{{5}}}, 1<<61, 1
+			}, sched.Name() == algo.NameHelios},
 		}
 		for i := range algo.KnobTable {
 			if set := setValue(&algo.KnobTable[i]); algo.CheckKnobs(sched, set) != nil {
@@ -285,6 +298,14 @@ func TestRegistryUnderHostileInput(t *testing.T) {
 			}
 			if tc.must400 && rec.Code != http.StatusBadRequest {
 				t.Errorf("%s, %s: status %d, want 400", sched.Name(), name, rec.Code)
+			}
+			var resp MultiResponse
+			if rec.Code == http.StatusOK && json.Unmarshal(rec.Body.Bytes(), &resp) == nil {
+				for k, cct := range resp.CCTs {
+					if cct < 0 {
+						t.Errorf("%s, %s: coflow %d has negative CCT %d", sched.Name(), name, k, cct)
+					}
+				}
 			}
 		}
 	}

@@ -14,6 +14,7 @@
 package eclipse
 
 import (
+	"context"
 	"fmt"
 
 	"reco/internal/matching"
@@ -25,7 +26,8 @@ import (
 // reconfiguration delay delta. Candidate durations are the geometric menu
 // {delta, 2delta, 4delta, ...} up to the largest remaining entry, which is
 // the standard discretization of the algorithm's continuous duration choice.
-func Schedule(d *matrix.Matrix, delta int64) (ocs.CircuitSchedule, error) {
+// It checks ctx once per greedy step and returns ctx.Err() once cancelled.
+func Schedule(ctx context.Context, d *matrix.Matrix, delta int64) (ocs.CircuitSchedule, error) {
 	if delta <= 0 {
 		return nil, fmt.Errorf("eclipse: delta must be positive, got %d", delta)
 	}
@@ -37,6 +39,9 @@ func Schedule(d *matrix.Matrix, delta int64) (ocs.CircuitSchedule, error) {
 		return nil, err
 	}
 	for !rem.IsZero() {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		bestRate := -1.0
 		var bestPerm []int
 		var bestDur int64

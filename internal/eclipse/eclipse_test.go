@@ -1,6 +1,7 @@
 package eclipse
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -19,17 +20,17 @@ func mustMatrix(t *testing.T, rows [][]int64) *matrix.Matrix {
 
 func TestScheduleValidation(t *testing.T) {
 	d := mustMatrix(t, [][]int64{{5}})
-	if _, err := Schedule(d, 0); err == nil {
+	if _, err := Schedule(context.Background(), d, 0); err == nil {
 		t.Error("zero delta accepted")
 	}
-	if _, err := Schedule(d, -3); err == nil {
+	if _, err := Schedule(context.Background(), d, -3); err == nil {
 		t.Error("negative delta accepted")
 	}
 }
 
 func TestScheduleEmpty(t *testing.T) {
 	z, _ := matrix.New(3)
-	cs, err := Schedule(z, 10)
+	cs, err := Schedule(context.Background(), z, 10)
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -47,7 +48,7 @@ func TestSchedulePrefersLongEstablishments(t *testing.T) {
 		{0, 80, 0},
 		{0, 0, 80},
 	})
-	cs, err := Schedule(d, delta)
+	cs, err := Schedule(context.Background(), d, delta)
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -79,7 +80,7 @@ func TestScheduleDrainsRandomDemand(t *testing.T) {
 		if m.IsZero() {
 			m.Set(0, 0, 9)
 		}
-		cs, err := Schedule(m, delta)
+		cs, err := Schedule(context.Background(), m, delta)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -103,7 +104,7 @@ func TestScheduleSkipsDrainedPairsInEstablishment(t *testing.T) {
 		{100, 0},
 		{0, 3},
 	})
-	cs, err := Schedule(d, 10)
+	cs, err := Schedule(context.Background(), d, 10)
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}

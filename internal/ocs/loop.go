@@ -449,7 +449,8 @@ func (c Core) run(sc *scratch, d *matrix.Matrix, ctrl Controller, flows schedule
 			continue
 		}
 		stuck = 0
-		if dec.Budget > 0 && tr.Up+dec.Budget < end {
+		// Compared as a difference: Up + Budget can wrap past MaxInt64.
+		if dec.Budget > 0 && dec.Budget < end-tr.Up {
 			end = tr.Up + dec.Budget
 		}
 		if ev := fs.NextEventAfter(tr.Up); ev >= 0 && ev < end {
