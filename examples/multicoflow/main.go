@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -45,11 +46,11 @@ func main() {
 	}
 	schedules := make([]ocs.CircuitSchedule, len(ds))
 	for k, d := range ds {
-		if schedules[k], err = solstice.Schedule(d); err != nil {
+		if schedules[k], err = solstice.Schedule(context.Background(), d); err != nil {
 			log.Fatal(err)
 		}
 	}
-	sebfRes, err := ocs.ExecSequential(ds, schedules, ordering.SEBF(ds), delta)
+	sebfRes, err := ocs.ExecSequential(ds, schedules, ordering.SEBF(ds), delta, true)
 	if err != nil {
 		log.Fatal(err)
 	}

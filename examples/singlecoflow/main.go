@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -42,7 +43,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		solCS, err := solstice.Schedule(subject.Demand)
+		solCS, err := solstice.Schedule(context.Background(), subject.Demand)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -64,8 +64,8 @@ func TestIntegrationAllSchedulersSatisfyModel(t *testing.T) {
 	// Per-coflow single schedulers executed sequentially.
 	singles := map[string]func(*matrix.Matrix) (ocs.CircuitSchedule, error){
 		"reco-sin": func(d *matrix.Matrix) (ocs.CircuitSchedule, error) { return core.RecoSin(d, delta) },
-		"solstice": solstice.Schedule,
-		"tms-bvn":  tms.ScheduleBvN,
+		"solstice": func(d *matrix.Matrix) (ocs.CircuitSchedule, error) { return solstice.Schedule(context.Background(), d) },
+		"tms-bvn":  func(d *matrix.Matrix) (ocs.CircuitSchedule, error) { return tms.ScheduleBvN(context.Background(), d) },
 		"helios": func(d *matrix.Matrix) (ocs.CircuitSchedule, error) {
 			return tms.ScheduleHelios(context.Background(), d, 4*delta)
 		},
@@ -80,7 +80,7 @@ func TestIntegrationAllSchedulersSatisfyModel(t *testing.T) {
 			}
 			schedules[k] = cs
 		}
-		seq, err := ocs.ExecSequential(ds, schedules, order, delta)
+		seq, err := ocs.ExecSequential(ds, schedules, order, delta, true)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -208,11 +208,11 @@ func TestIntegrationNormalizationBaselineOrdering(t *testing.T) {
 	}
 	schedules := make([]ocs.CircuitSchedule, len(ds))
 	for k, d := range ds {
-		if schedules[k], err = solstice.Schedule(d); err != nil {
+		if schedules[k], err = solstice.Schedule(context.Background(), d); err != nil {
 			t.Fatalf("solstice coflow %d: %v", k, err)
 		}
 	}
-	sebf, err := ocs.ExecSequential(ds, schedules, ordering.SEBF(ds), delta)
+	sebf, err := ocs.ExecSequential(ds, schedules, ordering.SEBF(ds), delta, true)
 	if err != nil {
 		t.Fatalf("sebf+solstice: %v", err)
 	}
@@ -255,7 +255,7 @@ func TestStressSweep(t *testing.T) {
 		}
 		for name, fn := range map[string]func() (ocs.CircuitSchedule, error){
 			"reco-sin": func() (ocs.CircuitSchedule, error) { return core.RecoSin(m, delta) },
-			"solstice": func() (ocs.CircuitSchedule, error) { return solstice.Schedule(m) },
+			"solstice": func() (ocs.CircuitSchedule, error) { return solstice.Schedule(context.Background(), m) },
 		} {
 			cs, err := fn()
 			if err != nil {

@@ -88,9 +88,10 @@ type Capabilities struct {
 	// NotAllStop: reconfigurations stall only the ports involved; false
 	// means the all-stop model.
 	NotAllStop bool `json:"notAllStop"`
-	// FlowLevel: Result.Flows carries the complete flow-level schedule.
-	// Aggregate-only algorithms (hybrid, hybrid-fluid) report CCTs and
-	// reconfiguration counts without per-flow intervals.
+	// FlowLevel: Result.Flows carries the complete flow-level schedule,
+	// unless the request set NoFlows. Aggregate-only algorithms (hybrid,
+	// hybrid-fluid) report CCTs and reconfiguration counts without per-flow
+	// intervals.
 	FlowLevel bool `json:"flowLevel"`
 	// Cores, Sparse and Hybrid each own one knob (see KnobTable): the
 	// algorithm honors it, and CheckKnobs rejects a request that sets the
@@ -137,6 +138,13 @@ type Request struct {
 	// Knobs are the optional tuning values; only algorithms with a knob's
 	// capability honor it.
 	Knobs
+	// NoFlows says the caller reads CCTs, Reconfigs and Schedules only, so
+	// a scheduler may leave Result.Flows nil instead of building a flow
+	// list nobody reads (on a dense coflow the largest thing a run
+	// allocates). The API's single-coflow decoders set it; it is not a wire
+	// field. The plan cache keys on it, so a plan without flows never
+	// answers a request that reads them.
+	NoFlows bool
 }
 
 // Result is the unified scheduling output.
@@ -148,7 +156,8 @@ type Result struct {
 	// establishments for not-all-stop algorithms).
 	Reconfigs int
 	// Flows is the flow-level schedule with per-coflow attribution; nil when
-	// the algorithm's Capabilities.FlowLevel is false.
+	// the algorithm's Capabilities.FlowLevel is false, and possibly nil when
+	// the request set NoFlows.
 	Flows schedule.FlowSchedule
 	// Schedules[k] is coflow k's circuit schedule for algorithms that build
 	// one explicit circuit schedule per coflow; nil otherwise (pipeline and

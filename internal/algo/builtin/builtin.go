@@ -80,7 +80,7 @@ func init() {
 			perCoflow(algo.NameSEBFSolstice, 0, ordering.SEBF, solsticeBuild)},
 		{algo.NameTMSBvN, "Traffic Matrix Scheduling: stuff + first-fit BvN per coflow; coflows back-to-back", single,
 			perCoflow(algo.NameTMSBvN, 0, nil, func(ctx context.Context, d *matrix.Matrix, req algo.Request) (ocs.CircuitSchedule, error) {
-				return tms.ScheduleBvN(d)
+				return tms.ScheduleBvN(ctx, d)
 			})},
 		// The slot length is a multiple of delta, so delta must be positive
 		// and the slot representable.
@@ -194,7 +194,7 @@ func init() {
 }
 
 func solsticeBuild(ctx context.Context, d *matrix.Matrix, req algo.Request) (ocs.CircuitSchedule, error) {
-	return solstice.Schedule(d)
+	return solstice.Schedule(ctx, d)
 }
 
 // perCoflow builds a row's run from a single-coflow circuit scheduler: one
@@ -202,7 +202,7 @@ func solsticeBuild(ctx context.Context, d *matrix.Matrix, req algo.Request) (ocs
 // — identity order unless an ordering function is set. This reproduces
 // recosim's historical handling of reco-sin, solstice and sebf-solstice
 // exactly. A request whose delta is below minDelta is a bad request, not a
-// build failure.
+// build failure. A request that sets NoFlows gets no flow list.
 func perCoflow(name string, minDelta int64, order func(ds []*matrix.Matrix) []int,
 	build func(ctx context.Context, d *matrix.Matrix, req algo.Request) (ocs.CircuitSchedule, error),
 ) func(context.Context, algo.Request) (*algo.Result, error) {
@@ -225,7 +225,7 @@ func perCoflow(name string, minDelta int64, order func(ds []*matrix.Matrix) []in
 		if order != nil {
 			perm = order(req.Demands)
 		}
-		seq, err := ocs.ExecSequential(req.Demands, schedules, perm, req.Delta)
+		seq, err := ocs.ExecSequential(req.Demands, schedules, perm, req.Delta, !req.NoFlows)
 		if err != nil {
 			return nil, err
 		}

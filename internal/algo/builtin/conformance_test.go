@@ -176,9 +176,10 @@ func TestCancelledContext(t *testing.T) {
 // scheduler returns within a bound of it on one shared heavy input, two
 // dense 64-port coflows with cells up to 50 000 at δ = 10. A scheduler
 // that checks its context only between coflows returns after one coflow's
-// work. The bound is set by the slowest entries that still check only
-// there (tms-bvn and hybrid-fluid, ~0.4 s under the race detector); eclipse
-// before it checked per greedy step ran ~10 s per coflow.
+// work. The bound is set by the slowest entry that still checks only
+// there (hybrid-fluid; tms-bvn, ~0.4 s under the race detector, did too
+// before its decomposition checked per term); eclipse before it checked per
+// greedy step ran ~10 s per coflow.
 func TestEverySchedulerHonorsCancel(t *testing.T) {
 	const deadline, bound = 5 * time.Millisecond, time.Second
 	rng := rand.New(rand.NewSource(1))

@@ -34,7 +34,7 @@ func legacySequential(t *testing.T, ds []*matrix.Matrix, delta int64,
 	if order == nil {
 		order = identity(len(ds))
 	}
-	seq, err := ocs.ExecSequential(ds, schedules, order, delta)
+	seq, err := ocs.ExecSequential(ds, schedules, order, delta, true)
 	if err != nil {
 		t.Fatalf("legacy exec: %v", err)
 	}
@@ -64,13 +64,13 @@ func TestDifferentialSequentialAlgorithms(t *testing.T) {
 			return core.RecoSin(d, delta)
 		}},
 		{algo.NameSolstice, nil, func(d *matrix.Matrix) (ocs.CircuitSchedule, error) {
-			return solstice.Schedule(d)
+			return solstice.Schedule(context.Background(), d)
 		}},
 		{algo.NameSEBFSolstice, ordering.SEBF(ds), func(d *matrix.Matrix) (ocs.CircuitSchedule, error) {
-			return solstice.Schedule(d)
+			return solstice.Schedule(context.Background(), d)
 		}},
 		{algo.NameTMSBvN, nil, func(d *matrix.Matrix) (ocs.CircuitSchedule, error) {
-			return tms.ScheduleBvN(d)
+			return tms.ScheduleBvN(context.Background(), d)
 		}},
 		{algo.NameHelios, nil, func(d *matrix.Matrix) (ocs.CircuitSchedule, error) {
 			return tms.ScheduleHelios(context.Background(), d, HeliosSlotFactor*delta)

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"reco/internal/algo"
@@ -86,6 +87,47 @@ func TestRegistryGolden(t *testing.T) {
 		}
 		if hexGot := hex.EncodeToString(h.Sum(nil)); hexGot != hexWant {
 			t.Errorf("%s: digest %s, want %s", name, hexGot, hexWant)
+		}
+	}
+}
+
+// TestNoFlowsDropsOnlyFlows: a request that sets NoFlows gets, from every
+// registry entry, the result the same request without it gets, with Flows
+// either the same or nil — CCTs, reconfigurations, circuit schedules and
+// error text never move. The per-coflow rows do leave Flows nil.
+func TestNoFlowsDropsOnlyFlows(t *testing.T) {
+	perCoflowRows := map[string]bool{
+		algo.NameRecoSin: true, algo.NameSolstice: true, algo.NameSEBFSolstice: true, algo.NameTMSBvN: true,
+		algo.NameHelios: true, algo.NameEclipse: true, algo.NameRecoSparse: true,
+	}
+	rng := rand.New(rand.NewSource(3535))
+	for i := 0; i < 20; i++ {
+		req := goldenBatch(rng)
+		for _, s := range algo.All() {
+			if name := s.Name(); name == algo.NameKCore {
+				req.Cores = 1 + i%3
+			} else {
+				req.Cores = 0
+			}
+			req.NoFlows = false
+			want, wantErr := s.Schedule(context.Background(), req)
+			req.NoFlows = true
+			got, err := s.Schedule(context.Background(), req)
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Fatalf("batch %d %s: error %v with NoFlows, %v without", i, s.Name(), err, wantErr)
+			}
+			if err != nil {
+				continue
+			}
+			if got.Flows == nil {
+				want.Flows = nil
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("batch %d %s: NoFlows changed more than the flow list", i, s.Name())
+			}
+			if perCoflowRows[s.Name()] && got.Flows != nil {
+				t.Errorf("batch %d %s: a per-coflow row built %d flows for a NoFlows request", i, s.Name(), len(got.Flows))
+			}
 		}
 	}
 }

@@ -155,7 +155,8 @@ type SingleRequest struct {
 	algo.Knobs
 }
 
-// toAlgo validates the request into the registry shape.
+// toAlgo validates the request into the registry shape. The single-coflow
+// response carries no flows, so the request asks for none.
 func (r SingleRequest) toAlgo() (string, algo.Request, error) {
 	d, err := matrix.FromRows(r.Demand)
 	if err != nil {
@@ -165,7 +166,7 @@ func (r SingleRequest) toAlgo() (string, algo.Request, error) {
 	if name == "" {
 		name = algo.NameRecoSin
 	}
-	return name, algo.Request{Demands: []*matrix.Matrix{d}, Delta: r.Delta, C: defaultC, Knobs: r.Knobs}, nil
+	return name, algo.Request{Demands: []*matrix.Matrix{d}, Delta: r.Delta, C: defaultC, Knobs: r.Knobs, NoFlows: true}, nil
 }
 
 // Assignment mirrors ocs.Assignment for the wire.

@@ -220,3 +220,36 @@ func benchSingle(b *testing.B, run func(*testing.B, []benchBody)) {
 		}
 	}
 }
+
+// raceBuild is set in a -race build (race_test.go).
+var raceBuild bool
+
+// TestServeSingleDenseAllocs holds POST /v1/schedule/single on a dense
+// n = 64 coflow — a plan-cache miss every time — to an allocation budget:
+// the request asks for no flow list, the BvN terms share one permutation
+// slab, and Reco-Sin copies the demand once. Each run posts a distinct
+// request, so every one decodes, schedules, caches and encodes. It is
+// skipped under -race, whose sync.Pool drops pooled engines and buffers at
+// random (64–85 allocations a request there, against 46 without).
+func TestServeSingleDenseAllocs(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation counts under -race measure the detector's sync.Pool")
+	}
+	const budget = 80
+	bodies := benchBodies(t, 64)[workload.Dense]
+	srv := NewServer(Options{})
+	defer srv.Close()
+	h := srv.Handler()
+	w := discard{h: http.Header{}}
+	var body []byte
+	i := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		body = bodies[i%len(bodies)].bump(body, i)
+		i++
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/schedule/single", bytes.NewReader(body)))
+	})
+	t.Logf("%.1f allocations per dense n = 64 request", allocs)
+	if allocs > budget {
+		t.Errorf("%.1f allocations per dense n = 64 request, budget %d", allocs, budget)
+	}
+}

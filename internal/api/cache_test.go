@@ -13,6 +13,8 @@ import (
 
 	"reco/internal/algo"
 	"reco/internal/obs"
+	"reco/internal/plancache"
+	"reco/internal/workload"
 )
 
 // postRaw POSTs body and returns (status, response bytes).
@@ -250,5 +252,88 @@ func TestCacheSharedAcrossEndpoints(t *testing.T) {
 	b, _ := json.Marshal(final.Single)
 	if !bytes.Equal(a, b) {
 		t.Errorf("job result differs from sync result:\n%s\n%s", a, b)
+	}
+}
+
+// TestSingleAndMultiKeepSeparatePlans: a single-coflow request asks for no
+// flow list, so its plan must never answer a multi request for the same
+// coflow, algorithm, δ and c, which reads the flows. The multi response
+// after a cached single one must carry exactly the flows an uncached server
+// answers.
+func TestSingleAndMultiKeepSeparatePlans(t *testing.T) {
+	cached := NewServer(Options{})
+	cachedSrv := httptest.NewServer(cached.Handler())
+	defer func() { cachedSrv.Close(); cached.Close() }()
+	plain := NewServer(Options{NoCache: true})
+	plainSrv := httptest.NewServer(plain.Handler())
+	defer func() { plainSrv.Close(); plain.Close() }()
+
+	single, err := json.Marshal(SingleRequest{Demand: jobDemand, Delta: 100, Algorithm: algo.NameRecoSin})
+	if err != nil {
+		t.Fatal(err)
+	}
+	multi, err := json.Marshal(MultiRequest{Demands: [][][]int64{jobDemand}, Delta: 100, C: defaultC, Algorithm: algo.NameRecoSin})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status, body := postRaw(t, cachedSrv.URL+"/v1/schedule/single", single); status != http.StatusOK {
+		t.Fatalf("single: status %d (%s)", status, body)
+	}
+	status, got := postRaw(t, cachedSrv.URL+"/v1/schedule/multi", multi)
+	plainStatus, want := postRaw(t, plainSrv.URL+"/v1/schedule/multi", multi)
+	if status != http.StatusOK || plainStatus != http.StatusOK {
+		t.Fatalf("multi: statuses cached=%d uncached=%d", status, plainStatus)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("multi after single differs from uncached multi:\ncached:   %s\nuncached: %s", got, want)
+	}
+	var resp MultiResponse
+	if err := json.Unmarshal(got, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Flows) == 0 {
+		t.Errorf("multi response carries no flows: %s", got)
+	}
+	if n := cached.Cache().Len(); n != 2 {
+		t.Errorf("cache holds %d plans, want 2 (one per endpoint)", n)
+	}
+}
+
+// TestCacheHoldsDenseSinglePlans: a single-coflow plan holds no flow list,
+// so a 16 MiB shard keeps 64 dense n = 64 plans resident (~6 MB), and
+// replaying the requests that made them is all hits. With the flow list
+// each plan is charged ~0.5 MB and the shard keeps fewer than half.
+func TestCacheHoldsDenseSinglePlans(t *testing.T) {
+	reg := obs.NewRegistry()
+	obs.Attach(&obs.Sink{Metrics: reg})
+	defer obs.Detach()
+
+	const plans = 64
+	bodies := benchBodies(t, 64)[workload.Dense]
+	srv := NewServer(Options{Cache: plancache.Config{MaxBytes: 16 << 20, Shards: 1}})
+	defer srv.Close()
+	h := srv.Handler()
+	post := func(i int) []byte {
+		rec := httptest.NewRecorder()
+		body := bodies[i%len(bodies)].bump(nil, i)
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/schedule/single", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("request %d: status %d (%s)", i, rec.Code, rec.Body.Bytes())
+		}
+		return rec.Body.Bytes()
+	}
+	first := make([][]byte, plans)
+	for i := range first {
+		first[i] = post(i)
+	}
+	t.Logf("%d plans resident, %d bytes charged", srv.Cache().Len(), srv.Cache().Bytes())
+	hits := reg.Counter("plancache_hits_total").Value()
+	for i := range first {
+		if got := post(i); !bytes.Equal(got, first[i]) {
+			t.Fatalf("request %d: replayed response differs", i)
+		}
+	}
+	if got := reg.Counter("plancache_hits_total").Value() - hits; got != plans {
+		t.Errorf("replaying %d primed requests made %d cache hits, want %d", plans, got, plans)
 	}
 }

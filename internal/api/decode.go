@@ -471,7 +471,7 @@ func (p *parser) request(multi bool) (decoded, bool) {
 		d.name = algo.NameRecoMul
 	} else {
 		d.name = algo.NameRecoSin
-		d.req.C = defaultC
+		d.req.C, d.req.NoFlows = defaultC, true
 	}
 	if !p.eat('{') {
 		return d, false

@@ -57,7 +57,9 @@ const (
 // Both strategies run on a single pooled matching.Engine over the sparse
 // support: the matrix is scanned once, each extraction reuses the engine's
 // graph and scratch, and subtracting a term repairs the support
-// incrementally instead of rescanning the N×N residual (docs/PERF.md).
+// incrementally instead of rescanning the N×N residual (docs/PERF.md). The
+// engine logs each term's matching in its own buffer, and the result's
+// permutations are copied out of it into one slab at the end.
 func Decompose(m *matrix.Matrix, s Strategy) ([]Term, error) {
 	return DecomposeCtx(context.Background(), m, s)
 }
@@ -80,35 +82,45 @@ func DecomposeCtx(ctx context.Context, m *matrix.Matrix, s Strategy) ([]Term, er
 	}
 	eng := matching.AcquireEngine(m, order)
 	defer eng.Release()
-	var terms []Term
 	for eng.Remaining() > 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		var (
-			perm []int
-			coef int64
-			err  error
-		)
-		if s == MaxMin {
-			perm, coef, err = eng.Extract()
-		} else {
-			perm, coef, err = eng.ExtractAny()
-		}
-		if err != nil {
+		if err := eng.Step(); err != nil {
 			// Cannot happen for a doubly stochastic residual (Birkhoff's
 			// theorem guarantees a perfect matching on the support), but a
 			// future strategy bug must not loop forever.
 			return nil, fmt.Errorf("bvn: extraction failed: %w", err)
 		}
-		terms = append(terms, Term{Perm: perm, Coef: coef})
 	}
+	terms := logged(eng)
 	snk := obs.Current()
 	snk.Inc("bvn_decompositions_total")
 	snk.Count("bvn_terms_total", int64(len(terms)))
 	countTrials(snk, eng)
 	snk.ObserveBuckets("bvn_terms_per_matrix", termBuckets, float64(len(terms)))
 	return terms, nil
+}
+
+// logged copies the terms eng has logged out as caller-owned terms: every
+// permutation lands in one slab of exact size, and each term's Perm is a
+// capacity-limited slice of it, so an append to one cannot run into the
+// next. No terms is a nil slice.
+func logged(eng *matching.Engine) []Term {
+	perms, coefs := eng.Logged()
+	if len(coefs) == 0 {
+		return nil
+	}
+	n := eng.N()
+	slab := make([]int, len(perms))
+	for i, v := range perms {
+		slab[i] = int(v)
+	}
+	terms := make([]Term, len(coefs))
+	for t, coef := range coefs {
+		terms[t] = Term{Perm: slab[t*n : (t+1)*n : (t+1)*n], Coef: coef}
+	}
+	return terms
 }
 
 // countTrials exports, once per decomposition, how many max–min terms first

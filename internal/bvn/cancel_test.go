@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -141,4 +142,46 @@ func TestConcurrentDecomposeSharesPoolSafely(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestDecomposeSlabMatchesExtraction: both strategies return, term for
+// term, what a fresh engine's Extract or ExtractAny loop returns, and each
+// term's Perm — a window of the one slab — has capacity n, so appending to
+// a term's permutation never overwrites the next term's.
+func TestDecomposeSlabMatchesExtraction(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	for trial := 0; trial < 20; trial++ {
+		m := stuffedRandom(rng, 2+rng.Intn(40), 0.4)
+		for _, s := range []Strategy{MaxMin, FirstFit} {
+			got, err := Decompose(m, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			order, extract := matching.Descending, (*matching.Engine).Extract
+			if s == FirstFit {
+				order, extract = matching.RowMajor, (*matching.Engine).ExtractAny
+			}
+			var want []Term
+			for eng := matching.NewEngine(m, order); eng.Remaining() > 0; {
+				perm, coef, err := extract(eng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, Term{Perm: perm, Coef: coef})
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d strategy %d: slab decomposition differs from the extraction loop", trial, s)
+			}
+			for k := range got[:len(got)-1] {
+				if c := cap(got[k].Perm); c != m.N() {
+					t.Fatalf("trial %d strategy %d: term %d Perm has capacity %d, want %d", trial, s, k, c, m.N())
+				}
+				next := slices.Clone(got[k+1].Perm)
+				_ = append(got[k].Perm, -1)
+				if !slices.Equal(got[k+1].Perm, next) {
+					t.Fatalf("trial %d strategy %d: appending to term %d changed term %d", trial, s, k, k+1)
+				}
+			}
+		}
+	}
 }

@@ -45,19 +45,15 @@ func DecomposeK(ctx context.Context, m *matrix.Matrix, k int) ([]Term, *matrix.M
 	start := time.Now()
 	eng := matching.AcquireEngine(m, matching.Descending)
 	defer eng.Release()
-	// A decomposition has at most one term per support entry, however large
-	// the caller's bound.
-	terms := make([]Term, 0, min(k, eng.Support()))
-	for len(terms) < k && eng.Remaining() > 0 {
+	for t := 0; t < k && eng.Remaining() > 0; t++ {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		perm, coef, err := eng.Extract()
-		if err != nil {
+		if err := eng.Step(); err != nil {
 			return nil, nil, fmt.Errorf("bvn: extraction failed: %w", err)
 		}
-		terms = append(terms, Term{Perm: perm, Coef: coef})
 	}
+	terms := logged(eng)
 	residual, err := matrix.New(m.N())
 	if err != nil {
 		return nil, nil, err

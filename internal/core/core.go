@@ -80,12 +80,13 @@ func RecoSinCtx(ctx context.Context, d *matrix.Matrix, delta int64) (ocs.Circuit
 	reg := Regularize(d, delta)
 	end()
 	// Row and column sums of reg are multiples of delta, so its rho already
-	// lies on the grid and stuffing deficits stay multiples of delta.
+	// lies on the grid and stuffing deficits stay multiples of delta. reg is
+	// this call's own copy, so it is stuffed in place.
 	end = snk.Stage("stuff")
-	stuffed := matrix.StuffPreferNonZero(reg)
+	matrix.StuffPreferNonZeroInPlace(reg)
 	end()
 	end = snk.Stage("bvn_decompose")
-	terms, err := bvn.DecomposeCtx(ctx, stuffed, bvn.MaxMin)
+	terms, err := bvn.DecomposeCtx(ctx, reg, bvn.MaxMin)
 	end()
 	if err != nil {
 		return nil, fmt.Errorf("core: reco-sin decomposition: %w", err)

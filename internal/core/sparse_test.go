@@ -120,7 +120,7 @@ func TestRecoSparseFewerReconfigs(t *testing.T) {
 			}
 		}
 	}
-	full, err := solstice.Schedule(d)
+	full, err := solstice.Schedule(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -357,7 +357,7 @@ func ExtFull(cfg Config) (*Table, error) {
 		return nil, fmt.Errorf("ext-full reco-mul: %w", err)
 	}
 	schedules, err := parallel.Map(cfg.workers(), len(ds), func(k int) (ocs.CircuitSchedule, error) {
-		cs, err := solstice.Schedule(ds[k])
+		cs, err := solstice.Schedule(context.Background(), ds[k])
 		if err != nil {
 			return nil, fmt.Errorf("ext-full solstice coflow %d: %w", k, err)
 		}
@@ -366,7 +366,7 @@ func ExtFull(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	sebf, err := ocs.ExecSequential(ds, schedules, ordering.SEBF(ds), cfg.Delta)
+	sebf, err := ocs.ExecSequential(ds, schedules, ordering.SEBF(ds), cfg.Delta, true)
 	if err != nil {
 		return nil, fmt.Errorf("ext-full sebf exec: %w", err)
 	}

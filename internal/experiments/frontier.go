@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"reco/internal/core"
@@ -49,7 +50,7 @@ func Frontier(cfg Config) (*Table, error) {
 	// Solstice's full decomposition for k = 0.
 	schedule := func(d *matrix.Matrix, k int) (ocs.CircuitSchedule, error) {
 		if k == 0 {
-			return solstice.Schedule(d)
+			return solstice.Schedule(context.Background(), d)
 		}
 		return core.RecoSparse(d, cfg.Delta, k)
 	}

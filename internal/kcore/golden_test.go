@@ -59,7 +59,7 @@ func TestExecutorGolden(t *testing.T) {
 		if k%2 == 0 {
 			e.cs, err = core.RecoSin(e.d, e.delta)
 		} else {
-			e.cs, err = solstice.Schedule(e.d)
+			e.cs, err = solstice.Schedule(context.Background(), e.d)
 		}
 		if err != nil {
 			t.Fatalf("corpus %d: %v", k, err)
@@ -94,7 +94,7 @@ func TestExecutorGolden(t *testing.T) {
 		}
 	}
 	for trial := 0; trial < 3; trial++ {
-		seq, err := ocs.ExecSequential(batch, plans, rng.Perm(len(batch)), bdelta)
+		seq, err := ocs.ExecSequential(batch, plans, rng.Perm(len(batch)), bdelta, true)
 		dumpSeq(section("sequential"), trial, seq, err)
 	}
 

@@ -49,7 +49,7 @@ func TestScheduleBatchKOneMatchesSequentialRecoSin(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want, err := ocs.ExecSequential(ds, plans, ordering.SEBF(ds), delta)
+	want, err := ocs.ExecSequential(ds, plans, ordering.SEBF(ds), delta, true)
 	if err != nil {
 		t.Fatalf("ExecSequential: %v", err)
 	}

@@ -67,7 +67,7 @@ func ScheduleSequentialCtx(ctx context.Context, ds []*matrix.Matrix, w []float64
 		}
 		schedules[k] = cs
 	}
-	seq, err := ocs.ExecSequential(ds, schedules, lpRes.Order, delta)
+	seq, err := ocs.ExecSequential(ds, schedules, lpRes.Order, delta, true)
 	if err != nil {
 		return nil, fmt.Errorf("lpiigb: %w", err)
 	}

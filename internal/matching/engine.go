@@ -62,7 +62,9 @@ type entry struct {
 // below the previous coefficient.
 //
 // An Engine is not safe for concurrent use. Reset makes it reusable with no
-// steady-state allocation; the permutations it returns are caller-owned.
+// steady-state allocation; the permutations Extract, ExtractAny and
+// Bottleneck return are caller-owned, while Step logs its terms in the
+// engine's own buffer for the caller to copy out once (Logged).
 type Engine struct {
 	n     int
 	order Order
@@ -94,6 +96,11 @@ type Engine struct {
 	covR    []uint64 // and right ones
 
 	trials, hits int
+
+	// The term log Step appends to: term t's matching is
+	// logPerms[t·n : (t+1)·n], its coefficient logCoefs[t].
+	logPerms []int32
+	logCoefs []int64
 }
 
 // NewEngine returns an Engine over m's positive support with the given
@@ -116,6 +123,7 @@ func (e *Engine) Reset(m *matrix.Matrix, order Order) {
 	e.entries, e.head, e.dropped = e.entries[:0], 0, e.dropped[:0]
 	e.remaining = 0
 	e.trials, e.hits = 0, 0
+	e.logPerms, e.logCoefs = e.logPerms[:0], e.logCoefs[:0]
 	e.g.Reset(n)
 	e.cells = grow64(e.cells, n*e.g.words)
 	clear(e.cells)
@@ -199,14 +207,8 @@ func (e *Engine) Bottleneck() ([]int, int64, error) {
 // support strictly shrinks; Extract until Remaining() hits zero is a
 // complete max–min decomposition.
 func (e *Engine) Extract() ([]int, int64, error) {
-	val, err := e.solveBottleneck()
-	if err != nil {
-		return nil, 0, err
-	}
-	perm := e.permCopy()
-	e.locate()
-	e.subtract(val)
-	return perm, val, nil
+	e.mustBe(Descending)
+	return e.extract()
 }
 
 // ExtractAny computes an arbitrary perfect matching of the current support,
@@ -217,16 +219,60 @@ func (e *Engine) Extract() ([]int, int64, error) {
 // run over the residual's row-major support graph would find.
 func (e *Engine) ExtractAny() ([]int, int64, error) {
 	e.mustBe(RowMajor)
+	return e.extract()
+}
+
+func (e *Engine) extract() ([]int, int64, error) {
+	coef, err := e.next()
+	if err != nil {
+		return nil, 0, err
+	}
+	perm := e.permCopy()
+	e.subtract(coef)
+	return perm, coef, nil
+}
+
+// Step extracts the next term the engine's order serves — Extract's on a
+// Descending engine, ExtractAny's on a RowMajor one — and appends it to the
+// engine's term log instead of returning a caller-owned permutation, so a
+// decomposition allocates its permutations once, when it copies the log out.
+func (e *Engine) Step() error {
+	coef, err := e.next()
+	if err != nil {
+		return err
+	}
+	e.logPerms = append(e.logPerms, e.g.matchL[:e.n]...)
+	e.logCoefs = append(e.logCoefs, coef)
+	e.subtract(coef)
+	return nil
+}
+
+// Logged returns the terms Step has extracted since Reset: term t's matching
+// is perms[t·N() : (t+1)·N()] (row i matched to column perms[t·N()+i]) and
+// its coefficient coefs[t]. Both slices are the engine's, valid until the
+// next Reset or Release.
+func (e *Engine) Logged() (perms []int32, coefs []int64) { return e.logPerms, e.logCoefs }
+
+// next leaves the next term's perfect matching in the graph, located, and
+// returns its coefficient: the bottleneck value on a Descending engine, the
+// smallest matched value of the canonical matching on a RowMajor one.
+func (e *Engine) next() (int64, error) {
+	if e.order == Descending {
+		val, err := e.solveBottleneck()
+		if err != nil {
+			return 0, err
+		}
+		e.locate()
+		return val, nil
+	}
 	if e.support < e.n {
-		return nil, 0, fmt.Errorf("%w: support has %d entries for %d rows", ErrNoPerfectMatching, e.support, e.n)
+		return 0, fmt.Errorf("%w: support has %d entries for %d rows", ErrNoPerfectMatching, e.support, e.n)
 	}
 	e.g.clearMatching()
 	if e.g.augment() != e.n {
-		return nil, 0, fmt.Errorf("%w: support has no perfect matching", ErrNoPerfectMatching)
+		return 0, fmt.Errorf("%w: support has no perfect matching", ErrNoPerfectMatching)
 	}
-	perm, coef := e.permCopy(), e.locate()
-	e.subtract(coef)
-	return perm, coef, nil
+	return e.locate(), nil
 }
 
 // mustBe panics unless the engine was reset in the order the calling

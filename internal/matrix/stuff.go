@@ -21,9 +21,15 @@ func Stuff(m *Matrix) *Matrix {
 // circuits a schedule must establish) grows as little as possible.
 func StuffPreferNonZero(m *Matrix) *Matrix {
 	out := m.Clone()
-	rows, cols, rho := out.sums()
-	stuffTo(out, rows, cols, rho, true)
+	StuffPreferNonZeroInPlace(out)
 	return out
+}
+
+// StuffPreferNonZeroInPlace is StuffPreferNonZero on m itself, for a caller
+// that owns a copy already and needs no second one.
+func StuffPreferNonZeroInPlace(m *Matrix) {
+	rows, cols, rho := m.sums()
+	stuffTo(m, rows, cols, rho, true)
 }
 
 // stuffTo raises m's row sums rowDef and column sums colDef to target,

@@ -125,7 +125,7 @@ func BenchmarkExecSequential(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bt := batches[i%len(batches)]
-		if _, err := ocs.ExecSequential(bt.ds, bt.plans, bt.order, delta); err != nil {
+		if _, err := ocs.ExecSequential(bt.ds, bt.plans, bt.order, delta, true); err != nil {
 			b.Fatal(err)
 		}
 	}

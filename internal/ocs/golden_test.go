@@ -88,7 +88,7 @@ func seqGoldenBatch(t *testing.T, got map[string]*strings.Builder, label string,
 	w := got["ocs"]
 	for pi, plans := range [][]ocs.CircuitSchedule{recoSin, firstFit} {
 		for trial := 0; trial < 2; trial++ {
-			seq, err := ocs.ExecSequential(batch, plans, rng.Perm(len(batch)), delta)
+			seq, err := ocs.ExecSequential(batch, plans, rng.Perm(len(batch)), delta, true)
 			fmt.Fprintf(w, "%s plan %d trial %d ", label, pi, trial)
 			dumpSeqGolden(w, seq, err)
 		}
@@ -96,7 +96,7 @@ func seqGoldenBatch(t *testing.T, got map[string]*strings.Builder, label string,
 	short := append([]ocs.CircuitSchedule(nil), recoSin...)
 	last := len(short) - 1
 	short[last] = short[last][:len(short[last])/2]
-	seq, err := ocs.ExecSequential(batch, short, rng.Perm(len(batch)), delta)
+	seq, err := ocs.ExecSequential(batch, short, rng.Perm(len(batch)), delta, true)
 	fmt.Fprintf(w, "%s short ", label)
 	dumpSeqGolden(w, seq, err)
 

@@ -105,7 +105,7 @@ func TestExecSequentialKOneCoreByteIdentical(t *testing.T) {
 			}
 			plans[k] = []ocs.CircuitSchedule{schedules[k]}
 		}
-		want, err := ocs.ExecSequential(ds, schedules, order, 15)
+		want, err := ocs.ExecSequential(ds, schedules, order, 15, true)
 		if err != nil {
 			t.Fatalf("trial %d: ExecSequential: %v", trial, err)
 		}

@@ -122,7 +122,8 @@ func ExecNotAllStop(d *matrix.Matrix, cs CircuitSchedule, delta int64) (Result, 
 }
 
 // exec runs c over the precomputed schedule cs, appending the run's flows to
-// flows; a nil flows reserves FlowBound(d, cs) of its own. The whole schedule
+// flows when c records them; a nil flows then reserves FlowBound(d, cs) of
+// its own. The whole schedule
 // is validated up front, so a bad trailing assignment is rejected even when
 // the demand drains before the walk reaches it; nothing is returned next to
 // an invalid schedule or core.
@@ -132,7 +133,7 @@ func (c Core) exec(d *matrix.Matrix, cs CircuitSchedule, flows schedule.FlowSche
 	if err := cs.validate(sc.seen); err != nil {
 		return Result{}, err
 	}
-	if flows == nil {
+	if c.Flows && flows == nil {
 		if most := FlowBound(d, cs); most > 0 {
 			flows = make(schedule.FlowSchedule, 0, most)
 		}

@@ -220,7 +220,7 @@ func TestExecSequential(t *testing.T) {
 	d1 := mustMatrix(t, [][]int64{{0, 4}, {4, 0}})
 	s0 := CircuitSchedule{{Perm: []int{0, 1}, Dur: 6}}
 	s1 := CircuitSchedule{{Perm: []int{1, 0}, Dur: 4}}
-	res, err := ExecSequential([]*matrix.Matrix{d0, d1}, []CircuitSchedule{s0, s1}, []int{1, 0}, 2)
+	res, err := ExecSequential([]*matrix.Matrix{d0, d1}, []CircuitSchedule{s0, s1}, []int{1, 0}, 2, true)
 	if err != nil {
 		t.Fatalf("ExecSequential: %v", err)
 	}
@@ -239,16 +239,61 @@ func TestExecSequential(t *testing.T) {
 	}
 }
 
+// TestExecSequentialWithoutFlows: a run that records no flows reports the
+// same CCTs, reconfigurations and time split as one that does, and leaves
+// Flows nil.
+func TestExecSequentialWithoutFlows(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	for trial := 0; trial < 20; trial++ {
+		n := 2 + rng.Intn(10)
+		ds := make([]*matrix.Matrix, 1+rng.Intn(4))
+		schedules := make([]CircuitSchedule, len(ds))
+		for k := range ds {
+			ds[k], _ = matrix.New(n)
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					if rng.Intn(2) == 0 {
+						ds[k].Set(i, j, 1+rng.Int63n(100))
+					}
+				}
+			}
+			terms, err := bvn.Decompose(matrix.Stuff(ds[k]), bvn.MaxMin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, term := range terms {
+				schedules[k] = append(schedules[k], Assignment{Perm: term.Perm, Dur: term.Coef})
+			}
+		}
+		order := rng.Perm(len(ds))
+		with, err := ExecSequential(ds, schedules, order, 7, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		without, err := ExecSequential(ds, schedules, order, 7, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if without.Flows != nil {
+			t.Fatalf("trial %d: %d flows recorded without flows", trial, len(without.Flows))
+		}
+		with.Flows = nil
+		if !reflect.DeepEqual(with, without) {
+			t.Fatalf("trial %d: %+v with flows, %+v without", trial, with, without)
+		}
+	}
+}
+
 func TestExecSequentialValidation(t *testing.T) {
 	d := mustMatrix(t, [][]int64{{1}})
 	s := CircuitSchedule{{Perm: []int{0}, Dur: 1}}
-	if _, err := ExecSequential([]*matrix.Matrix{d}, nil, []int{0}, 1); err == nil {
+	if _, err := ExecSequential([]*matrix.Matrix{d}, nil, []int{0}, 1, true); err == nil {
 		t.Error("mismatched schedules accepted")
 	}
-	if _, err := ExecSequential([]*matrix.Matrix{d}, []CircuitSchedule{s}, []int{0, 0}, 1); err == nil {
+	if _, err := ExecSequential([]*matrix.Matrix{d}, []CircuitSchedule{s}, []int{0, 0}, 1, true); err == nil {
 		t.Error("bad order length accepted")
 	}
-	if _, err := ExecSequential([]*matrix.Matrix{d, d}, []CircuitSchedule{s, s}, []int{0, 0}, 1); err == nil {
+	if _, err := ExecSequential([]*matrix.Matrix{d, d}, []CircuitSchedule{s, s}, []int{0, 0}, 1, true); err == nil {
 		t.Error("non-permutation order accepted")
 	}
 }
@@ -514,7 +559,7 @@ func TestExecSequentialOneCoflowAllocs(t *testing.T) {
 		}
 	})
 	seq := fewest(func() {
-		if _, err := ExecSequential([]*matrix.Matrix{d}, []CircuitSchedule{cs}, []int{0}, 3); err != nil {
+		if _, err := ExecSequential([]*matrix.Matrix{d}, []CircuitSchedule{cs}, []int{0}, 3, true); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -88,14 +88,19 @@ func Sequence(n int, order []int, bound func(k int) int, run func(k int, flows s
 // in an OCS: the switch is handed over to one coflow at a time.
 //
 // order must be a permutation of the coflow indices; schedules[k] is the
-// circuit schedule serving ds[k].
-func ExecSequential(ds []*matrix.Matrix, schedules []CircuitSchedule, order []int, delta int64) (SeqResult, error) {
+// circuit schedule serving ds[k]. flows selects whether the result records
+// the flow-level schedule; without it Flows is nil and nothing is reserved
+// for it, while CCTs, Reconfigs and the time split are the same.
+func ExecSequential(ds []*matrix.Matrix, schedules []CircuitSchedule, order []int, delta int64, flows bool) (SeqResult, error) {
 	if len(ds) != len(schedules) {
 		return SeqResult{}, fmt.Errorf("ocs: %d demand matrices but %d schedules", len(ds), len(schedules))
 	}
 	return Sequence(len(ds), order, func(k int) int {
+		if !flows {
+			return 0
+		}
 		return FlowBound(ds[k], schedules[k])
-	}, func(k int, flows schedule.FlowSchedule) (Result, error) {
-		return Core{Delta: delta, Bandwidth: 1, Flows: true}.exec(ds[k], schedules[k], flows)
+	}, func(k int, into schedule.FlowSchedule) (Result, error) {
+		return Core{Delta: delta, Bandwidth: 1, Flows: flows}.exec(ds[k], schedules[k], into)
 	})
 }

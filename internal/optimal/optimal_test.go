@@ -1,6 +1,7 @@
 package optimal
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -160,7 +161,7 @@ func TestSolsticeCanExceedRecoSin(t *testing.T) {
 		if m.IsZero() {
 			continue
 		}
-		solCS, err := solstice.Schedule(m)
+		solCS, err := solstice.Schedule(context.Background(), m)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

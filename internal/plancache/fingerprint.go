@@ -7,10 +7,11 @@
 // The package has three layers:
 //
 //   - Fingerprinting (this file): a collision-resistant canonical hash of
-//     (algorithm, demand matrices, weights, δ, c, knobs). A matrix is hashed
-//     as its non-zero cells and the lengths of the zero runs between them,
-//     so the cost of a key follows the demand's support, not n². Keys are
-//     exact: a plan is only ever served for the request it was computed for.
+//     (algorithm, demand matrices, weights, δ, c, knobs, NoFlows). A
+//     matrix is hashed as its non-zero cells and the lengths of the zero
+//     runs between them, so the cost of a key follows the demand's support,
+//     not n². Keys are exact: a plan is only ever served for the request it
+//     was computed for.
 //   - Cache: a sharded, bounded LRU over *algo.Result values, safe for
 //     concurrent use, with hit/miss/eviction/size metrics on internal/obs.
 //   - Group: singleflight request coalescing in front of the cache, so N
@@ -26,11 +27,16 @@ import (
 	"reco/internal/algo"
 )
 
+// noFlowsToken is the token Fingerprint appends after the demands of a
+// request that sets NoFlows.
+const noFlowsToken = 1
+
 // Fingerprint returns the canonical cache key for a scheduling request
 // executed under the named algorithm: a hex SHA-256 over an unambiguous
 // binary serialization of the algorithm name, δ, c, every knob in
-// algo.KnobTable order, weights and every demand matrix. Identical requests
-// — and only identical requests, up to hash collisions — share a
+// algo.KnobTable order, weights, every demand matrix and, only when the
+// request sets NoFlows, one token after the last matrix. Identical
+// requests — and only identical requests, up to hash collisions — share a
 // fingerprint.
 //
 // A matrix is written as its dimension n followed by row-major int64
@@ -46,7 +52,11 @@ import (
 // one token sequence; and given n the sequence decodes only one way — read
 // tokens, a positive one filling one cell and −k filling k, until n² cells
 // are filled — which also marks where the matrix ends, so consecutive
-// matrices cannot trade cells across their boundary.
+// matrices cannot trade cells across their boundary. The demand count
+// marks where the last matrix ends, so the NoFlows token is either there or
+// not: a request that reads flows never shares a plan with one that asked
+// for none, and a request without NoFlows keys as it did before the token
+// existed.
 //
 // Keys changed once when this form replaced the plain cell stream: a deploy
 // across that change starts with a cold plan cache.
@@ -106,6 +116,9 @@ func Fingerprint(alg string, req algo.Request) string {
 			fill += 8
 		}
 		h.Write(chunk[:fill])
+	}
+	if req.NoFlows {
+		writeInt(noFlowsToken)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

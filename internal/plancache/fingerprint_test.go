@@ -95,19 +95,22 @@ func referenceKey(alg string, req algo.Request) string {
 			put(uint64(-int64(run)))
 		}
 	}
+	if req.NoFlows {
+		put(1)
+	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
 // TestFingerprintMatchesTokenReference holds the chunked writer to the
 // token stream the doc comment describes, on matrices whose token count
 // lands the 4 KB flush at every phase: dense, sparse, runs at the chunk
-// edge, a run closing the matrix.
+// edge, a run closing the matrix; every other request sets NoFlows.
 func TestFingerprintMatchesTokenReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + rng.Intn(40)
 		density := []float64{0.01, 0.3, 0.5, 0.9, 1}[rng.Intn(5)]
-		req := algo.Request{Delta: 100, C: 4, Weights: []float64{1.5}}
+		req := algo.Request{Delta: 100, C: 4, Weights: []float64{1.5}, NoFlows: trial%2 == 1}
 		for k := 1 + rng.Intn(2); k > 0; k-- {
 			m, err := matrix.New(n)
 			if err != nil {
@@ -129,7 +132,7 @@ func TestFingerprintMatchesTokenReference(t *testing.T) {
 }
 
 // fuzzRequest decodes fuzz bytes into a small request: an algorithm name, δ,
-// c, knobs, up to two weights and up to two demands of dimension 1–3 (one in
+// c, knobs, NoFlows, up to two weights and up to two demands of dimension 1–3 (one in
 // seven nil) whose cells are mostly zero. Bytes that run out read as 0.
 func fuzzRequest(data []byte) (string, algo.Request) {
 	next := func() int {
@@ -144,6 +147,7 @@ func fuzzRequest(data []byte) (string, algo.Request) {
 	req := algo.Request{Delta: int64(next() % 3), C: int64(next() % 3)}
 	kb := next()
 	req.Knobs = algo.Knobs{Cores: kb & 1, K: kb >> 1 & 1, ElecFrac: float64(kb>>2&1) / 2}
+	req.NoFlows = kb>>3&1 == 1
 	for w := next() % 3; w > 0; w-- {
 		req.Weights = append(req.Weights, float64(next()%3))
 	}

@@ -4,6 +4,7 @@
 package solstice
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -25,8 +26,9 @@ var ErrStuck = errors.New("solstice: slicing stuck")
 // exists among entries of value at least r, emits that matching as a circuit
 // assignment of duration r and subtracts it. Integer demands guarantee
 // termination: at r = 1 a doubly stochastic residual always has a perfect
-// matching on its support (Birkhoff's theorem).
-func Schedule(d *matrix.Matrix) (ocs.CircuitSchedule, error) {
+// matching on its support (Birkhoff's theorem). Slicing checks ctx once per
+// slice and returns ctx.Err() once it is cancelled.
+func Schedule(ctx context.Context, d *matrix.Matrix) (ocs.CircuitSchedule, error) {
 	if d.IsZero() {
 		return nil, nil
 	}
@@ -53,6 +55,9 @@ func Schedule(d *matrix.Matrix) (ocs.CircuitSchedule, error) {
 	left := res.Total()
 	var cs ocs.CircuitSchedule
 	for left > 0 {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		g.LoadThreshold(res, r)
 		perm, size := g.MaxMatching()
 		if size != n {

@@ -1,8 +1,11 @@
 package solstice
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
+	"time"
 
 	"reco/internal/matrix"
 	"reco/internal/ocs"
@@ -19,7 +22,7 @@ func mustMatrix(t *testing.T, rows [][]int64) *matrix.Matrix {
 
 func TestScheduleZero(t *testing.T) {
 	z, _ := matrix.New(3)
-	cs, err := Schedule(z)
+	cs, err := Schedule(context.Background(), z)
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -34,7 +37,7 @@ func TestScheduleCompletesDemand(t *testing.T) {
 		{103, 105, 107},
 		{108, 101, 106},
 	})
-	cs, err := Schedule(d)
+	cs, err := Schedule(context.Background(), d)
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -55,7 +58,7 @@ func TestScheduleDurationsArePowersOfTwo(t *testing.T) {
 		{37, 0},
 		{0, 41},
 	})
-	cs, err := Schedule(d)
+	cs, err := Schedule(context.Background(), d)
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -72,7 +75,7 @@ func TestScheduleThresholdsNonIncreasing(t *testing.T) {
 		{0, 64, 3},
 		{3, 0, 64},
 	})
-	cs, err := Schedule(d)
+	cs, err := Schedule(context.Background(), d)
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -98,7 +101,7 @@ func TestScheduleRandom(t *testing.T) {
 		if m.IsZero() {
 			m.Set(0, 0, 7)
 		}
-		cs, err := Schedule(m)
+		cs, err := Schedule(context.Background(), m)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -112,5 +115,31 @@ func TestScheduleRandom(t *testing.T) {
 		if err := res.Flows.CheckDemand([]*matrix.Matrix{m}); err != nil {
 			t.Fatalf("trial %d: demand: %v", trial, err)
 		}
+	}
+}
+
+// TestScheduleHonorsDeadline: slicing checks its context once per slice, so
+// a 5 ms deadline stops a dense 256-port coflow (density 0.9, cells
+// 1–50 000; about a second of slicing in full) with the context's error.
+func TestScheduleHonorsDeadline(t *testing.T) {
+	rng := rand.New(rand.NewSource(256))
+	d, _ := matrix.New(256)
+	for i := 0; i < 256; i++ {
+		for j := 0; j < 256; j++ {
+			if rng.Float64() < 0.9 {
+				d.Set(i, j, 1+rng.Int63n(50000))
+			}
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	cs, err := Schedule(ctx, d)
+	took := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Schedule under a 5ms deadline: %d assignments, err %v after %v; want context.DeadlineExceeded", len(cs), err, took)
+	}
+	if took > time.Second {
+		t.Errorf("Schedule returned %v after a 5ms deadline", took)
 	}
 }

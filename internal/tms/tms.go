@@ -24,12 +24,13 @@ var ErrBadSlot = errors.New("tms: slot must be positive")
 // ScheduleBvN returns the TMS circuit schedule for d: stuffing followed by a
 // first-fit Birkhoff–von Neumann decomposition, every permutation held for
 // its coefficient. This is the decomposition whose Ω(N) worst case Theorem 1
-// exhibits.
-func ScheduleBvN(d *matrix.Matrix) (ocs.CircuitSchedule, error) {
+// exhibits. The decomposition checks ctx before every term and, once ctx is
+// cancelled, returns an error wrapping ctx.Err().
+func ScheduleBvN(ctx context.Context, d *matrix.Matrix) (ocs.CircuitSchedule, error) {
 	if d.IsZero() {
 		return nil, nil
 	}
-	terms, err := bvn.Decompose(matrix.Stuff(d), bvn.FirstFit)
+	terms, err := bvn.DecomposeCtx(ctx, matrix.Stuff(d), bvn.FirstFit)
 	if err != nil {
 		return nil, fmt.Errorf("tms: %w", err)
 	}

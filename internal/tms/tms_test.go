@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+	"time"
 
 	"reco/internal/matrix"
 	"reco/internal/ocs"
@@ -36,7 +37,7 @@ func randomDemand(rng *rand.Rand, n int) *matrix.Matrix {
 
 func TestScheduleBvNEmpty(t *testing.T) {
 	z, _ := matrix.New(2)
-	cs, err := ScheduleBvN(z)
+	cs, err := ScheduleBvN(context.Background(), z)
 	if err != nil || len(cs) != 0 {
 		t.Errorf("empty demand: cs=%v err=%v", cs, err)
 	}
@@ -46,7 +47,7 @@ func TestScheduleBvNCompletesDemand(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 25; trial++ {
 		d := randomDemand(rng, 2+rng.Intn(8))
-		cs, err := ScheduleBvN(d)
+		cs, err := ScheduleBvN(context.Background(), d)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -132,5 +133,39 @@ func TestScheduleHeliosHonorsContext(t *testing.T) {
 	cancel()
 	if _, err := ScheduleHelios(ctx, d, 4); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
+	}
+}
+
+// heavyDemand is a dense n-port coflow (density 0.9, cells 1–50 000) whose
+// first-fit decomposition runs for seconds at n = 256.
+func heavyDemand(n int) *matrix.Matrix {
+	rng := rand.New(rand.NewSource(256))
+	m, _ := matrix.New(n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if rng.Float64() < 0.9 {
+				m.Set(i, j, 1+rng.Int63n(50000))
+			}
+		}
+	}
+	return m
+}
+
+// TestScheduleBvNHonorsDeadline: the first-fit decomposition checks its
+// context before every term, so a 5 ms deadline stops a dense 256-port
+// coflow (seconds of work in full) with the context's error, not a
+// schedule delivered long after the caller gave up.
+func TestScheduleBvNHonorsDeadline(t *testing.T) {
+	d := heavyDemand(256)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	cs, err := ScheduleBvN(ctx, d)
+	took := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("ScheduleBvN under a 5ms deadline: %d assignments, err %v after %v; want context.DeadlineExceeded", len(cs), err, took)
+	}
+	if took > time.Second {
+		t.Errorf("ScheduleBvN returned %v after a 5ms deadline", took)
 	}
 }
