@@ -143,7 +143,7 @@ func init() {
 			}},
 		{algo.NameSunflow, "Sunflow: one circuit per flow, longest-first, not-all-stop model; coflows back-to-back",
 			algo.Capabilities{SingleCoflow: true, NotAllStop: true, FlowLevel: true},
-			backToBack(func(d *matrix.Matrix, req algo.Request) (int64, int, schedule.FlowSchedule, error) {
+			backToBack(func(_ context.Context, d *matrix.Matrix, req algo.Request) (int64, int, schedule.FlowSchedule, error) {
 				r, err := sunflow.Schedule(d, req.Delta)
 				if err != nil {
 					return 0, 0, nil, err
@@ -154,8 +154,8 @@ func init() {
 		// HybridPacketSlowdown times slower than a circuit.
 		{algo.NameHybrid, fmt.Sprintf("hybrid switch: elephants (>= c*delta) via Reco-Sin on the OCS, mice via a %dx-slower packet network", HybridPacketSlowdown),
 			algo.Capabilities{SingleCoflow: true},
-			backToBack(func(d *matrix.Matrix, req algo.Request) (int64, int, schedule.FlowSchedule, error) {
-				r, err := hybrid.Schedule(d, hybrid.Config{
+			backToBack(func(ctx context.Context, d *matrix.Matrix, req algo.Request) (int64, int, schedule.FlowSchedule, error) {
+				r, err := hybrid.Schedule(ctx, d, hybrid.Config{
 					Delta:          req.Delta,
 					Threshold:      req.C * req.Delta,
 					PacketSlowdown: HybridPacketSlowdown,
@@ -173,12 +173,12 @@ func init() {
 		// schedule is exposed.
 		{algo.NameHybridFluid, fmt.Sprintf("rate-based hybrid switch: balance-swept cutoff, joint electrical/optical fluid service (default electrical fraction %v)", DefaultElecFrac),
 			algo.Capabilities{SingleCoflow: true, Hybrid: true},
-			backToBack(func(d *matrix.Matrix, req algo.Request) (int64, int, schedule.FlowSchedule, error) {
+			backToBack(func(ctx context.Context, d *matrix.Matrix, req algo.Request) (int64, int, schedule.FlowSchedule, error) {
 				frac := req.ElecFrac
 				if frac == 0 {
 					frac = DefaultElecFrac
 				}
-				r, err := hybrid.ScheduleFluid(d, hybrid.FluidConfig{
+				r, err := hybrid.ScheduleFluid(ctx, d, hybrid.FluidConfig{
 					Delta:    req.Delta,
 					ElecFrac: frac,
 					Policy:   hybrid.PolicyBalance,
@@ -240,8 +240,10 @@ func perCoflow(name string, minDelta int64, order func(ds []*matrix.Matrix) []in
 
 // backToBack builds a row's run from a scheduler that serves one coflow and
 // reports its CCT, reconfigurations and flows from time zero: coflows run
-// back-to-back in input order, each one's flows shifted to its start.
-func backToBack(step func(d *matrix.Matrix, req algo.Request) (int64, int, schedule.FlowSchedule, error)) func(context.Context, algo.Request) (*algo.Result, error) {
+// back-to-back in input order, each one's flows shifted to its start. The
+// context is checked between coflows and handed to step, for schedulers that
+// also check it within one.
+func backToBack(step func(ctx context.Context, d *matrix.Matrix, req algo.Request) (int64, int, schedule.FlowSchedule, error)) func(context.Context, algo.Request) (*algo.Result, error) {
 	return func(ctx context.Context, req algo.Request) (*algo.Result, error) {
 		out := &algo.Result{CCTs: make([]int64, len(req.Demands))}
 		var now int64
@@ -249,7 +251,7 @@ func backToBack(step func(d *matrix.Matrix, req algo.Request) (int64, int, sched
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			cct, reconfigs, flows, err := step(d, req)
+			cct, reconfigs, flows, err := step(ctx, d, req)
 			if err != nil {
 				return nil, fmt.Errorf("coflow %d: %w", k, err)
 			}

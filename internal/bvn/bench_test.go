@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"reco/internal/matrix"
@@ -116,5 +117,41 @@ func BenchmarkDecomposeK(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// raceBuild is set in a -race build (race_test.go).
+var raceBuild bool
+
+// TestDecomposeMaxMinAllocs holds a pooled max–min decomposition of the
+// dense regularized n = 64 shape to its allocations: warm, on an engine the
+// pool kept, only what the result carries and the ledger (4); cold, on an
+// engine the pool has dropped as a garbage collection does, no more than
+// the sorted list it replaced needed (104, against 93 now). A queue that
+// kept a growable slice per bucket passes the first and fails the second.
+// It is skipped under -race, whose sync.Pool drops at random.
+func TestDecomposeMaxMinAllocs(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation counts under -race measure the detector's sync.Pool")
+	}
+	const warmBudget, coldBudget = 4, 104
+	m := benchDenseRegularized(rand.New(rand.NewSource(64)), 64)
+	decompose := func() {
+		if _, err := DecomposeCtx(context.Background(), m, MaxMin); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if warm := testing.AllocsPerRun(20, decompose); warm > warmBudget {
+		t.Errorf("%.1f allocations per warm decomposition, budget %d", warm, warmBudget)
+	}
+	// Two collections empty the pool: the first moves it to its victim
+	// cache, the second drops that.
+	cold := testing.AllocsPerRun(5, func() {
+		runtime.GC()
+		runtime.GC()
+		decompose()
+	})
+	if cold > coldBudget {
+		t.Errorf("%.1f allocations per cold decomposition, budget %d", cold, coldBudget)
 	}
 }

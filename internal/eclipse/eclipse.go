@@ -26,7 +26,8 @@ import (
 // reconfiguration delay delta. Candidate durations are the geometric menu
 // {delta, 2delta, 4delta, ...} up to the largest remaining entry, which is
 // the standard discretization of the algorithm's continuous duration choice.
-// It checks ctx once per greedy step and returns ctx.Err() once cancelled.
+// It checks ctx once per candidate duration, each an O(n³) matching, and
+// returns ctx.Err() once cancelled.
 func Schedule(ctx context.Context, d *matrix.Matrix, delta int64) (ocs.CircuitSchedule, error) {
 	if delta <= 0 {
 		return nil, fmt.Errorf("eclipse: delta must be positive, got %d", delta)
@@ -39,13 +40,13 @@ func Schedule(ctx context.Context, d *matrix.Matrix, delta int64) (ocs.CircuitSc
 		return nil, err
 	}
 	for !rem.IsZero() {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 		bestRate := -1.0
 		var bestPerm []int
 		var bestDur int64
 		for dur := delta; ; dur *= 2 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			// Clip demand to the candidate duration: a circuit can serve at
 			// most dur of its pair within the establishment.
 			for i := 0; i < n; i++ {

@@ -124,7 +124,7 @@ func ExtHybrid(cfg Config) (*Table, error) {
 	thresholds := []int64{0, cfg.Delta / 16, cfg.Delta / 4, cfg.Delta, 4 * cfg.Delta, 16 * cfg.Delta, 64 * cfg.Delta}
 	// One trial per (threshold, coflow) pair.
 	samples, err := grid(cfg.workers(), len(thresholds), len(coflows), func(ti, ci int) (*hybrid.Result, error) {
-		res, err := hybrid.Schedule(coflows[ci].Demand, hybrid.Config{
+		res, err := hybrid.Schedule(context.Background(), coflows[ci].Demand, hybrid.Config{
 			Delta: cfg.Delta, Threshold: thresholds[ti], PacketSlowdown: 10,
 		})
 		if err != nil {

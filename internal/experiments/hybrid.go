@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -87,14 +88,14 @@ func Hybrid(cfg Config) (*Table, error) {
 	type sample struct{ static, fluid float64 }
 	samples, err := grid(cfg.workers(), len(variants), len(coflows), func(vi, ci int) (sample, error) {
 		v, d := variants[vi], coflows[ci].Demand
-		st, err := hybrid.Schedule(d, hybrid.Config{
+		st, err := hybrid.Schedule(context.Background(), d, hybrid.Config{
 			Delta: cfg.Delta, Threshold: v.thr,
 			PacketSlowdown: int64(math.Round(1 / v.frac)),
 		})
 		if err != nil {
 			return sample{}, fmt.Errorf("hybrid static f=%g thr=%d: %w", v.frac, v.thr, err)
 		}
-		fl, err := hybrid.ScheduleFluid(d, hybrid.FluidConfig{
+		fl, err := hybrid.ScheduleFluid(context.Background(), d, hybrid.FluidConfig{
 			Delta: cfg.Delta, Threshold: v.thr, ElecFrac: v.frac,
 			Policy: hybrid.PolicyThreshold,
 		})

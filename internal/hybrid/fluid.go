@@ -1,6 +1,7 @@
 package hybrid
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -92,7 +93,10 @@ type FluidResult struct {
 // With ElecFrac = 0 every entry is optical and the run degenerates to
 // exactly core.RecoSin + ocs.ExecAllStop on the whole demand — the legacy
 // Schedule at threshold 0 — which the differential tests lock.
-func ScheduleFluid(d *matrix.Matrix, cfg FluidConfig) (*FluidResult, error) {
+//
+// It checks ctx in the balance sweep, during Reco-Sin's decomposition and
+// once per establishment, and returns ctx.Err() once cancelled.
+func ScheduleFluid(ctx context.Context, d *matrix.Matrix, cfg FluidConfig) (*FluidResult, error) {
 	// The fraction's test is written so that NaN, which fails every
 	// ordering, is rejected: fabric.Permille would clamp it to a dark fabric.
 	if cfg.Delta < 0 || cfg.Threshold < 0 || !(0 <= cfg.ElecFrac && cfg.ElecFrac <= 1) {
@@ -117,7 +121,9 @@ func ScheduleFluid(d *matrix.Matrix, cfg FluidConfig) (*FluidResult, error) {
 	// Assignment: partition d into the optical and electrical shares.
 	threshold := cfg.Threshold
 	if cfg.Policy == PolicyBalance && num > 0 {
-		threshold = balanceThreshold(d, cfg.Delta, num, den)
+		if threshold, err = balanceThreshold(ctx, d, cfg.Delta, num, den); err != nil {
+			return nil, err
+		}
 	}
 	var remO, remE *matrix.Matrix
 	if num == 0 {
@@ -164,12 +170,15 @@ func ScheduleFluid(d *matrix.Matrix, cfg FluidConfig) (*FluidResult, error) {
 	// a hook in the shared loop for this single caller would not be simpler.
 	var now int64
 	if !remO.IsZero() {
-		cs, err := core.RecoSin(remO, cfg.Delta)
+		cs, err := core.RecoSinCtx(ctx, remO, cfg.Delta)
 		if err != nil {
 			return nil, fmt.Errorf("hybrid: %w", err)
 		}
 		circ := fabric.NewCircuit(n, 1)
 		for _, a := range cs {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			circ.Establish(a.Perm)
 			maxRem := circ.MaxRemaining(remO)
 			if maxRem == 0 {
@@ -225,8 +234,9 @@ func ScheduleFluid(d *matrix.Matrix, cfg FluidConfig) (*FluidResult, error) {
 // on the optical share, the electrical estimate ⌈ρ·den/num⌉ on the rest.
 // Ties keep the smallest cutoff (prefer the optical fabric). The sweep
 // moves entries ascending, maintaining both sides' port sums
-// incrementally, so it costs O(V·n + n²) for V distinct values.
-func balanceThreshold(d *matrix.Matrix, delta, num, den int64) int64 {
+// incrementally, so it costs O(V·n + n²) for V distinct values. It checks
+// ctx once per value and returns ctx.Err() once cancelled.
+func balanceThreshold(ctx context.Context, d *matrix.Matrix, delta, num, den int64) (int64, error) {
 	n := d.N()
 	cells := d.AppendNonZeros(nil)
 	sort.Slice(cells, func(a, b int) bool {
@@ -280,6 +290,9 @@ func balanceThreshold(d *matrix.Matrix, delta, num, den int64) int64 {
 
 	best, bestScore := int64(0), score() // cutoff 0: everything optical
 	for k := 0; k < len(cells); {
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
 		v := cells[k].V
 		for ; k < len(cells) && cells[k].V == v; k++ {
 			c := cells[k]
@@ -294,5 +307,5 @@ func balanceThreshold(d *matrix.Matrix, delta, num, den int64) int64 {
 			best, bestScore = v+1, s
 		}
 	}
-	return best
+	return best, nil
 }

@@ -1,6 +1,7 @@
 package hybrid
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -35,7 +36,7 @@ func TestScheduleFluidValidation(t *testing.T) {
 		{Delta: 1, ElecFrac: math.Inf(1)},
 		{Delta: 1, Policy: Policy(99)},
 	} {
-		if _, err := ScheduleFluid(d, cfg); !errors.Is(err, ErrBadConfig) {
+		if _, err := ScheduleFluid(context.Background(), d, cfg); !errors.Is(err, ErrBadConfig) {
 			t.Errorf("config %+v accepted: %v", cfg, err)
 		}
 	}
@@ -54,12 +55,12 @@ func TestScheduleFluidFractionZeroMatchesLegacy(t *testing.T) {
 		if d.IsZero() {
 			continue
 		}
-		legacy, err := Schedule(d, Config{Delta: delta, Threshold: 0, PacketSlowdown: 10})
+		legacy, err := Schedule(context.Background(), d, Config{Delta: delta, Threshold: 0, PacketSlowdown: 10})
 		if err != nil {
 			t.Fatalf("trial %d legacy: %v", trial, err)
 		}
 		for _, pol := range []Policy{PolicyStatic, PolicyThreshold, PolicyBalance} {
-			fluid, err := ScheduleFluid(d, FluidConfig{
+			fluid, err := ScheduleFluid(context.Background(), d, FluidConfig{
 				Delta: delta, Threshold: 4 * delta, ElecFrac: 0, Policy: pol,
 			})
 			if err != nil {
@@ -90,12 +91,12 @@ func TestScheduleFluidJointNeverWorse(t *testing.T) {
 		for _, frac := range []float64{0.05, 0.1, 0.2, 0.5} {
 			cfg := FluidConfig{Delta: delta, Threshold: 4 * delta, ElecFrac: frac}
 			cfg.Policy = PolicyStatic
-			static, err := ScheduleFluid(d, cfg)
+			static, err := ScheduleFluid(context.Background(), d, cfg)
 			if err != nil {
 				t.Fatalf("trial %d static: %v", trial, err)
 			}
 			cfg.Policy = PolicyThreshold
-			joint, err := ScheduleFluid(d, cfg)
+			joint, err := ScheduleFluid(context.Background(), d, cfg)
 			if err != nil {
 				t.Fatalf("trial %d joint: %v", trial, err)
 			}
@@ -120,7 +121,7 @@ func TestScheduleFluidConservation(t *testing.T) {
 		}
 		orig := d.Clone()
 		for _, pol := range []Policy{PolicyStatic, PolicyThreshold, PolicyBalance} {
-			res, err := ScheduleFluid(d, FluidConfig{
+			res, err := ScheduleFluid(context.Background(), d, FluidConfig{
 				Delta: 100, Threshold: 400, ElecFrac: 0.1, Policy: pol,
 			})
 			if err != nil {
@@ -153,7 +154,7 @@ func TestScheduleFluidBalance(t *testing.T) {
 		{0, 0, 2800, 12},
 		{9, 0, 0, 2600},
 	})
-	bal, err := ScheduleFluid(d, FluidConfig{Delta: 100, ElecFrac: 0.2, Policy: PolicyBalance})
+	bal, err := ScheduleFluid(context.Background(), d, FluidConfig{Delta: 100, ElecFrac: 0.2, Policy: PolicyBalance})
 	if err != nil {
 		t.Fatalf("balance: %v", err)
 	}
@@ -165,7 +166,7 @@ func TestScheduleFluidBalance(t *testing.T) {
 	}
 	// All-optical with no electrical help pays reconfigurations for the
 	// mice; the balanced partition must avoid that.
-	allOpt, err := ScheduleFluid(d, FluidConfig{Delta: 100, Threshold: 0, ElecFrac: 0.2, Policy: PolicyStatic})
+	allOpt, err := ScheduleFluid(context.Background(), d, FluidConfig{Delta: 100, Threshold: 0, ElecFrac: 0.2, Policy: PolicyStatic})
 	if err != nil {
 		t.Fatalf("threshold 0: %v", err)
 	}
@@ -182,7 +183,7 @@ func TestScheduleFluidAllElectrical(t *testing.T) {
 		{30, 0},
 		{0, 20},
 	})
-	res, err := ScheduleFluid(d, FluidConfig{Delta: 100, Threshold: 1000, ElecFrac: 0.1, Policy: PolicyThreshold})
+	res, err := ScheduleFluid(context.Background(), d, FluidConfig{Delta: 100, Threshold: 1000, ElecFrac: 0.1, Policy: PolicyThreshold})
 	if err != nil {
 		t.Fatalf("ScheduleFluid: %v", err)
 	}

@@ -25,6 +25,7 @@
 package hybrid
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -88,8 +89,9 @@ func Split(d *matrix.Matrix, threshold int64) (elephants, mice *matrix.Matrix) {
 
 // Schedule runs one coflow through the hybrid network: elephants via
 // Reco-Sin on the all-stop OCS, mice via a non-preemptive packet-switch
-// schedule at the slowed-down rate, both in parallel.
-func Schedule(d *matrix.Matrix, cfg Config) (*Result, error) {
+// schedule at the slowed-down rate, both in parallel. It checks ctx during
+// Reco-Sin's decomposition and returns ctx.Err() once cancelled.
+func Schedule(ctx context.Context, d *matrix.Matrix, cfg Config) (*Result, error) {
 	if cfg.Delta < 0 || cfg.Threshold < 0 || cfg.PacketSlowdown < 1 {
 		return nil, fmt.Errorf("%w: %+v", ErrBadConfig, cfg)
 	}
@@ -97,7 +99,7 @@ func Schedule(d *matrix.Matrix, cfg Config) (*Result, error) {
 	res := &Result{OCSDemand: elephants.Total(), PacketDemand: mice.Total()}
 
 	if !elephants.IsZero() {
-		cs, err := core.RecoSin(elephants, cfg.Delta)
+		cs, err := core.RecoSinCtx(ctx, elephants, cfg.Delta)
 		if err != nil {
 			return nil, fmt.Errorf("hybrid: %w", err)
 		}

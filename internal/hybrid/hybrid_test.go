@@ -1,6 +1,7 @@
 package hybrid
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -72,7 +73,7 @@ func TestScheduleValidation(t *testing.T) {
 		{Delta: 1, Threshold: -1, PacketSlowdown: 1},
 		{Delta: 1, Threshold: 0, PacketSlowdown: 0},
 	} {
-		if _, err := Schedule(d, cfg); !errors.Is(err, ErrBadConfig) {
+		if _, err := Schedule(context.Background(), d, cfg); !errors.Is(err, ErrBadConfig) {
 			t.Errorf("config %+v accepted: %v", cfg, err)
 		}
 	}
@@ -83,7 +84,7 @@ func TestScheduleAllElephants(t *testing.T) {
 		{500, 0},
 		{0, 450},
 	})
-	res, err := Schedule(d, Config{Delta: 100, Threshold: 400, PacketSlowdown: 10})
+	res, err := Schedule(context.Background(), d, Config{Delta: 100, Threshold: 400, PacketSlowdown: 10})
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -100,7 +101,7 @@ func TestScheduleAllMice(t *testing.T) {
 		{30, 0},
 		{0, 20},
 	})
-	res, err := Schedule(d, Config{Delta: 100, Threshold: 400, PacketSlowdown: 10})
+	res, err := Schedule(context.Background(), d, Config{Delta: 100, Threshold: 400, PacketSlowdown: 10})
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -118,7 +119,7 @@ func TestScheduleMixed(t *testing.T) {
 		{800, 50},
 		{0, 700},
 	})
-	res, err := Schedule(d, Config{Delta: 100, Threshold: 400, PacketSlowdown: 10})
+	res, err := Schedule(context.Background(), d, Config{Delta: 100, Threshold: 400, PacketSlowdown: 10})
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -149,11 +150,11 @@ func TestThresholdTradeoff(t *testing.T) {
 		}
 	}
 	const delta, slowdown = 100, 10
-	all2OCS, err := Schedule(d, Config{Delta: delta, Threshold: 0, PacketSlowdown: slowdown})
+	all2OCS, err := Schedule(context.Background(), d, Config{Delta: delta, Threshold: 0, PacketSlowdown: slowdown})
 	if err != nil {
 		t.Fatalf("threshold 0: %v", err)
 	}
-	split, err := Schedule(d, Config{Delta: delta, Threshold: 4 * delta, PacketSlowdown: slowdown})
+	split, err := Schedule(context.Background(), d, Config{Delta: delta, Threshold: 4 * delta, PacketSlowdown: slowdown})
 	if err != nil {
 		t.Fatalf("threshold 4d: %v", err)
 	}

@@ -34,7 +34,8 @@ func (e *Engine) Release() { enginePool.Put(e) }
 // minimum entry is maximized — the "max–min matching" the paper uses to
 // extract Birkhoff–von Neumann terms efficiently (Sec. III-C, following
 // Solstice [7]). It returns the matching and its bottleneck value, computed
-// by the Engine's single threshold-descending pass over the sorted support.
+// by the Engine's single threshold-descending pass over the support, which
+// its radix queue hands out one value at a time, largest first.
 //
 // The input must admit a perfect matching on its positive support (any
 // doubly stochastic matrix does, by Birkhoff's theorem); otherwise

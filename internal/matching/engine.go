@@ -1,10 +1,8 @@
 package matching
 
 import (
-	"cmp"
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"reco/internal/matrix"
 )
@@ -14,9 +12,10 @@ import (
 type Order int
 
 const (
-	// Descending keeps the cells not yet in the matching graph in
-	// non-increasing value order, the order the threshold-descending
-	// bottleneck search inserts edges in. It serves Bottleneck and Extract.
+	// Descending queues the cells not yet in the matching graph to be
+	// handed out one value at a time, largest first, the order the
+	// threshold-descending bottleneck search inserts edges in. It serves
+	// Bottleneck and Extract.
 	Descending Order = iota
 	// RowMajor keeps the whole support in the matching graph, which makes
 	// ExtractAny reproduce the classic scan-the-residual first-fit
@@ -24,25 +23,20 @@ const (
 	RowMajor
 )
 
-// entry is one positive support cell in the descending list.
-type entry struct {
-	w    int64
-	u, v int32
-}
-
 // Engine is an incremental sparse matching engine over the positive support
 // of a square demand matrix. It is the hot core of every Birkhoff–von
 // Neumann decomposition in this repository: instead of rescanning and
 // re-sorting the full N×N matrix and re-running Hopcroft–Karp from scratch
-// for each extracted term, the Engine scans and sorts the support once and
-// then repairs it incrementally — subtracting a term only touches the N
-// matched entries.
+// for each extracted term, the Engine scans the support once and then
+// repairs it incrementally — subtracting a term only touches the N matched
+// entries.
 //
 // The support lives in a row-major index (a bitset of cells per row, row
-// starts, current values). A Descending engine splits it by a threshold: the cells at or
-// above it are the edges of the graph, the cells below it wait in a list in
-// non-increasing value order. A bottleneck value is found by a
-// threshold-descending pass over that list: edges are inserted in
+// starts, current values). A Descending engine splits it by a threshold: the
+// cells at or above it are the edges of the graph, the cells below it wait in
+// a monotone radix queue (descQueue) that hands them out one value at a time,
+// largest first, and is never sorted. A bottleneck value is found by a
+// threshold-descending pass over that queue: edges are inserted in
 // non-increasing value order and the matching grows by augmentation only, so
 // the max–min threshold of an E-edge support costs one O(E·√V) sweep rather
 // than O(log E) full matching runs. The pass stops with the threshold at the
@@ -83,17 +77,16 @@ type Engine struct {
 	// g holds exactly the cells with value at least thr: the whole support
 	// of a RowMajor engine (thr = 1), and of a Descending one nothing before
 	// the first bottleneck is found (thr = 0), then the cells at or above
-	// the last one found. The positive cells below thr are entries[head:],
-	// in descending order, and dropped, the cells extractions have taken
-	// below thr since the last sweep, in no order.
-	g       Graph
-	thr     int64
-	entries []entry
-	head    int
-	dropped []entry
-	spare   []entry  // merge buffer, swapped with entries by a sweep
-	covL    []uint64 // sweep scratch: left vertices with an inserted edge
-	covR    []uint64 // and right ones
+	// the last one found. On a Descending engine the positive cells below
+	// thr wait in queue, by their index k into vals; cell k is (rowOf[k],
+	// colOf[k]).
+	g     Graph
+	thr   int64
+	queue descQueue
+	rowOf []int32
+	colOf []int32
+	covL  []uint64 // sweep scratch: left vertices with an inserted edge
+	covR  []uint64 // and right ones
 
 	trials, hits int
 
@@ -119,8 +112,7 @@ func (e *Engine) Reset(m *matrix.Matrix, order Order) {
 	e.order = order
 	e.rowStart = grow32(e.rowStart, n+1)
 	e.pos = grow32(e.pos, n)
-	e.vals = e.vals[:0]
-	e.entries, e.head, e.dropped = e.entries[:0], 0, e.dropped[:0]
+	e.vals, e.rowOf, e.colOf = e.vals[:0], e.rowOf[:0], e.colOf[:0]
 	e.remaining = 0
 	e.trials, e.hits = 0, 0
 	e.logPerms, e.logCoefs = e.logPerms[:0], e.logCoefs[:0]
@@ -128,6 +120,7 @@ func (e *Engine) Reset(m *matrix.Matrix, order Order) {
 	e.cells = grow64(e.cells, n*e.g.words)
 	clear(e.cells)
 	cells := m.Cells()
+	top := int64(0)
 	for i := 0; i < n; i++ {
 		e.rowStart[i] = int32(len(e.vals))
 		for j, v := range cells[i*n : (i+1)*n] {
@@ -135,7 +128,9 @@ func (e *Engine) Reset(m *matrix.Matrix, order Order) {
 				continue
 			}
 			if order == Descending {
-				e.entries = append(e.entries, entry{w: v, u: int32(i), v: int32(j)})
+				e.rowOf = append(e.rowOf, int32(i))
+				e.colOf = append(e.colOf, int32(j))
+				top = max(top, v)
 			} else {
 				e.g.addEdge32(int32(i), int32(j))
 			}
@@ -148,7 +143,10 @@ func (e *Engine) Reset(m *matrix.Matrix, order Order) {
 	e.support = len(e.vals)
 	if order == Descending {
 		e.thr = 0
-		sortEntriesDesc(e.entries)
+		e.queue.reset(e.vals, top)
+		for k := range e.vals {
+			e.queue.push(int32(k))
+		}
 	} else {
 		e.thr = 1
 	}
@@ -276,7 +274,7 @@ func (e *Engine) next() (int64, error) {
 }
 
 // mustBe panics unless the engine was reset in the order the calling
-// extraction needs: the bottleneck search reads the descending list, and
+// extraction needs: the bottleneck search reads the queue, and
 // first-fit needs the graph to hold the whole support.
 func (e *Engine) mustBe(order Order) {
 	if e.order != order {
@@ -306,36 +304,41 @@ func (e *Engine) solveBottleneck() (int64, error) {
 	return e.sweep()
 }
 
-// sweep lowers thr to the bottleneck value: it moves cells from the
-// descending list into the graph until the graph has a perfect matching,
-// then recomputes that matching canonically and returns the value. It
-// starts either from an empty graph (thr = 0) or from the maximum matching
-// and BFS labels a failed trial at thr has just left behind.
+// sweep lowers thr to the bottleneck value: it moves cells from the queue
+// into the graph until the graph has a perfect matching, then recomputes
+// that matching canonically and returns the value. It starts either from an
+// empty graph (thr = 0) or from the maximum matching and BFS labels a failed
+// trial at thr has just left behind.
 //
-// Edges are inserted batch-by-batch in non-increasing value order. Two sound
-// gates keep the pass near-linear: no matching work happens before every
-// left and right vertex has at least one inserted edge (a perfect matching
-// is impossible earlier), and after a failed augmentation a new search runs
-// only once a new edge touches a left vertex the last failed BFS could reach
-// by an alternating path (an augmenting path must cross a new edge, and its
-// prefix before that edge lies in the old graph). Edges whose endpoints are
-// both free are adopted into the matching directly.
+// Edges are inserted batch-by-batch in non-increasing value order, a batch
+// being every queued cell of one value, in no particular order: the sweep
+// reads only the batch boundaries, and the canonical matching never sees the
+// order within one. Two sound gates keep the pass near-linear: no matching
+// work happens before every left and right vertex has at least one inserted
+// edge (a perfect matching is impossible earlier), and after a failed
+// augmentation a new search runs only once a new edge touches a left vertex
+// the last failed BFS could reach by an alternating path (an augmenting path
+// must cross a new edge, and its prefix before that edge lies in the old
+// graph). Edges whose endpoints are both free are adopted into the matching
+// directly.
 func (e *Engine) sweep() (int64, error) {
 	n := e.n
 	if e.support < n {
 		return 0, fmt.Errorf("%w: support has %d entries for %d rows", ErrNoPerfectMatching, e.support, n)
 	}
-	e.mergeDropped()
 	g := &e.g
 	e.covL, e.covR = grow64(e.covL, g.words), grow64(e.covR, g.words)
 	uncovered := g.coverage(e.covL, e.covR)
 	distValid := e.thr > 0
 	searchWorthwhile := false // since the last search; set while still uncovered, it must survive the batch
 
-	for i := e.head; i < len(e.entries); {
-		w := e.entries[i].w
-		for ; i < len(e.entries) && e.entries[i].w == w; i++ {
-			u, v := e.entries[i].u, e.entries[i].v
+	for {
+		w, k := e.queue.pop()
+		if k < 0 {
+			break
+		}
+		for ; k >= 0; k = e.queue.next[k] {
+			u, v := e.rowOf[k], e.colOf[k]
 			g.addEdge32(u, v)
 			if bit := uint64(1) << (u & 63); e.covL[u>>6]&bit == 0 {
 				e.covL[u>>6] |= bit
@@ -365,32 +368,13 @@ func (e *Engine) sweep() (int64, error) {
 			if g.augment() != n {
 				panic("matching: canonical rematch lost the perfect matching")
 			}
-			e.head, e.thr = i, w
+			e.thr = w
 			return w, nil
 		}
 	}
 	// Every positive cell is in the graph now, which is what thr = 1 says.
-	e.head, e.thr = len(e.entries), 1
+	e.thr = 1
 	return 0, fmt.Errorf("%w: support has no perfect matching", ErrNoPerfectMatching)
-}
-
-// mergeDropped sorts the cells extractions have taken below thr and merges
-// them into the descending list.
-func (e *Engine) mergeDropped() {
-	if len(e.dropped) == 0 {
-		return
-	}
-	sortEntriesDesc(e.dropped)
-	merged, di := e.spare[:0], 0
-	for _, en := range e.entries[e.head:] {
-		for di < len(e.dropped) && e.dropped[di].w >= en.w {
-			merged = append(merged, e.dropped[di])
-			di++
-		}
-		merged = append(merged, en)
-	}
-	merged = append(merged, e.dropped[di:]...)
-	e.spare, e.entries, e.head, e.dropped = e.entries[:0], merged, 0, e.dropped[:0]
 }
 
 // permCopy returns the current matching as a caller-owned permutation.
@@ -423,8 +407,7 @@ func (e *Engine) locate() int64 {
 }
 
 // subtract takes coef off every cell locate found. The cells that fall
-// below thr leave the graph, for the descending list if anything is left of
-// them.
+// below thr leave the graph, for the queue if anything is left of them.
 func (e *Engine) subtract(coef int64) {
 	for u, k := range e.pos[:e.n] {
 		e.vals[k] -= coef
@@ -434,16 +417,75 @@ func (e *Engine) subtract(coef int64) {
 			if w == 0 {
 				e.support--
 			} else {
-				e.dropped = append(e.dropped, entry{w: w, u: int32(u), v: v})
+				e.queue.push(k)
 			}
 		}
 	}
 	e.remaining -= coef * int64(e.n)
 }
 
-// sortEntriesDesc sorts entries by value, largest first. The order among
-// equal values is whatever the (deterministic) sort leaves: the sweep reads
-// only the batch boundaries, and the canonical matching never sees the list.
-func sortEntriesDesc(es []entry) {
-	slices.SortFunc(es, func(a, b entry) int { return cmp.Compare(b.w, a.w) })
+// descQueue is a monotone radix heap turned upside down: a max-queue of cell
+// indices k keyed by vals[k], for keys that never exceed the last value
+// popped. Cell k sits in bucket bits.Len64(vals[k] ^ top), so bucket 0 is
+// the cells of value top and a lower bucket holds larger values than a
+// higher one. A pop that finds bucket 0 empty lowers top to the largest value
+// in the lowest non-empty bucket and spreads that bucket over the buckets
+// below it; the new top leaves every other cell in its bucket. Nothing is
+// ever sorted, and a cell moves at most 63 times, each time to a lower
+// bucket.
+//
+// The buckets are singly linked lists threaded through next, one slot per
+// cell, so the queue's storage is sized by the support and reused with the
+// engine. A queued cell's value must not change until it is popped.
+type descQueue struct {
+	vals []int64   // the engine's values, indexed by cell
+	top  int64     // every queued value is at most top
+	full uint64    // bit b is set while bucket b holds a cell
+	head [64]int32 // the first cell of each non-empty bucket
+	next []int32   // the cell after k in its bucket; -1 ends a bucket
+}
+
+// reset empties the queue for cells indexed into vals, none larger than top.
+func (q *descQueue) reset(vals []int64, top int64) {
+	q.vals, q.top, q.full = vals, top, 0
+	q.next = grow32(q.next, len(vals))
+}
+
+// push queues cell k. Its value must be positive and at most the last value
+// pop returned (at most reset's top before the first pop).
+func (q *descQueue) push(k int32) {
+	b := bits.Len64(uint64(q.vals[k] ^ q.top))
+	if q.full&(1<<b) == 0 {
+		q.next[k] = -1
+	} else {
+		q.next[k] = q.head[b]
+	}
+	q.head[b] = k
+	q.full |= 1 << b
+}
+
+// pop removes every cell of the largest queued value and returns that value
+// and the first of those cells; next links the rest, and -1 ends them. An
+// empty queue returns k = -1. The links stay valid until the next push.
+func (q *descQueue) pop() (w int64, k int32) {
+	if q.full == 0 {
+		return 0, -1
+	}
+	if q.full&1 == 0 {
+		b := bits.TrailingZeros64(q.full)
+		q.full &^= 1 << b
+		k = q.head[b]
+		top := q.vals[k]
+		for c := q.next[k]; c >= 0; c = q.next[c] {
+			top = max(top, q.vals[c])
+		}
+		q.top = top
+		for k >= 0 {
+			c := q.next[k]
+			q.push(k)
+			k = c
+		}
+	}
+	q.full &^= 1
+	return q.top, q.head[0]
 }

@@ -3,6 +3,7 @@ package matching
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -498,6 +499,9 @@ func TestEngineExtractSequenceMatchesReference(t *testing.T) {
 			m    *matrix.Matrix
 		}{
 			{"grid", gridStuffed(rng, n, perRow, 100)},
+			// Row sums up to 2⁶¹/n: a small n puts entries near 2⁶¹, where
+			// the queue's bucket index comes from the high bits.
+			{"grid-high", gridStuffed(rng, n, perRow, (1<<61)/int64(6*perRow*n))},
 			{"distinct", randomStuffed(rng, n, float64(perRow)/float64(n), 1<<40)},
 			{"unstuffed", unstuffedSparse(rng, n, perRow)},
 		}
@@ -559,6 +563,81 @@ func TestEngineReuseCarriesNothingOver(t *testing.T) {
 		if eng.Remaining() != fresh.Remaining() || eng.Support() != fresh.Support() {
 			t.Fatalf("trial %d: reused engine at remaining=%d support=%d, fresh %d, %d",
 				trial, eng.Remaining(), eng.Support(), fresh.Remaining(), fresh.Support())
+		}
+	}
+}
+
+// TestDescQueueMatchesSortReference drives the radix queue with seeded
+// pushes and pops that keep its monotone contract — no value pushed exceeds
+// the last one popped — and checks every pop against a sorted reference: it
+// must hand out exactly the queued cells of the largest value left. Values
+// come from the edges of the bucket arithmetic (1, 2^k−1, 2^k, 2^k+1 and
+// math.MaxInt64), from anywhere below the limit, and in long runs of one
+// value.
+func TestDescQueueMatchesSortReference(t *testing.T) {
+	edges := []int64{1, math.MaxInt64}
+	for k := 1; k < 63; k++ {
+		edges = append(edges, 1<<k-1, 1<<k, 1<<k+1)
+	}
+	rng := rand.New(rand.NewSource(36))
+	const cells = 600
+	vals := make([]int64, cells)
+	var q descQueue
+	for trial := 0; trial < 300; trial++ {
+		limit := edges[rng.Intn(len(edges))]
+		q.reset(vals, limit)
+		draw := func() int64 {
+			switch rng.Intn(4) {
+			case 0:
+				if w := edges[rng.Intn(len(edges))]; w <= limit {
+					return w
+				}
+			case 1:
+				return limit - min(limit-1, rng.Int63n(4))
+			}
+			return 1 + rng.Int63n(limit)
+		}
+		var left []int32 // the reference: every cell queued and not popped
+		pushed, pops := 0, 0
+		for pushed < cells || len(left) > 0 {
+			if pushed < cells && (len(left) == 0 || rng.Intn(3) > 0) {
+				w, run := draw(), 1
+				if rng.Intn(4) == 0 {
+					run += rng.Intn(60)
+				}
+				for ; run > 0 && pushed < cells; run-- {
+					vals[pushed] = w
+					q.push(int32(pushed))
+					left = append(left, int32(pushed))
+					pushed++
+				}
+				continue
+			}
+			top := int64(0)
+			for _, k := range left {
+				top = max(top, vals[k])
+			}
+			var want, got []int32
+			left = slices.DeleteFunc(left, func(k int32) bool {
+				if vals[k] == top {
+					want = append(want, k)
+					return true
+				}
+				return false
+			})
+			w, k := q.pop()
+			for ; k >= 0; k = q.next[k] {
+				got = append(got, k)
+			}
+			slices.Sort(got)
+			if w != top || !slices.Equal(got, want) {
+				t.Fatalf("trial %d pop %d: got value %d cells %v, want %d cells %v", trial, pops, w, got, top, want)
+			}
+			limit = w
+			pops++
+		}
+		if w, k := q.pop(); k >= 0 {
+			t.Fatalf("trial %d: empty queue popped value %d cell %d", trial, w, k)
 		}
 	}
 }

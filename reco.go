@@ -37,6 +37,7 @@
 package reco
 
 import (
+	"context"
 	"fmt"
 
 	"reco/internal/core"
@@ -211,7 +212,7 @@ type HybridResult = hybrid.Result
 // delay delta), the rest take a packet network slowdown× slower, both in
 // parallel (Sec. VI's deployment model).
 func ScheduleHybrid(d *Demand, delta, threshold, slowdown int64) (*HybridResult, error) {
-	res, err := hybrid.Schedule(d, hybrid.Config{Delta: delta, Threshold: threshold, PacketSlowdown: slowdown})
+	res, err := hybrid.Schedule(context.Background(), d, hybrid.Config{Delta: delta, Threshold: threshold, PacketSlowdown: slowdown})
 	if err != nil {
 		return nil, fmt.Errorf("reco: %w", err)
 	}
