@@ -417,21 +417,38 @@ func (s *Server) handleSingle(w http.ResponseWriter, r *http.Request) {
 		*out = appendSingle(*out, d.req, res)
 		writeRaw(w, *out)
 		putBuf(out)
+		recycle(d.req)
 	}
 }
 
 func (s *Server) handleMulti(w http.ResponseWriter, r *http.Request) {
-	if _, res, ok := s.serve(w, r, decodeMulti); ok {
+	if d, res, ok := s.serve(w, r, decodeMulti); ok {
 		out := getBuf(multiSize(res))
 		*out = appendMulti(*out, res)
 		writeRaw(w, *out)
 		putBuf(out)
+		recycle(d.req)
+	}
+}
+
+// recycle hands a request's demand matrices back to the matrix pool once
+// nothing reads them, and may be called only after s.schedule returned nil
+// for req. A nil error means the computation completed: no coalesced
+// computation (plancache.Group.Do runs one detached from its callers, and
+// it outlives a leader whose deadline or client gave up) can still read the
+// leader's matrices, and no plan, cached or not, holds a reference to them.
+// After a 504, a cancellation or any other error the matrices are left to
+// the collector.
+func recycle(req algo.Request) {
+	for _, m := range req.Demands {
+		m.Recycle()
 	}
 }
 
 // serve is the synchronous endpoints' shared front half: read the body,
 // decode it, and schedule the request under its SLA, writing the error
-// response itself on failure.
+// response itself on failure. ok reports that s.schedule returned nil, so
+// the caller may recycle d's matrices once it has written the response.
 func (s *Server) serve(w http.ResponseWriter, r *http.Request, decode func([]byte) (decoded, error)) (decoded, *algo.Result, bool) {
 	body, ok := s.readBody(w, r)
 	if !ok {

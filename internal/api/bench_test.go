@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -121,13 +122,21 @@ func BenchmarkServeSingle(b *testing.B) {
 // multi_batch shape — n = 32, 16 consecutive coflows of one Table I/II
 // workload, δ = 100, c = 4. nnz/op is the mean number of flows per batch.
 func BenchmarkServeMulti(b *testing.B) {
+	bodies, nnz := multiBodies(b)
+	b.ReportAllocs()
+	serve(b, "/v1/schedule/multi", bodies)
+	b.ReportMetric(float64(nnz)/float64(len(bodies)), "nnz/op")
+}
+
+// multiBodies returns BenchmarkServeMulti's batches and their total number
+// of flows.
+func multiBodies(tb testing.TB) (bodies []benchBody, nnz int) {
 	coflows, err := workload.GenerateWith(rand.New(rand.NewSource(32)), workload.GenConfig{N: 32})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	const perBatch = 16
-	bodies := make([]benchBody, len(coflows)/perBatch)
-	nnz := 0
+	bodies = make([]benchBody, len(coflows)/perBatch)
 	for t := range bodies {
 		batch := coflows[t*perBatch : (t+1)*perBatch]
 		demands := make([][][]int64, perBatch)
@@ -138,12 +147,10 @@ func BenchmarkServeMulti(b *testing.B) {
 		}
 		var base int64
 		demands[0], base = benchRows(batch[0].Demand, true)
-		bodies[t] = cutBody(b, MultiRequest{Demands: demands, Delta: 100, C: 4}, base, flows)
+		bodies[t] = cutBody(tb, MultiRequest{Demands: demands, Delta: 100, C: 4}, base, flows)
 		nnz += flows
 	}
-	b.ReportAllocs()
-	serve(b, "/v1/schedule/multi", bodies)
-	b.ReportMetric(float64(nnz)/float64(len(bodies)), "nnz/op")
+	return bodies, nnz
 }
 
 // BenchmarkServeWarm is the in-process twin of the repository benchmark's
@@ -224,32 +231,99 @@ func benchSingle(b *testing.B, run func(*testing.B, []benchBody)) {
 // raceBuild is set in a -race build (race_test.go).
 var raceBuild bool
 
-// TestServeSingleDenseAllocs holds POST /v1/schedule/single on a dense
-// n = 64 coflow — a plan-cache miss every time — to an allocation budget:
-// the request asks for no flow list, the BvN terms share one permutation
-// slab, and Reco-Sin copies the demand once. Each run posts a distinct
-// request, so every one decodes, schedules, caches and encodes. It is
-// skipped under -race, whose sync.Pool drops pooled engines and buffers at
-// random (64–85 allocations a request there, against 46 without).
-func TestServeSingleDenseAllocs(t *testing.T) {
+// TestServeBytesAndAllocs holds each request shape the repository
+// benchmark serves to a budget of allocations and of bytes allocated per
+// request (runtime.MemStats Mallocs and TotalAlloc, at GOMAXPROCS 1 as
+// testing.AllocsPerRun measures, priming included): a distinct sparse n = 128 or dense n = 64
+// single-coflow request, a distinct 16-coflow n = 32 batch, a plan-cache
+// hit on a dense n = 64 request, and a leg that alternates sparse n = 64
+// and n = 128 requests. Every request but the hits misses the plan cache,
+// so it decodes, schedules, caches and encodes; the budgets are what the
+// pooled request path measured plus about a quarter. The bytes are mostly
+// what the pool saves: a request whose n² demand, regularized copy or
+// executor residual is allocated afresh again overruns its row, and so does
+// the mixed leg when one size class answers another's requests. It is
+// skipped under -race, whose sync.Pool drops pooled matrices, engines and
+// buffers at random.
+func TestServeBytesAndAllocs(t *testing.T) {
 	if raceBuild {
 		t.Skip("allocation counts under -race measure the detector's sync.Pool")
 	}
-	const budget = 80
-	bodies := benchBodies(t, 64)[workload.Dense]
-	srv := NewServer(Options{})
-	defer srv.Close()
-	h := srv.Handler()
-	w := discard{h: http.Header{}}
-	var body []byte
-	i := 0
-	allocs := testing.AllocsPerRun(20, func() {
-		body = bodies[i%len(bodies)].bump(body, i)
-		i++
-		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/schedule/single", bytes.NewReader(body)))
-	})
-	t.Logf("%.1f allocations per dense n = 64 request", allocs)
-	if allocs > budget {
-		t.Errorf("%.1f allocations per dense n = 64 request, budget %d", allocs, budget)
+	sparse128 := benchBodies(t, 128)[workload.Sparse]
+	pools64 := benchBodies(t, 64)
+	multi, _ := multiBodies(t)
+	var mixed []benchBody
+	for k, b := range pools64[workload.Sparse] {
+		mixed = append(mixed, b, sparse128[k%len(sparse128)])
 	}
+	single, batch := "/v1/schedule/single", "/v1/schedule/multi"
+	// Measured with the matrix pool (without it), bytes and allocations:
+	// sparse 21 154 / 43.3 (181 028 / 46.0), dense 119 210 / 41.9 (184 919 /
+	// 45.7), multi 234 845 / 134.3 (367 427 / 166.0), warm 5 593 / 21.1
+	// (38 453 / 23.1), mixed 15 960 / 42.5 (197 612 / 49.2).
+	for _, tc := range []struct {
+		name   string
+		path   string
+		bodies []benchBody
+		warm   bool // post the bodies unbumped after priming: plan-cache hits
+		allocs float64
+		bytes  float64
+	}{
+		{"sparse/n=128", single, sparse128, false, 54, 27_000},
+		{"dense/n=64", single, pools64[workload.Dense], false, 52, 149_000},
+		{"multi", batch, multi, false, 168, 294_000},
+		{"warm/n=64", single, pools64[workload.Dense], true, 26, 7_000},
+		{"mixed-n/sparse", single, mixed, false, 53, 20_000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// One P from priming on: what a request puts in its P's private
+			// pool slot is out of reach once that P is gone.
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			srv := NewServer(Options{})
+			defer srv.Close()
+			h := srv.Handler()
+			w := discard{h: http.Header{}}
+			var body []byte
+			i := 0
+			post := func() {
+				if tc.warm {
+					body = tc.bodies[i%len(tc.bodies)].bump(body, 0)
+				} else {
+					body = tc.bodies[i%len(tc.bodies)].bump(body, i)
+				}
+				i++
+				h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, tc.path, bytes.NewReader(body)))
+			}
+			// Priming fills the pools (and, for the warm leg, the cache).
+			for range tc.bodies {
+				post()
+			}
+			if tc.warm {
+				i = 0
+			}
+			allocs, bytes := perRequest(max(40, 2*len(tc.bodies)), post)
+			t.Logf("%.1f allocations, %.0f bytes per request", allocs, bytes)
+			if allocs > tc.allocs {
+				t.Errorf("%.1f allocations per request, budget %.0f", allocs, tc.allocs)
+			}
+			if bytes > tc.bytes {
+				t.Errorf("%.0f bytes per request, budget %.0f", bytes, tc.bytes)
+			}
+		})
+	}
+}
+
+// perRequest runs f runs times and returns the mean allocations and bytes
+// allocated per run. It collects first, so a short run sees no collection:
+// two in a row would empty the pools (sync.Pool keeps what it holds through
+// one).
+func perRequest(runs int, f func()) (allocs, bytes float64) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }

@@ -5,13 +5,16 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"reco/internal/algo"
+	"reco/internal/matrix"
 	"reco/internal/obs"
 	"reco/internal/plancache"
 	"reco/internal/workload"
@@ -32,11 +35,37 @@ func postRaw(t *testing.T, url string, body []byte) (int, []byte) {
 	return resp.StatusCode, out
 }
 
+// scribbleN is the widest matrix scribblePool reaches, past every request
+// the tests that call it post.
+const scribbleN = 16
+
+// scribblePool fills the pooled storage of every matrix up to scribbleN
+// ports with garbage: it acquires several matrices of each size, writes
+// every cell, and recycles them dirty. Anything that still reads a matrix
+// it recycled then reads garbage (or, under -race, races the writes).
+func scribblePool() {
+	var held []*matrix.Matrix
+	for n := 1; n <= scribbleN; n++ {
+		for range 4 {
+			m := matrix.Acquire(n)
+			for k, cells := 0, m.Cells(); k < len(cells); k++ {
+				cells[k] = 0x5ca1ab1e + int64(k)
+			}
+			held = append(held, m)
+		}
+	}
+	for _, m := range held {
+		m.Recycle()
+	}
+}
+
 // TestCachedResponsesByteIdentical is the differential test for the plan
 // cache: for every registry algorithm and every input, the cache-miss
 // response, the cache-hit response, and an uncached server's response must
-// be byte-identical. The inputs end with an ε-close pair, [[400,0],[0,400]]
-// then [[401,0],[0,400]]: the second must get a plan of its own, never the
+// be byte-identical, with the matrix pool scribbled on after each request,
+// so a plan or response that still read a recycled demand would differ.
+// The inputs end with an ε-close pair, [[400,0],[0,400]] then
+// [[401,0],[0,400]]: the second must get a plan of its own, never the
 // first one's, and no cached single-coflow response of a circuit-only
 // scheduler may claim a CCT below its own lower bound.
 func TestCachedResponsesByteIdentical(t *testing.T) {
@@ -77,8 +106,11 @@ func TestCachedResponsesByteIdentical(t *testing.T) {
 				}
 				hitsBefore := reg.Counter("plancache_hits_total").Value()
 				missStatus, missBody := postRaw(t, cachedSrv.URL+path, body)
+				scribblePool()
 				hitStatus, hitBody := postRaw(t, cachedSrv.URL+path, body)
+				scribblePool()
 				plainStatus, plainBody := postRaw(t, plainSrv.URL+path, body)
+				scribblePool()
 				if missStatus != http.StatusOK || hitStatus != http.StatusOK || plainStatus != http.StatusOK {
 					t.Fatalf("%v: statuses: miss=%d hit=%d uncached=%d", demand, missStatus, hitStatus, plainStatus)
 				}
@@ -168,6 +200,81 @@ func TestConcurrentIdenticalRequestsCoalesce(t *testing.T) {
 	case <-started:
 		t.Fatal("scheduler ran more than once for identical concurrent requests")
 	default:
+	}
+}
+
+// TestCoalescedFollowerOutlivesLeaderDeadline is the ownership rule of a
+// request's pooled matrices under coalescing: a leader whose deadline_ms
+// expires answers 504 while the computation it started goes on for a
+// follower that joined it, and that computation reads the leader's demand.
+// The leader must leave its matrices to the collector, so scribbling the
+// pool before the computation resumes cannot reach them: the follower's
+// body is byte-identical to an uncached solve.
+func TestCoalescedFollowerOutlivesLeaderDeadline(t *testing.T) {
+	reg := obs.NewRegistry()
+	obs.Attach(&obs.Sink{Metrics: reg})
+	defer obs.Detach()
+	_, client := newJobTestServer(t, Options{})
+	release, started := testBlockSin.arm()
+	defer func() { release(); testBlockSin.disarm() }()
+
+	rng := rand.New(rand.NewSource(37))
+	demand := make([][]int64, 12)
+	for i := range demand {
+		demand[i] = make([]int64, len(demand))
+		for j := range demand[i] {
+			demand[i][j] = 1 + rng.Int63n(1000)
+		}
+	}
+	const leaderDeadlineMS = 500
+	req := SingleRequest{Demand: demand, Delta: 100, Algorithm: testBlockSin.name, DeadlineMS: leaderDeadlineMS}
+	leaderBody, _ := json.Marshal(req)
+	req.DeadlineMS = 0
+	followerBody, _ := json.Marshal(req)
+
+	url := client.base + "/v1/schedule/single"
+	type reply struct {
+		status int
+		body   []byte
+	}
+	post := func(body []byte, to chan<- reply) {
+		resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+		if err != nil {
+			to <- reply{status: -1, body: []byte(err.Error())}
+			return
+		}
+		defer resp.Body.Close()
+		out, _ := io.ReadAll(resp.Body)
+		to <- reply{resp.StatusCode, out}
+	}
+	leader, follower := make(chan reply, 1), make(chan reply, 1)
+	go post(leaderBody, leader)
+	<-started // the leader's computation is inside Schedule
+	joined := reg.Counter("plancache_coalesced_total")
+	go post(followerBody, follower)
+	for joined.Value() == 0 {
+		select {
+		case r := <-leader:
+			t.Fatalf("leader answered %d before the follower joined it", r.status)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	if r := <-leader; r.status != http.StatusGatewayTimeout {
+		t.Fatalf("leader: status %d, want 504: %s", r.status, r.body)
+	}
+	scribblePool()
+	release()
+	got := <-follower
+
+	plain := NewServer(Options{NoCache: true})
+	plainSrv := httptest.NewServer(plain.Handler())
+	defer func() { plainSrv.Close(); plain.Close() }()
+	wantStatus, want := postRaw(t, plainSrv.URL+"/v1/schedule/single", followerBody)
+	if got.status != http.StatusOK || wantStatus != http.StatusOK {
+		t.Fatalf("statuses: follower %d, uncached %d: %s", got.status, wantStatus, got.body)
+	}
+	if !bytes.Equal(got.body, want) {
+		t.Errorf("follower of a timed-out leader differs from an uncached solve:\nfollower: %s\nuncached: %s", got.body, want)
 	}
 }
 

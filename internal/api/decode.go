@@ -316,10 +316,11 @@ type portAcc struct {
 }
 
 // matrix reads a square array of rows of non-negative integers into a
-// matrix that owns its cells and carries the summary (ρ, τ, total, non-zero
-// count, largest entry, overflow flag) of what was read: the one pass that
-// has to touch every cell of the body is the only one the request path
-// makes over the zeros.
+// matrix from the pool (matrix.Acquire) that carries the summary (ρ, τ,
+// total, non-zero count, largest entry, overflow flag) of what was read:
+// the one pass that has to touch every cell of the body is the only one the
+// request path makes over the zeros. A matrix the parser gives up on
+// midway is left to the collector.
 func (p *parser) matrix() (*matrix.Matrix, bool) {
 	if !p.eat('[') || !p.eat('[') {
 		return nil, false
@@ -347,7 +348,8 @@ scan:
 	if n > (len(p.b)-p.i+1)/2/n {
 		return nil, false
 	}
-	cells := make([]int64, n*n)
+	m := matrix.Acquire(n)
+	cells := m.Cells() // filled here, then the summary is installed
 	var colBuf [stackPorts]portAcc
 	cols := colBuf[:]
 	if n > stackPorts {
@@ -376,7 +378,7 @@ scan:
 		rowStart := nonZeros
 		// This loop is the request path's hottest. Each step tries the
 		// canonical byte first and looks for whitespace only when it is not
-		// there, and zero cells — already what make left in out — are
+		// there, and zero cells — already what Acquire left in out — are
 		// passed over four at a time while the body reads "0,0,0,0,".
 		for col, out := 0, cells[row*n:(row+1)*n]; col < n; col++ {
 			if col > 0 {
@@ -435,11 +437,10 @@ scan:
 		rho = max(rho, c.sum)
 		tau = max(tau, c.cnt)
 	}
-	sum := matrix.Summary{
+	m.SetSummary(matrix.Summary{
 		Rho: rho, Tau: tau, Total: total, NonZeros: nonZeros, MaxEntry: maxEntry, Overflow: wrapped < 0,
-	}
-	m, err := matrix.FromCells(n, cells, &sum)
-	return m, err == nil
+	})
+	return m, true
 }
 
 // matrices reads a non-empty array of matrices.

@@ -149,7 +149,8 @@ func diffDecoded(got, want decoded) string {
 // to the same algorithm, registry request and SLA pair, and the summary
 // each fast-parsed matrix carries is the one a dense scan of the reference
 // matrix computes. The converse is not required — giving up is always
-// allowed.
+// allowed. Each accepted input is decoded a second time into the matrices
+// of the first, recycled dirty, and must come out the same.
 func FuzzDecodeSoundness(f *testing.F) {
 	addRequestSeeds(f)
 	// What clients actually send: json.Marshal of the exported structs.
@@ -198,21 +199,25 @@ func FuzzDecodeSoundness(f *testing.F) {
 		f.Add(uint8(min(i%4, 2)), body)
 	}
 
-	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
+	fast := func(which uint8, body []byte) (kind string, d decoded, ok bool) {
 		p := parser{b: body}
-		var kind, wantKind string
-		var got, want decoded
-		var ok bool
-		var err error
 		switch which % 3 {
 		case 0:
-			got, ok = p.request(false)
+			d, ok = p.request(false)
 		case 1:
-			got, ok = p.request(true)
+			d, ok = p.request(true)
 		default:
-			kind, got, ok = p.job()
+			kind, d, ok = p.job()
 		}
-		if !ok || !p.end() {
+		return kind, d, ok && p.end()
+	}
+
+	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
+		var wantKind string
+		var want decoded
+		var err error
+		kind, got, ok := fast(which, body)
+		if !ok {
 			return
 		}
 		switch which % 3 {
@@ -235,6 +240,36 @@ func FuzzDecodeSoundness(f *testing.F) {
 		for k, m := range got.req.Demands {
 			if _, ok := m.Summary(); !ok {
 				t.Fatalf("%q: fast-parsed demand %d carries no summary", body, k)
+			}
+		}
+
+		// A second decode draws its matrices from the pool the first one's
+		// were recycled to, dirty: it must read the same cells and carry
+		// the same summaries.
+		first := got
+		first.req.Demands = make([]*matrix.Matrix, len(got.req.Demands))
+		for k, m := range got.req.Demands {
+			first.req.Demands[k] = m.Clone()
+			for c, cells := 0, m.Cells(); c < len(cells); c++ {
+				cells[c] = -1 - int64(c)
+			}
+			m.Recycle()
+		}
+		kind2, again, ok := fast(which, body)
+		if !ok || kind2 != kind {
+			t.Fatalf("%q: second decode: ok %v, kind %q, first decode kind %q", body, ok, kind2, kind)
+		}
+		gd, fd := again.req.Demands, first.req.Demands
+		again.req.Demands, first.req.Demands = nil, nil
+		if !reflect.DeepEqual(again, first) || len(gd) != len(fd) {
+			t.Fatalf("%q: second decode differs outside the matrices", body)
+		}
+		for k, m := range gd {
+			gs, gok := m.Summary()
+			fs, fok := fd[k].Summary()
+			if !m.Equal(fd[k]) || gs != fs || gok != fok {
+				t.Fatalf("%q: demand %d decoded into a recycled matrix differs:\n%v%+v %v\nfirst decode:\n%v%+v %v",
+					body, k, m, gs, gok, fd[k], fs, fok)
 			}
 		}
 	})

@@ -69,8 +69,8 @@ type JobListResponse struct {
 type job struct {
 	id   string
 	kind string
-	name string // algorithm
-	areq algo.Request
+	name string       // algorithm
+	areq algo.Request // the zero Request once exec is done with the job
 
 	// SLA: weight defaults to 1; a zero deadline means none. inLoad and
 	// outLoad are the summed per-port demands, precomputed at submission
@@ -418,6 +418,7 @@ func (s *Server) exec(j *job) {
 	m.mu.Lock()
 	if j.state != JobQueued {
 		// Cancelled or shed while queued: dead closure, nothing to run.
+		j.areq = algo.Request{}
 		m.mu.Unlock()
 		return
 	}
@@ -460,6 +461,12 @@ func (s *Server) exec(j *job) {
 			j.multi = &r
 		}
 	}
+	// The record outlives the run by up to JobRetention finished jobs; it
+	// keeps the rendered response, never the demand.
+	if err == nil {
+		recycle(j.areq)
+	}
+	j.areq = algo.Request{}
 	obs.Current().Inc(obs.L("jobs_finished_total", "state", j.state))
 	m.evictLocked()
 }

@@ -13,24 +13,33 @@ import (
 )
 
 // blockSched is a registry scheduler tests steer: when gate is non-nil,
-// Schedule blocks until the gate closes or the context ends. It otherwise
-// returns a trivial deterministic result, so the registry-wide tests that
-// sweep algo.All() can run it safely (they skip "test-" names anyway).
+// Schedule blocks until the gate closes or the context ends. It then hands
+// the request to the registry entry then names, or with none returns a
+// trivial deterministic result, so the registry-wide tests that sweep
+// algo.All() can run it safely (they skip "test-" names anyway).
 type blockSched struct {
+	name, then string
+
 	mu      sync.Mutex
 	gate    chan struct{}
 	started chan struct{} // receives one token per Schedule call underway
 }
 
-var testBlock = &blockSched{}
+var (
+	testBlock    = &blockSched{name: "test-block"}
+	testBlockSin = &blockSched{name: "test-block-sin", then: algo.NameRecoSin}
+)
 
 var registerTestBlock sync.Once
 
 func ensureTestBlock() {
-	registerTestBlock.Do(func() { algo.Register(testBlock) })
+	registerTestBlock.Do(func() {
+		algo.Register(testBlock)
+		algo.Register(testBlockSin)
+	})
 }
 
-func (b *blockSched) Name() string     { return "test-block" }
+func (b *blockSched) Name() string     { return b.name }
 func (b *blockSched) Describe() string { return "test scheduler that blocks on demand" }
 func (b *blockSched) Caps() algo.Capabilities {
 	return algo.Capabilities{SingleCoflow: true, MultiCoflow: true}
@@ -66,6 +75,9 @@ func (b *blockSched) Schedule(ctx context.Context, req algo.Request) (*algo.Resu
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
+	}
+	if b.then != "" {
+		return algo.MustGet(b.then).Schedule(ctx, req)
 	}
 	return &algo.Result{CCTs: make([]int64, len(req.Demands)), Reconfigs: len(req.Demands)}, nil
 }
@@ -305,5 +317,59 @@ func TestJobEndpointMethods(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("DELETE /v1/jobs = %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestFinishedJobsDropTheirDemand: a finished job's record is retained for
+// status queries, up to JobRetention of them, and keeps its rendered
+// response, never its request's n² matrices — whether the job finished,
+// failed or was cancelled while queued.
+func TestFinishedJobsDropTheirDemand(t *testing.T) {
+	s, client := newJobTestServer(t, Options{JobWorkers: 1, JobQueue: 8})
+	release, started := testBlock.arm()
+	defer func() { release(); testBlock.disarm() }()
+	ctx := context.Background()
+	submit := func(req JobRequest) string {
+		t.Helper()
+		info, err := client.SubmitJob(ctx, req)
+		if err != nil {
+			t.Fatalf("SubmitJob: %v", err)
+		}
+		return info.ID
+	}
+	single := func(algorithm string, delta int64) JobRequest {
+		return JobRequest{Kind: "single", Single: &SingleRequest{Demand: jobDemand, Delta: delta, Algorithm: algorithm}}
+	}
+
+	blocker := submit(single("test-block", 100))
+	<-started
+	queued := submit(single("", 100))
+	if _, err := client.CancelJob(ctx, queued); err != nil {
+		t.Fatalf("CancelJob: %v", err)
+	}
+	release()
+	// One worker runs the pool in submission order, so the cancelled job's
+	// dead closure has run once the jobs after it are done.
+	ids := []string{blocker, queued,
+		submit(single("", 100)),
+		submit(JobRequest{Kind: "multi", Multi: &MultiRequest{Demands: [][][]int64{jobDemand, jobDemand}, Delta: 100, C: 4}}),
+		submit(single(algo.NameHelios, 0)), // helios refuses δ = 0: a failed job
+	}
+	want := []string{JobDone, JobCancelled, JobDone, JobDone, JobFailed}
+	for k, id := range ids {
+		info, err := client.WaitJob(ctx, id, time.Millisecond)
+		if err != nil {
+			t.Fatalf("WaitJob: %v", err)
+		}
+		if info.State != want[k] {
+			t.Errorf("job %s: state %s, want %s", id, info.State, want[k])
+		}
+	}
+	s.jobs.mu.Lock()
+	defer s.jobs.mu.Unlock()
+	for _, id := range ids {
+		if j := s.jobs.jobs[id]; len(j.areq.Demands) != 0 {
+			t.Errorf("%s job %s still references its %d demand matrices", j.state, id, len(j.areq.Demands))
+		}
 	}
 }

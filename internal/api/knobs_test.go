@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -146,6 +147,11 @@ func TestKnobsCostNoAllocation(t *testing.T) {
 		kn := &algo.KnobTable[i]
 		set := setValue(kn)
 		body, _ := json.Marshal(SingleRequest{Demand: [][]int64{{0, 400}, {400, 0}}, Delta: 100, Algorithm: capableAlgorithm(t, set), Knobs: set})
+		// Two collections empty the matrix pool that earlier tests left
+		// slabs in, so every decode below pays for its matrix; the loop
+		// recycles none.
+		runtime.GC()
+		runtime.GC()
 		allocs := testing.AllocsPerRun(200, func() {
 			d, err := decodeSingle(body)
 			if err != nil {

@@ -67,6 +67,8 @@ func Decompose(m *matrix.Matrix, s Strategy) ([]Term, error) {
 // DecomposeCtx is Decompose with cooperative cancellation: the extraction
 // loop checks ctx before every term and returns ctx.Err() once it is
 // cancelled, so callers can abort a long decomposition on timeout or Ctrl-C.
+// It keeps no reference to m once it returns: the terms own their storage,
+// so a caller may reuse or recycle m (core.RecoSinCtx does).
 func DecomposeCtx(ctx context.Context, m *matrix.Matrix, s Strategy) ([]Term, error) {
 	if _, ok := m.DoublyStochasticValue(); !ok {
 		return nil, ErrNotDoublyStochastic

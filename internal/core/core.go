@@ -36,15 +36,20 @@ var ErrBadParam = errors.New("core: invalid parameter")
 // "no reconfiguration cost" uniformly.
 func Regularize(d *matrix.Matrix, delta int64) *matrix.Matrix {
 	out := d.Clone()
+	roundUp(out, delta)
+	return out
+}
+
+// roundUp is Regularize in place on m; delta <= 0 leaves m as it is.
+func roundUp(m *matrix.Matrix, delta int64) {
 	if delta <= 0 {
-		return out
+		return
 	}
-	d.ForEachNonZero(func(i, j int, v int64) {
+	m.ForEachNonZero(func(i, j int, v int64) {
 		if rem := v % delta; rem != 0 {
-			out.Set(i, j, v+delta-rem)
+			m.Set(i, j, v+delta-rem)
 		}
 	})
-	return out
 }
 
 // RecoSin computes the Reco-Sin circuit schedule for a single coflow
@@ -77,17 +82,21 @@ func RecoSinCtx(ctx context.Context, d *matrix.Matrix, delta int64) (ocs.Circuit
 	}
 	snk := obs.Current()
 	end := snk.Stage("regularize")
-	reg := Regularize(d, delta)
+	reg := matrix.AcquireClone(d)
+	roundUp(reg, delta)
 	end()
 	// Row and column sums of reg are multiples of delta, so its rho already
 	// lies on the grid and stuffing deficits stay multiples of delta. reg is
-	// this call's own copy, so it is stuffed in place.
+	// this call's own pooled copy: it is stuffed in place, and goes back to
+	// the pool once decomposed, since DecomposeCtx keeps nothing of its
+	// input.
 	end = snk.Stage("stuff")
 	matrix.StuffPreferNonZeroInPlace(reg)
 	end()
 	end = snk.Stage("bvn_decompose")
 	terms, err := bvn.DecomposeCtx(ctx, reg, bvn.MaxMin)
 	end()
+	reg.Recycle()
 	if err != nil {
 		return nil, fmt.Errorf("core: reco-sin decomposition: %w", err)
 	}

@@ -26,14 +26,14 @@ var ErrNegative = errors.New("matrix: negative entry")
 
 // Matrix is a dense square matrix of non-negative int64 demands.
 //
-// The zero value is not usable; construct matrices with New, FromRows or
-// FromCells.
+// The zero value is not usable; construct matrices with New, FromRows,
+// FromCells or Acquire.
 // Methods with index arguments follow slice semantics: out-of-range indices
 // panic, as they indicate a programmer error rather than bad input data.
 type Matrix struct {
 	n     int
 	cells []int64
-	// sum is the digest FromCells was handed or Clone copied, meaningful
+	// sum is the digest SetSummary was handed or Clone copied, meaningful
 	// only while sumOK. Every mutator clears sumOK with one store; readers
 	// never set it, so a matrix shared read-only between goroutines stays
 	// race-free and IsZero on a residual mutated every step never pays for a
@@ -43,8 +43,8 @@ type Matrix struct {
 }
 
 // Summary is the scalar digest of a matrix that a producer touching every
-// cell anyway (the request parser) accumulates on its way and hands to
-// FromCells, so the O(n²) scans behind ρ, τ, Total, NonZeros, IsZero and
+// cell anyway (the request parser) accumulates on its way and installs with
+// SetSummary, so the O(n²) scans behind ρ, τ, Total, NonZeros, IsZero and
 // MaxEntry become field reads on a request's own demand.
 type Summary struct {
 	// Rho is the maximum row or column sum; meaningless when Overflow.
@@ -98,20 +98,12 @@ func FromRows(rows [][]int64) (*Matrix, error) {
 // matrix takes ownership of cells (no copy): the caller must not use the
 // slice afterwards. Like FromRows it rejects a non-positive dimension, a
 // cell count other than n², and negative entries.
-//
-// A non-nil sum is the caller's word that it accumulated exactly this
-// digest while producing cells, none of them negative: the matrix keeps it
-// and the negative scan is skipped. Only a producer that read every cell as
-// an unsigned value (the request parser) may pass one.
-func FromCells(n int, cells []int64, sum *Summary) (*Matrix, error) {
+func FromCells(n int, cells []int64) (*Matrix, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("%w: n=%d", ErrDimension, n)
 	}
 	if len(cells)/n != n || len(cells)%n != 0 {
 		return nil, fmt.Errorf("%w: %d cells for n=%d", ErrDimension, len(cells), n)
-	}
-	if sum != nil {
-		return &Matrix{n: n, cells: cells, sum: *sum, sumOK: true}, nil
 	}
 	for idx, v := range cells {
 		if v < 0 {
@@ -122,8 +114,8 @@ func FromCells(n int, cells []int64, sum *Summary) (*Matrix, error) {
 }
 
 // Summary returns the digest the matrix carries and whether it carries one:
-// it was built by FromCells with a summary, or cloned from such a matrix,
-// and has not been written since.
+// it was given one by SetSummary, or cloned from such a matrix, and has not
+// been written since.
 func (m *Matrix) Summary() (Summary, bool) { return m.sum, m.sumOK }
 
 // N returns the matrix dimension.
@@ -131,8 +123,16 @@ func (m *Matrix) N() int { return m.n }
 
 // Cells returns the entries in row-major order (entry (i, j) at index
 // i·N()+j) as a view of the matrix's own storage, for bulk readers such as
-// hashing and encoding. Callers must not write through it.
+// hashing and encoding. Callers must not write through it, with one
+// exception: the producer of a matrix fresh from Acquire may fill it
+// through this view before anything else sees the matrix, and then install
+// what it accumulated on the way with SetSummary.
 func (m *Matrix) Cells() []int64 { return m.cells }
+
+// SetSummary installs sum as m's digest. It is the caller's word that sum
+// is exactly what m holds, none of it negative: only a producer that read
+// every cell it wrote as an unsigned value (the request parser) may call it.
+func (m *Matrix) SetSummary(sum Summary) { m.sum, m.sumOK = sum, true }
 
 // At returns entry (i, j).
 func (m *Matrix) At(i, j int) int64 { return m.cells[i*m.n+j] }
@@ -148,17 +148,6 @@ func (m *Matrix) Clone() *Matrix {
 	c := &Matrix{n: m.n, cells: make([]int64, len(m.cells)), sum: m.sum, sumOK: m.sumOK}
 	copy(c.cells, m.cells)
 	return c
-}
-
-// CopyFrom overwrites m's entries with o's, reusing m's storage. The
-// dimensions must match; a mismatch is a programmer error and panics, as
-// out-of-range indices do.
-func (m *Matrix) CopyFrom(o *Matrix) {
-	if o.n != m.n {
-		panic(fmt.Sprintf("matrix: CopyFrom dimension %d into %d", o.n, m.n))
-	}
-	copy(m.cells, o.cells)
-	m.sumOK = false
 }
 
 // RowSums returns the sum of each row.

@@ -361,14 +361,14 @@ func TestFromCells(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := FromCells(tt.n, tt.cells, nil); !errors.Is(err, tt.wantErr) {
+			if _, err := FromCells(tt.n, tt.cells); !errors.Is(err, tt.wantErr) {
 				t.Errorf("got err %v, want %v", err, tt.wantErr)
 			}
 		})
 	}
 
 	cells := []int64{4, 0, 2, 0, 5, 0, 1, 0, 3}
-	m, err := FromCells(3, cells, nil)
+	m, err := FromCells(3, cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,25 +380,6 @@ func TestFromCells(t *testing.T) {
 	if cells[5] != 9 || &m.Cells()[0] != &cells[0] || len(m.Cells()) != 9 {
 		t.Errorf("FromCells copied its input, or Cells is not the backing storage")
 	}
-}
-
-func TestCopyFrom(t *testing.T) {
-	src := mustFromRows(t, [][]int64{{1, 2}, {3, 4}})
-	dst := mustFromRows(t, [][]int64{{9, 9}, {9, 9}})
-	dst.CopyFrom(src)
-	if !dst.Equal(src) {
-		t.Errorf("CopyFrom left\n%v", dst)
-	}
-	dst.Set(0, 0, 7)
-	if src.At(0, 0) != 1 {
-		t.Error("CopyFrom aliased the source")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("CopyFrom across dimensions did not panic")
-		}
-	}()
-	dst.CopyFrom(mustFromRows(t, [][]int64{{1}}))
 }
 
 // denseScan computes a matrix's summary from scratch through At, the way the
@@ -430,7 +411,7 @@ func denseScan(m *Matrix) Summary {
 }
 
 // TestSummaryMatchesDenseScan: a carried summary can never go stale. Random
-// matrices — half of them born with a summary, as the request parser's are —
+// pooled matrices — half of them given a summary, as the request parser's are —
 // go through random sequences of every mutator and copier, and after every
 // step each accessor a summary can answer agrees with a from-scratch scan.
 func TestSummaryMatchesDenseScan(t *testing.T) {
@@ -442,21 +423,14 @@ func TestSummaryMatchesDenseScan(t *testing.T) {
 				cells[idx] = 1 + rng.Int63n(50)
 			}
 		}
-		var sum *Summary
-		if rng.Intn(2) == 0 {
-			plain, err := FromCells(n, append([]int64(nil), cells...), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s := denseScan(plain)
-			sum = &s
+		m := Acquire(n)
+		copy(m.Cells(), cells)
+		summed := rng.Intn(2) == 0
+		if summed {
+			m.SetSummary(denseScan(m))
 		}
-		m, err := FromCells(n, cells, sum)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := m.Summary(); ok != (sum != nil) {
-			t.Fatalf("FromCells with summary %v: carried = %v", sum != nil, ok)
+		if _, ok := m.Summary(); ok != summed {
+			t.Fatalf("SetSummary called %v: carried = %v", summed, ok)
 		}
 		return m
 	}
@@ -498,8 +472,8 @@ func TestSummaryMatchesDenseScan(t *testing.T) {
 				}
 				check("Sub", m)
 			case 3:
-				m.CopyFrom(random(n))
-				check("CopyFrom", m)
+				m = AcquireClone(random(n))
+				check("AcquireClone", m)
 			case 4:
 				c := m.Clone()
 				check("Clone", c)
@@ -526,16 +500,9 @@ func TestSummaryMatchesDenseScan(t *testing.T) {
 	// A summary that says a sum overflowed is kept for the refusal and never
 	// answers for ρ; the scan behind the checked ρ refuses the same cells.
 	big := int64(1) << 62
-	plain, err := FromCells(2, []int64{big, big, 1, 1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := FromCells(2, []int64{big, big, 1, 1}, &Summary{
-		Rho: -1, Tau: 2, Total: 2*big + 2, NonZeros: 4, MaxEntry: big, Overflow: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := mustFromRows(t, [][]int64{{big, big}, {1, 1}})
+	m := plain.Clone()
+	m.SetSummary(Summary{Rho: -1, Tau: 2, Total: 2*big + 2, NonZeros: 4, MaxEntry: big, Overflow: true})
 	if _, ok := m.CheckedMaxRowColSum(); ok {
 		t.Error("an overflowing summary passed the checked ρ")
 	}

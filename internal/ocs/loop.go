@@ -258,7 +258,7 @@ type Core struct {
 // demand is reachable only through permanently failed ports, ErrNoProgress
 // after maxStuck establishments in a row that drained nothing.
 func (c Core) Run(d *matrix.Matrix, ctrl Controller) (Result, error) {
-	sc := acquireScratch(d.N())
+	sc := acquireScratch(d)
 	defer sc.release()
 	return c.run(sc, d, ctrl, nil, false)
 }
@@ -285,7 +285,6 @@ func (c Core) run(sc *scratch, d *matrix.Matrix, ctrl Controller, flows schedule
 	}
 
 	rem := sc.rem
-	rem.CopyFrom(d)
 	left := d.Total() // undrained demand, kept as a counter: the residual is never rescanned
 	fab := fabric.NewCircuit(n, c.Bandwidth)
 	var res Result
@@ -482,8 +481,9 @@ func (c Core) log(res *Result, tr Trace) {
 
 // scratch is what one run needs besides its result: the residual it drains,
 // the egress marks of assignment validation, and the schedule walk of a plan
-// executor. Recycled across runs, so a request pays a copy of its demand,
-// not a fresh n² allocation, and nothing per assignment.
+// executor. Recycled across runs of any port count, so a request pays a copy
+// of its demand into a pooled matrix (matrix.AcquireClone), not a fresh n²
+// allocation, and nothing per assignment.
 type scratch struct {
 	rem  *matrix.Matrix
 	seen []bool
@@ -492,20 +492,28 @@ type scratch struct {
 
 var scratches sync.Pool
 
-func acquireScratch(n int) *scratch {
-	if sc, _ := scratches.Get().(*scratch); sc != nil && len(sc.seen) == n {
-		return sc
+// acquireScratch returns a scratch for a run over d, its residual a copy of
+// d.
+func acquireScratch(d *matrix.Matrix) *scratch {
+	sc, _ := scratches.Get().(*scratch)
+	if sc == nil {
+		sc = new(scratch)
 	}
-	rem, _ := matrix.New(n)
-	return &scratch{rem: rem, seen: make([]bool, n)}
+	n := d.N()
+	if cap(sc.seen) < n {
+		sc.seen = make([]bool, n)
+	}
+	sc.seen = sc.seen[:n]
+	sc.rem = matrix.AcquireClone(d)
+	return sc
 }
 
-// release recycles sc, unless its residual left with a Result.
+// release recycles sc and hands its residual back to the matrix pool,
+// unless the residual left with a Result.
 func (sc *scratch) release() {
-	if sc.rem != nil {
-		sc.walk = Walk{}
-		scratches.Put(sc)
-	}
+	sc.rem.Recycle()
+	sc.rem, sc.walk = nil, Walk{}
+	scratches.Put(sc)
 }
 
 // check holds a decision to the switch model: a partial matching, a

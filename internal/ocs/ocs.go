@@ -128,7 +128,7 @@ func ExecNotAllStop(d *matrix.Matrix, cs CircuitSchedule, delta int64) (Result, 
 // the demand drains before the walk reaches it; nothing is returned next to
 // an invalid schedule or core.
 func (c Core) exec(d *matrix.Matrix, cs CircuitSchedule, flows schedule.FlowSchedule) (Result, error) {
-	sc := acquireScratch(d.N())
+	sc := acquireScratch(d)
 	defer sc.release()
 	if err := cs.validate(sc.seen); err != nil {
 		return Result{}, err

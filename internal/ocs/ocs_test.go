@@ -343,18 +343,16 @@ func TestSinglePortSchedule(t *testing.T) {
 	}
 }
 
-// withSummary rebuilds d the way the request parser hands matrices over:
-// from its cells, carrying the summary of what they hold.
+// withSummary copies d the way the request parser hands matrices over:
+// carrying the summary of what its cells hold.
 func withSummary(t *testing.T, d *matrix.Matrix) *matrix.Matrix {
 	t.Helper()
 	rho, ok := d.CheckedMaxRowColSum()
-	m, err := matrix.FromCells(d.N(), append([]int64(nil), d.Cells()...), &matrix.Summary{
+	m := d.Clone()
+	m.SetSummary(matrix.Summary{
 		Rho: rho, Tau: d.MaxRowColNonZeros(), Total: d.Total(),
 		NonZeros: d.NonZeros(), MaxEntry: d.MaxEntry(), Overflow: !ok,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	return m
 }
 

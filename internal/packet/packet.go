@@ -124,7 +124,7 @@ func (w *waves) order(d *matrix.Matrix) []flowKey {
 			w.keys = append(w.keys, flowKey{d: v, i: int32(idx / n), j: int32(idx % n)})
 		}
 	}
-	// More flows than NonZeros reported means a FromCells summary broke its
+	// More flows than NonZeros reported means a SetSummary summary broke its
 	// contract; size the scratch to the matrix rather than index past it.
 	if f := len(w.keys); f > len(w.sorted) {
 		w.sorted, w.round = make([]flowKey, f), make([]int32, f)
