@@ -66,7 +66,7 @@ func run(args []string, stderr io.Writer) int {
 		noCache      = fs.Bool("no-cache", false, "disable the plan cache (coalescing stays on)")
 		cacheEntries = fs.Int("cache-entries", 0, "plan cache entry bound (0: default)")
 		cacheBytes   = fs.Int64("cache-bytes", 0, "plan cache approximate byte bound (0: default)")
-		jobWorkers   = fs.Int("job-workers", 0, "async job worker goroutines (0: GOMAXPROCS)")
+		jobWorkers   = fs.Int("job-workers", 0, "async job worker goroutines (0: RECO_WORKERS if set, else GOMAXPROCS)")
 		jobQueue     = fs.Int("job-queue", 0, "async job queue bound (0: default)")
 		jobRetention = fs.Int("job-retention", 0, "finished jobs retained for polling (0: default)")
 	)

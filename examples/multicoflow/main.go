@@ -40,7 +40,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	lpRes, err := lpiigb.ScheduleSequential(ds, nil, delta)
+	lpRes, err := lpiigb.ScheduleSequentialCtx(context.Background(), ds, nil, delta)
 	if err != nil {
 		log.Fatal(err)
 	}

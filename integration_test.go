@@ -55,7 +55,7 @@ func TestIntegrationAllSchedulersSatisfyModel(t *testing.T) {
 	}
 
 	// Reco-Mul pipeline.
-	mul, err := core.ScheduleMul(ds, nil, delta, c)
+	mul, err := core.ScheduleMulCtx(context.Background(), ds, nil, delta, c)
 	if err != nil {
 		t.Fatalf("reco-mul: %v", err)
 	}
@@ -88,12 +88,12 @@ func TestIntegrationAllSchedulersSatisfyModel(t *testing.T) {
 	}
 
 	// LP-II-GB, both disciplines.
-	lpSeq, err := lpiigb.ScheduleSequential(ds, nil, delta)
+	lpSeq, err := lpiigb.ScheduleSequentialCtx(context.Background(), ds, nil, delta)
 	if err != nil {
 		t.Fatalf("lp-ii-gb: %v", err)
 	}
 	check("lp-ii-gb", lpSeq.Flows, lpSeq.CCTs)
-	lpGroup, err := lpiigb.Schedule(ds, nil, delta)
+	lpGroup, err := lpiigb.ScheduleCtx(context.Background(), ds, nil, delta)
 	if err != nil {
 		t.Fatalf("lp-ii-gb-group: %v", err)
 	}
@@ -198,11 +198,11 @@ func TestIntegrationNormalizationBaselineOrdering(t *testing.T) {
 	for i, cf := range coflows {
 		ds[i] = cf.Demand
 	}
-	mul, err := core.ScheduleMul(ds, nil, delta, c)
+	mul, err := core.ScheduleMulCtx(context.Background(), ds, nil, delta, c)
 	if err != nil {
 		t.Fatalf("reco-mul: %v", err)
 	}
-	lp, err := lpiigb.ScheduleSequential(ds, nil, delta)
+	lp, err := lpiigb.ScheduleSequentialCtx(context.Background(), ds, nil, delta)
 	if err != nil {
 		t.Fatalf("lp-ii-gb: %v", err)
 	}
@@ -293,7 +293,7 @@ func TestStressSweep(t *testing.T) {
 			}
 			ds = append(ds, m)
 		}
-		mul, err := core.ScheduleMul(ds, nil, delta, c)
+		mul, err := core.ScheduleMulCtx(context.Background(), ds, nil, delta, c)
 		if err != nil {
 			t.Fatalf("mul trial %d: %v", trial, err)
 		}
@@ -318,7 +318,7 @@ func TestStressSweep(t *testing.T) {
 		if err := nas.Flows.Validate(n, kk); err != nil {
 			t.Fatalf("nas trial %d ports: %v", trial, err)
 		}
-		lp, err := lpiigb.ScheduleSequential(ds, nil, delta)
+		lp, err := lpiigb.ScheduleSequentialCtx(context.Background(), ds, nil, delta)
 		if err != nil {
 			t.Fatalf("lp trial %d: %v", trial, err)
 		}

@@ -73,7 +73,7 @@ func BenchmarkDecomposeMaxMin(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				terms, err := Decompose(m, MaxMin)
+				terms, err := DecomposeCtx(context.Background(), m, MaxMin)
 				if err != nil || len(terms) == 0 {
 					b.Fatalf("terms=%d err=%v", len(terms), err)
 				}
@@ -91,7 +91,7 @@ func BenchmarkDecomposeFirstFit(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				terms, err := Decompose(m, FirstFit)
+				terms, err := DecomposeCtx(context.Background(), m, FirstFit)
 				if err != nil || len(terms) == 0 {
 					b.Fatalf("terms=%d err=%v", len(terms), err)
 				}

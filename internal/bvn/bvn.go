@@ -44,9 +44,10 @@ const (
 	FirstFit
 )
 
-// Decompose writes m as a sum of permutation-matrix terms. The input must be
-// doubly stochastic in the generalized sense (all row sums and column sums
-// equal); stuffed matrices produced by the matrix package always qualify.
+// DecomposeCtx writes m as a sum of permutation-matrix terms. The input must
+// be doubly stochastic in the generalized sense (all row sums and column
+// sums equal); stuffed matrices produced by the matrix package always
+// qualify.
 // The input is not modified. The returned terms sum exactly to m, and each
 // coefficient is at least 1 (entries are integers).
 //
@@ -60,15 +61,11 @@ const (
 // incrementally instead of rescanning the N×N residual (docs/PERF.md). The
 // engine logs each term's matching in its own buffer, and the result's
 // permutations are copied out of it into one slab at the end.
-func Decompose(m *matrix.Matrix, s Strategy) ([]Term, error) {
-	return DecomposeCtx(context.Background(), m, s)
-}
-
-// DecomposeCtx is Decompose with cooperative cancellation: the extraction
-// loop checks ctx before every term and returns ctx.Err() once it is
-// cancelled, so callers can abort a long decomposition on timeout or Ctrl-C.
-// It keeps no reference to m once it returns: the terms own their storage,
-// so a caller may reuse or recycle m (core.RecoSinCtx does).
+//
+// The extraction loop checks ctx before every term and returns ctx.Err()
+// once it is cancelled, so callers can abort a long decomposition on timeout
+// or Ctrl-C. It keeps no reference to m once it returns: the terms own their
+// storage, so a caller may reuse or recycle m (core.RecoSinCtx does).
 func DecomposeCtx(ctx context.Context, m *matrix.Matrix, s Strategy) ([]Term, error) {
 	if _, ok := m.DoublyStochasticValue(); !ok {
 		return nil, ErrNotDoublyStochastic
@@ -136,7 +133,7 @@ func countTrials(snk *obs.Sink, eng *matching.Engine) {
 }
 
 // Recompose sums the terms back into a matrix of dimension n, the inverse of
-// Decompose. It is exported for tests and validators.
+// DecomposeCtx. It is exported for tests and validators.
 func Recompose(terms []Term, n int) (*matrix.Matrix, error) {
 	out, err := matrix.New(n)
 	if err != nil {

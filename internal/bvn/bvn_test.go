@@ -22,14 +22,14 @@ func mustMatrix(t *testing.T, rows [][]int64) *matrix.Matrix {
 
 func TestDecomposeRejectsNonDS(t *testing.T) {
 	m := mustMatrix(t, [][]int64{{1, 2}, {3, 4}})
-	if _, err := Decompose(m, MaxMin); !errors.Is(err, ErrNotDoublyStochastic) {
+	if _, err := DecomposeCtx(context.Background(), m, MaxMin); !errors.Is(err, ErrNotDoublyStochastic) {
 		t.Errorf("err = %v, want ErrNotDoublyStochastic", err)
 	}
 }
 
 func TestDecomposeRejectsUnknownStrategy(t *testing.T) {
 	m := mustMatrix(t, [][]int64{{1, 0}, {0, 1}})
-	if _, err := Decompose(m, Strategy(99)); err == nil {
+	if _, err := DecomposeCtx(context.Background(), m, Strategy(99)); err == nil {
 		t.Error("unknown strategy accepted")
 	}
 }
@@ -42,7 +42,7 @@ func TestDecomposePaperExample(t *testing.T) {
 		{200, 200, 200},
 		{200, 200, 200},
 	})
-	terms, err := Decompose(m, MaxMin)
+	terms, err := DecomposeCtx(context.Background(), m, MaxMin)
 	if err != nil {
 		t.Fatalf("Decompose: %v", err)
 	}
@@ -70,7 +70,7 @@ func TestDecomposeIdentityLike(t *testing.T) {
 		{0, 0, 7},
 	})
 	for _, s := range []Strategy{MaxMin, FirstFit} {
-		terms, err := Decompose(m, s)
+		terms, err := DecomposeCtx(context.Background(), m, s)
 		if err != nil {
 			t.Fatalf("strategy %d: %v", s, err)
 		}
@@ -82,7 +82,7 @@ func TestDecomposeIdentityLike(t *testing.T) {
 
 func checkDecomposition(t *testing.T, m *matrix.Matrix, s Strategy) []Term {
 	t.Helper()
-	terms, err := Decompose(m, s)
+	terms, err := DecomposeCtx(context.Background(), m, s)
 	if err != nil {
 		t.Fatalf("Decompose: %v", err)
 	}
@@ -165,7 +165,7 @@ func TestDecomposeProperty(t *testing.T) {
 			m.Set(0, 0, 2)
 		}
 		ds := matrix.Stuff(m)
-		terms, err := Decompose(ds, MaxMin)
+		terms, err := DecomposeCtx(context.Background(), ds, MaxMin)
 		if err != nil {
 			return false
 		}
@@ -200,7 +200,7 @@ func TestDecomposeInvariants(t *testing.T) {
 		}
 		ds := matrix.StuffPreferNonZero(m)
 		for _, s := range []Strategy{MaxMin, FirstFit} {
-			terms, err := Decompose(ds, s)
+			terms, err := DecomposeCtx(context.Background(), ds, s)
 			if err != nil {
 				t.Fatalf("trial %d strategy %d: %v", trial, s, err)
 			}
@@ -209,7 +209,7 @@ func TestDecomposeInvariants(t *testing.T) {
 				t.Fatalf("trial %d strategy %d: Recompose: %v", trial, s, err)
 			}
 			if !back.Equal(ds) {
-				t.Fatalf("trial %d strategy %d: Recompose(Decompose(m)) != m", trial, s)
+				t.Fatalf("trial %d strategy %d: Recompose(DecomposeCtx(context.Background(), m)) != m", trial, s)
 			}
 			if nnz := ds.NonZeros(); len(terms) > nnz {
 				t.Fatalf("trial %d strategy %d: %d terms exceeds nnz %d", trial, s, len(terms), nnz)
@@ -256,7 +256,7 @@ func TestThresholdTrialCounters(t *testing.T) {
 		}
 	}
 	ds := matrix.StuffPreferNonZero(m)
-	terms, err := Decompose(ds, MaxMin)
+	terms, err := DecomposeCtx(context.Background(), ds, MaxMin)
 	if err != nil {
 		t.Fatal(err)
 	}

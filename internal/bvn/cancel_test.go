@@ -58,7 +58,7 @@ func (c *cancelAfter) Err() error {
 	return nil
 }
 
-// decomposeFresh is Decompose on an engine of its own, the oracle for what
+// decomposeFresh is DecomposeCtx on an engine of its own, the oracle for what
 // the pooled path must return.
 func decomposeFresh(t *testing.T, m *matrix.Matrix) []Term {
 	t.Helper()
@@ -119,7 +119,7 @@ func TestConcurrentDecomposeSharesPoolSafely(t *testing.T) {
 	for i := range jobs {
 		m := stuffedRandom(rng, 4+rng.Intn(70), 0.3)
 		s := Strategy(1 + i%2)
-		want, err := Decompose(m, s)
+		want, err := DecomposeCtx(context.Background(), m, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestConcurrentDecomposeSharesPoolSafely(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 6; round++ {
 				j := jobs[(w+round)%len(jobs)]
-				got, err := Decompose(j.m, j.s)
+				got, err := DecomposeCtx(context.Background(), j.m, j.s)
 				if err != nil {
 					t.Errorf("worker %d round %d: %v", w, round, err)
 				} else if !reflect.DeepEqual(got, j.want) {
@@ -153,7 +153,7 @@ func TestDecomposeSlabMatchesExtraction(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		m := stuffedRandom(rng, 2+rng.Intn(40), 0.4)
 		for _, s := range []Strategy{MaxMin, FirstFit} {
-			got, err := Decompose(m, s)
+			got, err := DecomposeCtx(context.Background(), m, s)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package bvn
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -15,9 +16,9 @@ import (
 
 // TestMaxMinGolden pins what the max–min extraction returns for a seeded
 // corpus: the SHA-256 of every term's permutation and coefficient from
-// Decompose(MaxMin), and of matching.BottleneckPerfect's matching, value
-// and error. The corpus spans n ∈ {3…9, 63, 64, 65, 128}, so both one-word
-// and multi-word bitset rows, with four shapes per n: the δ-regularized
+// DecomposeCtx(…, MaxMin), and of matching.BottleneckPerfect's matching,
+// value and error. The corpus spans n ∈ {3…9, 63, 64, 65, 128}, so both
+// one-word and multi-word bitset rows, with four shapes per n: the δ-regularized
 // dense matrix a Reco-Sin request decomposes (n ≥ 4), a tie-heavy dense one (every
 // entry 100, 200 or 300 before stuffing), an arbitrary sparse one, and a
 // sum of permutations whose entries lie above 2³², one near MaxInt64/n.
@@ -75,7 +76,7 @@ func TestMaxMinGolden(t *testing.T) {
 		}
 		for _, c := range cases {
 			label := fmt.Sprintf("n=%d %s", n, c.name)
-			terms, err := Decompose(c.ds, MaxMin)
+			terms, err := DecomposeCtx(context.Background(), c.ds, MaxMin)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}

@@ -23,7 +23,7 @@ var (
 // DecomposeK extracts at most k max–min Birkhoff–von Neumann terms from m
 // and returns them together with the residual demand they leave uncovered
 // (zero when k reaches the full decomposition's term count). The input must
-// be doubly stochastic, like Decompose's, and is not modified.
+// be doubly stochastic, like DecomposeCtx's, and is not modified.
 //
 // This is the greedy coverage loop of the sparsity-bounded decompositions
 // in "Birkhoff's Decomposition Revisited": each step removes the term with

@@ -58,7 +58,7 @@ func TestDecomposeKMatchesFullDecompose(t *testing.T) {
 		n := 2 + rng.Intn(10)
 		ds := stuffedRandom(rng, n, 0.4+0.4*rng.Float64())
 
-		full, err := Decompose(ds, MaxMin)
+		full, err := DecomposeCtx(context.Background(), ds, MaxMin)
 		if err != nil {
 			t.Fatalf("Decompose: %v", err)
 		}

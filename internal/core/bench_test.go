@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -44,7 +45,7 @@ func BenchmarkScheduleMul(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := ScheduleMul(batches[i%len(batches)], nil, delta, c); err != nil {
+				if _, err := ScheduleMulCtx(context.Background(), batches[i%len(batches)], nil, delta, c); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -145,29 +145,39 @@ type MulResult struct {
 // ErrBadParam. With delta == 0 the input is returned unchanged
 // (reconfigurations are free).
 func RecoMul(sp schedule.FlowSchedule, n int, delta, c int64) (*MulResult, error) {
+	fs, res, err := placeOnGrid(sp, n, delta, c)
+	if res != nil || err != nil {
+		return res, err
+	}
+	return inject(sp, fs, n, delta), nil
+}
+
+// placeOnGrid is the front end RecoMul and RecoMulNAS share: it validates
+// delta, c and n, and places sp's flows on the stretched-and-snapped
+// pseudo-time axis of Algorithm 2. When there is nothing to transform
+// (delta == 0 or an empty sp) it returns a copy of sp as the finished
+// result instead.
+func placeOnGrid(sp schedule.FlowSchedule, n int, delta, c int64) ([]pseudoFlow, *MulResult, error) {
 	if delta < 0 {
-		return nil, fmt.Errorf("%w: delta %d", ErrBadParam, delta)
+		return nil, nil, fmt.Errorf("%w: delta %d", ErrBadParam, delta)
 	}
 	if c < 1 {
-		return nil, fmt.Errorf("%w: c %d", ErrBadParam, c)
+		return nil, nil, fmt.Errorf("%w: c %d", ErrBadParam, c)
 	}
 	if n <= 0 {
-		return nil, fmt.Errorf("%w: n %d", ErrBadParam, n)
+		return nil, nil, fmt.Errorf("%w: n %d", ErrBadParam, n)
 	}
 	if delta == 0 || len(sp) == 0 {
 		out := make(schedule.FlowSchedule, len(sp))
 		copy(out, sp)
-		return &MulResult{Flows: out}, nil
+		return nil, &MulResult{Flows: out}, nil
 	}
 	snap, err := gridSnap(delta, c)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	fs, _, err := place(sp, n, snap)
-	if err != nil {
-		return nil, err
-	}
-	return inject(sp, fs, n, delta), nil
+	return fs, nil, err
 }
 
 // ApproxRatioMul returns the paper's Reco-Mul approximation ratio

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -398,7 +399,7 @@ func TestRecoMulTheorem3(t *testing.T) {
 			}
 			ds = append(ds, m)
 		}
-		res, err := ScheduleMul(ds, nil, delta, c)
+		res, err := ScheduleMulCtx(context.Background(), ds, nil, delta, c)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -444,7 +445,7 @@ func TestIsqrt(t *testing.T) {
 }
 
 func TestScheduleMulValidation(t *testing.T) {
-	if _, err := ScheduleMul(nil, nil, 10, 4); !errors.Is(err, ErrBadParam) {
+	if _, err := ScheduleMulCtx(context.Background(), nil, nil, 10, 4); !errors.Is(err, ErrBadParam) {
 		t.Errorf("empty input: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -103,7 +104,7 @@ func TestRecoMulGolden(t *testing.T) {
 		for wi, w := range [][]float64{nil, weights} {
 			for _, delta := range deltas {
 				for _, c := range cs {
-					res, err := ScheduleMul(ds, w, delta, c)
+					res, err := ScheduleMulCtx(context.Background(), ds, w, delta, c)
 					fmt.Fprintf(got["pipeline"], "%d/%d/%d/%d %s", b, wi, delta, c, errText(err))
 					if res != nil {
 						fmt.Fprintf(got["pipeline"], " ccts=%v packet=%v reconfigs=%d conf=%d", res.CCTs, res.PacketCCTs, res.Reconfigs, res.ConfTime)

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"reco/internal/schedule"
-)
+import "reco/internal/schedule"
 
 // RecoMulNAS is the not-all-stop variant of RecoMul (Sec. VI): the same
 // stretch-and-snap regularization of start times, but a reconfiguration
@@ -19,27 +15,9 @@ import (
 // the not-all-stop completion of each flow is never later than its all-stop
 // completion.
 func RecoMulNAS(sp schedule.FlowSchedule, n int, delta, c int64) (*MulResult, error) {
-	if delta < 0 {
-		return nil, fmt.Errorf("%w: delta %d", ErrBadParam, delta)
-	}
-	if c < 1 {
-		return nil, fmt.Errorf("%w: c %d", ErrBadParam, c)
-	}
-	if n <= 0 {
-		return nil, fmt.Errorf("%w: n %d", ErrBadParam, n)
-	}
-	if delta == 0 || len(sp) == 0 {
-		out := make(schedule.FlowSchedule, len(sp))
-		copy(out, sp)
-		return &MulResult{Flows: out}, nil
-	}
-	snap, err := gridSnap(delta, c)
-	if err != nil {
-		return nil, err
-	}
-	flows, _, err := place(sp, n, snap)
-	if err != nil {
-		return nil, err
+	flows, res, err := placeOnGrid(sp, n, delta, c)
+	if res != nil || err != nil {
+		return res, err
 	}
 
 	// Map pseudo time to real time by per-port propagation: a flow starts
@@ -52,7 +30,7 @@ func RecoMulNAS(sp schedule.FlowSchedule, n int, delta, c int64) (*MulResult, er
 	realFreeIn := make([]int64, n)
 	realFreeOut := make([]int64, n)
 	setups := 0
-	res := &MulResult{Flows: make(schedule.FlowSchedule, len(flows))}
+	res = &MulResult{Flows: make(schedule.FlowSchedule, len(flows))}
 	for idx, f := range flows {
 		out := sp[f.idx]
 		key := [2]int{f.in, f.out}

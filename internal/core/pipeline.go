@@ -26,19 +26,16 @@ type MulPipelineResult struct {
 	PacketCCTs []int64
 }
 
-// ScheduleMul runs the complete Reco-Mul pipeline of Sec. IV: the
+// ScheduleMulCtx runs the complete Reco-Mul pipeline of Sec. IV: the
 // primal–dual weighted-completion-time permutation (the combinatorial
 // equivalent of the Shafiee–Ghaderi ALG_p), a non-preemptive packet-switch
 // list schedule, and the Algorithm 2 transformation into a feasible all-stop
 // OCS schedule with reconfiguration delay delta and transmission threshold c.
 // A nil w means unit weights.
-func ScheduleMul(ds []*matrix.Matrix, w []float64, delta, c int64) (*MulPipelineResult, error) {
-	return ScheduleMulCtx(context.Background(), ds, w, delta, c)
-}
-
-// ScheduleMulCtx is ScheduleMul with cooperative cancellation: ctx is polled
-// between pipeline stages, so a cancelled request aborts before the next
-// stage starts rather than running the pipeline to completion.
+//
+// ctx is polled between pipeline stages, so a cancelled request aborts
+// before the next stage starts rather than running the pipeline to
+// completion.
 func ScheduleMulCtx(ctx context.Context, ds []*matrix.Matrix, w []float64, delta, c int64) (*MulPipelineResult, error) {
 	if len(ds) == 0 {
 		return nil, fmt.Errorf("%w: no coflows", ErrBadParam)

@@ -17,9 +17,9 @@ import (
 // the full-drain cleanup phase.
 const DefaultSparseK = 8
 
-// RecoSparse computes the sparsity-bounded single-coflow schedule: stuff the
-// demand doubly stochastic, cap the Birkhoff–von Neumann decomposition at k
-// max–min terms and cover the residual with full-drain cleanup
+// RecoSparseCtx computes the sparsity-bounded single-coflow schedule: stuff
+// the demand doubly stochastic, cap the Birkhoff–von Neumann decomposition
+// at k max–min terms and cover the residual with full-drain cleanup
 // establishments instead of the decomposition's long tail of small terms.
 // k <= 0 selects DefaultSparseK.
 //
@@ -45,12 +45,9 @@ const DefaultSparseK = 8
 // establishments — far fewer than the up-to-nnz terms of the full
 // decomposition — at the cost of some idle padding inside the cleanup
 // windows (the reconfig-vs-CCT frontier; results/frontier.csv).
-func RecoSparse(d *matrix.Matrix, delta int64, k int) (ocs.CircuitSchedule, error) {
-	return RecoSparseCtx(context.Background(), d, delta, k)
-}
-
-// RecoSparseCtx is RecoSparse with cooperative cancellation: the extraction
-// loop polls ctx and aborts with ctx.Err() once it is cancelled.
+//
+// The extraction loop polls ctx and aborts with ctx.Err() once it is
+// cancelled.
 func RecoSparseCtx(ctx context.Context, d *matrix.Matrix, delta int64, k int) (ocs.CircuitSchedule, error) {
 	if delta < 0 {
 		return nil, fmt.Errorf("%w: delta %d", ErrBadParam, delta)

@@ -13,12 +13,12 @@ import (
 
 func TestRecoSparseEdgeCases(t *testing.T) {
 	z, _ := matrix.New(3)
-	cs, err := RecoSparse(z, 100, 4)
+	cs, err := RecoSparseCtx(context.Background(), z, 100, 4)
 	if err != nil || cs != nil {
 		t.Errorf("zero matrix: cs=%v err=%v, want nil, nil", cs, err)
 	}
 	d := mustMatrix(t, [][]int64{{3, 1}, {2, 4}})
-	if _, err := RecoSparse(d, -1, 4); !errors.Is(err, ErrBadParam) {
+	if _, err := RecoSparseCtx(context.Background(), d, -1, 4); !errors.Is(err, ErrBadParam) {
 		t.Errorf("negative delta: %v, want ErrBadParam", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -29,7 +29,7 @@ func TestRecoSparseEdgeCases(t *testing.T) {
 
 	// Single-port demand takes the one-establishment shortcut.
 	sp := mustMatrix(t, [][]int64{{0, 7, 0}, {0, 0, 0}, {0, 0, 0}})
-	cs, err = RecoSparse(sp, 100, 1)
+	cs, err = RecoSparseCtx(context.Background(), sp, 100, 1)
 	if err != nil || len(cs) != 1 {
 		t.Fatalf("single-port: %d assignments, err=%v", len(cs), err)
 	}
@@ -57,7 +57,7 @@ func TestRecoSparseCompletes(t *testing.T) {
 			d.Set(0, 1, 5)
 		}
 		for _, k := range []int{1, 2, 4, 8, 0} { // 0 = DefaultSparseK
-			cs, err := RecoSparse(d, 100, k)
+			cs, err := RecoSparseCtx(context.Background(), d, 100, k)
 			if err != nil {
 				t.Fatalf("trial %d k=%d: %v", trial, k, err)
 			}
@@ -83,11 +83,11 @@ func TestRecoSparseDeterministic(t *testing.T) {
 			}
 		}
 	}
-	a, err := RecoSparse(d, 100, 4)
+	a, err := RecoSparseCtx(context.Background(), d, 100, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RecoSparse(d, 100, 4)
+	b, err := RecoSparseCtx(context.Background(), d, 100, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestRecoSparseFewerReconfigs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sparse, err := RecoSparse(d, 100, 4)
+	sparse, err := RecoSparseCtx(context.Background(), d, 100, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

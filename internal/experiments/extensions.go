@@ -205,7 +205,7 @@ func ExtOptics(cfg Config) (*Table, error) {
 	type sample struct{ reco, fluid []float64 }
 	samples, err := grid(cfg.workers(), len(deltas), len(batches), func(di, b int) (sample, error) {
 		ds := batches[b]
-		mul, err := core.ScheduleMul(ds, nil, deltas[di], cfg.C)
+		mul, err := core.ScheduleMulCtx(context.Background(), ds, nil, deltas[di], cfg.C)
 		if err != nil {
 			return sample{}, fmt.Errorf("ext-optics delta=%d: %w", deltas[di], err)
 		}
@@ -352,7 +352,7 @@ func ExtFull(cfg Config) (*Table, error) {
 		ds[i] = c.Demand
 	}
 
-	reco, err := core.ScheduleMul(ds, nil, cfg.Delta, cfg.C)
+	reco, err := core.ScheduleMulCtx(context.Background(), ds, nil, cfg.Delta, cfg.C)
 	if err != nil {
 		return nil, fmt.Errorf("ext-full reco-mul: %w", err)
 	}

@@ -52,7 +52,7 @@ func Frontier(cfg Config) (*Table, error) {
 		if k == 0 {
 			return solstice.Schedule(context.Background(), d)
 		}
-		return core.RecoSparse(d, cfg.Delta, k)
+		return core.RecoSparseCtx(context.Background(), d, cfg.Delta, k)
 	}
 	// batchRun plays every coflow of the batch through its schedule alone on
 	// the switch and sums CCTs and executed reconfigurations.

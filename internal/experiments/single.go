@@ -165,7 +165,7 @@ func Thm1(cfg Config) (*Table, error) {
 			return Row{}, fmt.Errorf("thm1: %w", err)
 		}
 		stuffed := matrix.Stuff(d)
-		terms, err := bvn.Decompose(stuffed, bvn.FirstFit)
+		terms, err := bvn.DecomposeCtx(context.Background(), stuffed, bvn.FirstFit)
 		if err != nil {
 			return Row{}, fmt.Errorf("thm1: %w", err)
 		}
@@ -266,11 +266,11 @@ func AblationBvNStrategy(cfg Config) (*Table, error) {
 		Columns: []string{"max-min terms", "first-fit terms"},
 	}, func(d *matrix.Matrix) ([]float64, error) {
 		stuffed := matrix.StuffPreferNonZero(core.Regularize(d, cfg.Delta))
-		mm, err := bvn.Decompose(stuffed, bvn.MaxMin)
+		mm, err := bvn.DecomposeCtx(context.Background(), stuffed, bvn.MaxMin)
 		if err != nil {
 			return nil, err
 		}
-		ff, err := bvn.Decompose(stuffed, bvn.FirstFit)
+		ff, err := bvn.DecomposeCtx(context.Background(), stuffed, bvn.FirstFit)
 		if err != nil {
 			return nil, err
 		}

@@ -1,8 +1,7 @@
-// Package fabric abstracts the transmission substrates a coflow's demand
-// can drain through: a Fabric has a port count, a capacity, and windowed
-// Transmit semantics — given a residual demand matrix and a time window,
-// it moves as much demand as its capacity model allows and reports the
-// amount sent. Two fabrics cover every execution path in this repository:
+// Package fabric models the two transmission substrates a coflow's demand
+// can drain through. Each one takes a residual demand matrix and a time
+// window, moves as much demand as its capacity model allows and reports the
+// amount sent. The two cover every execution path in this repository:
 //
 //   - Circuit: an N×N optical circuit switch carrying one established
 //     (partial) matching at bw demand units per tick per circuit. The event
@@ -30,39 +29,23 @@ import (
 	"reco/internal/schedule"
 )
 
-// Fabric is a transmission substrate: Transmit drains residual demand over
-// the window [start, end) under the fabric's capacity model, appending any
-// flow-level intervals it can attribute (fluid fabrics attribute none) and
-// returning the total demand moved.
-type Fabric interface {
-	// Ports is the fabric's port count per side.
-	Ports() int
-	// Transmit drains rem over [start, end), appends attributable flow
-	// intervals (coflow 0) to flows when non-nil, and returns the demand
-	// moved. It never leaves a negative residual.
-	Transmit(rem *matrix.Matrix, start, end int64, flows *schedule.FlowSchedule) int64
-}
-
 // Circuit is an optical circuit fabric: it carries the currently
 // established partial matching, each circuit moving bw demand units per
 // tick, and stops a circuit as soon as its pair's demand is drained (the
 // paper's Fig. 2 early-stop semantics). Ports marked down carry nothing.
 type Circuit struct {
-	n     int
 	bw    int64
 	perm  []int
 	ready []int64
 	down  []bool
 }
 
-// NewCircuit returns an n-port circuit fabric whose circuits move bw
-// demand units per tick. bw = 1 is the paper's unit-bandwidth switch.
-func NewCircuit(n int, bw int64) *Circuit {
-	return &Circuit{n: n, bw: bw}
+// NewCircuit returns a circuit fabric whose circuits move bw demand units
+// per tick; its port count is that of the matchings it is given. bw = 1 is
+// the paper's unit-bandwidth switch.
+func NewCircuit(bw int64) *Circuit {
+	return &Circuit{bw: bw}
 }
-
-// Ports implements Fabric.
-func (c *Circuit) Ports() int { return c.n }
 
 // Establish installs perm (Perm[i] = egress for ingress i, -1 idle) as the
 // current matching; every circuit transmits from the start of the next
@@ -126,10 +109,12 @@ func (c *Circuit) DrainEnd(rem *matrix.Matrix, start int64) (end int64, live boo
 	return end, live
 }
 
-// Transmit implements Fabric: every live established circuit drains its
-// pair from start (from its ready time when staggered) until end at bw units
-// per tick, decrementing rem and appending one flow interval per circuit
-// that moved data. Flow intervals are rounded up to whole ticks (⌈send/bw⌉).
+// Transmit drains rem over the window [start, end): every live established
+// circuit drains its pair from start (from its ready time when staggered)
+// until end at bw units per tick, decrementing rem and appending one flow
+// interval (coflow 0) per circuit that moved data to flows when non-nil.
+// Flow intervals are rounded up to whole ticks (⌈send/bw⌉). It returns the
+// demand moved and never leaves a negative residual.
 func (c *Circuit) Transmit(rem *matrix.Matrix, start, end int64, flows *schedule.FlowSchedule) int64 {
 	var sent int64
 	for i, j := range c.perm {
@@ -172,7 +157,6 @@ func (c *Circuit) Transmit(rem *matrix.Matrix, start, end int64, flows *schedule
 // rational num/den fraction of a circuit lane's unit rate. There is no
 // reconfiguration cost and no flow-level schedule (the model is fluid).
 type Electrical struct {
-	n        int
 	num, den int64
 }
 
@@ -183,11 +167,8 @@ func NewElectrical(n int, num, den int64) (*Electrical, error) {
 	if n <= 0 || num < 0 || den <= 0 {
 		return nil, fmt.Errorf("fabric: invalid electrical fabric n=%d rate=%d/%d", n, num, den)
 	}
-	return &Electrical{n: n, num: num, den: den}, nil
+	return &Electrical{num: num, den: den}, nil
 }
-
-// Ports implements Fabric.
-func (e *Electrical) Ports() int { return e.n }
 
 // Rate returns the fabric's rate as the rational num/den.
 func (e *Electrical) Rate() (num, den int64) { return e.num, e.den }
@@ -242,12 +223,6 @@ func (e *Electrical) Drain(rem *matrix.Matrix, w int64) int64 {
 		sent += send
 	})
 	return sent
-}
-
-// Transmit implements Fabric as Drain over the window's length. The fluid
-// model attributes no flow intervals; flows is untouched.
-func (e *Electrical) Transmit(rem *matrix.Matrix, start, end int64, flows *schedule.FlowSchedule) int64 {
-	return e.Drain(rem, end-start)
 }
 
 // Permille quantizes a bandwidth fraction in [0, 1] to the rational

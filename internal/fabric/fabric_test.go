@@ -23,7 +23,7 @@ func TestCircuitTransmitDrainsAndStopsEarly(t *testing.T) {
 		{0, 2, 0},
 		{0, 0, 0},
 	})
-	c := NewCircuit(3, 1)
+	c := NewCircuit(1)
 	c.Establish([]int{0, 1, 2}) // (2,2) has no demand
 	if got := c.MaxRemaining(rem); got != 5 {
 		t.Fatalf("MaxRemaining = %d, want 5", got)
@@ -53,7 +53,7 @@ func TestCircuitTransmitDrainsAndStopsEarly(t *testing.T) {
 
 func TestCircuitBandwidthRoundsFlowsUp(t *testing.T) {
 	rem := mustMatrix(t, [][]int64{{5}})
-	c := NewCircuit(1, 4)
+	c := NewCircuit(4)
 	c.Establish([]int{0})
 	var flows schedule.FlowSchedule
 	sent := c.Transmit(rem, 0, 2, &flows)
@@ -71,7 +71,7 @@ func TestCircuitDownMaskSkipsCircuits(t *testing.T) {
 		{3, 0},
 		{0, 4},
 	})
-	c := NewCircuit(2, 1)
+	c := NewCircuit(1)
 	c.Establish([]int{0, 1})
 	c.SetPortsDown([]bool{false, true})
 	if got := c.MaxRemaining(rem); got != 3 {
@@ -91,7 +91,7 @@ func TestCircuitStaggeredStarts(t *testing.T) {
 		{10, 0},
 		{0, 10},
 	})
-	c := NewCircuit(2, 1)
+	c := NewCircuit(1)
 	// Circuit 0 carried over (ready at 0), circuit 1 reconfigures (ready at 3).
 	c.EstablishStaggered([]int{0, 1}, []int64{0, 3})
 	if end, live := c.DrainEnd(rem, 0); !live || end != 13 {

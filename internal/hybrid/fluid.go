@@ -174,7 +174,7 @@ func ScheduleFluid(ctx context.Context, d *matrix.Matrix, cfg FluidConfig) (*Flu
 		if err != nil {
 			return nil, fmt.Errorf("hybrid: %w", err)
 		}
-		circ := fabric.NewCircuit(n, 1)
+		circ := fabric.NewCircuit(1)
 		for _, a := range cs {
 			if err := ctx.Err(); err != nil {
 				return nil, err

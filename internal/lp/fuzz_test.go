@@ -71,9 +71,9 @@ func fuzzProblem(data []byte) *Problem {
 	return p
 }
 
-// FuzzSimplexMatchesDense holds Solve to the dense reference pivot: the same
-// error, and every bit of X and Objective the same up to the sign of a zero,
-// the one thing skipping the pivot row's zero columns may change.
+// FuzzSimplexMatchesDense holds SolveCtx to the dense reference pivot: the
+// same error, and every bit of X and Objective the same up to the sign of a
+// zero, the one thing skipping the pivot row's zero columns may change.
 func FuzzSimplexMatchesDense(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 1, 5, 6, 1, 20, 4, 4})            // minimize x + 2y s.t. x + y ≥ 12
@@ -83,7 +83,7 @@ func FuzzSimplexMatchesDense(f *testing.F) {
 		6, 7, 8, 9, 2, 11, 3, 4, 3, 4, 3, 4, 2, 10, 5, 3, 5, 3, 5, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := fuzzProblem(data)
-		got, gotErr := p.Solve()
+		got, gotErr := p.SolveCtx(context.Background())
 		want, wantErr := p.solve(context.Background(), densePivot)
 		if gotErr != wantErr {
 			t.Fatalf("error %v, dense reference %v", gotErr, wantErr)

@@ -92,15 +92,10 @@ type Solution struct {
 	Objective float64
 }
 
-// Solve runs the two-phase simplex and returns an optimal solution, or
-// ErrInfeasible / ErrUnbounded / ErrIterationLimit.
-func (p *Problem) Solve() (*Solution, error) {
-	return p.SolveCtx(context.Background())
-}
-
-// SolveCtx is Solve with cooperative cancellation: the pivot loop checks ctx
-// periodically and returns ctx.Err() once it is cancelled, so API handlers
-// and the CLI can abort a long solve on timeout or Ctrl-C.
+// SolveCtx runs the two-phase simplex and returns an optimal solution, or
+// ErrInfeasible / ErrUnbounded / ErrIterationLimit. The pivot loop checks
+// ctx periodically and returns ctx.Err() once it is cancelled, so API
+// handlers and the CLI can abort a long solve on timeout or Ctrl-C.
 func (p *Problem) SolveCtx(ctx context.Context) (*Solution, error) {
 	return p.solve(ctx, (*tableau).pivot)
 }

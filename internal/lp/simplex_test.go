@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -18,7 +19,7 @@ func TestSolveSimpleMinimization(t *testing.T) {
 	mustAdd(t, p, map[int]float64{x: 1, y: 1}, GE, 3)
 	mustAdd(t, p, map[int]float64{x: 1}, LE, 2)
 	mustAdd(t, p, map[int]float64{y: 1}, LE, 4)
-	sol, err := p.Solve()
+	sol, err := p.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -39,7 +40,7 @@ func TestSolveMaximizationViaNegation(t *testing.T) {
 	mustAdd(t, p, map[int]float64{x: 1}, LE, 4)
 	mustAdd(t, p, map[int]float64{y: 2}, LE, 12)
 	mustAdd(t, p, map[int]float64{x: 3, y: 2}, LE, 18)
-	sol, err := p.Solve()
+	sol, err := p.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -58,7 +59,7 @@ func TestSolveEquality(t *testing.T) {
 	y := p.AddVariable(1)
 	mustAdd(t, p, map[int]float64{x: 1, y: 2}, EQ, 4)
 	mustAdd(t, p, map[int]float64{x: 1, y: -1}, EQ, 1)
-	sol, err := p.Solve()
+	sol, err := p.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -72,7 +73,7 @@ func TestSolveNegativeRHS(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVariable(1)
 	mustAdd(t, p, map[int]float64{x: -1}, LE, -5)
-	sol, err := p.Solve()
+	sol, err := p.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -86,7 +87,7 @@ func TestInfeasible(t *testing.T) {
 	x := p.AddVariable(1)
 	mustAdd(t, p, map[int]float64{x: 1}, GE, 5)
 	mustAdd(t, p, map[int]float64{x: 1}, LE, 3)
-	if _, err := p.Solve(); !errors.Is(err, ErrInfeasible) {
+	if _, err := p.SolveCtx(context.Background()); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("err = %v, want ErrInfeasible", err)
 	}
 }
@@ -95,7 +96,7 @@ func TestUnbounded(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVariable(-1) // maximize x
 	mustAdd(t, p, map[int]float64{x: 1}, GE, 1)
-	if _, err := p.Solve(); !errors.Is(err, ErrUnbounded) {
+	if _, err := p.SolveCtx(context.Background()); !errors.Is(err, ErrUnbounded) {
 		t.Errorf("err = %v, want ErrUnbounded", err)
 	}
 }
@@ -104,7 +105,7 @@ func TestUnconstrained(t *testing.T) {
 	p := NewProblem()
 	p.AddVariable(1)
 	p.AddVariable(0)
-	sol, err := p.Solve()
+	sol, err := p.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -113,7 +114,7 @@ func TestUnconstrained(t *testing.T) {
 	}
 	q := NewProblem()
 	q.AddVariable(-1)
-	if _, err := q.Solve(); !errors.Is(err, ErrUnbounded) {
+	if _, err := q.SolveCtx(context.Background()); !errors.Is(err, ErrUnbounded) {
 		t.Errorf("unconstrained negative cost: err = %v, want ErrUnbounded", err)
 	}
 }
@@ -128,7 +129,7 @@ func TestDegenerateProblem(t *testing.T) {
 	mustAdd(t, p, map[int]float64{x: 0.25, y: -60, z: -0.04, w: 9}, LE, 0)
 	mustAdd(t, p, map[int]float64{x: 0.5, y: -90, z: -0.02, w: 3}, LE, 0)
 	mustAdd(t, p, map[int]float64{z: 1}, LE, 1)
-	sol, err := p.Solve()
+	sol, err := p.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -173,7 +174,7 @@ func TestRandomAgainstVertexEnumeration(t *testing.T) {
 			cons = append(cons, c)
 			mustAdd(t, p, map[int]float64{0: c.a0, 1: c.a1}, GE, c.b)
 		}
-		sol, err := p.Solve()
+		sol, err := p.SolveCtx(context.Background())
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -3,13 +3,13 @@
 // each coflow's completion time and the coflows are then served in estimate
 // order by primitive (first-fit) Birkhoff–von Neumann circuit schedules.
 //
-// Two service disciplines are provided. ScheduleSequential is the baseline
-// exactly as the paper evaluates it ("it determines the scheduling order of
-// the coflows; for single coflow scheduling, they adopt the BvN method"):
-// one coflow at a time, each with its own stuffed BvN schedule. Schedule is
-// the original Qiu–Stein–Zhong grouped construction: coflows whose estimates
-// share a geometric interval are merged into one aggregate matrix served by
-// a single BvN schedule, groups running back-to-back.
+// Two service disciplines are provided. ScheduleSequentialCtx is the
+// baseline exactly as the paper evaluates it ("it determines the scheduling
+// order of the coflows; for single coflow scheduling, they adopt the BvN
+// method"): one coflow at a time, each with its own stuffed BvN schedule.
+// ScheduleCtx is the original Qiu–Stein–Zhong grouped construction: coflows
+// whose estimates share a geometric interval are merged into one aggregate
+// matrix served by a single BvN schedule, groups running back-to-back.
 package lpiigb
 
 import (
@@ -40,17 +40,12 @@ type Result struct {
 	Groups [][]int
 }
 
-// ScheduleSequential runs the paper's LP-II-GB baseline: coflows are served
-// one at a time in LP-estimate order, each by a first-fit BvN circuit
+// ScheduleSequentialCtx runs the paper's LP-II-GB baseline: coflows are
+// served one at a time in LP-estimate order, each by a first-fit BvN circuit
 // schedule of its stuffed demand matrix, under the all-stop OCS model with
-// reconfiguration delay delta. A nil w means unit weights.
-func ScheduleSequential(ds []*matrix.Matrix, w []float64, delta int64) (*Result, error) {
-	return ScheduleSequentialCtx(context.Background(), ds, w, delta)
-}
-
-// ScheduleSequentialCtx is ScheduleSequential with cooperative cancellation:
-// the LP solve and the per-coflow BvN decompositions poll ctx and abort with
-// ctx.Err() once it is cancelled.
+// reconfiguration delay delta. A nil w means unit weights. The LP solve and
+// the per-coflow BvN decompositions poll ctx and abort with ctx.Err() once
+// it is cancelled.
 func ScheduleSequentialCtx(ctx context.Context, ds []*matrix.Matrix, w []float64, delta int64) (*Result, error) {
 	if len(ds) == 0 {
 		return nil, fmt.Errorf("lpiigb: no coflows")
@@ -101,16 +96,10 @@ func bvnSchedule(ctx context.Context, d *matrix.Matrix) (ocs.CircuitSchedule, er
 	return cs, nil
 }
 
-// Schedule runs the grouped LP-II-GB construction on the given coflows under
-// the all-stop OCS model with reconfiguration delay delta. A nil w means
-// unit weights.
-func Schedule(ds []*matrix.Matrix, w []float64, delta int64) (*Result, error) {
-	return ScheduleCtx(context.Background(), ds, w, delta)
-}
-
-// ScheduleCtx is Schedule with cooperative cancellation: the LP solve and
-// the per-group BvN decompositions poll ctx and abort with ctx.Err() once it
-// is cancelled.
+// ScheduleCtx runs the grouped LP-II-GB construction on the given coflows
+// under the all-stop OCS model with reconfiguration delay delta. A nil w
+// means unit weights. The LP solve and the per-group BvN decompositions poll
+// ctx and abort with ctx.Err() once it is cancelled.
 func ScheduleCtx(ctx context.Context, ds []*matrix.Matrix, w []float64, delta int64) (*Result, error) {
 	if len(ds) == 0 {
 		return nil, fmt.Errorf("lpiigb: no coflows")

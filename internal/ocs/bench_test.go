@@ -115,7 +115,7 @@ func BenchmarkExecSequential(b *testing.B) {
 			}
 			bt.ds, bt.plans = append(bt.ds, c.Demand), append(bt.plans, cs)
 		}
-		lp, err := ordering.LPII(bt.ds, nil)
+		lp, err := ordering.LPIICtx(context.Background(), bt.ds, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

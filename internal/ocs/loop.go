@@ -286,7 +286,7 @@ func (c Core) run(sc *scratch, d *matrix.Matrix, ctrl Controller, flows schedule
 
 	rem := sc.rem
 	left := d.Total() // undrained demand, kept as a counter: the residual is never rescanned
-	fab := fabric.NewCircuit(n, c.Bandwidth)
+	fab := fabric.NewCircuit(c.Bandwidth)
 	var res Result
 	var record *schedule.FlowSchedule
 	if c.Flows {

@@ -1,6 +1,7 @@
 package ocs
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -257,7 +258,7 @@ func TestExecSequentialWithoutFlows(t *testing.T) {
 					}
 				}
 			}
-			terms, err := bvn.Decompose(matrix.Stuff(ds[k]), bvn.MaxMin)
+			terms, err := bvn.DecomposeCtx(context.Background(), matrix.Stuff(ds[k]), bvn.MaxMin)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -431,7 +432,7 @@ func TestExecAllStopResidualCarriesNothingOver(t *testing.T) {
 // doubly stochastic matrix and decomposing with MaxMin BvN.
 func randomPlan(t *testing.T, d *matrix.Matrix) CircuitSchedule {
 	t.Helper()
-	terms, err := bvn.Decompose(matrix.StuffPreferNonZero(d), bvn.MaxMin)
+	terms, err := bvn.DecomposeCtx(context.Background(), matrix.StuffPreferNonZero(d), bvn.MaxMin)
 	if err != nil {
 		t.Fatalf("bvn.Decompose: %v", err)
 	}

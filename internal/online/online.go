@@ -8,6 +8,7 @@
 package online
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -221,7 +222,7 @@ func serveUnit(res *Result, arrivals []Arrival, chosen []int, now *int64, delta,
 		ds[i] = arrivals[k].Demand
 		w[i] = arrivals[k].Weight
 	}
-	mul, err := core.ScheduleMul(ds, w, delta, c)
+	mul, err := core.ScheduleMulCtx(context.Background(), ds, w, delta, c)
 	if err != nil {
 		return fmt.Errorf("online: %w", err)
 	}

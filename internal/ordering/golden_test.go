@@ -18,7 +18,7 @@ import (
 
 // TestLPIIGolden pins the interval-indexed LP and the simplex under it: the
 // SHA-256 of LPIICtx's order, estimates and groups over seeded batches, and
-// of lp.Solve's X, Objective and error outcome over seeded random problems.
+// of lp.SolveCtx's X, Objective and error outcome over seeded random problems.
 // Floats are dumped as their bits after adding +0, which maps −0 to +0: the
 // sign of a zero is the one thing a change to the pivot may move, and nothing
 // downstream can see it. The digests were taken before the sparse pivot and
@@ -66,7 +66,7 @@ func TestLPIIGolden(t *testing.T) {
 
 	for trial := 0; trial < 300; trial++ {
 		p := lpGoldenProblem(t, rng)
-		sol, err := p.Solve()
+		sol, err := p.SolveCtx(context.Background())
 		w := got["solve"]
 		fmt.Fprintf(w, "%d %s", trial, lpErrClass(err))
 		if sol != nil {

@@ -151,19 +151,15 @@ type LPIIResult struct {
 	Group []int
 }
 
-// LPII solves the interval-indexed LP relaxation of total weighted coflow
+// LPIICtx solves the interval-indexed LP relaxation of total weighted coflow
 // completion time (Qiu–Stein–Zhong [16]) with the embedded simplex solver
 // and derives the LP-II-GB ordering and grouping.
 //
 // Variables x_{k,l} select the geometric deadline interval
 // (τ_{l−1}, τ_l], τ_l = τ_min·2^l, in which coflow k completes; per-port
 // cumulative load constraints enforce capacity. A nil w means unit weights.
-func LPII(ds []*matrix.Matrix, w []float64) (*LPIIResult, error) {
-	return LPIICtx(context.Background(), ds, w)
-}
-
-// LPIICtx is LPII with cooperative cancellation: the embedded simplex solve
-// polls ctx and aborts with ctx.Err() once it is cancelled.
+// The embedded simplex solve polls ctx and aborts with ctx.Err() once it is
+// cancelled.
 func LPIICtx(ctx context.Context, ds []*matrix.Matrix, w []float64) (*LPIIResult, error) {
 	kk := len(ds)
 	if kk == 0 {

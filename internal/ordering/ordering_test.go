@@ -1,6 +1,7 @@
 package ordering
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -161,7 +162,7 @@ func TestLPIISmall(t *testing.T) {
 	// the short one to finish earlier under equal weights.
 	long := mustMatrix(t, [][]int64{{100, 0}, {0, 0}})
 	short := mustMatrix(t, [][]int64{{10, 0}, {0, 0}})
-	res, err := LPII([]*matrix.Matrix{long, short}, nil)
+	res, err := LPIICtx(context.Background(), []*matrix.Matrix{long, short}, nil)
 	if err != nil {
 		t.Fatalf("LPII: %v", err)
 	}
@@ -178,7 +179,7 @@ func TestLPIIWeighted(t *testing.T) {
 	// Equal sizes, one heavily weighted: it should get the earlier estimate.
 	a := mustMatrix(t, [][]int64{{50}})
 	b := mustMatrix(t, [][]int64{{50}})
-	res, err := LPII([]*matrix.Matrix{a, b}, []float64{0.1, 10})
+	res, err := LPIICtx(context.Background(), []*matrix.Matrix{a, b}, []float64{0.1, 10})
 	if err != nil {
 		t.Fatalf("LPII: %v", err)
 	}
@@ -188,11 +189,11 @@ func TestLPIIWeighted(t *testing.T) {
 }
 
 func TestLPIIEmptyAndDegenerate(t *testing.T) {
-	if _, err := LPII(nil, nil); err == nil {
+	if _, err := LPIICtx(context.Background(), nil, nil); err == nil {
 		t.Error("empty input accepted")
 	}
 	z, _ := matrix.New(2)
-	res, err := LPII([]*matrix.Matrix{z, z}, nil)
+	res, err := LPIICtx(context.Background(), []*matrix.Matrix{z, z}, nil)
 	if err != nil {
 		t.Fatalf("all-empty LPII: %v", err)
 	}
@@ -206,7 +207,7 @@ func TestLPIICapacityRespected(t *testing.T) {
 	for k := 0; k < 5; k++ {
 		ds = append(ds, mustMatrix(t, [][]int64{{20}}))
 	}
-	res, err := LPII(ds, nil)
+	res, err := LPIICtx(context.Background(), ds, nil)
 	if err != nil {
 		t.Fatalf("LPII: %v", err)
 	}

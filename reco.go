@@ -124,7 +124,7 @@ type MultiResult struct {
 // expected to be at least c·delta; smaller demands are still scheduled
 // correctly). A nil weights slice means unit weights.
 func ScheduleMultiple(demands []*Demand, weights []float64, delta, c int64) (*MultiResult, error) {
-	res, err := core.ScheduleMul(demands, weights, delta, c)
+	res, err := core.ScheduleMulCtx(context.Background(), demands, weights, delta, c)
 	if err != nil {
 		return nil, fmt.Errorf("reco: %w", err)
 	}
