@@ -74,7 +74,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzFingerprintInjective -fuzztime=10s ./internal/plancache
 	$(GO) test -run='^$$' -fuzz=FuzzEncoders -fuzztime=10s ./internal/api
 	$(GO) test -run='^$$' -fuzz=FuzzParseTrace -fuzztime=10s ./internal/workload
-	$(GO) test -run='^$$' -fuzz=FuzzElectricalTransmit -fuzztime=10s ./internal/fabric
+	$(GO) test -run='^$$' -fuzz=FuzzElectricalDrain -fuzztime=10s ./internal/fabric
 	$(GO) test -run='^$$' -fuzz=FuzzSimplexMatchesDense -fuzztime=10s ./internal/lp
 
 # Re-check every qualitative claim of the paper against a fresh run (~30 s).

@@ -102,7 +102,7 @@ func TestIntegrationAllSchedulersSatisfyModel(t *testing.T) {
 	// Sunflow per coflow (not-all-stop, no shared switch state between
 	// coflows here: each is validated standalone).
 	for k, d := range ds {
-		res, err := sunflow.Schedule(d, delta)
+		res, err := sunflow.Schedule(context.Background(), d, delta)
 		if err != nil {
 			t.Fatalf("sunflow coflow %d: %v", k, err)
 		}

@@ -143,8 +143,8 @@ func init() {
 			}},
 		{algo.NameSunflow, "Sunflow: one circuit per flow, longest-first, not-all-stop model; coflows back-to-back",
 			algo.Capabilities{SingleCoflow: true, NotAllStop: true, FlowLevel: true},
-			backToBack(func(_ context.Context, d *matrix.Matrix, req algo.Request) (int64, int, schedule.FlowSchedule, error) {
-				r, err := sunflow.Schedule(d, req.Delta)
+			backToBack(func(ctx context.Context, d *matrix.Matrix, req algo.Request) (int64, int, schedule.FlowSchedule, error) {
+				r, err := sunflow.Schedule(ctx, d, req.Delta)
 				if err != nil {
 					return 0, 0, nil, err
 				}

@@ -144,7 +144,7 @@ func TestDifferentialSunflow(t *testing.T) {
 	wantCCTs := make([]int64, len(req.Demands))
 	wantReconf := 0
 	for k, d := range req.Demands {
-		r, err := sunflow.Schedule(d, req.Delta)
+		r, err := sunflow.Schedule(context.Background(), d, req.Delta)
 		if err != nil {
 			t.Fatalf("legacy sunflow coflow %d: %v", k, err)
 		}

@@ -7,17 +7,18 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"reco/internal/bvn"
 	"reco/internal/matrix"
 	"reco/internal/obs"
 	"reco/internal/ocs"
+	"reco/internal/radix"
 	"reco/internal/schedule"
 )
 
@@ -145,19 +146,49 @@ type MulResult struct {
 // ErrBadParam. With delta == 0 the input is returned unchanged
 // (reconfigurations are free).
 func RecoMul(sp schedule.FlowSchedule, n int, delta, c int64) (*MulResult, error) {
-	fs, res, err := placeOnGrid(sp, n, delta, c)
+	s := getMulScratch()
+	defer mulPool.Put(s)
+	return s.recoMul(sp, n, delta, c)
+}
+
+// recoMul is RecoMul in s's storage.
+func (s *mulScratch) recoMul(sp schedule.FlowSchedule, n int, delta, c int64) (*MulResult, error) {
+	fs, res, err := s.placeOnGrid(sp, n, delta, c)
 	if res != nil || err != nil {
 		return res, err
 	}
-	return inject(sp, fs, n, delta), nil
+	return s.inject(sp, fs, n, delta), nil
+}
+
+// mulScratch is the storage one Reco-Mul transformation works in and then
+// drops: the pipeline's packet schedule S_p, the pseudo-flows, the per-port
+// clocks and the reconfiguration instants. It is pooled, so that once the
+// pool is warm none of it is allocated per request.
+type mulScratch struct {
+	sp       schedule.FlowSchedule
+	fs       []pseudoFlow
+	clocks   []int64
+	lastOut  []int
+	instants []int64
+}
+
+// mulPool recycles mulScratch across calls.
+var mulPool sync.Pool
+
+func getMulScratch() *mulScratch {
+	s, _ := mulPool.Get().(*mulScratch)
+	if s == nil {
+		s = new(mulScratch)
+	}
+	return s
 }
 
 // placeOnGrid is the front end RecoMul and RecoMulNAS share: it validates
 // delta, c and n, and places sp's flows on the stretched-and-snapped
-// pseudo-time axis of Algorithm 2. When there is nothing to transform
-// (delta == 0 or an empty sp) it returns a copy of sp as the finished
-// result instead.
-func placeOnGrid(sp schedule.FlowSchedule, n int, delta, c int64) ([]pseudoFlow, *MulResult, error) {
+// pseudo-time axis of Algorithm 2 in s's storage. When there is nothing to
+// transform (delta == 0 or an empty sp) it returns a copy of sp as the
+// finished result instead.
+func (s *mulScratch) placeOnGrid(sp schedule.FlowSchedule, n int, delta, c int64) ([]pseudoFlow, *MulResult, error) {
 	if delta < 0 {
 		return nil, nil, fmt.Errorf("%w: delta %d", ErrBadParam, delta)
 	}
@@ -176,7 +207,7 @@ func placeOnGrid(sp schedule.FlowSchedule, n int, delta, c int64) ([]pseudoFlow,
 	if err != nil {
 		return nil, nil, err
 	}
-	fs, _, err := place(sp, n, snap)
+	fs, _, err := s.place(sp, n, snap)
 	return fs, nil, err
 }
 
@@ -222,8 +253,11 @@ type pseudoFlow struct {
 // wastes at most one reconfiguration where grid alignment would idle the
 // port for up to s·delta. Under the minimum-demand assumption nothing is
 // pushed (Lemma 2).
-func place(sp schedule.FlowSchedule, n int, snap func(int64) int64) (fs []pseudoFlow, pushed bool, err error) {
-	fs = make([]pseudoFlow, len(sp))
+//
+// fs is s's storage, valid until s is used again.
+func (s *mulScratch) place(sp schedule.FlowSchedule, n int, snap func(int64) int64) (fs []pseudoFlow, pushed bool, err error) {
+	s.fs = slices.Grow(s.fs[:0], len(sp))[:len(sp)]
+	fs = s.fs
 	for idx, f := range sp {
 		if f.Gap != 0 {
 			return nil, false, fmt.Errorf("%w: input interval %d is not a packet-switch interval (gap %d)", ErrBadParam, idx, f.Gap)
@@ -236,23 +270,16 @@ func place(sp schedule.FlowSchedule, n int, snap func(int64) int64) (fs []pseudo
 		}
 		fs[idx] = pseudoFlow{start: f.Start, in: f.In, out: f.Out, idx: idx}
 	}
-	// snap is monotone, so sorting by packet start sorts by snapped start,
-	// ties broken by packet start and then ports: the order in which
-	// conflicts are resolved and reconfigurations accounted.
-	slices.SortFunc(fs, func(a, b pseudoFlow) int {
-		if a.start != b.start {
-			return cmp.Compare(a.start, b.start)
-		}
-		if a.in != b.in {
-			return a.in - b.in
-		}
-		if a.out != b.out {
-			return a.out - b.out
-		}
-		return a.idx - b.idx
-	})
-	freeIn := make([]int64, n)
-	freeOut := make([]int64, n)
+	// snap is monotone, so ordering by packet start orders by snapped start,
+	// ties broken by ports and then by index: the order in which conflicts
+	// are resolved and reconfigurations accounted. fs is in index order, so
+	// a stable pass on the port pair and then one on start give exactly
+	// (start, in, out, idx).
+	radix.Sort(fs, func(f pseudoFlow) uint64 { return uint64(f.in*n + f.out) })
+	radix.Sort(fs, startKey)
+	s.clocks = slices.Grow(s.clocks[:0], 2*n)[:2*n]
+	clear(s.clocks)
+	freeIn, freeOut := s.clocks[:n], s.clocks[n:]
 	for k := range fs {
 		f := &fs[k]
 		snapped := snap(f.start)
@@ -263,13 +290,16 @@ func place(sp schedule.FlowSchedule, n int, snap func(int64) int64) (fs []pseudo
 		freeOut[f.out] = end
 	}
 	// A push moves a flow later, past flows that share no port with it;
-	// restore start order. The sort is stable, so the tie-break above
+	// restore start order. The pass is stable, so the tie-break above
 	// survives.
 	if pushed {
-		slices.SortStableFunc(fs, func(a, b pseudoFlow) int { return cmp.Compare(a.start, b.start) })
+		radix.Sort(fs, startKey)
 	}
 	return fs, pushed, nil
 }
+
+// startKey orders pseudo-flows by start, negative starts first.
+func startKey(f pseudoFlow) uint64 { return radix.Signed(f.start) }
 
 // inject is lines 10–12 of Algorithm 2: it puts the all-stop
 // reconfiguration delays back on the real time axis for the flows of sp
@@ -282,18 +312,20 @@ func place(sp schedule.FlowSchedule, n int, snap func(int64) int64) (fs []pseudo
 // switch and is free. A flow waits for every reconfiguration at or before
 // its start (the all-stop freeze applies even to continuing circuits) and
 // is frozen by every later one that fires strictly before its pseudo end.
-func inject(sp schedule.FlowSchedule, fs []pseudoFlow, n int, delta int64) *MulResult {
+func (s *mulScratch) inject(sp schedule.FlowSchedule, fs []pseudoFlow, n int, delta int64) *MulResult {
 	// A flow on (i, j) starting at t continues a circuit when the latest
 	// flow on ingress i went to j and ended at t. The latest flow on the
 	// ingress speaks for every earlier flow on the pair because flows on one
 	// port are disjoint: an earlier (i, j) flow ending at t leaves no room
 	// for another flow on ingress i to start before t.
-	lastOut := make([]int, n)
-	lastEnd := make([]int64, n)
+	s.lastOut = slices.Grow(s.lastOut[:0], n)[:n]
+	s.clocks = slices.Grow(s.clocks[:0], n)[:n]
+	lastOut, lastEnd := s.lastOut, s.clocks
 	for i := range lastOut {
 		lastOut[i] = -1
 	}
-	var instants []int64
+	clear(lastEnd)
+	instants := s.instants[:0]
 	for a := 0; a < len(fs); {
 		t := fs[a].start
 		b := a
@@ -311,6 +343,7 @@ func inject(sp schedule.FlowSchedule, fs []pseudoFlow, n int, delta int64) *MulR
 		}
 		a = b
 	}
+	s.instants = instants
 
 	res := &MulResult{
 		Flows:     make(schedule.FlowSchedule, len(fs)),

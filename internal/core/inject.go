@@ -27,12 +27,14 @@ func InjectDelays(sp schedule.FlowSchedule, n int, delta int64) (*MulResult, err
 		copy(out, sp)
 		return &MulResult{Flows: out}, nil
 	}
-	fs, pushed, err := place(sp, n, func(t int64) int64 { return t })
+	s := getMulScratch()
+	defer mulPool.Put(s)
+	fs, pushed, err := s.place(sp, n, func(t int64) int64 { return t })
 	if err != nil {
 		return nil, err
 	}
 	if pushed {
 		return nil, fmt.Errorf("%w: input intervals overlap on a port", ErrBadParam)
 	}
-	return inject(sp, fs, n, delta), nil
+	return s.inject(sp, fs, n, delta), nil
 }

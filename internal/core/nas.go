@@ -15,7 +15,9 @@ import "reco/internal/schedule"
 // the not-all-stop completion of each flow is never later than its all-stop
 // completion.
 func RecoMulNAS(sp schedule.FlowSchedule, n int, delta, c int64) (*MulResult, error) {
-	flows, res, err := placeOnGrid(sp, n, delta, c)
+	s := getMulScratch()
+	defer mulPool.Put(s)
+	flows, res, err := s.placeOnGrid(sp, n, delta, c)
 	if res != nil || err != nil {
 		return res, err
 	}

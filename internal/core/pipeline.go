@@ -53,8 +53,13 @@ func ScheduleMulCtx(ctx context.Context, ds []*matrix.Matrix, w []float64, delta
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	// S_p lives only as long as this call: it is built in pooled storage
+	// and transformed there.
+	scr := getMulScratch()
+	defer mulPool.Put(scr)
 	end = snk.Stage("packet_schedule")
-	sp, err := packet.ListSchedule(ds, order)
+	sp, err := packet.AppendListSchedule(scr.sp[:0], ds, order)
+	scr.sp = sp
 	end()
 	if err != nil {
 		return nil, fmt.Errorf("core: reco-mul packet schedule: %w", err)
@@ -63,7 +68,7 @@ func ScheduleMulCtx(ctx context.Context, ds []*matrix.Matrix, w []float64, delta
 		return nil, err
 	}
 	end = snk.Stage("reco_mul_transform")
-	mul, err := RecoMul(sp, ds[0].N(), delta, c)
+	mul, err := scr.recoMul(sp, ds[0].N(), delta, c)
 	end()
 	if err != nil {
 		return nil, err

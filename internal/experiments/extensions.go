@@ -176,7 +176,7 @@ func ExtSunflowNAS(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sun, err := sunflow.Schedule(d, cfg.Delta)
+		sun, err := sunflow.Schedule(context.Background(), d, cfg.Delta)
 		if err != nil {
 			return nil, err
 		}

@@ -160,12 +160,14 @@ type Electrical struct {
 	num, den int64
 }
 
-// NewElectrical returns an n-port electrical fabric running at num/den of
-// the unit circuit rate. num = den = 1 is the ideal packet switch of
-// packet.FluidCCTs; num = 0 is a dark fabric that carries nothing.
-func NewElectrical(n int, num, den int64) (*Electrical, error) {
-	if n <= 0 || num < 0 || den <= 0 {
-		return nil, fmt.Errorf("fabric: invalid electrical fabric n=%d rate=%d/%d", n, num, den)
+// NewElectrical returns an electrical fabric running at num/den of the
+// unit circuit rate. num = den = 1 is the ideal packet switch of
+// packet.FluidCCTs; num = 0 is a dark fabric that carries nothing. The
+// fabric has no port count of its own: it serves whatever matrix it is
+// handed.
+func NewElectrical(num, den int64) (*Electrical, error) {
+	if num < 0 || den <= 0 {
+		return nil, fmt.Errorf("fabric: invalid electrical fabric rate=%d/%d", num, den)
 	}
 	return &Electrical{num: num, den: den}, nil
 }

@@ -118,7 +118,7 @@ func TestElectricalUnitRateMatchesBottleneck(t *testing.T) {
 		{3, 4},
 		{0, 6},
 	})
-	el, err := NewElectrical(2, 1, 1)
+	el, err := NewElectrical(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestElectricalUnitRateMatchesBottleneck(t *testing.T) {
 
 func TestElectricalFractionalRate(t *testing.T) {
 	m := mustMatrix(t, [][]int64{{10}})
-	el, err := NewElectrical(1, 100, 1000) // a tenth of a circuit lane
+	el, err := NewElectrical(100, 1000) // a tenth of a circuit lane
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestElectricalFractionalRate(t *testing.T) {
 
 func TestElectricalDarkFabric(t *testing.T) {
 	m := mustMatrix(t, [][]int64{{7}})
-	el, err := NewElectrical(1, 0, 1000)
+	el, err := NewElectrical(0, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,8 +164,8 @@ func TestElectricalDarkFabric(t *testing.T) {
 }
 
 func TestNewElectricalRejectsBadRates(t *testing.T) {
-	for _, tc := range [][3]int64{{0, 1, 1}, {1, -1, 1}, {1, 1, 0}, {1, 1, -5}} {
-		if _, err := NewElectrical(int(tc[0]), tc[1], tc[2]); err == nil {
+	for _, tc := range [][2]int64{{-1, 1}, {1, 0}, {1, -5}, {-1, 0}} {
+		if _, err := NewElectrical(tc[0], tc[1]); err == nil {
 			t.Fatalf("NewElectrical(%v) accepted", tc)
 		}
 	}
@@ -202,7 +202,7 @@ func TestElectricalConservation(t *testing.T) {
 			}
 		}
 		num := rng.Int63n(1001)
-		el, err := NewElectrical(n, num, 1000)
+		el, err := NewElectrical(num, 1000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,10 +254,10 @@ func checkElectricalInvariants(t *testing.T, el *Electrical, m *matrix.Matrix, w
 	}
 }
 
-// FuzzElectricalTransmit fuzzes the fluid rate allocator: for any demand
+// FuzzElectricalDrain fuzzes the fluid rate allocator, Drain: for any demand
 // matrix, rate, and window it must leave no negative residual, balance its
 // accounting, and respect per-port capacity.
-func FuzzElectricalTransmit(f *testing.F) {
+func FuzzElectricalDrain(f *testing.F) {
 	f.Add(int64(1), uint8(2), int64(100), int64(37), int64(500))
 	f.Add(int64(42), uint8(5), int64(1), int64(0), int64(1))
 	f.Add(int64(7), uint8(3), int64(1000), int64(1<<40), int64(1<<35))
@@ -280,7 +280,7 @@ func FuzzElectricalTransmit(f *testing.F) {
 				}
 			}
 		}
-		el, err := NewElectrical(n, num, 1000)
+		el, err := NewElectrical(num, 1000)
 		if err != nil {
 			t.Fatal(err)
 		}

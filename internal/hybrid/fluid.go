@@ -107,7 +107,7 @@ func ScheduleFluid(ctx context.Context, d *matrix.Matrix, cfg FluidConfig) (*Flu
 	}
 	n := d.N()
 	num, den := fabric.Permille(cfg.ElecFrac)
-	elec, err := fabric.NewElectrical(n, num, den)
+	elec, err := fabric.NewElectrical(num, den)
 	if err != nil {
 		return nil, fmt.Errorf("hybrid: %w", err)
 	}

@@ -26,8 +26,8 @@ var ErrNegative = errors.New("matrix: negative entry")
 
 // Matrix is a dense square matrix of non-negative int64 demands.
 //
-// The zero value is not usable; construct matrices with New, FromRows,
-// FromCells or Acquire.
+// The zero value is not usable; construct matrices with New, FromRows or
+// Acquire.
 // Methods with index arguments follow slice semantics: out-of-range indices
 // panic, as they indicate a programmer error rather than bad input data.
 type Matrix struct {
@@ -92,25 +92,6 @@ func FromRows(rows [][]int64) (*Matrix, error) {
 		}
 	}
 	return m, nil
-}
-
-// FromCells builds the n×n matrix whose row-major entries are cells. The
-// matrix takes ownership of cells (no copy): the caller must not use the
-// slice afterwards. Like FromRows it rejects a non-positive dimension, a
-// cell count other than n², and negative entries.
-func FromCells(n int, cells []int64) (*Matrix, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("%w: n=%d", ErrDimension, n)
-	}
-	if len(cells)/n != n || len(cells)%n != 0 {
-		return nil, fmt.Errorf("%w: %d cells for n=%d", ErrDimension, len(cells), n)
-	}
-	for idx, v := range cells {
-		if v < 0 {
-			return nil, fmt.Errorf("%w: entry (%d,%d)=%d", ErrNegative, idx/n, idx%n, v)
-		}
-	}
-	return &Matrix{n: n, cells: cells}, nil
 }
 
 // Summary returns the digest the matrix carries and whether it carries one:

@@ -344,44 +344,6 @@ func TestForEachNonZero(t *testing.T) {
 	}
 }
 
-func TestFromCells(t *testing.T) {
-	tests := []struct {
-		name    string
-		n       int
-		cells   []int64
-		wantErr error
-	}{
-		{"zero n", 0, nil, ErrDimension},
-		{"negative n", -2, []int64{1, 2, 3, 4}, ErrDimension},
-		{"too few cells", 2, []int64{1, 2, 3}, ErrDimension},
-		{"too many cells", 2, []int64{1, 2, 3, 4, 5, 6}, ErrDimension},
-		{"one long row", 3, []int64{1, 2, 3}, ErrDimension},
-		{"negative", 2, []int64{1, 2, -3, 4}, ErrNegative},
-		{"ok", 2, []int64{1, 2, 3, 4}, nil},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if _, err := FromCells(tt.n, tt.cells); !errors.Is(err, tt.wantErr) {
-				t.Errorf("got err %v, want %v", err, tt.wantErr)
-			}
-		})
-	}
-
-	cells := []int64{4, 0, 2, 0, 5, 0, 1, 0, 3}
-	m, err := FromCells(3, cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.Equal(mustFromRows(t, [][]int64{{4, 0, 2}, {0, 5, 0}, {1, 0, 3}})) {
-		t.Errorf("FromCells built\n%v", m)
-	}
-	// Ownership, not a copy — and Cells is that same storage, row-major.
-	m.Set(1, 2, 9)
-	if cells[5] != 9 || &m.Cells()[0] != &cells[0] || len(m.Cells()) != 9 {
-		t.Errorf("FromCells copied its input, or Cells is not the backing storage")
-	}
-}
-
 // denseScan computes a matrix's summary from scratch through At, the way the
 // accessors did before a matrix could carry one.
 func denseScan(m *Matrix) Summary {

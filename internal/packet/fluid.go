@@ -36,7 +36,7 @@ func FluidCCTs(ds []*matrix.Matrix, order []int) ([]int64, error) {
 		seen[k] = true
 	}
 	n := ds[0].N()
-	el, err := fabric.NewElectrical(n, 1, 1)
+	el, err := fabric.NewElectrical(1, 1)
 	if err != nil {
 		return nil, fmt.Errorf("packet: %w", err)
 	}

@@ -5,12 +5,13 @@
 package packet
 
 import (
-	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"reco/internal/matrix"
+	"reco/internal/radix"
 	"reco/internal/schedule"
 )
 
@@ -30,37 +31,40 @@ import (
 // honors the port constraint; both are machine-checked by the caller-visible
 // invariants in the schedule package.
 func ListSchedule(ds []*matrix.Matrix, order []int) (schedule.FlowSchedule, error) {
+	return AppendListSchedule(nil, ds, order)
+}
+
+// AppendListSchedule is ListSchedule appending S_p to dst, for a caller
+// that brings its own storage; on error it returns dst unchanged.
+func AppendListSchedule(dst schedule.FlowSchedule, ds []*matrix.Matrix, order []int) (schedule.FlowSchedule, error) {
 	if len(ds) == 0 {
-		return nil, fmt.Errorf("packet: no coflows")
+		return dst, fmt.Errorf("packet: no coflows")
 	}
 	n := ds[0].N()
 	if len(order) != len(ds) {
-		return nil, fmt.Errorf("packet: order has %d entries, want %d", len(order), len(ds))
+		return dst, fmt.Errorf("packet: order has %d entries, want %d", len(order), len(ds))
 	}
 	seen := make([]bool, len(ds))
 	for _, k := range order {
 		if k < 0 || k >= len(ds) || seen[k] {
-			return nil, fmt.Errorf("packet: order is not a permutation of coflows")
+			return dst, fmt.Errorf("packet: order is not a permutation of coflows")
 		}
 		seen[k] = true
 	}
 	flows, most := 0, 0
 	for _, k := range order {
 		if d := ds[k].N(); d != n {
-			return nil, fmt.Errorf("packet: coflow %d has dimension %d, want %d", k, d, n)
+			return dst, fmt.Errorf("packet: coflow %d has dimension %d, want %d", k, d, n)
 		}
 		nz := ds[k].NonZeros()
 		flows += nz
 		most = max(most, nz)
 	}
 
-	freeIn := make([]int64, n)
-	freeOut := make([]int64, n)
-	var out schedule.FlowSchedule
-	if flows > 0 {
-		out = make(schedule.FlowSchedule, 0, flows)
-	}
-	w := newWaves(n, most)
+	out := slices.Grow(dst, flows)
+	w := getWaves(n, most)
+	defer wavePool.Put(w)
+	freeIn, freeOut := w.free[:n], w.free[n:]
 	for _, k := range order {
 		for _, f := range w.order(ds[k]) {
 			start := max(freeIn[f.i], freeOut[f.j])
@@ -82,28 +86,44 @@ type flowKey struct {
 }
 
 // waves computes the wave order of the coflows of one fabric, one after
-// another, in scratch sized once for the largest.
+// another, in scratch sized once for the largest. It also holds the list
+// schedule's port clocks, so that one call's scratch is one pooled value.
 type waves struct {
 	n, words     int // ports; 64-bit words per port's round bitset
 	keys, sorted []flowKey
 	round        []int32
 	count        []int    // flows per round, then each round's first slot
 	used         []uint64 // round bitsets: ingress i at i·words, egress j at (n+j)·words
+	free         []int64  // when each ingress, then each egress port frees up
 }
 
-// newWaves returns scratch for coflows on n ports with at most most flows
-// each. Greedy needs at most 2n−1 rounds (see order).
-func newWaves(n, most int) *waves {
-	rounds := 2*n - 1
-	words := (rounds + 63) / 64
-	return &waves{
-		n: n, words: words,
-		keys:   make([]flowKey, 0, most),
-		sorted: make([]flowKey, most),
-		round:  make([]int32, most),
-		count:  make([]int, rounds+1),
-		used:   make([]uint64, 2*n*words),
+// wavePool recycles waves scratch across calls.
+var wavePool sync.Pool
+
+// getWaves returns zeroed port clocks and scratch for coflows on n ports
+// with at most most flows each, from the pool when it holds some. Greedy
+// needs at most 2n−1 rounds (see order).
+func getWaves(n, most int) *waves {
+	w, _ := wavePool.Get().(*waves)
+	if w == nil {
+		w = new(waves)
 	}
+	rounds := 2*n - 1
+	w.n, w.words = n, (rounds+63)/64
+	w.keys = slices.Grow(w.keys[:0], most)
+	w.sorted = resize(w.sorted, most)
+	w.round = resize(w.round, most)
+	w.count = resize(w.count, rounds+1)
+	w.used = resize(w.used, 2*n*w.words)
+	w.free = resize(w.free, 2*n)
+	clear(w.free)
+	return w
+}
+
+// resize returns s with length n, reusing its storage when it has room;
+// the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	return slices.Grow(s[:0], n)[:n]
 }
 
 // order returns d's flows in wave order: rounds of maximal matchings, each
@@ -129,16 +149,9 @@ func (w *waves) order(d *matrix.Matrix) []flowKey {
 	if f := len(w.keys); f > len(w.sorted) {
 		w.sorted, w.round = make([]flowKey, f), make([]int32, f)
 	}
-	// Longest first, ties by (i, j).
-	slices.SortFunc(w.keys, func(x, y flowKey) int {
-		if x.d != y.d {
-			return cmp.Compare(y.d, x.d)
-		}
-		if x.i != y.i {
-			return int(x.i - y.i)
-		}
-		return int(x.j - y.j)
-	})
+	// Longest first, ties by (i, j): the keys were collected in (i, j)
+	// order and the sort is stable.
+	radix.Sort(w.keys, func(k flowKey) uint64 { return radix.Desc(k.d) })
 
 	clear(w.used)
 	clear(w.count)

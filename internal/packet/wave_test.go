@@ -2,6 +2,7 @@ package packet
 
 import (
 	"cmp"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -79,8 +80,10 @@ func refListSchedule(ds []*matrix.Matrix, order []int) schedule.FlowSchedule {
 // TestWaveOrderMatchesReference checks ListSchedule, flow by flow and in
 // output order, against the quadratic reference on random coflows and on
 // the adversarial shapes: single-port (one row, one column, one cell),
-// complete bipartite with equal and with distinct durations, and durations
-// drawn from so few values that most comparisons tie.
+// complete bipartite with equal and with distinct durations, durations
+// drawn from so few values that most comparisons tie, and durations within
+// a few ticks of math.MaxInt64. Each shape also runs once at n = 300, where
+// port indices need a second byte.
 func TestWaveOrderMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	fill := func(n int, keep func(i, j int) bool, dur func() int64) *matrix.Matrix {
@@ -97,45 +100,58 @@ func TestWaveOrderMatchesReference(t *testing.T) {
 	shapes := []struct {
 		name string
 		make func(n int) *matrix.Matrix
+		one  bool // a single coflow: its durations leave no room for another
 	}{
 		{"random", func(n int) *matrix.Matrix {
 			p := rng.Float64()
 			return fill(n, func(int, int) bool { return rng.Float64() < p }, func() int64 { return 1 + rng.Int63n(1000) })
-		}},
+		}, false},
 		{"few-durations", func(n int) *matrix.Matrix {
 			return fill(n, func(int, int) bool { return rng.Intn(2) == 0 }, func() int64 { return 1 + rng.Int63n(3) })
-		}},
+		}, false},
 		{"one-row", func(n int) *matrix.Matrix {
 			r := rng.Intn(n)
 			return fill(n, func(i, _ int) bool { return i == r }, func() int64 { return 1 + rng.Int63n(50) })
-		}},
+		}, false},
 		{"one-column", func(n int) *matrix.Matrix {
 			c := rng.Intn(n)
 			return fill(n, func(_, j int) bool { return j == c }, func() int64 { return 1 + rng.Int63n(50) })
-		}},
+		}, false},
 		{"one-cell", func(n int) *matrix.Matrix {
 			r, c := rng.Intn(n), rng.Intn(n)
 			return fill(n, func(i, j int) bool { return i == r && j == c }, func() int64 { return 7 })
-		}},
+		}, false},
 		{"bipartite-equal", func(n int) *matrix.Matrix {
 			return fill(n, func(int, int) bool { return true }, func() int64 { return 100 })
-		}},
+		}, false},
 		{"bipartite-distinct", func(n int) *matrix.Matrix {
 			return fill(n, func(int, int) bool { return true }, func() int64 { return 1 + rng.Int63n(1<<40) })
-		}},
+		}, false},
 		// Durations near the top of int64, mostly tied: order falls to the
 		// (i, j) tie-break.
 		{"huge-durations", func(n int) *matrix.Matrix {
 			return fill(n, func(int, int) bool { return rng.Intn(4) == 0 }, func() int64 { return (1 + rng.Int63n(3)) << 56 })
-		}},
+		}, false},
+		// At most one flow per port, each within 3 of math.MaxInt64, so that
+		// no port's clock wraps: the keys differ in their lowest byte only.
+		{"near-MaxInt64", func(n int) *matrix.Matrix {
+			perm := rng.Perm(n)
+			return fill(n, func(i, j int) bool { return perm[i] == j && rng.Intn(4) != 0 }, func() int64 { return math.MaxInt64 - rng.Int63n(4) })
+		}, true},
 	}
 	for _, sh := range shapes {
 		for trial := 0; trial < 12; trial++ {
 			n := 1 + rng.Intn(40)
-			if trial == 0 {
-				n = 70 // more than 64 rounds: a second word of round bits
-			}
 			kk := 1 + rng.Intn(4)
+			switch trial {
+			case 0:
+				n = 70 // more than 64 rounds: a second word of round bits
+			case 1:
+				n, kk = 300, 1 // ports past one byte; one coflow keeps the reference quick
+			}
+			if sh.one {
+				kk = 1
+			}
 			ds := make([]*matrix.Matrix, kk)
 			for k := range ds {
 				ds[k] = sh.make(n)

@@ -7,10 +7,11 @@
 package sunflow
 
 import (
+	"context"
 	"fmt"
-	"sort"
 
 	"reco/internal/matrix"
+	"reco/internal/radix"
 	"reco/internal/schedule"
 )
 
@@ -28,11 +29,17 @@ type Result struct {
 	Flows schedule.FlowSchedule
 }
 
+// ctxStride is how many flows Schedule places between two polls of its
+// context.
+const ctxStride = 1024
+
 // Schedule runs Sunflow's one-circuit-per-flow scheduling of a single
 // coflow: flows are taken longest-first; each claims the earliest instant
 // both of its ports are free, pays the setup delay delta on those two ports,
-// and holds the circuit until its demand drains.
-func Schedule(d *matrix.Matrix, delta int64) (*Result, error) {
+// and holds the circuit until its demand drains. It checks ctx once the
+// flows are sorted and every ctxStride flows while placing them, and
+// returns ctx.Err() once cancelled.
+func Schedule(ctx context.Context, d *matrix.Matrix, delta int64) (*Result, error) {
 	if delta < 0 {
 		return nil, fmt.Errorf("sunflow: negative delta %d", delta)
 	}
@@ -52,22 +59,21 @@ func Schedule(d *matrix.Matrix, delta int64) (*Result, error) {
 	if len(flows) == 0 {
 		return &Result{}, nil
 	}
-	// Longest-first: Sunflow's LPT rule keeps bottleneck ports busy and is
-	// the source of its 2-approximation in the not-all-stop model.
-	sort.Slice(flows, func(a, b int) bool {
-		if flows[a].dur != flows[b].dur {
-			return flows[a].dur > flows[b].dur
-		}
-		if flows[a].i != flows[b].i {
-			return flows[a].i < flows[b].i
-		}
-		return flows[a].j < flows[b].j
-	})
+	// Longest-first, ties by (i, j): the flows were collected in (i, j)
+	// order and the sort is stable. Sunflow's LPT rule keeps bottleneck
+	// ports busy and is the source of its 2-approximation in the
+	// not-all-stop model.
+	radix.Sort(flows, func(f flow) uint64 { return radix.Desc(f.dur) })
 
 	freeIn := make([]int64, n)
 	freeOut := make([]int64, n)
 	res := &Result{Flows: make(schedule.FlowSchedule, 0, len(flows))}
-	for _, f := range flows {
+	for k, f := range flows {
+		if k%ctxStride == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
 		start := freeIn[f.i]
 		if freeOut[f.j] > start {
 			start = freeOut[f.j]

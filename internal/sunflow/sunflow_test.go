@@ -1,6 +1,8 @@
 package sunflow
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -18,7 +20,7 @@ func mustMatrix(t *testing.T, rows [][]int64) *matrix.Matrix {
 
 func TestScheduleEmpty(t *testing.T) {
 	z, _ := matrix.New(3)
-	res, err := Schedule(z, 10)
+	res, err := Schedule(context.Background(), z, 10)
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -29,14 +31,14 @@ func TestScheduleEmpty(t *testing.T) {
 
 func TestScheduleRejectsNegativeDelta(t *testing.T) {
 	d := mustMatrix(t, [][]int64{{1}})
-	if _, err := Schedule(d, -1); err == nil {
+	if _, err := Schedule(context.Background(), d, -1); err == nil {
 		t.Error("negative delta accepted")
 	}
 }
 
 func TestScheduleSingleFlow(t *testing.T) {
 	d := mustMatrix(t, [][]int64{{40}})
-	res, err := Schedule(d, 10)
+	res, err := Schedule(context.Background(), d, 10)
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -55,7 +57,7 @@ func TestScheduleDisjointFlowsOverlap(t *testing.T) {
 		{30, 0},
 		{0, 50},
 	})
-	res, err := Schedule(d, 10)
+	res, err := Schedule(context.Background(), d, 10)
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -70,7 +72,7 @@ func TestScheduleSharedPortSerializes(t *testing.T) {
 		{30, 50},
 		{0, 0},
 	})
-	res, err := Schedule(d, 10)
+	res, err := Schedule(context.Background(), d, 10)
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -95,7 +97,7 @@ func TestScheduleInvariants(t *testing.T) {
 				}
 			}
 		}
-		res, err := Schedule(m, 1+int64(rng.Intn(50)))
+		res, err := Schedule(context.Background(), m, 1+int64(rng.Intn(50)))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -130,7 +132,7 @@ func TestScheduleWithinTwiceLowerBound(t *testing.T) {
 		if m.IsZero() {
 			m.Set(0, 0, delta)
 		}
-		res, err := Schedule(m, delta)
+		res, err := Schedule(context.Background(), m, delta)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -138,5 +140,25 @@ func TestScheduleWithinTwiceLowerBound(t *testing.T) {
 		if res.CCT > 2*lb {
 			t.Fatalf("trial %d: CCT %d exceeds 2x lower bound %d", trial, res.CCT, 2*lb)
 		}
+	}
+}
+
+// TestScheduleHonorsCancel checks that a cancelled context stops Schedule
+// with ctx.Err() and that a live one changes nothing.
+func TestScheduleHonorsCancel(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	d, _ := matrix.New(40)
+	for i := 0; i < 40; i++ {
+		for j := 0; j < 40; j++ {
+			d.Set(i, j, 1+rng.Int63n(1000))
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Schedule(ctx, d, 10); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled context: %v, want context.Canceled", err)
+	}
+	if _, err := Schedule(context.Background(), d, 10); err != nil {
+		t.Errorf("live context: %v", err)
 	}
 }
