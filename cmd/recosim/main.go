@@ -355,7 +355,7 @@ func runFaulted(ds []*matrix.Matrix, o faultOpts) error {
 		if err != nil {
 			return fmt.Errorf("coflow %d replay: %w", k, err)
 		}
-		rec, err := sim.RunPredictive(d, o.delta, fs, replay)
+		rec, err := sim.RunPredictive(ocs.Core{Delta: o.delta, Bandwidth: 1, Faults: fs, Flows: true, Log: true}, d, replay)
 		if err != nil {
 			return fmt.Errorf("coflow %d recover: %w", k, err)
 		}

@@ -40,7 +40,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	lpRes, err := lpiigb.ScheduleSequentialCtx(context.Background(), ds, nil, delta)
+	lpRes, err := lpiigb.ScheduleSequentialCtx(context.Background(), ds, nil, delta, true)
 	if err != nil {
 		log.Fatal(err)
 	}

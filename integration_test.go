@@ -88,12 +88,12 @@ func TestIntegrationAllSchedulersSatisfyModel(t *testing.T) {
 	}
 
 	// LP-II-GB, both disciplines.
-	lpSeq, err := lpiigb.ScheduleSequentialCtx(context.Background(), ds, nil, delta)
+	lpSeq, err := lpiigb.ScheduleSequentialCtx(context.Background(), ds, nil, delta, true)
 	if err != nil {
 		t.Fatalf("lp-ii-gb: %v", err)
 	}
 	check("lp-ii-gb", lpSeq.Flows, lpSeq.CCTs)
-	lpGroup, err := lpiigb.ScheduleCtx(context.Background(), ds, nil, delta)
+	lpGroup, err := lpiigb.ScheduleCtx(context.Background(), ds, nil, delta, true)
 	if err != nil {
 		t.Fatalf("lp-ii-gb-group: %v", err)
 	}
@@ -202,7 +202,7 @@ func TestIntegrationNormalizationBaselineOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reco-mul: %v", err)
 	}
-	lp, err := lpiigb.ScheduleSequentialCtx(context.Background(), ds, nil, delta)
+	lp, err := lpiigb.ScheduleSequentialCtx(context.Background(), ds, nil, delta, true)
 	if err != nil {
 		t.Fatalf("lp-ii-gb: %v", err)
 	}
@@ -318,7 +318,7 @@ func TestStressSweep(t *testing.T) {
 		if err := nas.Flows.Validate(n, kk); err != nil {
 			t.Fatalf("nas trial %d ports: %v", trial, err)
 		}
-		lp, err := lpiigb.ScheduleSequentialCtx(context.Background(), ds, nil, delta)
+		lp, err := lpiigb.ScheduleSequentialCtx(context.Background(), ds, nil, delta, true)
 		if err != nil {
 			t.Fatalf("lp trial %d: %v", trial, err)
 		}

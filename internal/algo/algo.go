@@ -141,9 +141,13 @@ type Request struct {
 	// NoFlows says the caller reads CCTs, Reconfigs and Schedules only, so
 	// a scheduler may leave Result.Flows nil instead of building a flow
 	// list nobody reads (on a dense coflow the largest thing a run
-	// allocates). The API's single-coflow decoders set it; it is not a wire
-	// field. The plan cache keys on it, so a plan without flows never
-	// answers a request that reads them.
+	// allocates). The per-coflow entries (reco-sin, solstice,
+	// sebf-solstice, tms-bvn, helios, eclipse, reco-sparse), lp-ii-gb,
+	// lp-ii-gb-group and kcore honour it; reco-mul and sunflow derive their
+	// CCTs from their flows and build them anyway. The API's single-coflow
+	// decoders and the experiment tables set it; it is not a wire field. The
+	// plan cache keys on it, so a plan without flows never answers a
+	// request that reads them.
 	NoFlows bool
 }
 

@@ -131,7 +131,7 @@ func init() {
 				if err != nil {
 					return nil, err
 				}
-				batch, err := kcore.ScheduleBatch(ctx, req.Demands, topo, kcore.Greedy)
+				batch, err := kcore.ScheduleBatch(ctx, req.Demands, topo, kcore.Greedy, !req.NoFlows)
 				if err != nil {
 					return nil, err
 				}
@@ -269,10 +269,11 @@ func backToBack(step func(ctx context.Context, d *matrix.Matrix, req algo.Reques
 	}
 }
 
-// lpii builds a row's run from one of the LP-II-GB constructions.
-func lpii(lp func(context.Context, []*matrix.Matrix, []float64, int64) (*lpiigb.Result, error)) func(context.Context, algo.Request) (*algo.Result, error) {
+// lpii builds a row's run from one of the LP-II-GB constructions. A request
+// that sets NoFlows gets no flow list.
+func lpii(lp func(context.Context, []*matrix.Matrix, []float64, int64, bool) (*lpiigb.Result, error)) func(context.Context, algo.Request) (*algo.Result, error) {
 	return func(ctx context.Context, req algo.Request) (*algo.Result, error) {
-		res, err := lp(ctx, req.Demands, req.Weights, req.Delta)
+		res, err := lp(ctx, req.Demands, req.Weights, req.Delta, !req.NoFlows)
 		if err != nil {
 			return nil, err
 		}

@@ -115,7 +115,7 @@ func TestDifferentialRecoMul(t *testing.T) {
 // TestDifferentialLPII: both LP-II-GB variants match the lpiigb package.
 func TestDifferentialLPII(t *testing.T) {
 	req := conformanceRequest(t)
-	seq, err := lpiigb.ScheduleSequentialCtx(context.Background(), req.Demands, req.Weights, req.Delta)
+	seq, err := lpiigb.ScheduleSequentialCtx(context.Background(), req.Demands, req.Weights, req.Delta, true)
 	if err != nil {
 		t.Fatalf("legacy lp-ii-gb: %v", err)
 	}
@@ -125,7 +125,7 @@ func TestDifferentialLPII(t *testing.T) {
 		t.Errorf("registry lp-ii-gb diverges from lpiigb.ScheduleSequential")
 	}
 
-	grp, err := lpiigb.ScheduleCtx(context.Background(), req.Demands, req.Weights, req.Delta)
+	grp, err := lpiigb.ScheduleCtx(context.Background(), req.Demands, req.Weights, req.Delta, true)
 	if err != nil {
 		t.Fatalf("legacy lp-ii-gb-group: %v", err)
 	}

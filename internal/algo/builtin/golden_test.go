@@ -34,6 +34,34 @@ func goldenBatch(rng *rand.Rand) algo.Request {
 	return algo.Request{Demands: ds, Weights: w, Delta: 10 + rng.Int63n(300), C: 4}
 }
 
+// goldenCorpus is TestRegistryGolden's 60 seeded batches: every fifteenth
+// at δ = −1 (the registry's bad request) and the one after it at δ = 0
+// (helios and eclipse refuse it).
+func goldenCorpus() []algo.Request {
+	rng := rand.New(rand.NewSource(3434))
+	corpus := make([]algo.Request, 60)
+	for i := range corpus {
+		corpus[i] = goldenBatch(rng)
+		switch i % 15 {
+		case 0:
+			corpus[i].Delta = -1
+		case 1:
+			corpus[i].Delta = 0
+		}
+	}
+	return corpus
+}
+
+// goldenCores is batch i of the corpus as entry name runs it: kcore at
+// Cores 1–3 by batch, everything else on one core.
+func goldenCores(name string, i int, req algo.Request) algo.Request {
+	req.Cores = 0
+	if name == algo.NameKCore {
+		req.Cores = 1 + i%3
+	}
+	return req
+}
+
 // TestRegistryGolden pins what every registry entry returns over a seeded
 // corpus of 60 batches: the SHA-256 of a text dump of its name, description
 // and capabilities, then per batch its error text or its CCTs, reconfiguration
@@ -59,25 +87,13 @@ func TestRegistryGolden(t *testing.T) {
 		algo.NameSunflow:      "25dabf2e75d63bcc0bb53aef2b3ba9801d7d49f53a3ee7705b14cbd93ce9e62f",
 		algo.NameTMSBvN:       "5f21d7a860bed7734d28673700622643121fb96e9418ba0525817e47875157dd",
 	}
-	rng := rand.New(rand.NewSource(3434))
-	corpus := make([]algo.Request, 60)
-	for i := range corpus {
-		corpus[i] = goldenBatch(rng)
-		switch i % 15 {
-		case 0:
-			corpus[i].Delta = -1
-		case 1:
-			corpus[i].Delta = 0
-		}
-	}
+	corpus := goldenCorpus()
 	for name, hexWant := range want {
 		s := algo.MustGet(name)
 		h := sha256.New()
 		fmt.Fprintf(h, "%s\n%s\n%+v\n", s.Name(), s.Describe(), s.Caps())
 		for i, req := range corpus {
-			if name == algo.NameKCore {
-				req.Cores = 1 + i%3
-			}
+			req = goldenCores(name, i, req)
 			res, err := s.Schedule(context.Background(), req)
 			if err != nil {
 				fmt.Fprintf(h, "%d error %s\n", i, err)
@@ -91,24 +107,25 @@ func TestRegistryGolden(t *testing.T) {
 	}
 }
 
-// TestNoFlowsDropsOnlyFlows: a request that sets NoFlows gets, from every
-// registry entry, the result the same request without it gets, with Flows
-// either the same or nil — CCTs, reconfigurations, circuit schedules and
-// error text never move. The per-coflow rows do leave Flows nil.
+// honoursNoFlows lists the entries that build no flow list for a request
+// that sets NoFlows, as algo.Request.NoFlows documents. Reco-Mul and
+// Sunflow compute their CCTs from their flows, and the two hybrids build
+// none either way.
+var honoursNoFlows = map[string]bool{
+	algo.NameRecoSin: true, algo.NameSolstice: true, algo.NameSEBFSolstice: true, algo.NameTMSBvN: true,
+	algo.NameHelios: true, algo.NameEclipse: true, algo.NameRecoSparse: true,
+	algo.NameLPIIGB: true, algo.NameLPIIGBGroup: true, algo.NameKCore: true,
+}
+
+// TestNoFlowsDropsOnlyFlows: over TestRegistryGolden's corpus, a request
+// that sets NoFlows gets, from every registry entry, the result the same
+// request without it gets — CCTs, reconfigurations, circuit schedules and
+// error text never move. The entries in honoursNoFlows leave Flows nil;
+// the others return the same flows as without NoFlows.
 func TestNoFlowsDropsOnlyFlows(t *testing.T) {
-	perCoflowRows := map[string]bool{
-		algo.NameRecoSin: true, algo.NameSolstice: true, algo.NameSEBFSolstice: true, algo.NameTMSBvN: true,
-		algo.NameHelios: true, algo.NameEclipse: true, algo.NameRecoSparse: true,
-	}
-	rng := rand.New(rand.NewSource(3535))
-	for i := 0; i < 20; i++ {
-		req := goldenBatch(rng)
+	for i, req := range goldenCorpus() {
 		for _, s := range algo.All() {
-			if name := s.Name(); name == algo.NameKCore {
-				req.Cores = 1 + i%3
-			} else {
-				req.Cores = 0
-			}
+			req := goldenCores(s.Name(), i, req)
 			req.NoFlows = false
 			want, wantErr := s.Schedule(context.Background(), req)
 			req.NoFlows = true
@@ -119,14 +136,14 @@ func TestNoFlowsDropsOnlyFlows(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			if got.Flows == nil {
+			if honoursNoFlows[s.Name()] {
+				if got.Flows != nil {
+					t.Errorf("batch %d %s: built %d flows for a NoFlows request", i, s.Name(), len(got.Flows))
+				}
 				want.Flows = nil
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("batch %d %s: NoFlows changed more than the flow list", i, s.Name())
-			}
-			if perCoflowRows[s.Name()] && got.Flows != nil {
-				t.Errorf("batch %d %s: a per-coflow row built %d flows for a NoFlows request", i, s.Name(), len(got.Flows))
 			}
 		}
 	}

@@ -53,6 +53,17 @@ func appendPerm(b []byte, perm []int) []byte {
 	return b
 }
 
+// appendSmall appends v and a comma: its smallInts entry in one 8-byte
+// store when there is one and b has room for the store, strconv otherwise.
+func appendSmall(b []byte, v int) []byte {
+	if u := uint(v + 1); u < uint(len(smallInts)) && cap(b)-len(b) >= 8 {
+		n, e := len(b), smallInts[u]
+		binary.LittleEndian.PutUint64(b[n:n+8], e)
+		return b[:n+int(e>>56)]
+	}
+	return append(strconv.AppendInt(b, int64(v), 10), ',')
+}
+
 // appendSingle appends the single-coflow response for res — byte for byte
 // what json.Encoder writes for renderSingle(req, res), trailing newline
 // included — straight from the registry result, without the intermediate
@@ -97,13 +108,17 @@ func appendMulti(b []byte, res *algo.Result) []byte {
 			b = append(b, `,"gap":`...)
 			b = strconv.AppendInt(b, f.Gap, 10)
 		}
+		// One reservation covers the three small integers (each text ends
+		// in a comma; the last one becomes the closing brace) and the
+		// three bytes the last 8-byte store writes past its text.
+		b = slices.Grow(b, len(`,"in":"out":"coflow":`)+3*5+3)
 		b = append(b, `,"in":`...)
-		b = strconv.AppendInt(b, int64(f.In), 10)
-		b = append(b, `,"out":`...)
-		b = strconv.AppendInt(b, int64(f.Out), 10)
-		b = append(b, `,"coflow":`...)
-		b = strconv.AppendInt(b, int64(f.Coflow), 10)
-		b = append(b, '}')
+		b = appendSmall(b, f.In)
+		b = append(b, `"out":`...)
+		b = appendSmall(b, f.Out)
+		b = append(b, `"coflow":`...)
+		b = appendSmall(b, f.Coflow)
+		b[len(b)-1] = '}'
 	}
 	b = append(b, `],"ccts":`...)
 	if res.CCTs == nil {

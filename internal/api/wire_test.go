@@ -343,6 +343,17 @@ func TestEncodersMatchEncodingJSON(t *testing.T) {
 			{Start: -1, End: -1, Gap: -1, In: -1, Out: -1, Coflow: -1},
 		},
 	})
+	// Ports and coflows past smallInts' −1 … 1023 go through strconv, and
+	// a wide one eats into the room reserved for the next store.
+	check("wide ints", req, &algo.Result{
+		CCTs: []int64{1},
+		Flows: schedule.FlowSchedule{
+			{Start: 0, End: 1, In: 1023, Out: 1024, Coflow: 1023},
+			{Start: 1, End: 2, In: -2, Out: 9223372036854775807, Coflow: -9223372036854775808},
+			{Start: 2, End: 3, In: 123456789, Out: 0, Coflow: 5},
+			{Start: 3, End: 4, In: 7, Out: -1, Coflow: 1000000},
+		},
+	})
 	check("empty ccts", req, &algo.Result{CCTs: []int64{0}, Flows: schedule.FlowSchedule{}})
 	// renderSingle reads CCTs[0], so nil CCTs exist on the batch wire only.
 	res := &algo.Result{Reconfigs: 3}

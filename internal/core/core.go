@@ -357,7 +357,13 @@ func (s *mulScratch) inject(sp schedule.FlowSchedule, fs []pseudoFlow, n int, de
 		}
 		out := sp[f.idx]
 		end := f.start + out.Duration()
-		frozen, _ := slices.BinarySearch(instants, end) // instants before end
+		// Instants before end: at least those before the start, and most
+		// flows end within a few instants of where they start.
+		below := before
+		if below > 0 && instants[below-1] == f.start {
+			below--
+		}
+		frozen := countBelow(instants, below, end)
 		startShift := int64(before) * delta
 		endShift := int64(frozen) * delta
 		out.Start = f.start + startShift
@@ -366,6 +372,19 @@ func (s *mulScratch) inject(sp schedule.FlowSchedule, fs []pseudoFlow, n int, de
 		res.Flows[k] = out
 	}
 	return res
+}
+
+// countBelow returns how many of the ascending instants are below x, given
+// that the first lo of them are: it gallops from lo in doubling steps until
+// it passes x, then binary-searches the last step, so the cost grows with
+// the logarithm of the answer's distance from lo, not of len(instants).
+func countBelow(instants []int64, lo int, x int64) int {
+	hi := lo
+	for step := 1; hi < len(instants) && instants[hi] < x; step *= 2 {
+		lo, hi = hi+1, hi+step
+	}
+	k, _ := slices.BinarySearch(instants[lo:min(hi, len(instants))], x)
+	return lo + k
 }
 
 // isqrt returns ⌊√c⌋ for c ≥ 0 (0 for c < 0) in constant time: the float64

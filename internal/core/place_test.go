@@ -177,3 +177,81 @@ func TestConcurrentScheduleMulSharesScratch(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestCountBelowMatchesBinarySearch checks the gallop against a binary
+// search over all the instants, from every valid starting count, on
+// ascending lists of 0–300 instants with probes below, on and past every
+// instant.
+func TestCountBelowMatchesBinarySearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	for trial := 0; trial < 300; trial++ {
+		instants := make([]int64, rng.Intn(301))
+		var at int64 = rng.Int63n(100) - 50
+		for k := range instants {
+			at += 1 + rng.Int63n(1+int64(trial%7)*40)
+			instants[k] = at
+		}
+		for probe := 0; probe < 40; probe++ {
+			x := rng.Int63n(at+200) - 100
+			want, _ := slices.BinarySearch(instants, x)
+			for lo := 0; lo <= want; lo++ {
+				if got := countBelow(instants, lo, x); got != want {
+					t.Fatalf("trial %d: countBelow(%d instants, lo %d, %d) = %d, want %d", trial, len(instants), lo, x, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestInjectEndShiftMatchesBinarySearch runs place and inject on the random
+// schedules TestPlaceMatchesComparatorSort draws — zero-length flows,
+// pushed flows, negative starts — and holds every flow's end to the one a
+// binary search over all of the reconfiguration instants gives: the pseudo
+// end plus δ for each instant strictly before it.
+func TestInjectEndShiftMatchesBinarySearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	var s mulScratch
+	zeroLen, pushes := 0, 0
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(24)
+		span := int64(1 + rng.Intn(2000))
+		var sp schedule.FlowSchedule
+		for range rng.Intn(400) {
+			start := rng.Int63n(2*span) - span
+			sp = append(sp, schedule.FlowInterval{
+				Start: start, End: start + rng.Int63n(60),
+				In: rng.Intn(n), Out: rng.Intn(n), Coflow: rng.Intn(3),
+			})
+		}
+		snap := func(t int64) int64 { return t }
+		if trial%2 == 1 {
+			var err error
+			if snap, err = gridSnap(1+rng.Int63n(100), 1+rng.Int63n(16)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fs, pushed, err := s.place(sp, n, snap)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if pushed {
+			pushes++
+		}
+		fs = slices.Clone(fs)
+		delta := 1 + rng.Int63n(50)
+		res := s.inject(sp, fs, n, delta)
+		for k, f := range fs {
+			end := f.start + sp[f.idx].Duration()
+			if end == f.start {
+				zeroLen++
+			}
+			frozen, _ := slices.BinarySearch(s.instants, end)
+			if want := end + int64(frozen)*delta; res.Flows[k].End != want {
+				t.Fatalf("trial %d flow %d: end %d, want %d", trial, k, res.Flows[k].End, want)
+			}
+		}
+	}
+	if zeroLen == 0 || pushes == 0 {
+		t.Fatalf("%d zero-length flows and %d pushed trials: the corpus misses a case", zeroLen, pushes)
+	}
+}

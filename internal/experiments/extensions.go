@@ -44,7 +44,7 @@ func ExtSingle(cfg Config) (*Table, error) {
 		},
 	}, func(d *matrix.Matrix) ([]float64, error) {
 		cells := make([]float64, len(extSingleAlgos))
-		req := algo.Request{Demands: []*matrix.Matrix{d}, Delta: cfg.Delta, C: cfg.C}
+		req := algo.Request{Demands: []*matrix.Matrix{d}, Delta: cfg.Delta, C: cfg.C, NoFlows: true}
 		for ai, name := range extSingleAlgos {
 			res, err := algo.MustGet(name).Schedule(context.Background(), req)
 			if err != nil {
@@ -366,7 +366,7 @@ func ExtFull(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	sebf, err := ocs.ExecSequential(ds, schedules, ordering.SEBF(ds), cfg.Delta, true)
+	sebf, err := ocs.ExecSequential(ds, schedules, ordering.SEBF(ds), cfg.Delta, false)
 	if err != nil {
 		return nil, fmt.Errorf("ext-full sebf exec: %w", err)
 	}

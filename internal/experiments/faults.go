@@ -91,11 +91,13 @@ func runFaultTrials(cfg Config) ([][]faultPoint, error) {
 		if err != nil {
 			return faultPoint{}, fmt.Errorf("fault schedule for coflow %d: %w", ci, err)
 		}
-		naive, err := sim.RunFaults(d, sim.NewReplayLoop(cs), cfg.Delta, fs)
+		// The table reads only CCTs: the runs keep neither flows nor log.
+		sw := ocs.Core{Delta: cfg.Delta, Bandwidth: 1, Faults: fs}
+		naive, err := sim.Run(sw, d, sim.NewReplayLoop(cs))
 		if err != nil {
 			return faultPoint{}, fmt.Errorf("replay under faults on coflow %d level %q: %w", ci, lvl.label, err)
 		}
-		rec, err := sim.RunPredictive(d, cfg.Delta, fs, naive)
+		rec, err := sim.RunPredictive(sw, d, naive)
 		if err != nil {
 			return faultPoint{}, fmt.Errorf("recover under faults on coflow %d level %q: %w", ci, lvl.label, err)
 		}

@@ -48,7 +48,7 @@ func KCore(cfg Config) (*Table, error) {
 			return Row{}, fmt.Errorf("kcore %s K=%d: %w", cl, k, err)
 		}
 		makespan := func(strat kcore.Strategy) (float64, error) {
-			batch, err := kcore.ScheduleBatch(context.Background(), ds, topo, strat)
+			batch, err := kcore.ScheduleBatch(context.Background(), ds, topo, strat, false)
 			if err != nil {
 				return 0, fmt.Errorf("kcore %s K=%d %s: %w", cl, k, strat, err)
 			}

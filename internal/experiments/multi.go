@@ -104,9 +104,11 @@ type mulOutcome struct {
 }
 
 // runMulBatch schedules one batch with the registered Reco-Mul, LP-II-GB
-// and (optionally) SEBF+Solstice schedulers under the all-stop model.
+// and (optionally) SEBF+Solstice schedulers under the all-stop model. The
+// tables read only CCTs and reconfiguration counts, so no flows are asked
+// for.
 func runMulBatch(ds []*matrix.Matrix, w []float64, delta, c int64, withSEBF bool) (*mulOutcome, error) {
-	req := algo.Request{Demands: ds, Weights: w, Delta: delta, C: c}
+	req := algo.Request{Demands: ds, Weights: w, Delta: delta, C: c, NoFlows: true}
 	reco, err := algo.MustGet(algo.NameRecoMul).Schedule(context.Background(), req)
 	if err != nil {
 		return nil, fmt.Errorf("reco-mul: %w", err)

@@ -21,9 +21,10 @@ type singleMetrics struct {
 }
 
 // scheduleBoth schedules d with the registered Reco-Sin and Solstice
-// schedulers under the all-stop model with the given delta.
+// schedulers under the all-stop model with the given delta, asking for no
+// flows.
 func scheduleBoth(d *matrix.Matrix, delta int64) (singleMetrics, error) {
-	req := algo.Request{Demands: []*matrix.Matrix{d}, Delta: delta}
+	req := algo.Request{Demands: []*matrix.Matrix{d}, Delta: delta, NoFlows: true}
 	recoRes, err := algo.MustGet(algo.NameRecoSin).Schedule(context.Background(), req)
 	if err != nil {
 		return singleMetrics{}, fmt.Errorf("reco-sin: %w", err)

@@ -129,13 +129,13 @@ func meanF(xs []float64) float64 {
 
 // recoSinAllStop schedules d with Reco-Sin at schedDelta (0 skips the
 // regularization step) and executes the schedule under the all-stop model at
-// execDelta.
+// execDelta, keeping no flows.
 func recoSinAllStop(d *matrix.Matrix, schedDelta, execDelta int64) (ocs.CircuitSchedule, ocs.Result, error) {
 	cs, err := core.RecoSin(d, schedDelta)
 	if err != nil {
 		return nil, ocs.Result{}, fmt.Errorf("reco-sin: %w", err)
 	}
-	res, err := ocs.ExecAllStop(d, cs, execDelta)
+	res, err := ocs.Core{Delta: execDelta, Bandwidth: 1}.Exec(d, cs)
 	if err != nil {
 		return nil, ocs.Result{}, fmt.Errorf("reco-sin all-stop exec: %w", err)
 	}

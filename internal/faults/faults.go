@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"sort"
 
 	"reco/internal/parallel"
@@ -196,9 +197,16 @@ func Generate(cfg GenConfig) (*Schedule, error) {
 		return nil, err
 	}
 	// At a zero rate no port can fail: seeding a stream per port to learn so
-	// would only cost time.
+	// would only cost time. Every port's stream is the one parallel.Rand
+	// would return for it, drawn from one source re-seeded per port rather
+	// than a fresh 607-word source each.
+	var rng *rand.Rand
 	for p := 0; p < cfg.N && cfg.PortFailRate > 0; p++ {
-		rng := parallel.Rand(cfg.Seed, streamPort, int64(p))
+		if seed := parallel.Seed(cfg.Seed, streamPort, int64(p)); rng == nil {
+			rng = rand.New(rand.NewSource(seed))
+		} else {
+			rng.Seed(seed)
+		}
 		if rng.Float64() >= cfg.PortFailRate {
 			continue
 		}

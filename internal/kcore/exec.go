@@ -86,18 +86,19 @@ func check(topo Topology, split []*matrix.Matrix, plans []ocs.CircuitSchedule) e
 // single-switch executor at its own rate, so at K = 1 with a unit-bandwidth
 // core PerCore[0] is ocs.ExecAllStop(split[0], plans[0], delta).
 func Exec(topo Topology, split []*matrix.Matrix, plans []ocs.CircuitSchedule) (KResult, error) {
-	return exec(topo, split, plans, nil)
+	return exec(topo, split, plans, nil, true)
 }
 
-// exec is Exec folding the cores' flows into flows.
-func exec(topo Topology, split []*matrix.Matrix, plans []ocs.CircuitSchedule, flows schedule.FlowSchedule) (KResult, error) {
+// exec is Exec folding the cores' flows into flows; without keep no core
+// records any.
+func exec(topo Topology, split []*matrix.Matrix, plans []ocs.CircuitSchedule, flows schedule.FlowSchedule, keep bool) (KResult, error) {
 	if err := check(topo, split, plans); err != nil {
 		return KResult{}, err
 	}
 	perCore := make([]ocs.Result, topo.K())
 	for c, cr := range topo.Cores {
 		var err error
-		if perCore[c], err = ocs.ExecAllStopRate(split[c], plans[c], cr.Delta, cr.Bandwidth); err != nil {
+		if perCore[c], err = (ocs.Core{Delta: cr.Delta, Bandwidth: cr.Bandwidth, Flows: keep}).Exec(split[c], plans[c]); err != nil {
 			return fold(perCore[:c], flows), fmt.Errorf("core %d: %w", c, err)
 		}
 	}
@@ -108,19 +109,23 @@ func exec(topo Topology, split []*matrix.Matrix, plans []ocs.CircuitSchedule, fl
 // order: the whole fabric is handed to one coflow at a time, exactly like
 // ocs.ExecSequential, but each coflow transmits its split across all K cores
 // in parallel. splits[k] and plans[k] are coflow k's demand split and
-// per-core schedules.
-func ExecSequential(topo Topology, splits [][]*matrix.Matrix, plans [][]ocs.CircuitSchedule, order []int) (ocs.SeqResult, error) {
+// per-core schedules. flows selects whether the result records the
+// flow-level schedule, as it does for ocs.ExecSequential.
+func ExecSequential(topo Topology, splits [][]*matrix.Matrix, plans [][]ocs.CircuitSchedule, order []int, flows bool) (ocs.SeqResult, error) {
 	if len(splits) != len(plans) {
 		return ocs.SeqResult{}, fmt.Errorf("kcore: %d demand splits but %d plans", len(splits), len(plans))
 	}
 	return ocs.Sequence(len(splits), order, func(k int) int {
+		if !flows {
+			return 0
+		}
 		most := 0
 		for c := range min(len(splits[k]), len(plans[k])) {
 			most += ocs.FlowBound(splits[k][c], plans[k][c])
 		}
 		return most
-	}, func(k int, flows schedule.FlowSchedule) (ocs.Result, error) {
-		kr, err := exec(topo, splits[k], plans[k], flows)
+	}, func(k int, into schedule.FlowSchedule) (ocs.Result, error) {
+		kr, err := exec(topo, splits[k], plans[k], into, flows)
 		return ocs.Result{
 			CCT: kr.CCT, Reconfigs: kr.Reconfigs, ConfTime: kr.ConfTime, TransTime: kr.TransTime, Flows: kr.Flows,
 		}, err
@@ -192,7 +197,7 @@ func RunRecover(topo Topology, split []*matrix.Matrix, plans []ocs.CircuitSchedu
 				if replayErr != nil {
 					replay = nil
 				}
-				r, err = sim.RunPredictive(split[c], cr.Delta, coreFS, replay)
+				r, err = sim.RunPredictive(ocs.Core{Delta: cr.Delta, Bandwidth: 1, Faults: coreFS, Flows: true, Log: true}, split[c], replay)
 			}
 		}
 		if err != nil {

@@ -70,7 +70,7 @@ func TestExecutorGolden(t *testing.T) {
 	for k, e := range corpus {
 		res, err := ocs.ExecAllStop(e.d, e.cs, e.delta)
 		dumpExec(section("allstop"), k, res, err)
-		res, err = ocs.ExecAllStopRate(e.d, e.cs, e.delta, 3)
+		res, err = ocs.Core{Delta: e.delta, Bandwidth: 3, Flows: true}.Exec(e.d, e.cs)
 		dumpExec(section("rate3"), k, res, err)
 		res, err = ocs.ExecNotAllStop(e.d, e.cs, e.delta)
 		dumpExec(section("notallstop"), k, res, err)
@@ -110,7 +110,7 @@ func TestExecutorGolden(t *testing.T) {
 	}}
 	for ti, topo := range []Topology{uniform(1), uniform(3), mixed} {
 		for _, strat := range []Strategy{Greedy, RoundRobin} {
-			res, err := ScheduleBatch(context.Background(), batch, topo, strat)
+			res, err := ScheduleBatch(context.Background(), batch, topo, strat, true)
 			if err != nil {
 				t.Fatalf("topology %d %v: %v", ti, strat, err)
 			}
@@ -230,7 +230,7 @@ func goldenControllers(d *matrix.Matrix, cs ocs.CircuitSchedule, delta int64, fs
 			if err != nil {
 				replay = nil
 			}
-			return sim.RunPredictive(d, delta, fs, replay)
+			return sim.RunPredictive(ocs.Core{Delta: delta, Bandwidth: 1, Faults: fs, Flows: true, Log: true}, d, replay)
 		}},
 		with("bottleneck", func() ocs.Controller { return sim.GreedyBottleneck{} }),
 		with("maxweight", func() ocs.Controller { return sim.GreedyMaxWeight{Slot: 25} }),

@@ -112,8 +112,9 @@ type BatchResult struct {
 
 // ScheduleBatch runs the full O(K) pipeline over a coflow batch: SEBF
 // order, per-coflow split + per-core Reco-Sin, sequential execution of the
-// coflows with all K cores serving each coflow in parallel.
-func ScheduleBatch(ctx context.Context, ds []*matrix.Matrix, topo Topology, strat Strategy) (*BatchResult, error) {
+// coflows with all K cores serving each coflow in parallel. flows selects
+// whether Seq records the flow-level schedule (ExecSequential).
+func ScheduleBatch(ctx context.Context, ds []*matrix.Matrix, topo Topology, strat Strategy, flows bool) (*BatchResult, error) {
 	if err := topo.Validate(); err != nil {
 		return nil, err
 	}
@@ -136,7 +137,7 @@ func ScheduleBatch(ctx context.Context, ds []*matrix.Matrix, topo Topology, stra
 		res.Splits[k] = shares
 		res.Plans[k] = plans
 	}
-	seq, err := ExecSequential(topo, res.Splits, res.Plans, res.Order)
+	seq, err := ExecSequential(topo, res.Splits, res.Plans, res.Order, flows)
 	if err != nil {
 		return nil, err
 	}

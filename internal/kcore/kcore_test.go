@@ -55,7 +55,7 @@ func TestScheduleBatchKOneMatchesSequentialRecoSin(t *testing.T) {
 	}
 	single, _ := Uniform(1, delta)
 	for _, strat := range []Strategy{Greedy, RoundRobin} {
-		batch, err := ScheduleBatch(context.Background(), ds, single, strat)
+		batch, err := ScheduleBatch(context.Background(), ds, single, strat, true)
 		if err != nil {
 			t.Fatalf("%v: ScheduleBatch: %v", strat, err)
 		}
@@ -113,7 +113,7 @@ func TestMoreCoresNeverWorse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		batch, err := ScheduleBatch(context.Background(), ds, topo, Greedy)
+		batch, err := ScheduleBatch(context.Background(), ds, topo, Greedy, true)
 		if err != nil {
 			t.Fatalf("K=%d: %v", k, err)
 		}
@@ -150,11 +150,11 @@ func TestGreedyBeatsRoundRobin(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds := []*matrix.Matrix{d}
-	g, err := ScheduleBatch(context.Background(), ds, topo, Greedy)
+	g, err := ScheduleBatch(context.Background(), ds, topo, Greedy, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := ScheduleBatch(context.Background(), ds, topo, RoundRobin)
+	r, err := ScheduleBatch(context.Background(), ds, topo, RoundRobin, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestScheduleBatchCancelled(t *testing.T) {
 	d, _ := matrix.New(4)
 	d.Set(0, 1, 10)
 	topo, _ := Uniform(2, 5)
-	if _, err := ScheduleBatch(ctx, []*matrix.Matrix{d}, topo, Greedy); !errors.Is(err, context.Canceled) {
+	if _, err := ScheduleBatch(ctx, []*matrix.Matrix{d}, topo, Greedy, true); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled ctx: err = %v, want context.Canceled", err)
 	}
 }
@@ -178,7 +178,7 @@ func TestBadInputs(t *testing.T) {
 	d, _ := matrix.New(4)
 	d.Set(0, 1, 10)
 	topo, _ := Uniform(2, 5)
-	if _, err := ScheduleBatch(context.Background(), nil, topo, Greedy); err == nil {
+	if _, err := ScheduleBatch(context.Background(), nil, topo, Greedy, true); err == nil {
 		t.Error("empty batch accepted")
 	}
 	if _, _, err := PlanCoflow(context.Background(), d, topo, Strategy(99)); !errors.Is(err, ErrBadStrategy) {

@@ -43,10 +43,11 @@ type Result struct {
 // ScheduleSequentialCtx runs the paper's LP-II-GB baseline: coflows are
 // served one at a time in LP-estimate order, each by a first-fit BvN circuit
 // schedule of its stuffed demand matrix, under the all-stop OCS model with
-// reconfiguration delay delta. A nil w means unit weights. The LP solve and
-// the per-coflow BvN decompositions poll ctx and abort with ctx.Err() once
-// it is cancelled.
-func ScheduleSequentialCtx(ctx context.Context, ds []*matrix.Matrix, w []float64, delta int64) (*Result, error) {
+// reconfiguration delay delta. A nil w means unit weights. flows selects
+// whether the result records the flow-level schedule; without it Flows is
+// nil and everything else is the same. The LP solve and the per-coflow BvN
+// decompositions poll ctx and abort with ctx.Err() once it is cancelled.
+func ScheduleSequentialCtx(ctx context.Context, ds []*matrix.Matrix, w []float64, delta int64, flows bool) (*Result, error) {
 	if len(ds) == 0 {
 		return nil, fmt.Errorf("lpiigb: no coflows")
 	}
@@ -62,7 +63,7 @@ func ScheduleSequentialCtx(ctx context.Context, ds []*matrix.Matrix, w []float64
 		}
 		schedules[k] = cs
 	}
-	seq, err := ocs.ExecSequential(ds, schedules, lpRes.Order, delta, true)
+	seq, err := ocs.ExecSequential(ds, schedules, lpRes.Order, delta, flows)
 	if err != nil {
 		return nil, fmt.Errorf("lpiigb: %w", err)
 	}
@@ -98,9 +99,10 @@ func bvnSchedule(ctx context.Context, d *matrix.Matrix) (ocs.CircuitSchedule, er
 
 // ScheduleCtx runs the grouped LP-II-GB construction on the given coflows
 // under the all-stop OCS model with reconfiguration delay delta. A nil w
-// means unit weights. The LP solve and the per-group BvN decompositions poll
-// ctx and abort with ctx.Err() once it is cancelled.
-func ScheduleCtx(ctx context.Context, ds []*matrix.Matrix, w []float64, delta int64) (*Result, error) {
+// means unit weights; flows is as for ScheduleSequentialCtx. The LP solve
+// and the per-group BvN decompositions poll ctx and abort with ctx.Err()
+// once it is cancelled.
+func ScheduleCtx(ctx context.Context, ds []*matrix.Matrix, w []float64, delta int64, flows bool) (*Result, error) {
 	if len(ds) == 0 {
 		return nil, fmt.Errorf("lpiigb: no coflows")
 	}
@@ -150,15 +152,17 @@ func ScheduleCtx(ctx context.Context, ds []*matrix.Matrix, w []float64, delta in
 		for i, t := range terms {
 			cs[i] = ocs.Assignment{Perm: t.Perm, Dur: t.Coef}
 		}
-		exec, err := ocs.ExecAllStop(agg, cs, delta)
+		exec, err := ocs.Core{Delta: delta, Bandwidth: 1, Flows: flows}.Exec(agg, cs)
 		if err != nil {
 			return nil, fmt.Errorf("lpiigb: group %d: %w", g, err)
 		}
-		flows, err := attribute(exec.Flows, members, mats, n, now)
-		if err != nil {
-			return nil, fmt.Errorf("lpiigb: group %d: %w", g, err)
+		if flows {
+			split, err := attribute(exec.Flows, members, mats, n, now)
+			if err != nil {
+				return nil, fmt.Errorf("lpiigb: group %d: %w", g, err)
+			}
+			res.Flows = append(res.Flows, split...)
 		}
-		res.Flows = append(res.Flows, flows...)
 		now += exec.CCT
 		for _, k := range members {
 			res.CCTs[k] = now

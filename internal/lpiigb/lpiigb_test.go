@@ -18,7 +18,7 @@ func mustMatrix(t *testing.T, rows [][]int64) *matrix.Matrix {
 }
 
 func TestScheduleEmptyInput(t *testing.T) {
-	if _, err := ScheduleCtx(context.Background(), nil, nil, 10); err == nil {
+	if _, err := ScheduleCtx(context.Background(), nil, nil, 10, true); err == nil {
 		t.Error("empty input accepted")
 	}
 }
@@ -28,7 +28,7 @@ func TestScheduleSingleCoflow(t *testing.T) {
 		{5, 0},
 		{0, 7},
 	})
-	res, err := ScheduleCtx(context.Background(), []*matrix.Matrix{d}, nil, 3)
+	res, err := ScheduleCtx(context.Background(), []*matrix.Matrix{d}, nil, 3, true)
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -48,7 +48,7 @@ func TestScheduleGroupsCompleteTogether(t *testing.T) {
 	// equal (groups are all-or-nothing).
 	a := mustMatrix(t, [][]int64{{50, 0}, {0, 50}})
 	b := mustMatrix(t, [][]int64{{0, 50}, {50, 0}})
-	res, err := ScheduleCtx(context.Background(), []*matrix.Matrix{a, b}, nil, 5)
+	res, err := ScheduleCtx(context.Background(), []*matrix.Matrix{a, b}, nil, 5, true)
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -68,7 +68,7 @@ func TestScheduleSeparatesScales(t *testing.T) {
 	// the tiny coflow wait for the huge one.
 	tiny := mustMatrix(t, [][]int64{{10, 0}, {0, 10}})
 	huge := mustMatrix(t, [][]int64{{5000, 0}, {0, 5000}})
-	res, err := ScheduleCtx(context.Background(), []*matrix.Matrix{huge, tiny}, nil, 5)
+	res, err := ScheduleCtx(context.Background(), []*matrix.Matrix{huge, tiny}, nil, 5, true)
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -80,7 +80,7 @@ func TestScheduleSeparatesScales(t *testing.T) {
 func TestScheduleHandlesEmptyCoflow(t *testing.T) {
 	z, _ := matrix.New(2)
 	d := mustMatrix(t, [][]int64{{4, 0}, {0, 4}})
-	res, err := ScheduleCtx(context.Background(), []*matrix.Matrix{z, d}, nil, 2)
+	res, err := ScheduleCtx(context.Background(), []*matrix.Matrix{z, d}, nil, 2, true)
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -108,7 +108,7 @@ func TestScheduleRandomInvariants(t *testing.T) {
 			ds = append(ds, m)
 			w[k] = rng.Float64() + 0.1
 		}
-		res, err := ScheduleCtx(context.Background(), ds, w, 7)
+		res, err := ScheduleCtx(context.Background(), ds, w, 7, true)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -130,7 +130,7 @@ func TestScheduleRandomInvariants(t *testing.T) {
 func TestScheduleSequentialBasics(t *testing.T) {
 	short := mustMatrix(t, [][]int64{{40, 0}, {0, 40}})
 	long := mustMatrix(t, [][]int64{{4000, 0}, {0, 4000}})
-	res, err := ScheduleSequentialCtx(context.Background(), []*matrix.Matrix{long, short}, nil, 10)
+	res, err := ScheduleSequentialCtx(context.Background(), []*matrix.Matrix{long, short}, nil, 10, true)
 	if err != nil {
 		t.Fatalf("ScheduleSequential: %v", err)
 	}
@@ -157,12 +157,12 @@ func TestScheduleSequentialBasics(t *testing.T) {
 }
 
 func TestScheduleSequentialEmptyInputs(t *testing.T) {
-	if _, err := ScheduleSequentialCtx(context.Background(), nil, nil, 10); err == nil {
+	if _, err := ScheduleSequentialCtx(context.Background(), nil, nil, 10, true); err == nil {
 		t.Error("empty input accepted")
 	}
 	z, _ := matrix.New(2)
 	d := mustMatrix(t, [][]int64{{5, 0}, {0, 5}})
-	res, err := ScheduleSequentialCtx(context.Background(), []*matrix.Matrix{z, d}, nil, 2)
+	res, err := ScheduleSequentialCtx(context.Background(), []*matrix.Matrix{z, d}, nil, 2, true)
 	if err != nil {
 		t.Fatalf("ScheduleSequential with empty coflow: %v", err)
 	}
@@ -175,7 +175,7 @@ func TestScheduleSequentialWeighted(t *testing.T) {
 	// Equal sizes; the heavily weighted coflow should be ordered first.
 	a := mustMatrix(t, [][]int64{{500}})
 	b := mustMatrix(t, [][]int64{{500}})
-	res, err := ScheduleSequentialCtx(context.Background(), []*matrix.Matrix{a, b}, []float64{0.01, 10}, 5)
+	res, err := ScheduleSequentialCtx(context.Background(), []*matrix.Matrix{a, b}, []float64{0.01, 10}, 5, true)
 	if err != nil {
 		t.Fatalf("ScheduleSequential: %v", err)
 	}
@@ -201,11 +201,11 @@ func TestSequentialVsGroupedConsistency(t *testing.T) {
 			}
 			ds = append(ds, m)
 		}
-		seq, err := ScheduleSequentialCtx(context.Background(), ds, nil, 7)
+		seq, err := ScheduleSequentialCtx(context.Background(), ds, nil, 7, true)
 		if err != nil {
 			t.Fatalf("trial %d: sequential: %v", trial, err)
 		}
-		grp, err := ScheduleCtx(context.Background(), ds, nil, 7)
+		grp, err := ScheduleCtx(context.Background(), ds, nil, 7, true)
 		if err != nil {
 			t.Fatalf("trial %d: grouped: %v", trial, err)
 		}

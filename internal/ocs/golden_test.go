@@ -124,7 +124,7 @@ func seqGoldenBatch(t *testing.T, got map[string]*strings.Builder, label string,
 				}
 			}
 		}
-		seq, err := kcore.ExecSequential(topo, splits, plans, rng.Perm(len(batch)))
+		seq, err := kcore.ExecSequential(topo, splits, plans, rng.Perm(len(batch)), true)
 		fmt.Fprintf(got["kcore"], "%s topology %d ", label, ti)
 		dumpSeqGolden(got["kcore"], seq, err)
 	}

@@ -109,7 +109,7 @@ func TestExecSequentialKOneCoreByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: ExecSequential: %v", trial, err)
 		}
-		got, err := kcore.ExecSequential(topo, splits, plans, order)
+		got, err := kcore.ExecSequential(topo, splits, plans, order, true)
 		if err != nil {
 			t.Fatalf("trial %d: kcore.ExecSequential: %v", trial, err)
 		}

@@ -50,6 +50,10 @@ func (r Residual) IsZero() bool { return r.total == 0 }
 // Clone returns a matrix of the undrained demand for the caller to own.
 func (r Residual) Clone() *matrix.Matrix { return r.m.Clone() }
 
+// AcquireClone is Clone into a pooled matrix (matrix.AcquireClone), for a
+// scratch copy the caller hands back with Recycle.
+func (r Residual) AcquireClone() *matrix.Matrix { return matrix.AcquireClone(r.m) }
+
 // State is the switch state a controller observes.
 type State struct {
 	// Now is the current time in ticks.

@@ -4,8 +4,8 @@
 // under the paper's all-stop reconfiguration model (Sec. II-A) and the
 // not-all-stop extension (Sec. VI).
 //
-// The executors share that one drain loop — ExecAllStop, ExecAllStopRate and
-// ExecNotAllStop are a Core run by a Walk over the schedule; the simulator
+// The executors share that one drain loop — ExecAllStop, ExecNotAllStop and
+// Core.Exec are a Core run by a Walk over the schedule; the simulator
 // (internal/sim) and each core of a K-core fabric (internal/kcore) run the
 // same Core under their own controllers and fault schedules. It is the
 // ground truth every algorithm in this repository is measured against: it
@@ -101,15 +101,7 @@ func (cs CircuitSchedule) validate(seen []bool) error {
 // ErrIncomplete is returned (alongside the partial result) if demand remains
 // after the last assignment.
 func ExecAllStop(d *matrix.Matrix, cs CircuitSchedule, delta int64) (Result, error) {
-	return ExecAllStopRate(d, cs, delta, 1)
-}
-
-// ExecAllStopRate is ExecAllStop on a core whose circuits move bw demand
-// units per tick instead of one. An establishment occupies
-// min(Dur, ⌈maxRem/bw⌉) ticks; flow intervals are rounded up to whole ticks.
-// K-core fabrics use it to honor per-core bandwidth (kcore.Exec).
-func ExecAllStopRate(d *matrix.Matrix, cs CircuitSchedule, delta, bw int64) (Result, error) {
-	return Core{Delta: delta, Bandwidth: bw, Flows: true}.exec(d, cs, nil)
+	return Core{Delta: delta, Bandwidth: 1, Flows: true}.Exec(d, cs)
 }
 
 // ExecNotAllStop plays cs against d under the not-all-stop model (Sec. VI):
@@ -118,7 +110,17 @@ func ExecAllStopRate(d *matrix.Matrix, cs CircuitSchedule, delta, bw int64) (Res
 // transmitting through the delta window. Reconfigs counts transitions that
 // change at least one circuit.
 func ExecNotAllStop(d *matrix.Matrix, cs CircuitSchedule, delta int64) (Result, error) {
-	return Core{Delta: delta, Bandwidth: 1, CarryOver: true, Flows: true}.exec(d, cs, nil)
+	return Core{Delta: delta, Bandwidth: 1, CarryOver: true, Flows: true}.Exec(d, cs)
+}
+
+// Exec plays the precomputed schedule cs against d on c; the executors
+// above are Exec on the cores they name, keeping flows. On a core whose
+// circuits move Bandwidth demand units per tick an establishment occupies
+// min(Dur, ⌈maxRem/Bandwidth⌉) ticks and flow intervals are rounded up to
+// whole ticks; K-core fabrics run each core this way (kcore.Exec). A caller
+// that reads only the totals leaves c.Flows off and no flow list is built.
+func (c Core) Exec(d *matrix.Matrix, cs CircuitSchedule) (Result, error) {
+	return c.exec(d, cs, nil)
 }
 
 // exec runs c over the precomputed schedule cs, appending the run's flows to

@@ -462,29 +462,39 @@ func randomDemand(t *testing.T, rng *rand.Rand, n int) *matrix.Matrix {
 	return d
 }
 
-// TestExecAllStopRateUnitBandwidth pins ExecAllStopRate(bw=1) to ExecAllStop
-// — the shared drain loop must not change the unit-bandwidth semantics.
-func TestExecAllStopRateUnitBandwidth(t *testing.T) {
+// TestCoreExecUnitBandwidth pins Exec on a unit-bandwidth core that keeps
+// flows to ExecAllStop — the shared drain loop must not change the
+// unit-bandwidth semantics — and the same core keeping no flows to the
+// same result without them.
+func TestCoreExecUnitBandwidth(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 20; trial++ {
 		d := randomDemand(t, rng, 10)
 		cs := randomPlan(t, d)
 		want, err1 := ExecAllStop(d, cs, 25)
-		got, err2 := ExecAllStopRate(d, cs, 25, 1)
+		got, err2 := Core{Delta: 25, Bandwidth: 1, Flows: true}.Exec(d, cs)
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("trial %d: error mismatch %v vs %v", trial, err1, err2)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: bw=1 result diverges", trial)
 		}
+		bare, err3 := Core{Delta: 25, Bandwidth: 1}.Exec(d, cs)
+		if (err1 == nil) != (err3 == nil) {
+			t.Fatalf("trial %d: error mismatch %v vs %v without flows", trial, err1, err3)
+		}
+		want.Flows = nil
+		if !reflect.DeepEqual(bare, want) {
+			t.Fatalf("trial %d: a core keeping no flows diverges beyond them", trial)
+		}
 	}
 }
 
-func TestExecAllStopRateFasterCore(t *testing.T) {
+func TestCoreExecFasterCore(t *testing.T) {
 	d := mustMatrix(t, [][]int64{{10, 0}, {0, 6}})
 	cs := CircuitSchedule{{Perm: []int{0, 1}, Dur: 10}}
 	// bw=2: maxRem 10 drains in ceil(10/2)=5 ticks, CCT = delta + 5.
-	res, err := ExecAllStopRate(d, cs, 3, 2)
+	res, err := Core{Delta: 3, Bandwidth: 2, Flows: true}.Exec(d, cs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +507,7 @@ func TestExecAllStopRateFasterCore(t *testing.T) {
 			t.Errorf("flow (1,1) spans %d ticks, want 3", f.End-f.Start)
 		}
 	}
-	if _, err := ExecAllStopRate(d, cs, 3, 0); !errors.Is(err, ErrInvalidAssignment) {
+	if _, err := (Core{Delta: 3, Bandwidth: 0}).Exec(d, cs); !errors.Is(err, ErrInvalidAssignment) {
 		t.Errorf("bw=0: err = %v, want ErrInvalidAssignment", err)
 	}
 }

@@ -50,7 +50,7 @@ func TestInstrumentationIsInvisible(t *testing.T) {
 				if err != nil {
 					replay = nil
 				}
-				return RunPredictive(d, delta, fs, replay)
+				return RunPredictive(ocs.Core{Delta: delta, Bandwidth: 1, Faults: fs, Flows: true, Log: true}, d, replay)
 			}},
 		}
 		for _, v := range variants {

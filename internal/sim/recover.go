@@ -56,20 +56,21 @@ func NewRecover(delta int64) *Recover {
 	return &Recover{delta: delta}
 }
 
-// RunPredictive runs the recovery policy for a KNOWN outage schedule — the
-// degraded-CCT experiment's setting, where injected faults play the role of
-// a published maintenance plan. Online replanning with only the current port
-// state in view is myopic: a replan tuned to today's surviving ports can be
-// invalidated by the next failure, and the blind replay occasionally gets
-// lucky. With the schedule in hand the policy instead forward-simulates both
-// — the replanning Recover here, the naive ReplayLoop in the run the caller
-// hands in as replay (nil when that run failed) — under the exact fault
-// sequence and commits to whichever completes earlier. The simulator is
-// deterministic, so the forecast is the run: the result returned is the
-// winner's own (replay itself when the replay wins), never slower than the
-// naive replay by construction.
-func RunPredictive(d *matrix.Matrix, delta int64, fs *faults.Schedule, replay *ocs.Result) (*ocs.Result, error) {
-	rec, err := RunFaults(d, NewRecover(delta), delta, fs)
+// RunPredictive runs the recovery policy on core c for the KNOWN outage
+// schedule c.Faults — the degraded-CCT experiment's setting, where injected
+// faults play the role of a published maintenance plan. Online replanning
+// with only the current port state in view is myopic: a replan tuned to
+// today's surviving ports can be invalidated by the next failure, and the
+// blind replay occasionally gets lucky. With the schedule in hand the policy
+// instead forward-simulates both — the replanning Recover here, planning
+// with c.Delta, and the naive ReplayLoop in the run the caller hands in as
+// replay (nil when that run failed) — under the exact fault sequence and
+// commits to whichever completes earlier. The simulator is deterministic, so
+// the forecast is the run: the result returned is the winner's own (replay
+// itself when the replay wins), never slower than the naive replay by
+// construction. The Recover run keeps what c asks for (Run).
+func RunPredictive(c ocs.Core, d *matrix.Matrix, replay *ocs.Result) (*ocs.Result, error) {
+	rec, err := Run(c, d, NewRecover(c.Delta))
 	if replay != nil && (err != nil || replay.CCT < rec.CCT) {
 		return replay, nil
 	}
@@ -154,7 +155,10 @@ func (rc *Recover) portsUnchanged(s ocs.State) bool {
 // chosen residual is empty.
 func (rc *Recover) replan(s ocs.State, restrict bool) bool {
 	rc.plan = ocs.Walk{}
-	resid := s.Remaining.Clone()
+	// Reco-Sin keeps nothing of its input, so the copy goes back to the
+	// pool once the plan is built.
+	resid := s.Remaining.AcquireClone()
+	defer resid.Recycle()
 	if restrict {
 		resid.ForEachNonZero(func(i, j int, _ int64) {
 			if !s.PortUp(i) || !s.PortUp(j) {
@@ -191,7 +195,8 @@ func (rc *Recover) replan(s ocs.State, restrict bool) bool {
 
 // estimate dry-runs plan against the residual demand with the ports frozen
 // as they are now: the event loop itself, keeping neither flows nor log,
-// under a walk that skips assignments with no undrained alive circuit. It
+// under a walk that skips assignments with no undrained alive circuit, on
+// pooled copies of the residual that go back to the pool when it ends. It
 // returns the projected time to drain everything the plan can reach and
 // whether that is all of the currently servable demand — a plan whose support
 // misses servable entries (e.g. a base plan built while those ports were
@@ -203,7 +208,10 @@ func (rc *Recover) estimate(plan ocs.CircuitSchedule, s ocs.State) (int64, bool)
 			frozen.PortEvents = append(frozen.PortEvents, faults.PortEvent{Port: p, Down: true})
 		}
 	}
+	rem := s.Remaining.AcquireClone()
 	res, err := ocs.Core{Delta: rc.delta, Bandwidth: 1, Faults: frozen}.
-		Run(s.Remaining.Clone(), &ocs.Walk{Schedule: plan, Live: true})
+		Run(rem, &ocs.Walk{Schedule: plan, Live: true})
+	rem.Recycle()
+	res.Residual.Recycle()
 	return res.CCT, err == nil || errors.Is(err, ocs.ErrUnservable)
 }

@@ -3,8 +3,9 @@
 // from the observed remaining demand and port state. RunFaults hands a
 // controller (any ocs.Controller) to the event loop of one switching core
 // (ocs.Core.Run — the loop behind the analytic executors too), keeps its
-// establishment log and fault records, and publishes the finished run to
-// the attached obs sink as the sim_* series and a simulated-time trace.
+// flows, establishment log and fault records, and publishes the finished
+// run to the attached obs sink as the sim_* series and a simulated-time
+// trace; Run does the same on a core that may keep less.
 //
 // This package holds the controllers — Replay and ReplayLoop over a
 // precomputed schedule, the reactive GreedyBottleneck and GreedyMaxWeight,
@@ -45,9 +46,17 @@ var ErrStalled = errors.New("sim: controller stopped with demand remaining")
 // ocs.ExecAllStop under a Replay controller. A partial result comes back
 // next to ErrStalled, ocs.ErrUnservable (remaining demand reachable only
 // through permanently failed ports) and ocs.ErrNoProgress; none next to
-// ErrController.
+// ErrController. The result keeps the flows and the establishment log.
 func RunFaults(d *matrix.Matrix, ctrl ocs.Controller, delta int64, fs *faults.Schedule) (*ocs.Result, error) {
-	res, err := ocs.Core{Delta: delta, Bandwidth: 1, Faults: fs, Flows: true, Log: true}.Run(d, ctrl)
+	return Run(ocs.Core{Delta: delta, Bandwidth: 1, Faults: fs, Flows: true, Log: true}, d, ctrl)
+}
+
+// Run is RunFaults on the core c, whose Flows and Log fields say what the
+// result keeps besides its totals and fault records: a caller that reads
+// only the CCT and the counts leaves both off, and the run builds neither
+// list.
+func Run(c ocs.Core, d *matrix.Matrix, ctrl ocs.Controller) (*ocs.Result, error) {
+	res, err := c.Run(d, ctrl)
 	switch {
 	case errors.Is(err, ocs.ErrInvalidAssignment):
 		return nil, fmt.Errorf("%w: %v", ErrController, err)
@@ -60,20 +69,21 @@ func RunFaults(d *matrix.Matrix, ctrl ocs.Controller, delta int64, fs *faults.Sc
 	// instrumented-vs-uninstrumented differential test). The flush runs on
 	// every exit that produced a result, including faulted partial runs.
 	if snk := obs.Current(); snk != nil {
-		flushSimObs(snk, &res)
+		flushSimObs(snk, d, &res)
 	}
 	return &res, err
 }
 
-// flushSimObs publishes one finished (or aborted) run to the sink:
-// aggregate counters from the Result, plus — when a tracer is attached —
-// the establishment log as reconfig/transmit spans, faults as instants,
-// and every flow interval on its ingress port's track, all on the
-// simulated-time axis (1 tick = 1µs in the trace viewer).
-func flushSimObs(snk *obs.Sink, res *ocs.Result) {
-	var drained int64
-	for _, fl := range res.Flows {
-		drained += fl.End - fl.Start // unit bandwidth: a tick moves one unit
+// flushSimObs publishes one finished (or aborted) run of demand d to the
+// sink: aggregate counters from the Result, plus — when a tracer is
+// attached — the establishment log as reconfig/transmit spans, faults as
+// instants, and every flow interval on its ingress port's track, all on the
+// simulated-time axis (1 tick = 1µs in the trace viewer). A run that kept
+// no log or flows traces none.
+func flushSimObs(snk *obs.Sink, d *matrix.Matrix, res *ocs.Result) {
+	drained := d.Total() // unit bandwidth: a tick moves one unit
+	if res.Residual != nil {
+		drained -= res.Residual.Total()
 	}
 	snk.Inc("sim_runs_total")
 	snk.Count("sim_establishments_total", int64(res.Reconfigs))
