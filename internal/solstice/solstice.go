@@ -7,6 +7,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"reco/internal/matching"
 	"reco/internal/matrix"
@@ -38,7 +39,9 @@ func Schedule(ctx context.Context, d *matrix.Matrix) (ocs.CircuitSchedule, error
 	if cs, ok := ocs.SinglePortSchedule(d); ok {
 		return cs, nil
 	}
-	res := matrix.StuffPreferNonZero(d)
+	res := matrix.AcquireClone(d)
+	defer res.Recycle()
+	matrix.StuffPreferNonZeroInPlace(res)
 	n := res.N()
 
 	r := int64(1)
@@ -46,35 +49,49 @@ func Schedule(ctx context.Context, d *matrix.Matrix) (ocs.CircuitSchedule, error
 		r *= 2
 	}
 
-	// One reusable graph serves every slicing probe: each probe reloads the
-	// thresholded support into the same backing arrays and re-runs matching,
-	// so the loop allocates only the emitted assignments in steady state.
-	// Tracking the residual total makes termination O(1) per slice instead
-	// of an N² rescan.
+	// One graph holds the residual's cells of value at least r for the
+	// whole run. A slice changes only the n cells it matched, so it drops
+	// the ones that fell below r, and a halving loads the support at the
+	// new r; neither rescans the matrix per slice. The matching is rerun,
+	// from empty, only when an edge left the graph or r changed: on the
+	// same edge set it would return the same permutation, so otherwise
+	// the previous slice's is emitted again. Tracking the residual total
+	// makes termination O(1) per slice.
 	g := matching.NewGraph(n)
+	g.LoadThreshold(res, r)
 	left := res.Total()
 	var cs ocs.CircuitSchedule
+	var perm []int // the graph's perfect matching; nil once it must be recomputed
 	for left > 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		g.LoadThreshold(res, r)
-		perm, size := g.MaxMatching()
-		if size != n {
-			if r == 1 {
-				return nil, fmt.Errorf("%w: no perfect matching at r=1", ErrStuck)
+		if perm == nil {
+			var size int
+			if perm, size = g.MaxMatching(); size != n {
+				if r == 1 {
+					return nil, fmt.Errorf("%w: no perfect matching at r=1", ErrStuck)
+				}
+				r /= 2
+				g.LoadThreshold(res, r)
+				perm = nil
+				continue
 			}
-			r /= 2
-			continue
+		} else {
+			perm = slices.Clone(perm)
 		}
+		cs = append(cs, ocs.Assignment{Perm: perm, Dur: r})
 		for i, j := range perm {
 			res.Add(i, j, -r)
-			if res.At(i, j) < 0 {
-				return nil, fmt.Errorf("%w: negative residual after slice", ErrStuck)
+			if v := res.At(i, j); v < r {
+				if v < 0 {
+					return nil, fmt.Errorf("%w: negative residual after slice", ErrStuck)
+				}
+				g.RemoveEdge(i, j)
+				perm = nil
 			}
 		}
 		left -= r * int64(n)
-		cs = append(cs, ocs.Assignment{Perm: perm, Dur: r})
 	}
 	return cs, nil
 }
