@@ -1,9 +1,14 @@
 package experiments
 
 import (
+	"fmt"
 	"os"
 	"strings"
 	"testing"
+
+	"reco/internal/matrix"
+	"reco/internal/parallel"
+	"reco/internal/workload"
 )
 
 // tinyConfig keeps experiment tests fast; shape assertions use it rather
@@ -331,4 +336,66 @@ func TestMulBatchClassPurity(t *testing.T) {
 	if len(classes) != len(ds) {
 		t.Fatal("classesOf length mismatch")
 	}
+}
+
+// oversampledBatch is mulBatch as it was before it stopped generating at a
+// full batch: draw the whole oversampled workload of every attempt, then
+// filter. It is the reference TestMulBatchMatchesOversample holds mulBatch
+// to.
+func oversampledBatch(cfg Config, seed int64, cl workload.Class) ([]*matrix.Matrix, error) {
+	need := cfg.MulCoflows
+	var out []*matrix.Matrix
+	for attempt := 0; attempt < 64 && len(out) < need; attempt++ {
+		coflows, err := workload.GenerateWith(parallel.Rand(seed, int64(attempt)),
+			elephantGen(cfg, cfg.MulN, max(need*4, 64), 0))
+		if err != nil {
+			return nil, err
+		}
+		for _, c := range coflows {
+			if cl != mixed && workload.Classify(c.Demand) != cl {
+				continue
+			}
+			out = append(out, c.Demand)
+			if len(out) == need {
+				break
+			}
+		}
+	}
+	if len(out) < need {
+		return nil, fmt.Errorf("could only draw %d of %d %s coflows", len(out), need, className(cl))
+	}
+	return out, nil
+}
+
+// TestMulBatchMatchesOversample: stopping the generator once the batch is
+// full keeps every matrix of the batch, for every class on seeds 1–8 at
+// the default configuration and on one 525-coflow n = 150 mixed batch.
+func TestMulBatchMatchesOversample(t *testing.T) {
+	check := func(cfg Config, seed int64, cl workload.Class) {
+		t.Helper()
+		want, wantErr := oversampledBatch(cfg, seed, cl)
+		got, err := mulBatch(cfg, seed, cl)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("seed %d %s: err %v, reference err %v", seed, className(cl), err, wantErr)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("seed %d %s: %d coflows, reference %d", seed, className(cl), len(got), len(want))
+		}
+		for k := range want {
+			if !got[k].Equal(want[k]) {
+				t.Fatalf("seed %d %s: coflow %d differs from the reference", seed, className(cl), k)
+			}
+		}
+	}
+	cfg := Defaults()
+	for seed := int64(1); seed <= 8; seed++ {
+		for _, cl := range []workload.Class{mixed, workload.Sparse, workload.Normal, workload.Dense} {
+			check(cfg, seed, cl)
+		}
+	}
+	if testing.Short() {
+		return
+	}
+	cfg.MulN, cfg.MulCoflows = 150, 525
+	check(cfg, 1, mixed)
 }

@@ -47,26 +47,24 @@ func className(cl workload.Class) string {
 
 // mulBatch draws one batch of MulCoflows coflows of the requested class
 // (mixed keeps the workload's natural composition) at the multi-coflow
-// fabric size, by oversampling the generator and filtering. Each attempt
-// threads its own generator derived from (seed, attempt), so a batch is a
-// pure function of its seed.
+// fabric size, by oversampling the generator and filtering: an attempt
+// draws from a workload of max(4·MulCoflows, 64) coflows and stops as soon
+// as the batch is full. Each attempt threads its own generator derived
+// from (seed, attempt), so a batch is a pure function of its seed.
 func mulBatch(cfg Config, seed int64, cl workload.Class) ([]*matrix.Matrix, error) {
 	need := cfg.MulCoflows
 	var out []*matrix.Matrix
 	for attempt := 0; attempt < 64 && len(out) < need; attempt++ {
-		coflows, err := workload.GenerateWith(parallel.Rand(seed, int64(attempt)),
-			elephantGen(cfg, cfg.MulN, max(need*4, 64), 0))
+		err := workload.GenerateEach(parallel.Rand(seed, int64(attempt)),
+			elephantGen(cfg, cfg.MulN, max(need*4, 64), 0),
+			func(c workload.Coflow) bool {
+				if cl == mixed || workload.Classify(c.Demand) == cl {
+					out = append(out, c.Demand)
+				}
+				return len(out) < need
+			})
 		if err != nil {
 			return nil, err
-		}
-		for _, c := range coflows {
-			if cl != mixed && workload.Classify(c.Demand) != cl {
-				continue
-			}
-			out = append(out, c.Demand)
-			if len(out) == need {
-				break
-			}
 		}
 	}
 	if len(out) < need {

@@ -212,14 +212,33 @@ func Generate(cfg GenConfig) ([]Coflow, error) {
 // runs.
 func GenerateWith(rng *rand.Rand, cfg GenConfig) ([]Coflow, error) {
 	cfg.applyDefaults()
+	out := make([]Coflow, 0, max(cfg.NumCoflows, 0))
+	err := GenerateEach(rng, cfg, func(c Coflow) bool {
+		out = append(out, c)
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// GenerateEach is GenerateWith handing each coflow to yield as soon as it
+// is drawn, in ID order, until yield returns false. The class and mode of
+// every coflow are fixed and shuffled before the first is drawn, and each
+// is then drawn from rng in turn, so the coflows yield sees are the first
+// ones GenerateWith returns for the same rng and cfg; a caller that stops
+// early skips drawing the rest.
+func GenerateEach(rng *rand.Rand, cfg GenConfig, yield func(Coflow) bool) error {
+	cfg.applyDefaults()
 	if cfg.N < 4 {
-		return nil, fmt.Errorf("%w: N=%d (need at least 4)", ErrBadConfig, cfg.N)
+		return fmt.Errorf("%w: N=%d (need at least 4)", ErrBadConfig, cfg.N)
 	}
 	if cfg.NumCoflows < 1 {
-		return nil, fmt.Errorf("%w: NumCoflows=%d", ErrBadConfig, cfg.NumCoflows)
+		return fmt.Errorf("%w: NumCoflows=%d", ErrBadConfig, cfg.NumCoflows)
 	}
 	if cfg.MinDemand < 1 || cfg.MeanDemand < cfg.MinDemand {
-		return nil, fmt.Errorf("%w: MinDemand=%d MeanDemand=%d", ErrBadConfig, cfg.MinDemand, cfg.MeanDemand)
+		return fmt.Errorf("%w: MinDemand=%d MeanDemand=%d", ErrBadConfig, cfg.MinDemand, cfg.MeanDemand)
 	}
 	k := cfg.NumCoflows
 
@@ -261,15 +280,16 @@ func GenerateWith(rng *rand.Rand, cfg GenConfig) ([]Coflow, error) {
 	// Shuffle so coflow IDs do not encode the class.
 	rng.Shuffle(len(specs), func(a, b int) { specs[a], specs[b] = specs[b], specs[a] })
 
-	out := make([]Coflow, k)
 	for id, sp := range specs {
 		d, err := genMatrix(rng, cfg, sp.mode, sp.class)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out[id] = Coflow{ID: id, Weight: 1, Demand: d}
+		if !yield(Coflow{ID: id, Weight: 1, Demand: d}) {
+			return nil
+		}
 	}
-	return out, nil
+	return nil
 }
 
 // genMatrix builds one demand matrix of the requested mode and density
