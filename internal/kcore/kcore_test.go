@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"reco/internal/core"
@@ -186,5 +187,40 @@ func TestBadInputs(t *testing.T) {
 	}
 	if Greedy.String() != "greedy" || RoundRobin.String() != "roundrobin" {
 		t.Error("strategy names changed; experiment columns depend on them")
+	}
+}
+
+// TestSortLargestFirstMatchesStableSort: SplitGreedy's placement order is
+// what a stable sort by value, largest first, makes of the row-major
+// entries, on matrices with many ties and on values wide enough to need
+// every radix digit.
+func TestSortLargestFirstMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(40)
+		top := []int64{2, 5, 100, 1 << 62}[trial%4]
+		d, _ := matrix.New(n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if rng.Intn(3) > 0 {
+					d.Set(i, j, 1+rng.Int63n(top))
+				}
+			}
+		}
+		got := d.AppendNonZeros(nil)
+		want := slices.Clone(got)
+		sortLargestFirst(got)
+		slices.SortStableFunc(want, func(a, b matrix.Cell) int {
+			switch {
+			case a.V > b.V:
+				return -1
+			case a.V < b.V:
+				return 1
+			}
+			return 0
+		})
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d (n=%d, values below %d): order differs from the stable sort", trial, n, top)
+		}
 	}
 }

@@ -1,9 +1,8 @@
 package kcore
 
 import (
-	"sort"
-
 	"reco/internal/matrix"
+	"reco/internal/radix"
 )
 
 // emptySplit returns K all-zero matrices of d's dimension.
@@ -39,8 +38,7 @@ func SplitGreedy(d *matrix.Matrix, t Topology) ([]*matrix.Matrix, error) {
 		return out, nil
 	}
 	entries := d.AppendNonZeros(nil)
-	// Largest first; ties in row-major order for determinism.
-	sort.SliceStable(entries, func(a, b int) bool { return entries[a].V > entries[b].V })
+	sortLargestFirst(entries)
 	rowLoad := make([][]int64, k)
 	colLoad := make([][]int64, k)
 	rowCnt := make([][]int64, k)
@@ -75,6 +73,12 @@ func SplitGreedy(d *matrix.Matrix, t Topology) ([]*matrix.Matrix, error) {
 		colCnt[best][e.J]++
 	}
 	return out, nil
+}
+
+// sortLargestFirst sorts row-major entries by value, largest first, and
+// keeps ties in row-major order for determinism: one stable radix sort.
+func sortLargestFirst(entries []matrix.Cell) {
+	radix.Sort(entries, func(e matrix.Cell) uint64 { return radix.Desc(e.V) })
 }
 
 // SplitRoundRobin is the naive splitting baseline: d's non-zero entries in
