@@ -1,6 +1,7 @@
 // Package bvn implements Birkhoff–von Neumann decomposition of (generalized)
 // doubly stochastic demand matrices into permutation matrices with integer
-// coefficients.
+// coefficients. A term is a circuit assignment: a circuit configuration held
+// for as long as its coefficient says.
 //
 // Two extraction strategies are provided. MaxMin follows the paper (and
 // Solstice [7]): each step extracts the perfect matching whose minimum entry
@@ -18,6 +19,7 @@ import (
 	"reco/internal/matching"
 	"reco/internal/matrix"
 	"reco/internal/obs"
+	"reco/internal/ocs"
 )
 
 // ErrNotDoublyStochastic reports that the input matrix's row and column sums
@@ -25,12 +27,10 @@ import (
 var ErrNotDoublyStochastic = errors.New("bvn: matrix is not doubly stochastic")
 
 // Term is one element of a decomposition: a permutation with an integer
-// coefficient. Perm[i] is the column matched to row i. The matrix it denotes
-// is Coef times the permutation matrix of Perm.
-type Term struct {
-	Perm []int
-	Coef int64
-}
+// coefficient, read as the circuit assignment that holds the permutation for
+// that long. Perm[i] is the column matched to row i. The matrix it denotes is
+// Dur times the permutation matrix of Perm.
+type Term = ocs.Assignment
 
 // Strategy selects how each permutation matrix is extracted.
 type Strategy int
@@ -60,7 +60,8 @@ const (
 // graph and scratch, and subtracting a term repairs the support
 // incrementally instead of rescanning the N×N residual (docs/PERF.md). The
 // engine logs each term's matching in its own buffer, and the result's
-// permutations are copied out of it into one slab at the end.
+// permutations are copied out of it into one slab at the end. The result
+// is a circuit schedule as it stands: each term's Dur is its coefficient.
 //
 // The extraction loop checks ctx before every term and returns ctx.Err()
 // once it is cancelled, so callers can abort a long decomposition on timeout
@@ -117,7 +118,7 @@ func logged(eng *matching.Engine) []Term {
 	}
 	terms := make([]Term, len(coefs))
 	for t, coef := range coefs {
-		terms[t] = Term{Perm: slab[t*n : (t+1)*n : (t+1)*n], Coef: coef}
+		terms[t] = Term{Perm: slab[t*n : (t+1)*n : (t+1)*n], Dur: coef}
 	}
 	return terms
 }
@@ -143,11 +144,11 @@ func Recompose(terms []Term, n int) (*matrix.Matrix, error) {
 		if len(t.Perm) != n {
 			return nil, fmt.Errorf("bvn: term %d has dimension %d, want %d", ti, len(t.Perm), n)
 		}
-		if t.Coef <= 0 {
-			return nil, fmt.Errorf("bvn: term %d has non-positive coefficient %d", ti, t.Coef)
+		if t.Dur <= 0 {
+			return nil, fmt.Errorf("bvn: term %d has non-positive coefficient %d", ti, t.Dur)
 		}
 		for i, j := range t.Perm {
-			out.Add(i, j, t.Coef)
+			out.Add(i, j, t.Dur)
 		}
 	}
 	return out, nil

@@ -50,8 +50,8 @@ func TestDecomposePaperExample(t *testing.T) {
 		t.Fatalf("got %d terms, want 3", len(terms))
 	}
 	for _, tm := range terms {
-		if tm.Coef != 200 {
-			t.Errorf("coef = %d, want 200", tm.Coef)
+		if tm.Dur != 200 {
+			t.Errorf("coef = %d, want 200", tm.Dur)
 		}
 	}
 	back, err := Recompose(terms, 3)
@@ -74,7 +74,7 @@ func TestDecomposeIdentityLike(t *testing.T) {
 		if err != nil {
 			t.Fatalf("strategy %d: %v", s, err)
 		}
-		if len(terms) != 1 || terms[0].Coef != 7 {
+		if len(terms) != 1 || terms[0].Dur != 7 {
 			t.Errorf("strategy %d: terms %+v, want single coef-7 term", s, terms)
 		}
 	}
@@ -102,8 +102,8 @@ func checkDecomposition(t *testing.T, m *matrix.Matrix, s Strategy) []Term {
 		t.Fatalf("strategy %d: %d terms exceeds Marcus–Ree bound %d", s, len(terms), bound)
 	}
 	for ti, tm := range terms {
-		if tm.Coef < 1 {
-			t.Fatalf("term %d has coefficient %d < 1", ti, tm.Coef)
+		if tm.Dur < 1 {
+			t.Fatalf("term %d has coefficient %d < 1", ti, tm.Dur)
 		}
 	}
 	return terms
@@ -141,8 +141,8 @@ func TestMaxMinNotWorseThanFirstFitOnUniform(t *testing.T) {
 	ds := matrix.Stuff(m)
 	mm := checkDecomposition(t, ds, MaxMin)
 	ff := checkDecomposition(t, ds, FirstFit)
-	if mm[0].Coef < ff[0].Coef {
-		t.Errorf("max-min first coef %d < first-fit %d", mm[0].Coef, ff[0].Coef)
+	if mm[0].Dur < ff[0].Dur {
+		t.Errorf("max-min first coef %d < first-fit %d", mm[0].Dur, ff[0].Dur)
 	}
 	if len(mm) > len(ff) {
 		t.Errorf("max-min produced %d terms, first-fit %d; expected max-min to need no more", len(mm), len(ff))
@@ -215,12 +215,12 @@ func TestDecomposeInvariants(t *testing.T) {
 				t.Fatalf("trial %d strategy %d: %d terms exceeds nnz %d", trial, s, len(terms), nnz)
 			}
 			for ti, tm := range terms {
-				if tm.Coef < 1 {
-					t.Fatalf("trial %d strategy %d: term %d coefficient %d < 1", trial, s, ti, tm.Coef)
+				if tm.Dur < 1 {
+					t.Fatalf("trial %d strategy %d: term %d coefficient %d < 1", trial, s, ti, tm.Dur)
 				}
-				if s == MaxMin && ti > 0 && tm.Coef > terms[ti-1].Coef {
+				if s == MaxMin && ti > 0 && tm.Dur > terms[ti-1].Dur {
 					t.Fatalf("trial %d: max–min coefficient grew %d -> %d at term %d",
-						trial, terms[ti-1].Coef, tm.Coef, ti)
+						trial, terms[ti-1].Dur, tm.Dur, ti)
 				}
 			}
 		}
@@ -228,10 +228,10 @@ func TestDecomposeInvariants(t *testing.T) {
 }
 
 func TestRecomposeValidation(t *testing.T) {
-	if _, err := Recompose([]Term{{Perm: []int{0}, Coef: 1}}, 2); err == nil {
+	if _, err := Recompose([]Term{{Perm: []int{0}, Dur: 1}}, 2); err == nil {
 		t.Error("dimension mismatch accepted")
 	}
-	if _, err := Recompose([]Term{{Perm: []int{0, 1}, Coef: 0}}, 2); err == nil {
+	if _, err := Recompose([]Term{{Perm: []int{0, 1}, Dur: 0}}, 2); err == nil {
 		t.Error("zero coefficient accepted")
 	}
 	if _, err := Recompose(nil, 0); err == nil {
@@ -262,7 +262,7 @@ func TestThresholdTrialCounters(t *testing.T) {
 	}
 	repeats := 0
 	for i := 1; i < len(terms); i++ {
-		if terms[i].Coef == terms[i-1].Coef {
+		if terms[i].Dur == terms[i-1].Dur {
 			repeats++
 		}
 	}

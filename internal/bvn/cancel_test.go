@@ -68,7 +68,7 @@ func decomposeFresh(t *testing.T, m *matrix.Matrix) []Term {
 		if err != nil {
 			t.Fatal(err)
 		}
-		terms = append(terms, Term{Perm: perm, Coef: coef})
+		terms = append(terms, Term{Perm: perm, Dur: coef})
 	}
 	return terms
 }
@@ -167,7 +167,7 @@ func TestDecomposeSlabMatchesExtraction(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want = append(want, Term{Perm: perm, Coef: coef})
+				want = append(want, Term{Perm: perm, Dur: coef})
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d strategy %d: slab decomposition differs from the extraction loop", trial, s)

@@ -82,7 +82,7 @@ func TestMaxMinGolden(t *testing.T) {
 			}
 			fmt.Fprintf(got["decompose"], "%s terms=%d\n", label, len(terms))
 			for _, term := range terms {
-				fmt.Fprintf(got["decompose"], "%v %d\n", term.Perm, term.Coef)
+				fmt.Fprintf(got["decompose"], "%v %d\n", term.Perm, term.Dur)
 			}
 			for _, m := range []*matrix.Matrix{c.raw, c.ds} {
 				if m == nil {

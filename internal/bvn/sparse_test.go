@@ -73,8 +73,8 @@ func TestDecomposeKMatchesFullDecompose(t *testing.T) {
 			t.Fatalf("trial %d: %d terms, full decomposition has %d", trial, len(terms), len(full))
 		}
 		for u := range terms {
-			if terms[u].Coef != full[u].Coef {
-				t.Fatalf("trial %d term %d: coef %d, full has %d", trial, u, terms[u].Coef, full[u].Coef)
+			if terms[u].Dur != full[u].Dur {
+				t.Fatalf("trial %d term %d: coef %d, full has %d", trial, u, terms[u].Dur, full[u].Dur)
 			}
 			for i, j := range terms[u].Perm {
 				if full[u].Perm[i] != j {

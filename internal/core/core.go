@@ -102,11 +102,7 @@ func RecoSinCtx(ctx context.Context, d *matrix.Matrix, delta int64) (ocs.Circuit
 		return nil, fmt.Errorf("core: reco-sin decomposition: %w", err)
 	}
 	snk.Inc("reco_sin_schedules_total")
-	cs := make(ocs.CircuitSchedule, len(terms))
-	for i, t := range terms {
-		cs[i] = ocs.Assignment{Perm: t.Perm, Dur: t.Coef}
-	}
-	return cs, nil
+	return terms, nil
 }
 
 // MulResult is a Reco-Mul schedule together with its reconfiguration

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"reco/internal/bvn"
 	"reco/internal/matching"
@@ -84,11 +85,7 @@ func RecoSparseCtx(ctx context.Context, d *matrix.Matrix, delta int64, k int) (o
 		}
 		residual.Set(i, j, need)
 	})
-	cs := make(ocs.CircuitSchedule, len(terms), len(terms)+residual.MaxRowColNonZeros())
-	for i, t := range terms {
-		cs[i] = ocs.Assignment{Perm: t.Perm, Dur: t.Coef}
-	}
-	cs = appendDrainResidual(cs, residual)
+	cs := appendDrainResidual(slices.Grow(terms, residual.MaxRowColNonZeros()), residual)
 	snk.Inc("reco_sparse_schedules_total")
 	return cs, nil
 }

@@ -172,7 +172,7 @@ func ExtSunflowNAS(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		nas, err := ocs.ExecNotAllStop(d, cs, cfg.Delta)
+		nas, err := ocs.Core{Delta: cfg.Delta, Bandwidth: 1, CarryOver: true}.Exec(d, cs)
 		if err != nil {
 			return nil, err
 		}

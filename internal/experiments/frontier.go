@@ -64,7 +64,7 @@ func Frontier(cfg Config) (*Table, error) {
 			if err != nil {
 				return totals{}, fmt.Errorf("frontier %s k=%d: %w", className(b.class), k, err)
 			}
-			res, err := ocs.ExecAllStop(d, cs, cfg.Delta)
+			res, err := ocs.Core{Delta: cfg.Delta, Bandwidth: 1}.Exec(d, cs)
 			if err != nil {
 				return totals{}, fmt.Errorf("frontier %s k=%d: %w", className(b.class), k, err)
 			}

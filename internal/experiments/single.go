@@ -11,6 +11,7 @@ import (
 	"reco/internal/ocs"
 	"reco/internal/parallel"
 	"reco/internal/stats"
+	"reco/internal/tms"
 )
 
 // singleMetrics holds one coflow's single-coflow scheduling outcome for both
@@ -165,16 +166,11 @@ func Thm1(cfg Config) (*Table, error) {
 		if err != nil {
 			return Row{}, fmt.Errorf("thm1: %w", err)
 		}
-		stuffed := matrix.Stuff(d)
-		terms, err := bvn.DecomposeCtx(context.Background(), stuffed, bvn.FirstFit)
+		cs, err := tms.ScheduleBvN(context.Background(), d)
 		if err != nil {
 			return Row{}, fmt.Errorf("thm1: %w", err)
 		}
-		cs := make(ocs.CircuitSchedule, len(terms))
-		for i, tm := range terms {
-			cs[i] = ocs.Assignment{Perm: tm.Perm, Dur: tm.Coef}
-		}
-		bvnRes, err := ocs.ExecAllStop(d, cs, cfg.Delta)
+		bvnRes, err := ocs.Core{Delta: cfg.Delta, Bandwidth: 1}.Exec(d, cs)
 		if err != nil {
 			return Row{}, fmt.Errorf("thm1 bvn exec: %w", err)
 		}
@@ -293,7 +289,7 @@ func NotAllStop(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		nas, err := ocs.ExecNotAllStop(d, cs, cfg.Delta)
+		nas, err := ocs.Core{Delta: cfg.Delta, Bandwidth: 1, CarryOver: true}.Exec(d, cs)
 		if err != nil {
 			return nil, err
 		}

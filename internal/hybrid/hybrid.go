@@ -103,7 +103,7 @@ func Schedule(ctx context.Context, d *matrix.Matrix, cfg Config) (*Result, error
 		if err != nil {
 			return nil, fmt.Errorf("hybrid: %w", err)
 		}
-		exec, err := ocs.ExecAllStop(elephants, cs, cfg.Delta)
+		exec, err := ocs.Core{Delta: cfg.Delta, Bandwidth: 1}.Exec(elephants, cs)
 		if err != nil {
 			return nil, fmt.Errorf("hybrid: %w", err)
 		}

@@ -1,7 +1,8 @@
 // Package lpiigb implements the LP-II-GB multi-coflow baseline of Qiu,
 // Stein and Zhong (SPAA 2015): an interval-indexed LP relaxation estimates
 // each coflow's completion time and the coflows are then served in estimate
-// order by primitive (first-fit) Birkhoff–von Neumann circuit schedules.
+// order by primitive (first-fit) Birkhoff–von Neumann circuit schedules,
+// built by tms.ScheduleBvN, the Traffic Matrix Scheduling baseline.
 //
 // Two service disciplines are provided. ScheduleSequentialCtx is the
 // baseline exactly as the paper evaluates it ("it determines the scheduling
@@ -17,11 +18,11 @@ import (
 	"fmt"
 	"sort"
 
-	"reco/internal/bvn"
 	"reco/internal/matrix"
 	"reco/internal/ocs"
 	"reco/internal/ordering"
 	"reco/internal/schedule"
+	"reco/internal/tms"
 )
 
 // Result reports an LP-II-GB run.
@@ -57,7 +58,7 @@ func ScheduleSequentialCtx(ctx context.Context, ds []*matrix.Matrix, w []float64
 	}
 	schedules := make([]ocs.CircuitSchedule, len(ds))
 	for k, d := range ds {
-		cs, err := bvnSchedule(ctx, d)
+		cs, err := tms.ScheduleBvN(ctx, d)
 		if err != nil {
 			return nil, fmt.Errorf("lpiigb: coflow %d: %w", k, err)
 		}
@@ -78,23 +79,6 @@ func ScheduleSequentialCtx(ctx context.Context, ds []*matrix.Matrix, w []float64
 		res.Groups = append(res.Groups, []int{k})
 	}
 	return res, nil
-}
-
-// bvnSchedule builds the primitive per-coflow circuit schedule LP-II-GB
-// uses: stuff, then first-fit Birkhoff–von Neumann decomposition.
-func bvnSchedule(ctx context.Context, d *matrix.Matrix) (ocs.CircuitSchedule, error) {
-	if d.IsZero() {
-		return nil, nil
-	}
-	terms, err := bvn.DecomposeCtx(ctx, matrix.Stuff(d), bvn.FirstFit)
-	if err != nil {
-		return nil, err
-	}
-	cs := make(ocs.CircuitSchedule, len(terms))
-	for i, t := range terms {
-		cs[i] = ocs.Assignment{Perm: t.Perm, Dur: t.Coef}
-	}
-	return cs, nil
 }
 
 // ScheduleCtx runs the grouped LP-II-GB construction on the given coflows
@@ -143,14 +127,9 @@ func ScheduleCtx(ctx context.Context, ds []*matrix.Matrix, w []float64, delta in
 			}
 			continue
 		}
-		stuffed := matrix.Stuff(agg)
-		terms, err := bvn.DecomposeCtx(ctx, stuffed, bvn.FirstFit)
+		cs, err := tms.ScheduleBvN(ctx, agg)
 		if err != nil {
 			return nil, fmt.Errorf("lpiigb: group %d: %w", g, err)
-		}
-		cs := make(ocs.CircuitSchedule, len(terms))
-		for i, t := range terms {
-			cs[i] = ocs.Assignment{Perm: t.Perm, Dur: t.Coef}
 		}
 		exec, err := ocs.Core{Delta: delta, Bandwidth: 1, Flows: flows}.Exec(agg, cs)
 		if err != nil {

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"reco/internal/bvn"
 	"reco/internal/core"
 	"reco/internal/faults"
 	"reco/internal/kcore"
@@ -13,6 +12,7 @@ import (
 	"reco/internal/ocs"
 	"reco/internal/ordering"
 	"reco/internal/sim"
+	"reco/internal/tms"
 	"reco/internal/workload"
 )
 
@@ -105,13 +105,9 @@ func BenchmarkExecSequential(b *testing.B) {
 		}
 		bt := &batches[s]
 		for _, c := range coflows {
-			terms, err := bvn.DecomposeCtx(context.Background(), matrix.Stuff(c.Demand), bvn.FirstFit)
+			cs, err := tms.ScheduleBvN(context.Background(), c.Demand)
 			if err != nil {
 				b.Fatal(err)
-			}
-			cs := make(ocs.CircuitSchedule, len(terms))
-			for i, t := range terms {
-				cs[i] = ocs.Assignment{Perm: t.Perm, Dur: t.Coef}
 			}
 			bt.ds, bt.plans = append(bt.ds, c.Demand), append(bt.plans, cs)
 		}

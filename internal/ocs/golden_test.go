@@ -10,11 +10,11 @@ import (
 	"strings"
 	"testing"
 
-	"reco/internal/bvn"
 	"reco/internal/core"
 	"reco/internal/kcore"
 	"reco/internal/matrix"
 	"reco/internal/ocs"
+	"reco/internal/tms"
 	"reco/internal/workload"
 )
 
@@ -81,7 +81,7 @@ func seqGoldenBatch(t *testing.T, got map[string]*strings.Builder, label string,
 		if recoSin[k], err = core.RecoSin(d, delta); err != nil {
 			t.Fatalf("%s coflow %d: %v", label, k, err)
 		}
-		if firstFit[k], err = seqGoldenFirstFit(d); err != nil {
+		if firstFit[k], err = tms.ScheduleBvN(context.Background(), d); err != nil {
 			t.Fatalf("%s coflow %d: %v", label, k, err)
 		}
 	}
@@ -128,22 +128,6 @@ func seqGoldenBatch(t *testing.T, got map[string]*strings.Builder, label string,
 		fmt.Fprintf(got["kcore"], "%s topology %d ", label, ti)
 		dumpSeqGolden(got["kcore"], seq, err)
 	}
-}
-
-// seqGoldenFirstFit is LP-II-GB's per-coflow plan: stuff, then first-fit BvN.
-func seqGoldenFirstFit(d *matrix.Matrix) (ocs.CircuitSchedule, error) {
-	if d.IsZero() {
-		return nil, nil
-	}
-	terms, err := bvn.DecomposeCtx(context.Background(), matrix.Stuff(d), bvn.FirstFit)
-	if err != nil {
-		return nil, err
-	}
-	cs := make(ocs.CircuitSchedule, len(terms))
-	for i, tm := range terms {
-		cs[i] = ocs.Assignment{Perm: tm.Perm, Dur: tm.Coef}
-	}
-	return cs, nil
 }
 
 func seqGoldenDemand(rng *rand.Rand, n int, fill float64) *matrix.Matrix {

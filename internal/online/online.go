@@ -206,7 +206,7 @@ func serveUnit(res *Result, arrivals []Arrival, chosen []int, now *int64, delta,
 		if err != nil {
 			return fmt.Errorf("online: %w", err)
 		}
-		exec, err := ocs.ExecAllStop(arrivals[k].Demand, cs, delta)
+		exec, err := ocs.Core{Delta: delta, Bandwidth: 1}.Exec(arrivals[k].Demand, cs)
 		if err != nil {
 			return fmt.Errorf("online: %w", err)
 		}

@@ -24,8 +24,10 @@ var ErrBadSlot = errors.New("tms: slot must be positive")
 // ScheduleBvN returns the TMS circuit schedule for d: stuffing followed by a
 // first-fit Birkhoff–von Neumann decomposition, every permutation held for
 // its coefficient. This is the decomposition whose Ω(N) worst case Theorem 1
-// exhibits. The decomposition checks ctx before every term and, once ctx is
-// cancelled, returns an error wrapping ctx.Err().
+// exhibits, and the one primitive BvN schedule: LP-II-GB (internal/lpiigb)
+// builds its per-coflow and per-group schedules here. The decomposition
+// checks ctx before every term and, once ctx is cancelled, returns an error
+// wrapping ctx.Err().
 func ScheduleBvN(ctx context.Context, d *matrix.Matrix) (ocs.CircuitSchedule, error) {
 	if d.IsZero() {
 		return nil, nil
@@ -34,11 +36,7 @@ func ScheduleBvN(ctx context.Context, d *matrix.Matrix) (ocs.CircuitSchedule, er
 	if err != nil {
 		return nil, fmt.Errorf("tms: %w", err)
 	}
-	cs := make(ocs.CircuitSchedule, len(terms))
-	for i, t := range terms {
-		cs[i] = ocs.Assignment{Perm: t.Perm, Dur: t.Coef}
-	}
-	return cs, nil
+	return terms, nil
 }
 
 // ScheduleHelios returns the Helios-style slotted circuit schedule for d:
