@@ -239,33 +239,24 @@ func perCoflow(name string, minDelta int64, order func(ds []*matrix.Matrix) []in
 }
 
 // backToBack builds a row's run from a scheduler that serves one coflow and
-// reports its CCT, reconfigurations and flows from time zero: coflows run
-// back-to-back in input order, each one's flows shifted to its start. The
-// context is checked between coflows and handed to step, for schedulers that
-// also check it within one.
+// reports its CCT, reconfigurations and flows from time zero: ocs.Sequence
+// runs the coflows back-to-back in input order, each one's flows shifted to
+// its start. The context is checked before each coflow and handed to step,
+// for schedulers that also check it within one.
 func backToBack(step func(ctx context.Context, d *matrix.Matrix, req algo.Request) (int64, int, schedule.FlowSchedule, error)) func(context.Context, algo.Request) (*algo.Result, error) {
 	return func(ctx context.Context, req algo.Request) (*algo.Result, error) {
-		out := &algo.Result{CCTs: make([]int64, len(req.Demands))}
-		var now int64
-		for k, d := range req.Demands {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			cct, reconfigs, flows, err := step(ctx, d, req)
-			if err != nil {
-				return nil, fmt.Errorf("coflow %d: %w", k, err)
-			}
-			for _, f := range flows {
-				f.Start += now
-				f.End += now
-				f.Coflow = k
-				out.Flows = append(out.Flows, f)
-			}
-			now += cct
-			out.CCTs[k] = now
-			out.Reconfigs += reconfigs
+		seq, err := ocs.Sequence(len(req.Demands), identity(len(req.Demands)), func(int) int { return 0 },
+			func(k int, _ schedule.FlowSchedule) (ocs.Result, error) {
+				if err := ctx.Err(); err != nil {
+					return ocs.Result{}, err
+				}
+				cct, reconfigs, flows, err := step(ctx, req.Demands[k], req)
+				return ocs.Result{CCT: cct, Reconfigs: reconfigs, Flows: flows}, err
+			})
+		if err != nil {
+			return nil, err
 		}
-		return out, nil
+		return &algo.Result{CCTs: seq.CCTs, Reconfigs: seq.Reconfigs, Flows: seq.Flows}, nil
 	}
 }
 
