@@ -33,9 +33,9 @@ type MulPipelineResult struct {
 // OCS schedule with reconfiguration delay delta and transmission threshold c.
 // A nil w means unit weights.
 //
-// ctx is polled between pipeline stages, so a cancelled request aborts
-// before the next stage starts rather than running the pipeline to
-// completion.
+// ctx is polled between pipeline stages and by the list schedule before
+// each coflow, so a cancelled request aborts within one coflow's placement
+// rather than running the pipeline to completion.
 func ScheduleMulCtx(ctx context.Context, ds []*matrix.Matrix, w []float64, delta, c int64) (*MulPipelineResult, error) {
 	if len(ds) == 0 {
 		return nil, fmt.Errorf("%w: no coflows", ErrBadParam)
@@ -58,7 +58,7 @@ func ScheduleMulCtx(ctx context.Context, ds []*matrix.Matrix, w []float64, delta
 	scr := getMulScratch()
 	defer mulPool.Put(scr)
 	end = snk.Stage("packet_schedule")
-	sp, err := packet.AppendListSchedule(scr.sp[:0], ds, order)
+	sp, err := packet.AppendListSchedule(ctx, scr.sp[:0], ds, order)
 	scr.sp = sp
 	end()
 	if err != nil {

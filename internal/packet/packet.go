@@ -5,6 +5,7 @@
 package packet
 
 import (
+	"context"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -31,12 +32,14 @@ import (
 // honors the port constraint; both are machine-checked by the caller-visible
 // invariants in the schedule package.
 func ListSchedule(ds []*matrix.Matrix, order []int) (schedule.FlowSchedule, error) {
-	return AppendListSchedule(nil, ds, order)
+	return AppendListSchedule(context.Background(), nil, ds, order)
 }
 
 // AppendListSchedule is ListSchedule appending S_p to dst, for a caller
-// that brings its own storage; on error it returns dst unchanged.
-func AppendListSchedule(dst schedule.FlowSchedule, ds []*matrix.Matrix, order []int) (schedule.FlowSchedule, error) {
+// that brings its own storage; on error it returns dst unchanged. It checks
+// ctx before each coflow it places and returns ctx.Err() once it is
+// cancelled.
+func AppendListSchedule(ctx context.Context, dst schedule.FlowSchedule, ds []*matrix.Matrix, order []int) (schedule.FlowSchedule, error) {
 	if len(ds) == 0 {
 		return dst, fmt.Errorf("packet: no coflows")
 	}
@@ -66,6 +69,9 @@ func AppendListSchedule(dst schedule.FlowSchedule, ds []*matrix.Matrix, order []
 	defer wavePool.Put(w)
 	freeIn, freeOut := w.free[:n], w.free[n:]
 	for _, k := range order {
+		if err := ctx.Err(); err != nil {
+			return dst, err
+		}
 		for _, f := range w.order(ds[k]) {
 			start := max(freeIn[f.i], freeOut[f.j])
 			end := start + f.d

@@ -1,10 +1,13 @@
 package packet
 
 import (
+	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"reco/internal/matrix"
+	"reco/internal/schedule"
 )
 
 func mustMatrix(t *testing.T, rows [][]int64) *matrix.Matrix {
@@ -94,6 +97,28 @@ func TestListScheduleValidation(t *testing.T) {
 	d2 := mustMatrix(t, [][]int64{{1, 0}, {0, 1}})
 	if _, err := ListSchedule([]*matrix.Matrix{d, d2}, []int{0, 1}); err == nil {
 		t.Error("mismatched dimensions accepted")
+	}
+}
+
+// TestAppendListScheduleCancelled: a cancelled context stops the list
+// schedule before it places a coflow, and the caller's storage comes back as
+// it went in, spare capacity included.
+func TestAppendListScheduleCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	d := mustMatrix(t, [][]int64{{3, 2}, {0, 4}})
+	dst := make(schedule.FlowSchedule, 1, 2) // too short for the schedule: a grown copy is not dst
+	dst[0] = schedule.FlowInterval{Start: 1, End: 2, In: 1, Out: 1, Coflow: 7}
+	before := slices.Clone(dst[:cap(dst)])
+	got, err := AppendListSchedule(ctx, dst, []*matrix.Matrix{d, d}, []int{1, 0})
+	if err != ctx.Err() {
+		t.Fatalf("error %v, want %v", err, ctx.Err())
+	}
+	if len(got) != len(dst) || cap(got) != cap(dst) || &got[0] != &dst[0] {
+		t.Fatalf("returned %d/%d flows, want dst's %d/%d", len(got), cap(got), len(dst), cap(dst))
+	}
+	if !slices.Equal(dst[:cap(dst)], before) {
+		t.Fatalf("dst written: %v, was %v", dst[:cap(dst)], before)
 	}
 }
 
