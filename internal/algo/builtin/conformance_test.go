@@ -24,8 +24,14 @@ const (
 // supports.
 func conformanceRequest(t *testing.T) algo.Request {
 	t.Helper()
+	return conformanceDraw(t, 7)
+}
+
+// conformanceDraw is conformanceRequest's draw on another seed.
+func conformanceDraw(t *testing.T, seed int64) algo.Request {
+	t.Helper()
 	coflows, err := workload.Generate(workload.GenConfig{
-		N: 12, NumCoflows: 4, Seed: 7,
+		N: 12, NumCoflows: 4, Seed: seed,
 		MinDemand: confC * confDelta, MeanDemand: confC * confDelta,
 	})
 	if err != nil {

@@ -136,6 +136,26 @@ func TestDifferentialLPII(t *testing.T) {
 	}
 }
 
+// TestDifferentialLPIIGBIsTMSPerCoflow: on one coflow the LP order has
+// nothing to choose, and LP-II-GB is what the paper means by it, first-fit
+// BvN per coflow: the same schedule as tms-bvn, flow for flow.
+func TestDifferentialLPIIGBIsTMSPerCoflow(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		req := conformanceDraw(t, seed)
+		for k, d := range req.Demands {
+			one := req
+			one.Demands, one.Weights = []*matrix.Matrix{d}, []float64{1}
+			want := registrySchedule(t, algo.NameTMSBvN, one)
+			got := registrySchedule(t, algo.NameLPIIGB, one)
+			if !reflect.DeepEqual(got.CCTs, want.CCTs) || got.Reconfigs != want.Reconfigs ||
+				!reflect.DeepEqual(got.Flows, want.Flows) {
+				t.Errorf("seed %d coflow %d: lp-ii-gb %v/%d (%d flows), tms-bvn %v/%d (%d flows)", seed, k,
+					got.CCTs, got.Reconfigs, len(got.Flows), want.CCTs, want.Reconfigs, len(want.Flows))
+			}
+		}
+	}
+}
+
 // TestDifferentialSunflow: cumulative back-to-back Sunflow runs match the
 // registry adapter.
 func TestDifferentialSunflow(t *testing.T) {
