@@ -71,7 +71,6 @@ import (
 
 	"reco/internal/algo"
 	_ "reco/internal/algo/builtin"
-	"reco/internal/core"
 	"reco/internal/faults"
 	"reco/internal/gantt"
 	"reco/internal/matrix"
@@ -200,7 +199,7 @@ func run(args []string) int {
 	}
 
 	if *withFaults {
-		if err := runFaulted(ds, faultOpts{
+		if err := runFaulted(ctx, ds, faultOpts{
 			delta: *delta, pfail: *pfail, setupFail: *setupFail,
 			jitter: *jitter, repair: *repair, seed: *faultSeed,
 			perCoflow: *perCoflow,
@@ -312,28 +311,27 @@ type faultOpts struct {
 	perCoflow bool
 }
 
-// runFaulted plans each coflow with Reco-Sin and executes the plan through
-// the fault-injecting simulator, comparing the naive schedule replay against
-// the recovery controller. Each coflow gets its own fault schedule derived
-// from (seed, coflow index), so runs are reproducible coflow by coflow.
-func runFaulted(ds []*matrix.Matrix, o faultOpts) error {
+// runFaulted plans each coflow with the registry's reco-sin row and executes
+// the plan through the fault-injecting simulator, comparing the naive
+// schedule replay against the recovery controller. Each coflow gets its own
+// fault schedule derived from (seed, coflow index), so runs are reproducible
+// coflow by coflow.
+func runFaulted(ctx context.Context, ds []*matrix.Matrix, o faultOpts) error {
 	fmt.Printf("fault model    pfail=%.2f setupfail=%.2f jitter=%d seed=%d\n",
 		o.pfail, o.setupFail, o.jitter, o.seed)
 	fmt.Printf("coflows        %d on %d ports, delta %d ticks\n", len(ds), ds[0].N(), o.delta)
 	var cleanSum, replaySum, recoverSum float64
 	var faultCount, setupCount int
 	for k, d := range ds {
-		cs, err := core.RecoSin(d, o.delta)
+		plan, err := algo.MustGet(algo.NameRecoSin).Schedule(ctx,
+			algo.Request{Demands: []*matrix.Matrix{d}, Delta: o.delta, NoFlows: true})
 		if err != nil {
 			return fmt.Errorf("coflow %d: %w", k, err)
 		}
-		clean, err := ocs.ExecAllStop(d, cs, o.delta)
-		if err != nil {
-			return fmt.Errorf("coflow %d: %w", k, err)
-		}
+		cs, cleanCCT := plan.Schedules[0], plan.CCTs[0]
 		repairAfter := o.repair
 		if repairAfter <= 0 {
-			repairAfter = clean.CCT / 2
+			repairAfter = cleanCCT / 2
 			if repairAfter < o.delta {
 				repairAfter = o.delta
 			}
@@ -341,7 +339,7 @@ func runFaulted(ds []*matrix.Matrix, o faultOpts) error {
 		fs, err := faults.Generate(faults.GenConfig{
 			N:             d.N(),
 			Seed:          parallel.Seed(o.seed, int64(k)),
-			Horizon:       clean.CCT,
+			Horizon:       cleanCCT,
 			PortFailRate:  o.pfail,
 			RepairAfter:   repairAfter,
 			SetupFailProb: o.setupFail,
@@ -368,14 +366,14 @@ func runFaulted(ds []*matrix.Matrix, o faultOpts) error {
 			}
 			fmt.Printf("controllers    %s vs %s\n", replayCtl.Name(), recoverName)
 		}
-		cleanSum += float64(clean.CCT)
+		cleanSum += float64(cleanCCT)
 		replaySum += float64(replay.CCT)
 		recoverSum += float64(rec.CCT)
 		faultCount += len(rec.Faults)
 		setupCount += rec.SetupFailures
 		if o.perCoflow {
 			fmt.Printf("  coflow %3d  clean %9d  replay %9d  recover %9d  faults %d\n",
-				k, clean.CCT, replay.CCT, rec.CCT, len(rec.Faults))
+				k, cleanCCT, replay.CCT, rec.CCT, len(rec.Faults))
 		}
 	}
 	fmt.Printf("faults seen    %d (%d setup failures under recover)\n", faultCount, setupCount)

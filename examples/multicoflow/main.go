@@ -12,11 +12,9 @@ import (
 	"log"
 
 	"reco"
-	"reco/internal/lpiigb"
+	"reco/internal/algo"
+	_ "reco/internal/algo/builtin" // the lp-ii-gb and sebf-solstice rows
 	"reco/internal/matrix"
-	"reco/internal/ocs"
-	"reco/internal/ordering"
-	"reco/internal/solstice"
 	"reco/internal/stats"
 	"reco/internal/workload"
 )
@@ -40,20 +38,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	lpRes, err := lpiigb.ScheduleSequentialCtx(context.Background(), ds, nil, delta, true)
-	if err != nil {
-		log.Fatal(err)
-	}
-	schedules := make([]ocs.CircuitSchedule, len(ds))
-	for k, d := range ds {
-		if schedules[k], err = solstice.Schedule(context.Background(), d); err != nil {
+	baseline := func(name string) *algo.Result {
+		res, err := algo.MustGet(name).Schedule(context.Background(), algo.Request{Demands: ds, Delta: delta, C: c})
+		if err != nil {
 			log.Fatal(err)
 		}
+		return res
 	}
-	sebfRes, err := ocs.ExecSequential(ds, schedules, ordering.SEBF(ds), delta, true)
-	if err != nil {
-		log.Fatal(err)
-	}
+	lpRes, sebfRes := baseline(algo.NameLPIIGB), baseline(algo.NameSEBFSolstice)
 
 	fmt.Printf("%d coflows on a %d-port OCS (delta=%d, c=%d)\n\n", len(ds), ports, delta, c)
 	fmt.Printf("%-14s  %10s  %10s  %10s\n", "algorithm", "avg CCT", "95p CCT", "reconfigs")

@@ -12,7 +12,6 @@ import (
 	"log"
 
 	"reco"
-	"reco/internal/core"
 	"reco/internal/ocs"
 )
 
@@ -61,19 +60,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rs, err := core.RecoSin(shuffle, delta)
+	allR, err := reco.ScheduleSingle(shuffle, delta)
 	if err != nil {
 		log.Fatal(err)
 	}
-	allR, err := ocs.ExecAllStop(shuffle, rs, delta)
+	nasR, err := ocs.ExecNotAllStop(shuffle, allR.Schedule, delta)
 	if err != nil {
 		log.Fatal(err)
 	}
-	nasR, err := ocs.ExecNotAllStop(shuffle, rs, delta)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("Reco-Sin schedule (%d establishments) on a diagonal-heavy shuffle\n", len(rs))
+	fmt.Printf("Reco-Sin schedule (%d establishments) on a diagonal-heavy shuffle\n", len(allR.Schedule))
 	fmt.Printf("%-14s  %8s  %10s\n", "model", "CCT", "reconfigs")
 	fmt.Printf("%-14s  %8d  %10d\n", "all-stop", allR.CCT, allR.Reconfigs)
 	fmt.Printf("%-14s  %8d  %10d\n", "not-all-stop", nasR.CCT, nasR.Reconfigs)

@@ -11,8 +11,8 @@ import (
 	"log"
 
 	"reco"
-	"reco/internal/ocs"
-	"reco/internal/solstice"
+	"reco/internal/algo"
+	_ "reco/internal/algo/builtin" // the solstice row
 	"reco/internal/workload"
 )
 
@@ -43,16 +43,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		solCS, err := solstice.Schedule(context.Background(), subject.Demand)
-		if err != nil {
-			log.Fatal(err)
-		}
-		solRes, err := ocs.ExecAllStop(subject.Demand, solCS, delta)
+		solRes, err := algo.MustGet(algo.NameSolstice).Schedule(context.Background(),
+			algo.Request{Demands: []*reco.Demand{subject.Demand}, Delta: delta})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%8d  %13d /%7d  %13d /%7d  %10d\n",
-			delta, recoRes.CCT, recoRes.Reconfigs, solRes.CCT, solRes.Reconfigs,
+			delta, recoRes.CCT, recoRes.Reconfigs, solRes.CCTs[0], solRes.Reconfigs,
 			recoRes.LowerBound)
 	}
 	fmt.Println("\nReco-Sin's reconfiguration count falls as delta grows (regularization")

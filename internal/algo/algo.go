@@ -1,15 +1,17 @@
 // Package algo defines the repository's canonical scheduling-algorithm
 // abstraction: one Scheduler interface, one request shape and one result
-// shape shared by every consumer layer — the recosim CLI, the HTTP API,
-// the experiment tables, the online controller and the fault simulator.
+// shape shared by every consumer layer — the public facade, the recosim
+// CLI, the HTTP API, the experiment tables and the online controller. A
+// consumer that replays an algorithm asks the registry for it, so the
+// request is validated once, by ValidateRequest, whoever sends it.
 //
 // Implementations live in the algo/builtin sub-package and register
 // themselves in the process-global registry; consumers blank-import
 // reco/internal/algo/builtin and resolve algorithms by name. Keeping this
 // package free of scheduler imports (it depends only on the matrix, ocs and
 // schedule data types) is what lets every layer — including packages the
-// schedulers themselves depend on, such as internal/online — share the name
-// constants without import cycles.
+// schedulers themselves depend on, such as the fault simulator in
+// internal/sim — share the name constants without import cycles.
 package algo
 
 import (

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"reco/internal/algo"
 	"reco/internal/faults"
 	"reco/internal/ocs"
 	"reco/internal/parallel"
@@ -63,11 +64,11 @@ func runFaultTrials(cfg Config) ([][]faultPoint, error) {
 		return nil, err
 	}
 	cleans, err := parallel.Map(cfg.workers(), len(coflows), func(ci int) (cleanRun, error) {
-		cs, clean, err := recoSinAllStop(coflows[ci].Demand, cfg.Delta, cfg.Delta)
+		clean, err := one(algo.NameRecoSin, coflows[ci].Demand, cfg.Delta)
 		if err != nil {
 			return cleanRun{}, fmt.Errorf("coflow %d: %w", ci, err)
 		}
-		return cleanRun{cs: cs, cct: clean.CCT}, nil
+		return cleanRun{cs: clean.Schedules[0], cct: clean.CCTs[0]}, nil
 	})
 	if err != nil {
 		return nil, err

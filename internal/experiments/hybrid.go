@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"reco/internal/algo"
 	"reco/internal/hybrid"
 	"reco/internal/parallel"
 	"reco/internal/stats"
@@ -62,8 +63,11 @@ func Hybrid(cfg Config) (*Table, error) {
 
 	// The all-optical baseline is threshold-independent: one run per coflow.
 	ocsOnly, err := parallel.Map(cfg.workers(), len(coflows), func(i int) (float64, error) {
-		_, exec, err := recoSinAllStop(coflows[i].Demand, cfg.Delta, cfg.Delta)
-		return float64(exec.CCT), err
+		res, err := one(algo.NameRecoSin, coflows[i].Demand, cfg.Delta)
+		if err != nil {
+			return 0, err
+		}
+		return float64(res.CCTs[0]), nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("hybrid ocs-only: %w", err)

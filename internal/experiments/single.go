@@ -11,7 +11,6 @@ import (
 	"reco/internal/ocs"
 	"reco/internal/parallel"
 	"reco/internal/stats"
-	"reco/internal/tms"
 )
 
 // singleMetrics holds one coflow's single-coflow scheduling outcome for both
@@ -25,14 +24,13 @@ type singleMetrics struct {
 // schedulers under the all-stop model with the given delta, asking for no
 // flows.
 func scheduleBoth(d *matrix.Matrix, delta int64) (singleMetrics, error) {
-	req := algo.Request{Demands: []*matrix.Matrix{d}, Delta: delta, NoFlows: true}
-	recoRes, err := algo.MustGet(algo.NameRecoSin).Schedule(context.Background(), req)
+	recoRes, err := one(algo.NameRecoSin, d, delta)
 	if err != nil {
-		return singleMetrics{}, fmt.Errorf("reco-sin: %w", err)
+		return singleMetrics{}, err
 	}
-	solRes, err := algo.MustGet(algo.NameSolstice).Schedule(context.Background(), req)
+	solRes, err := one(algo.NameSolstice, d, delta)
 	if err != nil {
-		return singleMetrics{}, fmt.Errorf("solstice: %w", err)
+		return singleMetrics{}, err
 	}
 	return singleMetrics{
 		recoReconf: float64(recoRes.Reconfigs),
@@ -166,22 +164,18 @@ func Thm1(cfg Config) (*Table, error) {
 		if err != nil {
 			return Row{}, fmt.Errorf("thm1: %w", err)
 		}
-		cs, err := tms.ScheduleBvN(context.Background(), d)
+		bvnRes, err := one(algo.NameTMSBvN, d, cfg.Delta)
 		if err != nil {
 			return Row{}, fmt.Errorf("thm1: %w", err)
 		}
-		bvnRes, err := ocs.Core{Delta: cfg.Delta, Bandwidth: 1}.Exec(d, cs)
-		if err != nil {
-			return Row{}, fmt.Errorf("thm1 bvn exec: %w", err)
-		}
-		_, recoRes, err := recoSinAllStop(d, cfg.Delta, cfg.Delta)
+		recoRes, err := one(algo.NameRecoSin, d, cfg.Delta)
 		if err != nil {
 			return Row{}, fmt.Errorf("thm1: %w", err)
 		}
+		bvnCCT, recoCCT := float64(bvnRes.CCTs[0]), float64(recoRes.CCTs[0])
 		return Row{Label: fmt.Sprintf("N=%d", n), Cells: []float64{
 			float64(bvnRes.Reconfigs), float64(recoRes.Reconfigs),
-			float64(bvnRes.CCT), float64(recoRes.CCT),
-			stats.Ratio(float64(bvnRes.CCT), float64(recoRes.CCT)),
+			bvnCCT, recoCCT, stats.Ratio(bvnCCT, recoCCT),
 		}}, nil
 	})
 	if err != nil {
@@ -235,19 +229,23 @@ func AblationRegularization(cfg Config) (*Table, error) {
 		Title:   fmt.Sprintf("Reco-Sin vs unregularized stuff+max-min BvN (delta=%d)", cfg.Delta),
 		Columns: []string{"Reco reconf", "NoReg reconf", "Reco CCT", "NoReg CCT"},
 	}, func(d *matrix.Matrix) ([]float64, error) {
-		_, reco, err := recoSinAllStop(d, cfg.Delta, cfg.Delta)
+		reco, err := one(algo.NameRecoSin, d, cfg.Delta)
 		if err != nil {
 			return nil, err
 		}
-		// No regularization: RecoSin with delta 0 builds the same pipeline
-		// minus the rounding step.
-		_, noreg, err := recoSinAllStop(d, 0, cfg.Delta)
+		// No regularization: Reco-Sin planned at delta 0 is the same
+		// pipeline minus the rounding step, executed at the real delta.
+		plain, err := one(algo.NameRecoSin, d, 0)
+		if err != nil {
+			return nil, err
+		}
+		noreg, err := ocs.Core{Delta: cfg.Delta, Bandwidth: 1}.Exec(d, plain.Schedules[0])
 		if err != nil {
 			return nil, err
 		}
 		return []float64{
 			float64(reco.Reconfigs), float64(noreg.Reconfigs),
-			float64(reco.CCT), float64(noreg.CCT),
+			float64(reco.CCTs[0]), float64(noreg.CCT),
 		}, nil
 	}, presentOnly(meanRow))
 }
@@ -285,14 +283,14 @@ func NotAllStop(cfg Config) (*Table, error) {
 		Title:   fmt.Sprintf("Reco-Sin CCT under all-stop vs not-all-stop (delta=%d)", cfg.Delta),
 		Columns: []string{"all-stop", "not-all-stop", "speedup"},
 	}, func(d *matrix.Matrix) ([]float64, error) {
-		cs, all, err := recoSinAllStop(d, cfg.Delta, cfg.Delta)
+		all, err := one(algo.NameRecoSin, d, cfg.Delta)
 		if err != nil {
 			return nil, err
 		}
-		nas, err := ocs.Core{Delta: cfg.Delta, Bandwidth: 1, CarryOver: true}.Exec(d, cs)
+		nas, err := ocs.Core{Delta: cfg.Delta, Bandwidth: 1, CarryOver: true}.Exec(d, all.Schedules[0])
 		if err != nil {
 			return nil, err
 		}
-		return []float64{float64(all.CCT), float64(nas.CCT)}, nil
+		return []float64{float64(all.CCTs[0]), float64(nas.CCT)}, nil
 	}, presentOnly(meanRatioRow(0, 1)))
 }

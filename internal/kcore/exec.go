@@ -1,6 +1,7 @@
 package kcore
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -228,7 +229,7 @@ func RunRecover(topo Topology, split []*matrix.Matrix, plans []ocs.CircuitSchedu
 				continue
 			}
 			delta := topo.Cores[c].Delta
-			plan2, err := core.RecoSin(extra[si], delta)
+			plan2, err := core.RecoSinCtx(context.Background(), extra[si], delta)
 			if err != nil {
 				return nil, fmt.Errorf("core %d replan: %w", c, err)
 			}

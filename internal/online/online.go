@@ -3,8 +3,7 @@
 // scheduling schemes for OCS-based networks"). Coflows become known only
 // when they arrive; an event-driven controller decides, whenever the switch
 // frees up, which pending coflows to serve next and schedules them with the
-// repository's offline machinery (Reco-Sin for one coflow, the Reco-Mul
-// pipeline for a batch).
+// registry's offline rows (reco-sin for one coflow, reco-mul for a batch).
 package online
 
 import (
@@ -14,9 +13,8 @@ import (
 	"sort"
 
 	"reco/internal/algo"
-	"reco/internal/core"
+	_ "reco/internal/algo/builtin" // the reco-sin and reco-mul rows
 	"reco/internal/matrix"
-	"reco/internal/ocs"
 )
 
 // ErrBadInput reports an unusable arrival sequence or policy decision.
@@ -197,44 +195,36 @@ func checkChoice(chosen, pending []int) error {
 	return nil
 }
 
-// serveUnit schedules the chosen coflows starting at *now and advances the
+// serveUnit schedules the chosen coflows starting at *now through the
+// registry — reco-sin for one coflow, reco-mul for a batch — and advances the
 // clock to the unit's completion.
 func serveUnit(res *Result, arrivals []Arrival, chosen []int, now *int64, delta, c int64) error {
-	if len(chosen) == 1 {
-		k := chosen[0]
-		cs, err := core.RecoSin(arrivals[k].Demand, delta)
-		if err != nil {
-			return fmt.Errorf("online: %w", err)
-		}
-		exec, err := ocs.Core{Delta: delta, Bandwidth: 1}.Exec(arrivals[k].Demand, cs)
-		if err != nil {
-			return fmt.Errorf("online: %w", err)
-		}
-		*now += exec.CCT
-		res.CCTs[k] = *now - arrivals[k].At
-		res.Reconfigs += exec.Reconfigs
-		return nil
+	req := algo.Request{
+		Demands: make([]*matrix.Matrix, len(chosen)),
+		Weights: make([]float64, len(chosen)),
+		Delta:   delta,
+		C:       c,
+		NoFlows: true,
 	}
-
-	ds := make([]*matrix.Matrix, len(chosen))
-	w := make([]float64, len(chosen))
 	for i, k := range chosen {
-		ds[i] = arrivals[k].Demand
-		w[i] = arrivals[k].Weight
+		req.Demands[i] = arrivals[k].Demand
+		req.Weights[i] = arrivals[k].Weight
 	}
-	mul, err := core.ScheduleMulCtx(context.Background(), ds, w, delta, c)
+	name := algo.NameRecoMul
+	if len(chosen) == 1 {
+		name = algo.NameRecoSin
+	}
+	unit, err := algo.MustGet(name).Schedule(context.Background(), req)
 	if err != nil {
 		return fmt.Errorf("online: %w", err)
 	}
-	var unitEnd int64
+	unitEnd := *now
 	for i, k := range chosen {
-		finish := *now + mul.CCTs[i]
+		finish := *now + unit.CCTs[i]
 		res.CCTs[k] = finish - arrivals[k].At
-		if finish > unitEnd {
-			unitEnd = finish
-		}
+		unitEnd = max(unitEnd, finish)
 	}
 	*now = unitEnd
-	res.Reconfigs += mul.Reconfigs
+	res.Reconfigs += unit.Reconfigs
 	return nil
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 
 	"reco/internal/algo"
@@ -169,7 +170,7 @@ func (rc *Recover) replan(s ocs.State, restrict bool) bool {
 	if resid.IsZero() {
 		return false
 	}
-	cs, err := core.RecoSin(resid, rc.delta)
+	cs, err := core.RecoSinCtx(context.Background(), resid, rc.delta)
 	if err != nil || len(cs) == 0 {
 		if rc.base == nil {
 			return false

@@ -16,7 +16,7 @@
 // The loop's own vocabulary (State, Decision, Result, Trace, FaultRecord)
 // is ocs's, and callers name it there. The package stays separate from ocs
 // because its controllers lean on packages that themselves import ocs:
-// Recover replans with core.RecoSin and takes its name from internal/algo,
+// Recover replans with core.RecoSinCtx and takes its name from internal/algo,
 // as GreedyMaxWeight does. Inside ocs they would close an import cycle.
 // The repository benchmark (bench/) also calls RunFaults and NewReplay by
 // these names.

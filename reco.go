@@ -40,6 +40,8 @@ import (
 	"context"
 	"fmt"
 
+	"reco/internal/algo"
+	_ "reco/internal/algo/builtin" // the reco-sin and reco-mul rows
 	"reco/internal/core"
 	"reco/internal/hybrid"
 	"reco/internal/matrix"
@@ -86,19 +88,19 @@ type SingleResult struct {
 
 // ScheduleSingle schedules one coflow with Reco-Sin under the all-stop model
 // with reconfiguration delay delta (in ticks) and reports the executed
-// outcome.
+// outcome. It runs the registry's reco-sin row, which refuses a request
+// algo.ValidateRequest rejects (a negative delta, say, or a completion
+// bound 2·(ρ + n·delta) beyond int64 ticks) with an error wrapping
+// algo.ErrBadRequest.
 func ScheduleSingle(d *Demand, delta int64) (*SingleResult, error) {
-	cs, err := core.RecoSin(d, delta)
-	if err != nil {
-		return nil, fmt.Errorf("reco: %w", err)
-	}
-	res, err := ocs.ExecAllStop(d, cs, delta)
+	res, err := algo.MustGet(algo.NameRecoSin).Schedule(context.Background(),
+		algo.Request{Demands: []*matrix.Matrix{d}, Delta: delta})
 	if err != nil {
 		return nil, fmt.Errorf("reco: %w", err)
 	}
 	return &SingleResult{
-		Schedule:   cs,
-		CCT:        res.CCT,
+		Schedule:   res.Schedules[0],
+		CCT:        res.CCTs[0],
 		Reconfigs:  res.Reconfigs,
 		LowerBound: ocs.LowerBound(d, delta),
 		Flows:      res.Flows,
@@ -122,9 +124,13 @@ type MultiResult struct {
 // Algorithm 2 transformation, under the all-stop model with reconfiguration
 // delay delta and optical transmission threshold c (non-zero demands are
 // expected to be at least c·delta; smaller demands are still scheduled
-// correctly). A nil weights slice means unit weights.
+// correctly). A nil weights slice means unit weights. It runs the
+// registry's reco-mul row: a request algo.ValidateRequest rejects (as for
+// ScheduleSingle, or demands of different sizes, or a negative or
+// non-finite weight) is an error wrapping algo.ErrBadRequest.
 func ScheduleMultiple(demands []*Demand, weights []float64, delta, c int64) (*MultiResult, error) {
-	res, err := core.ScheduleMulCtx(context.Background(), demands, weights, delta, c)
+	res, err := algo.MustGet(algo.NameRecoMul).Schedule(context.Background(),
+		algo.Request{Demands: demands, Weights: weights, Delta: delta, C: c})
 	if err != nil {
 		return nil, fmt.Errorf("reco: %w", err)
 	}
@@ -176,7 +182,8 @@ const (
 
 // SimulateArrivals runs the event-driven online controller over a coflow
 // arrival stream with the named policy (see the Policy constants). Single
-// coflows are scheduled with Reco-Sin, batches with the Reco-Mul pipeline.
+// coflows are scheduled with Reco-Sin, batches with the Reco-Mul pipeline,
+// and a unit either one refuses is an error wrapping algo.ErrBadRequest.
 func SimulateArrivals(arrivals []Arrival, policy string, delta, c int64) (*OnlineResult, error) {
 	var pol online.Policy
 	switch policy {

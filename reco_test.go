@@ -1,9 +1,12 @@
 package reco_test
 
 import (
+	"errors"
 	"testing"
 
 	"reco"
+	"reco/internal/algo"
+	"reco/internal/online"
 )
 
 func TestScheduleSingleFacade(t *testing.T) {
@@ -130,4 +133,44 @@ func TestScheduleHybridFacade(t *testing.T) {
 	if _, err := reco.ScheduleHybrid(d, 100, 400, 0); err == nil {
 		t.Error("bad slowdown accepted")
 	}
+}
+
+// TestOverflowCoflowIsBadRequest: a coflow whose completion bound
+// 2·(ρ + n·δ) does not fit in int64 ticks is refused as a bad request by
+// every entry point that schedules it, not answered with a wrapped,
+// negative CCT. One port carries 2·(2⁶²+7) ticks, so ρ alone overflows the
+// bound at δ = 100.
+func TestOverflowCoflowIsBadRequest(t *testing.T) {
+	const big = 1<<62 + 7
+	d, err := reco.DemandFromRows([][]int64{{big, big, 0}, {0, 0, 0}, {0, 0, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const delta = 100
+	check := func(name string, err error, cct int64) {
+		t.Helper()
+		if !errors.Is(err, algo.ErrBadRequest) {
+			t.Errorf("%s: err = %v (CCT %d), want algo.ErrBadRequest", name, err, cct)
+		}
+	}
+	single, err := reco.ScheduleSingle(d, delta)
+	var cct int64
+	if single != nil {
+		cct = single.CCT
+	}
+	check("ScheduleSingle", err, cct)
+
+	multi, err := reco.ScheduleMultiple([]*reco.Demand{d}, nil, delta, 4)
+	cct = 0
+	if multi != nil {
+		cct = multi.CCTs[0]
+	}
+	check("ScheduleMultiple", err, cct)
+
+	on, err := online.Simulate([]online.Arrival{{Demand: d, Weight: 1}}, online.FIFO{}, delta, 4)
+	cct = 0
+	if on != nil {
+		cct = on.CCTs[0]
+	}
+	check("online.Simulate", err, cct)
 }

@@ -1,6 +1,7 @@
 package reco_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -15,7 +16,7 @@ import (
 // to call their context-taking twin with context.Background(), each with the
 // reason it has not been deleted yet.
 var ctxlessTwinsAllowed = map[string]string{
-	"core.RecoSin": "bench/probe.go calls it; ROADMAP item 9 (g) moves the benchmark to core.RecoSinCtx first",
+	"core.RecoSin": "bench/suite.go is its one caller outside tests; ROADMAP item 9 (g) moves the benchmark to core.RecoSinCtx, then item 13 deletes it",
 }
 
 // TestNoCtxlessTwins keeps one entry point per kernel: no exported function
@@ -104,4 +105,96 @@ func recvType(e ast.Expr) string {
 		return id.Name
 	}
 	return "?"
+}
+
+// kernelsBehindRows are the kernels the registry rows run (reco-sin,
+// reco-mul, reco-sparse, tms-bvn, sunflow, solstice), by import path and
+// name. A consumer that replays a row asks the registry for it,
+// algo.MustGet(name).Schedule, so that the request is validated and the
+// pipeline exists once.
+var kernelsBehindRows = []string{
+	"reco/internal/core.RecoSin",
+	"reco/internal/core.RecoSinCtx",
+	"reco/internal/core.ScheduleMulCtx",
+	"reco/internal/core.RecoSparseCtx",
+	"reco/internal/tms.ScheduleBvN",
+	"reco/internal/sunflow.Schedule",
+	"reco/internal/solstice.Schedule",
+}
+
+// kernelCallsAllowed lists the consumer functions that may still call one of
+// kernelsBehindRows, keyed "package.Function: kernel", each with the reason
+// the registry row cannot serve it.
+var kernelCallsAllowed = map[string]string{
+	"experiments.ExtFull: solstice.Schedule": "ext-full builds its 526 Solstice schedules in parallel; the sebf-solstice row builds them one after another",
+}
+
+// TestConsumersScheduleThroughRegistry keeps the consumers — the facade, the
+// commands, the examples, the experiment tables, the online controller and
+// the API — on the registry: no non-test file there calls a kernel a
+// registry row wraps, outside kernelCallsAllowed.
+func TestConsumersScheduleThroughRegistry(t *testing.T) {
+	banned := map[string]bool{}
+	for _, k := range kernelsBehindRows {
+		banned[k] = true
+	}
+	var found []string
+	for _, root := range []string{".", "cmd", "examples", "internal/experiments", "internal/online", "internal/api"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() {
+				if root == "." && path != "." {
+					return filepath.SkipDir // the root package only
+				}
+				return nil
+			}
+			if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return nil
+			}
+			fset := token.NewFileSet()
+			file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			imports := map[string]string{} // local name → import path
+			for _, imp := range file.Imports {
+				p := strings.Trim(imp.Path.Value, `"`)
+				name := p[strings.LastIndex(p, "/")+1:]
+				if imp.Name != nil {
+					name = imp.Name.Name
+				}
+				imports[name] = p
+			}
+			for _, decl := range file.Decls {
+				fn := file.Name.Name
+				if f, ok := decl.(*ast.FuncDecl); ok {
+					fn += "." + f.Name.Name
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					sel, ok := n.(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					pkg, ok := sel.X.(*ast.Ident)
+					if !ok || !banned[imports[pkg.Name]+"."+sel.Sel.Name] {
+						return true
+					}
+					kernel := pkg.Name + "." + sel.Sel.Name
+					if _, ok := kernelCallsAllowed[fn+": "+kernel]; !ok {
+						found = append(found, fmt.Sprintf("%s: %s (%s)", fn, kernel, fset.Position(sel.Pos())))
+					}
+					return true
+				})
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, f := range found {
+		t.Errorf("%s runs a registry row's kernel; call algo.MustGet(name).Schedule instead", f)
+	}
 }
