@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"reco/internal/algo"
@@ -102,18 +101,16 @@ type mulOutcome struct {
 }
 
 // runMulBatch schedules one batch with the registered Reco-Mul, LP-II-GB
-// and (optionally) SEBF+Solstice schedulers under the all-stop model. The
-// tables read only CCTs and reconfiguration counts, so no flows are asked
-// for.
+// and (optionally) SEBF+Solstice schedulers under the all-stop model.
 func runMulBatch(ds []*matrix.Matrix, w []float64, delta, c int64, withSEBF bool) (*mulOutcome, error) {
-	req := algo.Request{Demands: ds, Weights: w, Delta: delta, C: c, NoFlows: true}
-	reco, err := algo.MustGet(algo.NameRecoMul).Schedule(context.Background(), req)
+	req := algo.Request{Demands: ds, Weights: w, Delta: delta, C: c}
+	reco, err := runRow(algo.NameRecoMul, req)
 	if err != nil {
-		return nil, fmt.Errorf("reco-mul: %w", err)
+		return nil, err
 	}
-	lp, err := algo.MustGet(algo.NameLPIIGB).Schedule(context.Background(), req)
+	lp, err := runRow(algo.NameLPIIGB, req)
 	if err != nil {
-		return nil, fmt.Errorf("lp-ii-gb: %w", err)
+		return nil, err
 	}
 	out := &mulOutcome{
 		classes:    classesOf(ds),
@@ -124,9 +121,9 @@ func runMulBatch(ds []*matrix.Matrix, w []float64, delta, c int64, withSEBF bool
 		weights:    w,
 	}
 	if withSEBF {
-		seq, err := algo.MustGet(algo.NameSEBFSolstice).Schedule(context.Background(), req)
+		seq, err := runRow(algo.NameSEBFSolstice, req)
 		if err != nil {
-			return nil, fmt.Errorf("sebf+solstice: %w", err)
+			return nil, err
 		}
 		out.sebfCCTs = seq.CCTs
 	}
