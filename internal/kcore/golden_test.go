@@ -25,17 +25,19 @@ import (
 // were folded onto one event loop and are not to be re-pinned by a change
 // that claims to leave results alone. A partial simulator result (one
 // returned next to an error) is dumped without its CCT, which such a result
-// does not define.
+// does not define. "faults-replan" is the part of "faults" that the replay,
+// replay-loop, recover and predictive controllers write.
 func TestExecutorGolden(t *testing.T) {
 	want := map[string]string{
-		"allstop":    "5b57e1d8677f94f9aa7486cf6b09ab77468f7c63b8d9425f2f0ddfa245c6f1b8",
-		"rate3":      "de712c5acdf4059d10ab6a478ad3cd5e3d0fe0b66d99839797dcef1eedba0dba",
-		"notallstop": "e42f44c7a1df77fad45b7d073ac6939daf08c0e3512b3c2e73ccccbd2bbc1925",
-		"incomplete": "c5f08bc61f2a392262a15b91499e05b2aebb41e1c6a7bb77543421d859ce5197",
-		"sequential": "c6374a45893d630b1d8bef7b85850e8c8a3e4550f0fdc1e0d63bf97841024a53",
-		"exec-k":     "4552fbb892fd591796988bb3f3f94d3e7a5a861a2d9c2a45d1a5f2c510852dea",
-		"faults":     "d758229f92257319bb9a46605317a6d0153c66fc77b701ca62a3032ffcd761b2",
-		"recover-k":  "994882e39253c3329db2b96b51f802ff9f7da37749975aeb7e122f4a0a9ac6cb",
+		"allstop":       "5b57e1d8677f94f9aa7486cf6b09ab77468f7c63b8d9425f2f0ddfa245c6f1b8",
+		"rate3":         "de712c5acdf4059d10ab6a478ad3cd5e3d0fe0b66d99839797dcef1eedba0dba",
+		"notallstop":    "e42f44c7a1df77fad45b7d073ac6939daf08c0e3512b3c2e73ccccbd2bbc1925",
+		"incomplete":    "c5f08bc61f2a392262a15b91499e05b2aebb41e1c6a7bb77543421d859ce5197",
+		"sequential":    "c6374a45893d630b1d8bef7b85850e8c8a3e4550f0fdc1e0d63bf97841024a53",
+		"exec-k":        "4552fbb892fd591796988bb3f3f94d3e7a5a861a2d9c2a45d1a5f2c510852dea",
+		"faults":        "d758229f92257319bb9a46605317a6d0153c66fc77b701ca62a3032ffcd761b2",
+		"faults-replan": "b50e5f2d39ba9af8edf511458448ff318159cc86912769fa808756ab9d90dbfe",
+		"recover-k":     "994882e39253c3329db2b96b51f802ff9f7da37749975aeb7e122f4a0a9ac6cb",
 	}
 	got := map[string]*strings.Builder{}
 	section := func(name string) *strings.Builder {
@@ -146,11 +148,15 @@ func TestExecutorGolden(t *testing.T) {
 			gen(faults.GenConfig{PortFailRate: 0.4, RepairAfter: max(clean.CCT/3, 1), SetupFailProb: 0.15, JitterBound: 3}),
 		}
 		for si, fs := range schedules {
-			w := section("faults")
 			for _, c := range goldenControllers(e.d, e.cs, e.delta, fs) {
 				res, err := c.run()
-				fmt.Fprintf(w, "%d/%d/%s ", k, si, c.name)
-				dumpSim(w, res, err)
+				var dump strings.Builder
+				fmt.Fprintf(&dump, "%d/%d/%s ", k, si, c.name)
+				dumpSim(&dump, res, err)
+				section("faults").WriteString(dump.String())
+				if c.name != "bottleneck" && c.name != "maxweight" {
+					section("faults-replan").WriteString(dump.String())
+				}
 			}
 		}
 	}
