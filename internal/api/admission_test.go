@@ -196,50 +196,8 @@ func TestJobDeadlineMissReported(t *testing.T) {
 	}
 }
 
-// The retry policy waits the server's hinted delay (capped by MaxDelay)
-// instead of its own backoff when a 429 carries retry_after_ms.
-func TestRetryHonorsServerHint(t *testing.T) {
-	var calls int
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls++
-		if calls == 1 {
-			writeErrorRetry(w, http.StatusTooManyRequests, "over capacity", 150)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	}))
-	defer srv.Close()
-
-	client := NewClient(srv.URL, srv.Client()).WithRetry(RetryPolicy{
-		MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Second, Seed: 1,
-	})
-	start := time.Now()
-	if err := client.Healthz(context.Background()); err != nil {
-		t.Fatalf("Healthz: %v", err)
-	}
-	if elapsed := time.Since(start); elapsed < 150*time.Millisecond {
-		t.Fatalf("retried after %v, want >= 150ms (the server hint)", elapsed)
-	}
-	if calls != 2 {
-		t.Fatalf("server saw %d calls, want 2", calls)
-	}
-
-	// Same hint, tight MaxDelay: the cap wins.
-	calls = 0
-	capped := NewClient(srv.URL, srv.Client()).WithRetry(RetryPolicy{
-		MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 20 * time.Millisecond, Seed: 1,
-	})
-	start = time.Now()
-	if err := capped.Healthz(context.Background()); err != nil {
-		t.Fatalf("Healthz capped: %v", err)
-	}
-	if elapsed := time.Since(start); elapsed >= 150*time.Millisecond {
-		t.Fatalf("capped retry took %v, want < 150ms", elapsed)
-	}
-}
-
-// Without a retry policy a 429 surfaces as a typed APIError carrying the
-// hint from either the JSON body or the Retry-After header.
+// A 429 surfaces as a typed APIError carrying the hint from either the
+// JSON body or the Retry-After header.
 func TestAPIErrorCarriesRetryHint(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		writeErrorRetry(w, http.StatusTooManyRequests, "over capacity", 2500)

@@ -303,7 +303,7 @@ type AlgorithmsResponse struct {
 
 // errorResponse is the JSON error envelope. RetryAfterMS, present on 429
 // and 503 responses, is the server's estimate of when capacity frees up;
-// cooperating clients (RetryPolicy) wait that long before retrying.
+// cooperating clients wait that long before retrying.
 type errorResponse struct {
 	Error        string `json:"error"`
 	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`

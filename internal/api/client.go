@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"strconv"
 	"strings"
@@ -38,52 +37,10 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("status %d: %s", e.Status, e.Msg)
 }
 
-// RetryPolicy configures opt-in request retries. Connection errors, 5xx
-// responses, and 429 rejections are retried with exponential backoff and
-// jitter; other 4xx responses and context cancellation are not. When a
-// response carries a Retry-After / retry_after_ms hint the client waits
-// exactly that long (capped by MaxDelay) instead of its own backoff, so
-// rejected clients drain in the server's own rhythm. Every endpoint of the
-// service is a pure computation, so retrying POSTs is safe.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of tries including the first. Values
-	// below 2 disable retries.
-	MaxAttempts int
-	// BaseDelay is the backoff before the first retry; it doubles on each
-	// subsequent retry. Default 100ms.
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff. Default 5s.
-	MaxDelay time.Duration
-	// Seed drives the jitter stream, keeping retry timing reproducible.
-	// Zero seeds from the policy defaults.
-	Seed int64
-}
-
-// backoff returns the jittered delay before retry number r (1-based): half
-// the exponential step plus a uniformly drawn remainder, so concurrent
-// clients spread out instead of retrying in lockstep.
-func (p RetryPolicy) backoff(r int, rng *rand.Rand) time.Duration {
-	base := p.BaseDelay
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
-	max := p.MaxDelay
-	if max <= 0 {
-		max = 5 * time.Second
-	}
-	d := base << (r - 1)
-	if d <= 0 || d > max {
-		d = max
-	}
-	return d/2 + time.Duration(rng.Int63n(int64(d/2)+1))
-}
-
 // Client talks to a recod scheduling service.
 type Client struct {
-	base  string
-	http  *http.Client
-	retry *RetryPolicy
-	rng   *rand.Rand
+	base string
+	http *http.Client
 }
 
 // NewClient returns a client for the service at baseURL (e.g.
@@ -94,17 +51,6 @@ func NewClient(baseURL string, httpClient *http.Client) *Client {
 		httpClient = &http.Client{Timeout: DefaultTimeout}
 	}
 	return &Client{base: strings.TrimRight(baseURL, "/"), http: httpClient}
-}
-
-// WithRetry enables the retry policy on this client and returns it.
-func (c *Client) WithRetry(p RetryPolicy) *Client {
-	seed := p.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	c.retry = &p
-	c.rng = rand.New(rand.NewSource(seed))
-	return c
 }
 
 // Healthz checks service liveness.
@@ -286,87 +232,21 @@ func (c *Client) postStatus(ctx context.Context, path string, want int, in, out 
 	return nil
 }
 
-// roundTrip issues one request, retrying connection errors, 5xx responses,
-// and 429 rejections under the client's RetryPolicy. The request is
-// rebuilt from the body bytes on every attempt. Other responses are
-// returned as-is for the caller to interpret.
+// roundTrip issues one request with the given body. Every response,
+// success or not, is returned as-is for the caller to interpret.
 func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte) (*http.Response, error) {
-	attempts := 1
-	if c.retry != nil && c.retry.MaxAttempts > 1 {
-		attempts = c.retry.MaxAttempts
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
 	}
-	var lastErr error
-	var hint time.Duration
-	for a := 0; a < attempts; a++ {
-		if a > 0 {
-			delay := c.retry.backoff(a, c.rng)
-			if hint > 0 {
-				// Honor the server's hint exactly, capped by MaxDelay.
-				delay = hint
-				if max := c.retry.maxDelay(); delay > max {
-					delay = max
-				}
-			}
-			if err := sleepCtx(ctx, delay); err != nil {
-				return nil, fmt.Errorf("%v (giving up: %w)", lastErr, err)
-			}
-		}
-		hint = 0
-		var rd io.Reader
-		if body != nil {
-			rd = bytes.NewReader(body)
-		}
-		req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
-		if err != nil {
-			return nil, fmt.Errorf("building request: %w", err)
-		}
-		if body != nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		resp, err := c.http.Do(req)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, err
-			}
-			lastErr = err
-			continue
-		}
-		retryable := resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests
-		if retryable && a+1 < attempts {
-			hint = retryAfterHint(resp)
-			drain(resp)
-			lastErr = fmt.Errorf("status %d", resp.StatusCode)
-			continue
-		}
-		return resp, nil
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
+	if err != nil {
+		return nil, fmt.Errorf("building request: %w", err)
 	}
-	return nil, lastErr
-}
-
-// maxDelay resolves the policy's effective cap (default 5s, matching
-// backoff).
-func (p RetryPolicy) maxDelay() time.Duration {
-	if p.MaxDelay > 0 {
-		return p.MaxDelay
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
-	return 5 * time.Second
-}
-
-// retryAfterHint extracts the server's backoff hint from a response: the
-// structured retry_after_ms body field when present, else the Retry-After
-// header (whole seconds). The body read is capped — error envelopes are
-// tiny — and zero means no hint.
-func retryAfterHint(resp *http.Response) time.Duration {
-	var apiErr errorResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&apiErr); err == nil && apiErr.RetryAfterMS > 0 {
-		return time.Duration(apiErr.RetryAfterMS) * time.Millisecond
-	}
-	if s := resp.Header.Get("Retry-After"); s != "" {
-		if secs, err := strconv.Atoi(s); err == nil && secs > 0 {
-			return time.Duration(secs) * time.Second
-		}
-	}
-	return 0
+	return c.http.Do(req)
 }
 
 // sleepCtx waits for d or until ctx is done, whichever comes first.

@@ -276,12 +276,9 @@ func TestGenerateNoRepair(t *testing.T) {
 func TestRatesRejectNonFinite(t *testing.T) {
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		for name, err := range map[string]error{
-			"Schedule.SetupFailProb":   (&Schedule{SetupFailProb: v}).Validate(4),
-			"GenConfig.SetupFailProb":  second(Generate(GenConfig{N: 4, SetupFailProb: v})),
-			"GenConfig.PortFailRate":   second(Generate(GenConfig{N: 4, Horizon: 10, PortFailRate: v})),
-			"KGenConfig.CoreFailRate":  second(GenerateK(KGenConfig{N: 4, K: 2, Horizon: 10, CoreFailRate: v})),
-			"KGenConfig.PortFailRate":  second(GenerateK(KGenConfig{N: 4, K: 2, Horizon: 10, PortFailRate: v})),
-			"KGenConfig.SetupFailProb": second(GenerateK(KGenConfig{N: 4, K: 2, SetupFailProb: v})),
+			"Schedule.SetupFailProb":  (&Schedule{SetupFailProb: v}).Validate(4),
+			"GenConfig.SetupFailProb": second(Generate(GenConfig{N: 4, SetupFailProb: v})),
+			"GenConfig.PortFailRate":  second(Generate(GenConfig{N: 4, Horizon: 10, PortFailRate: v})),
 		} {
 			if !errors.Is(err, ErrBadSchedule) {
 				t.Errorf("%s = %v: got %v, want ErrBadSchedule", name, v, err)

@@ -25,8 +25,8 @@ import (
 // were folded onto one event loop and are not to be re-pinned by a change
 // that claims to leave results alone. A partial simulator result (one
 // returned next to an error) is dumped without its CCT, which such a result
-// does not define. "faults-replan" is the part of "faults" that the replay,
-// replay-loop, recover and predictive controllers write.
+// does not define. "faults-replan" was taken before two reactive
+// controllers left its six-controller predecessor, over the four that stay.
 func TestExecutorGolden(t *testing.T) {
 	want := map[string]string{
 		"allstop":       "5b57e1d8677f94f9aa7486cf6b09ab77468f7c63b8d9425f2f0ddfa245c6f1b8",
@@ -35,9 +35,7 @@ func TestExecutorGolden(t *testing.T) {
 		"incomplete":    "c5f08bc61f2a392262a15b91499e05b2aebb41e1c6a7bb77543421d859ce5197",
 		"sequential":    "c6374a45893d630b1d8bef7b85850e8c8a3e4550f0fdc1e0d63bf97841024a53",
 		"exec-k":        "4552fbb892fd591796988bb3f3f94d3e7a5a861a2d9c2a45d1a5f2c510852dea",
-		"faults":        "d758229f92257319bb9a46605317a6d0153c66fc77b701ca62a3032ffcd761b2",
 		"faults-replan": "b50e5f2d39ba9af8edf511458448ff318159cc86912769fa808756ab9d90dbfe",
-		"recover-k":     "994882e39253c3329db2b96b51f802ff9f7da37749975aeb7e122f4a0a9ac6cb",
 	}
 	got := map[string]*strings.Builder{}
 	section := func(name string) *strings.Builder {
@@ -148,54 +146,13 @@ func TestExecutorGolden(t *testing.T) {
 			gen(faults.GenConfig{PortFailRate: 0.4, RepairAfter: max(clean.CCT/3, 1), SetupFailProb: 0.15, JitterBound: 3}),
 		}
 		for si, fs := range schedules {
+			w := section("faults-replan")
 			for _, c := range goldenControllers(e.d, e.cs, e.delta, fs) {
 				res, err := c.run()
-				var dump strings.Builder
-				fmt.Fprintf(&dump, "%d/%d/%s ", k, si, c.name)
-				dumpSim(&dump, res, err)
-				section("faults").WriteString(dump.String())
-				if c.name != "bottleneck" && c.name != "maxweight" {
-					section("faults-replan").WriteString(dump.String())
-				}
+				fmt.Fprintf(w, "%d/%d/%s ", k, si, c.name)
+				dumpSim(w, res, err)
 			}
 		}
-	}
-
-	split, err := SplitGreedy(batch[0], uniform(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	shares := make([]ocs.CircuitSchedule, len(split))
-	for c := range split {
-		if shares[c], err = core.RecoSin(split[c], bdelta); err != nil {
-			t.Fatal(err)
-		}
-	}
-	genK := func(cfg faults.KGenConfig) *faults.KSchedule {
-		cfg.N, cfg.K, cfg.Horizon = bn, 3, 400
-		kfs, err := faults.GenerateK(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return kfs
-	}
-	death := func(cores ...int) *faults.KSchedule {
-		kfs := &faults.KSchedule{}
-		for _, c := range cores {
-			kfs.CoreEvents = append(kfs.CoreEvents, faults.CoreEvent{Tick: bdelta + 5, Core: c, Down: true})
-		}
-		return kfs
-	}
-	for ki, kfs := range []*faults.KSchedule{
-		nil,
-		death(1),
-		death(0, 1, 2),
-		genK(faults.KGenConfig{Seed: 11, CoreFailRate: 0.5}),
-		genK(faults.KGenConfig{Seed: 12, CoreFailRate: 0.5, PortFailRate: 0.3, RepairAfter: 90, SetupFailProb: 0.1, JitterBound: 2}),
-		genK(faults.KGenConfig{Seed: 13, PortFailRate: 0.4, RepairAfter: 60, JitterBound: 4}),
-	} {
-		kr, err := goldenRecoverK(uniform(3), split, shares, kfs)
-		dumpRecoverK(section("recover-k"), ki, kr, err)
 	}
 
 	for name, hexWant := range want {
@@ -206,16 +163,12 @@ func TestExecutorGolden(t *testing.T) {
 	}
 }
 
-// The three functions below, the field names in the dump functions and the
-// package SplitGreedy is called from are the only parts of this file that
-// changed when the executors were folded onto one loop.
+// goldenExecK, goldenControllers and the field names in the dump functions
+// are the only parts of this file that changed when the executors were
+// folded onto one loop.
 
 func goldenExecK(topo Topology, split []*matrix.Matrix, plans []ocs.CircuitSchedule) (KResult, error) {
 	return Exec(topo, split, plans)
-}
-
-func goldenRecoverK(topo Topology, split []*matrix.Matrix, plans []ocs.CircuitSchedule, kfs *faults.KSchedule) (*KResult, error) {
-	return RunRecover(topo, split, plans, kfs)
 }
 
 type goldenController struct {
@@ -238,8 +191,6 @@ func goldenControllers(d *matrix.Matrix, cs ocs.CircuitSchedule, delta int64, fs
 			}
 			return sim.RunPredictive(ocs.Core{Delta: delta, Bandwidth: 1, Faults: fs, Flows: true, Log: true}, d, replay)
 		}},
-		with("bottleneck", func() ocs.Controller { return sim.GreedyBottleneck{} }),
-		with("maxweight", func() ocs.Controller { return sim.GreedyMaxWeight{Slot: 25} }),
 	}
 }
 
@@ -333,19 +284,4 @@ func dumpSim(w *strings.Builder, r *ocs.Result, err error) {
 		fmt.Fprintf(w, "%d:%s:p%d:e%d:d%d ", f.Tick, f.Kind, f.Port, f.Establishment, f.Delta)
 	}
 	w.WriteString("]\n")
-}
-
-func dumpRecoverK(w *strings.Builder, k int, kr *KResult, err error) {
-	fmt.Fprintf(w, "%d %s", k, errClass(err))
-	if kr == nil {
-		w.WriteString(" nil\n")
-		return
-	}
-	fmt.Fprintf(w, " cct=%d est=%d conf=%d setupfail=%d dead=%v replanned=%d", kr.CCT, kr.Reconfigs, kr.ConfTime, kr.SetupFailures, kr.DeadCores, kr.ReplannedTicks)
-	dumpFlows(w, kr.Flows)
-	w.WriteString("\n")
-	for c, r := range kr.PerCore {
-		fmt.Fprintf(w, " core %d ", c)
-		dumpSim(w, &r, nil)
-	}
 }

@@ -25,8 +25,7 @@
 // N ports, each with its own bandwidth and δ; the K-core LowerBound), and
 // so is running a split on it: every core is one ocs.Core event loop on its
 // share, and a K-core result is the fold of the per-core ones — the maximum
-// CCT, the sum of everything else. Exec does it analytically at each core's
-// bandwidth, RunRecover under a fault plan that may kill cores.
+// CCT, the sum of everything else. Exec does it at each core's bandwidth.
 package kcore
 
 import (
@@ -78,8 +77,7 @@ func split(d *matrix.Matrix, topo Topology, strat Strategy) ([]*matrix.Matrix, e
 
 // PlanCoflow splits one coflow's demand across topo's cores and builds a
 // Reco-Sin circuit schedule per share: plans[c] runs on core c. The returned
-// split and plans feed Exec (analytic execution) or RunRecover (faulted
-// simulation). Zero shares get empty schedules.
+// split and plans feed Exec. Zero shares get empty schedules.
 func PlanCoflow(ctx context.Context, d *matrix.Matrix, topo Topology, strat Strategy) ([]*matrix.Matrix, []ocs.CircuitSchedule, error) {
 	shares, err := split(d, topo, strat)
 	if err != nil {
@@ -97,7 +95,7 @@ func PlanCoflow(ctx context.Context, d *matrix.Matrix, topo Topology, strat Stra
 }
 
 // BatchResult is a scheduled coflow batch with its per-core plans, ready
-// for analytic execution or fault simulation.
+// for execution.
 type BatchResult struct {
 	// Order is the SEBF service order over the batch.
 	Order []int

@@ -8,8 +8,7 @@ import (
 	"reco/internal/matrix"
 )
 
-// ErrTopology reports an unusable fabric description, or one the fault
-// simulator cannot run.
+// ErrTopology reports an unusable fabric description.
 var ErrTopology = errors.New("kcore: invalid topology")
 
 // Core is one switching core of the fabric.

@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"reco/internal/algo"
@@ -197,7 +198,9 @@ func checkChoice(chosen, pending []int) error {
 
 // serveUnit schedules the chosen coflows starting at *now through the
 // registry — reco-sin for one coflow, reco-mul for a batch — and advances the
-// clock to the unit's completion.
+// clock to the unit's completion. A unit that would complete past MaxInt64
+// ticks is refused as a bad request: each coflow fits int64 alone, but not
+// necessarily once it starts late.
 func serveUnit(res *Result, arrivals []Arrival, chosen []int, now *int64, delta, c int64) error {
 	req := algo.Request{
 		Demands: make([]*matrix.Matrix, len(chosen)),
@@ -220,6 +223,10 @@ func serveUnit(res *Result, arrivals []Arrival, chosen []int, now *int64, delta,
 	}
 	unitEnd := *now
 	for i, k := range chosen {
+		if unit.CCTs[i] > math.MaxInt64-*now {
+			return fmt.Errorf("online: %w: arrival %d would complete at %d + %d, which overflows int64 ticks",
+				algo.ErrBadRequest, k, *now, unit.CCTs[i])
+		}
 		finish := *now + unit.CCTs[i]
 		res.CCTs[k] = finish - arrivals[k].At
 		unitEnd = max(unitEnd, finish)

@@ -8,18 +8,16 @@
 // trace; Run does the same on a core that may keep less.
 //
 // This package holds the controllers — Replay and ReplayLoop over a
-// precomputed schedule, the reactive GreedyBottleneck and GreedyMaxWeight,
-// the fault-aware Recover and its known-outage variant RunPredictive. See
-// docs/FAULTS.md for the fault model a faults.Schedule injects and its
-// determinism contract.
+// precomputed schedule, the fault-aware Recover and its known-outage variant
+// RunPredictive. See docs/FAULTS.md for the fault model a faults.Schedule
+// injects and its determinism contract.
 //
 // The loop's own vocabulary (State, Decision, Result, Trace, FaultRecord)
 // is ocs's, and callers name it there. The package stays separate from ocs
-// because its controllers lean on packages that themselves import ocs:
-// Recover replans with core.RecoSinCtx and takes its name from internal/algo,
-// as GreedyMaxWeight does. Inside ocs they would close an import cycle.
-// The repository benchmark (bench/) also calls RunFaults and NewReplay by
-// these names.
+// because Recover leans on packages that themselves import ocs: it replans
+// with core.RecoSinCtx and takes its name from internal/algo. Inside ocs
+// they would close an import cycle. The repository benchmark (bench/) also
+// calls RunFaults and NewReplay by these names.
 package sim
 
 import (
@@ -100,7 +98,7 @@ func flushSimObs(snk *obs.Sink, d *matrix.Matrix, res *ocs.Result) {
 	if snk.Trace == nil {
 		return
 	}
-	TraceLog(snk, "switch", res.Log)
+	traceLog(snk, "switch", res.Log)
 	for _, f := range res.Faults {
 		snk.TickInstant("faults", f.Kind.String(), f.Tick, map[string]any{
 			"port": f.Port, "establishment": f.Establishment,
@@ -112,10 +110,10 @@ func flushSimObs(snk *obs.Sink, d *matrix.Matrix, res *ocs.Result) {
 	}
 }
 
-// TraceLog writes an establishment log to the sink's tracer on one track:
+// traceLog writes an establishment log to the sink's tracer on one track:
 // a reconfig span per establishment, then a setup-failed instant or a
 // transmit span (marked interrupted when a port event cut it short).
-func TraceLog(snk *obs.Sink, track string, log []ocs.Trace) {
+func traceLog(snk *obs.Sink, track string, log []ocs.Trace) {
 	for k, tr := range log {
 		args := map[string]any{"establishment": k}
 		snk.TickSpan(track, "reconfig", tr.Start, tr.Up, args)

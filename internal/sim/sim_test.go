@@ -38,7 +38,7 @@ func TestRunValidation(t *testing.T) {
 	if _, err := RunFaults(d, nil, 1, nil); !errors.Is(err, ErrController) {
 		t.Errorf("nil controller: %v", err)
 	}
-	if _, err := RunFaults(d, GreedyBottleneck{}, -1, nil); !errors.Is(err, ErrController) {
+	if _, err := RunFaults(d, NewRecover(-1), -1, nil); !errors.Is(err, ErrController) {
 		t.Errorf("negative delta: %v", err)
 	}
 }
@@ -90,85 +90,11 @@ func TestRunStalledController(t *testing.T) {
 
 func TestRunEmptyDemand(t *testing.T) {
 	z, _ := matrix.New(3)
-	res, err := RunFaults(z, GreedyBottleneck{}, 10, nil)
+	res, err := RunFaults(z, NewRecover(10), 10, nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if res.CCT != 0 || res.Reconfigs != 0 {
 		t.Errorf("empty demand produced %+v", res)
-	}
-}
-
-func TestGreedyBottleneckDrains(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for trial := 0; trial < 25; trial++ {
-		n := 2 + rng.Intn(7)
-		delta := int64(1 + rng.Intn(50))
-		d := randomDemand(rng, n, 0.4)
-		res, err := RunFaults(d, GreedyBottleneck{}, delta, nil)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if err := res.Flows.CheckDemand([]*matrix.Matrix{d}); err != nil {
-			t.Fatalf("trial %d: demand: %v", trial, err)
-		}
-		if err := res.Flows.Validate(n, 1); err != nil {
-			t.Fatalf("trial %d: port constraint: %v", trial, err)
-		}
-		// The event log is consistent: strictly increasing windows.
-		for i, tr := range res.Log {
-			if tr.Up != tr.Start+delta || tr.Down < tr.Up {
-				t.Fatalf("trial %d: bad trace %+v", trial, tr)
-			}
-			if i > 0 && tr.Start != res.Log[i-1].Down {
-				t.Fatalf("trial %d: gap in event log", trial)
-			}
-		}
-	}
-}
-
-func TestGreedyMaxWeightDrains(t *testing.T) {
-	d := mustMatrix(t, [][]int64{
-		{90, 10, 0},
-		{0, 80, 15},
-		{20, 0, 70},
-	})
-	res, err := RunFaults(d, GreedyMaxWeight{Slot: 40}, 5, nil)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if err := res.Flows.CheckDemand([]*matrix.Matrix{d}); err != nil {
-		t.Errorf("demand: %v", err)
-	}
-	// Slot quantization forces at least ceil(90/40) = 3 establishments.
-	if res.Reconfigs < 3 {
-		t.Errorf("establishments = %d, want >= 3", res.Reconfigs)
-	}
-}
-
-func TestGreedyMaxWeightZeroSlotStops(t *testing.T) {
-	d := mustMatrix(t, [][]int64{{5}})
-	if _, err := RunFaults(d, GreedyMaxWeight{}, 1, nil); !errors.Is(err, ErrStalled) {
-		t.Errorf("zero slot: %v", err)
-	}
-}
-
-// TestReactiveBeatsSlotted pins the qualitative ordering: the reactive
-// bottleneck controller needs fewer establishments than the slotted
-// max-weight controller on skewed demand.
-func TestReactiveBeatsSlotted(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	d := randomDemand(rng, 8, 0.6)
-	const delta = 20
-	bott, err := RunFaults(d, GreedyBottleneck{}, delta, nil)
-	if err != nil {
-		t.Fatalf("bottleneck: %v", err)
-	}
-	slot, err := RunFaults(d, GreedyMaxWeight{Slot: 25}, delta, nil)
-	if err != nil {
-		t.Fatalf("slotted: %v", err)
-	}
-	if bott.CCT > 2*slot.CCT {
-		t.Errorf("reactive bottleneck CCT %d wildly worse than slotted %d", bott.CCT, slot.CCT)
 	}
 }

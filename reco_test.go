@@ -2,6 +2,7 @@ package reco_test
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"reco"
@@ -173,4 +174,26 @@ func TestOverflowCoflowIsBadRequest(t *testing.T) {
 		cct = on.CCTs[0]
 	}
 	check("online.Simulate", err, cct)
+}
+
+// TestOverflowArrivalClockIsBadRequest: a coflow that passes every
+// single-request check alone can still finish past int64 ticks when it
+// arrives late enough; the online clock refuses it as a bad request instead
+// of wrapping. Arriving 10 ticks before MaxInt64, the coflow needs
+// δ + 1000 = 1100 ticks.
+func TestOverflowArrivalClockIsBadRequest(t *testing.T) {
+	d, err := reco.DemandFromRows([][]int64{{0, 1000}, {1000, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrivals := []reco.Arrival{{Demand: d, At: math.MaxInt64 - 10, Weight: 1}}
+	const delta = 100
+	on, err := online.Simulate(arrivals, online.FIFO{}, delta, 4)
+	if !errors.Is(err, algo.ErrBadRequest) {
+		t.Errorf("online.Simulate: err = %v (result %+v), want algo.ErrBadRequest", err, on)
+	}
+	facade, err := reco.SimulateArrivals(arrivals, reco.PolicyFIFO, delta, 4)
+	if !errors.Is(err, algo.ErrBadRequest) {
+		t.Errorf("reco.SimulateArrivals: err = %v (result %+v), want algo.ErrBadRequest", err, facade)
+	}
 }
