@@ -62,41 +62,6 @@ func TestExecKParallelCores(t *testing.T) {
 	if moved != d.Total() {
 		t.Errorf("flows moved %d units, want %d", moved, d.Total())
 	}
-
-	// A seeded demand split and planned per core: everything drains, each
-	// core's own flows keep the single-switch port constraint, and the
-	// fabric CCT is the slowest core's.
-	const n = 8
-	d = randomDemand(rand.New(rand.NewSource(52)), n)
-	split, err = kcore.SplitGreedy(d, topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := range plans {
-		if plans[c], err = core.RecoSin(split[c], topo.Cores[c].Delta); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if res, err = kcore.Exec(topo, split, plans); err != nil {
-		t.Fatal(err)
-	}
-	moved = 0
-	for _, f := range res.Flows {
-		moved += f.End - f.Start
-	}
-	if moved != d.Total() {
-		t.Errorf("seeded split: flows moved %d units, want %d", moved, d.Total())
-	}
-	var slowest int64
-	for c, r := range res.PerCore {
-		if err := r.Flows.Validate(n, 1); err != nil {
-			t.Errorf("core %d flows violate port constraint: %v", c, err)
-		}
-		slowest = max(slowest, r.CCT)
-	}
-	if res.CCT != slowest {
-		t.Errorf("CCT = %d, want slowest core %d", res.CCT, slowest)
-	}
 }
 
 func TestExecKValidation(t *testing.T) {
@@ -108,10 +73,6 @@ func TestExecKValidation(t *testing.T) {
 	}
 	if _, err := kcore.Exec(topo, split[:1], []ocs.CircuitSchedule{{}, {}}); !errors.Is(err, ocs.ErrInvalidAssignment) {
 		t.Errorf("short split: err = %v", err)
-	}
-	wide := mustMatrix(t, [][]int64{{0, 1, 0}, {0, 0, 0}, {0, 0, 0}})
-	if _, err := kcore.Exec(topo, []*matrix.Matrix{split[0], wide}, []ocs.CircuitSchedule{{}, {}}); !errors.Is(err, ocs.ErrInvalidAssignment) {
-		t.Errorf("shares of two dimensions: err = %v", err)
 	}
 	bad := kcore.Topology{}
 	if _, err := kcore.Exec(bad, nil, nil); !errors.Is(err, kcore.ErrTopology) {
