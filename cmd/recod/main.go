@@ -63,7 +63,7 @@ func run(args []string, stderr io.Writer) int {
 		withPprof = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 
 		maxBody      = fs.Int64("max-body", api.DefaultMaxBodyBytes, "maximum request body in bytes (413 beyond)")
-		noCache      = fs.Bool("no-cache", false, "disable the plan cache (coalescing stays on)")
+		noCache      = fs.Bool("no-cache", false, "disable the plan cache and request coalescing")
 		cacheEntries = fs.Int("cache-entries", 0, "plan cache entry bound (0: default)")
 		cacheBytes   = fs.Int64("cache-bytes", 0, "plan cache approximate byte bound (0: default)")
 		jobWorkers   = fs.Int("job-workers", 0, "async job worker goroutines (0: RECO_WORKERS if set, else GOMAXPROCS)")

@@ -104,11 +104,6 @@ func (s *Server) Close() {
 	s.jobs.close()
 }
 
-// Cache returns the server's plan cache, or nil when caching is disabled.
-func (s *Server) Cache() *plancache.Cache {
-	return s.group.Cache()
-}
-
 // schedule is the one scheduling path every consumer goes through — the
 // synchronous endpoints and the async job workers alike. It resolves the
 // algorithm, then answers from the plan cache, joins an in-flight identical

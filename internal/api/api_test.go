@@ -338,10 +338,7 @@ func TestMetricsQuantilesAndRegistry(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := NewServer(Options{})
 	defer s.Close()
-	h, m := s.InstrumentedHandlerOn(reg)
-	if m.Registry() != reg {
-		t.Fatal("collector not publishing into the provided registry")
-	}
+	h, _ := s.InstrumentedHandlerOn(reg)
 	srv := httptest.NewServer(h)
 	t.Cleanup(srv.Close)
 	client := NewClient(srv.URL, srv.Client())
@@ -350,6 +347,10 @@ func TestMetricsQuantilesAndRegistry(t *testing.T) {
 		if err := client.Healthz(ctx); err != nil {
 			t.Fatalf("Healthz: %v", err)
 		}
+	}
+
+	if got := reg.Counter(`http_requests_total{endpoint="GET /v1/healthz"}`).Value(); got != 5 {
+		t.Fatalf("provided registry counts %d healthz requests, want 5", got)
 	}
 
 	_, js := getText(t, srv.URL+"/metrics.json")

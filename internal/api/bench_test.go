@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"reco/internal/matrix"
+	"reco/internal/obs"
 	"reco/internal/workload"
 )
 
@@ -164,11 +165,14 @@ func BenchmarkServeWarm(b *testing.B) {
 	h := srv.Handler()
 	w := discard{h: http.Header{}}
 	var bodies [][]byte
+	reg := obs.NewRegistry()
+	obs.Attach(&obs.Sink{Metrics: reg})
 	for _, t := range benchBodies(b, 64)[workload.Dense] {
 		bodies = append(bodies, t.bump(nil, 0))
 		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/schedule/single", bytes.NewReader(bodies[len(bodies)-1])))
 	}
-	if got := srv.Cache().Len(); got != len(bodies) {
+	obs.Detach()
+	if got := int(reg.Gauge("plancache_entries").Value()); got != len(bodies) {
 		b.Fatalf("%d plans cached after priming with %d bodies", got, len(bodies))
 	}
 	b.ReportAllocs()

@@ -105,6 +105,7 @@ func TestCachedResponsesByteIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				hitsBefore := reg.Counter("plancache_hits_total").Value()
+				missesBefore := reg.Counter("plancache_misses_total").Value()
 				missStatus, missBody := postRaw(t, cachedSrv.URL+path, body)
 				scribblePool()
 				hitStatus, hitBody := postRaw(t, cachedSrv.URL+path, body)
@@ -123,6 +124,11 @@ func TestCachedResponsesByteIdentical(t *testing.T) {
 				if got := reg.Counter("plancache_hits_total").Value() - hitsBefore; got != 1 {
 					t.Errorf("%v: second request recorded %d cache hits, want 1", demand, got)
 				}
+				// One miss, the first request's: the NoCache server has no
+				// cache to look in.
+				if got := reg.Counter("plancache_misses_total").Value() - missesBefore; got != 1 {
+					t.Errorf("%v: three requests recorded %d cache misses, want 1", demand, got)
+				}
 				// The bound is the circuit switch's: with an electrical fabric
 				// beside the circuits (Caps.Hybrid) part of the demand pays no δ.
 				if caps.SingleCoflow && !caps.Hybrid {
@@ -137,11 +143,8 @@ func TestCachedResponsesByteIdentical(t *testing.T) {
 			}
 		})
 	}
-	if cached.Cache().Len() == 0 {
+	if reg.Gauge("plancache_entries").Value() == 0 {
 		t.Error("cache is empty after the sweep")
-	}
-	if plain.Cache() != nil {
-		t.Error("NoCache server reports a cache")
 	}
 }
 
@@ -368,6 +371,10 @@ func TestCacheSharedAcrossEndpoints(t *testing.T) {
 // after a cached single one must carry exactly the flows an uncached server
 // answers.
 func TestSingleAndMultiKeepSeparatePlans(t *testing.T) {
+	reg := obs.NewRegistry()
+	obs.Attach(&obs.Sink{Metrics: reg})
+	defer obs.Detach()
+
 	cached := NewServer(Options{})
 	cachedSrv := httptest.NewServer(cached.Handler())
 	defer func() { cachedSrv.Close(); cached.Close() }()
@@ -401,15 +408,16 @@ func TestSingleAndMultiKeepSeparatePlans(t *testing.T) {
 	if len(resp.Flows) == 0 {
 		t.Errorf("multi response carries no flows: %s", got)
 	}
-	if n := cached.Cache().Len(); n != 2 {
+	if n := int(reg.Gauge("plancache_entries").Value()); n != 2 {
 		t.Errorf("cache holds %d plans, want 2 (one per endpoint)", n)
 	}
 }
 
 // TestCacheHoldsDenseSinglePlans: a single-coflow plan holds no flow list,
-// so a 16 MiB shard keeps 64 dense n = 64 plans resident (~6 MB), and
-// replaying the requests that made them is all hits. With the flow list
-// each plan is charged ~0.5 MB and the shard keeps fewer than half.
+// so a 16 MiB cache keeps 64 dense n = 64 plans resident (~6 MB; each
+// 1 MiB shard has room for ten), and replaying the requests that made them
+// is all hits. With the flow list each plan is charged ~0.5 MB and the
+// cache keeps fewer than half.
 func TestCacheHoldsDenseSinglePlans(t *testing.T) {
 	reg := obs.NewRegistry()
 	obs.Attach(&obs.Sink{Metrics: reg})
@@ -417,7 +425,7 @@ func TestCacheHoldsDenseSinglePlans(t *testing.T) {
 
 	const plans = 64
 	bodies := benchBodies(t, 64)[workload.Dense]
-	srv := NewServer(Options{Cache: plancache.Config{MaxBytes: 16 << 20, Shards: 1}})
+	srv := NewServer(Options{Cache: plancache.Config{MaxBytes: 16 << 20}})
 	defer srv.Close()
 	h := srv.Handler()
 	post := func(i int) []byte {
@@ -433,7 +441,7 @@ func TestCacheHoldsDenseSinglePlans(t *testing.T) {
 	for i := range first {
 		first[i] = post(i)
 	}
-	t.Logf("%d plans resident, %d bytes charged", srv.Cache().Len(), srv.Cache().Bytes())
+	t.Logf("%v plans resident, %v bytes charged", reg.Gauge("plancache_entries").Value(), reg.Gauge("plancache_bytes").Value())
 	hits := reg.Counter("plancache_hits_total").Value()
 	for i := range first {
 		if got := post(i); !bytes.Equal(got, first[i]) {

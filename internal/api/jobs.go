@@ -236,7 +236,7 @@ func (m *jobManager) admitLocked(incoming *job) (victims []*job, acceptNew bool)
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	keep := make([]bool, len(cands))
-	d, err := admission.Admit(ctx, cands, admission.Options{})
+	d, err := admission.Admit(ctx, cands)
 	if err == nil {
 		for _, i := range d.Admitted {
 			keep[i] = true

@@ -52,9 +52,6 @@ func newMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{reg: reg, other: slot{label: "other"}}
 }
 
-// Registry returns the registry the collector publishes into.
-func (m *Metrics) Registry() *obs.Registry { return m.reg }
-
 // route wraps the handler registered under pattern so that the middleware
 // records its requests under the pattern's label.
 func (m *Metrics) route(pattern string, h http.Handler) http.Handler {

@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"testing"
+
+	"reco/internal/obs"
+	"reco/internal/online"
 )
 
 // smallAdmissionConfig keeps the admission experiment fast in tests.
@@ -79,5 +82,28 @@ func TestAdmissionRegisteredButNotInOrder(t *testing.T) {
 		if id == "admission" {
 			t.Fatal("admission must not join Order(): results/all.txt would change")
 		}
+	}
+}
+
+// TestAdmissionLPNeverFallsBack: results/admission.csv is checked byte for
+// byte, yet an LP admitter decision whose solve overruns online.LPBudget of
+// wall-clock time falls back to the greedy packing, and the table would then
+// depend on the machine's speed. At the committed config every LP finishes
+// in time. Skipped under -race, whose slowdown is the detector's.
+func TestAdmissionLPNeverFallsBack(t *testing.T) {
+	if raceBuild {
+		t.Skip("solve times under -race measure the detector")
+	}
+	reg := obs.NewRegistry()
+	obs.Attach(&obs.Sink{Metrics: reg})
+	defer obs.Detach()
+	if _, err := Admission(Config{Seed: 1}); err != nil {
+		t.Fatalf("Admission: %v", err)
+	}
+	if n := reg.Counter(obs.L("admission_decisions_total", "source", "lp")).Value(); n == 0 {
+		t.Fatal("no decision came from the LP")
+	}
+	if n := reg.Counter("admission_lp_fallback_total").Value(); n != 0 {
+		t.Fatalf("%d LP admission decisions fell back to greedy (budget %v)", n, online.LPBudget)
 	}
 }

@@ -307,18 +307,6 @@ func (m *Matrix) MaxEntry() int64 {
 	return mx
 }
 
-// MinPositive returns the smallest strictly positive entry, or 0 if the
-// matrix is all-zero.
-func (m *Matrix) MinPositive() int64 {
-	var mn int64
-	for _, v := range m.cells {
-		if v > 0 && (mn == 0 || v < mn) {
-			mn = v
-		}
-	}
-	return mn
-}
-
 // IsZero reports whether every entry is zero.
 func (m *Matrix) IsZero() bool {
 	if m.sumOK {
@@ -374,23 +362,6 @@ func (m *Matrix) DoublyStochasticValue() (int64, bool) {
 		}
 	}
 	return want, true
-}
-
-// Sub subtracts o from m in place. It returns ErrNegative if any resulting
-// entry would be negative, leaving m partially modified only on error paths
-// that the caller should treat as fatal.
-func (m *Matrix) Sub(o *Matrix) error {
-	if o.n != m.n {
-		return fmt.Errorf("%w: %d vs %d", ErrDimension, m.n, o.n)
-	}
-	m.sumOK = false
-	for i, v := range o.cells {
-		m.cells[i] -= v
-		if m.cells[i] < 0 {
-			return fmt.Errorf("%w: index %d", ErrNegative, i)
-		}
-	}
-	return nil
 }
 
 // Sum returns the entrywise sum of the given matrices, which must all share

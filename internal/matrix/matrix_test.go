@@ -108,18 +108,12 @@ func TestScalarProperties(t *testing.T) {
 	if got := m.MaxEntry(); got != 4 {
 		t.Errorf("MaxEntry = %d, want 4", got)
 	}
-	if got := m.MinPositive(); got != 3 {
-		t.Errorf("MinPositive = %d, want 3", got)
-	}
 	if m.IsZero() {
 		t.Error("IsZero = true for non-zero matrix")
 	}
 	z, _ := New(2)
 	if !z.IsZero() {
 		t.Error("IsZero = false for zero matrix")
-	}
-	if z.MinPositive() != 0 {
-		t.Error("MinPositive of zero matrix should be 0")
 	}
 }
 
@@ -156,29 +150,6 @@ func TestDoublyStochasticValue(t *testing.T) {
 	})
 	if _, ok := not.DoublyStochasticValue(); ok {
 		t.Error("non-DS matrix reported as doubly stochastic")
-	}
-}
-
-func TestSub(t *testing.T) {
-	m := mustFromRows(t, [][]int64{{5, 2}, {1, 4}})
-	o := mustFromRows(t, [][]int64{{1, 2}, {0, 4}})
-	if err := m.Sub(o); err != nil {
-		t.Fatalf("Sub: %v", err)
-	}
-	want := mustFromRows(t, [][]int64{{4, 0}, {1, 0}})
-	if !m.Equal(want) {
-		t.Errorf("Sub result:\n%vwant:\n%v", m, want)
-	}
-
-	under := mustFromRows(t, [][]int64{{1}})
-	big := mustFromRows(t, [][]int64{{2}})
-	if err := under.Sub(big); !errors.Is(err, ErrNegative) {
-		t.Errorf("underflow Sub err = %v, want ErrNegative", err)
-	}
-	a := mustFromRows(t, [][]int64{{1}})
-	b := mustFromRows(t, [][]int64{{1, 0}, {0, 1}})
-	if err := a.Sub(b); !errors.Is(err, ErrDimension) {
-		t.Errorf("mismatched Sub err = %v, want ErrDimension", err)
 	}
 }
 
@@ -426,13 +397,8 @@ func TestSummaryMatchesDenseScan(t *testing.T) {
 				m.Add(i, j, rng.Int63n(60))
 				check("Add", m)
 			case 2:
-				// Subtract a matrix that is entrywise no larger, so Sub succeeds.
-				o := m.Clone()
-				o.Set(i, j, o.At(i, j)/2)
-				if err := m.Sub(o); err != nil {
-					t.Fatal(err)
-				}
-				check("Sub", m)
+				m.Add(i, j, -m.At(i, j)/2)
+				check("Add of a negative amount", m)
 			case 3:
 				m = AcquireClone(random(n))
 				check("AcquireClone", m)

@@ -165,34 +165,23 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 }
 
 // FlushEvery starts a background goroutine that writes one compact
-// (single-line) JSON snapshot of the registry to w every interval — a push
-// exporter for long runs that should be monitorable without an HTTP
-// endpoint to scrape (`tail -f` of the snapshot stream). The returned stop
-// function writes one final snapshot, waits for the goroutine to exit, and
-// is idempotent. Write errors are ignored: monitoring must never abort the
-// run it observes. A nil registry emits empty {} snapshots; intervals ≤ 0
-// flush only on stop.
-func (r *Registry) FlushEvery(w io.Writer, interval time.Duration) (stop func()) {
-	return flushEvery(func() *Registry { return r }, w, interval)
-}
-
-// FlushEvery is the package-level push exporter over the process-global
-// sink: each snapshot reads the registry attached at that moment (empty
-// when detached), so one exporter can span attach/detach cycles. See
-// Registry.FlushEvery for semantics.
+// (single-line) JSON snapshot of the process-global sink's registry to w
+// every interval — a push exporter for long runs that should be
+// monitorable without an HTTP endpoint to scrape (`tail -f` of the
+// snapshot stream). Each snapshot reads the registry attached at that
+// moment, so one exporter can span attach/detach cycles; while detached it
+// emits empty {} snapshots. The returned stop function writes one final
+// snapshot, waits for the goroutine to exit, and is idempotent. Write
+// errors are ignored: monitoring must never abort the run it observes.
+// Intervals ≤ 0 flush only on stop.
 func FlushEvery(w io.Writer, interval time.Duration) (stop func()) {
-	return flushEvery(func() *Registry {
-		if s := Current(); s != nil {
-			return s.Metrics
-		}
-		return nil
-	}, w, interval)
-}
-
-func flushEvery(reg func() *Registry, w io.Writer, interval time.Duration) (stop func()) {
 	flush := func() {
+		var reg *Registry
+		if s := Current(); s != nil {
+			reg = s.Metrics
+		}
 		enc := json.NewEncoder(w) // no indent: one snapshot per line
-		_ = enc.Encode(reg().snapshotJSON())
+		_ = enc.Encode(reg.snapshotJSON())
 	}
 	done := make(chan struct{})
 	exited := make(chan struct{})

@@ -31,12 +31,14 @@ func (l *lockedBuffer) String() string {
 // TestFlushEvery: the push exporter emits one parseable single-line JSON
 // snapshot per flush, stop performs a final flush, and stop is idempotent.
 func TestFlushEvery(t *testing.T) {
+	defer Detach()
 	r := NewRegistry()
 	r.Counter("flush_test_total").Add(3)
 	r.Gauge("flush_test_gauge").Set(1.5)
+	Attach(&Sink{Metrics: r})
 
 	var buf lockedBuffer
-	stop := r.FlushEvery(&buf, time.Millisecond)
+	stop := FlushEvery(&buf, time.Millisecond)
 	deadline := time.Now().Add(2 * time.Second)
 	for strings.Count(buf.String(), "\n") < 2 {
 		if time.Now().After(deadline) {
@@ -74,10 +76,12 @@ func TestFlushEvery(t *testing.T) {
 // TestFlushEveryStopOnly: a non-positive interval flushes exactly once, on
 // stop — the degenerate "final snapshot only" mode.
 func TestFlushEveryStopOnly(t *testing.T) {
+	defer Detach()
 	r := NewRegistry()
 	r.Counter("flush_once_total").Inc()
+	Attach(&Sink{Metrics: r})
 	var buf lockedBuffer
-	stop := r.FlushEvery(&buf, 0)
+	stop := FlushEvery(&buf, 0)
 	stop()
 	if got := strings.Count(buf.String(), "\n"); got != 1 {
 		t.Fatalf("interval 0 wrote %d snapshots, want exactly 1", got)

@@ -123,11 +123,6 @@ func LogBuckets(min, factor float64, n int) []float64 {
 	return out
 }
 
-// NewHistogramLog returns a histogram over LogBuckets(min, factor, n).
-func NewHistogramLog(min, factor float64, n int) *Histogram {
-	return NewHistogram(LogBuckets(min, factor, n))
-}
-
 // Histogram is a fixed-bucket streaming histogram over non-negative
 // observations. Bucket counts are independent atomics (not cumulative;
 // exporters cumulate), so Observe is wait-free except for the float sum,

@@ -38,11 +38,6 @@ func Current() *Sink {
 	return active.Load()
 }
 
-// Enabled reports whether any sink is attached.
-func Enabled() bool {
-	return active.Load() != nil
-}
-
 // Count adds n to the named counter. Nil-safe on s and on either field.
 func (s *Sink) Count(id string, n int64) {
 	if s == nil {

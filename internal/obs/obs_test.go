@@ -216,12 +216,12 @@ func TestSinkDetachedHelpers(t *testing.T) {
 
 func TestAttachCurrentDetach(t *testing.T) {
 	t.Cleanup(Detach)
-	if Enabled() {
+	if Current() != nil {
 		t.Fatal("sink attached at test start")
 	}
 	s := &Sink{Metrics: NewRegistry()}
 	Attach(s)
-	if Current() != s || !Enabled() {
+	if Current() != s {
 		t.Error("Attach did not install the sink")
 	}
 	Current().Inc("hits_total")
@@ -229,13 +229,13 @@ func TestAttachCurrentDetach(t *testing.T) {
 		t.Error("helper did not reach the registry")
 	}
 	Detach()
-	if Current() != nil || Enabled() {
+	if Current() != nil {
 		t.Error("Detach left the sink attached")
 	}
 }
 
 func TestSinkStageRecordsHistogram(t *testing.T) {
-	s := &Sink{Metrics: NewRegistry(), Trace: NewTracer()}
+	s := &Sink{Metrics: NewRegistry(), Trace: NewTracerCap(0)}
 	end := s.Stage("stuff")
 	end()
 	id := L("pipeline_stage_seconds", "stage", "stuff")
@@ -323,16 +323,16 @@ func TestLogBuckets(t *testing.T) {
 	}
 }
 
-func TestNewHistogramLogResolvesMicroseconds(t *testing.T) {
+func TestLogBucketsResolveMicroseconds(t *testing.T) {
 	// A µs-scale sample must not share a bucket with a ms-scale sample, which
 	// is exactly what DefBuckets (first bound 10µs) cannot guarantee.
-	h := NewHistogramLog(1e-6, 2, 24)
+	h := NewHistogram(LogBuckets(1e-6, 2, 24))
 	h.Observe(3e-6)
 	p50 := h.Quantile(0.5)
 	if p50 < 1e-6 || p50 > 8e-6 {
 		t.Errorf("p50 = %v, want within a factor-2 bucket of 3µs", p50)
 	}
-	h2 := NewHistogramLog(1e-6, 2, 24)
+	h2 := NewHistogram(LogBuckets(1e-6, 2, 24))
 	for i := 0; i < 100; i++ {
 		h2.Observe(2e-3) // 2ms
 	}

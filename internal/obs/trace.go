@@ -51,11 +51,6 @@ type traceEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// NewTracer returns an unbounded tracer whose wall-clock origin is now.
-func NewTracer() *Tracer {
-	return NewTracerCap(0)
-}
-
 // NewTracerCap returns a tracer bounded to the most recent n events (a
 // ring buffer; see the Tracer doc). n <= 0 means unbounded.
 func NewTracerCap(n int) *Tracer {

@@ -55,7 +55,7 @@ func TestTracerRingKeepsNewestAndCountsDrops(t *testing.T) {
 }
 
 func TestTracerUnboundedNeverDrops(t *testing.T) {
-	tr := NewTracer()
+	tr := NewTracerCap(0)
 	for i := 0; i < 100; i++ {
 		tr.TickInstant("track", "e", int64(i), nil)
 	}

@@ -34,7 +34,7 @@ func decodeTrace(t *testing.T, tr *Tracer) chromeTrace {
 }
 
 func TestTracerWallSpans(t *testing.T) {
-	tr := NewTracer()
+	tr := NewTracerCap(0)
 	end := tr.Begin("stage", "stuff")
 	end(map[string]any{"n": 4})
 	out := decodeTrace(t, tr)
@@ -58,7 +58,7 @@ func TestTracerWallSpans(t *testing.T) {
 // TestTracerSlotReuse: concurrent spans get distinct rows; sequential
 // spans reuse row 0.
 func TestTracerSlotReuse(t *testing.T) {
-	tr := NewTracer()
+	tr := NewTracerCap(0)
 	end1 := tr.Begin("c", "a")
 	end2 := tr.Begin("c", "b") // overlaps span a -> distinct tid
 	end1(nil)
@@ -81,7 +81,7 @@ func TestTracerSlotReuse(t *testing.T) {
 }
 
 func TestTracerTickEvents(t *testing.T) {
-	tr := NewTracer()
+	tr := NewTracerCap(0)
 	tr.TickSpan("switch", "reconfig", 0, 100, nil)
 	tr.TickSpan("switch", "transmit", 100, 400, map[string]any{"est": 0})
 	tr.TickInstant("faults", "port-down", 250, map[string]any{"port": 3})
@@ -137,7 +137,7 @@ func TestTracerNil(t *testing.T) {
 // TestTracerConcurrency: spans and tick events from many goroutines while
 // WriteChrome snapshots concurrently; -race must stay clean.
 func TestTracerConcurrency(t *testing.T) {
-	tr := NewTracer()
+	tr := NewTracerCap(0)
 	var wg sync.WaitGroup
 	const workers = 8
 	wg.Add(workers + 1)

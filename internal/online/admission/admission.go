@@ -10,12 +10,14 @@
 // of time.
 //
 // The feasibility condition is the per-port EDF (earliest-deadline-first)
-// bound for a fluid server of rate Bandwidth: for every port p and every
-// deadline d, the total load on p of admitted candidates with deadline at
-// most d must be at most Bandwidth·d. It ignores reconfiguration delay and
-// circuit integrality, so it is a necessary condition — optimistic by δ per
-// establishment — which is exactly the role it plays in Sincronia: a cheap
-// screen that sheds work the fabric provably cannot finish in time.
+// bound for a fluid server of unit rate — demand is in ticks of
+// transmission time, so a port drains one tick of load per tick: for every
+// port p and every deadline d, the total load on p of admitted candidates
+// with deadline at most d must be at most d. It ignores reconfiguration
+// delay and circuit integrality, so it is a necessary condition —
+// optimistic by δ per establishment — which is exactly the role it plays
+// in Sincronia: a cheap screen that sheds work the fabric provably cannot
+// finish in time.
 package admission
 
 import (
@@ -76,35 +78,16 @@ func (c Candidate) weight() float64 {
 	return c.Weight
 }
 
-// Options tunes a Decision. The zero value is ready to use.
-type Options struct {
-	// Bandwidth is each port's drain rate in ticks of data per tick of
-	// time. Zero means 1 — the repository's convention that demand is
-	// expressed in ticks of transmission time.
-	Bandwidth float64
-	// MaxLPCandidates bounds the LP's variable count; larger candidate
-	// sets go straight to the greedy packing. Zero means 256.
-	MaxLPCandidates int
-	// MaxDeadlineBuckets bounds the number of distinct deadlines the LP
-	// constrains (each distinct deadline adds up to 2·ports rows). Beyond
-	// it, deadlines are conservatively rounded down onto that many bucket
-	// boundaries, which keeps the LP small and only ever tightens the
-	// constraints. Zero means 8.
-	MaxDeadlineBuckets int
-}
+// MaxLPCandidates bounds the LP's variable count; larger candidate sets go
+// straight to the greedy packing.
+const MaxLPCandidates = 256
 
-func (o Options) withDefaults() Options {
-	if o.Bandwidth <= 0 {
-		o.Bandwidth = 1
-	}
-	if o.MaxLPCandidates <= 0 {
-		o.MaxLPCandidates = 256
-	}
-	if o.MaxDeadlineBuckets <= 0 {
-		o.MaxDeadlineBuckets = 8
-	}
-	return o
-}
+// MaxDeadlineBuckets bounds the number of distinct deadlines the LP
+// constrains (each distinct deadline adds up to 2·ports rows). Beyond it,
+// deadlines are conservatively rounded down onto that many bucket
+// boundaries, which keeps the LP small and only ever tightens the
+// constraints.
+const MaxDeadlineBuckets = 8
 
 // Decision is the accept/reject partition of a candidate set.
 type Decision struct {
@@ -137,8 +120,7 @@ func (d *Decision) IsAdmitted(i int) bool {
 // packing — the returned set is never lighter than greedy's. Any LP
 // failure (cancellation, iteration limit, oversized input) degrades to the
 // greedy result alone.
-func Admit(ctx context.Context, cands []Candidate, opts Options) (*Decision, error) {
-	opts = opts.withDefaults()
+func Admit(ctx context.Context, cands []Candidate) (*Decision, error) {
 	if err := validate(cands); err != nil {
 		return nil, err
 	}
@@ -147,11 +129,11 @@ func Admit(ctx context.Context, cands []Candidate, opts Options) (*Decision, err
 		obs.Current().ObserveDuration("admission_decision_seconds", time.Since(start))
 	}()
 
-	greedy := greedySet(cands, opts)
+	greedy := greedySet(cands)
 	best, source := greedy, "greedy"
 	lpObj := math.NaN()
-	if len(cands) <= opts.MaxLPCandidates {
-		lpSet, obj, err := lpSet(ctx, cands, opts)
+	if len(cands) <= MaxLPCandidates {
+		lpSet, obj, err := lpSet(ctx, cands)
 		if err != nil {
 			obs.Current().Inc("admission_lp_fallback_total")
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -184,12 +166,11 @@ func Admit(ctx context.Context, cands []Candidate, opts Options) (*Decision, err
 // first — and admitted whenever the set stays feasible. It is the
 // deterministic fallback Admit degrades to and is exported for callers
 // (and experiments) that want it explicitly.
-func Greedy(cands []Candidate, opts Options) (*Decision, error) {
-	opts = opts.withDefaults()
+func Greedy(cands []Candidate) (*Decision, error) {
 	if err := validate(cands); err != nil {
 		return nil, err
 	}
-	d := newDecision(cands, greedySet(cands, opts), "greedy")
+	d := newDecision(cands, greedySet(cands), "greedy")
 	d.LPObjective = math.NaN()
 	return d, nil
 }
@@ -248,21 +229,20 @@ func setWeight(cands []Candidate, set []int) float64 {
 // admissible reports whether candidate i can ever be admitted on its own:
 // hopeless candidates (expired deadline with positive load, or a deadline
 // too short for their own load) are screened out before any packing.
-func admissible(c Candidate, bw float64) bool {
+func admissible(c Candidate) bool {
 	if c.Deadline == NoDeadline {
 		return true
 	}
 	if c.Deadline <= 0 {
 		return c.load() == 0
 	}
-	budget := bw * float64(c.Deadline)
 	for _, v := range c.In {
-		if float64(v) > budget {
+		if v > c.Deadline {
 			return false
 		}
 	}
 	for _, v := range c.Out {
-		if float64(v) > budget {
+		if v > c.Deadline {
 			return false
 		}
 	}
@@ -271,12 +251,10 @@ func admissible(c Candidate, bw float64) bool {
 
 // Feasible reports whether the candidate subset passes the per-port EDF
 // bound: for every port and every deadline d among the set, the load of
-// set members with deadline ≤ d is at most bandwidth·d (bandwidth ≤ 0
-// means 1). Candidates with NoDeadline never constrain.
-func Feasible(cands []Candidate, set []int, bandwidth float64) bool {
-	if bandwidth <= 0 {
-		bandwidth = 1
-	}
+// set members with deadline ≤ d is at most d. Candidates with NoDeadline
+// never constrain. The sums are exact: no load is rounded and none
+// overflows.
+func Feasible(cands []Candidate, set []int) bool {
 	type member struct {
 		deadline int64
 		c        *Candidate
@@ -286,9 +264,6 @@ func Feasible(cands []Candidate, set []int, bandwidth float64) bool {
 		c := &cands[i]
 		if c.Deadline == NoDeadline {
 			continue
-		}
-		if c.Deadline <= 0 && c.load() > 0 {
-			return false
 		}
 		members = append(members, member{c.Deadline, c})
 	}
@@ -305,20 +280,25 @@ func Feasible(cands []Candidate, set []int, bandwidth float64) bool {
 			ports = len(m.c.Out)
 		}
 	}
-	acc := make([]float64, 2*ports) // ingress then egress cumulative load
-	for k := 0; k < len(members); {
-		d := members[k].deadline
-		for ; k < len(members) && members[k].deadline == d; k++ {
-			for p, v := range members[k].c.In {
-				acc[p] += float64(v)
-			}
-			for p, v := range members[k].c.Out {
-				acc[ports+p] += float64(v)
+	// acc holds the ingress then egress cumulative load. Each addition is
+	// checked before it is made, so acc stays within [0, max(d, 0)] and
+	// d − acc cannot overflow.
+	acc := make([]int64, 2*ports)
+	add := func(p int, v, d int64) bool {
+		if v > d-acc[p] {
+			return false
+		}
+		acc[p] += v
+		return true
+	}
+	for _, m := range members {
+		for p, v := range m.c.In {
+			if !add(p, v, m.deadline) {
+				return false
 			}
 		}
-		budget := bandwidth * float64(d)
-		for _, load := range acc {
-			if load > budget+1e-9 {
+		for p, v := range m.c.Out {
+			if !add(ports+p, v, m.deadline) {
 				return false
 			}
 		}
@@ -350,10 +330,10 @@ func ShedOrder(cands []Candidate, set []int) []int {
 // greedySet packs candidates in admission priority order (weight
 // descending, deadline ascending, index ascending), keeping the set
 // feasible at every step.
-func greedySet(cands []Candidate, opts Options) []int {
+func greedySet(cands []Candidate) []int {
 	order := make([]int, 0, len(cands))
 	for i, c := range cands {
-		if admissible(c, opts.Bandwidth) {
+		if admissible(c) {
 			order = append(order, i)
 		}
 	}
@@ -370,7 +350,7 @@ func greedySet(cands []Candidate, opts Options) []int {
 	set := make([]int, 0, len(order))
 	for _, i := range order {
 		set = append(set, i)
-		if !Feasible(cands, set, opts.Bandwidth) {
+		if !Feasible(cands, set) {
 			set = set[:len(set)-1]
 		}
 	}
@@ -382,11 +362,11 @@ func greedySet(cands []Candidate, opts Options) []int {
 //
 // Variables: x_i ∈ [0,1] per admissible candidate. Objective: maximize
 // Σ w_i·x_i (minimize the negation). Constraints: for every port p and
-// every (bucketed) deadline d, Σ_{i: d_i ≤ d} load_i(p)·x_i ≤ Bandwidth·d.
+// every (bucketed) deadline d, Σ_{i: d_i ≤ d} load_i(p)·x_i ≤ d.
 // Deadlines are conservatively rounded down onto at most
 // MaxDeadlineBuckets boundaries before constraint generation, so a set
 // feasible under the bucketed deadlines is feasible under the true ones.
-func lpSet(ctx context.Context, cands []Candidate, opts Options) ([]int, float64, error) {
+func lpSet(ctx context.Context, cands []Candidate) ([]int, float64, error) {
 	// Pool of LP participants: admissible candidates. Unconstrained
 	// (NoDeadline) candidates with positive weight are trivially admitted
 	// and stay out of the LP.
@@ -394,7 +374,7 @@ func lpSet(ctx context.Context, cands []Candidate, opts Options) ([]int, float64
 	var free []int
 	for i, c := range cands {
 		switch {
-		case !admissible(c, opts.Bandwidth):
+		case !admissible(c):
 		case c.Deadline == NoDeadline || c.load() == 0:
 			free = append(free, i)
 		default:
@@ -405,7 +385,7 @@ func lpSet(ctx context.Context, cands []Candidate, opts Options) ([]int, float64
 		return free, setWeight(cands, free), nil
 	}
 
-	bucketOf := bucketDeadlines(cands, vars, opts.MaxDeadlineBuckets)
+	bucketOf := bucketDeadlines(cands, vars)
 	prob := lp.NewProblem()
 	col := make(map[int]int, len(vars)) // candidate index -> variable column
 	for _, i := range vars {
@@ -447,7 +427,7 @@ func lpSet(ctx context.Context, cands []Candidate, opts Options) ([]int, float64
 				if len(terms) == 0 {
 					continue
 				}
-				if err := prob.AddConstraint(terms, lp.LE, opts.Bandwidth*float64(d)); err != nil {
+				if err := prob.AddConstraint(terms, lp.LE, float64(d)); err != nil {
 					return nil, 0, err
 				}
 			}
@@ -467,7 +447,7 @@ func lpSet(ctx context.Context, cands []Candidate, opts Options) ([]int, float64
 			set = append(set, i)
 		}
 	}
-	for !Feasible(cands, set, opts.Bandwidth) {
+	for !Feasible(cands, set) {
 		victim := ShedOrder(cands, set)[0]
 		kept := set[:0]
 		for _, i := range set {
@@ -480,15 +460,16 @@ func lpSet(ctx context.Context, cands []Candidate, opts Options) ([]int, float64
 	return set, setWeight(cands, free) - sol.Objective, nil
 }
 
-// bucketDeadlines maps each candidate's deadline onto at most maxBuckets
-// distinct values, rounding down (never up) so the LP only tightens.
-func bucketDeadlines(cands []Candidate, vars []int, maxBuckets int) map[int]int64 {
+// bucketDeadlines maps each candidate's deadline onto at most
+// MaxDeadlineBuckets distinct values, rounding down (never up) so the LP
+// only tightens.
+func bucketDeadlines(cands []Candidate, vars []int) map[int]int64 {
 	distinct := map[int64]bool{}
 	for _, i := range vars {
 		distinct[cands[i].Deadline] = true
 	}
 	out := make(map[int]int64, len(vars))
-	if len(distinct) <= maxBuckets {
+	if len(distinct) <= MaxDeadlineBuckets {
 		for _, i := range vars {
 			out[i] = cands[i].Deadline
 		}
@@ -499,12 +480,12 @@ func bucketDeadlines(cands []Candidate, vars []int, maxBuckets int) map[int]int6
 		sorted = append(sorted, d)
 	}
 	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-	// Pick maxBuckets boundaries spread over the sorted distinct deadlines
-	// (always keeping the smallest), then floor every deadline to the
-	// nearest boundary at or below it.
-	bounds := make([]int64, 0, maxBuckets)
-	for k := 0; k < maxBuckets; k++ {
-		bounds = append(bounds, sorted[k*len(sorted)/maxBuckets])
+	// Pick MaxDeadlineBuckets boundaries spread over the sorted distinct
+	// deadlines (always keeping the smallest), then floor every deadline to
+	// the nearest boundary at or below it.
+	bounds := make([]int64, 0, MaxDeadlineBuckets)
+	for k := 0; k < MaxDeadlineBuckets; k++ {
+		bounds = append(bounds, sorted[k*len(sorted)/MaxDeadlineBuckets])
 	}
 	for _, i := range vars {
 		d := cands[i].Deadline

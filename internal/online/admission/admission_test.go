@@ -21,7 +21,7 @@ func TestAdmitNoDeadlinesAdmitsEverything(t *testing.T) {
 		cand([]int64{900, 900}, []int64{900, 900}, NoDeadline, 0),
 		cand([]int64{5}, []int64{5}, NoDeadline, 8),
 	}
-	d, err := Admit(context.Background(), cands, Options{})
+	d, err := Admit(context.Background(), cands)
 	if err != nil {
 		t.Fatalf("Admit: %v", err)
 	}
@@ -46,7 +46,7 @@ func TestAdmitRejectsHopeless(t *testing.T) {
 		cand([]int64{0}, []int64{0}, 0, 2),    // expired but empty: fine
 		cand([]int64{2}, []int64{2}, -7, 100), // negative deadline
 	}
-	d, err := Admit(context.Background(), cands, Options{})
+	d, err := Admit(context.Background(), cands)
 	if err != nil {
 		t.Fatalf("Admit: %v", err)
 	}
@@ -69,7 +69,7 @@ func TestAdmitPrefersWeight(t *testing.T) {
 		cand([]int64{10}, []int64{10}, 10, 5),
 		cand([]int64{10}, []int64{10}, 10, 2),
 	}
-	d, err := Admit(context.Background(), cands, Options{})
+	d, err := Admit(context.Background(), cands)
 	if err != nil {
 		t.Fatalf("Admit: %v", err)
 	}
@@ -89,14 +89,14 @@ func TestAdmitLPBeatsGreedy(t *testing.T) {
 		cand([]int64{6}, []int64{6}, 10, 4),
 		cand([]int64{4}, []int64{4}, 10, 3),
 	}
-	g, err := Greedy(cands, Options{})
+	g, err := Greedy(cands)
 	if err != nil {
 		t.Fatalf("Greedy: %v", err)
 	}
 	if g.AdmittedWeight != 5 {
 		t.Fatalf("greedy admitted weight %v, want 5 (set %v)", g.AdmittedWeight, g.Admitted)
 	}
-	d, err := Admit(context.Background(), cands, Options{})
+	d, err := Admit(context.Background(), cands)
 	if err != nil {
 		t.Fatalf("Admit: %v", err)
 	}
@@ -126,18 +126,18 @@ func TestAdmitWeightAtLeastGreedy(t *testing.T) {
 			}
 			cands[i] = cand(in, out, dl, float64(1+rng.Intn(8)))
 		}
-		g, err := Greedy(cands, Options{})
+		g, err := Greedy(cands)
 		if err != nil {
 			t.Fatalf("trial %d: Greedy: %v", trial, err)
 		}
-		d, err := Admit(context.Background(), cands, Options{})
+		d, err := Admit(context.Background(), cands)
 		if err != nil {
 			t.Fatalf("trial %d: Admit: %v", trial, err)
 		}
 		if d.AdmittedWeight < g.AdmittedWeight {
 			t.Fatalf("trial %d: Admit weight %v < Greedy weight %v", trial, d.AdmittedWeight, g.AdmittedWeight)
 		}
-		if !Feasible(cands, d.Admitted, 0) {
+		if !Feasible(cands, d.Admitted) {
 			t.Fatalf("trial %d: admitted set %v infeasible", trial, d.Admitted)
 		}
 		if !math.IsNaN(d.LPObjective) && d.AdmittedWeight > d.LPObjective+1e-6 {
@@ -157,7 +157,7 @@ func TestAdmitCancelledContextFallsBackToGreedy(t *testing.T) {
 		cand([]int64{6}, []int64{6}, 10, 4),
 		cand([]int64{4}, []int64{4}, 10, 3),
 	}
-	d, err := Admit(ctx, cands, Options{})
+	d, err := Admit(ctx, cands)
 	if err != nil {
 		t.Fatalf("Admit with cancelled ctx: %v", err)
 	}
@@ -169,48 +169,70 @@ func TestAdmitCancelledContextFallsBackToGreedy(t *testing.T) {
 	}
 }
 
+// One candidate over MaxLPCandidates sends the whole set to the greedy
+// packing without building an LP.
 func TestAdmitOversizedGoesGreedy(t *testing.T) {
-	cands := []Candidate{
-		cand([]int64{1}, []int64{1}, 10, 1),
-		cand([]int64{1}, []int64{1}, 10, 1),
-		cand([]int64{1}, []int64{1}, 10, 1),
+	cands := make([]Candidate, MaxLPCandidates+1)
+	for i := range cands {
+		cands[i] = cand([]int64{1}, []int64{1}, 10, 1)
 	}
-	d, err := Admit(context.Background(), cands, Options{MaxLPCandidates: 2})
+	d, err := Admit(context.Background(), cands)
 	if err != nil {
 		t.Fatalf("Admit: %v", err)
 	}
-	if d.Source != "greedy" {
-		t.Fatalf("source = %s, want greedy", d.Source)
+	if d.Source != "greedy" || len(d.Admitted) != 10 {
+		t.Fatalf("source = %s with %d admitted, want greedy with 10", d.Source, len(d.Admitted))
 	}
 }
 
 func TestAdmitDeadlineBucketsStayConservative(t *testing.T) {
-	// 20 distinct deadlines force bucketing with MaxDeadlineBuckets=3;
-	// every admitted set must still satisfy the true EDF bound.
+	// 20 distinct deadlines force bucketing onto MaxDeadlineBuckets
+	// boundaries; every admitted set must still satisfy the true EDF bound.
 	var cands []Candidate
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 20; i++ {
 		cands = append(cands, cand([]int64{int64(1 + rng.Intn(6))}, []int64{int64(1 + rng.Intn(6))}, int64(7+3*i), float64(1+rng.Intn(4))))
 	}
-	d, err := Admit(context.Background(), cands, Options{MaxDeadlineBuckets: 3})
+	d, err := Admit(context.Background(), cands)
 	if err != nil {
 		t.Fatalf("Admit: %v", err)
 	}
-	if !Feasible(cands, d.Admitted, 0) {
+	if !Feasible(cands, d.Admitted) {
 		t.Fatalf("bucketed admission produced infeasible set %v", d.Admitted)
+	}
+
+	// Candidate i alone fills port i up to its own deadline, so all 20 fit
+	// and the unbucketed LP optimum is 20. Rounding a deadline down to its
+	// bucket boundary caps that candidate's variable below 1: the bucketed
+	// optimum is lower, while the repaired set still admits everyone.
+	tight := make([]Candidate, 20)
+	for i := range tight {
+		load := make([]int64, len(tight))
+		load[i] = int64(7 + 3*i)
+		tight[i] = cand(load, load, load[i], 1)
+	}
+	d, err = Admit(context.Background(), tight)
+	if err != nil {
+		t.Fatalf("Admit: %v", err)
+	}
+	if !(d.LPObjective < float64(len(tight))) {
+		t.Fatalf("LP optimum %v over 20 distinct deadlines, want below %d (deadlines bucketed)", d.LPObjective, len(tight))
+	}
+	if len(d.Admitted) != len(tight) {
+		t.Fatalf("admitted %v, want all %d", d.Admitted, len(tight))
 	}
 }
 
 func TestAdmitValidation(t *testing.T) {
-	if _, err := Admit(context.Background(), nil, Options{}); err == nil {
+	if _, err := Admit(context.Background(), nil); err == nil {
 		t.Fatal("expected error for empty input")
 	}
 	bad := []Candidate{cand([]int64{1}, []int64{1}, 10, -1)}
-	if _, err := Admit(context.Background(), bad, Options{}); err == nil {
+	if _, err := Admit(context.Background(), bad); err == nil {
 		t.Fatal("expected error for negative weight")
 	}
 	neg := []Candidate{cand([]int64{-1}, []int64{1}, 10, 1)}
-	if _, err := Admit(context.Background(), neg, Options{}); err == nil {
+	if _, err := Admit(context.Background(), neg); err == nil {
 		t.Fatal("expected error for negative load")
 	}
 }
@@ -222,17 +244,44 @@ func TestFeasible(t *testing.T) {
 		cand([]int64{0, 3}, []int64{3, 0}, 4, 1),
 		cand([]int64{2}, []int64{2}, NoDeadline, 1),
 	}
-	if !Feasible(cands, []int{0, 2, 3}, 0) {
+	if !Feasible(cands, []int{0, 2, 3}) {
 		t.Fatal("expected {0,2,3} feasible")
 	}
-	if Feasible(cands, []int{0, 1}, 0) { // port 0 ingress 11 > 10
+	if Feasible(cands, []int{0, 1}) { // port 0 ingress 11 > 10
 		t.Fatal("expected {0,1} infeasible")
 	}
-	if !Feasible(cands, []int{0, 1}, 1.5) { // higher bandwidth makes it fit
-		t.Fatal("expected {0,1} feasible at bandwidth 1.5")
-	}
-	if !Feasible(cands, nil, 0) {
+	if !Feasible(cands, nil) {
 		t.Fatal("empty set must be feasible")
+	}
+}
+
+// Loads past 2⁵³ ticks have no exact float64: 2⁵⁹+1 rounds to 2⁵⁹, and two
+// candidates that overload their port by one tick would pass a float
+// comparison. The check is exact, so only one of them is admitted.
+func TestFeasibleExactBeyondFloatPrecision(t *testing.T) {
+	const d = int64(1) << 60
+	cands := []Candidate{
+		cand([]int64{d / 2}, []int64{d / 2}, d, 1),
+		cand([]int64{d/2 + 1}, []int64{d/2 + 1}, d, 1),
+	}
+	if Feasible(cands, []int{0, 1}) {
+		t.Fatal("Feasible accepts a set that overloads port 0 by one tick")
+	}
+	if !Feasible(cands, []int{0}) || !Feasible(cands, []int{1}) {
+		t.Fatal("each candidate alone must be feasible")
+	}
+	g, err := Greedy(cands)
+	if err != nil {
+		t.Fatalf("Greedy: %v", err)
+	}
+	a, err := Admit(context.Background(), cands)
+	if err != nil {
+		t.Fatalf("Admit: %v", err)
+	}
+	for _, dec := range []*Decision{g, a} {
+		if len(dec.Admitted) != 1 {
+			t.Fatalf("%s admitted %v, want one candidate", dec.Source, dec.Admitted)
+		}
 	}
 }
 
@@ -284,14 +333,14 @@ func TestAdmitRespectsTimeBudget(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	d, err := Admit(ctx, cands, Options{})
+	d, err := Admit(ctx, cands)
 	if err != nil {
 		t.Fatalf("Admit: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("Admit took %v", elapsed)
 	}
-	if !Feasible(cands, d.Admitted, 0) {
+	if !Feasible(cands, d.Admitted) {
 		t.Fatal("admitted set infeasible")
 	}
 }

@@ -74,46 +74,36 @@ func (AdmitAll) Admit(pending []int, _ []Arrival, _ int64) ([]int, []int, error)
 
 // GreedyAdmit keeps the greedy weighted packing of the pending set under
 // the per-port EDF deadline bound.
-type GreedyAdmit struct {
-	// Opts tunes the feasibility test; the zero value uses bandwidth 1.
-	Opts admission.Options
-}
+type GreedyAdmit struct{}
 
 // Name implements Admitter.
 func (GreedyAdmit) Name() string { return "greedy" }
 
 // Admit implements Admitter.
-func (g GreedyAdmit) Admit(pending []int, arrivals []Arrival, now int64) ([]int, []int, error) {
-	cands := candidates(pending, arrivals, now)
-	d, err := admission.Greedy(cands, g.Opts)
+func (GreedyAdmit) Admit(pending []int, arrivals []Arrival, now int64) ([]int, []int, error) {
+	d, err := admission.Greedy(candidates(pending, arrivals, now))
 	if err != nil {
 		return nil, nil, fmt.Errorf("online: %w", err)
 	}
 	return split(pending, d)
 }
 
+// LPBudget bounds each LPAdmit solve; past it the decision degrades to the
+// greedy packing.
+const LPBudget = 50 * time.Millisecond
+
 // LPAdmit keeps the LP-selected maximal-weight admissible subset of the
 // pending set, degrading to the greedy packing on LP timeout or failure.
-type LPAdmit struct {
-	// Opts tunes the LP; the zero value uses bandwidth 1 and the package
-	// defaults for LP size caps.
-	Opts admission.Options
-	// Timeout bounds each LP solve. Zero means 50ms.
-	Timeout time.Duration
-}
+type LPAdmit struct{}
 
 // Name implements Admitter.
 func (LPAdmit) Name() string { return "lp" }
 
 // Admit implements Admitter.
-func (l LPAdmit) Admit(pending []int, arrivals []Arrival, now int64) ([]int, []int, error) {
-	timeout := l.Timeout
-	if timeout <= 0 {
-		timeout = 50 * time.Millisecond
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+func (LPAdmit) Admit(pending []int, arrivals []Arrival, now int64) ([]int, []int, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), LPBudget)
 	defer cancel()
-	d, err := admission.Admit(ctx, candidates(pending, arrivals, now), l.Opts)
+	d, err := admission.Admit(ctx, candidates(pending, arrivals, now))
 	if err != nil {
 		return nil, nil, fmt.Errorf("online: %w", err)
 	}

@@ -13,7 +13,7 @@ func TestForEachInstrumented(t *testing.T) {
 	obs.Detach()
 	t.Cleanup(obs.Detach)
 	reg := obs.NewRegistry()
-	obs.Attach(&obs.Sink{Metrics: reg, Trace: obs.NewTracer()})
+	obs.Attach(&obs.Sink{Metrics: reg, Trace: obs.NewTracerCap(0)})
 
 	const n = 100
 	visited := make([]int, n)

@@ -53,14 +53,6 @@ func NewGroup(cache *Cache) *Group {
 	return &Group{cache: cache, inflight: make(map[string]*call)}
 }
 
-// Cache returns the underlying cache (possibly nil).
-func (g *Group) Cache() *Cache {
-	if g == nil {
-		return nil
-	}
-	return g.cache
-}
-
 // Do returns the result for key, taking it from the cache when present,
 // joining an in-flight computation for the same key when one exists, and
 // otherwise running compute exactly once and caching its result. The

@@ -72,9 +72,10 @@ func TestGroupCoalescesConcurrentRequests(t *testing.T) {
 }
 
 func TestGroupCacheHitSkipsCompute(t *testing.T) {
-	g := NewGroup(New(Config{}))
+	c := New(Config{})
+	g := NewGroup(c)
 	want := resN(3)
-	g.Cache().Put(Fingerprint("a", algo.Request{}), want)
+	c.Put(Fingerprint("a", algo.Request{}), want)
 	res, cached, err := g.Do(context.Background(), Fingerprint("a", algo.Request{}),
 		func(context.Context) (*algo.Result, error) {
 			t.Error("compute ran on cache hit")
@@ -202,14 +203,15 @@ func TestNilGroupRunsDirectly(t *testing.T) {
 // neither the in-flight call nor the entry and solves it a second time
 // (the window a client repeating its request back to back used to hit).
 func TestGroupCachesBeforeAnswering(t *testing.T) {
-	g := NewGroup(New(Config{}))
+	c := New(Config{})
+	g := NewGroup(c)
 	compute := func(ctx context.Context) (*algo.Result, error) { return resN(1), nil }
 	for i := 0; i < 5000; i++ {
 		key := strconv.Itoa(i)
 		if _, _, err := g.Do(context.Background(), key, compute); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := g.Cache().Get(key); !ok {
+		if _, ok := c.Get(key); !ok {
 			t.Fatalf("Do answered for key %q (call %d) before its plan was cached", key, i)
 		}
 	}
@@ -224,7 +226,8 @@ func TestGroupSurvivesPanickingCompute(t *testing.T) {
 	obs.Attach(&obs.Sink{Metrics: reg})
 	defer obs.Detach()
 
-	g := NewGroup(New(Config{}))
+	c := New(Config{})
+	g := NewGroup(c)
 	const n = 4
 	release := make(chan struct{})
 	compute := func(context.Context) (*algo.Result, error) {
@@ -257,7 +260,7 @@ func TestGroupSurvivesPanickingCompute(t *testing.T) {
 	if got := reg.Counter("plancache_compute_panics_total").Value(); got != 1 {
 		t.Errorf("plancache_compute_panics_total = %d, want 1", got)
 	}
-	if _, ok := g.Cache().Get("k"); ok {
+	if _, ok := c.Get("k"); ok {
 		t.Error("a panicked computation was cached")
 	}
 	res, cached, err := g.Do(context.Background(), "k", func(context.Context) (*algo.Result, error) { return resN(2), nil })

@@ -18,10 +18,11 @@ type Config struct {
 	// MaxBytes bounds the approximate total footprint of cached results.
 	// Default 256 MiB. Both bounds are enforced; eviction is per-shard LRU.
 	MaxBytes int64
-	// Shards is the shard count, rounded up to a power of two. More shards
-	// mean less lock contention under concurrent load. Default 16.
-	Shards int
 }
+
+// shards is the shard count, a power of two so shard selection is a mask.
+// More shards mean less lock contention under concurrent load.
+const shards = 16
 
 func (c Config) withDefaults() Config {
 	if c.MaxEntries <= 0 {
@@ -30,15 +31,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBytes <= 0 {
 		c.MaxBytes = 256 << 20
 	}
-	if c.Shards <= 0 {
-		c.Shards = 16
-	}
-	// Round up to a power of two so shard selection is a mask.
-	n := 1
-	for n < c.Shards {
-		n <<= 1
-	}
-	c.Shards = n
 	return c
 }
 
@@ -77,10 +69,10 @@ type entry struct {
 func New(cfg Config) *Cache {
 	cfg = cfg.withDefaults()
 	c := &Cache{
-		shards:          make([]shard, cfg.Shards),
-		mask:            uint32(cfg.Shards - 1),
-		maxShardEntries: (cfg.MaxEntries + cfg.Shards - 1) / cfg.Shards,
-		maxShardBytes:   (cfg.MaxBytes + int64(cfg.Shards) - 1) / int64(cfg.Shards),
+		shards:          make([]shard, shards),
+		mask:            shards - 1,
+		maxShardEntries: (cfg.MaxEntries + shards - 1) / shards,
+		maxShardBytes:   (cfg.MaxBytes + shards - 1) / shards,
 		lookupBounds:    obs.LogBuckets(1e-7, 2, 22), // 100ns .. ~0.2s
 	}
 	if c.maxShardEntries < 1 {

@@ -82,23 +82,38 @@ func resN(n int) *algo.Result {
 	return &algo.Result{CCTs: make([]int64, n), Reconfigs: n}
 }
 
+// oneShard returns n keys that land in the same shard of c, so a test can
+// fill that shard's LRU past its bound.
+func oneShard(c *Cache, n int) []string {
+	var keys []string
+	for i := 0; len(keys) < n; i++ {
+		k := fmt.Sprintf("k%d", i)
+		if len(keys) == 0 || c.shardFor(k) == c.shardFor(keys[0]) {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
 func TestCacheGetPutLRU(t *testing.T) {
-	c := New(Config{MaxEntries: 2, Shards: 1})
-	c.Put("a", resN(1))
-	c.Put("b", resN(2))
-	if _, ok := c.Get("a"); !ok {
+	c := New(Config{MaxEntries: 2 * shards}) // two entries a shard
+	k := oneShard(c, 3)
+	a, b, third := k[0], k[1], k[2]
+	c.Put(a, resN(1))
+	c.Put(b, resN(2))
+	if _, ok := c.Get(a); !ok {
 		t.Fatal("a missing")
 	}
-	// a is now most recent; inserting c evicts b.
-	c.Put("c", resN(3))
-	if _, ok := c.Get("b"); ok {
+	// a is now most recent; inserting a third key evicts b.
+	c.Put(third, resN(3))
+	if _, ok := c.Get(b); ok {
 		t.Error("b should have been evicted (LRU)")
 	}
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := c.Get(a); !ok {
 		t.Error("a should have survived")
 	}
-	if _, ok := c.Get("c"); !ok {
-		t.Error("c should be present")
+	if _, ok := c.Get(third); !ok {
+		t.Error("the third key should be present")
 	}
 	if got := c.Len(); got != 2 {
 		t.Errorf("Len = %d, want 2", got)
@@ -107,9 +122,10 @@ func TestCacheGetPutLRU(t *testing.T) {
 
 func TestCacheByteBoundEvicts(t *testing.T) {
 	big := &algo.Result{CCTs: make([]int64, 1000)} // ~8KB
-	c := New(Config{MaxEntries: 100, MaxBytes: 20 << 10, Shards: 1})
-	for i := 0; i < 10; i++ {
-		c.Put(fmt.Sprintf("k%d", i), big)
+	// 20 KiB a shard, so the shard holds two of them.
+	c := New(Config{MaxEntries: 100 * shards, MaxBytes: shards * 20 << 10})
+	for _, k := range oneShard(c, 10) {
+		c.Put(k, big)
 	}
 	if c.Bytes() > 20<<10 {
 		t.Errorf("Bytes = %d, want <= %d", c.Bytes(), 20<<10)
@@ -138,7 +154,7 @@ func TestCacheHammer(t *testing.T) {
 	obs.Attach(&obs.Sink{Metrics: reg})
 	defer obs.Detach()
 
-	c := New(Config{MaxEntries: 32, MaxBytes: 1 << 20, Shards: 4})
+	c := New(Config{MaxEntries: 32, MaxBytes: 1 << 20})
 	const (
 		workers = 8
 		ops     = 2000

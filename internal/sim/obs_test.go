@@ -57,7 +57,7 @@ func TestInstrumentationIsInvisible(t *testing.T) {
 			obs.Detach()
 			plain, plainErr := v.run()
 
-			sink := &obs.Sink{Metrics: obs.NewRegistry(), Trace: obs.NewTracer()}
+			sink := &obs.Sink{Metrics: obs.NewRegistry(), Trace: obs.NewTracerCap(0)}
 			obs.Attach(sink)
 			instr, instrErr := v.run()
 			obs.Detach()

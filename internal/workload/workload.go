@@ -154,9 +154,6 @@ type GenConfig struct {
 	MinDemand int64
 	// MeanDemand scales typical flow sizes. Default 800 ticks (10 MB).
 	MeanDemand int64
-	// Perturb is the ± relative size perturbation. Default 0.05; set
-	// negative to disable.
-	Perturb float64
 	// SizeSpread is how many decades the per-coflow shuffle scale spans
 	// above MinDemand (production traces span KBs to TBs). Default 2.
 	SizeSpread float64
@@ -175,13 +172,14 @@ func (cfg *GenConfig) applyDefaults() {
 	if cfg.MeanDemand == 0 {
 		cfg.MeanDemand = 800
 	}
-	if cfg.Perturb == 0 {
-		cfg.Perturb = 0.05
-	}
 	if cfg.SizeSpread == 0 {
 		cfg.SizeSpread = 2
 	}
 }
+
+// perturb is the ± relative perturbation of every flow size around its
+// mapper's share.
+const perturb = 0.05
 
 // Paper workload marginals: Table II transmission-mode mix and Table I
 // density mix. Dense and normal coflows are necessarily M2M (a single-port
@@ -366,11 +364,7 @@ func genMatrix(rng *rand.Rand, cfg GenConfig, mode Mode, class Class) (*matrix.M
 			if fill < 1 && rng.Float64() > fill && m > 1 {
 				continue
 			}
-			size := perMapper
-			if cfg.Perturb > 0 {
-				size *= 1 + (rng.Float64()*2-1)*cfg.Perturb
-			}
-			v := int64(size)
+			v := int64(perMapper * (1 + (rng.Float64()*2-1)*perturb))
 			if v < cfg.MinDemand {
 				v = cfg.MinDemand
 			}

@@ -151,9 +151,11 @@ func TestGenerateMatchesPaperMarginals(t *testing.T) {
 
 	// Elephant floor holds everywhere.
 	for _, c := range coflows {
-		if mp := c.Demand.MinPositive(); mp != 0 && mp < 400 {
-			t.Fatalf("coflow %d has flow of %d ticks below the 400-tick floor", c.ID, mp)
-		}
+		c.Demand.ForEachNonZero(func(i, j int, v int64) {
+			if v < 400 {
+				t.Fatalf("coflow %d has flow (%d,%d) of %d ticks below the 400-tick floor", c.ID, i, j, v)
+			}
+		})
 	}
 }
 
