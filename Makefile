@@ -7,8 +7,9 @@ GO ?= go
 
 all: build test
 
-# The full verification gate: everything CI should hold a change to.
-check: build test race vet lint bench-smoke
+# The full verification gate: everything CI should hold a change to,
+# including the fmt-check and unreached steps CI runs on their own.
+check: fmt-check build test race vet lint unreached bench-smoke
 
 build:
 	$(GO) build ./...

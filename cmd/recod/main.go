@@ -24,8 +24,10 @@
 // Scheduling responses are served through a plan cache keyed by the exact
 // request, with request coalescing (tune with -cache-entries /
 // -cache-bytes, or disable with -no-cache); request bodies are capped at
-// -max-body bytes (413 beyond). Async jobs run on a bounded pool
-// (-job-workers, -job-queue, -job-retention).
+// -max-body bytes (413 beyond). Async jobs run on -job-workers goroutines
+// in submission order; at the -job-queue bound admission control sheds a
+// queued job or answers 429, and -job-retention caps the finished jobs
+// kept for polling.
 //
 // With -pprof, net/http/pprof is mounted under /debug/pprof/ (off by
 // default). The process shuts down gracefully on SIGINT/SIGTERM, draining
@@ -67,7 +69,7 @@ func run(args []string, stderr io.Writer) int {
 		cacheEntries = fs.Int("cache-entries", 0, "plan cache entry bound (0: default)")
 		cacheBytes   = fs.Int64("cache-bytes", 0, "plan cache approximate byte bound (0: default)")
 		jobWorkers   = fs.Int("job-workers", 0, "async job worker goroutines (0: RECO_WORKERS if set, else GOMAXPROCS)")
-		jobQueue     = fs.Int("job-queue", 0, "async job queue bound (0: default)")
+		jobQueue     = fs.Int("job-queue", 0, "async job queue bound; at it admission sheds or answers 429 (0: default)")
 		jobRetention = fs.Int("job-retention", 0, "finished jobs retained for polling (0: default)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -82,7 +84,7 @@ func run(args []string, stderr io.Writer) int {
 	// One registry carries everything: HTTP metrics from the api collector
 	// and — because the sink is attached process-wide — the scheduler
 	// pipeline series (stage timings, BvN terms, matching and LP counters,
-	// plan-cache and job-pool series) emitted while requests are being
+	// plan-cache and job series) emitted while requests are being
 	// served.
 	reg := obs.NewRegistry()
 	obs.Attach(&obs.Sink{Metrics: reg})
@@ -136,7 +138,7 @@ func run(args []string, stderr io.Writer) int {
 // (api.Server.InstrumentedHandlerOn): access logging outermost, so
 // recovered panics are logged as 500s, then panic recovery, then — with
 // -pprof — a mux adding /debug/pprof/. The returned api.Server owns the
-// plan cache and job pool; the caller closes it after the HTTP server
+// plan cache and job workers; the caller closes it after the HTTP server
 // drains.
 func handler(logger *log.Logger, reg *obs.Registry, opts api.Options, withPprof bool) (http.Handler, *api.Server) {
 	apiServer := api.NewServer(opts)

@@ -140,7 +140,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.Int64Var(&cfg.C, "c", 4, "optical transmission threshold (multi)")
 	fs.DurationVar(&cfg.Deadline, "deadline", 0, "base per-request SLA; each request draws [0.5,1.5)x this (0: none)")
 	fs.BoolVar(&cfg.Weighted, "weighted", false, "assign seeded power-of-two admission weights to requests")
-	fs.IntVar(&cfg.JobWorkers, "job-workers", 0, "inprocess: async job pool workers (0: server default)")
+	fs.IntVar(&cfg.JobWorkers, "job-workers", 0, "inprocess: async job workers (0: server default)")
 	fs.IntVar(&cfg.JobQueue, "job-queue", 0, "inprocess: queued-job bound before admission control kicks in (0: server default)")
 	outPath := fs.String("out", "", "also write the report to this file")
 	if err := fs.Parse(args); err != nil {

@@ -197,8 +197,10 @@ type Scheduler interface {
 // missing entries mean 1), knobs in range, and demand small enough for
 // int64 tick arithmetic: the batch's back-to-back completion bound
 // Σ 2·(ρ + n·δ) — Theorem 2's bound on one coflow's CCT, summed over the
-// coflows — must be representable, or row sums and clocks downstream wrap
-// silently. The registry runs it before every Scheduler.Schedule.
+// coflows — must be representable, and so must each coflow's largest built
+// total n·(ρ + n·δ), a regularized and stuffed matrix's, or row sums,
+// totals and clocks downstream wrap silently. The registry runs it before
+// every Scheduler.Schedule.
 func ValidateRequest(req Request) error {
 	if len(req.Demands) == 0 {
 		return fmt.Errorf("%w: no demand matrices", ErrBadRequest)
@@ -232,14 +234,19 @@ func ValidateRequest(req Request) error {
 		return err
 	}
 	// Σ 2·(ρ + n·δ) ≤ MaxInt64, spent coflow by coflow from a budget of
-	// MaxInt64/2 so that nothing here can itself overflow.
+	// MaxInt64/2 so that nothing here can itself overflow; then the coflow's
+	// n·(ρ + n·δ) ≤ MaxInt64, tested by division.
 	budget := int64(math.MaxInt64 / 2)
 	for k, d := range req.Demands {
 		rho, ok := d.CheckedMaxRowColSum()
 		if !ok || req.Delta > budget/int64(n) || rho > budget-int64(n)*req.Delta {
 			return fmt.Errorf("%w: demand %d: completion bound 2*(rho + n*delta) overflows int64 ticks", ErrBadRequest, k)
 		}
-		budget -= rho + int64(n)*req.Delta
+		built := rho + int64(n)*req.Delta
+		if built > math.MaxInt64/int64(n) {
+			return fmt.Errorf("%w: demand %d: stuffed total n*(rho + n*delta) overflows int64 ticks", ErrBadRequest, k)
+		}
+		budget -= built
 	}
 	return nil
 }

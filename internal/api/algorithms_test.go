@@ -221,6 +221,18 @@ func TestScheduleSingleElecFracField(t *testing.T) {
 	}
 }
 
+// dense returns an n×n demand whose every row and column sums to rho.
+func dense(n int, rho int64) [][]int64 {
+	d := make([][]int64, n)
+	for i := range d {
+		d[i] = make([]int64, n)
+		for j := range d[i] {
+			d[i][j] = rho / int64(n)
+		}
+	}
+	return d
+}
+
 // TestRegistryUnderHostileInput posts well-formed but hostile batches to
 // every registered algorithm: whatever the scheduler makes of them, the
 // answer is a 200 with no negative CCT or a structured 400 — a client's
@@ -270,6 +282,15 @@ func TestRegistryUnderHostileInput(t *testing.T) {
 			{"slot wraps", func(r *MultiRequest) {
 				r.Demands, r.Delta, r.C = [][][]int64{{{5}}}, 1<<61, 1
 			}, sched.Name() == algo.NameHelios},
+			// ρ = 0.3·MaxInt64 passes the 2·(ρ + nδ) bound, but the n·ρ
+			// total of a dense coflow wraps: once a 500 "schedule leaves
+			// unserved demand" from the BvN rows and a 200 from eclipse.
+			{"dense total wraps, n=4", func(r *MultiRequest) {
+				r.Demands, r.Delta = [][][]int64{dense(4, math.MaxInt64/10*3)}, 1
+			}, true},
+			{"dense total wraps, n=8", func(r *MultiRequest) {
+				r.Demands, r.Delta = [][][]int64{dense(8, math.MaxInt64/10*3)}, 1
+			}, true},
 		}
 		for i := range algo.KnobTable {
 			if set := setValue(&algo.KnobTable[i]); algo.CheckKnobs(sched, set) != nil {

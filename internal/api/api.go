@@ -48,7 +48,7 @@ const DefaultMaxBodyBytes = 64 << 20
 const defaultC = 4
 
 // Options configures a Server. The zero value serves with a default-sized
-// plan cache, coalescing, a lazily started job pool and the default body
+// plan cache, coalescing, lazily started job workers and the default body
 // cap.
 type Options struct {
 	// MaxBodyBytes caps request bodies; exceeding it returns a structured
@@ -61,10 +61,11 @@ type Options struct {
 	// defaults). Keys are exact: a plan answers only the request it was
 	// computed for.
 	Cache plancache.Config
-	// JobWorkers bounds the async job pool (0: RECO_WORKERS or GOMAXPROCS).
+	// JobWorkers is the number of async job workers (0: RECO_WORKERS or
+	// GOMAXPROCS).
 	JobWorkers int
-	// JobQueue bounds queued-but-not-running jobs; submits beyond it get a
-	// 503. Zero means 256.
+	// JobQueue bounds queued-but-not-running jobs; at the bound admission
+	// control sheds a queued job or answers the submit 429. Zero means 256.
 	JobQueue int
 	// JobRetention caps finished jobs retained for status queries; the
 	// oldest finished jobs are dropped first. Zero means 1024.
@@ -79,7 +80,7 @@ type Server struct {
 	jobs  *jobManager
 }
 
-// NewServer returns a Server over opts. Close releases the job pool.
+// NewServer returns a Server over opts. Close stops its job workers.
 func NewServer(opts Options) *Server {
 	if opts.MaxBodyBytes <= 0 {
 		opts.MaxBodyBytes = DefaultMaxBodyBytes
@@ -94,12 +95,12 @@ func NewServer(opts Options) *Server {
 	if !opts.NoCache {
 		s.group = plancache.NewGroup(plancache.New(opts.Cache))
 	}
-	s.jobs = newJobManager(opts.JobWorkers, opts.JobQueue, opts.JobRetention)
+	s.jobs = newJobManager(opts.JobWorkers, opts.JobQueue, opts.JobRetention, s.schedule)
 	return s
 }
 
-// Close stops the async job pool, waiting for running jobs to finish.
-// In-flight synchronous requests are unaffected.
+// Close refuses new jobs (503), runs the jobs already queued and waits for
+// them to finish. In-flight synchronous requests are unaffected.
 func (s *Server) Close() {
 	s.jobs.close()
 }
@@ -296,9 +297,9 @@ type AlgorithmsResponse struct {
 	Algorithms []AlgorithmInfo `json:"algorithms"`
 }
 
-// errorResponse is the JSON error envelope. RetryAfterMS, present on 429
-// and 503 responses, is the server's estimate of when capacity frees up;
-// cooperating clients wait that long before retrying.
+// errorResponse is the JSON error envelope. RetryAfterMS, present on a 429,
+// is the server's estimate of when capacity frees up; cooperating clients
+// wait that long before retrying.
 type errorResponse struct {
 	Error        string `json:"error"`
 	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`

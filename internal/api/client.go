@@ -25,8 +25,8 @@ type APIError struct {
 	Status int
 	// Msg is the server's error message.
 	Msg string
-	// RetryAfterMS is the server's backoff hint (429/503 responses under
-	// load carry one); zero when absent.
+	// RetryAfterMS is the server's backoff hint (a 429 under load carries
+	// one); zero when absent.
 	RetryAfterMS int64
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -70,7 +71,7 @@ type job struct {
 	id   string
 	kind string
 	name string       // algorithm
-	areq algo.Request // the zero Request once exec is done with the job
+	areq algo.Request // the zero Request once the job is terminal
 
 	// SLA: weight defaults to 1; a zero deadline means none. inLoad and
 	// outLoad are the summed per-port demands, precomputed at submission
@@ -104,39 +105,41 @@ func (j *job) candidate(now time.Time) admission.Candidate {
 	return admission.Candidate{In: j.inLoad, Out: j.outLoad, Deadline: dl, Weight: j.weight}
 }
 
-// jobManager owns the job table and the bounded worker pool that executes
-// jobs. The pool starts lazily on the first submission, so servers that
-// never see a job never spawn its goroutines.
+// jobManager owns the job table, and the table is the job queue: pending
+// holds the queued jobs oldest first, and `workers` goroutines take them
+// from its front in submission order. The workers start on the first
+// accepted submission, so a server that never sees a job starts none.
 //
-// The queue bound is logical: `queued` counts jobs in state JobQueued and
-// is what admission enforces. The pool's physical channel is oversized
-// because shed and cancelled jobs leave dead closures behind (exec sees
-// the state change and returns); TrySubmit failing against the oversized
-// channel is the last-resort 503 when corpses pile up faster than workers
-// drain them.
+// The queue bound is len(pending), and admission enforces it. A job shed or
+// cancelled while queued leaves pending at once and drops its demand.
 type jobManager struct {
 	workers, queue int
 	retain         int
-
-	poolOnce sync.Once
-	pool     *parallel.Pool
+	run            func(context.Context, string, algo.Request) (*algo.Result, error)
 
 	mu       sync.Mutex
+	ready    sync.Cond // on mu: a job was queued or the manager closed
 	jobs     map[string]*job
 	order    []string // submission order, for listing and retention
+	pending  []*job   // jobs in state JobQueued, oldest first
 	seq      int64
-	queued   int     // jobs in state JobQueued
 	avgDurMS float64 // EWMA of finished-job wall time, for retry hints
+	started  bool    // the workers are running
 	closed   bool
+	done     sync.WaitGroup // one per worker
 }
 
-func newJobManager(workers, queue, retain int) *jobManager {
-	return &jobManager{
+// newJobManager returns a manager whose workers compute each job with run.
+func newJobManager(workers, queue, retain int, run func(context.Context, string, algo.Request) (*algo.Result, error)) *jobManager {
+	m := &jobManager{
 		workers: parallel.Workers(workers),
 		queue:   queue,
 		retain:  retain,
+		run:     run,
 		jobs:    make(map[string]*job),
 	}
+	m.ready.L = &m.mu
+	return m
 }
 
 // submitOutcome is the job admission verdict for one submission.
@@ -145,69 +148,57 @@ type submitOutcome int
 const (
 	submitAccepted submitOutcome = iota
 	submitRejected               // admission turned the new job away: 429
-	submitFull                   // pool saturated or manager closed: 503
+	submitClosed                 // the manager is closed: 503
 )
 
+// close refuses further submissions, lets the workers run the jobs already
+// queued, and waits for them to finish.
 func (m *jobManager) close() {
 	m.mu.Lock()
 	m.closed = true
-	pool := m.pool
+	m.ready.Broadcast()
 	m.mu.Unlock()
-	if pool != nil {
-		pool.Close()
-	}
+	m.done.Wait()
 }
 
-// submit registers the job and hands it to the pool. While the logical
-// queue has room every job is accepted; at the bound, admission control
-// decides which of (queued ∪ incoming) survives — shedding queued work to
-// admit heavier or tighter-deadline arrivals, or rejecting the incoming
-// job with a retry hint.
-func (m *jobManager) submit(j *job, run func()) (submitOutcome, int64) {
-	m.poolOnce.Do(func() {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		if !m.closed {
-			// Oversized physical channel: see the jobManager comment.
-			m.pool = parallel.NewPool(m.workers, 4*m.queue+16)
-		}
-	})
+// submit registers the job and queues it. While the queue has room every
+// job is accepted; at the bound, admission control decides which of
+// (queued ∪ incoming) survives — shedding queued work to admit heavier or
+// tighter-deadline arrivals, or rejecting the incoming job with a retry
+// hint.
+func (m *jobManager) submit(j *job) (submitOutcome, int64) {
 	m.mu.Lock()
-	if m.closed || m.pool == nil {
-		m.mu.Unlock()
-		return submitFull, 0
+	defer m.mu.Unlock()
+	if m.closed {
+		return submitClosed, 0
 	}
-	if m.queued >= m.queue {
+	if len(m.pending) >= m.queue {
 		victims, acceptNew := m.admitLocked(j)
 		for _, v := range victims {
-			m.shedLocked(v)
+			m.unqueueLocked(v, JobShed, "shed by admission control under overload")
+			obs.Current().Inc("jobs_shed_total")
 		}
 		if !acceptNew {
-			hint := m.retryHintMSLocked()
-			m.mu.Unlock()
 			obs.Current().Inc("jobs_rejected_total")
-			return submitRejected, hint
+			return submitRejected, m.retryHintMSLocked()
 		}
 	}
 	m.seq++
 	j.id = fmt.Sprintf("j%08d", m.seq)
 	j.state = JobQueued
 	j.created = time.Now()
-	pool := m.pool
-	m.mu.Unlock()
-
-	if !pool.TrySubmit(run) {
-		m.mu.Lock()
-		hint := m.retryHintMSLocked()
-		m.mu.Unlock()
-		return submitFull, hint
-	}
-	m.mu.Lock()
 	m.jobs[j.id] = j
 	m.order = append(m.order, j.id)
-	m.queued++
+	m.pending = append(m.pending, j)
 	m.evictLocked()
-	m.mu.Unlock()
+	if !m.started {
+		m.started = true
+		m.done.Add(m.workers)
+		for range m.workers {
+			go m.work()
+		}
+	}
+	m.ready.Signal()
 	obs.Current().Inc("jobs_submitted_total")
 	obs.Current().GaugeAdd("jobs_pending", 1)
 	return submitAccepted, 0
@@ -221,22 +212,14 @@ func (m *jobManager) submit(j *job, run func()) (submitOutcome, int64) {
 // newest last-in — which is the single shedding policy of the service.
 func (m *jobManager) admitLocked(incoming *job) (victims []*job, acceptNew bool) {
 	now := time.Now()
-	var queued []*job
-	for _, id := range m.order {
-		if qj := m.jobs[id]; qj != nil && qj.state == JobQueued {
-			queued = append(queued, qj)
-		}
-	}
-	cands := make([]admission.Candidate, 0, len(queued)+1)
-	for _, qj := range queued {
+	cands := make([]admission.Candidate, 0, len(m.pending)+1)
+	for _, qj := range m.pending {
 		cands = append(cands, qj.candidate(now))
 	}
 	cands = append(cands, incoming.candidate(now))
 
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
 	keep := make([]bool, len(cands))
-	d, err := admission.Admit(ctx, cands)
+	d, err := admission.Admit(context.Background(), cands)
 	if err == nil {
 		for _, i := range d.Admitted {
 			keep[i] = true
@@ -261,7 +244,7 @@ func (m *jobManager) admitLocked(incoming *job) (victims []*job, acceptNew bool)
 			keep[i] = false
 		}
 	}
-	for qi, qj := range queued {
+	for qi, qj := range m.pending {
 		if !keep[qi] {
 			victims = append(victims, qj)
 		}
@@ -269,21 +252,20 @@ func (m *jobManager) admitLocked(incoming *job) (victims []*job, acceptNew bool)
 	return victims, keep[len(cands)-1]
 }
 
-// shedLocked drops a queued job: terminal state JobShed, context
-// cancelled so its dead pool closure returns immediately when dequeued.
-func (m *jobManager) shedLocked(j *job) {
-	if j.state != JobQueued {
-		return
+// unqueueLocked ends a queued job without running it: it leaves pending in
+// the terminal state (JobShed or JobCancelled), its context ends, and its
+// demand, which no computation has seen, goes back to the matrix pool.
+func (m *jobManager) unqueueLocked(j *job, state, reason string) {
+	if i := slices.Index(m.pending, j); i >= 0 {
+		m.pending = slices.Delete(m.pending, i, i+1)
 	}
-	j.state = JobShed
+	j.state = state
 	j.finished = time.Now()
-	j.err = "shed by admission control under overload"
-	m.queued--
-	if j.cancel != nil {
-		j.cancel()
-	}
-	obs.Current().Inc("jobs_shed_total")
-	obs.Current().Inc(obs.L("jobs_finished_total", "state", JobShed))
+	j.err = reason
+	j.cancel()
+	recycle(j.areq)
+	j.areq = algo.Request{}
+	obs.Current().Inc(obs.L("jobs_finished_total", "state", state))
 	obs.Current().GaugeAdd("jobs_pending", -1)
 }
 
@@ -296,7 +278,7 @@ func (m *jobManager) retryHintMSLocked() int64 {
 	if avg <= 0 {
 		avg = 100
 	}
-	rounds := (m.queued + m.workers) / m.workers // ceil((queued+1)/workers)
+	rounds := (len(m.pending) + m.workers) / m.workers // ceil((queued+1)/workers)
 	hint := int64(avg * float64(rounds))
 	if hint < 1 {
 		hint = 1
@@ -361,31 +343,22 @@ func (m *jobManager) list() []JobInfo {
 	return out
 }
 
-// cancelJob cancels the job's context. A queued job flips straight to
-// cancelled (its worker closure observes that and returns); a running job
-// transitions when the scheduler honors the context. Returns the post-
-// cancel snapshot.
+// cancelJob cancels the job's context. A queued job leaves the queue and
+// flips straight to cancelled; a running job transitions when the
+// scheduler honors the context. Returns the post-cancel snapshot.
 func (m *jobManager) cancelJob(id string) (JobInfo, bool) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	j, ok := m.jobs[id]
 	if !ok {
-		m.mu.Unlock()
 		return JobInfo{}, false
 	}
 	if j.state == JobQueued {
-		j.state = JobCancelled
-		j.finished = time.Now()
-		m.queued--
-		obs.Current().GaugeAdd("jobs_pending", -1)
+		m.unqueueLocked(j, JobCancelled, "")
 	}
-	cancel := j.cancel
-	info := j.infoLocked()
-	m.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
+	j.cancel()
 	obs.Current().Inc("jobs_cancelled_total")
-	return info, true
+	return j.infoLocked(), true
 }
 
 func (j *job) infoLocked() JobInfo {
@@ -411,27 +384,32 @@ func (j *job) infoLocked() JobInfo {
 	return info
 }
 
-// exec runs one job to a terminal state through the server's cached
-// scheduling path.
-func (s *Server) exec(j *job) {
-	m := s.jobs
-	m.mu.Lock()
-	if j.state != JobQueued {
-		// Cancelled or shed while queued: dead closure, nothing to run.
-		j.areq = algo.Request{}
-		m.mu.Unlock()
-		return
-	}
-	j.state = JobRunning
-	j.started = time.Now()
-	m.queued--
-	ctx := j.ctx
-	m.mu.Unlock()
-
-	res, err := s.schedule(ctx, j.name, j.areq)
-
+// work is one worker: it runs the oldest queued job until none is left and
+// the manager is closed.
+func (m *jobManager) work() {
+	defer m.done.Done()
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	for {
+		for len(m.pending) == 0 && !m.closed {
+			m.ready.Wait()
+		}
+		if len(m.pending) == 0 {
+			return
+		}
+		j := m.pending[0]
+		m.pending = slices.Delete(m.pending, 0, 1)
+		j.state = JobRunning
+		j.started = time.Now()
+		m.mu.Unlock()
+		res, err := m.run(j.ctx, j.name, j.areq)
+		m.mu.Lock()
+		m.finishLocked(j, res, err)
+	}
+}
+
+// finishLocked records a run's outcome on its job.
+func (m *jobManager) finishLocked(j *job, res *algo.Result, err error) {
 	j.finished = time.Now()
 	durMS := float64(j.finished.Sub(j.started)) / float64(time.Millisecond)
 	if m.avgDurMS <= 0 {
@@ -441,7 +419,7 @@ func (s *Server) exec(j *job) {
 	}
 	obs.Current().GaugeAdd("jobs_pending", -1)
 	switch {
-	case ctx.Err() != nil:
+	case j.ctx.Err() != nil:
 		j.state = JobCancelled
 	case err != nil:
 		j.state = JobFailed
@@ -502,18 +480,18 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	j.inLoad, j.outLoad = demandLoads(j.areq)
 	// The job's context outlives the submitting request by design; only
-	// cancellation, shedding, or Close ends it.
+	// cancellation or shedding ends it (Close lets queued jobs run).
 	j.ctx, j.cancel = context.WithCancel(context.Background())
-	outcome, hintMS := s.jobs.submit(j, func() { s.exec(j) })
+	outcome, hintMS := s.jobs.submit(j)
 	switch outcome {
 	case submitRejected:
 		j.cancel()
 		writeErrorRetry(w, http.StatusTooManyRequests,
 			"job rejected by admission control: server over capacity", hintMS)
 		return
-	case submitFull:
+	case submitClosed:
 		j.cancel()
-		writeErrorRetry(w, http.StatusServiceUnavailable, "job queue full", hintMS)
+		writeError(w, http.StatusServiceUnavailable, "server is closing: no new jobs")
 		return
 	}
 	info, _ := s.jobs.get(j.id)

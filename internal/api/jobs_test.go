@@ -2,14 +2,18 @@ package api
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"reco/internal/algo"
+	"reco/internal/obs"
 )
 
 // blockSched is a registry scheduler tests steer: when gate is non-nil,
@@ -260,8 +264,8 @@ func TestJobCancelQueued(t *testing.T) {
 	if final.State != JobDone {
 		t.Errorf("blocker state = %s, want done", final.State)
 	}
-	// The cancelled job must stay cancelled even after its worker slot came
-	// up (the pool closure observes the terminal state and returns).
+	// The cancelled job must stay cancelled and unstarted after the worker
+	// freed up: it left the queue when it was cancelled.
 	again, err := client.Job(ctx, queued.ID)
 	if err != nil {
 		t.Fatalf("Job: %v", err)
@@ -322,10 +326,11 @@ func TestJobEndpointMethods(t *testing.T) {
 
 // TestFinishedJobsDropTheirDemand: a finished job's record is retained for
 // status queries, up to JobRetention of them, and keeps its rendered
-// response, never its request's n² matrices — whether the job finished,
-// failed or was cancelled while queued.
+// response, never its request's n² matrices — whether the job finished or
+// failed, and from the moment it was cancelled or shed while queued, not
+// once a worker would have reached it.
 func TestFinishedJobsDropTheirDemand(t *testing.T) {
-	s, client := newJobTestServer(t, Options{JobWorkers: 1, JobQueue: 8})
+	s, client := newJobTestServer(t, Options{JobWorkers: 1, JobQueue: 2})
 	release, started := testBlock.arm()
 	defer func() { release(); testBlock.disarm() }()
 	ctx := context.Background()
@@ -337,25 +342,48 @@ func TestFinishedJobsDropTheirDemand(t *testing.T) {
 		}
 		return info.ID
 	}
-	single := func(algorithm string, delta int64) JobRequest {
-		return JobRequest{Kind: "single", Single: &SingleRequest{Demand: jobDemand, Delta: delta, Algorithm: algorithm}}
+	single := func(algorithm string, delta int64, weight float64) JobRequest {
+		return JobRequest{Kind: "single", Single: &SingleRequest{Demand: jobDemand, Delta: delta, Algorithm: algorithm, Weight: weight}}
+	}
+	holdsDemand := func(ids ...string) {
+		t.Helper()
+		s.jobs.mu.Lock()
+		defer s.jobs.mu.Unlock()
+		for _, id := range ids {
+			if j := s.jobs.jobs[id]; len(j.areq.Demands) != 0 {
+				t.Errorf("%s job %s still references its %d demand matrices", j.state, id, len(j.areq.Demands))
+			}
+		}
 	}
 
-	blocker := submit(single("test-block", 100))
+	blocker := submit(single("test-block", 100, 1))
 	<-started
-	queued := submit(single("", 100))
+	queued := submit(single("", 100, 1))
 	if _, err := client.CancelJob(ctx, queued); err != nil {
 		t.Fatalf("CancelJob: %v", err)
 	}
+	// With the queue at its bound of 2, a heavier arrival sheds the
+	// lightest queued job.
+	victim := submit(single("", 100, 1))
+	kept := submit(single("", 100, 2))
+	heavy := submit(single("", 100, 8))
+	holdsDemand(queued, victim)
 	release()
-	// One worker runs the pool in submission order, so the cancelled job's
-	// dead closure has run once the jobs after it are done.
-	ids := []string{blocker, queued,
-		submit(single("", 100)),
-		submit(JobRequest{Kind: "multi", Multi: &MultiRequest{Demands: [][][]int64{jobDemand, jobDemand}, Delta: 100, C: 4}}),
-		submit(single(algo.NameHelios, 0)), // helios refuses δ = 0: a failed job
+
+	ids := []string{blocker, queued, victim, kept, heavy}
+	want := []string{JobDone, JobCancelled, JobShed, JobDone, JobDone, JobDone, JobDone, JobFailed}
+	for _, req := range []JobRequest{
+		single("", 100, 1),
+		{Kind: "multi", Multi: &MultiRequest{Demands: [][][]int64{jobDemand, jobDemand}, Delta: 100, C: 4}},
+		single(algo.NameHelios, 0, 1), // helios refuses δ = 0: a failed job
+	} {
+		// One at a time, so no submission meets a full queue.
+		id := submit(req)
+		if _, err := client.WaitJob(ctx, id, time.Millisecond); err != nil {
+			t.Fatalf("WaitJob: %v", err)
+		}
+		ids = append(ids, id)
 	}
-	want := []string{JobDone, JobCancelled, JobDone, JobDone, JobFailed}
 	for k, id := range ids {
 		info, err := client.WaitJob(ctx, id, time.Millisecond)
 		if err != nil {
@@ -365,11 +393,155 @@ func TestFinishedJobsDropTheirDemand(t *testing.T) {
 			t.Errorf("job %s: state %s, want %s", id, info.State, want[k])
 		}
 	}
-	s.jobs.mu.Lock()
-	defer s.jobs.mu.Unlock()
-	for _, id := range ids {
-		if j := s.jobs.jobs[id]; len(j.areq.Demands) != 0 {
-			t.Errorf("%s job %s still references its %d demand matrices", j.state, id, len(j.areq.Demands))
+	holdsDemand(ids...)
+}
+
+// Cancelled queued jobs leave the queue: a stream of submit-then-cancel
+// cycles behind one running job never fills it. (Once, each left a dead
+// closure in a second, physical queue of 4·JobQueue+16 slots, and submit
+// 25 answered 503 "job queue full" to an empty queue.)
+func TestCancelledJobsNeverFillTheQueue(t *testing.T) {
+	_, client := newJobTestServer(t, Options{JobWorkers: 1, JobQueue: 2})
+	release, started := testBlock.arm()
+	defer func() { release(); testBlock.disarm() }()
+	ctx := context.Background()
+	req := JobRequest{Kind: "single", Single: &SingleRequest{Demand: jobDemand, Delta: 100, Algorithm: "test-block"}}
+
+	blocker, err := client.SubmitJob(ctx, req)
+	if err != nil {
+		t.Fatalf("submit blocker: %v", err)
+	}
+	<-started
+	for i := 1; i <= 40; i++ {
+		info, err := client.SubmitJob(ctx, req)
+		if err != nil {
+			t.Fatalf("submit %d behind one running job and an empty queue: %v", i, err)
+		}
+		if _, err := client.CancelJob(ctx, info.ID); err != nil {
+			t.Fatalf("cancel %d: %v", i, err)
+		}
+	}
+	list, err := client.Jobs(ctx)
+	if err != nil {
+		t.Fatalf("Jobs: %v", err)
+	}
+	for _, j := range list.Jobs {
+		if j.State == JobQueued {
+			t.Errorf("job %s queued after every queued job was cancelled", j.ID)
+		}
+	}
+	release()
+	if final, err := client.WaitJob(ctx, blocker.ID, time.Millisecond); err != nil || final.State != JobDone {
+		t.Fatalf("blocker: %+v, %v", final, err)
+	}
+}
+
+// TestJobCancelRacesWorker runs submits, cancels and the shedding a full
+// queue forces concurrently with two workers taking jobs, half of them
+// while the workers are blocked and half while jobs run straight through.
+// Every accepted job ends in exactly one terminal state, counted once in
+// jobs_finished_total; jobs_pending returns to 0; a job cancelled while
+// queued never started; and Close returns. Run it under -race.
+func TestJobCancelRacesWorker(t *testing.T) {
+	ensureTestBlock()
+	reg := obs.NewRegistry()
+	obs.Attach(&obs.Sink{Metrics: reg})
+	defer obs.Detach()
+	s := NewServer(Options{NoCache: true, JobWorkers: 2, JobQueue: 3})
+	h := s.Handler()
+	release, started := testBlock.arm()
+	defer testBlock.disarm()
+	drained := make(chan struct{})
+	defer close(drained)
+	go func() { // every Schedule call sends a token; never let one block
+		for {
+			select {
+			case <-started:
+			case <-drained:
+				return
+			}
+		}
+	}()
+	do := func(path, body string) (int, JobInfo) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		var info JobInfo
+		_ = json.Unmarshal(rec.Body.Bytes(), &info)
+		return rec.Code, info
+	}
+
+	const submitters, each = 4, 25
+	var (
+		mu                        sync.Mutex
+		accepted, cancelledQueued []string
+		submits                   atomic.Int64
+		wg                        sync.WaitGroup
+	)
+	for g := range submitters {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range each {
+				if submits.Add(1) == submitters*each/2 {
+					release()
+				}
+				code, info := do("/v1/jobs", fmt.Sprintf(`{"kind":"single","single":{"demand":[[1,2],[3,4]],"delta":1,"algorithm":"test-block","weight":%d}}`, 1<<(i%3)))
+				if code == http.StatusTooManyRequests {
+					continue
+				}
+				if code != http.StatusAccepted {
+					t.Errorf("submit: status %d", code)
+					continue
+				}
+				mu.Lock()
+				accepted = append(accepted, info.ID)
+				mu.Unlock()
+				if (g+i)%2 != 0 {
+					continue
+				}
+				// Only this cancel can end the job as cancelled, so a
+				// cancelled snapshot means it was still queued.
+				if code, c := do("/v1/jobs/"+info.ID+"/cancel", ""); code != http.StatusOK {
+					t.Errorf("cancel %s: status %d", info.ID, code)
+				} else if c.State == JobCancelled {
+					mu.Lock()
+					cancelledQueued = append(cancelledQueued, info.ID)
+					mu.Unlock()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	release()
+	closed := make(chan struct{})
+	go func() { s.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return")
+	}
+
+	for _, id := range accepted {
+		if info, ok := s.jobs.get(id); !ok || !terminal(info.State) {
+			t.Errorf("job %s after Close: %+v", id, info)
+		}
+	}
+	var finished int64
+	for _, state := range []string{JobDone, JobFailed, JobCancelled, JobShed} {
+		finished += reg.Counter(obs.L("jobs_finished_total", "state", state)).Value()
+	}
+	if n := int64(len(accepted)); finished != n || reg.Counter("jobs_submitted_total").Value() != n {
+		t.Errorf("%d jobs accepted, %d submitted, %d terminal transitions", n,
+			reg.Counter("jobs_submitted_total").Value(), finished)
+	}
+	t.Logf("%d accepted, %d rejected, %d shed, %d cancelled while queued", len(accepted),
+		reg.Counter("jobs_rejected_total").Value(), reg.Counter("jobs_shed_total").Value(), len(cancelledQueued))
+	if v := reg.Gauge("jobs_pending").Value(); v != 0 {
+		t.Errorf("jobs_pending = %v after Close, want 0", v)
+	}
+	for _, id := range cancelledQueued {
+		if info, _ := s.jobs.get(id); info.State != JobCancelled || info.Started != "" {
+			t.Errorf("job cancelled while queued: %+v", info)
 		}
 	}
 }

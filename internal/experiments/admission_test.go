@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"reco/internal/obs"
-	"reco/internal/online"
+	"reco/internal/online/admission"
 )
 
 // smallAdmissionConfig keeps the admission experiment fast in tests.
@@ -86,7 +86,7 @@ func TestAdmissionRegisteredButNotInOrder(t *testing.T) {
 }
 
 // TestAdmissionLPNeverFallsBack: results/admission.csv is checked byte for
-// byte, yet an LP admitter decision whose solve overruns online.LPBudget of
+// byte, yet an LP admitter decision whose solve overruns admission.LPBudget of
 // wall-clock time falls back to the greedy packing, and the table would then
 // depend on the machine's speed. At the committed config every LP finishes
 // in time. Skipped under -race, whose slowdown is the detector's.
@@ -104,6 +104,6 @@ func TestAdmissionLPNeverFallsBack(t *testing.T) {
 		t.Fatal("no decision came from the LP")
 	}
 	if n := reg.Counter("admission_lp_fallback_total").Value(); n != 0 {
-		t.Fatalf("%d LP admission decisions fell back to greedy (budget %v)", n, online.LPBudget)
+		t.Fatalf("%d LP admission decisions fell back to greedy (budget %v)", n, admission.LPBudget)
 	}
 }

@@ -89,6 +89,10 @@ const MaxLPCandidates = 256
 // constraints.
 const MaxDeadlineBuckets = 8
 
+// LPBudget bounds the wall-clock time of Admit's LP solve; past it the
+// decision degrades to the greedy packing.
+const LPBudget = 50 * time.Millisecond
+
 // Decision is the accept/reject partition of a candidate set.
 type Decision struct {
 	// Admitted and Rejected are sorted candidate indices; together they
@@ -114,8 +118,8 @@ func (d *Decision) IsAdmitted(i int) bool {
 
 // Admit partitions cands into admitted and rejected candidates, maximizing
 // admitted weight under the per-port deadline constraints. It solves the
-// fractional LP under ctx (admission callers typically pass a short
-// timeout), rounds variables at 1/2, repairs the rounded set to integral
+// fractional LP for at most LPBudget (ctx can end it sooner), rounds
+// variables at 1/2, repairs the rounded set to integral
 // feasibility by shedding in ShedOrder, and compares against the greedy
 // packing — the returned set is never lighter than greedy's. Any LP
 // failure (cancellation, iteration limit, oversized input) degrades to the
@@ -133,6 +137,8 @@ func Admit(ctx context.Context, cands []Candidate) (*Decision, error) {
 	best, source := greedy, "greedy"
 	lpObj := math.NaN()
 	if len(cands) <= MaxLPCandidates {
+		ctx, cancel := context.WithTimeout(ctx, LPBudget)
+		defer cancel()
 		lpSet, obj, err := lpSet(ctx, cands)
 		if err != nil {
 			obs.Current().Inc("admission_lp_fallback_total")

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"reco/internal/algo"
 	"reco/internal/online/admission"
@@ -88,12 +87,9 @@ func (GreedyAdmit) Admit(pending []int, arrivals []Arrival, now int64) ([]int, [
 	return split(pending, d)
 }
 
-// LPBudget bounds each LPAdmit solve; past it the decision degrades to the
-// greedy packing.
-const LPBudget = 50 * time.Millisecond
-
 // LPAdmit keeps the LP-selected maximal-weight admissible subset of the
-// pending set, degrading to the greedy packing on LP timeout or failure.
+// pending set, degrading to the greedy packing on LP failure or once the
+// solve overruns admission.LPBudget.
 type LPAdmit struct{}
 
 // Name implements Admitter.
@@ -101,9 +97,7 @@ func (LPAdmit) Name() string { return "lp" }
 
 // Admit implements Admitter.
 func (LPAdmit) Admit(pending []int, arrivals []Arrival, now int64) ([]int, []int, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), LPBudget)
-	defer cancel()
-	d, err := admission.Admit(ctx, candidates(pending, arrivals, now))
+	d, err := admission.Admit(context.Background(), candidates(pending, arrivals, now))
 	if err != nil {
 		return nil, nil, fmt.Errorf("online: %w", err)
 	}
