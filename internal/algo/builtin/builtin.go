@@ -38,6 +38,29 @@ import (
 // (the ext-single experiment's historical choice).
 const HeliosSlotFactor = 4
 
+// MaxHeliosEntries caps the port entries a helios schedule may hold, which
+// bounds its run time and memory: a coflow whose bound n·(nnz +
+// ⌈total/slot⌉) exceeds it is refused as a bad request. Each slot either
+// sends a full slot on some pair or empties one, so there are at most that
+// many slots, each an n-entry permutation. The cap is twice the largest
+// bound the experiment tables reach (16 557 300, at n = 60).
+const MaxHeliosEntries = 1 << 25
+
+// heliosEntries returns MaxHeliosEntries's bound for d, saturating at
+// MaxUint64.
+func heliosEntries(d *matrix.Matrix, slot int64) uint64 {
+	total := d.Total()
+	slots := uint64(d.NonZeros()) + uint64(total/slot)
+	if total%slot != 0 {
+		slots++
+	}
+	n := uint64(d.N())
+	if slots > math.MaxUint64/n {
+		return math.MaxUint64
+	}
+	return n * slots
+}
+
 // HybridPacketSlowdown is the packet-network slowdown the hybrid algorithm
 // assumes: the 10:1 oversubscription of the paper's cluster.
 const HybridPacketSlowdown = 10
@@ -89,7 +112,11 @@ func init() {
 				if req.Delta > math.MaxInt64/HeliosSlotFactor {
 					return nil, fmt.Errorf("%w: helios slot %d*delta overflows int64 ticks at delta %d", algo.ErrBadRequest, HeliosSlotFactor, req.Delta)
 				}
-				return tms.ScheduleHelios(ctx, d, HeliosSlotFactor*req.Delta)
+				slot := HeliosSlotFactor * req.Delta
+				if bound := heliosEntries(d, slot); bound > MaxHeliosEntries {
+					return nil, fmt.Errorf("%w: helios may emit %d port entries at slot %d, over its limit of %d", algo.ErrBadRequest, bound, slot, MaxHeliosEntries)
+				}
+				return tms.ScheduleHelios(ctx, d, slot)
 			})},
 		// Throughput per cost divides by dur + delta, so delta must be positive.
 		{algo.NameEclipse, "Eclipse-style greedy throughput-per-cost circuit schedule per coflow", single,

@@ -184,22 +184,32 @@ func TestCancelledContext(t *testing.T) {
 // scheduler that checks its context only between coflows returns after one
 // coflow's work: hybrid-fluid did, ~250 ms here, and eclipse, checking once
 // per greedy step, ~230 ms. Now the slowest is eclipse's one O(n³) matching
-// per candidate duration, ~110 ms under the race detector.
+// per candidate duration, ~110 ms under the race detector. Helios refuses
+// that input up front (its slot bound, MaxHeliosEntries), so it runs the
+// same coflows with cells up to 64, under its bound and still far past the
+// deadline.
 func TestEverySchedulerHonorsCancel(t *testing.T) {
 	const deadline, bound = 5 * time.Millisecond, 200 * time.Millisecond
 	const n = 128
 	rng := rand.New(rand.NewSource(1))
 	ds := make([]*matrix.Matrix, 2)
+	small := make([]*matrix.Matrix, 2)
 	for k := range ds {
 		ds[k], _ = matrix.New(n)
+		small[k], _ = matrix.New(n)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				ds[k].Set(i, j, 1+rng.Int63n(1<<30))
+				v := 1 + rng.Int63n(1<<30)
+				ds[k].Set(i, j, v)
+				small[k].Set(i, j, 1+v%64)
 			}
 		}
 	}
-	req := algo.Request{Demands: ds, Delta: 1, C: confC}
 	for _, s := range algo.All() {
+		req := algo.Request{Demands: ds, Delta: 1, C: confC}
+		if s.Name() == algo.NameHelios {
+			req.Demands = small
+		}
 		ctx, cancel := context.WithTimeout(context.Background(), deadline)
 		start := time.Now()
 		_, err := s.Schedule(ctx, req)

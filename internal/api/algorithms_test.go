@@ -8,8 +8,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"reco/internal/algo"
 )
@@ -238,7 +240,14 @@ func dense(n int, rho int64) [][]int64 {
 // answer is a 200 with no negative CCT or a structured 400 — a client's
 // mistake is never a 5xx.
 // A newly registered scheduler is swept without an edit here.
+//
+// Each case is a matrix of at most 8×8, so each answer comes within
+// caseDeadline and allocates at most caseAlloc bytes (the most any takes is
+// ~46 KB): a scheduler whose work grows with the values rather than the
+// size, unbounded, fails here instead of running the test out of time or
+// memory.
 func TestRegistryUnderHostileInput(t *testing.T) {
+	const caseDeadline, caseAlloc = 2 * time.Second, 1 << 20
 	srv := NewServer(Options{NoCache: true})
 	defer srv.Close()
 	h := srv.Handler()
@@ -291,6 +300,12 @@ func TestRegistryUnderHostileInput(t *testing.T) {
 			{"dense total wraps, n=8", func(r *MultiRequest) {
 				r.Demands, r.Delta = [][][]int64{dense(8, math.MaxInt64/10*3)}, 1
 			}, true},
+			// Helios sends at most a 4δ slot per pair per slot: 2.5·10⁸
+			// slots here, once a run whose schedule grew until the deadline
+			// or the process's memory ran out. Its slot bound refuses it.
+			{"helios slot bound", func(r *MultiRequest) {
+				r.Demands, r.Delta = [][][]int64{{{0, 1e9}, {1e9, 0}}}, 1
+			}, sched.Name() == algo.NameHelios},
 		}
 		for i := range algo.KnobTable {
 			if set := setValue(&algo.KnobTable[i]); algo.CheckKnobs(sched, set) != nil {
@@ -307,7 +322,16 @@ func TestRegistryUnderHostileInput(t *testing.T) {
 				t.Fatal(err)
 			}
 			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/schedule/multi", bytes.NewReader(body)))
+			hr := httptest.NewRequest(http.MethodPost, "/v1/schedule/multi", bytes.NewReader(body))
+			ctx, cancel := context.WithTimeout(hr.Context(), caseDeadline)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			h.ServeHTTP(rec, hr.WithContext(ctx))
+			runtime.ReadMemStats(&after)
+			cancel()
+			if got := after.TotalAlloc - before.TotalAlloc; got > caseAlloc {
+				t.Errorf("%s, %s: allocated %d B, ceiling %d", sched.Name(), name, got, caseAlloc)
+			}
 			if rec.Code != http.StatusOK && rec.Code != http.StatusBadRequest {
 				t.Errorf("%s, %s: status %d, want 200 or 400: %s", sched.Name(), name, rec.Code, rec.Body.Bytes())
 			}

@@ -26,7 +26,7 @@ type blockSched struct {
 
 	mu      sync.Mutex
 	gate    chan struct{}
-	started chan struct{} // receives one token per Schedule call underway
+	started chan struct{} // receives one token per Schedule call underway; a call whose context ends first sends none
 }
 
 var (
@@ -71,7 +71,11 @@ func (b *blockSched) Schedule(ctx context.Context, req algo.Request) (*algo.Resu
 	gate, started := b.gate, b.started
 	b.mu.Unlock()
 	if started != nil {
-		started <- struct{}{}
+		select {
+		case started <- struct{}{}:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
 	}
 	if gate != nil {
 		select {
@@ -371,6 +375,13 @@ func TestFinishedJobsDropTheirDemand(t *testing.T) {
 	release()
 
 	ids := []string{blocker, queued, victim, kept, heavy}
+	// Until kept and heavy leave the queue it is full, and admission turns
+	// a lighter arrival away.
+	for _, id := range []string{kept, heavy} {
+		if _, err := client.WaitJob(ctx, id, time.Millisecond); err != nil {
+			t.Fatalf("WaitJob: %v", err)
+		}
+	}
 	want := []string{JobDone, JobCancelled, JobShed, JobDone, JobDone, JobDone, JobDone, JobFailed}
 	for _, req := range []JobRequest{
 		single("", 100, 1),
@@ -453,7 +464,10 @@ func TestJobCancelRacesWorker(t *testing.T) {
 	defer testBlock.disarm()
 	drained := make(chan struct{})
 	defer close(drained)
-	go func() { // every Schedule call sends a token; never let one block
+	// Every Schedule call sends a token. Once the gate opens, more than the
+	// channel holds run straight through, and Close runs the queued rest
+	// without cancelling them, so only draining keeps them from waiting.
+	go func() {
 		for {
 			select {
 			case <-started:

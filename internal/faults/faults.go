@@ -172,9 +172,10 @@ type GenConfig struct {
 }
 
 // Generate builds a deterministic fault schedule from cfg: each port draws
-// its fate from its own SplitMix64 stream, so schedules for different ports,
-// seeds or fabric sizes are statistically independent, and the same config
-// always yields the same schedule.
+// its fate from one math/rand source re-seeded for it with
+// parallel.Seed(cfg.Seed, streamPort, port), so the same config always
+// yields the same schedule and a port's fate does not depend on the fabric
+// size.
 func Generate(cfg GenConfig) (*Schedule, error) {
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("%w: fabric size %d", ErrBadSchedule, cfg.N)

@@ -194,7 +194,7 @@ func (e *Engine) Bottleneck() ([]int, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	return e.permCopy(), val, nil
+	return e.g.permutation(), val, nil
 }
 
 // Extract computes the max–min perfect matching of the current support,
@@ -225,7 +225,7 @@ func (e *Engine) extract() ([]int, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	perm := e.permCopy()
+	perm := e.g.permutation()
 	e.subtract(coef)
 	return perm, coef, nil
 }
@@ -375,15 +375,6 @@ func (e *Engine) sweep() (int64, error) {
 	// Every positive cell is in the graph now, which is what thr = 1 says.
 	e.thr = 1
 	return 0, fmt.Errorf("%w: support has no perfect matching", ErrNoPerfectMatching)
-}
-
-// permCopy returns the current matching as a caller-owned permutation.
-func (e *Engine) permCopy() []int {
-	out := make([]int, e.n)
-	for u, v := range e.g.matchL[:e.n] {
-		out[u] = int(v)
-	}
-	return out
 }
 
 // locate records in pos where each row's matched cell sits in the index and

@@ -158,32 +158,122 @@ func randomStuffed(rng *rand.Rand, n int, density float64, maxVal int64) *matrix
 // TestGraphMatchesRecursiveReference pins the iterative DFS to the original
 // recursion: on random graphs both must return the identical matching, not
 // merely one of equal size — FirstFit decompositions and Solstice schedules
-// depend on the exact permutations staying the same.
+// depend on the exact permutations staying the same. Past the small graphs
+// it runs the sizes the experiment tables and the service decompose, on
+// both sides of the one-word row boundary, sparse to dense; at each size
+// some graphs must leave the greedy first pass short of the maximum, so the
+// later phases run from what it built.
 func TestGraphMatchesRecursiveReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 300; trial++ {
-		n := 1 + rng.Intn(12)
-		adj := make([][]int, n)
-		g := NewGraph(n)
-		for u := 0; u < n; u++ {
-			for v := 0; v < n; v++ {
-				if rng.Float64() < 0.35 {
-					adj[u] = append(adj[u], v)
-					g.AddEdge(u, v)
+		checkGraphMatchesReference(t, randomAdj(rng, 1+rng.Intn(12), 0.35))
+	}
+	for _, n := range []int{60, 63, 64, 65, 128} {
+		short := 0
+		for _, density := range []float64{0.05, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95} {
+			for rep := 0; rep < 3; rep++ {
+				adj := randomAdj(rng, n, density)
+				if size := checkGraphMatchesReference(t, adj); greedySize(n, adj) < size {
+					short++
 				}
 			}
 		}
-		wantPerm, wantSize := refMaxMatching(n, adj)
-		gotPerm, gotSize := g.MaxMatching()
-		if gotSize != wantSize {
-			t.Fatalf("trial %d: size %d, reference %d", trial, gotSize, wantSize)
+		if short == 0 {
+			t.Errorf("n=%d: the greedy pass reached the maximum on every graph; no later phase ran", n)
 		}
-		for u := range wantPerm {
-			if gotPerm[u] != wantPerm[u] {
-				t.Fatalf("trial %d: matchL[%d] = %d, reference %d", trial, u, gotPerm[u], wantPerm[u])
+	}
+}
+
+// randomAdj returns the adjacency lists of a random n-vertex bipartite
+// graph holding each edge with the given probability.
+func randomAdj(rng *rand.Rand, n int, density float64) [][]int {
+	adj := make([][]int, n)
+	for u := range adj {
+		for v := 0; v < n; v++ {
+			if rng.Float64() < density {
+				adj[u] = append(adj[u], v)
 			}
 		}
 	}
+	return adj
+}
+
+// greedySize is the size of the matching in which each row, in order, takes
+// its lowest column no earlier row took.
+func greedySize(n int, adj [][]int) int {
+	used := make([]bool, n)
+	size := 0
+	for _, vs := range adj {
+		for _, v := range vs {
+			if !used[v] {
+				used[v] = true
+				size++
+				break
+			}
+		}
+	}
+	return size
+}
+
+// checkGraphMatchesReference loads adj into a Graph and holds its
+// MaxMatching to the recursive reference: the same matching entry for
+// entry, and — what the bottleneck sweep's search gate reads — after a
+// non-perfect result, dist finite on exactly the left vertices an
+// alternating path reaches from a free one. It returns the matching size.
+func checkGraphMatchesReference(t *testing.T, adj [][]int) int {
+	t.Helper()
+	n := len(adj)
+	g := NewGraph(n)
+	for u, vs := range adj {
+		for _, v := range vs {
+			g.AddEdge(u, v)
+		}
+	}
+	want, wantSize := refMaxMatching(n, adj)
+	got, size := g.MaxMatching()
+	if size != wantSize {
+		t.Fatalf("n=%d: size %d, reference %d", n, size, wantSize)
+	}
+	for u := range want {
+		if got[u] != want[u] {
+			t.Fatalf("n=%d: matchL[%d] = %d, reference %d", n, u, got[u], want[u])
+		}
+	}
+	if size == n {
+		return size
+	}
+	// Alternating reachability from the free left vertices: any edge out,
+	// the matching edge back.
+	matchR := make([]int, n)
+	for v := range matchR {
+		matchR[v] = -1
+	}
+	reached := make([]bool, n)
+	var queue []int
+	for u, v := range want {
+		if v == -1 {
+			reached[u] = true
+			queue = append(queue, u)
+		} else {
+			matchR[v] = u
+		}
+	}
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		for _, v := range adj[u] {
+			if w := matchR[v]; w != -1 && !reached[w] {
+				reached[w] = true
+				queue = append(queue, w)
+			}
+		}
+	}
+	for u := range reached {
+		if (g.dist[u] != infDist) != reached[u] {
+			t.Fatalf("n=%d: dist[%d] = %d, alternating-reachable = %v", n, u, g.dist[u], reached[u])
+		}
+	}
+	return size
 }
 
 // TestBottleneckPerfectDifferential proves the threshold-descending engine
@@ -257,9 +347,14 @@ func checkPerfectAbove(t *testing.T, m *matrix.Matrix, perm []int, val int64) {
 // permutation, because committed experiment results depend on it.
 func TestExtractAnyMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 60; trial++ {
-		n := 2 + rng.Intn(10)
-		m := randomStuffed(rng, n, 0.5, 64)
+	for trial := 0; trial < 68; trial++ {
+		// 60 small matrices, then the table and service sizes, sparse and
+		// dense, with a one-word row each.
+		n, density := 2+rng.Intn(10), 0.5
+		if trial >= 60 {
+			n, density = []int{60, 64}[trial%2], []float64{0.1, 0.35, 0.6, 0.9}[(trial-60)/2]
+		}
+		m := randomStuffed(rng, n, density, 64)
 		eng := NewEngine(m, RowMajor)
 		res := m.Clone()
 		for step := 0; !res.IsZero(); step++ {

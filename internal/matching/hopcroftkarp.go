@@ -20,6 +20,8 @@ import (
 // represented by one bitset row of right neighbours per left vertex
 // ((n+63)/64 words each). Edges are therefore visited in column order,
 // whatever order they were added in, and adding an edge twice is a no-op.
+// At n ≤ 64 a row, the free set and each BFS layer are one word, and the
+// greedy pass, bfs and nextColumn take a path that reads them as such.
 //
 // A Graph is reusable: Reset clears the edge set and the current matching
 // while keeping every backing array, so a Graph that has reached its
@@ -211,19 +213,41 @@ const infDist = int32(^uint32(0) >> 1)
 func (g *Graph) MaxMatching() (matchL []int, size int) {
 	obs.Current().Inc("matching_hopcroftkarp_total")
 	g.augment()
+	return g.permutation(), g.matched
+}
+
+// PerfectMatching is MaxMatching for a caller that wants only a perfect
+// matching: it returns the matching as a caller-owned permutation when it
+// is perfect, and nil, allocating nothing, when it is not. The graph's
+// matching state is left as MaxMatching leaves it.
+func (g *Graph) PerfectMatching() []int {
+	obs.Current().Inc("matching_hopcroftkarp_total")
+	if g.augment() != g.n {
+		return nil
+	}
+	return g.permutation()
+}
+
+// permutation returns the current matching as a caller-owned slice: entry u
+// is the right vertex matched to u, or −1.
+func (g *Graph) permutation() []int {
 	out := make([]int, g.n)
 	for u, v := range g.matchL {
 		out[u] = int(v)
 	}
-	return out, g.matched
+	return out
 }
 
 // augment grows the current matching to maximum cardinality by running
 // Hopcroft–Karp phases until no augmenting path remains (or the matching is
-// perfect), and returns the matching size. After a return with matched < n,
-// dist holds the alternating-path reachability labels of the final failed
-// BFS, which the incremental bottleneck engine uses to gate future searches.
+// perfect), and returns the matching size. From an empty matching the first
+// phase is the greedy pass. After a return with matched < n, dist holds the
+// alternating-path reachability labels of the final failed BFS, which the
+// incremental bottleneck engine uses to gate future searches.
 func (g *Graph) augment() int {
+	if g.matched == 0 {
+		g.greedy()
+	}
 	for g.matched < g.n && g.bfs() {
 		for u := int32(0); u < int32(g.n); u++ {
 			if g.matchL[u] == -1 && g.dfs(u) {
@@ -232,6 +256,38 @@ func (g *Graph) augment() int {
 		}
 	}
 	return g.matched
+}
+
+// greedy runs the first Hopcroft–Karp phase from an empty matching in one
+// pass: row u, in order, takes its lowest column no earlier row took. That
+// is what the phase's BFS and DFS calls do. With every vertex free, layer 1
+// is empty, so each search stops at the lowest free column of its root's
+// row, or fails without touching any set; the next BFS starts over from the
+// matching alone.
+func (g *Graph) greedy() {
+	if g.words == 1 {
+		used := uint64(0)
+		for u, x := range g.rows[:g.n] {
+			if x &^= used; x != 0 {
+				v := int32(bits.TrailingZeros64(x))
+				used |= 1 << v
+				g.adopt(int32(u), v)
+			}
+		}
+		return
+	}
+	used := g.seen
+	clear(used)
+	for u := int32(0); u < int32(g.n); u++ {
+		for k, x := range g.row(u) {
+			if x &^= used[k]; x != 0 {
+				v := int32(k<<6 + bits.TrailingZeros64(x))
+				used[k] |= 1 << (v & 63)
+				g.adopt(u, v)
+				break
+			}
+		}
+	}
 }
 
 // bfs layers the graph by shortest alternating-path distance from the free
@@ -243,6 +299,9 @@ func (g *Graph) augment() int {
 // exhaustion, as that one does, rather than stopping at the first free
 // right vertex.
 func (g *Graph) bfs() bool {
+	if g.words == 1 {
+		return g.bfs1()
+	}
 	reach, seen, free := g.reach, g.seen, g.free
 	clear(reach)
 	clear(seen)
@@ -283,6 +342,42 @@ func (g *Graph) bfs() bool {
 				}
 			}
 		}
+	}
+}
+
+// bfs1 is bfs for graphs of at most 64 vertices per side, with each row,
+// the free set and each layer one word.
+func (g *Graph) bfs1() bool {
+	rows := g.rows[:g.n]
+	free, reach := uint64(0), uint64(0)
+	for u, x := range rows {
+		if g.matchR[u] == -1 {
+			free |= 1 << u
+		}
+		if g.matchL[u] == -1 {
+			g.dist[u] = 0
+			reach |= x
+		} else {
+			g.dist[u] = infDist
+		}
+	}
+	g.free[0] = free
+	found := reach&free != 0
+	seen := uint64(0)
+	for d := int32(1); ; d++ {
+		next := reach &^ free &^ seen
+		g.layers[d] = next
+		if next == 0 {
+			return found
+		}
+		seen |= next
+		reach = 0
+		for ; next != 0; next &= next - 1 {
+			w := g.matchR[bits.TrailingZeros64(next)]
+			g.dist[w] = d
+			reach |= rows[w]
+		}
+		found = found || reach&free != 0
 	}
 }
 
@@ -346,6 +441,13 @@ func (g *Graph) dfs(root int32) bool {
 // nextColumn returns the lowest neighbour of u at or past iter[u] that is
 // free or matched to a vertex one layer below u, or -1.
 func (g *Graph) nextColumn(u int32) int32 {
+	if g.words == 1 {
+		x := g.rows[u] & (g.free[0] | g.layers[g.dist[u]+1]) & (^uint64(0) << g.iter[u])
+		if x == 0 {
+			return -1
+		}
+		return int32(bits.TrailingZeros64(x))
+	}
 	row, lay := g.row(u), g.layer(g.dist[u]+1)
 	from := int(g.iter[u])
 	for k := from >> 6; k < g.words; k++ {

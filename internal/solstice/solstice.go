@@ -67,14 +67,12 @@ func Schedule(ctx context.Context, d *matrix.Matrix) (ocs.CircuitSchedule, error
 			return nil, err
 		}
 		if perm == nil {
-			var size int
-			if perm, size = g.MaxMatching(); size != n {
+			if perm = g.PerfectMatching(); perm == nil {
 				if r == 1 {
 					return nil, fmt.Errorf("%w: no perfect matching at r=1", ErrStuck)
 				}
 				r /= 2
 				g.LoadThreshold(res, r)
-				perm = nil
 				continue
 			}
 		} else {

@@ -143,3 +143,36 @@ func TestScheduleHonorsDeadline(t *testing.T) {
 		t.Errorf("Schedule returned %v after a 5ms deadline", took)
 	}
 }
+
+// raceBuild is set in a -race build (race_test.go).
+var raceBuild bool
+
+// TestHalvingAllocatesNothing: a threshold that finds no perfect matching
+// costs Slicing no allocation. 2^k·I + P (P a derangement of ones) halves
+// k times between its two slices; I + P has the same two slices and never
+// halves, and may allocate no less.
+func TestHalvingAllocatesNothing(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const n, k = 8, 20
+	build := func(diag int64) *matrix.Matrix {
+		m, _ := matrix.New(n)
+		for i := 0; i < n; i++ {
+			m.Set(i, i, diag)
+			m.Set(i, (i+1)%n, 1)
+		}
+		return m
+	}
+	allocs := func(m *matrix.Matrix) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if cs, err := Schedule(context.Background(), m); err != nil || len(cs) != 2 {
+				t.Fatalf("%d slices, err %v; want 2", len(cs), err)
+			}
+		})
+	}
+	halving, flat := allocs(build(1<<k)), allocs(build(1))
+	if halving > flat {
+		t.Errorf("%d halvings: %.0f allocations, none: %.0f", k, halving, flat)
+	}
+}
